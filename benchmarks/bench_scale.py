@@ -196,10 +196,10 @@ def run_scale(
         # the sum of both phases' buffers.
         reset_workspace()
 
-        # Served in 32-user batches with a 32-entry cache: at 10^6 nodes
-        # a utility vector is ~16 MB per user, so one giant batch (or an
-        # unbounded cache) would make the RSS gate measure the batch
-        # size instead of the scale dataflow.
+        # Served in 32-user batches with a 32-entry cache. Dense rows were
+        # ~16 MB per user at 10^6 nodes, which set these bounds; support-
+        # form rows are a few hundred bytes, and the bounds are kept so
+        # the serving rate stays comparable across commits.
         users = list(range(serve_users))
         service = RecommendationService(
             shared, epsilon=SERVE_EPSILON, seed=SERVE_SEED,

@@ -7,14 +7,15 @@ single-recommendation requests:
 * **sequential** — one ``recommend(user)`` call per request (per-target
   utility computation + per-vector softmax sampling);
 * **batched** — one ``recommend_batch(users)`` call (one sparse
-  ``A[targets] @ A`` utility matrix + one Gumbel-max sampling pass).
+  ``A[targets] @ A`` product kept as support-form rows + an O(support)
+  Gumbel-max draw per request).
 
 Both paths run on fresh service instances with cold caches, so the
 comparison isolates vectorization rather than cache effects. The
 acceptance target for this repo is a >= 5x speedup at 500 distinct
 targets (scale 0.1 replica). A third, chunked configuration exercises the
-:mod:`repro.compute` sharded path (``chunk_size`` bounds peak dense
-memory) to confirm chunking does not forfeit the batched speedup.
+:mod:`repro.compute` sharded path (``chunk_size`` bounds the rows one
+chunk handles) to confirm chunking does not forfeit the batched speedup.
 
 Writes ``BENCH_serving.json`` (profile + recs/sec for each path) so CI
 uploads serving throughput alongside ``BENCH_experiment.json`` and

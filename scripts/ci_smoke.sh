@@ -10,10 +10,15 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 cd "$repo_root"
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+# Smoke benches write their artifacts here, never over the committed
+# full-profile BENCH_*.json files; the directory goes away on exit.
+smoke_out="$(mktemp -d)"
+trap 'rm -rf "$smoke_out"' EXIT
+
 echo "== perf trajectory (committed artifacts) =="
-# Parses the COMMITTED BENCH_*.json files — before the smoke benches
-# below overwrite them — and fails if any gated number regressed below
-# its gate. Deterministic on any runner: nothing is re-measured here.
+# Parses the COMMITTED BENCH_*.json files and fails if any gated number
+# regressed below its gate. Deterministic on any runner: nothing is
+# re-measured here.
 python scripts/check_bench_trajectory.py
 
 echo
@@ -37,14 +42,15 @@ echo
 echo "== serving benchmark (smoke) =="
 # Lower gate than the local acceptance (5x): wall-clock ratios are noisy
 # on loaded shared CI runners; 2x still proves the batched path vectorizes.
-# Writes BENCH_serving.json for the artifact upload.
-python benchmarks/bench_serving.py --smoke --min-speedup 2
+python benchmarks/bench_serving.py --smoke --min-speedup 2 \
+    --output "$smoke_out/BENCH_serving.json"
 
 echo
 echo "== experiment engine benchmark (smoke) =="
 # Same noise rationale as above: 2x gate in CI, 5x locally. Also asserts
 # batched results are bit-identical to the sequential evaluator.
-python benchmarks/bench_experiment_engine.py --smoke --min-speedup 2
+python benchmarks/bench_experiment_engine.py --smoke --min-speedup 2 \
+    --output "$smoke_out/BENCH_experiment.json"
 
 echo
 echo "== compute-layer benchmark (smoke) =="
@@ -52,7 +58,7 @@ echo "== compute-layer benchmark (smoke) =="
 # then reports the parallel ratio. The speedup gate is lenient here (and
 # skipped outright on single-CPU runners); the local acceptance run is
 # `python benchmarks/bench_compute.py` (>= 2x at 4 workers on multicore).
-python benchmarks/bench_compute.py --smoke
+python benchmarks/bench_compute.py --smoke --output "$smoke_out/BENCH_compute.json"
 
 echo
 echo "== memory benchmark (smoke) =="
@@ -60,8 +66,8 @@ echo "== memory benchmark (smoke) =="
 # contract, then gates the per-target allocation ratio (deterministic, so
 # it keeps its full 2x gate in CI). The throughput gate (1.5x at scale
 # 0.5) and the wiki-vote scale-1.0 full run are local acceptance only:
-# `python benchmarks/bench_memory.py`. Writes BENCH_memory.json.
-python benchmarks/bench_memory.py --smoke
+# `python benchmarks/bench_memory.py`.
+python benchmarks/bench_memory.py --smoke --output "$smoke_out/BENCH_memory.json"
 
 echo
 echo "== streaming benchmark (smoke) =="
@@ -70,7 +76,8 @@ echo "== streaming benchmark (smoke) =="
 # (tiny smoke graphs make naive rebuilds artificially cheap and shared
 # runners are noisy); the local acceptance run is
 # `python benchmarks/bench_streaming.py` (>= 5x on the scale-0.1 profile).
-python benchmarks/bench_streaming.py --smoke --min-speedup 2
+python benchmarks/bench_streaming.py --smoke --min-speedup 2 \
+    --output "$smoke_out/BENCH_streaming.json"
 
 echo
 echo "== incremental-maintenance benchmark (smoke) =="
@@ -80,8 +87,8 @@ echo "== incremental-maintenance benchmark (smoke) =="
 # throughput gate drops to 2x here (small smoke replica + noisy shared
 # runners); the local acceptance run is
 # `python benchmarks/bench_incremental.py` (>= 5x at scale 0.5).
-# Writes BENCH_incremental.json.
-python benchmarks/bench_incremental.py --smoke --min-speedup 2
+python benchmarks/bench_incremental.py --smoke --min-speedup 2 \
+    --output "$smoke_out/BENCH_incremental.json"
 
 echo
 echo "== telemetry benchmark (smoke) =="
@@ -91,8 +98,7 @@ echo "== telemetry benchmark (smoke) =="
 # CI. The <= 5% overhead gate is local acceptance only
 # (`python benchmarks/bench_telemetry.py`); smoke relaxes it to 50%
 # because sub-second replays on shared runners are timer-noise-bound.
-# Writes BENCH_telemetry.json.
-python benchmarks/bench_telemetry.py --smoke
+python benchmarks/bench_telemetry.py --smoke --output "$smoke_out/BENCH_telemetry.json"
 
 echo
 echo "== durability benchmark (smoke) =="
@@ -102,8 +108,8 @@ echo "== durability benchmark (smoke) =="
 # deterministic, so they gate fully in CI. The <= 10% WAL overhead gate
 # is local acceptance only (`python benchmarks/bench_durability.py`,
 # scale 0.5); smoke graphs are too small to amortize fixed journaling
-# costs. Writes BENCH_durability.json.
-python benchmarks/bench_durability.py --smoke
+# costs.
+python benchmarks/bench_durability.py --smoke --output "$smoke_out/BENCH_durability.json"
 
 echo
 echo "== scale benchmark (smoke) =="
@@ -111,9 +117,10 @@ echo "== scale benchmark (smoke) =="
 # bit-identical to the heap path, then gates descriptor shipping at
 # >= 100x smaller than pickling the graph. The million-node end-to-end
 # run, its RSS bound, and the multi-worker throughput gate are local
-# acceptance only: `python benchmarks/bench_scale.py`. Writes
-# BENCH_scale.json.
-python benchmarks/bench_scale.py --smoke
+# acceptance only: `python benchmarks/bench_scale.py`. Its RSS trajectory
+# entry goes to the smoke memory artifact above.
+python benchmarks/bench_scale.py --smoke --output "$smoke_out/BENCH_scale.json" \
+    --memory-json "$smoke_out/BENCH_memory.json"
 
 echo
 echo "== edge benchmark (smoke) =="
@@ -123,8 +130,8 @@ echo "== edge benchmark (smoke) =="
 # multi-request batches. The >= 3x coalesced-vs-flush-at-1 QPS gate at
 # 64 clients is local acceptance only
 # (`python benchmarks/bench_service_edge.py`): wall-clock ratios are
-# noisy on shared runners. Writes BENCH_service_edge.json.
-python benchmarks/bench_service_edge.py --smoke
+# noisy on shared runners.
+python benchmarks/bench_service_edge.py --smoke --output "$smoke_out/BENCH_service_edge.json"
 
 echo
 echo "== shared-memory leak check =="

@@ -7,8 +7,8 @@ home, split into three small pieces:
 
 * :mod:`~repro.compute.kernels` — the canonical
   ``batch_scores -> candidate_mask -> compact rows / UtilityVector``
-  stage plus the per-row-stream sampling kernel, shared by serving,
-  the batched experiment engine, and the parameter sweeps;
+  stage (support-form rows for serving), shared by serving, the batched
+  experiment engine, and the parameter sweeps;
 * :mod:`~repro.compute.plan` — :class:`ComputePlan`, which splits a
   target list into fixed-size chunks so peak dense allocation is
   ``chunk_size x num_nodes`` instead of ``len(targets) x num_nodes``;
@@ -45,10 +45,7 @@ from .kernels import (
     CompactChunk,
     build_utility_vectors,
     compact_kept_rows,
-    dense_candidate_rows,
     fused_compact_rows,
-    sample_exponential_rows,
-    utility_rows,
     utility_vectors,
 )
 from .plan import (
@@ -84,7 +81,6 @@ __all__ = [
     "compute_edge_delta",
     "contiguous_node_range",
     "decode_shared",
-    "dense_candidate_rows",
     "encode_shared",
     "fused_compact_rows",
     "get_workspace",
@@ -93,8 +89,6 @@ __all__ = [
     "release_executor_lease",
     "resolve_dtype",
     "reset_workspace",
-    "sample_exponential_rows",
     "shipped_nbytes",
-    "utility_rows",
     "utility_vectors",
 ]

@@ -14,15 +14,14 @@ Two extraction flavors exist because the consumers genuinely differ:
 * :func:`utility_vectors` — *unfiltered*: one vector per target over its
   full candidate set, zero-signal targets included. The serving layer
   needs this (a user with no utility signal still gets an answer — or a
-  well-defined error — from the mechanism).
+  well-defined error — from the mechanism). Its rows are support-form by
+  default, built from sparse score rows; the serving sampler
+  (:meth:`~repro.mechanisms.exponential.ExponentialMechanism.recommend_vectors`)
+  consumes them in O(support) per request.
 * :func:`compact_kept_rows` — *filtered*: the paper's footnote-10 drop
   (at least two candidates, positive maximum utility) plus the compact
   row-major form the exact accuracy kernels consume. The experiment
   engine and sweeps need this.
-
-Sampling goes through :func:`sample_exponential_rows`, which draws each
-row's Gumbel noise from that row's own RNG stream — the property that
-makes chunked and multi-worker sampling bit-identical to serial.
 
 Since the fused-core work, the filtered flavor has a second, default
 implementation: :func:`fused_compact_rows` performs the same drop rule
@@ -41,36 +40,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
+from ..errors import UtilityError
 from ..graphs.graph import SocialGraph
-from ..mechanisms.exponential import CompactRows, ExponentialMechanism
+from ..mechanisms.exponential import CompactRows
 from ..utility.base import UtilityFunction, UtilityVector, candidate_mask
 from .incremental import COMPONENTS_KEY
 from .plan import resolve_dtype
 from .workspace import Workspace
 
 
-def utility_rows(
+def score_rows(
     graph: SocialGraph,
     utility: UtilityFunction,
-    targets: "np.ndarray | list[int]",
+    targets: np.ndarray,
     dtype=None,
     workspace: "Workspace | None" = None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Dense score rows and candidate mask for one chunk of targets.
+) -> np.ndarray:
+    """Dense score rows for one chunk of targets: the engine's entry stage.
 
-    The entry stage of every batched pipeline: ``scores[j]`` holds
-    ``utility``'s raw score of every node for ``targets[j]`` and
-    ``mask[j]`` marks the eligible candidate columns. Both are
-    ``(len(targets), num_nodes)`` — the widest dense blocks the compute
-    layer makes, which is what a :class:`ComputePlan` bounds.
+    ``scores[j]`` holds ``utility``'s raw score of every node for
+    ``targets[j]`` (:func:`candidate_mask_rows` marks the eligible
+    columns). Both blocks are ``(len(targets), num_nodes)`` — the widest
+    dense blocks the compute layer makes, which is what a
+    :class:`ComputePlan` bounds.
 
     ``dtype`` selects the compute dtype of the returned scores (see
     :func:`repro.compute.plan.resolve_dtype`); scores are always
     *computed* in float64 by the utility and rounded once here, so a
     float32 pipeline has exactly one well-defined rounding point.
-    ``workspace`` makes both blocks reusable-buffer views (valid until
-    the next chunk) instead of fresh allocations.
+    ``workspace`` makes the blocks reusable-buffer views (valid until the
+    next chunk) instead of fresh allocations.
 
     The graph may be a frozen
     :class:`~repro.graphs.shared.SharedSocialGraph` whose adjacency
@@ -82,26 +83,19 @@ def utility_rows(
     design, not as an accident of backing.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    scores = score_rows(graph, utility, targets, dtype=dtype, workspace=workspace)
-    mask = candidate_mask_rows(graph, targets, workspace=workspace)
-    return scores, mask
+    return _rounded_block(
+        lambda out: utility.batch_scores(graph, targets, out=out),
+        (targets.size, graph.num_nodes), dtype, workspace,
+    )
 
 
-def score_rows(
-    graph: SocialGraph,
-    utility: UtilityFunction,
-    targets: np.ndarray,
-    dtype=None,
-    workspace: "Workspace | None" = None,
-) -> np.ndarray:
-    """The score half of :func:`utility_rows` (see there for semantics)."""
-    targets = np.asarray(targets, dtype=np.int64)
+def _rounded_block(fill, shape, dtype, workspace: "Workspace | None") -> np.ndarray:
+    """``fill(out)``'s float64 rows, rounded once to the compute ``dtype``."""
     dtype = resolve_dtype(dtype)
-    shape = (targets.size, graph.num_nodes)
     if workspace is None:
-        return utility.batch_scores(graph, targets).astype(dtype, copy=False)
+        return fill(None).astype(dtype, copy=False)
     scores64 = workspace.take("kernel.scores64", shape, np.float64)
-    utility.batch_scores(graph, targets, out=scores64)
+    fill(scores64)
     if dtype == np.float64:
         return scores64
     scores = workspace.take("kernel.scores32", shape, dtype)
@@ -114,7 +108,7 @@ def candidate_mask_rows(
     targets: np.ndarray,
     workspace: "Workspace | None" = None,
 ) -> np.ndarray:
-    """The mask half of :func:`utility_rows` (see there for semantics)."""
+    """Candidate mask rows for one chunk of targets (see :func:`score_rows`)."""
     targets = np.asarray(targets, dtype=np.int64)
     if workspace is None:
         return candidate_mask(graph, targets)
@@ -128,74 +122,80 @@ def utility_vectors(
     graph: SocialGraph,
     utility: UtilityFunction,
     targets: "np.ndarray | list[int]",
-    scores: "np.ndarray | None" = None,
-    mask: "np.ndarray | None" = None,
     dtype=None,
     workspace: "Workspace | None" = None,
     with_components: bool = False,
 ) -> "list[UtilityVector]":
     """One :class:`UtilityVector` per target, unfiltered (serving flavor).
 
-    Computes :func:`utility_rows` unless the caller already has them.
     Every target yields a vector over its full candidate set — including
-    targets the footnote-10 filter would drop — matching what the
-    per-target reference ``utility.utility_vector`` builds. The returned
+    targets the footnote-10 filter would drop — whose ``candidates`` and
+    ``values`` equal what the per-target reference
+    ``utility.utility_vector`` builds, at the compute ``dtype``. The
     vectors hold *owned* arrays (they outlive the chunk — the serving
-    cache keeps them), at the compute ``dtype``; only the intermediate
-    score/mask blocks ride the ``workspace``.
+    cache keeps them).
 
-    ``with_components=True`` additionally attaches each vector's exact
-    per-length walk-count slice as ``metadata["walk_components"]`` (the
-    side-car :func:`repro.compute.incremental.patch_utility_vector`
-    consumes), for utilities that declare
+    By default the vectors are support-form
+    (:meth:`~repro.utility.base.UtilityVector.from_support_rows`), built
+    from the utility's sparse score rows
+    (:meth:`~repro.utility.base.UtilityFunction.support_scores` — for
+    common neighbors the ``A[targets] @ A`` product itself, so no
+    ``(len(targets), num_nodes)`` block is allocated), and each row costs
+    O(support + degree) bytes.
+
+    ``with_components=True`` instead builds dense vectors that carry
+    their exact per-length walk-count slice as
+    ``metadata["walk_components"]`` (the side-car
+    :func:`repro.compute.incremental.patch_utility_vector` consumes), for
+    utilities that declare
     :meth:`~repro.utility.base.UtilityFunction.walk_component_lengths`.
     Scores are then derived from those very components via the utility's
     ``combine_component_matrices`` — the same float64 accumulation with
-    the same single end rounding as the plain path, so the emitted
-    values are bit-identical with the flag on or off; any caller-passed
-    ``scores`` block is ignored in that mode (the components are
-    authoritative). Utilities without components silently fall back to
-    the plain path.
+    the same single end rounding as the support path, so the values are
+    bit-identical with the flag on or off; the dense score/mask blocks
+    ride the ``workspace``. Utilities without components fall back to the
+    support path.
     """
     targets = np.asarray(targets, dtype=np.int64)
-    components: "list[np.ndarray] | None" = None
-    if with_components and utility.walk_component_lengths() is not None:
-        components = utility.batch_score_components(graph, targets)
-        dtype_resolved = resolve_dtype(dtype)
-        shape = (targets.size, graph.num_nodes)
-        if workspace is None:
-            scores = utility.combine_component_matrices(components, targets)
-            scores = scores.astype(dtype_resolved, copy=False)
-        else:
-            scores64 = workspace.take("kernel.scores64", shape, np.float64)
-            utility.combine_component_matrices(components, targets, out=scores64)
-            if dtype_resolved == np.float64:
-                scores = scores64
-            else:
-                scores = workspace.take("kernel.scores32", shape, dtype_resolved)
-                np.copyto(scores, scores64)
-        if mask is None:
-            mask = candidate_mask_rows(graph, targets, workspace=workspace)
-    elif scores is None or mask is None:
-        scores, mask = utility_rows(
-            graph, utility, targets, dtype=dtype, workspace=workspace
+    if targets.size and (targets.min() < 0 or targets.max() >= graph.num_nodes):
+        raise UtilityError(
+            f"targets out of range for graph of size {graph.num_nodes}"
         )
+    dtype = resolve_dtype(dtype)
     degrees = graph.out_degrees_of(targets)
+    if not (with_components and utility.walk_component_lengths() is not None):
+        links = graph.adjacency_rows(targets)
+        own = sparse.csr_matrix(
+            (np.ones(targets.size), (np.arange(targets.size), targets)), shape=links.shape
+        )
+        return UtilityVector.from_support_rows(
+            targets,
+            utility.support_scores(graph, targets).astype(dtype, copy=False),
+            links + own,
+            degrees,
+            {"utility": utility.name},
+        )
+    components = utility.batch_score_components(graph, targets)
+    scores = _rounded_block(
+        lambda out: utility.combine_component_matrices(components, targets, out=out),
+        (targets.size, graph.num_nodes), dtype, workspace,
+    )
+    mask = candidate_mask_rows(graph, targets, workspace=workspace)
     vectors = []
     for row in range(targets.size):
         candidates = np.flatnonzero(mask[row]).astype(np.int64, copy=False)
-        metadata: dict = {"utility": utility.name}
-        if components is not None:
-            metadata[COMPONENTS_KEY] = np.stack(
-                [component[row].take(candidates) for component in components]
-            )
         vectors.append(
             UtilityVector(
                 target=int(targets[row]),
                 candidates=candidates,
                 values=scores[row].take(candidates),
                 target_degree=int(degrees[row]),
-                metadata=metadata,
+                metadata={
+                    "utility": utility.name,
+                    COMPONENTS_KEY: np.stack(
+                        [component[row].take(candidates) for component in components]
+                    ),
+                },
             )
         )
     return vectors
@@ -441,50 +441,3 @@ def build_utility_vectors(
         )
         for row, candidates, values in zip(kept, candidate_rows, value_rows)
     ]
-
-
-def dense_candidate_rows(
-    vectors: "list[UtilityVector]",
-    num_nodes: int,
-    dtype=None,
-    workspace: "Workspace | None" = None,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Scatter utility vectors back into dense ``(rows, n)`` sampling form.
-
-    The inverse of the extraction stage, used by the serving hot path:
-    Gumbel-max sampling wants one dense logits row per request. Rows is
-    ``len(vectors)`` — callers chunk the vector list, so this dense block
-    is bounded by the plan's chunk size, never the whole batch; with a
-    ``workspace`` it is additionally a reused buffer rather than two
-    fresh ``(rows, n)`` allocations per chunk.
-    """
-    dtype = resolve_dtype(dtype)
-    shape = (len(vectors), num_nodes)
-    if workspace is None:
-        utilities = np.zeros(shape, dtype=dtype)
-        valid = np.zeros(shape, dtype=bool)
-    else:
-        utilities = workspace.take("kernel.dense_utilities", shape, dtype)
-        utilities.fill(0.0)
-        valid = workspace.take("kernel.dense_valid", shape, np.bool_)
-        valid.fill(False)
-    for row, vector in enumerate(vectors):
-        utilities[row, vector.candidates] = vector.values
-        valid[row, vector.candidates] = True
-    return utilities, valid
-
-
-def sample_exponential_rows(
-    mechanism: ExponentialMechanism,
-    utilities: np.ndarray,
-    valid: np.ndarray,
-    streams: "list[np.random.Generator]",
-) -> np.ndarray:
-    """One exponential-mechanism sample per row, one RNG stream per row.
-
-    Delegates to :meth:`ExponentialMechanism.recommend_rows`; documented
-    here as the compute layer's sampling kernel because the per-row-stream
-    property is what executors rely on: a row's draw depends only on its
-    own stream, so chunking and worker count cannot change any sample.
-    """
-    return mechanism.recommend_rows(utilities, streams, valid=valid)

@@ -53,8 +53,9 @@ __all__ = [
 #: File magic: identifies a repro durability snapshot, any version.
 SNAPSHOT_MAGIC = b"RPROSNAP"
 
-#: Format tag embedded in the payload; bump on incompatible layout changes.
-SNAPSHOT_FORMAT = 1
+#: Format tag embedded in the payload; bump on incompatible layout changes
+#: (2: cached utility vectors pickle as dense or support form).
+SNAPSHOT_FORMAT = 2
 
 _HEADER = struct.Struct("<II")  # payload length, crc32(payload)
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.snap$")

@@ -10,7 +10,7 @@ from .base import (
     validate_probability_vector,
 )
 from .best import BestMechanism, UniformMechanism
-from .exponential import ExponentialMechanism, gumbel_max_sample
+from .exponential import ExponentialMechanism
 from .laplace import LaplaceMechanism, laplace_argmax_probability_two
 from .laplace_exact import exact_argmax_probabilities, exact_expected_accuracy
 from .smoothing import SmoothingMechanism, smoothing_epsilon, smoothing_x_for_epsilon
@@ -26,7 +26,6 @@ __all__ = [
     "UniformMechanism",
     "exact_argmax_probabilities",
     "exact_expected_accuracy",
-    "gumbel_max_sample",
     "laplace_argmax_probability_two",
     "make_mechanism",
     "mechanism_registry",

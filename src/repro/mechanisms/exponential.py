@@ -10,22 +10,23 @@ The implementation subtracts the maximum exponent before exponentiating so
 large ``epsilon * u / Delta f`` values (common for high-degree targets)
 cannot overflow.
 
-This module also provides the *batched* sampling entry point used by the
-serving layer (:mod:`repro.serving`): :func:`gumbel_max_sample` draws one
-exponential-mechanism sample per row of a utility *matrix* via the
-Gumbel-max trick — ``argmax_i (logit_i + G_i)`` with i.i.d. standard Gumbel
-noise is distributed exactly as ``softmax(logits)`` — replacing a Python
-loop of per-row normalize-and-choice calls with three vectorized array ops.
+This module also provides the sampling entry point of the serving layer
+(:mod:`repro.serving`): :meth:`ExponentialMechanism.recommend_vectors`
+draws one sample per utility vector by the Gumbel-max trick —
+``argmax_i (logit_i + G_i)`` with i.i.d. standard Gumbel noise is
+distributed exactly as ``softmax(logits)`` — over the positive-utility
+support plus one key for the whole zero-utility bucket, so a request
+costs O(support), not O(num_nodes).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import MechanismError
-from ..rng import ensure_rng
 from ..telemetry import runtime as telemetry_runtime
 from ..utility.base import UtilityVector
 from .base import PrivateMechanism, register_mechanism
@@ -96,50 +97,6 @@ def compact_candidate_rows(utilities: np.ndarray, valid: np.ndarray) -> CompactR
     else:
         scaled = flat
     return CompactRows(flat=flat, counts=counts, offsets=offsets, scaled=scaled)
-
-
-def gumbel_max_sample(
-    logits: np.ndarray,
-    seed: "int | np.random.Generator | None" = None,
-    valid: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """Sample one column index per row of ``logits`` from ``softmax(row)``.
-
-    Parameters
-    ----------
-    logits:
-        ``(rows, cols)`` array of unnormalized log-probabilities (for the
-        exponential mechanism: ``epsilon * u / Delta f``).
-    seed:
-        Anything :func:`repro.rng.ensure_rng` accepts.
-    valid:
-        Optional boolean mask of the same shape; ``False`` entries are
-        excluded from the sample (their probability is exactly 0). Every row
-        must retain at least one valid entry.
-
-    Returns
-    -------
-    ``(rows,)`` int64 array of sampled column indices. Identical in
-    distribution to calling :meth:`ExponentialMechanism.recommend` once per
-    row, but vectorized: one Gumbel draw per matrix entry and one argmax.
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 2:
-        raise MechanismError(f"logits must be a 2-d matrix, got shape {logits.shape}")
-    if valid is not None:
-        valid = np.asarray(valid, dtype=bool)
-        if valid.shape != logits.shape:
-            raise MechanismError(
-                f"valid mask shape {valid.shape} does not match logits {logits.shape}"
-            )
-        if not valid.any(axis=1).all():
-            raise MechanismError("every row needs at least one valid candidate")
-        logits = np.where(valid, logits, -np.inf)
-    elif logits.shape[1] == 0:
-        raise MechanismError("cannot sample from a matrix with zero columns")
-    rng = ensure_rng(seed)
-    gumbels = rng.gumbel(size=logits.shape)
-    return np.argmax(logits + gumbels, axis=1).astype(np.int64)
 
 
 @register_mechanism
@@ -241,77 +198,49 @@ class ExponentialMechanism(PrivateMechanism):
             accuracies[row] = np.dot(probabilities[start:end], scaled[start:end])
         return accuracies
 
-    def recommend_batch(
+    def recommend_vectors(
         self,
-        utilities: np.ndarray,
-        seed: "int | np.random.Generator | None" = None,
-        valid: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """Sample one recommendation per row of a utility matrix.
-
-        Row ``j`` of ``utilities`` holds the utility of every column-node for
-        target ``j``; ``valid`` masks out non-candidates (the target itself
-        and its existing links). Each row's sample follows exactly the
-        distribution of :meth:`probabilities` restricted to its valid
-        entries, via the Gumbel-max trick (see :func:`gumbel_max_sample`).
-        Each row is an independent epsilon-DP release for its own target.
-        """
-        utilities = np.asarray(utilities)
-        if utilities.dtype != np.float32:
-            utilities = utilities.astype(np.float64, copy=False)
-        logits = (self._epsilon / self.sensitivity) * utilities
-        return gumbel_max_sample(logits, seed=seed, valid=valid)
-
-    def recommend_rows(
-        self,
-        utilities: np.ndarray,
+        vectors: "list[UtilityVector]",
         streams: "list[np.random.Generator]",
-        valid: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        """Sample one recommendation per row, one RNG stream per row.
+        """One recommendation per utility vector, one RNG stream per vector.
 
-        The executor-stable variant of :meth:`recommend_batch`: instead of
-        one Gumbel matrix from a single generator (whose draws depend on
-        how rows are batched together), each row's noise comes from its
-        own stream, so the sample for a given row is bit-identical no
-        matter how the rows are chunked or which worker runs them. Same
-        distribution as :meth:`recommend_batch` row for row.
+        Gumbel-max over each vector's positive-utility support, plus one
+        key for its zero bucket ``Z``: every zero-utility candidate has
+        logit 0, and the maximum of ``|Z|`` i.i.d. standard Gumbels is
+        distributed as ``log|Z| + G`` with its argmax uniform over ``Z``
+        and independent of the maximum. So a single ``log|Z| + G`` key
+        stands in for the bucket, and when it wins a uniform rank picks
+        the node (:meth:`~repro.utility.base.UtilityVector.zero_candidate`).
+        The draw is exactly :meth:`probabilities` over all candidates, at
+        O(support) per vector on support-form rows.
 
-        A float32 utility matrix is sampled as-is: each row's float32
-        logits broadcast against its stream's float64 Gumbel noise, so
-        the float32 serving path never re-materializes the dense chunk
-        at double width.
+        Row ``j`` consumes only ``streams[j]`` — ``support + 1`` Gumbels,
+        then one integer if the bucket wins — so a pick does not depend
+        on how rows are chunked or which worker runs them, nor on whether
+        the row is stored dense or support-form. Logits are formed in
+        float64 from float32 rows too.
         """
-        utilities = np.asarray(utilities)
-        if utilities.dtype != np.float32:
-            utilities = utilities.astype(np.float64, copy=False)
-        if utilities.ndim != 2:
+        if len(vectors) != len(streams):
             raise MechanismError(
-                f"utilities must be a 2-d matrix, got shape {utilities.shape}"
+                f"got {len(vectors)} utility vectors but {len(streams)} RNG streams"
             )
-        if utilities.shape[0] != len(streams):
-            raise MechanismError(
-                f"got {utilities.shape[0]} rows but {len(streams)} RNG streams"
-            )
-        if valid is not None:
-            valid = np.asarray(valid, dtype=bool)
-            if valid.shape != utilities.shape:
-                raise MechanismError(
-                    f"valid mask shape {valid.shape} does not match "
-                    f"utilities {utilities.shape}"
-                )
-            if utilities.shape[0] and not valid.any(axis=1).all():
-                raise MechanismError("every row needs at least one valid candidate")
-        elif utilities.shape[1] == 0:
-            raise MechanismError("cannot sample from a matrix with zero columns")
         scale = self._epsilon / self.sensitivity
-        picks = np.empty(utilities.shape[0], dtype=np.int64)
-        for row, stream in enumerate(streams):
-            logits = scale * utilities[row]
-            if valid is not None:
-                logits = np.where(valid[row], logits, -np.inf)
-            picks[row] = int(np.argmax(logits + stream.gumbel(size=logits.size)))
-        telemetry_runtime.count("mechanism.samples_drawn", len(streams))
+        picks = np.empty(len(vectors), dtype=np.int64)
+        for row, (vector, stream) in enumerate(zip(vectors, streams)):
+            ids, values = vector.support()
+            zeros = vector.zero_count
+            if ids.size == 0 and zeros == 0:
+                raise MechanismError("cannot recommend from an empty candidate set")
+            keys = stream.gumbel(size=ids.size + 1)
+            keys[:-1] += scale * values.astype(np.float64, copy=False)
+            keys[-1] += math.log(zeros) if zeros else -math.inf
+            winner = int(np.argmax(keys))
+            if winner < ids.size:
+                picks[row] = ids[winner]
+            else:
+                picks[row] = vector.zero_candidate(int(stream.integers(zeros)))
+        telemetry_runtime.count("mechanism.samples_drawn", len(vectors))
         return picks
 
     def privacy_ratio_bound(self) -> float:

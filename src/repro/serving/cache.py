@@ -290,7 +290,7 @@ class UtilityCache:
                     self._row_versions[target] = self._cached_version
                     return vector
                 cost = sum(d.scatter_cost for d in relevant)
-                budget = self._patch_crossover * max(vector.candidates.size, 1)
+                budget = self._patch_crossover * max(vector.num_candidates, 1)
                 if cost <= budget:
                     patched = patch_utility_vector(
                         vector,
@@ -350,21 +350,16 @@ class UtilityCache:
         # Compute outside the lock: concurrent misses for different targets
         # proceed in parallel, and a duplicated computation for the *same*
         # target is deterministic, so whichever insert lands last is fine.
-        # Incremental mode fills through the component-aware kernel so the
-        # fresh row carries the walk-count side-car future syncs patch;
-        # the emitted values are bit-identical either way.
-        if self._incremental:
-            vector = utility_vectors(
-                self._graph,
-                self._utility,
-                [target],
-                dtype=self._dtype,
-                with_components=True,
-            )[0]
-        else:
-            vector = self._utility.utility_vector(self._graph, target).with_dtype(
-                self._dtype
-            )
+        # The fill is the batched path's kernel: a support-form row, or in
+        # incremental mode a dense one carrying the walk-count side-car
+        # future syncs patch; the values are bit-identical either way.
+        vector = utility_vectors(
+            self._graph,
+            self._utility,
+            [target],
+            dtype=self._dtype,
+            with_components=self._incremental,
+        )[0]
         with self._lock:
             self._sync_version()
             if self._cached_version == version:

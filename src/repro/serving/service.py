@@ -10,8 +10,8 @@ function, and a (registry-resolvable) mechanism, behind three endpoints —
   recommendations by peeling
   (:class:`~repro.extensions.multi_recommendations.TopKRecommender`);
 * :meth:`RecommendationService.recommend_batch` — one recommendation for
-  each of many users in a single vectorized pass (batched utility matrix
-  + Gumbel-max sampling).
+  each of many users in a single batched pass (sparse batched utility
+  rows + Gumbel-max sampling over each row's support).
 
 Every endpoint enforces per-user privacy budgets (refusing *before*
 sampling, so refusals spend nothing), reuses utilities through a
@@ -27,11 +27,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from ..compute.executors import Executor, make_executor
-from ..compute.kernels import (
-    dense_candidate_rows,
-    sample_exponential_rows,
-    utility_vectors,
-)
+from ..compute.kernels import utility_vectors
 from ..compute.plan import ComputePlan, resolve_dtype
 from ..compute.workspace import get_workspace
 from ..errors import BudgetExhaustedError, ServingError
@@ -90,15 +86,15 @@ class RecommendationService:
         from per-request spawned streams, never from a shared generator.
     chunk_size:
         Maximum requests (and missing-vector targets) a single batch
-        chunk materializes densely; bounds peak allocation at
-        ``chunk_size x num_nodes`` per in-flight chunk. ``None`` keeps
-        the whole batch in one chunk.
+        chunk handles. Serving rows are support-form, so only an
+        incremental service's component fills materialize a dense
+        ``chunk_size x num_nodes`` block per in-flight chunk. ``None``
+        keeps the whole batch in one chunk.
     dtype:
-        Compute dtype of the batched dense stages and of every cached
-        utility vector (anything
-        :func:`repro.compute.plan.resolve_dtype` accepts). The float64
-        default reproduces historical behavior exactly; ``"float32"``
-        halves the cache's resident bytes and the dense sampling blocks
+        Compute dtype of the batched stages and of every cached utility
+        vector (anything :func:`repro.compute.plan.resolve_dtype`
+        accepts). The float64 default reproduces historical behavior
+        exactly; ``"float32"`` halves the cache's resident value bytes
         under the tolerance contract of DESIGN.md ("memory dataflow").
         Scalar paths (single ``recommend``, probability vectors) always
         evaluate in float64 regardless.
@@ -478,8 +474,10 @@ class RecommendationService:
         nothing at all is served or spent). With an
         :class:`ExponentialMechanism` the served users share one batched
         utility computation (``A[targets] @ A`` on the cached CSR adjacency
-        matrix) and one Gumbel-max sampling pass; other mechanisms fall
-        back to a per-user loop that still shares the utility cache.
+        matrix, kept sparse) and one Gumbel-max pass over each row's
+        support (:meth:`ExponentialMechanism.recommend_vectors`); other
+        mechanisms fall back to a per-user loop that still shares the
+        utility cache.
 
         Per-record latency is the batch wall time divided evenly across
         its requests.
@@ -578,7 +576,6 @@ class RecommendationService:
         run pure chunk functions. Per-request streams make the sampled
         recommendations bit-identical for every executor and chunk size.
         """
-        num_nodes = self.graph.num_nodes
         unique_users = sorted(set(served_users))
         missing = self.cache.missing(unique_users)
         missing_set = set(missing)
@@ -624,7 +621,7 @@ class RecommendationService:
             self.executor,
             _sample_chunk,
             payloads,
-            (mechanism, num_nodes, self.dtype.name),
+            mechanism,
             self.telemetry,
             label="serve.sample",
         )
@@ -760,10 +757,10 @@ def _vectors_chunk(shared, targets: np.ndarray):
     Module-level and argument-pure (graph + utility in, vectors out) so a
     :class:`~repro.compute.executors.ProcessExecutor` can run it; the
     service applies the results to its cache on the calling thread. The
-    dense score/mask blocks ride the worker's reusable workspace; the
-    returned vectors are owned copies at the service's compute dtype.
-    An incremental service fills with the walk-component side-car so
-    every freshly cached row is patchable — same values either way.
+    vectors are support-form, except that an incremental service fills
+    dense rows with the walk-component side-car (their score/mask blocks
+    ride the worker's reusable workspace) so every freshly cached row is
+    patchable — same values either way.
     """
     graph, utility, dtype_name, with_components = shared
     return utility_vectors(
@@ -776,18 +773,13 @@ def _vectors_chunk(shared, targets: np.ndarray):
     )
 
 
-def _sample_chunk(shared, payload):
+def _sample_chunk(mechanism: ExponentialMechanism, payload):
     """Executor task: exponential samples for one chunk of requests.
 
     ``payload`` is ``(vectors, streams)`` — the chunk's per-request
-    utility vectors and RNG streams. Dense scatter + per-row-stream
-    Gumbel sampling through the shared compute kernels; the dense block
-    is ``chunk x num_nodes`` in a reused workspace buffer, never the
-    whole batch.
+    utility vectors and RNG streams, sampled by
+    :meth:`ExponentialMechanism.recommend_vectors` in O(support) per
+    request.
     """
-    mechanism, num_nodes, dtype_name = shared
     vectors, streams = payload
-    utilities, valid = dense_candidate_rows(
-        vectors, num_nodes, dtype=dtype_name, workspace=get_workspace()
-    )
-    return sample_exponential_rows(mechanism, utilities, valid, streams)
+    return mechanism.recommend_vectors(vectors, streams)

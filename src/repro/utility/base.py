@@ -15,74 +15,281 @@ nodes it already links to (out-neighbors on directed graphs).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from ..errors import UtilityError
 from ..graphs.graph import SocialGraph
 
 
-@dataclass(frozen=True)
+def _checked_utilities(values, where=True) -> np.ndarray:
+    """``values`` as a float array, rejecting negative and non-finite entries.
+
+    Only entries selected by ``where`` are checked. float32 is a supported
+    compute dtype (see repro.compute.plan) and survives packaging;
+    everything else normalizes to float64. NaN fails every comparison, so
+    the finiteness check runs on the extremes before the sign check can
+    silently pass it.
+    """
+    values = np.asarray(values)
+    if values.dtype != np.float32:
+        values = values.astype(np.float64, copy=False)
+    if values.size:
+        low = values.min(initial=0.0, where=where)
+        high = values.max(initial=0.0, where=where)
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise UtilityError("utilities must be finite (got NaN or infinity)")
+        if low < 0:
+            raise UtilityError("utilities must be non-negative")
+    return values
+
+
+def _sorted_ids(ids, name: str, num_nodes: int) -> np.ndarray:
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.ndim != 1:
+        raise UtilityError(f"{name} must be a 1-d array, got shape {ids.shape}")
+    if ids.size and (ids[0] < 0 or ids[-1] >= num_nodes or (np.diff(ids) <= 0).any()):
+        raise UtilityError(f"{name} must be strictly increasing node ids in [0, {num_nodes})")
+    return ids
+
+
 class UtilityVector:
     """Utilities of recommending each candidate node to a fixed target.
+
+    Two storage forms share one interface:
+
+    * **dense** — ``UtilityVector(target, candidates, values, target_degree)``
+      stores the candidate ids and their utilities as parallel arrays;
+    * **support** — :meth:`from_support` (one row) and
+      :meth:`from_support_rows` (a chunk) store only the sorted ids with
+      positive utility, their values, the sorted excluded ids
+      (``{target}`` plus its current links) and ``num_nodes``. Every other
+      node is a zero-utility candidate, so the row costs
+      O(support + degree) bytes however large the graph.
+
+    ``candidates`` and ``values`` are the dense view in both forms; a
+    support-form vector derives them on each access (O(num_nodes)) and
+    never stores them. Hot paths use :meth:`support`, :attr:`zero_count`
+    and :meth:`zero_candidate` instead, which cost O(support + degree) on
+    a support-form vector. Vectors are immutable: cached rows are shared
+    with every reader.
 
     Attributes
     ----------
     target:
         The node receiving the recommendation (the ``r`` of the paper).
     candidates:
-        Integer ids of candidate nodes, parallel to ``values``.
+        Integer ids of candidate nodes, ascending when built from a graph,
+        parallel to ``values``.
     values:
-        Non-negative utility scores ``u_i``.
+        Finite non-negative utility scores ``u_i``.
     target_degree:
         ``d_r``, the target's (out-)degree — needed by the experimental
         ``t`` formulas of Section 7.1.
     """
 
-    target: int
-    candidates: np.ndarray
-    values: np.ndarray
-    target_degree: int
-    metadata: dict = field(default_factory=dict, compare=False)
-
-    def __post_init__(self) -> None:
-        candidates = np.asarray(self.candidates, dtype=np.int64)
-        # float32 is a supported compute dtype (see repro.compute.plan) and
-        # survives packaging; everything else normalizes to float64 as before.
-        values = np.asarray(self.values)
-        if values.dtype != np.float32:
-            values = values.astype(np.float64, copy=False)
+    def __init__(
+        self,
+        target: int,
+        candidates: np.ndarray,
+        values: np.ndarray,
+        target_degree: int,
+        metadata: "dict | None" = None,
+    ) -> None:
+        candidates = np.asarray(candidates, dtype=np.int64)
+        values = _checked_utilities(values)
         if candidates.shape != values.shape or candidates.ndim != 1:
             raise UtilityError(
                 f"candidates {candidates.shape} and values {values.shape} must be parallel 1-d arrays"
             )
-        if values.size and values.min() < 0:
-            raise UtilityError("utilities must be non-negative")
-        object.__setattr__(self, "candidates", candidates)
-        object.__setattr__(self, "values", values)
+        self._set(target, target_degree, metadata, candidates, values, None, None)
+
+    @classmethod
+    def from_support(
+        cls,
+        target: int,
+        ids: np.ndarray,
+        scores: np.ndarray,
+        excluded: np.ndarray,
+        num_nodes: int,
+        target_degree: int,
+        metadata: "dict | None" = None,
+    ) -> "UtilityVector":
+        """A support-form vector from one sparse score row.
+
+        ``ids`` (strictly increasing) and ``scores`` are the row's explicit
+        entries; every unlisted node scores zero. ``excluded`` (strictly
+        increasing) lists the target and its links. The one-row case of
+        :meth:`from_support_rows`, which states the rules.
+        """
+        num_nodes = int(num_nodes)
+        ids = _sorted_ids(ids, "ids", num_nodes)
+        excluded = _sorted_ids(excluded, "excluded", num_nodes)
+        scores = np.asarray(scores)
+        if scores.shape != ids.shape:
+            raise UtilityError(
+                f"ids {ids.shape} and scores {scores.shape} must be parallel 1-d arrays"
+            )
+
+        def row(indices: np.ndarray, data: np.ndarray) -> sparse.csr_matrix:
+            return sparse.csr_matrix((data, indices, [0, indices.size]), shape=(1, num_nodes))
+
+        return cls.from_support_rows(
+            [target], row(ids, scores), row(excluded, np.ones(excluded.size)),
+            [target_degree], metadata,
+        )[0]
+
+    @classmethod
+    def from_support_rows(
+        cls,
+        targets: "np.ndarray | list[int]",
+        scores: sparse.csr_matrix,
+        excluded: sparse.csr_matrix,
+        target_degrees: "np.ndarray | list[int]",
+        metadata: "dict | None" = None,
+    ) -> "list[UtilityVector]":
+        """Support-form vectors for many targets from sparse score rows.
+
+        Row ``j`` of the ``(len(targets), num_nodes)`` CSR matrices
+        belongs to ``targets[j]``: ``scores`` holds its explicit entries
+        (every unlisted node scores zero) and the pattern of ``excluded``
+        marks its excluded ids (the target and its links). Both are put
+        in canonical form in place. As in
+        :meth:`UtilityFunction.utility_vector`, scores at excluded ids are
+        ignored and the remaining ones must be finite and non-negative —
+        checked once for all rows. Zero scores join the zero bucket with
+        every unlisted candidate, so each stored support holds positive
+        utilities only. Each vector owns its arrays.
+        """
+        targets = np.asarray(targets, dtype=np.int64)
+        rows, num_nodes = scores.shape
+        if excluded.shape != scores.shape or targets.shape != (rows,):
+            raise UtilityError(
+                f"{targets.shape} targets need score and excluded rows of matching "
+                f"shape, got {scores.shape} and {excluded.shape}"
+            )
+        scores.sum_duplicates()
+        excluded.sum_duplicates()
+        # Flat (row, id) keys, unique and ascending: rows in order, ids
+        # sorted within. Excluded keys are few, so they are the queries.
+        keys = np.repeat(np.arange(rows) * num_nodes, np.diff(scores.indptr)) + scores.indices
+        excluded_keys = (
+            np.repeat(np.arange(rows) * num_nodes, np.diff(excluded.indptr))
+            + excluded.indices
+        )
+        keep = np.ones(keys.size, dtype=bool)
+        if keys.size:
+            slots = np.minimum(np.searchsorted(keys, excluded_keys), keys.size - 1)
+            keep[slots[keys[slots] == excluded_keys]] = False
+        data = _checked_utilities(scores.data, where=keep)
+        keep &= data > 0
+        support = scores.indices[keep].astype(np.int64)
+        values = data[keep]
+        kept_before = np.zeros(keep.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept_before[1:])
+        bounds = kept_before[scores.indptr].tolist()
+        cuts = excluded.indptr.tolist()
+        excluded_ids = excluded.indices.astype(np.int64)
+        vectors = []
+        for row, (target, degree) in enumerate(zip(targets.tolist(), target_degrees)):
+            low, high = bounds[row], bounds[row + 1]
+            vector = cls.__new__(cls)
+            vector._set(
+                target, degree, dict(metadata or {}),
+                support[low:high].copy(), values[low:high].copy(),
+                excluded_ids[cuts[row]:cuts[row + 1]].copy(), num_nodes,
+            )
+            vectors.append(vector)
+        return vectors
+
+    def _set(self, target, target_degree, metadata, ids, values, excluded, num_nodes) -> None:
+        # ``_ids``/``_values`` hold the candidates (dense form) or the
+        # support (support form, marked by ``_excluded`` not being None).
+        state = self.__dict__
+        state["target"] = int(target)
+        state["target_degree"] = int(target_degree)
+        state["metadata"] = {} if metadata is None else metadata
+        state["_ids"] = ids
+        state["_values"] = values
+        state["_excluded"] = excluded
+        state["_num_nodes"] = num_nodes
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"UtilityVector is immutable; cannot set {name!r}")
 
     def __len__(self) -> int:
-        return int(self.candidates.size)
+        return self.num_candidates
+
+    @property
+    def candidates(self) -> np.ndarray:
+        if self._excluded is None:
+            return self._ids
+        keep = np.ones(self._num_nodes, dtype=bool)
+        keep[self._excluded] = False
+        return np.flatnonzero(keep)
+
+    @property
+    def values(self) -> np.ndarray:
+        if self._excluded is None:
+            return self._values
+        values = np.zeros(self.num_candidates, dtype=self._values.dtype)
+        # A support id's candidate position is its id minus the excluded
+        # ids below it.
+        values[self._ids - np.searchsorted(self._excluded, self._ids)] = self._values
+        return values
 
     @property
     def num_candidates(self) -> int:
         """Number of candidate nodes ``n`` in the bound formulas."""
-        return int(self.candidates.size)
+        if self._excluded is None:
+            return int(self._ids.size)
+        return self._num_nodes - int(self._excluded.size)
+
+    def support(self) -> "tuple[np.ndarray, np.ndarray]":
+        """Ascending ids of the positive-utility candidates, and their values."""
+        if self._excluded is not None:
+            return self._ids, self._values
+        positive = self._values > 0
+        return self._ids[positive], self._values[positive]
+
+    @property
+    def zero_count(self) -> int:
+        """Number of zero-utility candidates (the paper's Section 7 bucket)."""
+        if self._excluded is not None:
+            return self.num_candidates - int(self._ids.size)
+        return int(self._values.size - np.count_nonzero(self._values))
+
+    def zero_candidate(self, rank: int) -> int:
+        """The ``rank``-th smallest zero-utility candidate id (0-based).
+
+        Support form: rank-select over the sorted union of excluded and
+        support ids — ``taken[j] - j`` free ids lie below ``taken[j]``.
+        """
+        rank = int(rank)
+        if not 0 <= rank < self.zero_count:
+            raise UtilityError(f"zero-utility rank {rank} out of range [0, {self.zero_count})")
+        if self._excluded is None:
+            return int(self._ids[np.flatnonzero(self._values == 0)[rank]])
+        taken = np.sort(np.concatenate((self._excluded, self._ids)))
+        below = taken - np.arange(taken.size)
+        return rank + int(np.searchsorted(below, rank, side="right"))
 
     @property
     def u_max(self) -> float:
         """Maximum utility — the denominator of the accuracy definition."""
-        if self.values.size == 0:
+        if self.num_candidates == 0:
             raise UtilityError("empty utility vector has no maximum")
-        return float(self.values.max())
+        return float(self._values.max()) if self._values.size else 0.0
 
     @property
     def best_candidate(self) -> int:
         """Candidate achieving ``u_max`` (lowest id on ties, deterministic)."""
-        if self.values.size == 0:
+        if self.num_candidates == 0:
             raise UtilityError("empty utility vector has no maximum")
-        return int(self.candidates[int(np.argmax(self.values))])
+        if self._ids.size == 0:  # support form, every candidate at zero
+            return self.zero_candidate(0)
+        return int(self._ids[int(np.argmax(self._values))])
 
     @property
     def total(self) -> float:
@@ -96,7 +303,18 @@ class UtilityVector:
         non-zero utility recommendations available to them" (footnote 10);
         the harness uses this predicate to apply the same filter.
         """
-        return bool(self.values.size) and float(self.values.max()) > 0.0
+        return bool(self._values.size) and float(self._values.max()) > 0.0
+
+    def _with_values(self, values: np.ndarray) -> "UtilityVector":
+        """This vector with its stored utilities replaced, form kept."""
+        if self._excluded is None:
+            return UtilityVector(
+                self.target, self._ids, values, self.target_degree, dict(self.metadata)
+            )
+        return UtilityVector.from_support(
+            self.target, self._ids, values, self._excluded, self._num_nodes,
+            self.target_degree, dict(self.metadata),
+        )
 
     def rescaled(self, factor: float) -> "UtilityVector":
         """Return a copy with all utilities multiplied by ``factor > 0``.
@@ -106,31 +324,19 @@ class UtilityVector:
         """
         if factor <= 0:
             raise UtilityError(f"rescale factor must be positive, got {factor}")
-        return UtilityVector(
-            target=self.target,
-            candidates=self.candidates.copy(),
-            values=self.values * float(factor),
-            target_degree=self.target_degree,
-            metadata=dict(self.metadata),
-        )
+        return self._with_values(self._values * float(factor))
 
     def with_dtype(self, dtype) -> "UtilityVector":
-        """This vector with ``values`` stored at ``dtype`` (self if already).
+        """This vector with its utilities stored at ``dtype`` (self if already).
 
         The serving cache normalizes every entry through this so a mixed
         float32/float64 pipeline cannot silently double its resident
         memory by caching rows at whatever dtype a kernel emitted.
         """
         dtype = np.dtype(dtype)
-        if self.values.dtype == dtype:
+        if self._values.dtype == dtype:
             return self
-        return UtilityVector(
-            target=self.target,
-            candidates=self.candidates,
-            values=self.values.astype(dtype),
-            target_degree=self.target_degree,
-            metadata=dict(self.metadata),
-        )
+        return self._with_values(self._values.astype(dtype))
 
     def value_of(self, candidate: int) -> float:
         """Utility of a specific candidate id."""
@@ -250,6 +456,21 @@ class UtilityFunction(abc.ABC):
                 f"got {out.dtype} {out.shape}"
             )
         return out
+
+    def support_scores(
+        self, graph: SocialGraph, targets: "np.ndarray | list[int]"
+    ) -> sparse.csr_matrix:
+        """Raw scores for many targets as a sparse float64 CSR matrix.
+
+        The input of the support-form serving kernel
+        (:func:`repro.compute.kernels.utility_vectors`): row ``j`` holds
+        every non-zero score of ``targets[j]`` (entries for the target or
+        its links may appear; the kernel ignores them). This default
+        sparsifies the dense :meth:`batch_scores` block, transient and
+        bounded like every chunk's; utilities with a sparse product form
+        override it and never build the block.
+        """
+        return sparse.csr_matrix(self.batch_scores(graph, targets))
 
     @abc.abstractmethod
     def sensitivity(self, graph: SocialGraph, target: int) -> float:

@@ -20,6 +20,7 @@ incident to the target per the relaxed privacy definition of Section 3.2):
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from ..graphs.graph import SocialGraph
 from .base import UtilityFunction, UtilityVector, register_utility
@@ -60,10 +61,21 @@ class CommonNeighbors(UtilityFunction):
         targets = np.asarray(targets, dtype=np.int64)
         counts = self._score_rows_out(out, targets.size, graph.num_nodes)
         counts.fill(0.0)
-        product = graph.adjacency_rows(targets) @ graph.adjacency_matrix()
-        product.toarray(out=counts)
+        self.support_scores(graph, targets).toarray(out=counts)
         counts[np.arange(targets.size), targets] = 0.0
         return counts
+
+    def support_scores(
+        self, graph: SocialGraph, targets: "np.ndarray | list[int]"
+    ) -> sparse.csr_matrix:
+        """The ``A[targets] @ A`` product of :meth:`batch_scores`, never densified.
+
+        Its entries are the same exact float64 walk counts the dense rows
+        hold, so support-form vectors built from it match
+        :meth:`utility_vector` bit for bit.
+        """
+        targets = np.asarray(targets, dtype=np.int64)
+        return graph.adjacency_rows(targets) @ graph.adjacency_matrix()
 
     def walk_component_lengths(self) -> "tuple[int, ...]":
         """Common neighbors is exactly the length-2 walk count."""

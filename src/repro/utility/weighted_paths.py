@@ -40,8 +40,8 @@ class WeightedPaths(UtilityFunction):
     name = "weighted_paths"
 
     def __init__(self, gamma: float = 0.005, max_length: int = 3) -> None:
-        if gamma < 0:
-            raise UtilityError(f"gamma must be non-negative, got {gamma}")
+        if not (np.isfinite(gamma) and gamma >= 0):
+            raise UtilityError(f"gamma must be finite and non-negative, got {gamma}")
         if max_length < 2:
             raise UtilityError(f"max_length must be >= 2, got {max_length}")
         self.gamma = float(gamma)

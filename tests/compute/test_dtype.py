@@ -28,8 +28,8 @@ from repro.compute import (
     Workspace,
     fused_compact_rows,
     resolve_dtype,
-    utility_rows,
 )
+from repro.compute.kernels import candidate_mask_rows, score_rows
 from repro.datasets import wiki_vote
 from repro.errors import ComputeError, ExperimentError
 from repro.experiments.config import ExperimentConfig
@@ -164,19 +164,19 @@ class TestEngineFloat32:
 
 
 class TestKernelDtype:
-    def test_utility_rows_cast_once_from_float64(self, workload):
+    def test_score_rows_cast_once_from_float64(self, workload):
         graph, utility, _, targets = workload
-        scores64, _ = utility_rows(graph, utility, targets[:8])
-        scores32, _ = utility_rows(graph, utility, targets[:8], dtype="float32")
+        scores64 = score_rows(graph, utility, targets[:8])
+        scores32 = score_rows(graph, utility, targets[:8], dtype="float32")
         assert scores32.dtype == np.float32
         np.testing.assert_array_equal(scores32, scores64.astype(np.float32))
 
     def test_fused_compact_preserves_dtype(self, workload):
         graph, utility, _, targets = workload
         for dtype in ("float32", "float64"):
-            scores, mask = utility_rows(
-                graph, utility, targets[:8], dtype=dtype, workspace=Workspace()
-            )
+            workspace = Workspace()
+            scores = score_rows(graph, utility, targets[:8], dtype=dtype, workspace=workspace)
+            mask = candidate_mask_rows(graph, targets[:8], workspace=workspace)
             chunk = fused_compact_rows(scores, mask, workspace=Workspace())
             assert chunk.compact.flat.dtype == np.dtype(dtype)
             assert chunk.compact.scaled.dtype == np.dtype(dtype)

@@ -13,15 +13,15 @@ from repro.compute import (
     SerialExecutor,
     ThreadExecutor,
     compact_kept_rows,
-    dense_candidate_rows,
-    sample_exponential_rows,
-    utility_rows,
     utility_vectors,
 )
-from repro.datasets import toy, wiki_vote
+from repro.compute.kernels import candidate_mask_rows, score_rows
+from repro.datasets import toy, twitter, wiki_vote
+from repro.errors import UtilityError
 from repro.mechanisms.exponential import ExponentialMechanism
 from repro.rng import spawn_rngs
 from repro.utility.common_neighbors import CommonNeighbors
+from repro.utility.weighted_paths import WeightedPaths
 
 WORKERS = int(os.environ.get("REPRO_SMOKE_WORKERS", "2"))
 
@@ -39,7 +39,8 @@ def utility():
 class TestUtilityRows:
     def test_matches_reference_per_target(self, graph, utility):
         targets = [0, 5, 17, 40]
-        scores, mask = utility_rows(graph, utility, targets)
+        scores = score_rows(graph, utility, targets)
+        mask = candidate_mask_rows(graph, targets)
         assert scores.shape == mask.shape == (4, graph.num_nodes)
         for row, target in enumerate(targets):
             vector = utility.utility_vector(graph, target)
@@ -48,9 +49,11 @@ class TestUtilityRows:
 
     def test_chunked_partition_is_bit_identical(self, graph, utility):
         targets = np.arange(30, dtype=np.int64)
-        full_scores, full_mask = utility_rows(graph, utility, targets)
+        full_scores = score_rows(graph, utility, targets)
+        full_mask = candidate_mask_rows(graph, targets)
         for chunk in ComputePlan(30, 7):
-            scores, mask = utility_rows(graph, utility, chunk.take(targets))
+            scores = score_rows(graph, utility, chunk.take(targets))
+            mask = candidate_mask_rows(graph, chunk.take(targets))
             np.testing.assert_array_equal(scores, full_scores[chunk.start : chunk.stop])
             np.testing.assert_array_equal(mask, full_mask[chunk.start : chunk.stop])
 
@@ -71,25 +74,41 @@ class TestUtilityVectors:
         vectors = utility_vectors(graph, CommonNeighbors(), [1])
         assert len(vectors) == 1  # unfiltered: serving needs every target
 
-    def test_accepts_precomputed_rows(self, graph, utility):
-        targets = np.asarray([1, 2], dtype=np.int64)
-        scores, mask = utility_rows(graph, utility, targets)
-        direct = utility_vectors(graph, utility, targets)
-        reused = utility_vectors(graph, utility, targets, scores=scores, mask=mask)
-        for a, b in zip(direct, reused):
-            np.testing.assert_array_equal(a.values, b.values)
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("utility", [CommonNeighbors(), WeightedPaths(gamma=0.05)])
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_support_rows_round_trip_to_reference(self, utility, directed, dtype):
+        """A support-form row's dense view equals the per-target reference
+        exactly, on both graph conventions and at both compute dtypes."""
+        graph = twitter(scale=0.05) if directed else wiki_vote(scale=0.05)
+        assert graph.is_directed == directed
+        targets = list(range(0, graph.num_nodes, max(1, graph.num_nodes // 25)))
+        for vector in utility_vectors(graph, utility, targets, dtype=dtype):
+            reference = utility.utility_vector(graph, vector.target).with_dtype(dtype)
+            assert vector.target_degree == reference.target_degree
+            assert vector.num_candidates == reference.num_candidates
+            np.testing.assert_array_equal(vector.candidates, reference.candidates)
+            assert vector.values.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(vector.values, reference.values)
+
+    def test_out_of_range_targets_rejected(self, graph, utility):
+        with pytest.raises(UtilityError, match="out of range"):
+            utility_vectors(graph, utility, [graph.num_nodes])
 
 
-class TestDenseCandidateRows:
-    def test_roundtrip_through_scatter(self, graph, utility):
-        vectors = utility_vectors(graph, utility, [0, 7])
-        utilities, valid = dense_candidate_rows(vectors, graph.num_nodes)
-        for row, vector in enumerate(vectors):
-            np.testing.assert_array_equal(np.flatnonzero(valid[row]), vector.candidates)
-            np.testing.assert_array_equal(
-                utilities[row][vector.candidates], vector.values
-            )
-            assert utilities[row][~valid[row]].sum() == 0.0
+class TestSupportForm:
+    def test_zero_candidates_enumerate_the_bucket_in_order(self, graph, utility):
+        """Rank-select over excluded + support ids lists exactly the
+        zero-utility candidates, ascending — the nodes the sampler's zero
+        bucket picks from."""
+        for vector in utility_vectors(graph, utility, [0, 7, 40]):
+            expected = vector.candidates[vector.values == 0]
+            assert vector.zero_count == expected.size
+            got = [vector.zero_candidate(rank) for rank in range(vector.zero_count)]
+            np.testing.assert_array_equal(got, expected)
+            ids, values = vector.support()
+            np.testing.assert_array_equal(ids, vector.candidates[vector.values > 0])
+            np.testing.assert_array_equal(values, vector.values[vector.values > 0])
 
 
 class TestCompactKeptRows:
@@ -112,50 +131,49 @@ class TestSampleRowsExecutorStability:
         its own stream, so any chunked partition reproduces it."""
         mechanism = ExponentialMechanism(1.0, sensitivity=2.0)
         vectors = utility_vectors(graph, utility, list(range(20)))
-        utilities, valid = dense_candidate_rows(vectors, graph.num_nodes)
 
-        streams = spawn_rngs(123, 20)
-        full = sample_exponential_rows(mechanism, utilities, valid, streams)
+        full = mechanism.recommend_vectors(vectors, spawn_rngs(123, 20))
 
         streams = spawn_rngs(123, 20)
         chunked = np.concatenate(
             [
-                sample_exponential_rows(
-                    mechanism,
-                    utilities[chunk.start : chunk.stop],
-                    valid[chunk.start : chunk.stop],
-                    chunk.take(streams),
-                )
+                mechanism.recommend_vectors(chunk.take(vectors), chunk.take(streams))
                 for chunk in ComputePlan(20, 6)
             ]
         )
         np.testing.assert_array_equal(full, chunked)
 
+    def test_storage_form_is_irrelevant(self, graph, utility):
+        """A dense row and its support-form twin draw the same node from
+        the same stream."""
+        mechanism = ExponentialMechanism(1.0, sensitivity=2.0)
+        targets = list(range(20))
+        support_rows = utility_vectors(graph, utility, targets)
+        dense_rows = [utility.utility_vector(graph, t) for t in targets]
+        np.testing.assert_array_equal(
+            mechanism.recommend_vectors(support_rows, spawn_rngs(9, 20)),
+            mechanism.recommend_vectors(dense_rows, spawn_rngs(9, 20)),
+        )
+
     def test_samples_are_valid_candidates(self, graph, utility):
         mechanism = ExponentialMechanism(1.0, sensitivity=2.0)
         vectors = utility_vectors(graph, utility, list(range(10)))
-        utilities, valid = dense_candidate_rows(vectors, graph.num_nodes)
-        picks = sample_exponential_rows(
-            mechanism, utilities, valid, spawn_rngs(0, 10)
-        )
-        for row, pick in enumerate(picks):
-            assert valid[row, pick]
+        picks = mechanism.recommend_vectors(vectors, spawn_rngs(0, 10))
+        for vector, pick in zip(vectors, picks):
+            assert pick != vector.target
+            assert not graph.has_edge(vector.target, int(pick))
 
     def test_follows_softmax_distribution(self):
-        """Per-row-stream Gumbel sampling is still exactly the exponential
+        """Per-row-stream sampling is still exactly the exponential
         mechanism's distribution (TV distance over many tiled rows)."""
         graph = toy.paper_example_graph()
         utility = CommonNeighbors()
         mechanism = ExponentialMechanism(epsilon=2.0, sensitivity=2.0)
-        vector = utility.utility_vector(graph, 0)
+        vector = utility_vectors(graph, utility, [0])[0]
         exact = mechanism.probabilities(vector)
 
         draws = 20_000
-        vectors = [vector] * draws
-        utilities, valid = dense_candidate_rows(vectors, graph.num_nodes)
-        picks = sample_exponential_rows(
-            mechanism, utilities, valid, spawn_rngs(5, draws)
-        )
+        picks = mechanism.recommend_vectors([vector] * draws, spawn_rngs(5, draws))
         counts = np.bincount(picks, minlength=graph.num_nodes)[vector.candidates]
         tv_distance = 0.5 * np.abs(counts / draws - exact).sum()
         assert tv_distance < 0.03
@@ -280,7 +298,8 @@ class TestFusedCompactRows:
     @pytest.mark.parametrize("workspace", [None, "fresh"])
     def test_matches_reference_on_graph_rows(self, graph, utility, workspace):
         targets = np.arange(0, graph.num_nodes, 2, dtype=np.int64)
-        scores, mask = utility_rows(graph, utility, targets)
+        scores = score_rows(graph, utility, targets)
+        mask = candidate_mask_rows(graph, targets)
         chunk = self._compare(scores, mask, workspace)
         assert chunk.compact.u_maxes is not None
         for index in range(chunk.compact.num_rows):
@@ -317,7 +336,8 @@ class TestFusedCompactRows:
 
         workspace = Workspace()
         targets = np.arange(24, dtype=np.int64)
-        scores, mask = utility_rows(graph, utility, targets)
+        scores = score_rows(graph, utility, targets)
+        mask = candidate_mask_rows(graph, targets)
         first = fused_compact_rows(scores, mask, workspace=workspace)
         allocations = workspace.allocations
         second = fused_compact_rows(scores, mask, workspace=workspace)

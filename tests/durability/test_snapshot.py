@@ -6,6 +6,7 @@ import pickle
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from repro.durability import (
@@ -175,6 +176,31 @@ class TestServiceStateCapture:
         clone_next = clone.recommend_batch(users)
         assert [tuple(r.recommendations) for r in donor_next] == [
             tuple(r.recommendations) for r in clone_next
+        ]
+
+    def test_support_form_cache_round_trip(self, build_service, events):
+        """A non-incremental service's cached rows (support form) survive
+        capture/install through pickle and serve identically after."""
+        from repro.streaming import replay_stream
+
+        donor = build_service(incremental=False)
+        replay_stream(donor, events[:120], batch_size=16)
+        state = pickle.loads(pickle.dumps(
+            capture_state(donor, events_done=120, wal_offset=0)
+        ))
+        clone = build_service(incremental=False)
+        install_state(clone, state)
+
+        donor_version, donor_rows = donor.service.cache.export_entries()
+        clone_version, clone_rows = clone.service.cache.export_entries()
+        assert donor_rows and clone_version == donor_version
+        assert [t for t, _ in clone_rows] == [t for t, _ in donor_rows]
+        for (_, restored), (_, original) in zip(clone_rows, donor_rows):
+            np.testing.assert_array_equal(restored.candidates, original.candidates)
+            np.testing.assert_array_equal(restored.values, original.values)
+        users = [target for target, _ in donor_rows] * 2
+        assert [r.recommendations for r in donor.recommend_batch(users)] == [
+            r.recommendations for r in clone.recommend_batch(users)
         ]
 
     def test_install_rejects_stamp_mismatch(self, build_service, events):

@@ -5,16 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compute import utility_vectors
 from repro.datasets import toy, wiki_vote
 from repro.errors import MechanismError
-from repro.mechanisms import (
-    ExponentialMechanism,
-    gumbel_max_sample,
-    make_mechanism,
-    mechanism_registry,
-)
+from repro.mechanisms import ExponentialMechanism, make_mechanism, mechanism_registry
+from repro.rng import spawn_rngs
 from repro.utility import CommonNeighbors, JaccardCoefficient
-from repro.utility.base import candidate_mask, candidate_nodes
+from repro.utility.base import UtilityVector, candidate_mask, candidate_nodes
 
 
 class TestBatchScores:
@@ -63,34 +60,39 @@ class TestCandidateMask:
 
 
 class TestGumbelMaxSample:
-    def test_requires_2d(self):
-        with pytest.raises(MechanismError):
-            gumbel_max_sample(np.zeros(4), seed=0)
+    """``ExponentialMechanism.recommend_vectors``: Gumbel-max over each
+    row's support plus one key for its zero bucket."""
+
+    def test_requires_one_stream_per_vector(self):
+        from tests.conftest import make_vector
+
+        mechanism = ExponentialMechanism(epsilon=1.0, sensitivity=2.0)
+        with pytest.raises(MechanismError, match="streams"):
+            mechanism.recommend_vectors([make_vector([1.0, 0.0])] * 2, spawn_rngs(0, 3))
 
     def test_requires_valid_candidate_per_row(self):
-        logits = np.zeros((2, 3))
-        valid = np.array([[True, True, True], [False, False, False]])
-        with pytest.raises(MechanismError):
-            gumbel_max_sample(logits, seed=0, valid=valid)
+        from tests.conftest import make_vector
 
-    def test_mask_shape_checked(self):
-        with pytest.raises(MechanismError):
-            gumbel_max_sample(np.zeros((2, 3)), seed=0, valid=np.ones((2, 4), dtype=bool))
+        mechanism = ExponentialMechanism(epsilon=1.0, sensitivity=2.0)
+        everyone_excluded = UtilityVector.from_support(0, [], [], [0, 1, 2], 3, 2)
+        for empty in (make_vector([]), everyone_excluded):
+            with pytest.raises(MechanismError, match="empty candidate set"):
+                mechanism.recommend_vectors([make_vector([1.0]), empty], spawn_rngs(0, 2))
 
-    def test_samples_respect_mask(self):
-        logits = np.zeros((200, 5))
-        valid = np.tile(np.array([True, False, True, False, True]), (200, 1))
-        samples = gumbel_max_sample(logits, seed=0, valid=valid)
-        assert set(np.unique(samples)) <= {0, 2, 4}
+    def test_samples_respect_exclusions(self):
+        mechanism = ExponentialMechanism(epsilon=1.0, sensitivity=2.0)
+        vector = UtilityVector.from_support(0, [3], [1.0], [0, 1, 5], 8, 2)
+        picks = mechanism.recommend_vectors([vector] * 400, spawn_rngs(0, 400))
+        assert set(picks.tolist()) == {2, 3, 4, 6, 7}
 
     def test_matches_exponential_probabilities_statistically(self):
-        """Batched Gumbel-max sampling follows the softmax distribution.
+        """Sampling follows the softmax distribution, zero bucket included.
 
-        Tile one utility vector into many rows, sample each row once, and
-        compare empirical frequencies against the sequential mechanism's
-        exact ``probabilities`` in total-variation distance. Sampling noise
-        at 20k draws over 6 candidates is ~0.009 TV in expectation; 0.03
-        leaves generous slack while catching any systematic bias.
+        Sample one dense utility vector many times and compare empirical
+        frequencies against the mechanism's exact ``probabilities`` in
+        total-variation distance. Sampling noise at 20k draws over 6
+        candidates is ~0.009 TV in expectation; 0.03 leaves generous
+        slack while catching any systematic bias.
         """
         from tests.conftest import make_vector
 
@@ -99,25 +101,21 @@ class TestGumbelMaxSample:
         exact = mechanism.probabilities(vector)
 
         draws = 20_000
-        logits = np.tile((1.0 / 2.0) * vector.values, (draws, 1))
-        samples = gumbel_max_sample(logits, seed=123)
-        empirical = np.bincount(samples, minlength=len(vector)) / draws
+        samples = mechanism.recommend_vectors([vector] * draws, spawn_rngs(123, draws))
+        empirical = np.bincount(samples - 100, minlength=len(vector)) / draws
         tv_distance = 0.5 * np.abs(empirical - exact).sum()
         assert tv_distance < 0.03
 
-    def test_recommend_batch_matches_per_row_distribution(self):
-        """`recommend_batch` with a mask agrees with per-vector sampling."""
+    def test_support_rows_match_per_row_distribution(self):
+        """Support-form kernel rows sample like per-vector probabilities."""
         graph = toy.paper_example_graph()
         utility = CommonNeighbors()
         mechanism = ExponentialMechanism(epsilon=2.0, sensitivity=2.0)
-        vector = utility.utility_vector(graph, 0)
-        exact = mechanism.probabilities(vector)
+        vector = utility_vectors(graph, utility, [0])[0]
+        exact = mechanism.probabilities(utility.utility_vector(graph, 0))
 
         draws = 20_000
-        scores = np.tile(utility.scores(graph, 0), (draws, 1))
-        valid = np.tile(candidate_mask(graph, [0])[0], (draws, 1))
-        samples = mechanism.recommend_batch(scores, seed=7, valid=valid)
-        # Map sampled node ids onto the vector's candidate positions.
+        samples = mechanism.recommend_vectors([vector] * draws, spawn_rngs(7, draws))
         counts = np.bincount(samples, minlength=graph.num_nodes)[vector.candidates]
         tv_distance = 0.5 * np.abs(counts / draws - exact).sum()
         assert tv_distance < 0.03

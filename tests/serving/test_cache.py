@@ -396,3 +396,28 @@ class TestStorageDtype:
         vector = CommonNeighbors().utility_vector(graph, 1).with_dtype(np.float32)
         cache.put(1, vector)
         assert cache.get_resident(1).values.dtype == np.float64
+
+
+class TestResidentFootprint:
+    """Non-incremental rows are support-form: O(support + degree) bytes."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_batch_rows_stay_support_sized_at_1e5_nodes(self, dtype):
+        from repro.graphs.generators.powerlaw import build_powerlaw_shared
+        from repro.serving import RecommendationService
+
+        with build_powerlaw_shared(100_000, 2.2, seed=5) as graph:
+            service = RecommendationService(graph, epsilon=0.5, seed=3, dtype=dtype)
+            users = list(range(0, graph.num_nodes, 1_571))
+            responses = service.recommend_batch(users)
+            assert all(r.served for r in responses)
+            _, rows = service.cache.export_entries()
+            assert sorted(target for target, _ in rows) == users
+            for _, vector in rows:
+                nbytes = sum(
+                    value.nbytes for value in vars(vector).values()
+                    if isinstance(value, np.ndarray)
+                )
+                support = vector.support()[0].size
+                assert nbytes <= 16 * (support + vector.target_degree + 1)
+                assert nbytes < graph.num_nodes * 8 // 100

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.errors import UtilityError
 from repro.utility.base import (
+    UtilityFunction,
     UtilityVector,
     candidate_nodes,
     make_utility,
@@ -33,6 +34,60 @@ class TestUtilityVector:
     def test_negative_utilities_rejected(self):
         with pytest.raises(UtilityError):
             make_vector([1.0, -0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_non_finite_utilities_rejected(self, bad, dtype):
+        values = np.asarray([1.0, bad, 0.0], dtype=dtype)
+        with pytest.raises(UtilityError, match="finite"):
+            make_vector(values)
+        with pytest.raises(UtilityError, match="finite"):
+            UtilityVector.from_support(0, [1, 2, 3], values, [0], 5, 1)
+
+    def test_non_finite_scores_never_reach_the_zero_bucket(self, example_graph):
+        """A utility emitting NaN must fail the batched kernel, not have its
+        NaN scores filed as zero utility by the support split."""
+        from repro.compute import utility_vectors
+
+        class Broken(CommonNeighbors):
+            def scores(self, graph, target):
+                scores = super().scores(graph, target)
+                scores[scores > 0] = np.nan
+                return scores
+
+            batch_scores = UtilityFunction.batch_scores
+            support_scores = UtilityFunction.support_scores
+
+        with pytest.raises(UtilityError, match="finite"):
+            utility_vectors(example_graph, Broken(), [0])
+
+    def test_support_form_accessors(self):
+        vector = UtilityVector.from_support(
+            0, [3, 5, 7], [2.0, 0.0, 1.0], [0, 2, 5], 10, 2
+        )
+        np.testing.assert_array_equal(vector.candidates, [1, 3, 4, 6, 7, 8, 9])
+        np.testing.assert_array_equal(vector.values, [0, 2, 0, 0, 1, 0, 0])
+        assert len(vector) == vector.num_candidates == 7
+        assert vector.zero_count == 5
+        assert vector.u_max == 2.0 and vector.best_candidate == 3
+        assert vector.value_of(7) == 1.0 and vector.value_of(4) == 0.0
+        for excluded in (0, 5, 10):
+            with pytest.raises(UtilityError):
+                vector.value_of(excluded)
+        empty = UtilityVector.from_support(4, [], [], [4], 6, 0)
+        assert not empty.has_signal() and empty.best_candidate == 0
+
+    def test_support_form_rejects_malformed_ids(self):
+        with pytest.raises(UtilityError, match="strictly increasing"):
+            UtilityVector.from_support(0, [3, 2], [1.0, 1.0], [0], 5, 1)
+        with pytest.raises(UtilityError, match="strictly increasing"):
+            UtilityVector.from_support(0, [2], [1.0], [0, 0], 5, 1)
+        with pytest.raises(UtilityError, match="strictly increasing"):
+            UtilityVector.from_support(0, [5], [1.0], [0], 5, 1)
+
+    def test_vectors_are_immutable(self, simple_vector):
+        with pytest.raises(AttributeError):
+            simple_vector.target = 3
 
     def test_empty_vector_has_no_max(self):
         vector = make_vector([])

@@ -20,9 +20,10 @@ class TestConstruction:
         assert wp.max_length == 3  # footnote 10 truncation
         assert wp.gamma == 0.005
 
-    def test_invalid_gamma(self):
+    @pytest.mark.parametrize("gamma", [-0.1, float("nan"), float("inf")])
+    def test_invalid_gamma(self, gamma):
         with pytest.raises(UtilityError):
-            WeightedPaths(gamma=-0.1)
+            WeightedPaths(gamma=gamma)
 
     def test_invalid_max_length(self):
         with pytest.raises(UtilityError):
