@@ -35,8 +35,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import time
+
+from harness import usable_cpus
 
 from repro.accuracy.batch import evaluate_targets_batched
 from repro.accuracy.evaluator import sample_targets
@@ -48,14 +49,6 @@ from repro.experiments.runner import build_mechanisms, build_utility
 MECHANISM_EPSILONS = (0.5, 1.0)
 BOUND_EPSILONS = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0)
 EVALUATION_SEED = 8
-
-
-def usable_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
 
 
 def build_workload(scale: float, fraction: float, laplace_trials: int):

@@ -23,9 +23,9 @@ reproducibility, so both engines run the identical sampling kernel and the
 ratio would only measure noise-drawing time common to both (the identity
 check still covers it via the test suite).
 
-Writes ``BENCH_experiment.json`` with targets/sec for both engines and the
-batched engine's per-stage wall-clock so the perf trajectory is tracked
-per PR.
+Writes ``BENCH_experiment.json`` with targets/sec for both engines, the
+batched engine's per-stage wall-clock, and the ``--min-speedup`` gate it
+was held to, so the perf trajectory is tracked per PR.
 
 Run:  python benchmarks/bench_experiment_engine.py [--smoke]
           [--scale S] [--fraction F] [--utility U] [--repeats R]
@@ -35,8 +35,8 @@ Run:  python benchmarks/bench_experiment_engine.py [--smoke]
 from __future__ import annotations
 
 import argparse
-import json
-import time
+
+from harness import best_of, finish, require
 
 from repro.accuracy.batch import STAGE_NAMES, evaluate_targets_batched
 from repro.accuracy.evaluator import evaluate_targets, sample_targets
@@ -72,7 +72,7 @@ def build_workload(scale: float, fraction: float, utility_name: str):
 
 
 def check_identity(graph, utility, mechanisms, targets) -> int:
-    """Assert batched == sequential (bit-for-bit) before timing; return kept."""
+    """Require batched == sequential (bit-for-bit) before timing; return kept."""
     sequential = evaluate_targets(
         graph, utility, targets, mechanisms,
         bound_epsilons=BOUND_EPSILONS, seed=EVALUATION_SEED,
@@ -81,45 +81,28 @@ def check_identity(graph, utility, mechanisms, targets) -> int:
         graph, utility, targets, mechanisms,
         bound_epsilons=BOUND_EPSILONS, seed=EVALUATION_SEED,
     )
-    if sequential != batched:
-        raise AssertionError(
-            "batched engine diverged from the sequential evaluator: "
-            f"{len(sequential)} vs {len(batched)} evaluations"
-        )
+    require(
+        sequential == batched,
+        "batched engine diverged from the sequential evaluator: "
+        f"{len(sequential)} vs {len(batched)} evaluations",
+    )
     return len(batched)
 
 
-def time_engine(run, repeats: int) -> float:
-    return min(_timed(run) for _ in range(repeats))
-
-
-def _timed(run) -> float:
-    started = time.perf_counter()
-    run()
-    return time.perf_counter() - started
-
-
 def run_benchmark(
-    scale: float, fraction: float, utility_name: str, repeats: int
+    scale: float, fraction: float, utility_name: str, repeats: int, smoke: bool
 ) -> dict:
     graph, utility, mechanisms, targets = build_workload(scale, fraction, utility_name)
     kept = check_identity(graph, utility, mechanisms, targets)
 
-    sequential_seconds = time_engine(
-        lambda: evaluate_targets(
-            graph, utility, targets, mechanisms,
-            bound_epsilons=BOUND_EPSILONS, seed=EVALUATION_SEED,
-        ),
-        repeats,
+    sequential_seconds = best_of(
+        repeats, evaluate_targets, graph, utility, targets, mechanisms,
+        bound_epsilons=BOUND_EPSILONS, seed=EVALUATION_SEED,
     )
     stage_seconds: dict[str, float] = {}
-    batched_seconds = time_engine(
-        lambda: evaluate_targets_batched(
-            graph, utility, targets, mechanisms,
-            bound_epsilons=BOUND_EPSILONS, seed=EVALUATION_SEED,
-            timings=stage_seconds,
-        ),
-        repeats,
+    batched_seconds = best_of(
+        repeats, evaluate_targets_batched, graph, utility, targets, mechanisms,
+        bound_epsilons=BOUND_EPSILONS, seed=EVALUATION_SEED, timings=stage_seconds,
     )
     # The timings dict accumulates across repeats; report a per-run average.
     stages = {name: stage_seconds.get(name, 0.0) / repeats for name in STAGE_NAMES}
@@ -132,6 +115,7 @@ def run_benchmark(
             "mechanism_epsilons": list(MECHANISM_EPSILONS),
             "bound_epsilons": list(BOUND_EPSILONS),
             "repeats": repeats,
+            "smoke": smoke,
         },
         "nodes": graph.num_nodes,
         "edges": graph.num_edges,
@@ -175,7 +159,9 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.smoke:
         args.scale, args.fraction, args.repeats = 0.2, 0.25, 2
 
-    result = run_benchmark(args.scale, args.fraction, args.utility, args.repeats)
+    result = run_benchmark(
+        args.scale, args.fraction, args.utility, args.repeats, args.smoke
+    )
     print(
         f"wiki replica scale {args.scale}: {result['nodes']} nodes, "
         f"{result['edges']} edges, {result['targets_sampled']} targets "
@@ -194,19 +180,11 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"    stage {name:<10} {seconds * 1000:8.1f} ms")
     print(f"  speedup:    {result['speedup']:.1f}x")
 
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"  wrote {args.output}")
-
-    if result["speedup"] < args.min_speedup:
-        print(
-            f"FAIL: batched engine is less than {args.min_speedup:g}x faster "
-            "than the sequential evaluator"
-        )
-        return 1
-    print(f"OK: batched engine is >= {args.min_speedup:g}x faster than sequential")
-    return 0
+    return finish(
+        result,
+        args.output,
+        [("speedup", args.min_speedup, "batched engine vs the sequential evaluator")],
+    )
 
 
 if __name__ == "__main__":

@@ -1,57 +1,54 @@
-"""Memory benchmark: the fused allocation-free core vs the PR-4 engine.
+"""Memory benchmark: allocation pressure and full-scale residency of the engine.
 
 Three questions, answered in one run:
 
-1. **Allocation pressure** — how many numpy array-constructor calls per
-   evaluated target does each engine mode make? The PR-4 baseline
-   (``fused=False``) allocates fresh dense blocks per chunk and runs
-   per-row ``flatnonzero``/``sort`` loops (one to three allocations per
-   row per stage); the fused path streams through per-worker
-   :class:`~repro.compute.workspace.Workspace` buffers and a handful of
-   flat vectorized passes per chunk. Counted by an
-   :class:`AllocationSpy` that wraps the numpy constructor/extraction
-   API (``np.empty``, ``np.zeros``, ``np.concatenate``, ``np.repeat``,
-   ``np.sort``, ``np.flatnonzero``, ...) identically around both modes,
-   plus the workspace's own take/allocation counters. Gate:
-   ``--min-alloc-ratio`` (default 2x fewer per target).
+1. **Identity and tolerance** — before anything is timed, the float64
+   engine (:func:`~repro.accuracy.batch.evaluate_targets_batched`) must
+   equal the sequential evaluator bit for bit, and the float32 engine
+   must keep the same targets with accuracies and bounds inside the
+   documented tolerance contract (DESIGN.md, "memory dataflow").
 
-2. **Throughput** — wall-clock of the fused engine vs the PR-4 baseline
-   at its PR-4 default configuration (serial, unchunked), both asserted
-   bit-identical to the *sequential* evaluator first. Gate:
-   ``--min-speedup`` (default 1.5x) at ``--scale`` (default 0.5).
-   The timed grid is exponential-only, like ``bench_experiment_engine``:
-   the Laplace column runs the identical per-target-stream Monte-Carlo
-   kernel in both engines, so including it would only dilute the ratio
-   with noise-drawing time common to both.
+2. **Allocation pressure** — how many numpy array-constructor calls per
+   evaluated target does the engine make? Dense blocks live in per-worker
+   :class:`~repro.compute.workspace.Workspace` buffers and every stage is
+   a handful of flat vectorized passes per chunk, so the count should
+   stay well under one per target. Counted by an :class:`AllocationSpy`
+   that wraps the numpy constructor/extraction API (``np.empty``,
+   ``np.zeros``, ``np.concatenate``, ``np.repeat``, ``np.sort``,
+   ``np.flatnonzero``, ...), plus the workspace's own take/allocation
+   counters. Gate: ``targets_per_allocation >= 1``, i.e. at most one
+   numpy allocation call per evaluated target. The float64 and float32
+   engines are timed best-of-R at ``--scale`` (default 0.5), and the
+   ratio is reported as ``float32_speedup`` — the figure that decides
+   whether the float32 compute knob earns its place — without a gate.
+   The timed grid is exponential-only, like ``bench_experiment_engine``.
 
 3. **Full-scale feasibility** — one complete experiment-engine run at
-   wiki-vote **scale=1.0** (the paper's full replica, first time any
-   benchmark here has run it), recording targets/sec, peak RSS
-   (``ru_maxrss``), whole-run tracemalloc peak, per-stage tracemalloc
-   peaks (via the engine's ``memory`` hook), and the workspace's
-   resident high-water mark. The float32 compute path is run as a
-   second row with its accuracy/bound deviation from float64 checked
-   against the documented tolerance contract (DESIGN.md, "memory
-   dataflow").
+   wiki-vote **scale=1.0** (the paper's full replica), recording
+   targets/sec, peak RSS (``ru_maxrss``), whole-run tracemalloc peak,
+   per-stage tracemalloc peaks (via the engine's ``memory`` hook), and
+   the workspace's resident high-water mark, for float64 and float32.
 
-Writes ``BENCH_memory.json``. ``--smoke`` shrinks to scale 0.1 and the
-allocation gate only (wall-clock ratios are too noisy on loaded CI
-runners, and the full-scale run is a local acceptance artifact).
+Writes ``BENCH_memory.json``, keeping the ``trajectory`` list (the RSS
+entries ``bench_scale.py --memory-json`` appends) of an existing output
+file. ``--smoke`` shrinks to scale 0.1 and skips the full-scale run.
 
 Run:  python benchmarks/bench_memory.py [--smoke]
           [--scale S] [--full-scale S] [--fraction F] [--repeats R]
-          [--min-alloc-ratio X] [--min-speedup X] [--output PATH]
+          [--output PATH]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
-import time
 import tracemalloc
 
 import numpy as np
+
+from harness import best_of, finish, require, timed
 
 from repro.accuracy.batch import STAGE_NAMES, evaluate_targets_batched
 from repro.accuracy.evaluator import evaluate_targets, sample_targets
@@ -72,9 +69,10 @@ EVALUATION_SEED = 8
 FLOAT32_RTOL = 1e-5
 FLOAT32_ATOL = 1e-6
 
-#: numpy array-constructor / extraction entry points the spy wraps. Both
-#: engine modes run under the identical wrapper set, so the per-target
-#: ratio compares like with like.
+#: At most one numpy allocation call per evaluated target.
+MIN_TARGETS_PER_ALLOCATION = 1.0
+
+#: numpy array-constructor / extraction entry points the spy wraps.
 SPIED_FUNCTIONS = (
     "empty", "zeros", "ones", "full",
     "empty_like", "zeros_like", "ones_like", "full_like",
@@ -123,7 +121,7 @@ def build_workload(scale: float, fraction: float):
     utility = build_utility(config)
     mechanisms = build_mechanisms(config, utility.sensitivity(graph, 0))
     targets = sample_targets(graph, fraction=fraction, seed=7)
-    # Warm the shared CSR cache so no engine pays the one-time build inside
+    # Warm the shared CSR cache so no run pays the one-time build inside
     # its measured region (it belongs to the graph, not the evaluator).
     graph.adjacency_matrix()
     return graph, utility, mechanisms, targets
@@ -136,32 +134,24 @@ def engine_call(graph, utility, mechanisms, targets, **kwargs):
     )
 
 
-def measure_mode(graph, utility, mechanisms, targets, repeats: int, **kwargs) -> dict:
+def measure_engine(graph, utility, mechanisms, targets, repeats: int, **kwargs) -> dict:
     """Best-of-R wall clock plus one spied allocation-count pass."""
-    best = min(
-        _timed(lambda: engine_call(graph, utility, mechanisms, targets, **kwargs))
-        for _ in range(repeats)
-    )
+    seconds = best_of(repeats, engine_call, graph, utility, mechanisms, targets, **kwargs)
     workspace = reset_workspace()
     with AllocationSpy() as spy:
         engine_call(graph, utility, mechanisms, targets, **kwargs)
     return {
-        "seconds": best,
-        "targets_per_sec": targets.size / best,
+        "seconds": seconds,
+        "targets_per_sec": targets.size / seconds,
         "numpy_allocation_calls": spy.count,
         "allocations_per_target": spy.count / targets.size,
+        "targets_per_allocation": targets.size / max(1, spy.count),
         "workspace": {
             "takes": workspace.takes,
             "fresh_allocations": workspace.allocations,
             "resident_bytes": workspace.resident_bytes,
         },
     }
-
-
-def _timed(run) -> float:
-    started = time.perf_counter()
-    run()
-    return time.perf_counter() - started
 
 
 def _accuracy_matrix(evaluations, mechanisms) -> np.ndarray:
@@ -177,34 +167,31 @@ def _bound_matrix(evaluations) -> np.ndarray:
 
 
 def check_identity_and_tolerance(graph, utility, mechanisms, targets) -> dict:
-    """Assert fused == baseline == sequential (float64) and float32 contract."""
+    """Engine == sequential (float64) and the float32 tolerance contract."""
     sequential = evaluate_targets(
         graph, utility, targets, mechanisms,
         bound_epsilons=BOUND_EPSILONS, seed=EVALUATION_SEED,
     )
-    fused = engine_call(graph, utility, mechanisms, targets)
-    baseline = engine_call(graph, utility, mechanisms, targets, fused=False)
-    if fused != sequential:
-        raise AssertionError("fused engine diverged from the sequential evaluator")
-    if baseline != sequential:
-        raise AssertionError("baseline engine diverged from the sequential evaluator")
+    engine = engine_call(graph, utility, mechanisms, targets)
+    require(engine == sequential, "engine diverged from the sequential evaluator")
     f32 = engine_call(graph, utility, mechanisms, targets, dtype="float32")
-    if [e.target for e in f32] != [e.target for e in fused]:
-        raise AssertionError("float32 run kept a different target set")
-    acc64, acc32 = _accuracy_matrix(fused, mechanisms), _accuracy_matrix(f32, mechanisms)
-    bnd64, bnd32 = _bound_matrix(fused), _bound_matrix(f32)
-    if not np.allclose(acc32, acc64, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL):
-        raise AssertionError("float32 accuracies exceed the documented tolerance")
-    if not np.allclose(bnd32, bnd64, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL):
-        raise AssertionError("float32 bounds exceed the documented tolerance")
+    require(
+        [e.target for e in f32] == [e.target for e in engine],
+        "float32 run kept a different target set",
+    )
+    acc64, acc32 = _accuracy_matrix(engine, mechanisms), _accuracy_matrix(f32, mechanisms)
+    bnd64, bnd32 = _bound_matrix(engine), _bound_matrix(f32)
+    within = bool(
+        np.allclose(acc32, acc64, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
+        and np.allclose(bnd32, bnd64, rtol=FLOAT32_RTOL, atol=FLOAT32_ATOL)
+    )
+    require(within, "float32 accuracies or bounds exceed the documented tolerance")
     return {
-        "float64_bit_identical_to_sequential": True,
-        "float32_same_kept_targets": True,
         "float32_rtol_contract": FLOAT32_RTOL,
         "float32_atol_contract": FLOAT32_ATOL,
         "float32_max_abs_accuracy_diff": float(np.abs(acc32 - acc64).max()),
         "float32_max_abs_bound_diff": float(np.abs(bnd32 - bnd64).max()),
-        "targets_evaluated": len(fused),
+        "targets_evaluated": len(engine),
     }
 
 
@@ -214,9 +201,7 @@ def run_full_scale(scale: float, fraction: float) -> dict:
     rows = {}
     for label, kwargs in (("float64", {}), ("float32", {"dtype": "float32"})):
         reset_workspace()
-        seconds = _timed(
-            lambda: engine_call(graph, utility, mechanisms, targets, **kwargs)
-        )
+        seconds = timed(engine_call, graph, utility, mechanisms, targets, **kwargs)
         # Separate memory pass: tracemalloc roughly doubles wall-clock, so
         # it must not contaminate the timing above.
         reset_workspace()
@@ -257,29 +242,29 @@ def run_full_scale(scale: float, fraction: float) -> dict:
     }
 
 
+def existing_trajectory(path: str) -> list:
+    """The ``trajectory`` list of an existing artifact at ``path``, if any."""
+    if not os.path.exists(path):
+        return []
+    with open(path, "r", encoding="utf-8") as handle:
+        return json.load(handle).get("trajectory", [])
+
+
 def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--scale", type=float, default=0.5,
-                        help="wiki replica scale for the gated comparison")
+                        help="wiki replica scale for the gated measurements")
     parser.add_argument("--full-scale", type=float, default=1.0, dest="full_scale",
                         help="wiki replica scale for the full-scale memory run")
     parser.add_argument("--fraction", type=float, default=0.2,
                         help="fraction of eligible nodes sampled as targets "
                         "(the full-scale run uses the paper's 0.1)")
     parser.add_argument("--repeats", type=int, default=3, help="best-of-R timing")
-    parser.add_argument("--min-alloc-ratio", type=float, default=2.0,
-                        dest="min_alloc_ratio",
-                        help="fail below this baseline/fused per-target "
-                        "allocation ratio")
-    parser.add_argument("--min-speedup", type=float, default=1.5,
-                        dest="min_speedup",
-                        help="fail below this baseline/fused wall-clock ratio "
-                        "(skipped with --smoke: CI wall-clock is too noisy)")
     parser.add_argument("--output", default="BENCH_memory.json",
                         help="where to write the JSON result")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI configuration: scale 0.1, allocation gate + "
-                        "identity/tolerance checks only, no full-scale run")
+                        help="CI configuration: scale 0.1, identity/tolerance "
+                        "and allocation gates only, no full-scale run")
     args = parser.parse_args(argv)
     if args.smoke:
         args.scale, args.repeats = 0.1, 2
@@ -294,6 +279,7 @@ def main(argv: "list[str] | None" = None) -> int:
             "repeats": args.repeats,
             "smoke": args.smoke,
         },
+        "trajectory": existing_trajectory(args.output),
     }
 
     if not args.smoke:
@@ -311,70 +297,50 @@ def main(argv: "list[str] | None" = None) -> int:
             )
         print(f"  peak RSS: {full['peak_rss_kb'] / 1024:.0f} MB")
 
-    print(f"\n== gated comparison (scale {args.scale}) ==")
+    print(f"\n== gated measurements (scale {args.scale}) ==")
     graph, utility, mechanisms, targets = build_workload(args.scale, args.fraction)
     print(f"  {graph.num_nodes} nodes, {graph.num_edges} edges, "
           f"{targets.size} targets")
     checks = check_identity_and_tolerance(graph, utility, mechanisms, targets)
     result["checks"] = checks
-    print("  identity: fused == baseline == sequential (float64, asserted)")
+    # Recorded as gated fields so the committed artifact carries them;
+    # check_identity_and_tolerance has already aborted a run where
+    # either failed.
+    result["identical_to_sequential"] = True
+    result["float32_within_tolerance"] = True
+    print("  identity: engine == sequential (float64, asserted)")
     print(f"  float32 tolerance: max |Δacc| = "
           f"{checks['float32_max_abs_accuracy_diff']:.2e}, max |Δbound| = "
           f"{checks['float32_max_abs_bound_diff']:.2e} "
           f"(contract rtol={FLOAT32_RTOL:g})")
 
-    baseline = measure_mode(
-        graph, utility, mechanisms, targets, args.repeats, fused=False
-    )
-    fused = measure_mode(graph, utility, mechanisms, targets, args.repeats)
-    fused32 = measure_mode(
+    float64 = measure_engine(graph, utility, mechanisms, targets, args.repeats)
+    float32 = measure_engine(
         graph, utility, mechanisms, targets, args.repeats, dtype="float32"
     )
-    alloc_ratio = (
-        baseline["allocations_per_target"] / fused["allocations_per_target"]
+    result["engine"] = {"float64": float64, "float32": float32}
+    result["targets_per_allocation"] = float64["targets_per_allocation"]
+    result["float32_speedup"] = float64["seconds"] / float32["seconds"]
+    print(f"  float64: {float64['seconds'] * 1000:8.1f} ms   "
+          f"{float64['allocations_per_target']:.2f} allocs/target")
+    print(f"  float32: {float32['seconds'] * 1000:8.1f} ms   "
+          f"{float32['allocations_per_target']:.2f} allocs/target")
+    print(f"  float32 speedup over float64: {result['float32_speedup']:.2f}x "
+          "(reported, not gated)")
+
+    return finish(
+        result,
+        args.output,
+        [
+            ("identical_to_sequential", 1, "float64 engine == sequential evaluator"),
+            ("float32_within_tolerance", 1, "float32 engine within tolerance"),
+            (
+                "targets_per_allocation",
+                MIN_TARGETS_PER_ALLOCATION,
+                "evaluated targets per numpy allocation call",
+            ),
+        ],
     )
-    speedup = baseline["seconds"] / fused["seconds"]
-    result["gate"] = {
-        "baseline": baseline,
-        "fused": fused,
-        "fused_float32": fused32,
-        "alloc_ratio": alloc_ratio,
-        "speedup": speedup,
-        "speedup_float32": baseline["seconds"] / fused32["seconds"],
-        "min_alloc_ratio": args.min_alloc_ratio,
-        "min_speedup": None if args.smoke else args.min_speedup,
-    }
-    print(f"  baseline (PR-4):   {baseline['seconds'] * 1000:8.1f} ms   "
-          f"{baseline['allocations_per_target']:8.1f} allocs/target")
-    print(f"  fused (float64):   {fused['seconds'] * 1000:8.1f} ms   "
-          f"{fused['allocations_per_target']:8.1f} allocs/target")
-    print(f"  fused (float32):   {fused32['seconds'] * 1000:8.1f} ms   "
-          f"{fused32['allocations_per_target']:8.1f} allocs/target")
-    print(f"  allocation ratio:  {alloc_ratio:.1f}x fewer per target")
-    print(f"  speedup:           {speedup:.2f}x (float32: "
-          f"{result['gate']['speedup_float32']:.2f}x)")
-
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"  wrote {args.output}")
-
-    failed = False
-    if alloc_ratio < args.min_alloc_ratio:
-        print(f"FAIL: allocation ratio {alloc_ratio:.2f}x is below the "
-              f"{args.min_alloc_ratio:g}x gate")
-        failed = True
-    if not args.smoke and speedup < args.min_speedup:
-        print(f"FAIL: fused speedup {speedup:.2f}x is below the "
-              f"{args.min_speedup:g}x gate")
-        failed = True
-    if failed:
-        return 1
-    gates = f">= {args.min_alloc_ratio:g}x fewer allocations"
-    if not args.smoke:
-        gates += f" and >= {args.min_speedup:g}x throughput"
-    print(f"OK: fused core is {gates} vs the PR-4 engine")
-    return 0
 
 
 if __name__ == "__main__":

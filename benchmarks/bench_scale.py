@@ -52,6 +52,8 @@ import pickle
 import resource
 import time
 
+from harness import usable_cpus
+
 from repro.compute import ProcessExecutor, reset_workspace, shipped_nbytes
 from repro.datasets import synthetic_powerlaw, wiki_vote
 from repro.experiments.config import ExperimentConfig
@@ -62,14 +64,6 @@ from repro.serving.service import RecommendationService
 ENGINE_EPSILONS = (0.5, 1.0)
 SERVE_SEED = 17
 SERVE_EPSILON = 0.5
-
-
-def usable_cpus() -> int:
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
 
 
 def peak_rss_bytes() -> int:

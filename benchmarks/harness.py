@@ -14,7 +14,9 @@ the conventions cannot drift:
   machine, and R is small because benchmarks run in CI;
 * artifacts are JSON, ``indent=2``, sorted keys, trailing newline
   (:func:`write_artifact`) — byte-stable across runs up to the measured
-  numbers, so committed artifacts diff cleanly;
+  numbers, so committed artifacts diff cleanly — and each records the
+  host it was measured on (usable CPUs, Python and NumPy versions), so a
+  number is never read without its hardware;
 * speedup gates print one ``FAIL:``/``OK:`` line and fold into the exit
   code (:func:`finish`), and the gate *values* are recorded in the
   artifact itself (``gates`` key) so the CI perf-trajectory check can
@@ -24,7 +26,11 @@ the conventions cannot drift:
 from __future__ import annotations
 
 import json
+import os
+import platform
 import time
+
+import numpy as np
 
 
 def require(condition: bool, message: str) -> None:
@@ -51,8 +57,27 @@ def best_of(repeats: int, fn, *args, **kwargs) -> float:
     return min(timed(fn, *args, **kwargs) for _ in range(repeats))
 
 
+def usable_cpus() -> int:
+    """CPUs this process may actually run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux hosts
+        return os.cpu_count() or 1
+
+
+def host_info() -> dict:
+    """Usable CPU count and interpreter/NumPy versions of this process."""
+    return {
+        "usable_cpus": usable_cpus(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
+
+
 def write_artifact(path: str, result: dict) -> None:
-    """Write the result JSON in the repo's canonical artifact format."""
+    """Write the result JSON in the repo's canonical artifact format,
+    stamped with :func:`host_info` under ``host``."""
+    result["host"] = host_info()
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(result, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -35,13 +35,10 @@ from pathlib import Path
 #: ``{artifact: [(dotted field, minimum), ...]}``. Values mirror the
 #: gates their benchmarks enforce in CI (`scripts/ci_smoke.sh`): 2.0
 #: for wall-clock speedups that are noise-gated down from the local 5x
-#: acceptance, and the deterministic 2.0 allocation-ratio gate of the
-#: memory bench. An empty list documents "nothing to check here".
+#: acceptance. An empty list documents "nothing to check here".
 LEGACY_GATES: "dict[str, list[tuple[str, float]]]" = {
     "BENCH_serving.json": [("speedup", 2.0), ("chunked_speedup", 2.0)],
-    "BENCH_experiment.json": [("speedup", 2.0)],
     "BENCH_streaming.json": [("speedup", 2.0)],
-    "BENCH_memory.json": [("gate.alloc_ratio", 2.0)],
     # Parallel speedups are hardware-dependent and CI-skipped; the
     # remaining artifacts gate correctness at generation time only.
     "BENCH_compute.json": [],

@@ -62,11 +62,11 @@ python benchmarks/bench_compute.py --smoke --output "$smoke_out/BENCH_compute.js
 
 echo
 echo "== memory benchmark (smoke) =="
-# Asserts fused == baseline == sequential plus the float32 tolerance
-# contract, then gates the per-target allocation ratio (deterministic, so
-# it keeps its full 2x gate in CI). The throughput gate (1.5x at scale
-# 0.5) and the wiki-vote scale-1.0 full run are local acceptance only:
-# `python benchmarks/bench_memory.py`.
+# Asserts engine == sequential plus the float32 tolerance contract, then
+# gates allocation pressure at >= 1 evaluated target per numpy allocation
+# call (deterministic, so it gates fully in CI). The float32 speedup is
+# reported, not gated, and the wiki-vote scale-1.0 full run is local
+# acceptance only: `python benchmarks/bench_memory.py`.
 python benchmarks/bench_memory.py --smoke --output "$smoke_out/BENCH_memory.json"
 
 echo

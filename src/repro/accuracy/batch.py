@@ -1,48 +1,40 @@
 """Batched experiment engine: evaluate every target as one matrix pipeline.
 
 :func:`~repro.accuracy.evaluator.evaluate_targets` — the reference
-implementation — walks one target at a time: a graph traversal per utility
-vector, a candidate scan per target, a sorted threshold search per
-(target, epsilon) bound. This module computes the same experiment through
-the shared :mod:`repro.compute` kernels, as a handful of matrix stages
-per :class:`~repro.compute.plan.ComputePlan` chunk:
+implementation and the engine's test oracle — walks one target at a
+time: a graph traversal per utility vector, a candidate scan per target,
+a sorted threshold search per (target, epsilon) bound. This module
+computes the same experiment through the shared :mod:`repro.compute`
+kernels, as a handful of matrix stages per
+:class:`~repro.compute.plan.ComputePlan` chunk:
 
 1. **utilities / mask** — the chunk's ``(chunk, n)`` score matrix and
    candidate mask (for the paper's utilities: one sparse ``A[chunk] @ A``
    product per path length instead of per-target matvecs);
 2. **filter** — the footnote-10 drop (fewer than two candidates, or no
-   non-zero utility) and row-major compaction of the survivors;
+   non-zero utility) and row-major compaction of the survivors as flat
+   vectorized passes (:func:`~repro.compute.kernels.fused_compact_rows`);
 3. **accuracies** — the exponential mechanism runs its exact batch kernel
    (one flat stabilized softmax over all candidates of the chunk), the
    Laplace mechanism runs its blocked Monte-Carlo against per-target RNG
    streams, and any other mechanism falls back to its own
    ``expected_accuracy`` on the reconstructed vector;
-4. **bounds** — Corollary 1 is evaluated from one epsilon-independent
-   threshold/k split table per target, shared across the whole epsilon
-   grid.
+4. **bounds** — Corollary 1 runs straight off the masked score rows
+   (:func:`~repro.bounds.tradeoff.tightest_accuracy_bounds_masked`), one
+   epsilon-independent threshold/k table per target shared across the
+   whole epsilon grid.
 
-Since the fused-core work the engine has two implementations of stages
-2–4, selected by ``fused``:
+Dense blocks live in per-worker
+:class:`~repro.compute.workspace.Workspace` buffers reused across chunks,
+and :class:`~repro.utility.base.UtilityVector` objects are only
+materialized when a mechanism actually needs them (the exponential fast
+path and the Section 7.1 ``t`` closed forms do not).
 
-* **fused** (default) — the allocation-aware path: dense blocks live in
-  per-worker :class:`~repro.compute.workspace.Workspace` buffers reused
-  across chunks, the filter runs as flat vectorized passes
-  (:func:`~repro.compute.kernels.fused_compact_rows`), the Corollary 1
-  search runs straight off the compact values
-  (:func:`~repro.bounds.tradeoff.tightest_accuracy_bounds_flat`), and
-  :class:`~repro.utility.base.UtilityVector` objects are only
-  materialized when a mechanism actually needs them (the exponential
-  fast path and the Section 7.1 ``t`` closed forms do not);
-* **baseline** (``fused=False``) — the per-row reference path exactly as
-  it shipped in PR 4, kept so ``benchmarks/bench_memory.py`` can measure
-  the fused path against its true predecessor, and as a second
-  independent implementation for the identity tests.
-
-Both are bit-identical to each other and — at the default float64
-compute dtype — to the sequential evaluator. ``dtype="float32"`` opts
-into the half-memory compute path under the tolerance contract
-documented in DESIGN.md ("memory dataflow"); float32 results are still
-bit-identical across chunk sizes and executors, just not across dtypes.
+At the default float64 compute dtype the result is bit-identical to the
+sequential evaluator. ``dtype="float32"`` opts into the half-memory
+compute path under the tolerance contract documented in DESIGN.md
+("memory dataflow"); float32 results are still bit-identical across
+chunk sizes and executors, just not across dtypes.
 
 Chunks run through a pluggable executor (serial, thread pool, or process
 pool; see :mod:`repro.compute.executors`) and reassemble in target order.
@@ -61,15 +53,11 @@ import tracemalloc
 
 import numpy as np
 
-from ..bounds.tradeoff import (
-    tightest_accuracy_bounds_batch,
-    tightest_accuracy_bounds_masked,
-)
+from ..bounds.tradeoff import tightest_accuracy_bounds_masked
 from ..compute.executors import Executor, make_executor
-from ..compute.kernels import (  # re-exported: canonical home is repro.compute
-    build_utility_vectors,
+from ..compute.kernels import (
     candidate_mask_rows,
-    compact_kept_rows,
+    checked_targets,
     fused_compact_rows,
     score_rows,
 )
@@ -80,15 +68,10 @@ from ..mechanisms.base import Mechanism
 from ..mechanisms.exponential import ExponentialMechanism
 from ..mechanisms.laplace import LaplaceMechanism
 from ..rng import spawn_rngs
-from ..utility.base import UtilityFunction, UtilityVector, candidate_mask
+from ..utility.base import UtilityFunction, UtilityVector
 from .evaluator import TargetEvaluation
 
-__all__ = [
-    "STAGE_NAMES",
-    "build_utility_vectors",
-    "compact_kept_rows",
-    "evaluate_targets_batched",
-]
+__all__ = ["STAGE_NAMES", "evaluate_targets_batched"]
 
 #: Stage keys written into a caller-supplied timings dict, in pipeline order.
 STAGE_NAMES = (
@@ -159,9 +142,9 @@ def _accuracy_columns(
     vectors: "list[UtilityVector]",
     kept_streams,
     laplace_trials: int,
-    workspace=None,
+    workspace,
 ) -> "dict[str, np.ndarray]":
-    """One accuracy column per mechanism, shared by both engine paths.
+    """One accuracy column per mechanism.
 
     Mechanism columns are evaluated in dict order so that any mechanism
     drawing from a target's stream consumes it in the same sequence as the
@@ -209,7 +192,7 @@ def _needs_vectors(mechanisms: "dict[str, Mechanism]") -> bool:
     )
 
 
-#: Target dense-block size for the fused engine's automatic chunking:
+#: Target dense-block size for the engine's automatic chunking:
 #: chunk_size is picked so one (chunk, num_nodes) float64 block is about
 #: this many bytes. Small enough that the workspace buffers every stage
 #: streams through stay cache-resident (measurably faster than unchunked
@@ -225,7 +208,7 @@ def _evaluate_chunk(shared, payload) -> "tuple[list[TargetEvaluation], dict, dic
     """Evaluate one chunk of targets — the executor-mapped unit of work.
 
     ``shared`` carries the per-call context (graph, utility, mechanism
-    grid, bound epsilons, Laplace trial count, compute dtype name, fused
+    grid, bound epsilons, Laplace trial count, compute dtype name, memory
     flag); ``payload`` is the chunk's ``(targets, streams)`` pair.
     Module-level and argument-pure so the
     :class:`~repro.compute.executors.ProcessExecutor` can pickle it; all
@@ -234,33 +217,17 @@ def _evaluate_chunk(shared, payload) -> "tuple[list[TargetEvaluation], dict, dic
     """
     (
         graph, utility, mechanisms, epsilon_grid, laplace_trials,
-        dtype_name, fused, collect_memory,
+        dtype_name, collect_memory,
     ) = shared
     targets, streams = payload
     timings: dict[str, float] = {}
     memory: dict[str, int] = {}
     clock = _StageClock(timings, memory if collect_memory else None)
-    if fused:
-        evaluations = _fused_chunk(
-            graph, utility, mechanisms, epsilon_grid, laplace_trials,
-            resolve_dtype(dtype_name), targets, streams, clock,
-        )
-    else:
-        evaluations = _baseline_chunk(
-            graph, utility, mechanisms, epsilon_grid, laplace_trials,
-            targets, streams, clock,
-        )
-    return evaluations, timings, memory
-
-
-def _fused_chunk(
-    graph, utility, mechanisms, epsilon_grid, laplace_trials,
-    dtype, targets, streams, clock,
-) -> "list[TargetEvaluation]":
-    """The allocation-aware chunk pipeline (workspace buffers, flat kernels)."""
     workspace = get_workspace()
     targets = np.asarray(targets, dtype=np.int64)
-    scores = score_rows(graph, utility, targets, dtype=dtype, workspace=workspace)
+    scores = score_rows(
+        graph, utility, targets, dtype=resolve_dtype(dtype_name), workspace=workspace
+    )
     clock.lap("utilities")
     mask = candidate_mask_rows(graph, targets, workspace=workspace)
     clock.lap("mask")
@@ -269,7 +236,7 @@ def _fused_chunk(
     compact = chunk.compact
     clock.lap("filter")
     if chunk.kept.size == 0:
-        return []
+        return [], timings, memory
 
     degrees = graph.out_degrees_of(targets)[chunk.kept]
     ts = utility.experimental_t_batch(compact.u_maxes, degrees)
@@ -318,64 +285,7 @@ def _fused_chunk(
         for index, row in enumerate(chunk.kept)
     ]
     clock.lap("assemble")
-    return evaluations
-
-
-def _baseline_chunk(
-    graph, utility, mechanisms, epsilon_grid, laplace_trials,
-    targets, streams, clock,
-) -> "list[TargetEvaluation]":
-    """The PR-4 reference chunk pipeline (fresh allocations, per-row loops).
-
-    Kept verbatim as the yardstick ``benchmarks/bench_memory.py`` gates
-    the fused path against, and as an independent implementation for the
-    identity suite. Not a deprecation candidate until the benchmark
-    retires it.
-    """
-    scores = np.asarray(utility.batch_scores(graph, targets), dtype=np.float64)
-    clock.lap("utilities")
-    mask = candidate_mask(graph, targets)
-    clock.lap("mask")
-
-    compact, candidate_rows, value_rows, kept = compact_kept_rows(scores, mask)
-    clock.lap("filter")
-    if kept.size == 0:
-        return []
-
-    vectors = build_utility_vectors(
-        graph, utility, targets, kept, candidate_rows, value_rows
-    )
-    kept_streams = [streams[row] for row in kept]
-    clock.lap("vectors")
-
-    columns = _accuracy_columns(
-        mechanisms, compact, vectors, kept_streams, laplace_trials
-    )
-    clock.lap("accuracies")
-
-    ts = [utility.experimental_t(vector) for vector in vectors]
-    bound_matrix = tightest_accuracy_bounds_batch(vectors, ts, epsilon_grid)
-    clock.lap("bounds")
-
-    evaluations = [
-        TargetEvaluation(
-            target=vector.target,
-            degree=vector.target_degree,
-            num_candidates=len(vector),
-            u_max=vector.u_max,
-            t=t,
-            accuracies={
-                name: float(column[index]) for name, column in columns.items()
-            },
-            theoretical_bounds={
-                eps: float(bound_matrix[index, column])
-                for column, eps in enumerate(epsilon_grid)
-            },
-        )
-        for index, (vector, t) in enumerate(zip(vectors, ts))
-    ]
-    clock.lap("assemble")
-    return evaluations
+    return evaluations, timings, memory
 
 
 def evaluate_targets_batched(
@@ -391,7 +301,6 @@ def evaluate_targets_batched(
     executor: "Executor | str | None" = None,
     workers: "int | None" = None,
     dtype=None,
-    fused: bool = True,
     memory: "dict[str, int] | None" = None,
 ) -> list[TargetEvaluation]:
     """Batched, bit-identical equivalent of
@@ -401,15 +310,15 @@ def evaluate_targets_batched(
     allocation is ``chunk_size x num_nodes`` per in-flight chunk instead
     of ``len(targets) x num_nodes``); ``executor``/``workers`` select how
     chunks are dispatched (see :func:`repro.compute.executors.make_executor`).
-    The defaults — one chunk, serial — reproduce the historical behavior.
-    Results are bit-identical across all chunk sizes and executors.
+    A serial run without a ``chunk_size`` picks one so each dense block is
+    about :data:`FUSED_CHUNK_BYTES`. Results are bit-identical across all
+    chunk sizes and executors. A target outside ``[0, num_nodes)`` raises
+    :class:`~repro.errors.UtilityError`, as in the sequential evaluator.
 
     ``dtype`` is the compute dtype of the dense kernel stages (anything
     :func:`repro.compute.plan.resolve_dtype` accepts). The float64
     default is bit-identical to the sequential evaluator; ``"float32"``
     halves dense memory under the tolerance contract of DESIGN.md.
-    ``fused`` selects the workspace-reuse pipeline (default) or the PR-4
-    per-row reference (``False``); both return identical evaluations.
 
     ``timings``, when provided, is filled in place with seconds spent per
     pipeline stage (keys :data:`STAGE_NAMES`) so benchmarks can attribute
@@ -422,16 +331,16 @@ def evaluate_targets_batched(
     stage *timings* sum worker time across chunks, which can exceed
     wall-clock.
     """
-    targets = np.asarray([int(t) for t in targets], dtype=np.int64)
+    targets = checked_targets(graph, targets)
     # Spawn one stream per *sampled* target (dropped ones included), exactly
     # like the sequential evaluator: results must not depend on how many
     # neighbors survive the footnote-10 filter — or on chunk boundaries.
-    # When the fused path serves an all-closed-form grid (exponential fast
-    # path, no Laplace, no generic fallback) the streams are never drawn
-    # from, so their spawn cost — ~14 us of SeedSequence work per target —
-    # is skipped outright; the identity tests pin that the output is the
-    # same either way. The baseline path always spawns, like PR 4 did.
-    if fused and not _needs_vectors(mechanisms):
+    # When the grid is all closed-form (exponential fast path, no Laplace,
+    # no generic fallback) the streams are never drawn from, so their
+    # spawn cost — ~14 us of SeedSequence work per target — is skipped
+    # outright; the identity tests pin that the output is the same either
+    # way.
+    if not _needs_vectors(mechanisms):
         streams: "list[np.random.Generator | None]" = [None] * int(targets.size)
     else:
         streams = spawn_rngs(seed, int(targets.size))
@@ -452,10 +361,10 @@ def evaluate_targets_batched(
     collect_memory = memory is not None and resolved.workers == 1
     shared = (
         graph, utility, mechanisms, epsilon_grid, laplace_trials,
-        dtype.name, bool(fused), collect_memory,
+        dtype.name, collect_memory,
     )
-    if fused and chunk_size is None and resolved.workers == 1:
-        # The fused path chunks by default: workspace buffers sized to
+    if chunk_size is None and resolved.workers == 1:
+        # The engine chunks by default: workspace buffers sized to
         # ~FUSED_CHUNK_BYTES stay cache-resident across every stage, which
         # is faster than one all-targets pass *and* bounds peak memory.
         # Results are bit-identical for every chunking (tested), so this

@@ -118,8 +118,8 @@ def _bounds_from_log_highs(
 
     The single home of the vectorized formula *and* its saturation cutoff
     (the bound is exactly 1.0 once the exponent passes 700, matching the
-    scalar :func:`accuracy_upper_bound`); every batched caller funnels
-    through here so the engines cannot drift apart.
+    scalar :func:`accuracy_upper_bound`); the per-vector and the masked
+    searches both funnel through here so they cannot drift apart.
     """
     highs = np.exp(np.minimum(log_highs, _SATURATION_EXPONENT))
     bounds = 1.0 - cs * lows / (lows + highs)
@@ -195,9 +195,9 @@ def tightest_accuracy_bounds(
     privacy levels costs one sort plus one vectorized curve per epsilon.
     Each value is identical to ``tightest_accuracy_bound(vector, eps, t)
     .accuracy_bound`` — both run the same table and curve kernels. This is
-    the convenient single-vector API; the batched engine and the sweeps use
-    :func:`tightest_accuracy_bounds_batch`, which additionally flattens the
-    tables of many targets into one curve evaluation per epsilon.
+    the convenient single-vector API; the batched engine uses
+    :func:`tightest_accuracy_bounds_masked`, which builds the tables of a
+    whole chunk of targets at once.
     """
     table = _split_table(vector, None)
     if table is None:
@@ -209,65 +209,6 @@ def tightest_accuracy_bounds(
         curve = corollary1_curve(float(epsilon), n, ks, cs, int(t))
         bounds[float(epsilon)] = float(curve.min())
     return bounds
-
-
-def tightest_accuracy_bounds_batch(
-    vectors: "list[UtilityVector]",
-    ts: "list[int]",
-    epsilons: "tuple[float, ...] | list[float]",
-) -> np.ndarray:
-    """Tightest Corollary 1 bounds for many targets and epsilons at once.
-
-    Returns a ``(len(vectors), len(epsilons))`` matrix whose entry ``[j, e]``
-    equals ``tightest_accuracy_bound(vectors[j], epsilons[e], ts[j])
-    .accuracy_bound`` bit for bit: every target's split table is concatenated
-    into one flat array, the Corollary 1 curve is one vectorized pass per
-    epsilon (elementwise identical to :func:`corollary1_curve` on the
-    per-target slices), and the per-target minimum uses ``minimum.reduceat``
-    — exact because ``min`` is insensitive to grouping, unlike a sum.
-    """
-    num_targets = len(vectors)
-    if num_targets != len(ts):
-        raise BoundError(f"got {num_targets} vectors but {len(ts)} edit counts")
-    epsilon_grid = [float(eps) for eps in epsilons]
-    for epsilon in epsilon_grid:
-        _validate_bound_parameters(epsilon, 1)
-    for t in ts:
-        _validate_bound_parameters(0.0, t)
-    results = np.ones((num_targets, len(epsilon_grid)), dtype=np.float64)
-    if num_targets == 0 or not epsilon_grid:
-        return results
-    ks_parts: list[np.ndarray] = []
-    cs_parts: list[np.ndarray] = []
-    row_ids: list[int] = []
-    ns: list[int] = []
-    for row, vector in enumerate(vectors):
-        table = _split_table(vector, None)
-        if table is None:
-            continue  # all candidates tie at u_max: the bound stays 1.0
-        taus, ks, cs, n = table
-        ks_parts.append(ks)
-        cs_parts.append(cs)
-        row_ids.append(row)
-        ns.append(n)
-    if not row_ids:
-        return results
-    counts = np.asarray([part.size for part in ks_parts], dtype=np.int64)
-    offsets = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    ks_flat = np.concatenate(ks_parts).astype(np.float64)
-    cs_flat = np.concatenate(cs_parts)
-    ns_flat = np.repeat(np.asarray(ns, dtype=np.float64), counts)
-    ts_flat = np.repeat(
-        np.asarray([ts[row] for row in row_ids], dtype=np.float64), counts
-    )
-    lows = ns_flat - ks_flat
-    log_ks = np.log(ks_flat + 1.0)
-    rows = np.asarray(row_ids, dtype=np.int64)
-    for column, epsilon in enumerate(epsilon_grid):
-        bounds = _bounds_from_log_highs(epsilon * ts_flat + log_ks, cs_flat, lows)
-        results[rows, column] = np.minimum.reduceat(bounds, offsets)
-    return results
 
 
 def tightest_accuracy_bounds_masked(
@@ -282,10 +223,10 @@ def tightest_accuracy_bounds_masked(
 ) -> np.ndarray:
     """Tightest Corollary 1 bounds straight from masked score rows.
 
-    The fused-engine form of :func:`tightest_accuracy_bounds_batch`: instead
-    of one Python ``_split_table`` (a sort, a distinct scan, a
-    ``searchsorted``) per target, the whole chunk's threshold/k tables are
-    built from the dense ``(rows, n)`` score matrix and candidate mask the
+    The engine's form of :func:`tightest_accuracy_bound`: instead of one
+    Python ``_split_table`` (a sort, a distinct scan, a ``searchsorted``)
+    per target and epsilon, the whole chunk's threshold/k tables are built
+    from the dense ``(rows, n)`` score matrix and candidate mask the
     engine already holds, as a handful of array passes:
 
     * non-candidates are padded to ``+inf`` and every row is sorted by one

@@ -43,8 +43,6 @@ from .incremental import (
 )
 from .kernels import (
     CompactChunk,
-    build_utility_vectors,
-    compact_kept_rows,
     fused_compact_rows,
     utility_vectors,
 )
@@ -76,8 +74,6 @@ __all__ = [
     "Workspace",
     "acquire_executor_lease",
     "apply_edge_delta",
-    "build_utility_vectors",
-    "compact_kept_rows",
     "compute_edge_delta",
     "contiguous_node_range",
     "decode_shared",

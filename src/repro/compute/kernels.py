@@ -18,26 +18,20 @@ Two extraction flavors exist because the consumers genuinely differ:
   default, built from sparse score rows; the serving sampler
   (:meth:`~repro.mechanisms.exponential.ExponentialMechanism.recommend_vectors`)
   consumes them in O(support) per request.
-* :func:`compact_kept_rows` — *filtered*: the paper's footnote-10 drop
+* :func:`fused_compact_rows` — *filtered*: the paper's footnote-10 drop
   (at least two candidates, positive maximum utility) plus the compact
-  row-major form the exact accuracy kernels consume. The experiment
-  engine and sweeps need this.
+  row-major form the exact accuracy kernels consume, as a handful of
+  vectorized flat-array passes writing into
+  :class:`~repro.compute.workspace.Workspace` buffers. The experiment
+  engine and the gamma sweep need this; it is the only producer of
+  :class:`~repro.mechanisms.exponential.CompactRows`.
 
-Since the fused-core work, the filtered flavor has a second, default
-implementation: :func:`fused_compact_rows` performs the same drop rule
-and extraction as :func:`compact_kept_rows` in a handful of vectorized
-flat-array passes writing into :class:`~repro.compute.workspace.Workspace`
-buffers, instead of three small NumPy calls per row. The per-row
-reference stays as the baseline path (``fused=False`` in the engine,
-and the yardstick ``benchmarks/bench_memory.py`` measures against).
 Every stage accepts the plan's compute dtype; float64 is bit-exact
 against the sequential evaluator, float32 is the documented-tolerance
 half-memory path (DESIGN.md, "memory dataflow").
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -118,6 +112,25 @@ def candidate_mask_rows(
     )
 
 
+def checked_targets(
+    graph: SocialGraph, targets: "np.ndarray | list[int]"
+) -> np.ndarray:
+    """``targets`` as an int64 array, each a node id of ``graph``.
+
+    The one range check of every batched entry point: NumPy would
+    otherwise read a negative id as a node counted from the end, and an
+    id past the end fails as a builtin ``IndexError`` deep in a kernel.
+    Raises :class:`~repro.errors.UtilityError`, like the per-target
+    ``utility.utility_vector``.
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.size and (targets.min() < 0 or targets.max() >= graph.num_nodes):
+        raise UtilityError(
+            f"targets out of range for graph of size {graph.num_nodes}"
+        )
+    return targets
+
+
 def utility_vectors(
     graph: SocialGraph,
     utility: UtilityFunction,
@@ -156,11 +169,7 @@ def utility_vectors(
     ride the ``workspace``. Utilities without components fall back to the
     support path.
     """
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.size and (targets.min() < 0 or targets.max() >= graph.num_nodes):
-        raise UtilityError(
-            f"targets out of range for graph of size {graph.num_nodes}"
-        )
+    targets = checked_targets(graph, targets)
     dtype = resolve_dtype(dtype)
     degrees = graph.out_degrees_of(targets)
     if not (with_components and utility.walk_component_lengths() is not None):
@@ -199,55 +208,6 @@ def utility_vectors(
             )
         )
     return vectors
-
-
-def compact_kept_rows(
-    scores: np.ndarray, mask: np.ndarray
-) -> "tuple[CompactRows, list[np.ndarray], list[np.ndarray], np.ndarray]":
-    """Footnote-10 filter + compact candidate extraction in one sweep.
-
-    The single home of the drop rule (at least two candidates, positive
-    maximum utility) for every batched consumer — the experiment engine and
-    the parameter sweeps — so the kept-set definition cannot drift between
-    them.
-
-    Returns ``(compact, candidate_rows, value_rows, kept)``: ``kept`` indexes
-    the surviving rows of ``scores``/``mask``; ``candidate_rows`` and
-    ``value_rows`` hold each survivor's candidate node ids and utilities
-    (exactly what its :class:`UtilityVector` needs); ``compact`` is the same
-    values concatenated row-major for the batch kernels. Extraction runs per
-    row (`flatnonzero` + `take` on one 1-d row) rather than via a global
-    boolean index of the full matrix — the elements and their order are
-    identical, but the per-row form skips materializing matrix-sized index
-    arrays, which dominated the profile at replica scale.
-    """
-    num_rows = scores.shape[0]
-    kept_list: list[int] = []
-    candidate_rows: list[np.ndarray] = []
-    value_rows: list[np.ndarray] = []
-    u_maxes = np.empty(num_rows, dtype=np.float64)
-    for row in range(num_rows):
-        candidates = np.flatnonzero(mask[row])
-        if candidates.size < 2:
-            continue
-        values = scores[row].take(candidates)
-        u_max = values.max()
-        if not u_max > 0.0:
-            continue
-        u_maxes[len(kept_list)] = u_max
-        kept_list.append(row)
-        candidate_rows.append(candidates)
-        value_rows.append(values)
-    kept = np.asarray(kept_list, dtype=np.int64)
-    counts = np.asarray([v.size for v in value_rows], dtype=np.int64)
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    if counts.size == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return CompactRows(empty, counts, offsets, empty), [], [], kept
-    flat = np.concatenate(value_rows)
-    scaled = flat / np.repeat(u_maxes[: counts.size], counts)
-    return CompactRows(flat, counts, offsets, scaled), candidate_rows, value_rows, kept
 
 
 class CompactChunk:
@@ -312,12 +272,11 @@ class CompactChunk:
     ) -> "list[UtilityVector]":
         """One :class:`UtilityVector` per kept row, as chunk-local views.
 
-        The single definition of the fused paths' vector-materialization
-        fallback (Laplace columns, generic mechanisms, per-vector ``t``),
-        shared by the experiment engine and the sweeps so the two cannot
-        drift apart. ``targets`` is the chunk's full target array;
-        ``degrees`` is parallel to ``kept``. The vectors alias workspace
-        buffers — consume them before the chunk returns, never store.
+        The engine's vector-materialization fallback (Laplace columns,
+        generic mechanisms, per-vector ``t``). ``targets`` is the chunk's
+        full target array; ``degrees`` is parallel to ``kept``. The
+        vectors alias workspace buffers — consume them before the chunk
+        returns, never store.
         """
         return [
             UtilityVector(
@@ -336,8 +295,7 @@ def _empty_compact_chunk(dtype) -> CompactChunk:
     counts = np.empty(0, dtype=np.int64)
     ids = np.empty(0, dtype=np.int64)
     compact = CompactRows(
-        empty, counts, np.zeros(1, dtype=np.int64), empty,
-        u_maxes=np.empty(0, dtype=dtype),
+        empty, counts, np.zeros(1, dtype=np.int64), empty, np.empty(0, dtype=dtype)
     )
     return CompactChunk(compact, ids, None)
 
@@ -349,17 +307,15 @@ def fused_compact_rows(
 ) -> CompactChunk:
     """The footnote-10 filter + compact extraction as flat array passes.
 
-    The fused replacement for :func:`compact_kept_rows`'s per-row Python
-    loop (kept as the reference/baseline path): instead of a
-    ``flatnonzero`` + ``take`` + ``max`` per row plus a final
-    ``concatenate``, the whole chunk runs as a handful of vectorized
-    passes — one ``compress`` gathering every candidate value, one
+    The whole chunk runs as a handful of vectorized passes — one
+    ``compress`` gathering every candidate value, one
     ``maximum.reduceat`` for the row maxima, and (only when rows are
-    actually dropped) one ``compress`` re-gather of the survivors.
-    Element values, their row-major order, the kept-set rule (at least
-    two candidates, positive maximum), and the ``values / u_max``
-    scaling arithmetic are identical to the reference, so float64
-    results stay bit-for-bit equal.
+    actually dropped) one ``compress`` re-gather of the survivors, with
+    no per-row Python loop. Kept rows are exactly the
+    targets whose per-target ``utility_vector`` has at least two
+    candidates and ``has_signal()``, with the same values in the same
+    order, so float64 accuracies computed from the compact form equal
+    the sequential evaluator's bit for bit.
 
     With a ``workspace`` every flat intermediate lands in reused buffers;
     the returned :class:`CompactChunk` then aliases them (chunk-local,
@@ -415,29 +371,6 @@ def fused_compact_rows(
             flat, np.repeat(u_maxes, counts),
             out=workspace.take("kernel.scaled", kept_total, dtype),
         )
-    compact = CompactRows(flat, counts, offsets, scaled, u_maxes=u_maxes)
+    compact = CompactRows(flat, counts, offsets, scaled, u_maxes)
     return CompactChunk(compact, kept, mask)
 
-
-def build_utility_vectors(
-    graph: SocialGraph,
-    utility: UtilityFunction,
-    targets: "list[int] | np.ndarray",
-    kept: np.ndarray,
-    candidate_rows: "list[np.ndarray]",
-    value_rows: "list[np.ndarray]",
-) -> "list[UtilityVector]":
-    """Assemble the survivors' :class:`UtilityVector` objects from
-    :func:`compact_kept_rows` output — shared by the engine and the sweeps
-    so the reconstructed vectors (and hence anything computed from them)
-    are defined in exactly one place."""
-    return [
-        UtilityVector(
-            target=int(targets[row]),
-            candidates=candidates,
-            values=values,
-            target_degree=graph.out_degree(int(targets[row])),
-            metadata={"utility": utility.name},
-        )
-        for row, candidates, values in zip(kept, candidate_rows, value_rows)
-    ]

@@ -68,13 +68,13 @@ def resolve_dtype(spec) -> np.dtype:
 def contiguous_node_range(targets: np.ndarray) -> "tuple[int, int] | None":
     """``(lo, hi)`` when ``targets`` is exactly ``lo, lo+1, ..., hi-1``.
 
-    The shape test behind node-range sharding: a chunk of consecutive
-    ascending node ids can be served as a zero-copy CSR row slice
-    (``indptr[lo:hi+1]`` plus views of ``indices``/``data``) instead of a
-    fancy-index row gather. Returns ``None`` for empty, unsorted,
-    duplicated, or gapped target arrays — callers then take the copying
-    path. O(len) with one vectorized comparison, so probing never costs
-    more than the gather it tries to avoid.
+    The shape test behind zero-copy row slices: a chunk whose targets
+    happen to be consecutive ascending node ids can be served as a CSR
+    row slice (``indptr[lo:hi+1]`` plus views of ``indices``/``data``)
+    instead of a fancy-index row gather. Returns ``None`` for empty,
+    unsorted, duplicated, or gapped target arrays — callers then take
+    the copying path. O(len) with one vectorized comparison, so probing
+    never costs more than the gather it tries to avoid.
     """
     targets = np.asarray(targets)
     if targets.size == 0 or targets.ndim != 1:
@@ -102,16 +102,6 @@ class TargetChunk:
     def take(self, items: Sequence) -> Sequence:
         """This chunk's slice of any sequence parallel to the target list."""
         return items[self.start : self.stop]
-
-    def node_range(self, targets: "np.ndarray | Sequence[int]") -> "tuple[int, int] | None":
-        """This chunk's ``(lo, hi)`` node range, when its targets form one.
-
-        A plan built by :meth:`ComputePlan.for_nodes` makes every chunk a
-        node range by construction; for arbitrary sorted target lists the
-        probe succeeds exactly when the chunk's window happens to be
-        gap-free. ``None`` means "use the generic per-target path".
-        """
-        return contiguous_node_range(np.asarray(targets)[self.start : self.stop])
 
 
 @dataclass(frozen=True)
@@ -170,25 +160,6 @@ class ComputePlan:
                 1, min(DEFAULT_CHUNK_SIZE, -(-num_items // (2 * workers)))
             )
         return cls(num_items, chunk_size, dtype)
-
-    @classmethod
-    def for_nodes(
-        cls,
-        num_nodes: int,
-        chunk_size: "int | None" = None,
-        workers: int = 1,
-        dtype: "np.dtype | str | None" = None,
-    ) -> "ComputePlan":
-        """A plan over the full node id space ``0..num_nodes-1``.
-
-        Target list and chunk geometry coincide: chunk ``k`` covers node
-        ids ``[k*c, min((k+1)*c, n))``, so every chunk *is* a node range
-        and a shared-backed graph serves its adjacency rows as zero-copy
-        CSR slices (see
-        :meth:`~repro.graphs.shared.SharedSocialGraph.adjacency_rows`).
-        Pair with ``np.arange(num_nodes)`` as the target array.
-        """
-        return cls.for_workers(num_nodes, chunk_size, workers, dtype)
 
     @property
     def effective_chunk_size(self) -> int:

@@ -27,12 +27,6 @@ thread — and therefore each process — its own instance). A serial run
 reuses one arena across every chunk; a thread/process pool reuses one
 arena per worker across the chunks that worker processes. Nothing is
 ever shared between threads, so no locking exists or is needed.
-
-``Workspace(reuse=False)`` degrades ``take`` to a plain ``np.empty`` per
-call — the PR-4 allocation behavior — which is what
-``benchmarks/bench_memory.py`` uses as its baseline: both engine modes
-then funnel dense acquisitions through the same counters, making the
-per-target allocation comparison apples-to-apples.
 """
 
 from __future__ import annotations
@@ -46,32 +40,23 @@ __all__ = ["Workspace", "get_workspace", "reset_workspace"]
 
 
 class Workspace:
-    """Keyed arena of reusable flat numpy buffers.
-
-    Parameters
-    ----------
-    reuse:
-        ``True`` (default) grows-and-reuses one buffer per ``(key,
-        dtype)``; ``False`` allocates fresh on every :meth:`take`,
-        reproducing unpooled allocation behavior for baseline
-        measurements.
+    """Keyed arena of reusable flat numpy buffers: one grown-and-reused
+    buffer per ``(key, dtype)``.
 
     Counters (all monotonically increasing, never reset by ``take``):
 
     * ``takes`` — buffer requests served;
     * ``allocations`` — requests that had to allocate fresh memory
-      (first use of a key, capacity growth, or every take when
-      ``reuse=False``). ``takes - allocations`` is the reuse hit count;
+      (first use of a key or capacity growth). ``takes - allocations``
+      is the reuse hit count;
     * ``high_water_bytes`` — peak arena residency ever observed at an
-      allocation. Stays 0 under ``reuse=False`` (no buffer is retained,
-      so nothing is ever resident).
+      allocation.
     """
 
-    __slots__ = ("_buffers", "reuse", "takes", "allocations", "high_water_bytes")
+    __slots__ = ("_buffers", "takes", "allocations", "high_water_bytes")
 
-    def __init__(self, reuse: bool = True) -> None:
+    def __init__(self) -> None:
         self._buffers: dict[tuple[str, str], np.ndarray] = {}
-        self.reuse = bool(reuse)
         self.takes = 0
         self.allocations = 0
         self.high_water_bytes = 0
@@ -91,9 +76,6 @@ class Workspace:
         size = math.prod(shape)
         dtype = np.dtype(dtype)
         self.takes += 1
-        if not self.reuse:
-            self.allocations += 1
-            return np.empty(shape, dtype=dtype)
         slot = (key, dtype.str)
         buffer = self._buffers.get(slot)
         if buffer is None or buffer.size < size:
@@ -114,11 +96,8 @@ class Workspace:
         """Arena residency right now, in bytes (the telemetry gauge source).
 
         Method form of :attr:`resident_bytes` for callers scraping stats
-        generically; ``reuse=False`` arenas own no backing buffers and
-        report 0 — every array they hand out is caller-owned garbage the
-        moment the chunk drops it. :attr:`high_water_bytes` is the peak
-        residency ever observed at an allocation (0 under ``reuse=False``
-        for the same reason).
+        generically; :attr:`high_water_bytes` is the peak residency ever
+        observed at an allocation.
         """
         return self.resident_bytes
 
@@ -132,7 +111,7 @@ class Workspace:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Workspace(reuse={self.reuse}, buffers={self.num_buffers}, "
+            f"Workspace(buffers={self.num_buffers}, "
             f"resident_bytes={self.resident_bytes}, takes={self.takes}, "
             f"allocations={self.allocations})"
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..accuracy.batch import evaluate_targets_batched
-from ..accuracy.evaluator import TargetEvaluation, evaluate_targets, sample_targets
+from ..accuracy.evaluator import TargetEvaluation, sample_targets
 from ..datasets import synthetic_powerlaw, twitter, wiki_vote
 from ..errors import ExperimentError
 from ..graphs.graph import SocialGraph
@@ -120,23 +120,16 @@ def build_mechanisms(
 def run_experiment(
     config: ExperimentConfig,
     graph: "SocialGraph | None" = None,
-    engine: str = "batched",
 ) -> ExperimentRun:
     """Execute the full Section 7.1 pipeline for one configuration.
 
     ``graph`` may be supplied to reuse a replica across several configs
-    (the figure drivers share one graph across gamma values). ``engine``
-    selects the evaluator: ``"batched"`` (default) runs the matrix pipeline
-    of :func:`~repro.accuracy.batch.evaluate_targets_batched`;
-    ``"sequential"`` runs the per-target reference implementation. Both
-    produce bit-identical evaluations for the same config, so the choice is
-    purely a wall-clock (and benchmarking) matter.
+    (the figure functions share one graph across gamma values). Targets are
+    evaluated by :func:`~repro.accuracy.batch.evaluate_targets_batched`,
+    whose float64 evaluations equal the per-target reference
+    :func:`~repro.accuracy.evaluator.evaluate_targets` bit for bit.
     """
     started = time.perf_counter()
-    if engine not in ("batched", "sequential"):
-        raise ExperimentError(
-            f"unknown engine {engine!r}; known: 'batched', 'sequential'"
-        )
     owned_graph = graph is None
     if graph is None:
         graph = build_graph(config)
@@ -152,34 +145,18 @@ def run_experiment(
             seed=config.seed,
             max_targets=config.max_targets,
         )
-        if engine == "sequential":
-            if config.dtype != "float64":
-                raise ExperimentError(
-                    "the sequential engine has no compute-dtype knob; "
-                    f"dtype={config.dtype!r} requires engine='batched'"
-                )
-            evaluations = evaluate_targets(
-                graph,
-                utility,
-                targets,
-                mechanisms,
-                bound_epsilons=tuple(config.epsilons),
-                seed=config.seed + 1,
-                laplace_trials=config.laplace_trials,
-            )
-        else:
-            evaluations = evaluate_targets_batched(
-                graph,
-                utility,
-                targets,
-                mechanisms,
-                bound_epsilons=tuple(config.epsilons),
-                seed=config.seed + 1,
-                laplace_trials=config.laplace_trials,
-                chunk_size=config.chunk_size,
-                workers=config.workers,
-                dtype=config.dtype,
-            )
+        evaluations = evaluate_targets_batched(
+            graph,
+            utility,
+            targets,
+            mechanisms,
+            bound_epsilons=tuple(config.epsilons),
+            seed=config.seed + 1,
+            laplace_trials=config.laplace_trials,
+            chunk_size=config.chunk_size,
+            workers=config.workers,
+            dtype=config.dtype,
+        )
         num_nodes, num_edges = graph.num_nodes, graph.num_edges
     finally:
         # A shared segment built here is ours to tear down; a caller's

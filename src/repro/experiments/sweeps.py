@@ -10,18 +10,18 @@ sweeps trace the full trade-off curves the theory describes:
   decay varies (the Figure 2 "higher gamma, higher sensitivity, worse
   accuracy" relationship, densely sampled).
 
-Both ride the shared :mod:`repro.compute` kernels, chunked by a
-:class:`~repro.compute.plan.ComputePlan` and dispatched through a
-pluggable executor: utilities arrive as ``(chunk, n)`` score matrices,
-accuracies run through the exponential mechanism's exact batch kernel,
-and the Corollary 1 search shares one epsilon-independent threshold table
-per target. The graph work is paid once per sweep, not once per
-parameter value; the gamma sweep goes one step further — the length-``l``
+The epsilon sweep is an aggregation over the experiment engine
+(:func:`~repro.accuracy.batch.evaluate_targets_batched`) with one
+exponential mechanism per epsilon and the Corollary 1 bound on the same
+grid, so the graph work is paid once per sweep, not once per epsilon.
+The gamma sweep has its own chunk kernel on the shared
+:mod:`repro.compute` stages because it saves real work: the length-``l``
 walk matrices are gamma-independent, so each chunk computes them once
 (:func:`~repro.graphs.traversal.batch_walk_matrices`) and only the cheap
-gamma recombination runs per decay value. Per-target results are
-concatenated in target order before aggregating, so every chunk size and
-executor produces bit-identical sweep points.
+gamma recombination runs per decay value. Both shard through a
+:class:`~repro.compute.plan.ComputePlan` and a pluggable executor, and
+per-target results are concatenated in target order before aggregating,
+so every chunk size and executor produces bit-identical sweep points.
 """
 
 from __future__ import annotations
@@ -30,15 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..accuracy.batch import evaluate_targets_batched
 from ..compute.executors import Executor, make_executor
-from ..compute.kernels import (
-    candidate_mask_rows,
-    fused_compact_rows,
-    score_rows,
-)
-from ..compute.plan import ComputePlan, resolve_dtype
+from ..compute.kernels import candidate_mask_rows, checked_targets, fused_compact_rows
+from ..compute.plan import ComputePlan
 from ..compute.workspace import get_workspace
-from ..bounds.tradeoff import tightest_accuracy_bounds_masked
 from ..errors import ExperimentError
 from ..graphs.graph import SocialGraph
 from ..graphs.traversal import batch_walk_matrices
@@ -59,54 +55,6 @@ class SweepPoint:
     mean_bound: float
 
 
-def _epsilon_chunk(shared, targets):
-    """Per-chunk epsilon-sweep kernel: accuracy rows + bound rows.
-
-    Returns ``(accuracies, bounds)`` where ``accuracies[e]`` holds the
-    chunk's kept-target accuracy column at ``epsilons[e]`` and ``bounds``
-    is the matching ``(kept, epsilons)`` Corollary 1 matrix. Module-level
-    and deterministic, so every executor returns identical arrays. Rides
-    the fused kernel stage: dense blocks live in the worker's workspace,
-    the filter is the vectorized flat-pass form, and the Corollary 1
-    search runs straight off the masked score rows — all bit-identical
-    to the per-row reference path.
-    """
-    graph, utility, sensitivity, epsilon_grid, dtype_name = shared
-    workspace = get_workspace()
-    dtype = resolve_dtype(dtype_name)
-    targets = np.asarray(targets, dtype=np.int64)
-    scores = score_rows(graph, utility, targets, dtype=dtype, workspace=workspace)
-    mask = candidate_mask_rows(graph, targets, workspace=workspace)
-    chunk = fused_compact_rows(scores, mask, workspace=workspace)
-    compact = chunk.compact
-    if chunk.kept.size == 0:
-        empty = np.empty(0, dtype=np.float64)
-        return [empty] * len(epsilon_grid), np.empty(
-            (0, len(epsilon_grid)), dtype=np.float64
-        )
-    degrees = graph.out_degrees_of(targets)[chunk.kept]
-    ts = utility.experimental_t_batch(compact.u_maxes, degrees)
-    if ts is None:
-        ts = np.asarray(
-            [
-                utility.experimental_t(vector)
-                for vector in chunk.materialize_vectors(utility, targets, degrees)
-            ],
-            dtype=np.int64,
-        )
-    bounds = tightest_accuracy_bounds_masked(
-        scores, mask, chunk.kept, compact.counts, compact.u_maxes,
-        ts, epsilon_grid, workspace=workspace,
-    )
-    accuracies = [
-        ExponentialMechanism(eps, sensitivity=sensitivity).expected_accuracy_compact(
-            compact, workspace=workspace
-        )
-        for eps in epsilon_grid
-    ]
-    return accuracies, bounds
-
-
 def epsilon_sweep(
     graph: SocialGraph,
     utility: UtilityFunction,
@@ -119,44 +67,36 @@ def epsilon_sweep(
 ) -> list[SweepPoint]:
     """Exponential-mechanism accuracy and Corollary 1 bound vs. epsilon.
 
-    One batched score matrix per chunk serves the whole epsilon grid: per
-    epsilon the accuracies are one exact batch-softmax kernel and the
-    bounds one vectorized Corollary 1 curve over each target's shared
-    threshold table. ``chunk_size``/``executor``/``workers`` shard the
-    target list through :mod:`repro.compute`; results are identical for
-    every setting. ``dtype`` selects the compute dtype (float64 default
-    is exact; ``"float32"`` is the documented-tolerance half-memory
-    path).
+    One engine pass serves the whole epsilon grid: per epsilon the
+    accuracies are one exact batch-softmax kernel and the bounds one
+    vectorized Corollary 1 curve over each target's shared threshold
+    table. ``chunk_size``/``executor``/``workers``/``dtype`` are the
+    engine's; results are identical for every chunking and executor, and
+    the float64 default is exact.
     """
     if not epsilons or any(e <= 0 for e in epsilons):
         raise ExperimentError(f"epsilons must be positive, got {epsilons}")
     sensitivity = utility.sensitivity(graph, 0)
-    target_array = np.asarray([int(t) for t in targets], dtype=np.int64)
     epsilon_grid = tuple(float(e) for e in epsilons)
-    shared = (graph, utility, sensitivity, epsilon_grid, resolve_dtype(dtype).name)
-    resolved = make_executor(executor, workers)
-    plan = ComputePlan.for_workers(
-        int(target_array.size), chunk_size, resolved.workers
+    # Keyed by grid position, so a repeated epsilon still gets its own point.
+    mechanisms = {
+        str(column): ExponentialMechanism(epsilon, sensitivity=sensitivity)
+        for column, epsilon in enumerate(epsilon_grid)
+    }
+    evaluations = evaluate_targets_batched(
+        graph, utility, targets, mechanisms,
+        bound_epsilons=epsilon_grid, chunk_size=chunk_size,
+        executor=executor, workers=workers, dtype=dtype,
     )
-    results = resolved.map(
-        _epsilon_chunk, [chunk.take(target_array) for chunk in plan], shared
-    )
-    accuracy_columns = [
-        np.concatenate([accuracies[column] for accuracies, _ in results])
-        if results
-        else np.empty(0, dtype=np.float64)
-        for column in range(len(epsilon_grid))
-    ]
-    if not accuracy_columns or accuracy_columns[0].size == 0:
+    if not evaluations:
         raise ExperimentError("no target with non-zero utility in the sample")
-    bound_matrix = np.concatenate([bounds for _, bounds in results])
     points = []
     for column, epsilon in enumerate(epsilon_grid):
-        accuracies = accuracy_columns[column]
-        bounds = bound_matrix[:, column]
+        accuracies = np.asarray([e.accuracies[str(column)] for e in evaluations])
+        bounds = np.asarray([e.theoretical_bounds[epsilon] for e in evaluations])
         points.append(
             SweepPoint(
-                parameter=float(epsilon),
+                parameter=epsilon,
                 mean_accuracy=float(accuracies.mean()),
                 median_accuracy=float(np.median(accuracies)),
                 p10_accuracy=float(np.percentile(accuracies, 10)),
@@ -219,11 +159,12 @@ def gamma_sweep(
     recombination ``sum_l gamma^{l-2} W_l`` plus one batch-accuracy
     kernel. The footnote-10 filter still runs per gamma: a target whose
     only signal sits on length-3 walks has zero utility at ``gamma = 0``
-    but not at positive gamma.
+    but not at positive gamma. A target outside ``[0, num_nodes)``
+    raises :class:`~repro.errors.UtilityError`.
     """
     if not gammas or any(g < 0 for g in gammas):
         raise ExperimentError(f"gammas must be non-negative, got {gammas}")
-    target_array = np.asarray([int(t) for t in targets], dtype=np.int64)
+    target_array = checked_targets(graph, targets)
     gamma_grid = tuple(float(g) for g in gammas)
     sensitivities = tuple(
         float(WeightedPaths(gamma=gamma, max_length=max_length).sensitivity(graph, 0))

@@ -760,12 +760,11 @@ class SharedSocialGraph(SocialGraph):
     def adjacency_rows(self, targets: "np.ndarray | list[int]") -> sp.csr_matrix:
         """Row slice ``A[targets]``; zero-copy when targets are a node range.
 
-        A chunk of consecutive ascending node ids — exactly what
-        :meth:`~repro.compute.plan.ComputePlan.for_nodes` sharding
-        produces — is served as views over the shared ``indices``/``data``
-        plus a ``chunk+1``-entry ``indptr`` copy. Arbitrary target lists
-        fall back to SciPy's fancy-index row gather (a copy, as on the
-        in-heap graph).
+        A chunk whose targets happen to be consecutive ascending node ids
+        is served as views over the shared ``indices``/``data`` plus a
+        ``chunk+1``-entry ``indptr`` copy. Arbitrary target lists fall
+        back to SciPy's fancy-index row gather (a copy, as on the in-heap
+        graph).
         """
         targets = np.asarray(targets, dtype=np.int64)
         from ..compute.plan import contiguous_node_range

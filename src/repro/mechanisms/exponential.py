@@ -38,65 +38,23 @@ class CompactRows:
 
     The epsilon-independent half of the batched softmax-accuracy kernel:
     building it once lets a whole mechanism grid (one mechanism per epsilon)
-    reuse the flat candidate values, per-row boundaries, and pre-divided
-    ``values / u_max`` array. Produced by :func:`compact_candidate_rows`
-    (owned arrays) or by the fused kernel stage
-    (:func:`repro.compute.kernels.fused_compact_rows`, workspace-backed
-    views valid for the current chunk only).
-
-    ``u_maxes`` is an optional extra the fused path fills in because it
-    has the per-row maxima for free — they double as the accuracy
-    denominators and feed the Corollary 1 search without a second
-    reduction.
+    reuse the flat candidate values, per-row boundaries, per-row maxima and
+    pre-divided ``values / u_max`` array. Produced by
+    :func:`repro.compute.kernels.fused_compact_rows` (workspace-backed
+    views valid for the current chunk only); its rows are exactly the
+    footnote-10 survivors, each with at least two candidates and a
+    positive maximum.
     """
 
     flat: np.ndarray      #: candidate utilities, rows concatenated in order
     counts: np.ndarray    #: candidates per row
     offsets: np.ndarray   #: ``counts`` cumulated; ``len(rows) + 1`` entries
     scaled: np.ndarray    #: ``flat / u_max`` per row (accuracy denominators)
-    u_maxes: "np.ndarray | None" = None   #: per-row maxima (fused path)
+    u_maxes: np.ndarray   #: per-row maxima (also feed the Corollary 1 search)
 
     @property
     def num_rows(self) -> int:
         return int(self.counts.size)
-
-
-def compact_candidate_rows(utilities: np.ndarray, valid: np.ndarray) -> CompactRows:
-    """Compact a masked ``(rows, n)`` utility matrix for batch accuracy.
-
-    Every row must keep at least one valid candidate with positive maximum
-    utility (the footnote-10 filter guarantees both upstream); violations
-    raise :class:`~repro.errors.MechanismError` just like the per-vector
-    ``expected_accuracy`` checks would. A float32 utility matrix stays
-    float32 throughout (the opt-in compute dtype); everything else
-    normalizes to float64.
-    """
-    utilities = np.asarray(utilities)
-    if utilities.dtype != np.float32:
-        utilities = utilities.astype(np.float64, copy=False)
-    valid = np.asarray(valid, dtype=bool)
-    if utilities.ndim != 2 or valid.shape != utilities.shape:
-        raise MechanismError(
-            f"utilities {utilities.shape} and valid mask "
-            f"{getattr(valid, 'shape', None)} must be matching 2-d arrays"
-        )
-    counts = valid.sum(axis=1)
-    if counts.size and not counts.all():
-        raise MechanismError("every row needs at least one valid candidate")
-    flat = utilities[valid]  # row-major: rows concatenated in order
-    offsets = np.zeros(counts.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    if counts.size:
-        u_max = np.maximum.reduceat(flat, offsets[:-1])
-        if u_max.min() <= 0.0:
-            raise MechanismError(
-                "accuracy undefined when all utilities are zero "
-                "(the paper drops such targets; see UtilityVector.has_signal)"
-            )
-        scaled = flat / np.repeat(u_max, counts)
-    else:
-        scaled = flat
-    return CompactRows(flat=flat, counts=counts, offsets=offsets, scaled=scaled)
 
 
 @register_mechanism
@@ -127,42 +85,33 @@ class ExponentialMechanism(PrivateMechanism):
         log_normalizer = np.log(np.exp(shifted).sum()) + exponents.max()
         return exponents - log_normalizer
 
-    def expected_accuracy_batch(
-        self, utilities: np.ndarray, valid: np.ndarray
-    ) -> np.ndarray:
-        """Exact expected accuracy for every row of a masked utility matrix.
-
-        Row ``j`` of ``utilities`` holds the utility of every column-node for
-        target ``j``; ``valid`` marks its candidate columns. The result is a
-        ``(rows,)`` vector equal — bit for bit — to calling
-        :meth:`expected_accuracy` on each row's compacted utility vector.
-
-        The row-wise stabilized softmax is organized so the expensive
-        transcendental work is one flat vectorized pass: candidate entries
-        are compacted row-major, the per-row exponent shift comes from one
-        ``maximum.reduceat``, and a single ``np.exp`` covers every candidate
-        of every target. The final normalize-and-dot runs per row on
-        contiguous slices because NumPy's pairwise summation is sensitive to
-        element placement: summing a zero-padded row (or ``add.reduceat``,
-        which accumulates sequentially) would regroup the partials and drift
-        from the sequential evaluator by an ulp, and the engine's contract
-        is exact agreement, not closeness.
-        """
-        return self.expected_accuracy_compact(compact_candidate_rows(utilities, valid))
-
     def expected_accuracy_compact(
         self, compact: CompactRows, workspace=None
     ) -> np.ndarray:
-        """:meth:`expected_accuracy_batch` on a prebuilt :class:`CompactRows`.
+        """Exact expected accuracy for every row of a :class:`CompactRows`.
 
-        The compact form is epsilon-independent, so an epsilon grid of
-        mechanisms (the experiment engine's common case) builds it once and
-        each mechanism only pays its own exponent pass here. ``workspace``
-        (any object with a ``take(key, shape, dtype)`` method, see
-        :class:`repro.compute.workspace.Workspace`) lands the exponent
-        array — the kernel's one full-width temporary — in a reused
-        buffer; the arithmetic is unchanged, so the result is bit-for-bit
-        the same with or without a workspace.
+        Row ``j``'s value equals :meth:`expected_accuracy` on that row's
+        utility vector, bit for bit. The compact form is
+        epsilon-independent, so an epsilon grid of mechanisms (the
+        experiment engine's common case) builds it once and each mechanism
+        only pays its own exponent pass here.
+
+        The row-wise stabilized softmax is organized so the expensive
+        transcendental work is one flat vectorized pass: the per-row
+        exponent shift comes from one ``maximum.reduceat`` and a single
+        ``np.exp`` covers every candidate of every row. The final
+        normalize-and-dot runs per row on contiguous slices because
+        NumPy's pairwise summation is sensitive to element placement:
+        summing a zero-padded row (or ``add.reduceat``, which accumulates
+        sequentially) would regroup the partials and drift from the
+        sequential evaluator by an ulp, and the engine's contract is exact
+        agreement, not closeness.
+
+        ``workspace`` (any object with a ``take(key, shape, dtype)``
+        method, see :class:`repro.compute.workspace.Workspace`) lands the
+        exponent array — the kernel's one full-width temporary — in a
+        reused buffer; the arithmetic is unchanged, so the result is
+        bit-for-bit the same with or without a workspace.
 
         Runs at ``compact.flat``'s dtype: float64 keeps the exact
         sequential contract; float32 is the documented-tolerance compute

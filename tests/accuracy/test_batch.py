@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.accuracy.batch import STAGE_NAMES, evaluate_targets_batched
 from repro.accuracy.evaluator import evaluate_targets
+from repro.errors import UtilityError
 from repro.graphs.generators import erdos_renyi_gnp
 from repro.graphs.graph import SocialGraph
 from repro.mechanisms.best import BestMechanism, UniformMechanism
@@ -105,6 +106,19 @@ def test_empty_targets():
     assert evaluate_targets_batched(
         graph, CommonNeighbors(), [], make_mechanisms(CommonNeighbors(), graph), seed=1
     ) == []
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 5], ids=["minus-one", "n", "n-plus-5"])
+def test_out_of_range_targets_raise_utility_error(offset):
+    """Both engines reject a node id outside [0, n) with the same typed
+    error — NumPy must not read -1 as the last node."""
+    graph = erdos_renyi_gnp(12, 0.3, seed=0)
+    utility = CommonNeighbors()
+    mechanisms = make_mechanisms(utility, graph)
+    bad = -1 if offset < 0 else graph.num_nodes + offset
+    for engine in (evaluate_targets, evaluate_targets_batched):
+        with pytest.raises(UtilityError):
+            engine(graph, utility, [0, bad], mechanisms, bound_epsilons=(1.0,), seed=1)
 
 
 def test_no_bound_epsilons():

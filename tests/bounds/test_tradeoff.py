@@ -15,7 +15,7 @@ from repro.bounds.tradeoff import (
     section_4_2_worked_example,
     tightest_accuracy_bound,
     tightest_accuracy_bounds,
-    tightest_accuracy_bounds_batch,
+    tightest_accuracy_bounds_masked,
 )
 from repro.errors import BoundError
 from tests.conftest import make_vector
@@ -154,6 +154,29 @@ def test_property_corollary1_is_valid_accuracy(epsilon, n, k, t, c):
     assert bound >= 1.0 - c - 1e-12
 
 
+def _pack_rows(rows):
+    """Pack ragged per-row candidate values into scores/mask arrays."""
+    num_nodes = max((len(values) for values in rows), default=0) + 3
+    scores = np.zeros((len(rows), num_nodes))
+    mask = np.zeros((len(rows), num_nodes), dtype=bool)
+    for index, values in enumerate(rows):
+        columns = np.arange(1, 1 + len(values))
+        scores[index, columns] = values
+        mask[index, columns] = True
+    return scores, mask
+
+
+def _masked_bounds(rows, ts, epsilons):
+    """The engine's masked search with every row of ``rows`` kept."""
+    scores, mask = _pack_rows(rows)
+    return tightest_accuracy_bounds_masked(
+        scores, mask, np.arange(len(rows)),
+        np.asarray([len(values) for values in rows], dtype=np.int64),
+        np.asarray([max(values) for values in rows], dtype=np.float64),
+        np.asarray(ts, dtype=np.int64), epsilons,
+    )
+
+
 class TestMultiEpsilonBounds:
     def test_bounds_dict_matches_single_epsilon_calls(self, simple_vector):
         epsilons = (0.1, 0.5, 1.0, 3.0)
@@ -168,7 +191,7 @@ class TestMultiEpsilonBounds:
         vectors = [simple_vector, other, degenerate]
         ts = [4, 2, 3]
         epsilons = (0.25, 1.0, 2.0)
-        matrix = tightest_accuracy_bounds_batch(vectors, ts, epsilons)
+        matrix = _masked_bounds([vector.values for vector in vectors], ts, epsilons)
         assert matrix.shape == (3, 3)
         for row, (vector, t) in enumerate(zip(vectors, ts)):
             for col, eps in enumerate(epsilons):
@@ -176,15 +199,12 @@ class TestMultiEpsilonBounds:
                 assert matrix[row, col] == expected
 
     def test_batch_empty_inputs(self):
-        assert tightest_accuracy_bounds_batch([], [], (1.0,)).shape == (0, 1)
-        matrix = tightest_accuracy_bounds_batch(
-            [make_vector([1.0, 2.0])], [2], ()
-        )
-        assert matrix.shape == (1, 0)
+        assert _masked_bounds([], [], (1.0,)).shape == (0, 1)
+        assert _masked_bounds([[1.0, 2.0]], [2], ()).shape == (1, 0)
 
     def test_batch_mismatched_lengths_rejected(self):
         with pytest.raises(BoundError):
-            tightest_accuracy_bounds_batch([make_vector([1.0, 2.0])], [], (1.0,))
+            _masked_bounds([[1.0, 2.0]], [], (1.0,))
 
     @given(
         values=st.lists(st.floats(0.0, 30.0), min_size=2, max_size=25),
@@ -195,35 +215,26 @@ class TestMultiEpsilonBounds:
     def test_property_batch_equals_sequential_search(self, values, epsilon, t):
         if max(values) <= 0.0:
             values = values + [1.0]
-        vector = make_vector(values)
-        matrix = tightest_accuracy_bounds_batch([vector], [t], (epsilon,))
-        single = tightest_accuracy_bound(vector, epsilon, t).accuracy_bound
+        matrix = _masked_bounds([values], [t], (epsilon,))
+        single = tightest_accuracy_bound(make_vector(values), epsilon, t).accuracy_bound
         assert matrix[0, 0] == single
 
 
 class TestMaskedBatchKernel:
-    """The fused engine's masked Corollary 1 search must equal the
-    per-vector reference bit for bit (same thresholds, same ks, same
-    curve arithmetic) for arbitrary candidate sets."""
-
-    def _masked_setup(self, rows):
-        """Pack ragged per-row candidate values into scores/mask arrays."""
-        num_nodes = max(len(values) for values in rows) + 3
-        scores = np.zeros((len(rows), num_nodes))
-        mask = np.zeros((len(rows), num_nodes), dtype=bool)
-        for index, values in enumerate(rows):
-            columns = np.arange(1, 1 + len(values))
-            scores[index, columns] = values
-            mask[index, columns] = True
-        return scores, mask
+    """The engine's masked Corollary 1 search must equal the per-vector
+    :func:`tightest_accuracy_bound` bit for bit (same thresholds, same
+    ks, same curve arithmetic) for arbitrary candidate sets."""
 
     def _reference(self, rows, ts, epsilons):
-        vectors = [make_vector(values) for values in rows]
-        return tightest_accuracy_bounds_batch(vectors, ts, epsilons)
+        return np.asarray([
+            [
+                tightest_accuracy_bound(make_vector(values), epsilon, t).accuracy_bound
+                for epsilon in epsilons
+            ]
+            for values, t in zip(rows, ts)
+        ]).reshape(len(rows), len(epsilons))
 
     def test_matches_per_vector_batch(self):
-        from repro.bounds.tradeoff import tightest_accuracy_bounds_masked
-
         rows = [
             [3.0, 1.0, 0.0, 2.0, 3.0],
             [5.0, 5.0, 5.0],            # all tie at u_max: unconstrained
@@ -232,7 +243,7 @@ class TestMaskedBatchKernel:
         ]
         ts = [2, 3, 1, 4]
         epsilons = (0.1, 1.0, 3.0, 50.0)  # 50*t saturates the exponent
-        scores, mask = self._masked_setup(rows)
+        scores, mask = _pack_rows(rows)
         kept = np.arange(len(rows))
         counts = np.asarray([len(values) for values in rows])
         u_maxes = np.asarray([max(values) for values in rows])
@@ -242,15 +253,13 @@ class TestMaskedBatchKernel:
         np.testing.assert_array_equal(result, self._reference(rows, ts, epsilons))
 
     def test_dropped_rows_are_skipped(self):
-        from repro.bounds.tradeoff import tightest_accuracy_bounds_masked
-
         rows = [
             [0.0, 0.0, 0.0],            # zero signal: dropped upstream
             [4.0, 1.0, 2.0],
             [7.0],                      # single candidate: dropped upstream
             [2.0, 9.0, 9.0, 3.0],
         ]
-        scores, mask = self._masked_setup(rows)
+        scores, mask = _pack_rows(rows)
         kept = np.asarray([1, 3])
         counts = np.asarray([3, 4])
         u_maxes = np.asarray([4.0, 9.0])
@@ -273,11 +282,9 @@ class TestMaskedBatchKernel:
     )
     @settings(max_examples=60, deadline=None)
     def test_property_matches_reference(self, data, t):
-        from repro.bounds.tradeoff import tightest_accuracy_bounds_masked
-
         ts = [t] * len(data)
         epsilons = (0.25, 1.0, 4.0)
-        scores, mask = self._masked_setup(data)
+        scores, mask = _pack_rows(data)
         kept = np.arange(len(data))
         counts = np.asarray([len(values) for values in data])
         u_maxes = np.asarray([max(values) for values in data])
@@ -287,9 +294,7 @@ class TestMaskedBatchKernel:
         np.testing.assert_array_equal(result, self._reference(data, ts, epsilons))
 
     def test_validations_match_reference(self):
-        from repro.bounds.tradeoff import tightest_accuracy_bounds_masked
-
-        scores, mask = self._masked_setup([[1.0, 2.0]])
+        scores, mask = _pack_rows([[1.0, 2.0]])
         kept = np.asarray([0])
         with pytest.raises(BoundError):
             tightest_accuracy_bounds_masked(

@@ -3,8 +3,8 @@
 The contract (DESIGN.md, "memory dataflow"):
 
 * **float64** (default) is bit-identical to the sequential reference —
-  the fused engine, the preserved PR-4 baseline path, and every
-  chunking/executor combination return the same evaluations;
+  the engine returns the same evaluations under every chunking/executor
+  combination;
 * **float32** is an opt-in half-memory path: same kept targets and same
   recommendations determinism (a fixed seed gives one answer no matter
   which executor or chunk size ran it), with accuracies and bounds
@@ -100,14 +100,13 @@ class TestResolveDtype:
 
 
 class TestEngineFloat64:
-    def test_fused_and_baseline_match_sequential(self, workload):
+    def test_engine_matches_sequential(self, workload):
         graph, utility, mechanisms, targets = workload
         sequential = evaluate_targets(
             graph, utility, targets, mechanisms,
             bound_epsilons=BOUND_EPSILONS, seed=11, laplace_trials=25,
         )
         assert engine(workload) == sequential
-        assert engine(workload, fused=False) == sequential
 
     @pytest.mark.parametrize("kwargs", EXECUTORS)
     def test_float64_identical_across_executors(self, workload, kwargs):

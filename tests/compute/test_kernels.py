@@ -12,7 +12,8 @@ from repro.compute import (
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
-    compact_kept_rows,
+    Workspace,
+    fused_compact_rows,
     utility_vectors,
 )
 from repro.compute.kernels import candidate_mask_rows, score_rows
@@ -20,6 +21,7 @@ from repro.datasets import toy, twitter, wiki_vote
 from repro.errors import UtilityError
 from repro.mechanisms.exponential import ExponentialMechanism
 from repro.rng import spawn_rngs
+from repro.utility.base import UtilityVector
 from repro.utility.common_neighbors import CommonNeighbors
 from repro.utility.weighted_paths import WeightedPaths
 
@@ -109,20 +111,6 @@ class TestSupportForm:
             ids, values = vector.support()
             np.testing.assert_array_equal(ids, vector.candidates[vector.values > 0])
             np.testing.assert_array_equal(values, vector.values[vector.values > 0])
-
-
-class TestCompactKeptRows:
-    def test_footnote_10_filter(self):
-        scores = np.asarray([[0.0, 2.0, 1.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-        mask = np.asarray(
-            [[False, True, True], [False, True, True], [False, True, False]]
-        )
-        compact, candidate_rows, value_rows, kept = compact_kept_rows(scores, mask)
-        # row 1: no signal; row 2: single candidate -> both dropped
-        np.testing.assert_array_equal(kept, [0])
-        np.testing.assert_array_equal(candidate_rows[0], [1, 2])
-        np.testing.assert_array_equal(value_rows[0], [2.0, 1.0])
-        np.testing.assert_array_equal(compact.scaled, [1.0, 0.5])
 
 
 class TestSampleRowsExecutorStability:
@@ -270,29 +258,50 @@ class TestEngineExecutorIdentity:
         assert seen and max(seen) <= 8
 
 
+def _kept_by_footnote_10(vectors: "list[UtilityVector]") -> "list[int]":
+    """The sequential evaluator's drop rule, applied per vector."""
+    return [
+        row for row, vector in enumerate(vectors)
+        if len(vector) >= 2 and vector.has_signal()
+    ]
+
+
+def _mask_row_vectors(scores, mask) -> "list[UtilityVector]":
+    """One vector per row of a raw score/mask pair (row index as target)."""
+    vectors = []
+    for row in range(scores.shape[0]):
+        candidates = np.flatnonzero(mask[row])
+        vectors.append(
+            UtilityVector(row, candidates, scores[row][candidates], target_degree=0)
+        )
+    return vectors
+
+
 class TestFusedCompactRows:
-    """The fused filter must reproduce the per-row reference exactly —
-    same kept rows, same flat values/order, same scaling arithmetic."""
+    """The fused filter keeps exactly the rows the sequential evaluator
+    keeps (footnote 10: at least two candidates and ``has_signal()``),
+    with each kept row's candidates and values in order, its maximum, and
+    the same ``values / u_max`` scaling."""
 
-    def _compare(self, scores, mask, workspace=None):
-        from repro.compute import Workspace, fused_compact_rows
-
-        reference, candidate_rows, value_rows, kept = compact_kept_rows(scores, mask)
+    def _compare(self, vectors, scores, mask, workspace=None):
         chunk = fused_compact_rows(
             scores, mask,
             workspace=Workspace() if workspace == "fresh" else workspace,
         )
         compact = chunk.compact
+        kept = _kept_by_footnote_10(vectors)
         np.testing.assert_array_equal(chunk.kept, kept)
-        np.testing.assert_array_equal(compact.flat, reference.flat)
-        np.testing.assert_array_equal(compact.counts, reference.counts)
-        np.testing.assert_array_equal(compact.offsets, reference.offsets)
-        np.testing.assert_array_equal(compact.scaled, reference.scaled)
-        for index in range(compact.num_rows):
+        np.testing.assert_array_equal(compact.counts, [len(vectors[row]) for row in kept])
+        np.testing.assert_array_equal(compact.offsets, np.cumsum([0] + list(compact.counts)))
+        for index, row in enumerate(kept):
+            vector = vectors[row]
+            start, stop = compact.offsets[index], compact.offsets[index + 1]
+            np.testing.assert_array_equal(chunk.candidate_row(index), vector.candidates)
+            np.testing.assert_array_equal(chunk.value_row(index), vector.values)
+            assert compact.u_maxes[index] == vector.u_max
             np.testing.assert_array_equal(
-                chunk.candidate_row(index), candidate_rows[index]
+                compact.scaled[start:stop], vector.values / vector.u_max
             )
-            np.testing.assert_array_equal(chunk.value_row(index), value_rows[index])
         return chunk
 
     @pytest.mark.parametrize("workspace", [None, "fresh"])
@@ -300,10 +309,20 @@ class TestFusedCompactRows:
         targets = np.arange(0, graph.num_nodes, 2, dtype=np.int64)
         scores = score_rows(graph, utility, targets)
         mask = candidate_mask_rows(graph, targets)
-        chunk = self._compare(scores, mask, workspace)
-        assert chunk.compact.u_maxes is not None
-        for index in range(chunk.compact.num_rows):
-            assert chunk.compact.u_maxes[index] == chunk.value_row(index).max()
+        vectors = [utility.utility_vector(graph, target) for target in targets]
+        assert self._compare(vectors, scores, mask, workspace).kept.size > 0
+
+    def test_footnote_10_filter(self):
+        scores = np.asarray([[0.0, 2.0, 1.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
+        mask = np.asarray(
+            [[False, True, True], [False, True, True], [False, True, False]]
+        )
+        chunk = self._compare(_mask_row_vectors(scores, mask), scores, mask)
+        # row 1: no signal; row 2: single candidate -> both dropped
+        np.testing.assert_array_equal(chunk.kept, [0])
+        np.testing.assert_array_equal(chunk.candidate_row(0), [1, 2])
+        np.testing.assert_array_equal(chunk.value_row(0), [2.0, 1.0])
+        np.testing.assert_array_equal(chunk.compact.scaled, [1.0, 0.5])
 
     def test_dropped_rows_exercise_the_compress_path(self):
         scores = np.asarray([
@@ -318,12 +337,10 @@ class TestFusedCompactRows:
             [True, True, False, True],
             [False, True, False, False],
         ])
-        chunk = self._compare(scores, mask)
+        chunk = self._compare(_mask_row_vectors(scores, mask), scores, mask)
         np.testing.assert_array_equal(chunk.kept, [0, 2])
 
     def test_empty_mask_yields_empty_chunk(self):
-        from repro.compute import fused_compact_rows
-
         chunk = fused_compact_rows(
             np.zeros((3, 4)), np.zeros((3, 4), dtype=bool)
         )
@@ -332,8 +349,6 @@ class TestFusedCompactRows:
         assert chunk.candidate_cols.size == 0
 
     def test_workspace_views_are_reused_across_calls(self, graph, utility):
-        from repro.compute import Workspace, fused_compact_rows
-
         workspace = Workspace()
         targets = np.arange(24, dtype=np.int64)
         scores = score_rows(graph, utility, targets)

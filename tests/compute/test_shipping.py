@@ -227,28 +227,13 @@ class TestNodeRangeSharding:
         assert contiguous_node_range(np.array([1, 3, 4])) is None
         assert contiguous_node_range(np.array([4, 3, 2])) is None
 
-    def test_for_nodes_chunks_are_node_ranges(self):
-        plan = ComputePlan.for_nodes(101, chunk_size=25)
-        targets = np.arange(101, dtype=np.int64)
-        covered = []
-        for chunk in plan.chunks():
-            window = chunk.node_range(targets)
-            assert window is not None
-            lo, hi = window
-            covered.extend(range(lo, hi))
-        assert covered == list(range(101))
-
-    def test_for_nodes_workers_split(self):
-        plan = ComputePlan.for_nodes(100, workers=4)
-        assert plan.num_chunks >= 4
-
     def test_zero_copy_rows_through_executor(self):
         """End-to-end: plan chunks + shared graph + process pool."""
         graph = _graph()
         with SharedSocialGraph.from_graph(graph) as shared:
-            plan = ComputePlan.for_nodes(graph.num_nodes, chunk_size=16)
+            plan = ComputePlan(graph.num_nodes, chunk_size=16)
             targets = np.arange(graph.num_nodes, dtype=np.int64)
-            windows = [chunk.node_range(targets) for chunk in plan.chunks()]
+            windows = [contiguous_node_range(chunk.take(targets)) for chunk in plan]
             assert all(window is not None for window in windows)
             context = {"graph": shared}
             serial = SerialExecutor().map(_row_sum, windows, shared=context)

@@ -72,28 +72,6 @@ class TestTake:
         assert workspace.takes == 1
 
 
-class TestNoReuseMode:
-    def test_every_take_allocates_fresh(self):
-        workspace = Workspace(reuse=False)
-        first = workspace.take("a", 10)
-        second = workspace.take("a", 10)
-        assert first is not second
-        assert second.base is None
-        assert workspace.allocations == 2
-        assert workspace.resident_bytes == 0
-
-    def test_no_reuse_mode_reports_zero_residency(self):
-        """Regression: residency reporting must not pretend unpooled
-        arrays are resident — ``reuse=False`` hands out caller-owned
-        buffers, so both the live and high-water readings stay 0 no
-        matter how much was handed out."""
-        workspace = Workspace(reuse=False)
-        for size in (10, 1000, 50):
-            workspace.take("a", size, np.float64)
-        assert workspace.bytes_resident() == 0
-        assert workspace.high_water_bytes == 0
-
-
 class TestResidencyReporting:
     def test_bytes_resident_matches_property(self):
         workspace = Workspace()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import ExperimentError
+from repro.accuracy.evaluator import evaluate_targets, sample_targets
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
     build_graph,
@@ -121,15 +121,22 @@ class TestEngineSelection:
             max_targets=15, laplace_trials=60, seed=13,
         )
         graph = build_graph(config)
-        batched = run_experiment(config, graph=graph)  # default engine
-        sequential = run_experiment(config, graph=graph, engine="sequential")
-        assert batched.evaluations == sequential.evaluations
-        assert batched.num_targets_evaluated == sequential.num_targets_evaluated
-
-    def test_unknown_engine_rejected(self):
-        config = ExperimentConfig(dataset="wiki_vote", scale=0.02)
-        with pytest.raises(ExperimentError):
-            run_experiment(config, engine="turbo")
+        batched = run_experiment(config, graph=graph)
+        utility = build_utility(config)
+        sequential = evaluate_targets(
+            graph,
+            utility,
+            sample_targets(
+                graph, config.target_fraction, seed=config.seed,
+                max_targets=config.max_targets,
+            ),
+            build_mechanisms(config, utility.sensitivity(graph, 0)),
+            bound_epsilons=tuple(config.epsilons),
+            seed=config.seed + 1,
+            laplace_trials=config.laplace_trials,
+        )
+        assert batched.evaluations == sequential
+        assert batched.num_targets_evaluated == len(sequential)
 
     def test_sharded_run_identical_to_serial(self):
         """workers/chunk_size flow from the config into the batched engine

@@ -6,7 +6,7 @@ import pytest
 
 import numpy as np
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, UtilityError
 from repro.experiments.sweeps import epsilon_sweep, gamma_sweep, sweep_to_figure
 from repro.graphs.generators import erdos_renyi_gnp
 from repro.mechanisms.exponential import ExponentialMechanism
@@ -69,6 +69,17 @@ class TestGammaSweep:
     def test_invalid_gammas(self, sweep_graph):
         with pytest.raises(ExperimentError):
             gamma_sweep(sweep_graph, [0], gammas=(-0.1,))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 5], ids=["minus-one", "n", "n-plus-5"])
+@pytest.mark.parametrize("sweep", ["epsilon", "gamma"])
+def test_out_of_range_targets_raise_utility_error(sweep_graph, sweep, offset):
+    bad = -1 if offset < 0 else sweep_graph.num_nodes + offset
+    with pytest.raises(UtilityError):
+        if sweep == "epsilon":
+            epsilon_sweep(sweep_graph, CommonNeighbors(), [0, bad])
+        else:
+            gamma_sweep(sweep_graph, [0, bad])
 
 
 class TestSweepToFigure:

@@ -6,11 +6,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pytest
-
 from repro.axioms.monotonicity import check_probability_monotonicity
-from repro.errors import MechanismError
-from repro.mechanisms.exponential import ExponentialMechanism, compact_candidate_rows
+from repro.compute import fused_compact_rows
+from repro.mechanisms.exponential import ExponentialMechanism
 from repro.utility.base import UtilityVector
 from tests.conftest import make_vector
 
@@ -120,56 +118,43 @@ class TestExpectedAccuracyBatch:
     def _matrix_and_mask(self, rng, rows=12, cols=30):
         utilities = rng.integers(0, 9, size=(rows, cols)).astype(float)
         valid = rng.random((rows, cols)) < 0.7
-        valid[:, 0] = True  # keep every row non-empty
-        utilities[:, 0] = np.maximum(utilities[:, 0], 1.0)  # and with signal
+        valid[:, :2] = True  # keep every row a footnote-10 survivor
+        utilities[:, 0] = np.maximum(utilities[:, 0], 1.0)  # with signal
         return utilities, valid
+
+    def _vectors(self, utilities, valid):
+        return [
+            UtilityVector(
+                target=0,
+                candidates=np.flatnonzero(valid[row]),
+                values=utilities[row, np.flatnonzero(valid[row])],
+                target_degree=1,
+            )
+            for row in range(utilities.shape[0])
+        ]
 
     def test_matches_per_vector_expected_accuracy_exactly(self, rng):
         utilities, valid = self._matrix_and_mask(rng)
         mechanism = ExponentialMechanism(0.7, sensitivity=2.0)
-        batch = mechanism.expected_accuracy_batch(utilities, valid)
-        for row in range(utilities.shape[0]):
-            candidates = np.flatnonzero(valid[row])
-            vector = UtilityVector(
-                target=0,
-                candidates=candidates,
-                values=utilities[row, candidates],
-                target_degree=1,
-            )
+        chunk = fused_compact_rows(utilities, valid)
+        assert chunk.kept.size == utilities.shape[0]
+        batch = mechanism.expected_accuracy_compact(chunk.compact)
+        for row, vector in enumerate(self._vectors(utilities, valid)):
             assert batch[row] == mechanism.expected_accuracy(vector)
 
     def test_compact_rows_reused_across_epsilons(self, rng):
         utilities, valid = self._matrix_and_mask(rng)
-        compact = compact_candidate_rows(utilities, valid)
+        compact = fused_compact_rows(utilities, valid).compact
+        vectors = self._vectors(utilities, valid)
         for eps in (0.2, 1.0, 4.0):
             mechanism = ExponentialMechanism(eps, sensitivity=1.5)
-            direct = mechanism.expected_accuracy_batch(utilities, valid)
             via_compact = mechanism.expected_accuracy_compact(compact)
-            assert np.array_equal(direct, via_compact)
+            direct = [mechanism.expected_accuracy(vector) for vector in vectors]
+            assert via_compact.tolist() == direct
 
     def test_empty_matrix(self):
         mechanism = ExponentialMechanism(1.0)
-        out = mechanism.expected_accuracy_batch(
+        compact = fused_compact_rows(
             np.empty((0, 4)), np.empty((0, 4), dtype=bool)
-        )
-        assert out.shape == (0,)
-
-    def test_empty_row_rejected(self):
-        mechanism = ExponentialMechanism(1.0)
-        valid = np.array([[True, True], [False, False]])
-        with pytest.raises(MechanismError):
-            mechanism.expected_accuracy_batch(np.ones((2, 2)), valid)
-
-    def test_all_zero_row_rejected(self):
-        mechanism = ExponentialMechanism(1.0)
-        with pytest.raises(MechanismError):
-            mechanism.expected_accuracy_batch(
-                np.zeros((1, 3)), np.ones((1, 3), dtype=bool)
-            )
-
-    def test_shape_mismatch_rejected(self):
-        mechanism = ExponentialMechanism(1.0)
-        with pytest.raises(MechanismError):
-            mechanism.expected_accuracy_batch(
-                np.ones((2, 3)), np.ones((3, 2), dtype=bool)
-            )
+        ).compact
+        assert mechanism.expected_accuracy_compact(compact).shape == (0,)

@@ -46,6 +46,25 @@ class TestDesignDocument:
             assert candidate.exists() or alt.exists(), match
 
 
+    def test_symbol_references_resolve(self):
+        """Every ``path.py::name`` in DESIGN.md names an attribute of that
+        module or of a class defined in it."""
+        text = (REPO_ROOT / "DESIGN.md").read_text()
+        references = re.findall(r"(\w+(?:/\w+)*\.py)::(\w+)", text)
+        assert references
+        for module_path, symbol in references:
+            module_name = "repro." + module_path[:-3].replace("/", ".")
+            module = importlib.import_module(module_name)
+            owners = [module] + [
+                value
+                for value in vars(module).values()
+                if isinstance(value, type) and value.__module__ == module_name
+            ]
+            assert any(hasattr(owner, symbol) for owner in owners), (
+                f"{module_path}::{symbol}"
+            )
+
+
 class TestTheoryDocument:
     def test_theory_references_resolve(self):
         text = (REPO_ROOT / "docs" / "THEORY.md").read_text()
