@@ -50,7 +50,7 @@ def main() -> None:
         service.recommend(user)
     except BudgetExhaustedError as error:
         print(f"\nbudget guard: {error}")
-    print(f"accountant says spent={service.budgets.accountant_for(user).spent} "
+    print(f"budget says spent={service.budgets.spent(user)} "
           f"(exactly the served releases)")
 
     # 3. Batched serving: one vectorized pass for many users.

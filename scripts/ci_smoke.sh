@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI smoke: the tier-1 test suite plus sub-minute serving, experiment-engine,
 # compute-layer, streaming, incremental, memory, telemetry, durability,
-# scale, and HTTP-edge benchmarks.
+# scale, and HTTP-edge benchmarks, and every example script.
 #
 # Usage: scripts/ci_smoke.sh   (from the repository root or anywhere)
 set -euo pipefail
@@ -132,6 +132,16 @@ echo "== edge benchmark (smoke) =="
 # (`python benchmarks/bench_service_edge.py`): wall-clock ratios are
 # noisy on shared runners.
 python benchmarks/bench_service_edge.py --smoke --output "$smoke_out/BENCH_service_edge.json"
+
+echo
+echo "== examples =="
+# Every examples/*.py is a narrative end-to-end drive of the public API
+# (about a second each); any non-zero exit fails the smoke, so an
+# example cannot silently rot when the API it narrates changes.
+for example in examples/*.py; do
+    echo "-- $example"
+    python "$example" > /dev/null
+done
 
 echo
 echo "== shared-memory leak check =="

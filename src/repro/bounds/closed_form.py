@@ -35,7 +35,9 @@ def laplace_win_probability(u1: float, u2: float, epsilon: float, sensitivity: f
     if u1 < u2:
         return 1.0 - laplace_win_probability(u2, u1, epsilon, sensitivity)
     z = (epsilon / sensitivity) * (u1 - u2)
-    return 1.0 - 0.5 * math.exp(-z) - 0.25 * z * math.exp(-z)
+    # Factored as 1 - tail with tail <= 1/2: subtracting the two tail
+    # terms one by one rounds tiny positive gaps below their limit of 1/2.
+    return 1.0 - 0.5 * math.exp(-z) * (1.0 + 0.5 * z)
 
 
 def exponential_win_probability(u1: float, u2: float, epsilon: float, sensitivity: float = 1.0) -> float:

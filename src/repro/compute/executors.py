@@ -10,7 +10,7 @@ order. The contract every executor honors:
   (including any per-target RNG streams) as arguments, so the same inputs
   produce bit-identical outputs on every executor;
 * **isolation** — chunk functions must not mutate shared state. Stateful
-  work (cache fills, budget charges, audit records) stays with the
+  work (cache fills, budget charges, ledger rows) stays with the
   caller, which applies chunk results on its own thread.
 
 ``shared`` carries the bulky per-call context (graph, utility, mechanism

@@ -8,7 +8,7 @@ batch commit, the ledger rows and sealed RNG/counter/clock state
 (:mod:`~repro.durability.wal`); periodic snapshots bound recovery time
 (:mod:`~repro.durability.snapshot`); and recovery rebuilds a service
 bit-identical to the uninterrupted run — same recommendations, same
-accountant balances, same ledger, entry for entry
+budget balances, same ledger, entry for entry
 (:mod:`~repro.durability.recovery`). :mod:`~repro.durability.faults`
 supplies the deterministic crash-injection harness that proves it.
 """

@@ -10,7 +10,7 @@ The algorithm (``restore = snapshot + WAL tail replay``):
 2. Build a fresh service (caller-supplied, from the recorded config) and
    install the snapshot state: epoch-base CSR + deltas (adopting the
    recorded ``(epoch, version)`` with **no version bump**), resident
-   cache vectors, lifetime accountants, sliding-window deques, RNG
+   cache vectors, per-user lifetime spend, sliding-window deques, RNG
    state, request counter, clocks.
 3. Scan the *whole* write-ahead log from offset zero. Every commit
    record's ledger rows rebuild the privacy ledger (snapshots do not
@@ -18,7 +18,7 @@ The algorithm (``restore = snapshot + WAL tail replay``):
    snapshot's ``wal_offset`` additionally replay mechanically: edge
    records re-apply through the normal mutation path (auto-compaction
    points reproduce themselves, because they are a deterministic
-   function of the event stream), commit records re-charge accountants
+   function of the event stream), commit records re-charge budgets
    row by row and adopt the sealed RNG/counter/clock state. Stamps must
    be monotone and window expiries must match the retained entries they
    pop — violations raise :class:`~repro.errors.RecoveryError` naming
@@ -96,7 +96,7 @@ def _retype_row(raw, path: str, offset: int) -> tuple:
 
 
 def _apply_commit_rows(service, rows, *, path: str, offset: int) -> None:
-    """Mechanically re-charge accountants from one commit's ledger rows.
+    """Mechanically re-charge budgets from one commit's ledger rows.
 
     Two passes: charges first (lifetime and window, in row order), then
     window expiries. Live, expiries interleave *inside* the spend loop —
@@ -110,10 +110,9 @@ def _apply_commit_rows(service, rows, *, path: str, offset: int) -> None:
     for row in rows:
         kind = row[0]
         if kind == KIND_CHARGE:
-            # The live charge label embeds the request id, which is also
-            # the row's clock — reconstructing it keeps the accountant
-            # entry lists identical, not merely the balances.
-            budgets.charge(row[1], row[2], label=f"batch #{int(row[6])}")
+            # Same additions in the same order as the live run, so every
+            # user's spent comes back bit for bit.
+            budgets.charge(row[1], row[2])
         elif kind == KIND_WINDOW_CHARGE:
             accountant = service._window_accountant(row[1])
             # spend() minus the expiry pops (handled in pass two) and
@@ -309,7 +308,7 @@ def recover(
                     ) from error
             continue
         # Commit record: rows rebuild the ledger everywhere; past the
-        # snapshot offset they also re-charge the accountants and the
+        # snapshot offset they also re-charge the budgets and the
         # sealed state is adopted.
         rows = [_retype_row(raw, path_str, record.offset) for raw in record.payload[1]]
         for row in rows:

@@ -18,8 +18,8 @@ The captured state is everything :mod:`repro.durability.recovery` needs
 to rebuild the service bit-identically: the compacted epoch-base CSR
 (via :meth:`MutableSocialGraph.csr_state`, restored *without* a version
 bump so snapshot-resident cache entries stay valid — the same invariant
-``compact()`` keeps live), per-user accountant balances with their spend
-histories, sliding-window entry deques and clocks, resident utility-cache
+``compact()`` keeps live), the budget configuration with every user's
+spent epsilon, sliding-window entry deques and clocks, resident utility-cache
 vectors keyed by the graph version, the serving RNG's bit-generator
 state, and the WAL offset at which the tail replay must start.
 """
@@ -54,8 +54,9 @@ __all__ = [
 SNAPSHOT_MAGIC = b"RPROSNAP"
 
 #: Format tag embedded in the payload; bump on incompatible layout changes
-#: (2: cached utility vectors pickle as dense or support form).
-SNAPSHOT_FORMAT = 2
+#: (2: cached utility vectors pickle as dense or support form; 3: budgets
+#: hold one spent float per user instead of per-release entry lists).
+SNAPSHOT_FORMAT = 3
 
 _HEADER = struct.Struct("<II")  # payload length, crc32(payload)
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.snap$")

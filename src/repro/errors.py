@@ -173,8 +173,8 @@ class BudgetExhaustedError(ServingError):
     """A recommendation request would exceed the user's privacy budget.
 
     Raised *before* any budget is spent or any sample is drawn, so the
-    user's :class:`~repro.extensions.accountant.PrivacyAccountant` stays
-    consistent: ``spent`` only ever reflects recommendations actually made.
+    user's spent in :class:`~repro.serving.budgets.BudgetManager` stays
+    consistent: it only ever reflects recommendations actually made.
     """
 
     def __init__(self, user: int, needed: float, remaining: float, budget: float) -> None:

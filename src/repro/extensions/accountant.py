@@ -7,7 +7,10 @@ this module provides the bookkeeping side: a
 :class:`PrivacyAccountant` that tracks cumulative epsilon under basic
 sequential composition (the sum of per-release epsilons, the
 composition theorem the paper's differential-privacy references [7, 8]
-establish) and refuses releases that would exceed the budget.
+establish) and refuses releases that would exceed the budget. The
+serving layer needs only the running sum, so
+:class:`~repro.serving.budgets.BudgetManager` keeps one spent float per
+user instead; this class is the per-release Appendix A API.
 """
 
 from __future__ import annotations
@@ -48,12 +51,6 @@ class PrivacyAccountant:
 
     budget: float
     entries: list[BudgetEntry] = field(default_factory=list)
-    # Running total so ``spent`` is O(1) per query instead of re-summing
-    # the whole release history (O(k^2) over a k-release session). The
-    # (id, length) fingerprint detects callers that append to — or swap
-    # out — ``entries`` directly and triggers a recount.
-    _spent_total: float = field(default=0.0, repr=False, compare=False)
-    _entries_seen: "tuple[int, int]" = field(default=(0, 0), repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.budget > 0:
@@ -62,11 +59,7 @@ class PrivacyAccountant:
     @property
     def spent(self) -> float:
         """Total epsilon consumed so far."""
-        fingerprint = (id(self.entries), len(self.entries))
-        if fingerprint != self._entries_seen:
-            self._spent_total = float(sum(entry.epsilon for entry in self.entries))
-            self._entries_seen = fingerprint
-        return self._spent_total
+        return float(sum(entry.epsilon for entry in self.entries))
 
     @property
     def remaining(self) -> float:
@@ -88,10 +81,7 @@ class PrivacyAccountant:
                 f"release of epsilon={epsilon} exceeds remaining budget "
                 f"{self.remaining:.6f} (spent {self.spent:.6f} of {self.budget})"
             )
-        total = self.spent + float(epsilon)  # before append: keeps the cache coherent
         self.entries.append(BudgetEntry(epsilon=float(epsilon), label=label))
-        self._spent_total = total
-        self._entries_seen = (id(self.entries), len(self.entries))
 
     def split_evenly(self, releases: int) -> float:
         """Per-release epsilon that spends the *remaining* budget evenly.

@@ -25,8 +25,6 @@ from .cache import CacheStats, UtilityCache
 from .records import (
     STATUS_REJECTED,
     STATUS_SERVED,
-    AuditLog,
-    AuditRecord,
     RecommendationRequest,
     RecommendationResponse,
 )
@@ -34,8 +32,6 @@ from .service import RecommendationService
 from .workload import ReplaySummary, replay, synthetic_workload
 
 __all__ = [
-    "AuditLog",
-    "AuditRecord",
     "BudgetManager",
     "CacheStats",
     "RecommendationRequest",

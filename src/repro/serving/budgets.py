@@ -3,21 +3,28 @@
 Appendix A of the paper notes the lower bounds only strengthen under
 multiple recommendations; operationally that means every user needs a
 lifetime epsilon budget and every release must be charged against it.
-:class:`BudgetManager` keeps one
-:class:`~repro.extensions.accountant.PrivacyAccountant` per user (created
-lazily with a configurable default budget) and converts "would exceed"
+Under basic sequential composition a user's privacy loss is one number,
+the running sum of charged epsilons, so :class:`BudgetManager` keeps
+exactly that — one spent float per user — and converts "would exceed"
 conditions into :class:`~repro.errors.BudgetExhaustedError` *before* any
-randomness is drawn — a refused request spends nothing and leaks nothing.
+randomness is drawn: a refused request spends nothing and leaks nothing.
+The per-charge history lives in the privacy ledger
+(:class:`~repro.telemetry.ledger.PrivacyLedger`) and the write-ahead log.
 """
 
 from __future__ import annotations
 
 from ..errors import BudgetExhaustedError, DurabilityError, PrivacyParameterError
-from ..extensions.accountant import BudgetEntry, PrivacyAccountant
+
+
+def _validated_budget(budget: float, what: str) -> float:
+    if not budget > 0:
+        raise PrivacyParameterError(f"{what} must be positive, got {budget}")
+    return float(budget)
 
 
 class BudgetManager:
-    """Lazily-created per-user privacy accountants under one default budget.
+    """Per-user lifetime epsilon spend under one default budget.
 
     Parameters
     ----------
@@ -25,7 +32,8 @@ class BudgetManager:
         Lifetime epsilon granted to every user not configured explicitly.
     overrides:
         Optional ``{user: budget}`` map for users with non-default budgets
-        (e.g. users who opted into a stricter privacy tier).
+        (e.g. users who opted into a stricter privacy tier). Each override
+        must be positive, like ``default_budget``.
     """
 
     def __init__(
@@ -33,83 +41,74 @@ class BudgetManager:
         default_budget: float,
         overrides: "dict[int, float] | None" = None,
     ) -> None:
-        if not default_budget > 0:
-            raise PrivacyParameterError(
-                f"default_budget must be positive, got {default_budget}"
-            )
-        self.default_budget = float(default_budget)
-        self._overrides = {int(u): float(b) for u, b in (overrides or {}).items()}
-        self._accountants: dict[int, PrivacyAccountant] = {}
+        self.default_budget = _validated_budget(default_budget, "default_budget")
+        self._overrides = {
+            int(u): _validated_budget(b, f"budget override for user {u}")
+            for u, b in (overrides or {}).items()
+        }
+        self._spent: dict[int, float] = {}  # first-charge order
 
     def budget_for(self, user: int) -> float:
         """The lifetime budget configured for ``user``."""
         return self._overrides.get(int(user), self.default_budget)
 
-    def accountant_for(self, user: int) -> PrivacyAccountant:
-        """The user's accountant, created on first touch."""
-        user = int(user)
-        accountant = self._accountants.get(user)
-        if accountant is None:
-            accountant = PrivacyAccountant(budget=self.budget_for(user))
-            self._accountants[user] = accountant
-        return accountant
+    def spent(self, user: int) -> float:
+        """Epsilon charged to ``user`` so far (0 if never charged)."""
+        return self._spent.get(int(user), 0.0)
 
     def remaining(self, user: int) -> float:
-        """Budget the user has left (full budget if never served)."""
-        user = int(user)
-        if user not in self._accountants:
-            return self.budget_for(user)
-        return self._accountants[user].remaining
+        """Budget the user has left (full budget if never charged)."""
+        return self.budget_for(user) - self.spent(user)
 
     def can_spend(self, user: int, epsilon: float) -> bool:
         """Whether a release of ``epsilon`` fits the user's remaining budget."""
-        return self.accountant_for(user).can_spend(epsilon)
+        if epsilon < 0:
+            raise PrivacyParameterError(f"epsilon must be non-negative, got {epsilon}")
+        return epsilon <= self.remaining(user) + 1e-12
 
     def check(self, user: int, epsilon: float) -> None:
         """Raise :class:`BudgetExhaustedError` unless ``epsilon`` is affordable."""
-        accountant = self.accountant_for(int(user))
-        if not accountant.can_spend(epsilon):
+        if not self.can_spend(user, epsilon):
             raise BudgetExhaustedError(
                 user=int(user),
                 needed=float(epsilon),
-                remaining=accountant.remaining,
-                budget=accountant.budget,
+                remaining=self.remaining(user),
+                budget=self.budget_for(user),
             )
 
-    def charge(self, user: int, epsilon: float, label: str = "") -> None:
-        """Record an actually-made release against the user's accountant."""
-        self.accountant_for(int(user)).spend(epsilon, label)
+    def charge(self, user: int, epsilon: float) -> None:
+        """Record an actually-made release; raise if it would overspend."""
+        user = int(user)
+        if not self.can_spend(user, epsilon):
+            raise PrivacyParameterError(
+                f"release of epsilon={epsilon} exceeds user {user}'s remaining "
+                f"budget {self.remaining(user):.6f} (spent {self.spent(user):.6f} "
+                f"of {self.budget_for(user)})"
+            )
+        self._spent[user] = self.spent(user) + float(epsilon)
 
     def users_seen(self) -> list[int]:
-        """Users with an instantiated accountant, in first-touch order."""
-        return list(self._accountants)
+        """Users charged at least once, in first-charge order."""
+        return list(self._spent)
 
     # ------------------------------------------------------------------
     # Durable serialization
     # ------------------------------------------------------------------
     def export_state(self) -> dict:
-        """Snapshot every accountant's full spend history (pickle-friendly).
+        """The budget configuration plus every user's spent (pickle-friendly).
 
-        Entry order and accountant first-touch order are both preserved,
-        so a restored manager is indistinguishable from the original —
-        including :meth:`users_seen` and per-entry labels.
+        The ``spent`` map keeps first-charge order, so a restored manager
+        is indistinguishable from the original, :meth:`users_seen`
+        included.
         """
         return {
             "default_budget": self.default_budget,
             "overrides": dict(self._overrides),
-            "accountants": {
-                user: {
-                    "budget": accountant.budget,
-                    "entries": [
-                        (entry.epsilon, entry.label) for entry in accountant.entries
-                    ],
-                }
-                for user, accountant in self._accountants.items()
-            },
+            "spent": dict(self._spent),
         }
 
     def restore_state(self, state: dict) -> None:
-        """Replace all accountants with the ones in an :meth:`export_state` dict.
+        """Replace every user's spent with the one in an :meth:`export_state` dict.
 
         The budget *configuration* (default and overrides) must match this
         manager's: recovery rebuilds the service from the recorded config,
@@ -124,13 +123,4 @@ class BudgetManager:
                 f"configuration (default {state['default_budget']!r} vs "
                 f"{self.default_budget!r})"
             )
-        self._accountants = {
-            int(user): PrivacyAccountant(
-                budget=float(snap["budget"]),
-                entries=[
-                    BudgetEntry(epsilon=float(eps), label=str(label))
-                    for eps, label in snap["entries"]
-                ],
-            )
-            for user, snap in state["accountants"].items()
-        }
+        self._spent = {int(user): float(spent) for user, spent in state["spent"].items()}

@@ -1,20 +1,20 @@
-"""Request, response, and audit record types for the serving layer.
+"""Request and response types for the serving layer.
 
 The paper's model produces a single sampled node; a service wraps that in
 explicit request/response envelopes so every release is attributable:
-who asked, what was returned, how much privacy budget it cost, which
-mechanism produced it, and how long it took. :class:`AuditLog` keeps the
-per-request trail a deployment needs to *prove* its cumulative epsilon
-claims (the operational counterpart of the paper's Section 3.2 guarantees).
+who asked, what was returned, how much privacy budget it cost and which
+mechanism produced it. The per-request trail a deployment needs to
+*prove* its cumulative epsilon claims is the privacy ledger's row
+(:class:`~repro.telemetry.ledger.PrivacyLedger`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import ServingError
 
-#: Response/record status values.
+#: Response status values.
 STATUS_SERVED = "served"
 STATUS_REJECTED = "rejected"
 
@@ -60,50 +60,3 @@ class RecommendationResponse:
     def served(self) -> bool:
         """Whether the request was actually answered."""
         return self.status == STATUS_SERVED
-
-
-@dataclass(frozen=True)
-class AuditRecord:
-    """Structured per-request audit trail entry.
-
-    One record per request (served or rejected), capturing everything an
-    auditor needs to recompute cumulative privacy loss: the user, the
-    epsilon actually spent (0 for rejections), the mechanism, the graph
-    version the utilities were computed against, and the request latency.
-    """
-
-    request_id: int
-    user: int
-    epsilon_spent: float
-    mechanism: str
-    num_recommendations: int
-    status: str
-    graph_version: int
-    cache_hit: bool
-    latency_seconds: float
-
-
-@dataclass
-class AuditLog:
-    """Append-only in-memory audit log with summary helpers."""
-
-    records: list[AuditRecord] = field(default_factory=list)
-
-    def append(self, record: AuditRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def for_user(self, user: int) -> list[AuditRecord]:
-        """All records concerning one user."""
-        return [record for record in self.records if record.user == int(user)]
-
-    def total_epsilon_spent(self, user: "int | None" = None) -> float:
-        """Cumulative epsilon across the log (optionally for one user)."""
-        records = self.records if user is None else self.for_user(user)
-        return float(sum(record.epsilon_spent for record in records))
-
-    def num_rejected(self) -> int:
-        """How many requests were refused for lack of budget."""
-        return sum(1 for record in self.records if record.status == STATUS_REJECTED)

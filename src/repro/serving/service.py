@@ -15,7 +15,8 @@ function, and a (registry-resolvable) mechanism, behind three endpoints —
 
 Every endpoint enforces per-user privacy budgets (refusing *before*
 sampling, so refusals spend nothing), reuses utilities through a
-version-keyed cache, and appends a structured audit record per request.
+version-keyed cache, and leaves one privacy-ledger row per charge or
+refusal whenever a ledger or a write-ahead log consumes them.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ from .cache import DEFAULT_PATCH_CROSSOVER, UtilityCache
 from .records import (
     STATUS_REJECTED,
     STATUS_SERVED,
-    AuditLog,
-    AuditRecord,
     RecommendationRequest,
     RecommendationResponse,
 )
@@ -173,11 +172,10 @@ class RecommendationService:
             incremental=self.incremental,
             patch_crossover=patch_crossover,
         )
-        self.audit_log = AuditLog()
         self._rng = ensure_rng(seed)
         self._next_request_id = 0
         # The service's endpoints share mutable state (RNG, cache fills,
-        # budget charges, audit ids) and are not safe to run concurrently;
+        # budget charges, request ids) and are not safe to run concurrently;
         # submit_batch serializes external submitters on this lock. The
         # lock is per-service and re-exported by wrapping layers (the
         # streaming engine, the HTTP edge) so mutations and batches from
@@ -259,7 +257,7 @@ class RecommendationService:
         mechanism: Mechanism,
         started: float,
     ) -> None:
-        """Budget-guard a request, auditing the refusal before raising."""
+        """Budget-guard a request, recording the refusal before raising."""
         try:
             self.budgets.check(user, cost)
         except BudgetExhaustedError:
@@ -291,13 +289,28 @@ class RecommendationService:
             raise ServingError("service already has a ledger row sink attached")
         self._row_sink = sink
 
+    @property
+    def ledger_buffer(self) -> "list[tuple] | None":
+        """The ledger rows awaiting the next flush; ``None`` if nothing consumes them.
+
+        A wrapping layer that makes its own accounting decisions (the
+        streaming engine's sliding windows) appends its ready-typed rows
+        here, so they reach the ledger and the row sink through the same
+        flush, in the same order, as the service's own rows.
+        """
+        if self.telemetry is None and self._row_sink is None:
+            return None
+        return self._ledger_buffer
+
     def _flush_telemetry(self) -> None:
         """Fold buffered per-request events into the registry and ledger.
 
         Called before every endpoint returns (and before a budget refusal
         propagates), so externally the registry and ledger are always
         complete and in arrival order — buffering is invisible except to
-        the per-request cost the overhead benchmark gates.
+        the per-request cost the overhead benchmark gates. This is the
+        only place ledger rows leave the service: the telemetry ledger
+        and the row sink receive the same rows in the same order.
         """
         if self.telemetry is None and self._row_sink is None:
             return
@@ -330,31 +343,18 @@ class RecommendationService:
         latency_seconds: float,
         needed: float = 0.0,
     ) -> RecommendationResponse:
-        self.audit_log.append(
-            AuditRecord(
-                request_id=self._next_request_id,
-                user=int(user),
-                epsilon_spent=epsilon_spent,
-                mechanism=mechanism.name,
-                num_recommendations=len(recommendations),
-                status=status,
-                graph_version=self.graph.version,
-                cache_hit=cache_hit,
-                latency_seconds=latency_seconds,
-            )
-        )
         telemetry = self.telemetry
         if telemetry is not None or self._row_sink is not None:
-            # Every audited decision also lands in the metrics and the
-            # ledger here — one choke point, so the audit log, registry,
-            # ledger, and write-ahead log can never tell four different
-            # stories. The writes are *buffered* (plain appends) and
-            # folded into the registry/ledger/sink by _flush_telemetry
-            # before any endpoint returns: per-request locks and method
-            # dispatch are what push instrumentation overhead past its
-            # benchmark gate. Metric tallies stay telemetry-only; ledger
-            # rows are built whenever anyone — ledger or sink — consumes
-            # them.
+            # Every decision lands in the metrics and the ledger here —
+            # one choke point, so the registry, ledger, and write-ahead
+            # log can never tell different stories. The writes are
+            # *buffered* (plain appends) and folded into the registry/
+            # ledger/sink by _flush_telemetry before any endpoint returns:
+            # per-request locks and method dispatch are what push
+            # instrumentation overhead past its benchmark gate. Metric
+            # tallies stay telemetry-only; ledger rows are built whenever
+            # anyone — ledger or sink — consumes them. With neither, a
+            # request retains nothing: the budget is one float per user.
             if telemetry is not None:
                 self._latency_buffer.append(latency_seconds)
             stamp = getattr(self.graph, "stamp", None)
@@ -410,7 +410,7 @@ class RecommendationService:
             cache_hit = user in self.cache
             vector = self.cache.get(user)
             choice = mechanism.recommend(vector, seed=self._rng)
-        self.budgets.charge(user, cost, label=f"recommend #{self._next_request_id}")
+        self.budgets.charge(user, cost)
         response = self._record(
             user=user,
             epsilon_spent=cost,
@@ -430,7 +430,8 @@ class RecommendationService:
 
         The full sequential-composition cost is checked up front, so a
         request that cannot afford all ``k`` picks is refused before the
-        first sample instead of stopping halfway through.
+        first sample instead of stopping halfway through, and charged as
+        one ``k * epsilon`` release — the amount its ledger row records.
         """
         started = time.perf_counter()
         mechanism = self._mechanism_for(epsilon)
@@ -441,14 +442,8 @@ class RecommendationService:
         ):
             cache_hit = user in self.cache
             vector = self.cache.get(user)
-            recommender = TopKRecommender(
-                mechanism, k, accountant=self.budgets.accountant_for(user)
-            )
-            picks = recommender.recommend(vector, seed=self._rng)
-        if mechanism.epsilon is None and cost > 0:
-            # TopKRecommender only charges scalar-epsilon mechanisms; charge
-            # size-dependent ones (smoothing) here so audit and accountant agree.
-            self.budgets.charge(user, k * cost, label=f"top-{k} #{self._next_request_id}")
+            picks = TopKRecommender(mechanism, k).recommend(vector, seed=self._rng)
+        self.budgets.charge(user, k * cost)
         response = self._record(
             user=user,
             epsilon_spent=k * cost,
@@ -465,13 +460,11 @@ class RecommendationService:
         self,
         users: "list[int] | np.ndarray",
         epsilon: "float | None" = None,
-        strict: bool = False,
     ) -> list[RecommendationResponse]:
         """One recommendation per user, computed in a single vectorized pass.
 
         Users whose budget cannot cover the release get a ``"rejected"``
-        response (or, with ``strict=True``, the first shortfall raises and
-        nothing at all is served or spent). With an
+        response — the rest of the batch is still served. With an
         :class:`ExponentialMechanism` the served users share one batched
         utility computation (``A[targets] @ A`` on the cached CSR adjacency
         matrix, kept sparse) and one Gumbel-max pass over each row's
@@ -479,7 +472,7 @@ class RecommendationService:
         mechanisms fall back to a per-user loop that still shares the
         utility cache.
 
-        Per-record latency is the batch wall time divided evenly across
+        Per-request latency is the batch wall time divided evenly across
         its requests.
         """
         started = time.perf_counter()
@@ -493,17 +486,9 @@ class RecommendationService:
         for position, user in enumerate(users):
             already = charged.get(user, 0.0)
             cost = cost_of[user]
-            if self.budgets.accountant_for(user).can_spend(already + cost):
+            if self.budgets.can_spend(user, already + cost):
                 charged[user] = already + cost
                 to_serve.append((position, user))
-            elif strict:
-                accountant = self.budgets.accountant_for(user)
-                raise BudgetExhaustedError(
-                    user=user,
-                    needed=cost,
-                    remaining=accountant.remaining - already,
-                    budget=accountant.budget,
-                )
             else:
                 rejected.append(position)
 
@@ -545,7 +530,7 @@ class RecommendationService:
                     )
                 )
                 continue
-            self.budgets.charge(user, cost_of[user], label=f"batch #{self._next_request_id}")
+            self.budgets.charge(user, cost_of[user])
             responses.append(
                 self._record(
                     user=user,
@@ -633,14 +618,14 @@ class RecommendationService:
         return picks, hit_for_user
 
     def record_rejection(self, user: int, needed: float = 0.0) -> RecommendationResponse:
-        """Audit a refusal decided by a policy layer outside this service.
+        """Record a refusal decided by a policy layer outside this service.
 
         The streaming engine's sliding-window budget mode refuses
         requests *before* they reach the lifetime-budget check; routing
-        the refusal through here keeps the audit log complete — every
-        decision about a user, wherever it was made, leaves a record.
+        the refusal through here keeps the ledger complete — every
+        decision about a user, wherever it was made, leaves a row.
         ``needed`` (the epsilon the refused release would have cost) is
-        preserved on the ledger entry when telemetry is attached.
+        preserved on the ledger row.
         """
         response = self._record(
             user=int(user),
@@ -673,20 +658,19 @@ class RecommendationService:
         self,
         users: "list[int] | np.ndarray",
         epsilon: "float | None" = None,
-        strict: bool = False,
     ) -> list[RecommendationResponse]:
         """Thread-serialized :meth:`recommend_batch` — the submission
         surface for asynchronous front ends.
 
         The endpoints themselves assume single-threaded callers (shared
-        RNG, cache fills, audit ids); this wrapper makes concurrent
+        RNG, cache fills, request ids); this wrapper makes concurrent
         submitters safe by serializing whole batches on the service's
         submission lock. Results are identical to calling
         :meth:`recommend_batch` in the granted lock order — the edge may
         reorder *arrival*, never results.
         """
         with self._submission_lock:
-            return self.recommend_batch(users, epsilon=epsilon, strict=strict)
+            return self.recommend_batch(users, epsilon=epsilon)
 
     def handle(self, request: RecommendationRequest) -> RecommendationResponse:
         """Serve one :class:`RecommendationRequest` (dispatching on ``k``)."""
@@ -719,7 +703,7 @@ class RecommendationService:
         become ``cache.*`` gauges (gauges, not counters: these are
         cumulative readings of external state, and re-scraping must
         overwrite, never re-add), alongside the calling thread's
-        workspace and the audit-log depth.
+        workspace.
         """
         if self.telemetry is None:
             raise ServingError("service has no telemetry attached")
@@ -735,14 +719,13 @@ class RecommendationService:
         resident_gauge.set(max(resident_gauge.value, workspace.bytes_resident()))
         high_water_gauge = registry.gauge("workspace.high_water_bytes")
         high_water_gauge.set(max(high_water_gauge.value, workspace.high_water_bytes))
-        registry.gauge("audit.records").set(len(self.audit_log))
         return registry
 
     def verify_ledger(self) -> None:
-        """Reconcile the privacy ledger against every lifetime accountant.
+        """Reconcile the privacy ledger against every user's lifetime spend.
 
         Raises :class:`~repro.errors.LedgerInconsistencyError` on any
-        mismatch between the ledger's summed charges and an accountant's
+        mismatch between the ledger's summed charges and a user's spent
         balance; a no-op service-health check to run after any replay.
         """
         if self.telemetry is None:

@@ -97,7 +97,7 @@ def replay(
     Parameters
     ----------
     service:
-        The service under test; its budgets/cache/audit log accumulate.
+        The service under test; its budgets and cache accumulate.
     requests:
         Single-recommendation requests (``k == 1``), e.g. from
         :func:`synthetic_workload`.

@@ -53,8 +53,8 @@ from .overlay import MutableSocialGraph
 class SlidingWindowAccountant:
     """Epsilon accounting over a trailing window of the event clock.
 
-    Unlike the lifetime :class:`~repro.extensions.accountant.
-    PrivacyAccountant`, entries *expire*: a release recorded at time
+    Unlike the lifetime :class:`~repro.serving.budgets.BudgetManager`
+    spend, entries *expire*: a release recorded at time
     ``t`` stops counting against the budget once the clock passes
     ``t + window``. ``budget`` therefore bounds the spend inside every
     window-length interval — the budget-over-time regime of continual
@@ -70,7 +70,7 @@ class SlidingWindowAccountant:
     ``budget`` under the accounting clock.
     """
 
-    def __init__(self, budget: float, window: float, on_expire=None) -> None:
+    def __init__(self, budget: float, window: float) -> None:
         if not budget > 0:
             raise PrivacyParameterError(f"budget must be positive, got {budget}")
         if not window > 0:
@@ -79,11 +79,6 @@ class SlidingWindowAccountant:
         self.window = float(window)
         self._entries: deque[tuple[float, float]] = deque()  # (time, epsilon)
         self._clock = float("-inf")
-        #: Optional ``f(time, epsilon)`` invoked for every physically
-        #: dropped entry (see :meth:`spend`). The telemetry ledger hooks
-        #: in here so window expiries are journaled the moment budget is
-        #: handed back — there is no other observable trace of the drop.
-        self.on_expire = on_expire
 
     @property
     def retained_spent(self) -> float:
@@ -118,15 +113,18 @@ class SlidingWindowAccountant:
             raise PrivacyParameterError(f"epsilon must be non-negative, got {epsilon}")
         return epsilon <= self.remaining(now) + 1e-12
 
-    def spend(self, epsilon: float, now: float) -> None:
-        """Record a release at ``now``; raise if the window cannot cover it.
+    def spend(self, epsilon: float, now: float) -> "list[tuple[float, float]]":
+        """Record a release at ``now``; return the ``(time, epsilon)`` entries it expired.
 
-        The entry is recorded at ``max(now, latest accounting time)`` —
-        the accounting clock never runs backwards — and entries a full
-        window older than that clock are physically dropped (they can no
-        longer affect any admission: admission checks count them only
-        for ``now`` values at least a window behind the clock, where the
-        monotone recording time makes the check conservative anyway).
+        Raises when the window cannot cover the release. The entry is
+        recorded at ``max(now, latest accounting time)`` — the accounting
+        clock never runs backwards — and entries a full window older than
+        that clock are physically dropped (they can no longer affect any
+        admission: admission checks count them only for ``now`` values at
+        least a window behind the clock, where the monotone recording
+        time makes the check conservative anyway). The dropped entries
+        are returned oldest first, because the ledger must journal every
+        hand-back: there is no other observable trace of the drop.
         """
         if not self.can_spend(epsilon, now):
             raise PrivacyParameterError(
@@ -136,10 +134,10 @@ class SlidingWindowAccountant:
         self._clock = max(self._clock, float(now))
         self._entries.append((self._clock, float(epsilon)))
         horizon = self._clock - self.window
+        expired = []
         while self._entries and self._entries[0][0] <= horizon:
-            expired_time, expired_epsilon = self._entries.popleft()
-            if self.on_expire is not None:
-                self.on_expire(expired_time, expired_epsilon)
+            expired.append(self._entries.popleft())
+        return expired
 
 
 class StreamingService:
@@ -365,12 +363,6 @@ class StreamingService:
             )
         self.wal = wal
         self.service.attach_row_sink(wal.buffer_rows)
-        # Accountants created before attachment (installed from a
-        # snapshot, or used untelemetered) carry no expiry hook; give
-        # them one now so future expiries reach the log.
-        for user, accountant in self._window_accountants.items():
-            if accountant.on_expire is None:
-                accountant.on_expire = self._expiry_hook(user)
 
     def durable_state(self) -> dict:
         """JSON-able engine state sealed into every WAL commit record.
@@ -378,7 +370,7 @@ class StreamingService:
         Exactly the mutable scalars a bit-identical resume needs beyond
         what edge records and ledger rows already carry: the serving
         RNG's bit-generator state (so the next batch draws the same
-        samples), the request counter (audit ids and charge labels), the
+        samples), the request counter (the ledger rows' clock), the
         stream clock, and the mutation-event cursor.
         """
         return {
@@ -413,41 +405,9 @@ class StreamingService:
     def _window_accountant(self, user: int) -> SlidingWindowAccountant:
         accountant = self._window_accountants.get(user)
         if accountant is None:
-            accountant = SlidingWindowAccountant(
-                self.window_budget,
-                self.window,
-                on_expire=self._expiry_hook(user),
-            )
+            accountant = SlidingWindowAccountant(self.window_budget, self.window)
             self._window_accountants[user] = accountant
         return accountant
-
-    def _expiry_hook(self, user: int):
-        """Per-user ``on_expire`` callback journaling window expiries.
-
-        ``None`` when there is no consumer at all (no telemetry, no WAL),
-        so untelemetered accountants pay no callback dispatch per expired
-        entry. The hook re-checks both consumers at fire time: the ledger
-        and the log see the identical row, and a WAL detached or attached
-        later (recovery replays with it detached) is handled without
-        rebuilding hooks.
-        """
-        if self.telemetry is None and self.wal is None:
-            return None
-
-        def hook(expired_time: float, epsilon: float) -> None:
-            epoch, version = self.stamp
-            row = (
-                KIND_WINDOW_EXPIRY, int(user), float(epsilon), "",
-                int(epoch), int(version), float(expired_time),
-                "window expiry", 0.0,
-            )
-            if self.telemetry is not None:
-                self.telemetry.registry.counter("stream.window_expiries").inc()
-                self.telemetry.ledger.append_batch((row,))
-            if self.wal is not None:
-                self.wal.buffer_rows((row,))
-
-        return hook
 
     def window_remaining(self, user: int, at: "float | None" = None) -> float:
         """The user's unspent window budget at time ``at`` (default: now).
@@ -521,32 +481,43 @@ class StreamingService:
                 refused.append((position, user, cost))
         inner = self.service.recommend_batch([user for _, user, _ in admitted])
         responses: list[RecommendationResponse | None] = [None] * len(users)
-        # Window charges buffer as ready-typed ledger rows and land in one
-        # append_batch — same batching the wrapped service applies to its
-        # lifetime charges. The stamp is hoisted: mutations only happen in
+        # Window expiries and charges become ready-typed ledger rows in the
+        # wrapped service's buffer, behind the inner batch's rows: its
+        # flush delivers them to the ledger and the row sink (the WAL)
+        # alike. Expiries go in as they fire, charges after all of them,
+        # refusals last. The stamp is hoisted: mutations only happen in
         # apply_edge_event, never mid-batch.
+        rows = self.service.ledger_buffer
         charge_rows: "list[tuple]" = []
-        journal_rows = self.telemetry is not None or self.wal is not None
-        if journal_rows:
-            epoch, version = self.stamp
+        expiries = 0
+        if rows is not None:
+            epoch, version = (int(part) for part in self.stamp)
         for (position, user, now), response in zip(admitted, inner):
             if response.served:
-                self._window_accountant(user).spend(response.epsilon_spent, now)
-                if journal_rows:
+                expired = self._window_accountant(user).spend(response.epsilon_spent, now)
+                expiries += len(expired)
+                if rows is not None:
+                    rows.extend(
+                        (KIND_WINDOW_EXPIRY, user, epsilon, "", epoch, version,
+                         expired_at, "window expiry", 0.0)
+                        for expired_at, epsilon in expired
+                    )
                     charge_rows.append(
-                        (KIND_WINDOW_CHARGE, int(user), float(response.epsilon_spent),
+                        (KIND_WINDOW_CHARGE, user, float(response.epsilon_spent),
                          response.mechanism, epoch, version, float(now), "", 0.0)
                     )
             responses[position] = response
-        if charge_rows:
-            if self.telemetry is not None:
-                self.telemetry.ledger.append_batch(charge_rows)
-            if self.wal is not None:
-                self.wal.buffer_rows(charge_rows)
-        if refused and self.telemetry is not None:
-            self.telemetry.registry.counter("stream.window_refusals").inc(len(refused))
+        if rows is not None:
+            rows.extend(charge_rows)
+        if self.telemetry is not None:
+            registry = self.telemetry.registry
+            if expiries:
+                registry.counter("stream.window_expiries").inc(expiries)
+            if refused:
+                registry.counter("stream.window_refusals").inc(len(refused))
         for position, user, cost in refused:
             responses[position] = self.service.record_rejection(user, needed=cost)
+        self.service._flush_telemetry()
         self._wal_commit()
         return responses  # type: ignore[return-value]
 
@@ -586,11 +557,6 @@ class StreamingService:
     def cache(self):
         """The wrapped service's utility cache (selective eviction lives there)."""
         return self.service.cache
-
-    @property
-    def audit_log(self):
-        """The wrapped service's audit log (window refusals included)."""
-        return self.service.audit_log
 
     def collect_metrics(self):
         """The wrapped service's scrape plus streaming-layer gauges."""

@@ -1,18 +1,19 @@
-"""Append-only privacy-spend ledger, reconcilable against the accountants.
+"""Append-only privacy-spend ledger, reconcilable against the budgets.
 
 The paper's whole contribution is a privacy/accuracy trade-off, which
-makes epsilon the system's scarcest resource — and until now the only
-record of where it went was each user's in-memory accountant balance. A
-:class:`PrivacyLedger` is the auditable journal next to those balances:
-every charge, every refusal, and every sliding-window expiry lands here
-as an immutable :class:`LedgerEntry` stamped with the graph's
-``(epoch, version)`` and the event clock, in arrival order.
+makes epsilon the system's scarcest resource. Sequential composition
+(Appendix A) needs one number per user — the running sum of charged
+epsilons, which :class:`~repro.serving.budgets.BudgetManager` keeps —
+and one auditable record per decision. A :class:`PrivacyLedger` is that
+record: every charge, every refusal, and every sliding-window expiry
+lands here as one row stamped with the graph's ``(epoch, version)`` and
+the event clock (for service decisions, the request id), in arrival
+order. It is the only per-request record the serving layer keeps.
 
 Balances and journal are kept honest against each other by
 :meth:`PrivacyLedger.assert_consistent`: the summed lifetime charges per
-user must equal that user's
-:class:`~repro.extensions.accountant.PrivacyAccountant` balance, and the
-net window spend (charges minus expiries) must equal what each
+user must equal that user's spent balance, and the net window spend
+(charges minus expiries) must equal what each
 :class:`~repro.streaming.engine.SlidingWindowAccountant` physically
 retains. A mismatch raises
 :class:`~repro.errors.LedgerInconsistencyError` — it means a release
@@ -20,7 +21,7 @@ happened that the audit trail cannot prove, the exact failure mode a
 private recommender must never ship with. The tests run this check after
 mixed serve/mutate/refuse replays on every executor; the durability
 layer (:mod:`repro.durability`) persists exactly these entries — the
-same row tuples flow into the write-ahead log's commit records via
+service's one flush hands the same row tuples to
 :meth:`~repro.durability.wal.WriteAheadLog.buffer_rows`, so a ledger
 rebuilt by recovery is entry-for-entry identical to the live one and
 :meth:`~repro.streaming.engine.StreamingService.verify_ledger`
@@ -105,27 +106,6 @@ class PrivacyLedger:
         self._lock = threading.Lock()
         self._rows: "list[tuple]" = []  # LedgerEntry fields minus seq
 
-    def _append(
-        self,
-        kind: str,
-        user: int,
-        epsilon: float,
-        mechanism: str,
-        stamp: "tuple[int, int]",
-        clock: float,
-        label: str,
-        needed: float = 0.0,
-    ) -> LedgerEntry:
-        epoch, version = stamp
-        row = (
-            kind, int(user), float(epsilon), mechanism,
-            int(epoch), int(version), float(clock), label, float(needed),
-        )
-        with self._lock:
-            seq = len(self._rows)
-            self._rows.append(row)
-        return tuple.__new__(LedgerEntry, (seq,) + row)
-
     def append_batch(self, rows) -> None:
         """Journal many events under one lock acquisition.
 
@@ -133,40 +113,14 @@ class PrivacyLedger:
         epoch, version, clock, label, needed)`` tuples in arrival order —
         the :class:`LedgerEntry` fields minus ``seq``, **already
         correctly typed** (``user``/``epoch``/``version`` int, epsilons
-        and ``clock`` float). Semantically identical to calling the
-        per-kind methods in the same order; the serving layer buffers its
-        per-request events as these rows and flushes them here once per
-        batch, making the flush a single lock acquisition and one list
-        extend — the per-entry method-dispatch cost is measurable at
-        thousands of requests per second.
+        and ``clock`` float). The serving layer buffers its per-request
+        events as these rows and flushes them here once per batch, making
+        the flush a single lock acquisition and one list extend — the
+        per-entry method-dispatch cost is measurable at thousands of
+        requests per second.
         """
         with self._lock:
             self._rows.extend(rows)
-
-    def charge(
-        self, user: int, epsilon: float, *, mechanism: str = "",
-        stamp: "tuple[int, int]" = (0, 0), clock: float = 0.0, label: str = "",
-    ) -> LedgerEntry:
-        """Record a lifetime-budget charge for an actually-made release."""
-        return self._append(KIND_CHARGE, user, epsilon, mechanism, stamp, clock, label)
-
-    def refusal(
-        self, user: int, *, needed: float = 0.0, mechanism: str = "",
-        stamp: "tuple[int, int]" = (0, 0), clock: float = 0.0, label: str = "",
-    ) -> LedgerEntry:
-        """Record a refused release (spends nothing, must still be auditable)."""
-        return self._append(
-            KIND_REFUSAL, user, 0.0, mechanism, stamp, clock, label, needed=needed
-        )
-
-    def window_charge(
-        self, user: int, epsilon: float, *, mechanism: str = "",
-        stamp: "tuple[int, int]" = (0, 0), clock: float = 0.0, label: str = "",
-    ) -> LedgerEntry:
-        """Record a sliding-window spend (parallel to the lifetime charge)."""
-        return self._append(
-            KIND_WINDOW_CHARGE, user, epsilon, mechanism, stamp, clock, label
-        )
 
     def edge_reject(
         self, user: int, *, reason: str = "", mechanism: str = "",
@@ -179,18 +133,15 @@ class PrivacyLedger:
         trivially — the row exists so the edge can prove that *no*
         refused client was ever dropped without a trace.
         """
-        return self._append(
-            KIND_EDGE_REJECT, user, 0.0, mechanism, stamp, clock, reason
+        epoch, version = stamp
+        row = (
+            KIND_EDGE_REJECT, int(user), 0.0, mechanism,
+            int(epoch), int(version), float(clock), reason, 0.0,
         )
-
-    def window_expiry(
-        self, user: int, epsilon: float, *, mechanism: str = "",
-        stamp: "tuple[int, int]" = (0, 0), clock: float = 0.0, label: str = "",
-    ) -> LedgerEntry:
-        """Record a window entry aging out (budget handed back to the user)."""
-        return self._append(
-            KIND_WINDOW_EXPIRY, user, epsilon, mechanism, stamp, clock, label
-        )
+        with self._lock:
+            seq = len(self._rows)
+            self._rows.append(row)
+        return tuple.__new__(LedgerEntry, (seq,) + row)
 
     # ------------------------------------------------------------------
     # Reads
@@ -248,17 +199,16 @@ class PrivacyLedger:
         window_accountants: "dict[int, object] | None" = None,
         atol: float = 1e-9,
     ) -> None:
-        """Reconcile the journal against live accountant balances.
+        """Reconcile the journal against live budget balances.
 
         Parameters
         ----------
         budgets:
             A :class:`~repro.serving.budgets.BudgetManager` (or anything
-            with ``users_seen()`` and ``accountant_for(user).spent``).
-            Every user's summed ``charge`` entries must equal that user's
-            lifetime-accountant balance, both ways: a charged-but-
-            unrecorded release and a recorded-but-uncharged entry are
-            equally inconsistent.
+            with ``users_seen()`` and ``spent(user)``). Every user's
+            summed ``charge`` entries must equal that user's lifetime
+            spent, both ways: a charged-but-unrecorded release and a
+            recorded-but-uncharged entry are equally inconsistent.
         window_accountants:
             ``{user: SlidingWindowAccountant}``. Each user's net window
             spend (``window_charge`` minus ``window_expiry`` sums) must
@@ -274,11 +224,11 @@ class PrivacyLedger:
             users = set(charged) | {int(u) for u in budgets.users_seen()}
             for user in sorted(users):
                 ledger_total = charged.get(user, 0.0)
-                accountant_total = float(budgets.accountant_for(user).spent)
-                if abs(ledger_total - accountant_total) > atol:
+                spent = float(budgets.spent(user))
+                if abs(ledger_total - spent) > atol:
                     raise LedgerInconsistencyError(
                         f"user {user}: ledger charges sum to {ledger_total!r} "
-                        f"but the lifetime accountant holds {accountant_total!r}"
+                        f"but the lifetime budget has spent {spent!r}"
                     )
         if window_accountants is not None:
             window_charged = self.totals(KIND_WINDOW_CHARGE)

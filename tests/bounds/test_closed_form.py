@@ -71,6 +71,12 @@ class TestLemma3:
             laplace_win_probability(2.0, 1.0, 1.0, sensitivity=1.0)
         )
 
+    def test_tiny_gap_never_below_half(self):
+        """However tiny its lead, the leader wins with probability >= 1/2;
+        the direct formula rounded this gap to 0.49999999999999994."""
+        assert laplace_win_probability(2.55102010821546e-15, 0.0, 0.0625) >= 0.5
+        assert laplace_win_probability(0.0, 2.55102010821546e-15, 0.0625) <= 0.5
+
     def test_validation(self):
         with pytest.raises(BoundError):
             laplace_win_probability(1.0, 0.0, 0.0)

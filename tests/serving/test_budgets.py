@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import BudgetExhaustedError, PrivacyParameterError
+from repro.errors import BudgetExhaustedError, DurabilityError, PrivacyParameterError
 from repro.serving import BudgetManager
 
 
@@ -17,7 +17,7 @@ class TestConfiguration:
     def test_overrides_win(self):
         budgets = BudgetManager(2.0, overrides={7: 0.5})
         assert budgets.budget_for(7) == 0.5
-        assert budgets.accountant_for(7).budget == 0.5
+        assert budgets.remaining(7) == 0.5
 
     def test_budget_must_be_positive(self):
         with pytest.raises(PrivacyParameterError):
@@ -32,9 +32,44 @@ class TestSpending:
 
     def test_charge_reduces_remaining(self):
         budgets = BudgetManager(3.0)
-        budgets.charge(4, 1.0, "release")
+        budgets.charge(4, 1.0)
+        assert budgets.spent(4) == 1.0
         assert budgets.remaining(4) == pytest.approx(2.0)
         assert budgets.users_seen() == [4]
+
+    def test_checks_allocate_nothing(self):
+        budgets = BudgetManager(1.0)
+        assert budgets.can_spend(4, 0.5)
+        budgets.check(5, 0.5)
+        with pytest.raises(BudgetExhaustedError):
+            budgets.check(6, 2.0)
+        assert budgets.spent(7) == 0.0
+        assert budgets.users_seen() == []
+
+    def test_overspend_charge_raises(self):
+        budgets = BudgetManager(1.0)
+        budgets.charge(0, 0.75)
+        with pytest.raises(PrivacyParameterError, match="exceeds"):
+            budgets.charge(0, 0.5)
+        assert budgets.spent(0) == 0.75
+
+    def test_state_roundtrips_in_first_charge_order(self):
+        budgets = BudgetManager(3.0, overrides={2: 1.0})
+        for user, epsilon in ((9, 0.5), (2, 0.25), (9, 0.5)):
+            budgets.charge(user, epsilon)
+        state = budgets.export_state()
+        assert state == {
+            "default_budget": 3.0, "overrides": {2: 1.0}, "spent": {9: 1.0, 2: 0.25},
+        }
+        clone = BudgetManager(3.0, overrides={2: 1.0})
+        clone.restore_state(state)
+        assert clone.users_seen() == [9, 2]
+        assert clone.remaining(2) == budgets.remaining(2)
+
+    def test_restore_refuses_a_different_configuration(self):
+        state = BudgetManager(3.0).export_state()
+        with pytest.raises(DurabilityError):
+            BudgetManager(2.0).restore_state(state)
 
     def test_users_are_independent(self):
         budgets = BudgetManager(1.0)
@@ -59,12 +94,10 @@ class TestExhaustion:
         """A refused request must not record any expenditure."""
         budgets = BudgetManager(1.0)
         budgets.charge(2, 0.8)
-        entries_before = list(budgets.accountant_for(2).entries)
         with pytest.raises(BudgetExhaustedError):
             budgets.check(2, 0.5)
-        accountant = budgets.accountant_for(2)
-        assert accountant.entries == entries_before
-        assert accountant.spent == pytest.approx(0.8)
+        assert budgets.spent(2) == 0.8
+        assert budgets.users_seen() == [2]
 
     def test_exact_budget_fits(self):
         budgets = BudgetManager(1.0)

@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 from repro.datasets import toy, wiki_vote
-from repro.errors import BudgetExhaustedError, MechanismError, ServingError
+from repro.errors import (
+    BudgetExhaustedError,
+    MechanismError,
+    PrivacyParameterError,
+    ServingError,
+)
 from repro.mechanisms import ExponentialMechanism, LaplaceMechanism
 from repro.serving import (
     STATUS_REJECTED,
     RecommendationRequest,
     RecommendationService,
 )
+from repro.telemetry import KIND_CHARGE, KIND_REFUSAL, Telemetry
 from repro.utility import CommonNeighbors
 
 
@@ -26,6 +32,13 @@ def make_service(graph, **kwargs) -> RecommendationService:
     kwargs.setdefault("user_budget", 2.0)
     kwargs.setdefault("seed", 0)
     return RecommendationService(graph, **kwargs)
+
+
+def ledger_rows(service) -> list:
+    """Collect every ledger row the service flushes from now on."""
+    rows: list = []
+    service.attach_row_sink(rows.extend)
+    return rows
 
 
 class TestSingleRecommend:
@@ -42,7 +55,7 @@ class TestSingleRecommend:
         service = make_service(graph)
         service.recommend(3)
         service.recommend(3)
-        assert service.budgets.accountant_for(3).spent == pytest.approx(1.0)
+        assert service.budgets.spent(3) == pytest.approx(1.0)
         assert service.remaining_budget(3) == pytest.approx(1.0)
 
     def test_cache_hit_on_repeat(self, graph):
@@ -72,18 +85,16 @@ class TestBudgetExhaustion:
 
     def test_refusal_leaves_accountant_consistent(self, graph):
         service = make_service(graph)
+        rows = ledger_rows(service)
         for _ in range(4):
             service.recommend(5)
-        accountant = service.budgets.accountant_for(5)
-        spent_before = accountant.spent
-        entries_before = len(accountant.entries)
+        spent_before = service.budgets.spent(5)
         with pytest.raises(BudgetExhaustedError):
             service.recommend(5)
-        assert accountant.spent == spent_before
-        assert len(accountant.entries) == entries_before
-        # every recorded entry corresponds to one served release
-        served = [r for r in service.audit_log.for_user(5) if r.status == "served"]
-        assert len(served) == entries_before
+        assert service.budgets.spent(5) == spent_before
+        # one charge row per served release, then the refusal's row
+        assert [row[0] for row in rows] == [KIND_CHARGE] * 4 + [KIND_REFUSAL]
+        assert sum(row[2] for row in rows) == spent_before
 
     def test_other_users_unaffected(self, graph):
         service = make_service(graph)
@@ -98,13 +109,13 @@ class TestTopK:
         response = service.recommend_top_k(3, k=3)
         assert len(set(response.recommendations)) == 3
         assert response.epsilon_spent == pytest.approx(1.5)
-        assert service.budgets.accountant_for(3).spent == pytest.approx(1.5)
+        assert service.budgets.spent(3) == pytest.approx(1.5)
 
     def test_unaffordable_k_refused_before_any_spend(self, graph):
         service = make_service(graph)  # budget 2.0
         with pytest.raises(BudgetExhaustedError):
             service.recommend_top_k(3, k=5)  # needs 2.5
-        assert service.budgets.accountant_for(3).spent == 0.0
+        assert service.budgets.spent(3) == 0.0
 
     def test_handle_dispatches_on_k(self, graph):
         service = make_service(graph, user_budget=5.0)
@@ -128,8 +139,8 @@ class TestBatch:
     def test_budget_charged_per_batch_entry(self, graph):
         service = make_service(graph)
         service.recommend_batch([1, 1, 2])
-        assert service.budgets.accountant_for(1).spent == pytest.approx(1.0)
-        assert service.budgets.accountant_for(2).spent == pytest.approx(0.5)
+        assert service.budgets.spent(1) == pytest.approx(1.0)
+        assert service.budgets.spent(2) == pytest.approx(0.5)
 
     def test_exhausted_users_rejected_not_fatal(self, graph):
         service = make_service(graph)
@@ -141,23 +152,13 @@ class TestBatch:
         rejected = responses[1]
         assert rejected.recommendations == ()
         assert rejected.epsilon_spent == 0.0
-        assert service.budgets.accountant_for(5).spent == pytest.approx(2.0)
+        assert service.budgets.spent(5) == pytest.approx(2.0)
 
     def test_repeated_user_stops_when_budget_runs_out_mid_batch(self, graph):
         service = make_service(graph)  # 4 affordable releases per user
         responses = service.recommend_batch([7] * 6)
         assert [r.served for r in responses] == [True] * 4 + [False] * 2
-        assert service.budgets.accountant_for(7).spent == pytest.approx(2.0)
-
-    def test_strict_raises_and_spends_nothing(self, graph):
-        service = make_service(graph)
-        for _ in range(4):
-            service.recommend(5)
-        spent_before = {u: service.budgets.accountant_for(u).spent for u in (4, 5, 6)}
-        with pytest.raises(BudgetExhaustedError):
-            service.recommend_batch([4, 5, 6], strict=True)
-        for user, spent in spent_before.items():
-            assert service.budgets.accountant_for(user).spent == spent
+        assert service.budgets.spent(7) == pytest.approx(2.0)
 
     def test_batch_seeds_cache_for_single_path(self, graph):
         service = make_service(graph)
@@ -210,18 +211,20 @@ class TestCacheAndVersioning:
         assert not response.cache_hit
         assert len(service.cache) == 1
 
-    def test_audit_records_graph_version(self, graph):
+    def test_ledger_rows_record_graph_version(self, graph):
         service = make_service(graph, user_budget=100.0)
+        rows = ledger_rows(service)
         service.recommend(3)
-        version_before = service.audit_log.records[-1].graph_version
+        version_before = rows[-1][5]
         graph.try_add_edge(0, graph.num_nodes - 1)
         service.recommend(3)
-        assert service.audit_log.records[-1].graph_version > version_before
+        assert rows[-1][5] > version_before
 
 
-class TestAuditLog:
+class TestLedgerRows:
     def test_one_record_per_request_including_rejections(self, graph):
         service = make_service(graph)
+        rows = ledger_rows(service)
         service.recommend(1)
         service.recommend_batch([1, 2])
         for _ in range(2):
@@ -230,21 +233,32 @@ class TestAuditLog:
             service.recommend(1)  # refused singles are audited too
         responses = service.recommend_batch([1, 3])
         assert responses[0].status == STATUS_REJECTED
-        assert service.audit_log.num_rejected() == 2
-        assert service.audit_log.total_epsilon_spent(1) == pytest.approx(2.0)
-        assert len(service.audit_log) == 8  # 1 + 2 + 2 + 1 refused + 2
+        assert sum(row[0] == KIND_REFUSAL for row in rows) == 2
+        assert sum(row[2] for row in rows if row[1] == 1) == pytest.approx(2.0)
+        assert len(rows) == 8  # 1 + 2 + 2 + 1 refused + 2
 
     def test_request_ids_are_unique_and_ordered(self, graph):
         service = make_service(graph, user_budget=100.0)
+        rows = ledger_rows(service)
         service.recommend(0)
         service.recommend_batch([1, 2, 3])
-        ids = [record.request_id for record in service.audit_log.records]
-        assert ids == sorted(set(ids))
+        ids = [row[6] for row in rows]  # a service row's clock is its request id
+        assert ids == sorted(set(ids)) == [0.0, 1.0, 2.0, 3.0]
 
     def test_latency_recorded(self, graph):
-        service = make_service(graph)
+        telemetry = Telemetry()
+        service = make_service(graph, telemetry=telemetry)
         service.recommend(0)
-        assert service.audit_log.records[-1].latency_seconds > 0
+        latency = telemetry.registry.histogram("serve.request_seconds")
+        assert latency.count == 1
+        assert latency.total > 0
+
+    def test_zero_epsilon_serves_write_no_row(self, graph):
+        service = make_service(graph, mechanism="best")
+        rows = ledger_rows(service)
+        assert service.recommend(0).served
+        assert service.recommend_batch([1, 2])[0].served
+        assert rows == []
 
 
 class TestConfiguration:
@@ -263,6 +277,13 @@ class TestConfiguration:
             service.recommend(9)  # 0.5 > 0.4
         assert service.recommend(8).served
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan")])
+    def test_bad_budget_override_fails_at_construction(self, graph, bad):
+        """A bad override must not wait for the first batch containing
+        that user, where it would fail every other user's request too."""
+        with pytest.raises(PrivacyParameterError):
+            make_service(graph, budget_overrides={3: bad})
+
     def test_smoothing_charged_its_size_dependent_epsilon(self, graph):
         """SmoothingMechanism has no scalar epsilon, but its Theorem 5
         leakage must still be metered against the user's budget."""
@@ -275,7 +296,7 @@ class TestConfiguration:
         expected = smoothing_epsilon(num_candidates, 0.5)
         response = service.recommend(user)
         assert response.epsilon_spent == pytest.approx(expected)
-        assert service.budgets.accountant_for(user).spent == pytest.approx(expected)
+        assert service.budgets.spent(user) == pytest.approx(expected)
 
     def test_smoothing_budget_exhausts_and_batch_agrees(self, graph):
         from repro.mechanisms import SmoothingMechanism, smoothing_epsilon
@@ -293,8 +314,7 @@ class TestConfiguration:
         batch = service.recommend_batch([user, user + 1])
         assert batch[0].status == STATUS_REJECTED
         assert batch[1].served
-        accountant = service.budgets.accountant_for(user)
-        assert accountant.spent == pytest.approx(per_release)
+        assert service.budgets.spent(user) == pytest.approx(per_release)
 
     def test_smoothing_top_k_charges_accountant(self, graph):
         from repro.mechanisms import SmoothingMechanism
@@ -304,7 +324,7 @@ class TestConfiguration:
         )
         response = service.recommend_top_k(3, k=2)
         assert response.epsilon_spent > 0
-        assert service.budgets.accountant_for(3).spent == pytest.approx(
+        assert service.budgets.spent(3) == pytest.approx(
             response.epsilon_spent
         )
 

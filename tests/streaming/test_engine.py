@@ -23,6 +23,13 @@ from repro.streaming import (
     replay_stream,
     synthetic_event_stream,
 )
+from repro.telemetry import (
+    KIND_CHARGE,
+    KIND_REFUSAL,
+    KIND_WINDOW_CHARGE,
+    KIND_WINDOW_EXPIRY,
+    Telemetry,
+)
 
 WORKERS = int(os.environ.get("REPRO_SMOKE_WORKERS", "2"))
 
@@ -259,9 +266,14 @@ class TestWindowMode:
 
     def test_refusals_are_audited_and_spend_nothing(self):
         service = self.service()
+        rows: list = []
+        service.service.attach_row_sink(rows.extend)
         service.recommend_batch([0, 0, 0], at=0.0)
-        assert service.audit_log.num_rejected() == 1
-        assert service.audit_log.total_epsilon_spent(0) == pytest.approx(1.0)
+        assert [row[0] for row in rows] == [
+            KIND_CHARGE, KIND_CHARGE, KIND_WINDOW_CHARGE, KIND_WINDOW_CHARGE,
+            KIND_REFUSAL,
+        ]
+        assert sum(row[2] for row in rows if row[0] == KIND_CHARGE) == pytest.approx(1.0)
         assert service.window_remaining(0, at=0.0) == pytest.approx(0.0)
 
     def test_positions_preserved_in_mixed_batch(self):
@@ -279,6 +291,24 @@ class TestWindowMode:
         assert [r.status for r in responses] == [STATUS_SERVED, STATUS_REJECTED]
         # The lifetime rejection must not charge the window.
         assert service.window_remaining(0, at=0.0) == pytest.approx(4.5)
+
+    def test_batch_rows_keep_their_order(self):
+        """Inner batch rows, then window expiries as they fire, then window
+        charges, then window refusals — in the ledger and the row sink alike."""
+        telemetry = Telemetry()
+        service = self.service(telemetry=telemetry)
+        rows: list = []
+        service.service.attach_row_sink(rows.extend)
+        service.recommend_batch([0, 0], at=0.0)
+        del rows[:]
+        before = len(telemetry.ledger)
+        service.recommend_batch([0, 1, 0, 0], at=20.0)  # expires both t=0 spends
+        assert [row[0] for row in rows] == (
+            [KIND_CHARGE] * 3 + [KIND_WINDOW_EXPIRY] * 2
+            + [KIND_WINDOW_CHARGE] * 3 + [KIND_REFUSAL]
+        )
+        assert telemetry.ledger.raw_rows()[before:] == rows
+        service.verify_ledger()
 
     def test_window_remaining_requires_window_mode(self):
         service = StreamingService(toy.star(5), seed=0)
