@@ -16,10 +16,10 @@ in exactly one switch:
 
 Correctness gates run **before** any timing:
 
-1. executor x dtype identity — on a reduced replica, the patching and
+1. chunk-size x dtype identity — on a reduced replica, the patching and
    evicting pipelines must return *identical* recommendation sequences
-   under every executor (serial / thread / process) and both compute
-   dtypes (float64 / float32). Patching is exact integer arithmetic on
+   unchunked and at chunk size 4, under both compute dtypes
+   (float64 / float32). Patching is exact integer arithmetic on
    walk counts, so this is bit-identity, not a tolerance check — for
    float32 the single end-rounding is the same one the fill path has
    (see DESIGN.md, "incremental dataflow" for the dtype contract);
@@ -73,7 +73,7 @@ PATCH_CROSSOVER = 128.0
 COMPACT_EVERY = 400
 
 
-def make_service(graph, *, incremental: bool, executor=None, dtype=None):
+def make_service(graph, *, incremental: bool, chunk_size=None, dtype=None):
     # Budget sized to never reject: rejection handling is not what we time.
     return StreamingService(
         graph,
@@ -81,7 +81,7 @@ def make_service(graph, *, incremental: bool, executor=None, dtype=None):
         epsilon=0.5,
         user_budget=1e12,
         seed=0,
-        executor=executor,
+        chunk_size=chunk_size,
         dtype=dtype,
         compact_every=COMPACT_EVERY,
         incremental=incremental,
@@ -100,10 +100,10 @@ def make_events(graph, num_events: int):
     )
 
 
-def collect_picks(graph, events, batch_size: int, *, incremental, executor=None, dtype=None):
+def collect_picks(graph, events, batch_size: int, *, incremental, chunk_size=None, dtype=None):
     """Replay through the production loop, capturing every recommendation."""
     service = make_service(
-        graph, incremental=incremental, executor=executor, dtype=dtype
+        graph, incremental=incremental, chunk_size=chunk_size, dtype=dtype
     )
     picks: list[tuple[int, ...]] = []
     replay_stream(
@@ -123,35 +123,35 @@ def time_replay(graph, events, batch_size: int, incremental: bool) -> float:
 
 
 def check_identity_matrix(scale: float, num_events: int, batch_size: int) -> int:
-    """Patch-on vs patch-off picks across every executor and dtype.
+    """Patch-on vs patch-off picks across chunk sizes and both dtypes.
 
     Runs on a reduced replica: the gate is about *exactness*, which does
-    not depend on problem size, and a 3 x 2 matrix of paired replays at
+    not depend on problem size, and a 2 x 2 matrix of paired replays at
     full scale would dwarf the timed section.
     """
     graph = wiki_vote(scale=scale)
     events = make_events(graph, num_events)
     checked = 0
     for dtype in ("float64", "float32"):
-        for executor in ("serial", "thread", "process"):
+        for chunk_size in (None, 4):
             patched, patch_service = collect_picks(
                 graph, events, batch_size,
-                incremental=True, executor=executor, dtype=dtype,
+                incremental=True, chunk_size=chunk_size, dtype=dtype,
             )
             evicted, _ = collect_picks(
                 graph, events, batch_size,
-                incremental=False, executor=executor, dtype=dtype,
+                incremental=False, chunk_size=chunk_size, dtype=dtype,
             )
             require(
                 patched == evicted,
                 f"patching diverged from evict-and-recompute "
-                f"(executor={executor}, dtype={dtype})",
+                f"(chunk_size={chunk_size}, dtype={dtype})",
             )
             snap = patch_service.cache.snapshot()
             require(
                 snap["patched_rows"] > 0,
                 f"identity matrix never exercised the patch path "
-                f"(executor={executor}, dtype={dtype})",
+                f"(chunk_size={chunk_size}, dtype={dtype})",
             )
             checked += 1
     return checked
@@ -300,7 +300,7 @@ def main(argv: "list[str] | None" = None) -> int:
         f"({result['mutations']} mutations)"
     )
     print(
-        f"  identity:   {result['identity_checks']} executor x dtype replays, "
+        f"  identity:   {result['identity_checks']} chunk-size x dtype replays, "
         f"patch == evict pick-for-pick; "
         f"{result['resident_rows_checked']} resident rows == from-scratch"
     )

@@ -9,7 +9,7 @@ Three questions, answered in one run:
    documented tolerance contract (DESIGN.md, "memory dataflow").
 
 2. **Allocation pressure** — how many numpy array-constructor calls per
-   evaluated target does the engine make? Dense blocks live in per-worker
+   evaluated target does the engine make? Dense blocks live in per-thread
    :class:`~repro.compute.workspace.Workspace` buffers and every stage is
    a handful of flat vectorized passes per chunk, so the count should
    stay well under one per target. Counted by an :class:`AllocationSpy`

@@ -1,45 +1,30 @@
 """Scale benchmark: shared-memory CSR graphs at a million nodes.
 
-Exercises the PR-8 scale path end to end and gates it in four phases:
+Exercises the scale path end to end and gates it in two phases:
 
 1. **identity** (always): the full Section 7.1 engine and a serving batch
    are run on the same wiki replica twice — once on the plain heap
    :class:`~repro.graphs.graph.SocialGraph`, once on a shared-memory
-   :class:`~repro.graphs.shared.SharedSocialGraph` (and, for the engine,
-   once more on the shared graph through a two-worker
-   :class:`~repro.compute.ProcessExecutor`). All runs must be
+   :class:`~repro.graphs.shared.SharedSocialGraph`. Both runs must be
    *bit-identical*: same evaluations, same recommendations. A faster or
    smaller wrong answer is worthless, so this runs before any timing.
-2. **context shipping** (always, gated): what a
-   :class:`~repro.compute.ProcessExecutor` actually sends per ``map``
-   call for a shared graph (:func:`repro.compute.shipped_nbytes` — the
-   descriptor) must be >= 100x smaller than pickling the graph itself
-   (the shared graph's own degrade-to-heap pickle, i.e. exactly the
-   bytes that would cross the pipe without the descriptor protocol).
-3. **end-to-end scale run** (full mode): build a >= 10^6-node power-law
+2. **end-to-end scale run** (full mode): build a >= 10^6-node power-law
    graph straight into a shared segment (no Python edge sets), run the
    experiment engine on sampled targets and a serving batch on live
    users, and gate peak RSS (``ru_maxrss``) under ``--max-rss-gib``.
    The peak is also appended to ``BENCH_memory.json``'s ``trajectory``
    list so the memory story is tracked per PR alongside the fused-core
    numbers.
-4. **multi-worker throughput** (full mode, gated): the engine on the
-   scale graph with a process pool must be >= 2x serial. Like
-   ``bench_compute.py``, the gate only applies when the host exposes
-   >= 2 usable CPUs; single-CPU containers report the measured ratio
-   and skip with a loud note.
 
-``--smoke`` (CI) runs a 10^5-node build with the identity and
-context-shipping gates only — phases 3 and 4 report nothing and gate
-nothing, keeping the job sub-minute.
+``--smoke`` (CI) runs the identity gate and a 10^5-node build only —
+phase 2 reports nothing and gates nothing, keeping the job sub-minute.
 
 Writes ``BENCH_scale.json``. Exits non-zero on any gate failure and on
 leaked ``/dev/shm`` segments.
 
 Run:  python benchmarks/bench_scale.py [--smoke] [--nodes N]
           [--exponent A] [--identity-scale S] [--max-targets T]
-          [--serve-users U] [--workers W] [--min-context-ratio X]
-          [--min-speedup X] [--max-rss-gib G] [--output PATH]
+          [--serve-users U] [--max-rss-gib G] [--output PATH]
 """
 
 from __future__ import annotations
@@ -48,13 +33,12 @@ import argparse
 import glob
 import json
 import os
-import pickle
 import resource
 import time
 
 from harness import usable_cpus
 
-from repro.compute import ProcessExecutor, reset_workspace, shipped_nbytes
+from repro.compute import reset_workspace
 from repro.datasets import synthetic_powerlaw, wiki_vote
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
@@ -100,17 +84,12 @@ def _serve_batch(graph, users: "list[int]") -> list:
 
 
 def check_identity(scale: float, max_targets: int) -> dict:
-    """Engine + serving, heap vs shared (vs shared+workers), bit for bit."""
+    """Engine + serving, heap vs shared, bit for bit."""
     config = _engine_config(scale, max_targets)
     reference = run_experiment(config)
     shared_run = run_experiment(_engine_config(scale, max_targets, backend="shm"))
     if shared_run.evaluations != reference.evaluations:
         raise AssertionError("shm-backed engine run diverged from heap")
-    workers_run = run_experiment(
-        _engine_config(scale, max_targets, backend="shm", workers=2, chunk_size=64)
-    )
-    if workers_run.evaluations != reference.evaluations:
-        raise AssertionError("shm + ProcessExecutor engine run diverged from heap")
 
     heap_graph = wiki_vote(scale=scale)
     users = [int(u) for u in heap_graph.nodes()[:100]]
@@ -124,20 +103,7 @@ def check_identity(scale: float, max_targets: int) -> dict:
         "engine_targets_evaluated": reference.num_targets_evaluated,
         "serving_users": len(users),
         "engine_heap_vs_shm": True,
-        "engine_heap_vs_shm_workers": True,
         "serving_heap_vs_shm": True,
-    }
-
-
-def check_context_shipping(shared: SharedSocialGraph) -> dict:
-    shipped = shipped_nbytes({"graph": shared})
-    # The degrade pickle is exactly what a ProcessExecutor would ship per
-    # map call without the descriptor protocol: the whole CSR as bytes.
-    pickled = len(pickle.dumps(shared, protocol=pickle.HIGHEST_PROTOCOL))
-    return {
-        "shipped_bytes": shipped,
-        "graph_pickle_bytes": pickled,
-        "ratio": pickled / shipped,
     }
 
 
@@ -146,7 +112,6 @@ def run_scale(
     exponent: float,
     max_targets: int,
     serve_users: int,
-    workers: int,
     smoke: bool,
 ) -> dict:
     result: dict = {}
@@ -163,7 +128,6 @@ def run_scale(
             f"{shared.num_edges:,} edges in "
             f"{result['build']['seconds']:.2f} s", flush=True,
         )
-        result["context"] = check_context_shipping(shared)
         if smoke:
             return result
 
@@ -216,39 +180,6 @@ def run_scale(
             f"({result['serving']['recs_per_sec']:.0f} recs/sec)", flush=True,
         )
 
-        # Throughput: same engine workload at half the targets (the gate
-        # is a ratio, not a volume), serial vs process pool.
-        reset_workspace()
-        gate_targets = max(2 * workers, max_targets // 2)
-        chunk = min(32, max(1, gate_targets // (2 * workers)))
-        serial_config = _engine_config(
-            1.0, gate_targets, dataset="synthetic", nodes=nodes,
-            exponent=exponent, backend="shm", chunk_size=chunk,
-        )
-        pool_config = _engine_config(
-            1.0, gate_targets, dataset="synthetic", nodes=nodes,
-            exponent=exponent, backend="shm", workers=workers,
-            chunk_size=chunk,
-        )
-        serial_started = time.perf_counter()
-        run_experiment(serial_config, graph=shared)
-        serial_seconds = time.perf_counter() - serial_started
-        pool_started = time.perf_counter()
-        run_experiment(pool_config, graph=shared)
-        pool_seconds = time.perf_counter() - pool_started
-        result["throughput"] = {
-            "workers": workers,
-            "targets": gate_targets,
-            "serial_seconds": serial_seconds,
-            "parallel_seconds": pool_seconds,
-            "speedup": serial_seconds / pool_seconds,
-        }
-        print(
-            f"throughput: {gate_targets} targets, serial "
-            f"{serial_seconds:.2f} s vs {workers}-worker pool "
-            f"{pool_seconds:.2f} s "
-            f"({result['throughput']['speedup']:.2f}x)", flush=True,
-        )
         return result
     finally:
         shared.close()
@@ -277,18 +208,6 @@ def main(argv: "list[str] | None" = None) -> int:
         help="users in the scale serving batch",
     )
     parser.add_argument(
-        "--workers", type=int, default=4, help="process-pool width for throughput"
-    )
-    parser.add_argument(
-        "--min-context-ratio", type=float, default=100.0, dest="min_context_ratio",
-        help="fail when descriptor shipping beats graph pickling by less",
-    )
-    parser.add_argument(
-        "--min-speedup", type=float, default=2.0, dest="min_speedup",
-        help="fail below this pool/serial engine ratio (skipped with a "
-        "note when the host has < 2 usable CPUs)",
-    )
-    parser.add_argument(
         "--max-rss-gib", type=float, default=4.0, dest="max_rss_gib",
         help="fail when peak RSS exceeds this many GiB (full mode only)",
     )
@@ -301,8 +220,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--smoke", action="store_true",
-        help="CI configuration: 10^5-node build, identity and "
-        "context-shipping gates only",
+        help="CI configuration: identity gate and a 10^5-node build only",
     )
     args = parser.parse_args(argv)
     if args.smoke:
@@ -317,23 +235,16 @@ def main(argv: "list[str] | None" = None) -> int:
 
     identity = check_identity(args.identity_scale, args.max_targets)
     print(
-        f"identity: wiki scale {args.identity_scale}: engine heap == shm == "
-        f"shm+workers and serving heap == shm, over "
+        f"identity: wiki scale {args.identity_scale}: engine heap == shm "
+        f"and serving heap == shm, over "
         f"{identity['engine_targets_evaluated']} targets / "
         f"{identity['serving_users']} users (asserted)"
     )
 
     scale = run_scale(
-        args.nodes, args.exponent, args.max_targets,
-        args.serve_users, args.workers, args.smoke,
+        args.nodes, args.exponent, args.max_targets, args.serve_users, args.smoke,
     )
     build = scale["build"]
-    context = scale["context"]
-    print(
-        f"context shipping: {context['shipped_bytes']} B descriptor vs "
-        f"{context['graph_pickle_bytes']:,} B graph pickle "
-        f"({context['ratio']:.0f}x)"
-    )
 
     rss = peak_rss_bytes()
     result = {
@@ -344,7 +255,6 @@ def main(argv: "list[str] | None" = None) -> int:
             "identity_scale": args.identity_scale,
             "max_targets": args.max_targets,
             "serve_users": args.serve_users,
-            "workers": args.workers,
         },
         "usable_cpus": usable_cpus(),
         "identity": identity,
@@ -357,29 +267,11 @@ def main(argv: "list[str] | None" = None) -> int:
     print(f"peak RSS: {rss / 2**30:.2f} GiB; wrote {args.output}")
 
     failures = []
-    if context["ratio"] < args.min_context_ratio:
-        failures.append(
-            f"context shipping only {context['ratio']:.1f}x smaller than the "
-            f"graph pickle (gate: >= {args.min_context_ratio:g}x)"
-        )
     if not args.smoke:
         if rss > args.max_rss_gib * 2**30:
             failures.append(
                 f"peak RSS {rss / 2**30:.2f} GiB exceeds the "
                 f"{args.max_rss_gib:g} GiB gate"
-            )
-        speedup = scale["throughput"]["speedup"]
-        if result["usable_cpus"] < 2:
-            print(
-                "NOTE: host exposes a single usable CPU; a wall-clock parallel "
-                f"speedup is not physically possible here, so the "
-                f">= {args.min_speedup:g}x gate is skipped (identity was "
-                f"enforced). Measured ratio: {speedup:.2f}x."
-            )
-        elif speedup < args.min_speedup:
-            failures.append(
-                f"engine pool speedup {speedup:.2f}x below the "
-                f"{args.min_speedup:g}x gate at {args.workers} workers"
             )
         # Memory trajectory: the scale run's peak RSS rides along in
         # BENCH_memory.json so one artifact tells the memory story.
@@ -409,7 +301,7 @@ def main(argv: "list[str] | None" = None) -> int:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
-    gates = "identity + context" if args.smoke else "all"
+    gates = "identity" if args.smoke else "all"
     print(f"OK: {gates} gates passed; no shared segments leaked")
     return 0
 

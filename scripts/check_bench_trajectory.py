@@ -39,9 +39,7 @@ from pathlib import Path
 LEGACY_GATES: "dict[str, list[tuple[str, float]]]" = {
     "BENCH_serving.json": [("speedup", 2.0), ("chunked_speedup", 2.0)],
     "BENCH_streaming.json": [("speedup", 2.0)],
-    # Parallel speedups are hardware-dependent and CI-skipped; the
-    # remaining artifacts gate correctness at generation time only.
-    "BENCH_compute.json": [],
+    # The remaining artifacts gate correctness at generation time only.
     "BENCH_durability.json": [],
     "BENCH_scale.json": [],
     "BENCH_service_edge.json": [],

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI smoke: the tier-1 test suite plus sub-minute serving, experiment-engine,
-# compute-layer, streaming, incremental, memory, telemetry, durability,
-# scale, and HTTP-edge benchmarks, and every example script.
+# streaming, incremental, memory, telemetry, durability, scale, and
+# HTTP-edge benchmarks, and every example script.
 #
 # Usage: scripts/ci_smoke.sh   (from the repository root or anywhere)
 set -euo pipefail
@@ -26,19 +26,6 @@ echo "== tier-1 tests =="
 python -m pytest -x -q
 
 echo
-echo "== compute smoke (workers=2, ProcessExecutor path) =="
-# Re-run the executor-facing suites with two workers so every CI run
-# exercises real worker processes (the default run uses the same value,
-# but the env var pins it explicitly and documents the knob).
-REPRO_SMOKE_WORKERS=2 python -m pytest tests/compute tests/serving/test_concurrency.py -q
-
-echo
-echo "== streaming smoke (workers=2) =="
-# The streaming suite's executor-parameterized tests (serve-while-mutating
-# identity across serial/thread/process) under real worker processes.
-REPRO_SMOKE_WORKERS=2 python -m pytest tests/streaming -q
-
-echo
 echo "== serving benchmark (smoke) =="
 # Lower gate than the local acceptance (5x): wall-clock ratios are noisy
 # on loaded shared CI runners; 2x still proves the batched path vectorizes.
@@ -51,14 +38,6 @@ echo "== experiment engine benchmark (smoke) =="
 # batched results are bit-identical to the sequential evaluator.
 python benchmarks/bench_experiment_engine.py --smoke --min-speedup 2 \
     --output "$smoke_out/BENCH_experiment.json"
-
-echo
-echo "== compute-layer benchmark (smoke) =="
-# Asserts bit-identical results across serial/thread/process executors,
-# then reports the parallel ratio. The speedup gate is lenient here (and
-# skipped outright on single-CPU runners); the local acceptance run is
-# `python benchmarks/bench_compute.py` (>= 2x at 4 workers on multicore).
-python benchmarks/bench_compute.py --smoke --output "$smoke_out/BENCH_compute.json"
 
 echo
 echo "== memory benchmark (smoke) =="
@@ -81,8 +60,8 @@ python benchmarks/bench_streaming.py --smoke --min-speedup 2 \
 
 echo
 echo "== incremental-maintenance benchmark (smoke) =="
-# Asserts patch-on vs patch-off recommendation identity across every
-# executor x dtype combination and resident rows bit-equal to
+# Asserts patch-on vs patch-off recommendation identity across chunk
+# sizes and both compute dtypes, and resident rows bit-equal to
 # from-scratch recomputes — deterministic, fully gated in CI. The
 # throughput gate drops to 2x here (small smoke replica + noisy shared
 # runners); the local acceptance run is
@@ -114,11 +93,10 @@ python benchmarks/bench_durability.py --smoke --output "$smoke_out/BENCH_durabil
 echo
 echo "== scale benchmark (smoke) =="
 # Asserts engine + serving results on shared-memory graphs are
-# bit-identical to the heap path, then gates descriptor shipping at
-# >= 100x smaller than pickling the graph. The million-node end-to-end
-# run, its RSS bound, and the multi-worker throughput gate are local
-# acceptance only: `python benchmarks/bench_scale.py`. Its RSS trajectory
-# entry goes to the smoke memory artifact above.
+# bit-identical to the heap path and builds a 10^5-node shared graph.
+# The million-node end-to-end run and its RSS bound are local acceptance
+# only: `python benchmarks/bench_scale.py`. Its RSS trajectory entry goes
+# to the smoke memory artifact above.
 python benchmarks/bench_scale.py --smoke --output "$smoke_out/BENCH_scale.json" \
     --memory-json "$smoke_out/BENCH_memory.json"
 
@@ -146,8 +124,7 @@ done
 echo
 echo "== shared-memory leak check =="
 # Every shared CSR segment carries the repro_csr_ prefix; after the
-# suite plus every benchmark, none may remain (the resource tracker
-# must also have stayed quiet, which the bench asserts itself).
+# suite plus every benchmark, none may remain.
 leaked=$(find /dev/shm -maxdepth 1 -name 'repro_csr_*' 2>/dev/null | wc -l)
 if [ "$leaked" -ne 0 ]; then
     echo "FAIL: $leaked leaked repro_csr_* segment(s) in /dev/shm"

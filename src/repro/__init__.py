@@ -19,10 +19,10 @@ The library implements the paper end-to-end:
   (:mod:`repro.attacks`);
 * the Section 7 experiment harness with one driver per paper figure
   (:mod:`repro.experiments`);
-* a sharded compute layer (:mod:`repro.compute`): the canonical batched
-  utility/mechanism kernels, chunking plans that bound peak dense
-  allocation, and pluggable serial/thread/process executors that return
-  bit-identical results for every configuration;
+* a chunked compute layer (:mod:`repro.compute`): the canonical batched
+  utility/mechanism kernels and chunking plans that bound peak dense
+  allocation, run inline with bit-identical results for every chunk
+  size;
 * an online serving layer (:mod:`repro.serving`): a
   :class:`~repro.serving.service.RecommendationService` with per-user
   privacy-budget accounting, a version-keyed utility cache, and a
@@ -38,8 +38,7 @@ The library implements the paper end-to-end:
   CLI subcommand;
 * a telemetry plane (:mod:`repro.telemetry`): a lock-safe mergeable
   metrics registry (counters/gauges/histograms with Prometheus and JSON
-  exporters), a sampling span tracer that collects across thread *and*
-  process executors, and an append-only
+  exporters), a sampling span tracer, and an append-only
   :class:`~repro.telemetry.ledger.PrivacyLedger` journaling every
   epsilon charge, refusal, and window expiry — reconcilable against the
   live accountants via ``verify_ledger()`` and surfaced by the

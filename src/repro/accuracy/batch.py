@@ -24,8 +24,8 @@ kernels, as a handful of matrix stages per
    epsilon-independent threshold/k table per target shared across the
    whole epsilon grid.
 
-Dense blocks live in per-worker
-:class:`~repro.compute.workspace.Workspace` buffers reused across chunks,
+Dense blocks live in the calling thread's
+:class:`~repro.compute.workspace.Workspace` buffers, reused across chunks,
 and :class:`~repro.utility.base.UtilityVector` objects are only
 materialized when a mechanism actually needs them (the exponential fast
 path and the Section 7.1 ``t`` closed forms do not).
@@ -34,15 +34,14 @@ At the default float64 compute dtype the result is bit-identical to the
 sequential evaluator. ``dtype="float32"`` opts into the half-memory
 compute path under the tolerance contract documented in DESIGN.md
 ("memory dataflow"); float32 results are still bit-identical across
-chunk sizes and executors, just not across dtypes.
+chunk sizes, just not across dtypes.
 
-Chunks run through a pluggable executor (serial, thread pool, or process
-pool; see :mod:`repro.compute.executors`) and reassemble in target order.
-Every stage is per-target independent and all randomness comes from
-per-target spawned streams, so the result is bit-identical across chunk
-sizes and executors. ``tests/accuracy/test_batch.py`` enforces the
+Chunks run one after another on the calling thread and reassemble in
+target order. Every stage is per-target independent and all randomness
+comes from per-target spawned streams, so the result is bit-identical
+across chunk sizes. ``tests/accuracy/test_batch.py`` enforces the
 sequential contract property-style, ``tests/compute/`` enforces the
-executor and dtype contracts, and ``benchmarks/bench_memory.py`` asserts
+chunking and dtype contracts, and ``benchmarks/bench_memory.py`` asserts
 all of it before timing.
 """
 
@@ -54,14 +53,13 @@ import tracemalloc
 import numpy as np
 
 from ..bounds.tradeoff import tightest_accuracy_bounds_masked
-from ..compute.executors import Executor, make_executor
 from ..compute.kernels import (
     candidate_mask_rows,
     checked_targets,
     fused_compact_rows,
     score_rows,
 )
-from ..compute.plan import ComputePlan, resolve_dtype
+from ..compute.plan import ComputePlan
 from ..compute.workspace import get_workspace
 from ..graphs.graph import SocialGraph
 from ..mechanisms.base import Mechanism
@@ -105,9 +103,10 @@ class _StageClock:
         if sink is not None:
             for name in STAGE_NAMES:
                 sink.setdefault(name, 0.0)
-        if self._memory is not None:
+        if memory is not None:
             for name in STAGE_NAMES:
-                self._memory.setdefault(name, 0)
+                memory.setdefault(name, 0)
+        if self._memory is not None:
             tracemalloc.reset_peak()
 
     def lap(self, stage: str) -> None:
@@ -193,41 +192,36 @@ def _needs_vectors(mechanisms: "dict[str, Mechanism]") -> bool:
 
 
 #: Target dense-block size for the engine's automatic chunking:
-#: chunk_size is picked so one (chunk, num_nodes) float64 block is about
-#: this many bytes. Small enough that the workspace buffers every stage
-#: streams through stay cache-resident (measurably faster than unchunked
-#: on replica-scale graphs), large enough to amortize per-chunk dispatch.
+#: chunk_size is picked so one (chunk, num_nodes) float64 block is at
+#: most this many bytes (or one row, when a single row is larger). Small
+#: enough that the workspace buffers every stage streams through stay
+#: cache-resident (measurably faster than unchunked on replica-scale
+#: graphs).
 FUSED_CHUNK_BYTES = 4_000_000
 
 
 def _fused_default_chunk(num_nodes: int) -> int:
-    return max(64, FUSED_CHUNK_BYTES // (8 * max(1, num_nodes)))
+    return max(1, FUSED_CHUNK_BYTES // (8 * max(1, num_nodes)))
 
 
-def _evaluate_chunk(shared, payload) -> "tuple[list[TargetEvaluation], dict, dict]":
-    """Evaluate one chunk of targets — the executor-mapped unit of work.
+def _evaluate_chunk(
+    graph: SocialGraph,
+    utility: UtilityFunction,
+    mechanisms: "dict[str, Mechanism]",
+    epsilon_grid: "tuple[float, ...]",
+    laplace_trials: int,
+    dtype: np.dtype,
+    targets: np.ndarray,
+    streams: list,
+    clock: _StageClock,
+) -> "list[TargetEvaluation]":
+    """Evaluate one chunk of targets, lapping ``clock`` after each stage.
 
-    ``shared`` carries the per-call context (graph, utility, mechanism
-    grid, bound epsilons, Laplace trial count, compute dtype name, memory
-    flag); ``payload`` is the chunk's ``(targets, streams)`` pair.
-    Module-level and argument-pure so the
-    :class:`~repro.compute.executors.ProcessExecutor` can pickle it; all
-    randomness comes from the per-target streams, so any executor returns
-    the same evaluations. Returns ``(evaluations, timings, memory)``.
+    All randomness comes from the per-target ``streams``, so the
+    evaluations do not depend on where the chunk boundaries fall.
     """
-    (
-        graph, utility, mechanisms, epsilon_grid, laplace_trials,
-        dtype_name, collect_memory,
-    ) = shared
-    targets, streams = payload
-    timings: dict[str, float] = {}
-    memory: dict[str, int] = {}
-    clock = _StageClock(timings, memory if collect_memory else None)
     workspace = get_workspace()
-    targets = np.asarray(targets, dtype=np.int64)
-    scores = score_rows(
-        graph, utility, targets, dtype=resolve_dtype(dtype_name), workspace=workspace
-    )
+    scores = score_rows(graph, utility, targets, dtype=dtype, workspace=workspace)
     clock.lap("utilities")
     mask = candidate_mask_rows(graph, targets, workspace=workspace)
     clock.lap("mask")
@@ -236,7 +230,7 @@ def _evaluate_chunk(shared, payload) -> "tuple[list[TargetEvaluation], dict, dic
     compact = chunk.compact
     clock.lap("filter")
     if chunk.kept.size == 0:
-        return [], timings, memory
+        return []
 
     degrees = graph.out_degrees_of(targets)[chunk.kept]
     ts = utility.experimental_t_batch(compact.u_maxes, degrees)
@@ -285,7 +279,7 @@ def _evaluate_chunk(shared, payload) -> "tuple[list[TargetEvaluation], dict, dic
         for index, row in enumerate(chunk.kept)
     ]
     clock.lap("assemble")
-    return evaluations, timings, memory
+    return evaluations
 
 
 def evaluate_targets_batched(
@@ -298,8 +292,6 @@ def evaluate_targets_batched(
     laplace_trials: int = 1_000,
     timings: "dict[str, float] | None" = None,
     chunk_size: "int | None" = None,
-    executor: "Executor | str | None" = None,
-    workers: "int | None" = None,
     dtype=None,
     memory: "dict[str, int] | None" = None,
 ) -> list[TargetEvaluation]:
@@ -307,13 +299,12 @@ def evaluate_targets_batched(
     :func:`~repro.accuracy.evaluator.evaluate_targets`.
 
     ``chunk_size`` bounds the dense rows materialized at once (peak dense
-    allocation is ``chunk_size x num_nodes`` per in-flight chunk instead
-    of ``len(targets) x num_nodes``); ``executor``/``workers`` select how
-    chunks are dispatched (see :func:`repro.compute.executors.make_executor`).
-    A serial run without a ``chunk_size`` picks one so each dense block is
-    about :data:`FUSED_CHUNK_BYTES`. Results are bit-identical across all
-    chunk sizes and executors. A target outside ``[0, num_nodes)`` raises
-    :class:`~repro.errors.UtilityError`, as in the sequential evaluator.
+    allocation is ``chunk_size x num_nodes`` instead of
+    ``len(targets) x num_nodes``). Without one, the engine picks the
+    largest chunk whose dense block fits in :data:`FUSED_CHUNK_BYTES`.
+    Results are bit-identical across all chunk sizes. A target outside
+    ``[0, num_nodes)`` raises :class:`~repro.errors.UtilityError`, as in
+    the sequential evaluator.
 
     ``dtype`` is the compute dtype of the dense kernel stages (anything
     :func:`repro.compute.plan.resolve_dtype` accepts). The float64
@@ -323,13 +314,8 @@ def evaluate_targets_batched(
     ``timings``, when provided, is filled in place with seconds spent per
     pipeline stage (keys :data:`STAGE_NAMES`) so benchmarks can attribute
     the wall-clock budget; ``memory`` likewise receives per-stage peak
-    tracemalloc bytes when the caller has tracemalloc tracing active —
-    but only under single-worker execution, because ``reset_peak`` is
-    process-global (concurrent chunks would reset each other's windows,
-    and process workers don't trace at all), so on a parallel executor
-    the dict deliberately stays at zero. Under parallel executors the
-    stage *timings* sum worker time across chunks, which can exceed
-    wall-clock.
+    tracemalloc bytes when the caller has tracemalloc tracing active (it
+    stays at zero otherwise).
     """
     targets = checked_targets(graph, targets)
     # Spawn one stream per *sampled* target (dropped ones included), exactly
@@ -346,45 +332,23 @@ def evaluate_targets_batched(
         streams = spawn_rngs(seed, int(targets.size))
     if targets.size == 0:
         return []
-    if timings is not None:
-        for name in STAGE_NAMES:
-            timings.setdefault(name, 0.0)
-    if memory is not None:
-        for name in STAGE_NAMES:
-            memory.setdefault(name, 0)
 
     epsilon_grid = tuple(float(eps) for eps in bound_epsilons)
-    dtype = resolve_dtype(dtype)
-    resolved = make_executor(executor, workers)
-    # Per-stage memory peaks are only sound single-worker: tracemalloc's
-    # reset_peak is process-global (see the docstring).
-    collect_memory = memory is not None and resolved.workers == 1
-    shared = (
-        graph, utility, mechanisms, epsilon_grid, laplace_trials,
-        dtype.name, collect_memory,
-    )
-    if chunk_size is None and resolved.workers == 1:
+    if chunk_size is None:
         # The engine chunks by default: workspace buffers sized to
         # ~FUSED_CHUNK_BYTES stay cache-resident across every stage, which
         # is faster than one all-targets pass *and* bounds peak memory.
         # Results are bit-identical for every chunking (tested), so this
         # is purely a layout default; explicit chunk_size still wins.
         chunk_size = _fused_default_chunk(graph.num_nodes)
-    plan = ComputePlan.for_workers(
-        int(targets.size), chunk_size, resolved.workers, dtype
-    )
-    payloads = [
-        (chunk.take(targets), chunk.take(streams)) for chunk in plan
-    ]
-    results = resolved.map(_evaluate_chunk, payloads, shared)
-
+    plan = ComputePlan(int(targets.size), chunk_size, dtype)
+    clock = _StageClock(timings, memory)
     evaluations: list[TargetEvaluation] = []
-    for chunk_evaluations, chunk_timings, chunk_memory in results:
-        evaluations.extend(chunk_evaluations)
-        if timings is not None:
-            for name, seconds in chunk_timings.items():
-                timings[name] += seconds
-        if memory is not None:
-            for name, peak in chunk_memory.items():
-                memory[name] = max(memory[name], peak)
+    for chunk in plan:
+        evaluations.extend(
+            _evaluate_chunk(
+                graph, utility, mechanisms, epsilon_grid, laplace_trials,
+                plan.dtype, chunk.take(targets), chunk.take(streams), clock,
+            )
+        )
     return evaluations

@@ -36,10 +36,10 @@ reconciliation after the summary) and ``--telemetry-out PATH`` to write
 the full dump — metrics snapshot, spans, and the privacy ledger — as
 JSON for ``repro-social metrics`` to read back.
 
-``figure``, ``sweep``, ``serve-sim``, and ``stream-sim`` accept
-``--workers N`` and ``--chunk-size C`` to shard their batched pipelines
-through the :mod:`repro.compute` layer (results are bit-identical for
-every setting; the flags only trade wall-clock against peak memory), and
+``figure``, ``sweep``, ``serve-sim``, ``stream-sim``, and ``serve``
+accept ``--chunk-size C`` to chunk their batched pipelines through the
+:mod:`repro.compute` layer (results are bit-identical for every setting;
+the flag only trades wall-clock against peak memory), and
 ``--dtype {float64,float32}`` to pick the compute dtype (float64 is the
 bit-exact default; float32 halves dense memory under the documented
 tolerance contract).
@@ -99,7 +99,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     driver = FIGURE_DRIVERS[args.figure_id]
     kwargs: dict = {
         "scale": args.scale,
-        "workers": args.workers,
         "chunk_size": args.chunk_size,
         "dtype": args.dtype,
         "backend": args.backend,
@@ -154,7 +153,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             CommonNeighbors(),
             targets,
             chunk_size=args.chunk_size,
-            workers=args.workers,
             dtype=args.dtype,
         )
     finally:
@@ -240,8 +238,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         if args.mechanism == "smoothing"
         else args.mechanism
     )
-    from .compute import make_executor
-
     telemetry = _make_telemetry(args)
     service = RecommendationService(
         graph,
@@ -249,7 +245,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         user_budget=args.budget,
         seed=args.seed,
-        executor=make_executor(None, args.workers),
         chunk_size=args.chunk_size,
         dtype=args.dtype,
         telemetry=telemetry,
@@ -294,9 +289,9 @@ def _stream_config(args: argparse.Namespace) -> dict:
     Recorded in every snapshot and in the durability directory's
     ``config.json`` so ``repro-social recover`` can rebuild the same
     service and regenerate the same event stream without re-passing
-    flags. Compute sharding knobs are deliberately absent: results are
-    bit-identical for every executor/chunking configuration, so they are
-    not part of the run's identity.
+    flags. Compute chunking knobs are deliberately absent: results are
+    bit-identical for every chunking configuration, so they are not part
+    of the run's identity.
     """
     return {
         "scale": args.scale,
@@ -316,9 +311,8 @@ def _stream_config(args: argparse.Namespace) -> dict:
     }
 
 
-def _build_stream_service(config: dict, telemetry=None, *, workers: int = 1,
+def _build_stream_service(config: dict, telemetry=None, *,
                           chunk_size: "int | None" = None, dtype=None):
-    from .compute import make_executor
     from .streaming import StreamingService
 
     graph = wiki_vote(scale=config["scale"])
@@ -328,7 +322,6 @@ def _build_stream_service(config: dict, telemetry=None, *, workers: int = 1,
         epsilon=config["epsilon"],
         user_budget=config["budget"],
         seed=config["seed"],
-        executor=make_executor(None, workers),
         chunk_size=chunk_size,
         dtype=dtype,
         window=config["window"],
@@ -380,8 +373,7 @@ def _cmd_stream_sim(args: argparse.Namespace) -> int:
     config = _stream_config(args)
     telemetry = _make_telemetry(args)
     graph, service = _build_stream_service(
-        config, telemetry,
-        workers=args.workers, chunk_size=args.chunk_size, dtype=args.dtype,
+        config, telemetry, chunk_size=args.chunk_size, dtype=args.dtype,
     )
     events = _build_stream_events(config, graph)
     if args.wal is not None:
@@ -498,7 +490,6 @@ def _cmd_recover(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .compute import make_executor
     from .edge import EdgeServer
     from .streaming import StreamingService
     from .telemetry import Telemetry
@@ -511,7 +502,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         user_budget=args.budget,
         seed=args.seed,
-        executor=make_executor(None, args.workers),
         chunk_size=args.chunk_size,
         dtype=args.dtype,
         window=args.window,
@@ -663,20 +653,15 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _add_compute_arguments(subparser: argparse.ArgumentParser) -> None:
-    """The shared sharding knobs of every compute-layer-backed command."""
-    subparser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for the compute layer (1 = serial)",
-    )
+    """The shared chunking knobs of every compute-layer-backed command."""
     subparser.add_argument(
         "--chunk-size",
         type=int,
         default=None,
         dest="chunk_size",
         help="targets per compute chunk (bounds peak dense memory; "
-        "default: everything in one chunk)",
+        "default: a cache-sized chunk for the experiment engine, one "
+        "chunk per batch when serving)",
     )
     subparser.add_argument(
         "--dtype",
@@ -697,7 +682,7 @@ def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
         choices=KNOWN_BACKENDS,
         default="heap",
         help="graph backing store: heap = per-node sets (mutable), "
-        "shm = shared-memory CSR (zero-copy process workers), "
+        "shm = shared-memory CSR, "
         "mmap = file-backed CSR (out of core); results are identical",
     )
     subparser.add_argument(

@@ -69,12 +69,11 @@ def score_rows(
 
     The graph may be a frozen
     :class:`~repro.graphs.shared.SharedSocialGraph` whose adjacency
-    arrays are *read-only zero-copy views* into a shared segment (in a
-    worker, a segment owned by another process). Every stage here
-    therefore treats graph-derived arrays as immutable inputs and writes
-    only into its own workspace/output buffers — mutating a shared view
-    raises ``ValueError: assignment destination is read-only`` by
-    design, not as an accident of backing.
+    arrays are *read-only zero-copy views* into a shared segment. Every
+    stage here therefore treats graph-derived arrays as immutable inputs
+    and writes only into its own workspace/output buffers — mutating a
+    shared view raises ``ValueError: assignment destination is
+    read-only`` by design, not as an accident of backing.
     """
     targets = np.asarray(targets, dtype=np.int64)
     return _rounded_block(

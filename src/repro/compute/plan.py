@@ -10,9 +10,10 @@ kernels only ever hold ``chunk_size x num_nodes`` dense elements at a
 time, regardless of how many targets the caller asks for.
 
 Plans are pure index arithmetic: a chunk is a ``[start, stop)`` window
-into the caller's target order. Executors map chunks to workers and
-reassemble results in chunk order, which — because every kernel stage is
-per-target independent — reproduces the unchunked output bit for bit.
+into the caller's target order. Callers run the chunks in order on the
+calling thread and concatenate the results, which — because every
+kernel stage is per-target independent — reproduces the unchunked
+output bit for bit.
 
 A plan also carries the pipeline's *compute dtype*: the element type the
 dense kernel stages run at. ``float64`` (the default) keeps the engines
@@ -32,11 +33,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from ..errors import ComputeError
-
-#: Default chunk width used when a caller enables chunking without picking
-#: one. 1024 targets x ~7k nodes x 8 bytes is ~57 MB of dense rows — small
-#: enough for commodity workers, large enough to amortize dispatch.
-DEFAULT_CHUNK_SIZE = 1024
 
 #: Compute dtypes the kernel stages support. float64 is the bit-exact
 #: reference path; float32 is the opt-in half-memory path.
@@ -122,9 +118,8 @@ class ComputePlan:
         to the kernels so one object describes the whole dense layout.
 
     With ``chunk_size = c`` and a graph of ``n`` nodes, every kernel stage
-    holds at most ``c * n`` dense elements per in-flight chunk; peak
-    memory under an executor with ``w`` workers is ``w * c * n`` elements
-    instead of ``num_items * n`` (halved again under ``float32``).
+    holds at most ``c * n`` dense elements at a time instead of
+    ``num_items * n`` (halved again under ``float32``).
     """
 
     num_items: int
@@ -137,29 +132,6 @@ class ComputePlan:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ComputeError(f"chunk_size must be >= 1, got {self.chunk_size}")
         object.__setattr__(self, "dtype", resolve_dtype(self.dtype))
-
-    @classmethod
-    def for_workers(
-        cls,
-        num_items: int,
-        chunk_size: "int | None",
-        workers: int,
-        dtype: "np.dtype | str | None" = None,
-    ) -> "ComputePlan":
-        """A plan that actually feeds ``workers`` parallel slots.
-
-        With an explicit ``chunk_size`` this is just ``ComputePlan``; with
-        ``chunk_size=None`` and ``workers > 1`` it picks one — two chunk
-        waves per worker (capped at :data:`DEFAULT_CHUNK_SIZE`) — because
-        a single all-targets chunk can only ever occupy one worker, which
-        would silently turn every ``workers=N`` request into a serial
-        run. Serial callers (``workers == 1``) keep the unchunked layout.
-        """
-        if chunk_size is None and workers > 1 and num_items > 0:
-            chunk_size = max(
-                1, min(DEFAULT_CHUNK_SIZE, -(-num_items // (2 * workers)))
-            )
-        return cls(num_items, chunk_size, dtype)
 
     @property
     def effective_chunk_size(self) -> int:

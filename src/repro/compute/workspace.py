@@ -21,12 +21,12 @@ Ownership contract (the one rule every kernel must respect):
   rows, returned evaluations) must be an owned copy. The kernels honor
   this by copying exactly at the escape points and nowhere else.
 
-Workers and reuse: executors run chunk functions on worker threads or
-processes, so the arena is per-thread (:func:`get_workspace` hands each
-thread — and therefore each process — its own instance). A serial run
-reuses one arena across every chunk; a thread/process pool reuses one
-arena per worker across the chunks that worker processes. Nothing is
-ever shared between threads, so no locking exists or is needed.
+Reuse: chunks run inline on the calling thread, and the arena is
+per-thread (:func:`get_workspace` hands each thread its own instance),
+so a run reuses one arena across every chunk and callers on different
+threads (an HTTP edge's compute thread, external submitters) never share
+one. Nothing is ever shared between threads, so no locking exists or is
+needed.
 """
 
 from __future__ import annotations
@@ -121,13 +121,10 @@ _LOCAL = threading.local()
 
 
 def get_workspace() -> Workspace:
-    """The calling thread's (and hence worker's) reusable arena.
+    """The calling thread's reusable arena.
 
-    Executor workers are threads or processes; either way each sees its
-    own instance, created on first use and reused for every subsequent
-    chunk that worker runs. The arena therefore lives exactly as long as
-    useful reuse does — for the whole serial run, or for one worker's
-    share of a pool's chunks.
+    Created on first use and reused for every later chunk that thread
+    runs, so the arena lives exactly as long as useful reuse does.
     """
     workspace = getattr(_LOCAL, "workspace", None)
     if workspace is None:

@@ -42,8 +42,8 @@ def synthetic_powerlaw(
 
     Assembled chunk by chunk straight into a shared CSR segment by
     :func:`~repro.graphs.generators.powerlaw.build_powerlaw_shared`;
-    ``backend`` picks the home: ``"shm"`` (POSIX shared memory, the
-    zero-copy worker path), ``"mmap"`` (a temp file — out of core), or
+    ``backend`` picks the home: ``"shm"`` (POSIX shared memory),
+    ``"mmap"`` (a temp file — out of core), or
     ``"heap"`` (convert to a classic mutable :class:`SocialGraph`; costs
     the per-node set structure, so only sensible well below 10^6 nodes).
     Same ``(nodes, exponent, seed)`` means the same graph on every

@@ -40,10 +40,7 @@ client saw refused has a ledger row somewhere
 
 **Shutdown.** :meth:`EdgeServer.stop` drains: stop admitting, flush
 every parked request through real batches, wait for handlers to finish
-writing, then close connections and release the compute-pool lease
-(:func:`~repro.compute.executors.acquire_executor_lease` pins a
-persistent process pool open for the server's lifetime so its idle
-timer cannot reap warm workers between request bursts).
+writing, then close connections and shut the compute thread down.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
-from ..compute.executors import acquire_executor_lease, release_executor_lease
 from ..errors import BudgetExhaustedError, EdgeServiceError
 from ..streaming.events import KIND_ADD, KIND_REMOVE, StreamEvent
 from ..telemetry.metrics import DEFAULT_SIZE_BUCKETS
@@ -171,15 +167,12 @@ class EdgeServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Bind, start the flush loop, and pin the compute pool open."""
+        """Bind and start the flush loop."""
         if self._server is not None:
             raise EdgeServiceError("edge server already started")
         self._idle = asyncio.Event()
         self._idle.set()
         self._coalescer.start()
-        # A persistent process pool would otherwise idle-close between
-        # request bursts; the lease holds it warm for the server's life.
-        acquire_executor_lease(self._base.executor)
         self._server = await asyncio.start_server(
             self._on_connection, self.host, self.port
         )
@@ -206,7 +199,6 @@ class EdgeServer:
             await asyncio.gather(*self._connections, return_exceptions=True)
         self._connections.clear()
         self._compute.shutdown(wait=True)
-        release_executor_lease(self._base.executor)
 
     @property
     def draining(self) -> bool:

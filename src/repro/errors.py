@@ -45,31 +45,10 @@ class GraphFormatError(GraphError):
 class SharedGraphError(GraphError):
     """A shared-memory / memory-mapped graph backing store was misused.
 
-    Covers lifecycle violations (using a closed store, unlinking from a
-    non-owner, mutating a frozen shared-backed graph) and malformed
-    segments whose header fails validation on attach.
+    Covers lifecycle violations (using a closed store, reading the
+    descriptor of an unsealed segment, mutating a frozen shared-backed
+    graph) and unknown backings or invalid segment sizes.
     """
-
-
-class GraphVersionError(SharedGraphError):
-    """A shared segment's version stamp disagrees with its descriptor.
-
-    Raised on :meth:`~repro.graphs.shared.SharedCSR.attach` when the
-    segment header carries a different graph version than the descriptor
-    the worker was handed — the descriptor is stale (or the segment was
-    re-sealed), and serving from it would silently compute against the
-    wrong graph snapshot.
-    """
-
-    def __init__(self, expected: int, found: int, name: str) -> None:
-        super().__init__(
-            f"shared CSR segment {name!r} holds graph version {found}, "
-            f"but the descriptor promises version {expected}; the "
-            "descriptor is stale — re-ship it from the current graph"
-        )
-        self.expected = expected
-        self.found = found
-        self.name = name
 
 
 class UtilityError(ReproError):
@@ -93,7 +72,7 @@ class ExperimentError(ReproError):
 
 
 class ComputeError(ReproError):
-    """A compute plan or executor was misconfigured or misused."""
+    """A compute plan or dtype was misconfigured or misused."""
 
 
 class DatasetError(ReproError):

@@ -9,7 +9,7 @@ result files are self-describing.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ..compute.plan import COMPUTE_DTYPES
 from ..errors import ExperimentError
@@ -30,18 +30,18 @@ class ExperimentConfig:
     1,000 Laplace trials, weighted paths truncated at length 3.
     ``scale`` and ``max_targets`` exist so test/benchmark runs finish in
     seconds; the full-paper setting is ``scale=1.0, max_targets=None``.
-    ``workers`` and ``chunk_size`` shard the batched engine through
-    :mod:`repro.compute` (``workers > 1`` uses a process pool); results
-    are bit-identical for every setting, so they are pure wall-clock /
-    memory knobs. ``dtype`` selects the engine's compute dtype:
+    ``chunk_size`` chunks the batched engine through
+    :mod:`repro.compute`; results are bit-identical for every setting, so
+    it is a pure wall-clock / memory knob (``None`` lets the engine pick
+    a cache-sized chunk). ``dtype`` selects the engine's compute dtype:
     ``"float64"`` (default) is bit-identical to the sequential
     evaluator, ``"float32"`` halves dense memory under the tolerance
     contract documented in DESIGN.md ("memory dataflow").
 
     ``backend`` picks the graph's backing store: ``"heap"`` (classic
-    per-node sets), ``"shm"`` (POSIX shared memory, zero-copy process
-    workers), or ``"mmap"`` (memory-mapped file, out of core). All three
-    produce bit-identical results — DESIGN.md "scale dataflow".
+    per-node sets), ``"shm"`` (POSIX shared memory, flat CSR arrays), or
+    ``"mmap"`` (memory-mapped file, out of core). All three produce
+    bit-identical results — DESIGN.md "scale dataflow".
     ``dataset="synthetic"`` builds a directed power-law graph with
     ``nodes`` nodes and exponent ``exponent`` straight into the chosen
     backing (``scale`` is ignored there); it is the 10^6-node path.
@@ -58,7 +58,6 @@ class ExperimentConfig:
     laplace_trials: int = 1_000
     include_laplace: bool = True
     seed: int = 7
-    workers: int = 1
     chunk_size: "int | None" = None
     dtype: str = "float64"
     backend: str = "heap"
@@ -88,8 +87,6 @@ class ExperimentConfig:
             )
         if self.laplace_trials < 1:
             raise ExperimentError(f"laplace_trials must be >= 1, got {self.laplace_trials}")
-        if self.workers < 1:
-            raise ExperimentError(f"workers must be >= 1, got {self.workers}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ExperimentError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.dtype not in COMPUTE_DTYPES:
@@ -119,7 +116,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`.
+
+        Raises :class:`~repro.errors.ExperimentError` naming any key that
+        is not a field of this config.
+        """
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ExperimentError(
+                f"unknown experiment config keys: {', '.join(map(str, unknown))}"
+            )
         data = dict(data)
         data["epsilons"] = tuple(data.get("epsilons", (1.0,)))
         if "max_targets" in data and data["max_targets"] is not None:

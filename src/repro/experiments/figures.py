@@ -13,10 +13,10 @@ the paper plots:
 ``scale``/``max_targets`` default to CI-friendly values; pass ``scale=1.0,
 max_targets=None`` for the full-size replicas. Laplace series are included
 when ``include_laplace=True`` so the Section 7.2 "Laplace ~= Exponential"
-observation can be read off the same result object. ``workers`` and
-``chunk_size`` shard the batched engine through :mod:`repro.compute`
-(bit-identical results; pure wall-clock/memory knobs), mirroring the CLI's
-``--workers``/``--chunk-size``.
+observation can be read off the same result object. ``chunk_size``
+chunks the batched engine through :mod:`repro.compute` (bit-identical
+results; a pure wall-clock/memory knob), mirroring the CLI's
+``--chunk-size``.
 """
 
 from __future__ import annotations
@@ -39,27 +39,24 @@ from .results import FigureResult, Series
 from .runner import ExperimentRun, build_graph, mechanism_key, run_experiment
 
 
-def _with_sharding(
+def _with_overrides(
     config: ExperimentConfig,
-    workers: "int | None",
     chunk_size: "int | None",
     dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
 ) -> ExperimentConfig:
-    """Apply only explicitly requested sharding/dtype/backend overrides.
+    """Apply only explicitly requested chunking/dtype/backend overrides.
 
     ``None`` means "keep the config's own value" — an explicitly passed
-    ``config`` with ``workers=4, chunk_size=128`` must not be silently
-    reset to serial/unchunked by the drivers' parameter defaults.
+    ``config`` with ``chunk_size=128`` must not be silently reset to the
+    default chunking by the drivers' parameter defaults.
     ``nodes`` swaps the dataset for the synthetic power-law builder at
     that size (the figure then reads on synthetic data rather than the
     paper replica — a scale study, not a paper reproduction).
     """
     overrides: dict = {}
-    if workers is not None:
-        overrides["workers"] = workers
     if chunk_size is not None:
         overrides["chunk_size"] = chunk_size
     if dtype is not None:
@@ -128,7 +125,6 @@ def figure_1a(
     max_targets: "int | None" = 150,
     include_laplace: bool = False,
     config: "ExperimentConfig | None" = None,
-    workers: "int | None" = None,
     chunk_size: "int | None" = None,
     dtype: "str | None" = None,
     backend: "str | None" = None,
@@ -138,8 +134,8 @@ def figure_1a(
     """Figure 1(a): common neighbors on Wiki-vote, eps in {0.5, 1}."""
     if config is None:
         config = paper_config_figure_1a(scale=scale, max_targets=max_targets)
-    config = _with_sharding(
-        config, workers, chunk_size, dtype, backend, nodes, exponent
+    config = _with_overrides(
+        config, chunk_size, dtype, backend, nodes, exponent
     )
     run = run_experiment(config)
     return _cdf_figure(
@@ -155,7 +151,6 @@ def figure_1b(
     max_targets: "int | None" = 150,
     include_laplace: bool = False,
     config: "ExperimentConfig | None" = None,
-    workers: "int | None" = None,
     chunk_size: "int | None" = None,
     dtype: "str | None" = None,
     backend: "str | None" = None,
@@ -165,8 +160,8 @@ def figure_1b(
     """Figure 1(b): common neighbors on Twitter, eps in {1, 3}."""
     if config is None:
         config = paper_config_figure_1b(scale=scale, max_targets=max_targets)
-    config = _with_sharding(
-        config, workers, chunk_size, dtype, backend, nodes, exponent
+    config = _with_overrides(
+        config, chunk_size, dtype, backend, nodes, exponent
     )
     run = run_experiment(config)
     return _cdf_figure(
@@ -231,7 +226,6 @@ def figure_2a(
     max_targets: "int | None" = 150,
     gammas: tuple[float, ...] = (0.0005, 0.05),
     include_laplace: bool = False,
-    workers: "int | None" = None,
     chunk_size: "int | None" = None,
     dtype: "str | None" = None,
     backend: "str | None" = None,
@@ -240,9 +234,8 @@ def figure_2a(
 ) -> FigureResult:
     """Figure 2(a): weighted paths on Wiki-vote, eps = 1, two gammas."""
     configs = [
-        _with_sharding(
+        _with_overrides(
             paper_config_figure_2a(gamma, scale=scale, max_targets=max_targets),
-            workers,
             chunk_size,
             dtype,
             backend,
@@ -264,7 +257,6 @@ def figure_2b(
     max_targets: "int | None" = 150,
     gammas: tuple[float, ...] = (0.0005, 0.05),
     include_laplace: bool = False,
-    workers: "int | None" = None,
     chunk_size: "int | None" = None,
     dtype: "str | None" = None,
     backend: "str | None" = None,
@@ -273,9 +265,8 @@ def figure_2b(
 ) -> FigureResult:
     """Figure 2(b): weighted paths on Twitter, eps = 1, two gammas."""
     configs = [
-        _with_sharding(
+        _with_overrides(
             paper_config_figure_2b(gamma, scale=scale, max_targets=max_targets),
-            workers,
             chunk_size,
             dtype,
             backend,
@@ -297,7 +288,6 @@ def figure_2c(
     max_targets: "int | None" = 300,
     bins_per_decade: int = 3,
     config: "ExperimentConfig | None" = None,
-    workers: "int | None" = None,
     chunk_size: "int | None" = None,
     dtype: "str | None" = None,
     backend: "str | None" = None,
@@ -307,8 +297,8 @@ def figure_2c(
     """Figure 2(c): accuracy vs. degree, Wiki-vote, common neighbors, eps = 0.5."""
     if config is None:
         config = paper_config_figure_2c(scale=scale, max_targets=max_targets)
-    config = _with_sharding(
-        config, workers, chunk_size, dtype, backend, nodes, exponent
+    config = _with_overrides(
+        config, chunk_size, dtype, backend, nodes, exponent
     )
     run = run_experiment(config)
     eps = config.epsilons[0]

@@ -154,7 +154,6 @@ def run_experiment(
             seed=config.seed + 1,
             laplace_trials=config.laplace_trials,
             chunk_size=config.chunk_size,
-            workers=config.workers,
             dtype=config.dtype,
         )
         num_nodes, num_edges = graph.num_nodes, graph.num_edges

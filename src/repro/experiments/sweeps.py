@@ -18,10 +18,10 @@ The gamma sweep has its own chunk kernel on the shared
 :mod:`repro.compute` stages because it saves real work: the length-``l``
 walk matrices are gamma-independent, so each chunk computes them once
 (:func:`~repro.graphs.traversal.batch_walk_matrices`) and only the cheap
-gamma recombination runs per decay value. Both shard through a
-:class:`~repro.compute.plan.ComputePlan` and a pluggable executor, and
-per-target results are concatenated in target order before aggregating,
-so every chunk size and executor produces bit-identical sweep points.
+gamma recombination runs per decay value. Both run in
+:class:`~repro.compute.plan.ComputePlan` chunks, and per-target results
+are concatenated in target order before aggregating, so every chunk
+size produces bit-identical sweep points.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..accuracy.batch import evaluate_targets_batched
-from ..compute.executors import Executor, make_executor
 from ..compute.kernels import candidate_mask_rows, checked_targets, fused_compact_rows
 from ..compute.plan import ComputePlan
 from ..compute.workspace import get_workspace
@@ -61,8 +60,6 @@ def epsilon_sweep(
     targets: "list[int] | np.ndarray",
     epsilons: "tuple[float, ...]" = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0),
     chunk_size: "int | None" = None,
-    executor: "Executor | str | None" = None,
-    workers: "int | None" = None,
     dtype=None,
 ) -> list[SweepPoint]:
     """Exponential-mechanism accuracy and Corollary 1 bound vs. epsilon.
@@ -70,9 +67,8 @@ def epsilon_sweep(
     One engine pass serves the whole epsilon grid: per epsilon the
     accuracies are one exact batch-softmax kernel and the bounds one
     vectorized Corollary 1 curve over each target's shared threshold
-    table. ``chunk_size``/``executor``/``workers``/``dtype`` are the
-    engine's; results are identical for every chunking and executor, and
-    the float64 default is exact.
+    table. ``chunk_size``/``dtype`` are the engine's; results are
+    identical for every chunking, and the float64 default is exact.
     """
     if not epsilons or any(e <= 0 for e in epsilons):
         raise ExperimentError(f"epsilons must be positive, got {epsilons}")
@@ -85,8 +81,7 @@ def epsilon_sweep(
     }
     evaluations = evaluate_targets_batched(
         graph, utility, targets, mechanisms,
-        bound_epsilons=epsilon_grid, chunk_size=chunk_size,
-        executor=executor, workers=workers, dtype=dtype,
+        bound_epsilons=epsilon_grid, chunk_size=chunk_size, dtype=dtype,
     )
     if not evaluations:
         raise ExperimentError("no target with non-zero utility in the sample")
@@ -106,18 +101,15 @@ def epsilon_sweep(
     return points
 
 
-def _gamma_chunk(shared, targets):
+def _gamma_chunk(graph, targets, gammas, sensitivities, epsilon, max_length):
     """Per-chunk gamma-sweep kernel: one accuracy array per gamma value.
 
     The chunk's walk matrices are computed once and recombined per gamma;
-    deterministic and per-target independent, so chunking and executors
-    cannot change any value. Sensitivities arrive precomputed — they are
-    graph-level (one ``max_degree`` scan each), so chunks must not redo
-    them per chunk.
+    deterministic and per-target independent, so chunking cannot change
+    any value. Sensitivities arrive precomputed — they are graph-level
+    (one ``max_degree`` scan each), so chunks must not redo them.
     """
-    graph, gammas, sensitivities, epsilon, max_length = shared
     workspace = get_workspace()
-    targets = np.asarray(targets, dtype=np.int64)
     walk_matrices = batch_walk_matrices(graph, targets, max_length)
     mask = candidate_mask_rows(graph, targets, workspace=workspace)
     # A sweep-owned key: the kernel layer's "kernel.*" namespace is its
@@ -149,8 +141,6 @@ def gamma_sweep(
     epsilon: float = 1.0,
     max_length: int = 3,
     chunk_size: "int | None" = None,
-    executor: "Executor | str | None" = None,
-    workers: "int | None" = None,
 ) -> list[tuple[float, float, float]]:
     """(gamma, Delta f, mean accuracy) as the weighted-paths decay varies.
 
@@ -170,14 +160,13 @@ def gamma_sweep(
         float(WeightedPaths(gamma=gamma, max_length=max_length).sensitivity(graph, 0))
         for gamma in gamma_grid
     )
-    shared = (graph, gamma_grid, sensitivities, float(epsilon), int(max_length))
-    resolved = make_executor(executor, workers)
-    plan = ComputePlan.for_workers(
-        int(target_array.size), chunk_size, resolved.workers
-    )
-    chunk_columns = resolved.map(
-        _gamma_chunk, [chunk.take(target_array) for chunk in plan], shared
-    )
+    chunk_columns = [
+        _gamma_chunk(
+            graph, chunk.take(target_array), gamma_grid, sensitivities,
+            float(epsilon), int(max_length),
+        )
+        for chunk in ComputePlan(int(target_array.size), chunk_size)
+    ]
     results = []
     for column, gamma in enumerate(gamma_grid):
         accuracies = (

@@ -3,13 +3,7 @@
 from .edits import EditPlan, promote_common_neighbors, promote_weighted_paths, swap_node_edges, weighted_paths_c
 from .graph import SocialGraph
 from .io import load_edge_list_shared, read_edge_list, write_edge_list
-from .shared import (
-    CSRDescriptor,
-    SharedCSR,
-    SharedSocialGraph,
-    attach_shared_graph,
-    clear_attach_cache,
-)
+from .shared import CSRDescriptor, SharedCSR, SharedSocialGraph
 from .paths import simple_path_counts, walks_equal_simple_paths_on_candidates
 from .stats import (
     DegreeSummary,
@@ -37,9 +31,7 @@ __all__ = [
     "SharedSocialGraph",
     "SocialGraph",
     "alpha_of_log_n",
-    "attach_shared_graph",
     "bfs_distances",
-    "clear_attach_cache",
     "connected_component",
     "count_paths_up_to",
     "degree_histogram",

@@ -3,10 +3,10 @@
 The scale layer of ROADMAP item 2. A :class:`SharedCSR` places the graph's
 CSR adjacency (``indptr``/``indices``/``data``) and degree vector in one
 named segment — either POSIX shared memory (``backing="shm"``) or a
-memory-mapped file (``backing="mmap"``, the out-of-core path) — so worker
-processes *attach by name* instead of receiving a pickled copy of the
-graph. What crosses the process boundary is a :class:`CSRDescriptor` of a
-few hundred bytes, not the O(edges) adjacency structure.
+memory-mapped file (``backing="mmap"``, the out-of-core path) — so a
+10^6-node graph is assembled chunk by chunk straight into flat arrays,
+never through per-node Python sets, and an mmap-backed graph can live
+out of core.
 
 Layout of a segment (all slots int64 unless noted)::
 
@@ -19,22 +19,11 @@ Layout of a segment (all slots int64 unless noted)::
 
 :class:`SharedSocialGraph` wraps a store in the :class:`SocialGraph` API:
 every read path (``adjacency_matrix``, ``adjacency_rows``, degree
-queries, neighbor sets) is served from the shared arrays with no
-per-process copy, and every mutation raises
-:class:`~repro.errors.SharedGraphError` — shared-backed graphs are frozen
-snapshots, stamped with the source graph's version. Attach validates the
-stamp and raises :class:`~repro.errors.GraphVersionError` on mismatch, so
-a stale descriptor can never silently serve an old graph.
-
-Resource-tracker hygiene: this interpreter's ``SharedMemory`` registers
-every segment with ``multiprocessing.resource_tracker`` even on attach
-(the ``track=False`` opt-out only exists in newer Pythons). An attaching
-worker must *not* register — under the ``spawn`` start method the
-worker's own tracker would unlink the segment out from under the creator
-at worker exit, and under ``fork`` a worker-side unregister corrupts the
-creator's bookkeeping. :func:`_untracked` suppresses registration for
-exactly the attach call, so only the creating process tracks (and
-unlinks) the segment and the tracker exits silent.
+queries, neighbor sets) is served from the segment's arrays with no
+copy, and every mutation raises :class:`~repro.errors.SharedGraphError`
+— shared-backed graphs are frozen snapshots, stamped with the source
+graph's version. Every store belongs to the process that created it:
+that process closes its mapping and unlinks the segment.
 """
 
 from __future__ import annotations
@@ -42,15 +31,13 @@ from __future__ import annotations
 import mmap
 import os
 import secrets
-import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sp
 
-from ..errors import GraphVersionError, NodeError, SharedGraphError
+from ..errors import NodeError, SharedGraphError
 from .graph import SocialGraph
 
 #: Prefix of every shm segment / mmap file this module creates. CI's leak
@@ -75,12 +62,11 @@ def _segment_bytes(num_nodes: int, nnz: int) -> int:
 
 @dataclass(frozen=True)
 class CSRDescriptor:
-    """The picklable handle workers attach with — a few hundred bytes.
+    """A read-out of a sealed segment's header: where it lives, its shape.
 
     ``name`` is the shm segment name (``backing="shm"``) or the absolute
     file path (``backing="mmap"``). ``version`` is the source graph's
-    mutation counter at seal time; attach cross-checks it against the
-    segment header so stale descriptors fail loudly.
+    mutation counter at seal time.
     """
 
     backing: str
@@ -91,45 +77,23 @@ class CSRDescriptor:
     directed: bool
     version: int
 
-    @property
-    def nbytes(self) -> int:
-        """Size of the segment this descriptor points at."""
-        return _segment_bytes(self.num_nodes, self.nnz)
-
-
-_ATTACH_PATCH_LOCK = threading.Lock()
-
-
-@contextmanager
-def _untracked():
-    """Suppress resource-tracker registration for one SharedMemory call."""
-    from multiprocessing import resource_tracker
-
-    with _ATTACH_PATCH_LOCK:
-        original = resource_tracker.register
-        resource_tracker.register = lambda name, rtype: None  # type: ignore[assignment]
-        try:
-            yield
-        finally:
-            resource_tracker.register = original
-
 
 class SharedCSR:
     """One shared segment holding a sealed CSR adjacency + degree vector.
 
     Create with :meth:`allocate` (builders write the arrays in place, then
     :meth:`seal`) or :meth:`from_graph` (copy an existing graph's cached
-    CSR in); workers use :meth:`attach`. The creating process owns the
-    segment: only it may :meth:`unlink`, and it must (``close`` releases
-    this process's mapping; ``unlink`` removes the segment itself).
+    CSR in). The creating process owns the segment and must release it:
+    ``close`` drops this process's mapping, ``unlink`` removes the
+    segment itself.
     """
 
     __slots__ = (
-        "backing", "name", "owner", "indptr", "indices", "data", "degrees",
+        "backing", "name", "indptr", "indices", "data", "degrees",
         "_header", "_shm", "_mmap", "_file", "_closed",
     )
 
-    def __init__(self) -> None:  # use allocate()/from_graph()/attach()
+    def __init__(self) -> None:  # use allocate()/from_graph()
         self._shm = None
         self._mmap = None
         self._file = None
@@ -150,7 +114,7 @@ class SharedCSR:
         """Create an unsealed segment sized for ``num_nodes``/``nnz``.
 
         The returned store's arrays are writable; fill them, then call
-        :meth:`seal` before building descriptors. ``path`` names the
+        :meth:`seal` before reading the descriptor. ``path`` names the
         backing file for ``backing="mmap"`` (default: a fresh file in the
         system temp directory).
         """
@@ -164,7 +128,6 @@ class SharedCSR:
             )
         store = cls()
         store.backing = backing
-        store.owner = True
         total = _segment_bytes(num_nodes, nnz)
         if backing == "shm":
             from multiprocessing import shared_memory
@@ -244,8 +207,6 @@ class SharedCSR:
         both endpoint rows).
         """
         self._require_open()
-        if not self.owner:
-            raise SharedGraphError("only the owning process may seal a segment")
         header = self._header
         if num_edges is None:
             nnz = int(header[_H_NNZ])
@@ -253,104 +214,17 @@ class SharedCSR:
         header[_H_VERSION] = int(version)
         header[_H_RESERVED] = int(num_edges)
         header[_H_SEALED] = 1
-        # Attached views are read-only; freeze the owner's too once sealed
-        # so a kernel scribbling on shared adjacency fails loudly.
+        # Freeze the arrays once sealed so a kernel scribbling on shared
+        # adjacency fails loudly.
         for array in (self.indptr, self.indices, self.data, self.degrees):
             array.setflags(write=False)
-
-    # ------------------------------------------------------------------
-    # Attach
-    # ------------------------------------------------------------------
-    @classmethod
-    def attach(cls, descriptor: CSRDescriptor) -> "SharedCSR":
-        """Map an existing sealed segment described by ``descriptor``.
-
-        Validates the header (magic, layout, shape fields, seal) and the
-        version stamp; a stamp mismatch raises
-        :class:`~repro.errors.GraphVersionError`. The returned store does
-        not own the segment — ``close()`` it, never ``unlink()``.
-        """
-        store = cls()
-        store.backing = descriptor.backing
-        store.name = descriptor.name
-        store.owner = False
-        total = descriptor.nbytes
-        if descriptor.backing == "shm":
-            from multiprocessing import shared_memory
-
-            with _untracked():
-                try:
-                    store._shm = shared_memory.SharedMemory(name=descriptor.name)
-                except FileNotFoundError:
-                    raise SharedGraphError(
-                        f"shared CSR segment {descriptor.name!r} does not exist "
-                        "(already unlinked?)"
-                    ) from None
-            buffer = store._shm.buf
-            found = store._shm.size
-        elif descriptor.backing == "mmap":
-            try:
-                store._file = open(descriptor.name, "rb")
-            except FileNotFoundError:
-                raise SharedGraphError(
-                    f"shared CSR file {descriptor.name!r} does not exist "
-                    "(already unlinked?)"
-                ) from None
-            found = os.fstat(store._file.fileno()).st_size
-            store._mmap = mmap.mmap(
-                store._file.fileno(), found, access=mmap.ACCESS_READ
-            )
-            buffer = store._mmap
-        else:
-            raise SharedGraphError(
-                f"unknown backing {descriptor.backing!r}; known: {BACKINGS}"
-            )
-        if found < total:
-            store.close()
-            raise SharedGraphError(
-                f"shared CSR segment {descriptor.name!r} holds {found} bytes, "
-                f"descriptor expects {total}"
-            )
-        store._carve(buffer, descriptor.num_nodes, descriptor.nnz)
-        # Validate against a plain-int copy of the header: raising with a
-        # live NumPy view in a local would pin the buffer (the traceback
-        # keeps this frame's locals alive) and make close() fail.
-        fields = store._header.tolist()
-        try:
-            if fields[_H_MAGIC] != _MAGIC or fields[_H_LAYOUT] != _LAYOUT_VERSION:
-                raise SharedGraphError(
-                    f"segment {descriptor.name!r} is not a repro CSR segment "
-                    f"(bad magic/layout header)"
-                )
-            if not fields[_H_SEALED]:
-                raise SharedGraphError(
-                    f"segment {descriptor.name!r} was never sealed; refusing "
-                    "to attach to a partially built graph"
-                )
-            if (fields[_H_NODES] != descriptor.num_nodes
-                    or fields[_H_NNZ] != descriptor.nnz
-                    or bool(fields[_H_DIRECTED]) != descriptor.directed):
-                raise SharedGraphError(
-                    f"segment {descriptor.name!r} header disagrees with the "
-                    "descriptor's shape fields"
-                )
-            if fields[_H_VERSION] != descriptor.version:
-                raise GraphVersionError(
-                    descriptor.version, fields[_H_VERSION], descriptor.name
-                )
-        except Exception:
-            store.close()
-            raise
-        for array in (store.indptr, store.indices, store.data, store.degrees):
-            array.setflags(write=False)
-        return store
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def descriptor(self) -> CSRDescriptor:
-        """The picklable attach handle (requires a sealed segment)."""
+        """The sealed header as a :class:`CSRDescriptor`."""
         self._require_open()
         header = self._header
         if not int(header[_H_SEALED]):
@@ -421,11 +295,7 @@ class SharedCSR:
                 self._file.close()
 
     def unlink(self) -> None:
-        """Remove the segment itself (owner only, idempotent)."""
-        if not self.owner:
-            raise SharedGraphError(
-                f"only the creating process may unlink {self.name!r}"
-            )
+        """Remove the segment itself (idempotent)."""
         if self.backing == "shm":
             if self._shm is not None:
                 try:
@@ -443,60 +313,11 @@ class SharedCSR:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-        if self.owner:
-            self.unlink()
+        self.unlink()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else "open"
-        return f"SharedCSR({self.backing}:{self.name}, {state}, owner={self.owner})"
-
-
-# ----------------------------------------------------------------------
-# Per-process attach cache (the worker-side fast path)
-# ----------------------------------------------------------------------
-
-#: Most segments a worker keeps mapped at once. Maps are cheap but not
-#: free; a long-lived persistent pool serving many graphs in sequence
-#: must not accumulate stale mappings.
-ATTACH_CACHE_SIZE = 8
-
-_ATTACH_CACHE: "dict[tuple[str, str, int], SharedSocialGraph]" = {}
-_ATTACH_CACHE_LOCK = threading.Lock()
-
-
-def attach_shared_graph(descriptor: CSRDescriptor) -> "SharedSocialGraph":
-    """Attach (or reuse this process's mapping of) a shared graph.
-
-    The resolver behind :meth:`SharedSocialGraph.__ship__`: workers call
-    it once per (segment, version) and hit the cache on every later map
-    over the same graph. The cache holds at most
-    :data:`ATTACH_CACHE_SIZE` graphs, evicting (and closing) the oldest.
-    """
-    key = (descriptor.backing, descriptor.name, descriptor.version)
-    with _ATTACH_CACHE_LOCK:
-        graph = _ATTACH_CACHE.get(key)
-        if graph is not None and not graph.store.closed:
-            return graph
-        graph = SharedSocialGraph(SharedCSR.attach(descriptor))
-        _ATTACH_CACHE[key] = graph
-        while len(_ATTACH_CACHE) > ATTACH_CACHE_SIZE:
-            stale = _ATTACH_CACHE.pop(next(iter(_ATTACH_CACHE)))
-            try:
-                stale.close()
-            except SharedGraphError:  # views still referenced somewhere
-                pass
-        return graph
-
-
-def clear_attach_cache() -> None:
-    """Close and forget every cached worker-side attachment."""
-    with _ATTACH_CACHE_LOCK:
-        for graph in _ATTACH_CACHE.values():
-            try:
-                graph.close()
-            except SharedGraphError:
-                pass
-        _ATTACH_CACHE.clear()
+        return f"SharedCSR({self.backing}:{self.name}, {state})"
 
 
 def _rebuild_in_heap(
@@ -554,9 +375,7 @@ class SharedSocialGraph(SocialGraph):
     alone cost hundreds of MB); every query reads the shared arrays.
     Mutations raise :class:`~repro.errors.SharedGraphError` — mutate an
     in-heap copy (:meth:`to_heap`) and re-share instead. Pickling
-    degrades safely to an in-heap :class:`SocialGraph` copy (descriptors,
-    not pickles, are the zero-copy path; see
-    :mod:`repro.compute.shipping`).
+    degrades safely to an in-heap :class:`SocialGraph` copy.
     """
 
     __slots__ = ("_store",)
@@ -589,11 +408,6 @@ class SharedSocialGraph(SocialGraph):
         """Share an existing in-heap graph (copies its CSR into a segment)."""
         return cls(SharedCSR.from_graph(graph, backing=backing, path=path))
 
-    @classmethod
-    def attach(cls, descriptor: CSRDescriptor) -> "SharedSocialGraph":
-        """Attach a fresh (uncached) mapping; caller owns its lifecycle."""
-        return cls(SharedCSR.attach(descriptor))
-
     @property
     def store(self) -> SharedCSR:
         return self._store
@@ -614,7 +428,7 @@ class SharedSocialGraph(SocialGraph):
         self._csr_version = -1
 
     def unlink(self) -> None:
-        """Remove the backing segment (owner only)."""
+        """Remove the backing segment."""
         self._store.unlink()
 
     def __enter__(self) -> "SharedSocialGraph":
@@ -622,8 +436,7 @@ class SharedSocialGraph(SocialGraph):
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-        if self._store.owner:
-            self.unlink()
+        self.unlink()
 
     def to_heap(self) -> SocialGraph:
         """An ordinary mutable in-heap copy (same version stamp)."""
@@ -635,7 +448,7 @@ class SharedSocialGraph(SocialGraph):
         )
 
     def __reduce__(self):
-        # Pickle degrades to an in-heap copy on purpose: a raw descriptor
+        # Pickle degrades to an in-heap copy on purpose: a segment name
         # would dangle once the creator unlinks, and accidental pickles
         # (result caches, WAL snapshots) must stay self-contained.
         store = self._store
@@ -651,10 +464,6 @@ class SharedSocialGraph(SocialGraph):
                 self._version,
             ),
         )
-
-    def __ship__(self):
-        """Zero-copy shipping handle (see :mod:`repro.compute.shipping`)."""
-        return attach_shared_graph, self._store.descriptor
 
     # ------------------------------------------------------------------
     # Read API (served from the shared arrays)

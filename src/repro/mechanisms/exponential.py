@@ -166,8 +166,8 @@ class ExponentialMechanism(PrivateMechanism):
 
         Row ``j`` consumes only ``streams[j]`` — ``support + 1`` Gumbels,
         then one integer if the bucket wins — so a pick does not depend
-        on how rows are chunked or which worker runs them, nor on whether
-        the row is stored dense or support-form. Logits are formed in
+        on how rows are chunked, nor on whether the row is stored dense or
+        support-form. Logits are formed in
         float64 from float32 rows too.
         """
         if len(vectors) != len(streams):

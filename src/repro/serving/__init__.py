@@ -10,12 +10,11 @@ requests from many users the way a production system must:
   composition), refusing requests *before* any budget is spent;
 * :class:`UtilityCache` — utility vectors keyed by the graph's mutation
   version, so an unchanged graph never recomputes;
-* batched hot path — the shared :mod:`repro.compute` kernels, chunked by
-  a :class:`~repro.compute.plan.ComputePlan` and dispatched through a
-  pluggable executor (``executor=``/``chunk_size=`` on the service):
-  utility rows from one sparse product per chunk, exponential-mechanism
-  sampling via per-request Gumbel-max streams — bit-identical results on
-  serial, thread, and process executors;
+* batched hot path — the shared :mod:`repro.compute` kernels, run inline
+  in :class:`~repro.compute.plan.ComputePlan` chunks (``chunk_size=`` on
+  the service): utility rows from one sparse product per chunk,
+  exponential-mechanism sampling via per-request Gumbel-max streams —
+  bit-identical results for every chunk size;
 * :func:`synthetic_workload` / :func:`replay` — skewed traffic generation
   and a replay harness reporting throughput, cache, and budget statistics.
 """

@@ -48,12 +48,11 @@ Eviction is true LRU: every hit — ``get``, ``get_resident``, or a ``put``
 overwrite — moves the entry to the most-recently-used position, so a hot
 user touched every batch is never evicted in favor of a cold one (the
 insertion-order eviction this replaced could do exactly that). All
-bookkeeping is guarded by a lock, so the cache is safe to share with a
-:class:`~repro.compute.executors.ThreadExecutor`-driven batch path:
-stats never lose increments and LRU order never corrupts. On a miss the
-vector is computed *outside* the lock — two racing threads may both
-compute the same vector (identical by determinism), but neither blocks
-the cache for the duration of a graph traversal.
+bookkeeping is guarded by a lock, so the cache is safe to share across
+threads: stats never lose increments and LRU order never corrupts. On a
+miss the vector is computed *outside* the lock — two racing threads may
+both compute the same vector (identical by determinism), but neither
+blocks the cache for the duration of a graph traversal.
 """
 
 from __future__ import annotations

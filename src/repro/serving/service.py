@@ -27,7 +27,6 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from ..compute.executors import Executor, make_executor
 from ..compute.kernels import utility_vectors
 from ..compute.plan import ComputePlan, resolve_dtype
 from ..compute.workspace import get_workspace
@@ -77,18 +76,14 @@ class RecommendationService:
         Optional cap on resident cached utility vectors.
     seed:
         Seed / generator for all sampling randomness.
-    executor:
-        How ``recommend_batch`` shards its chunks: an
-        :class:`~repro.compute.executors.Executor` instance or registry
-        name (``"serial"``/``"thread"``/``"process"``; default serial).
-        Batch results are bit-identical for every choice — sampling draws
-        from per-request spawned streams, never from a shared generator.
     chunk_size:
         Maximum requests (and missing-vector targets) a single batch
         chunk handles. Serving rows are support-form, so only an
         incremental service's component fills materialize a dense
-        ``chunk_size x num_nodes`` block per in-flight chunk. ``None``
-        keeps the whole batch in one chunk.
+        ``chunk_size x num_nodes`` block per chunk. ``None`` keeps the
+        whole batch in one chunk. Batch results are bit-identical for
+        every chunk size — sampling draws from per-request spawned
+        streams, never from a shared generator.
     dtype:
         Compute dtype of the batched stages and of every cached utility
         vector (anything :func:`repro.compute.plan.resolve_dtype`
@@ -133,7 +128,6 @@ class RecommendationService:
         budget_overrides: "dict[int, float] | None" = None,
         cache_max_entries: "int | None" = None,
         seed: "int | np.random.Generator | None" = None,
-        executor: "Executor | str | None" = None,
         chunk_size: "int | None" = None,
         dtype=None,
         telemetry=None,
@@ -181,7 +175,6 @@ class RecommendationService:
         # streaming engine, the HTTP edge) so mutations and batches from
         # any thread interleave whole-call, never mid-batch.
         self._submission_lock = threading.Lock()
-        self.executor = make_executor(executor)
         # Validates eagerly so a bad chunk_size fails at construction.
         ComputePlan(0, chunk_size)
         self.chunk_size = chunk_size
@@ -551,15 +544,14 @@ class RecommendationService:
         to_serve: list[tuple[int, int]],
         mechanism: ExponentialMechanism,
     ) -> tuple[dict[int, int], dict[int, bool]]:
-        """Vectorized hot path, sharded through :mod:`repro.compute`.
+        """Vectorized hot path, chunked through :mod:`repro.compute`.
 
         Missing utility vectors are computed by the shared kernel stage in
-        :class:`~repro.compute.plan.ComputePlan` chunks mapped over the
-        service executor; sampling runs per chunk of *requests* with one
-        spawned RNG stream per request. All mutable state — cache fills,
-        stats — is applied on the calling thread, so executors only ever
-        run pure chunk functions. Per-request streams make the sampled
-        recommendations bit-identical for every executor and chunk size.
+        :class:`~repro.compute.plan.ComputePlan` chunks; sampling runs per
+        chunk of *requests* with one spawned RNG stream per request. The
+        chunk functions are pure; cache fills and stats are applied here,
+        after each map. Per-request streams make the sampled
+        recommendations bit-identical for every chunk size.
         """
         unique_users = sorted(set(served_users))
         missing = self.cache.missing(unique_users)
@@ -574,11 +566,8 @@ class RecommendationService:
             if user not in missing_set
         }
         if missing:
-            plan = ComputePlan.for_workers(
-                len(missing), self.chunk_size, self.executor.workers, self.dtype
-            )
+            plan = ComputePlan(len(missing), self.chunk_size, self.dtype)
             fresh_chunks = traced_map(
-                self.executor,
                 _vectors_chunk,
                 [np.asarray(chunk.take(missing), dtype=np.int64) for chunk in plan],
                 (self.graph, self.utility, self.dtype.name, self.incremental),
@@ -592,9 +581,7 @@ class RecommendationService:
         # One stream per request (duplicated users sample independently);
         # position in the batch, not chunk layout, decides each draw.
         streams = spawn_rngs(self._rng, len(to_serve))
-        plan = ComputePlan.for_workers(
-            len(to_serve), self.chunk_size, self.executor.workers, self.dtype
-        )
+        plan = ComputePlan(len(to_serve), self.chunk_size, self.dtype)
         payloads = [
             (
                 [vectors[user] for _, user in chunk.take(to_serve)],
@@ -603,7 +590,6 @@ class RecommendationService:
             for chunk in plan
         ]
         sampled_chunks = traced_map(
-            self.executor,
             _sample_chunk,
             payloads,
             mechanism,
@@ -703,7 +689,7 @@ class RecommendationService:
         become ``cache.*`` gauges (gauges, not counters: these are
         cumulative readings of external state, and re-scraping must
         overwrite, never re-add), alongside the calling thread's
-        workspace.
+        workspace, where the batch chunks ran.
         """
         if self.telemetry is None:
             raise ServingError("service has no telemetry attached")
@@ -712,13 +698,8 @@ class RecommendationService:
         for name, value in self.cache.snapshot().items():
             registry.gauge(f"cache.{name}").set(value)
         workspace = get_workspace()
-        # Workers report their workspace readings through traced_map;
-        # the calling thread's arena only replaces them when larger
-        # (under thread/process executors the parent arena sits empty).
-        resident_gauge = registry.gauge("workspace.bytes_resident")
-        resident_gauge.set(max(resident_gauge.value, workspace.bytes_resident()))
-        high_water_gauge = registry.gauge("workspace.high_water_bytes")
-        high_water_gauge.set(max(high_water_gauge.value, workspace.high_water_bytes))
+        registry.gauge("workspace.bytes_resident").set(workspace.bytes_resident())
+        registry.gauge("workspace.high_water_bytes").set(workspace.high_water_bytes)
         return registry
 
     def verify_ledger(self) -> None:
@@ -735,15 +716,14 @@ class RecommendationService:
 
 
 def _vectors_chunk(shared, targets: np.ndarray):
-    """Executor task: utility vectors for one chunk of cache misses.
+    """Chunk task: utility vectors for one chunk of cache misses.
 
-    Module-level and argument-pure (graph + utility in, vectors out) so a
-    :class:`~repro.compute.executors.ProcessExecutor` can run it; the
-    service applies the results to its cache on the calling thread. The
-    vectors are support-form, except that an incremental service fills
-    dense rows with the walk-component side-car (their score/mask blocks
-    ride the worker's reusable workspace) so every freshly cached row is
-    patchable — same values either way.
+    Argument-pure (graph + utility in, vectors out); the service applies
+    the results to its cache. The vectors are support-form, except that
+    an incremental service fills dense rows with the walk-component
+    side-car (their score/mask blocks ride the thread's reusable
+    workspace) so every freshly cached row is patchable — same values
+    either way.
     """
     graph, utility, dtype_name, with_components = shared
     return utility_vectors(
@@ -757,7 +737,7 @@ def _vectors_chunk(shared, targets: np.ndarray):
 
 
 def _sample_chunk(mechanism: ExponentialMechanism, payload):
-    """Executor task: exponential samples for one chunk of requests.
+    """Chunk task: exponential samples for one chunk of requests.
 
     ``payload`` is ``(vectors, streams)`` — the chunk's per-request
     utility vectors and RNG streams, sampled by

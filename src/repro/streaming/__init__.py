@@ -15,7 +15,7 @@ this package is the operational answer, the repo's fourth subsystem
   (:mod:`repro.streaming.invalidation`);
 * :class:`StreamingService` — interleaves mutation batches and
   recommendation batches over the existing :mod:`repro.compute`
-  executors, with an optional :class:`SlidingWindowAccountant` mode
+  kernels, with an optional :class:`SlidingWindowAccountant` mode
   bounding epsilon over any trailing window of the event clock;
 * :func:`synthetic_event_stream` / :func:`replay_stream` — reproducible
   add/remove/query arrival mixes and the driver behind the

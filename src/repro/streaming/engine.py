@@ -10,9 +10,9 @@ kinds of work:
   optional automatic :meth:`~MutableSocialGraph.compact` once the delta
   grows past a threshold;
 * **recommendation batches** — delegated to the wrapped service's
-  vectorized hot path, which shards through the existing
-  :mod:`repro.compute` executors; the service's utility cache evicts
-  only the rows the journal marks dirty, so cache hits survive churn.
+  vectorized hot path on the existing :mod:`repro.compute` kernels; the
+  service's utility cache evicts only the rows the journal marks dirty,
+  so cache hits survive churn.
 
 Privacy-over-time gets a second accounting mode: the paper's companion
 impossibility results for continual observation motivate bounding the
@@ -37,7 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..compute.executors import Executor
 from ..errors import PrivacyParameterError, ServingError
 from ..graphs.graph import SocialGraph
 from ..mechanisms.base import Mechanism, PrivateMechanism
@@ -150,7 +149,7 @@ class StreamingService:
         :class:`MutableSocialGraph` (copied); passing an overlay uses it
         directly, shared with the caller.
     utility, mechanism, epsilon, user_budget, budget_overrides,
-    cache_max_entries, seed, executor, chunk_size, dtype, incremental,
+    cache_max_entries, seed, chunk_size, dtype, incremental,
     patch_crossover:
         Forwarded to the wrapped
         :class:`~repro.serving.service.RecommendationService` (``dtype``
@@ -186,7 +185,6 @@ class StreamingService:
         budget_overrides: "dict[int, float] | None" = None,
         cache_max_entries: "int | None" = None,
         seed: "int | np.random.Generator | None" = None,
-        executor: "Executor | str | None" = None,
         chunk_size: "int | None" = None,
         dtype=None,
         window: "float | None" = None,
@@ -208,7 +206,6 @@ class StreamingService:
             budget_overrides=budget_overrides,
             cache_max_entries=cache_max_entries,
             seed=seed,
-            executor=executor,
             chunk_size=chunk_size,
             dtype=dtype,
             telemetry=telemetry,

@@ -6,13 +6,12 @@ running service, where before the only observability was post-hoc
 benchmark JSON. Three coordinated pieces behind one handle:
 
 * :class:`~repro.telemetry.metrics.MetricsRegistry` — lock-safe
-  counters/gauges/fixed-bucket histograms (p50/p95/p99), mergeable
-  across processes, exported as Prometheus text or JSON
+  counters/gauges/fixed-bucket histograms (p50/p95/p99), snapshotted to
+  and rebuilt from JSON, exported as Prometheus text or JSON
   (:mod:`repro.telemetry.metrics`);
 * :class:`~repro.telemetry.tracing.Tracer` — lightweight nested span
-  contexts with monotonic timings and per-worker collection; executor
-  workers ship their spans back with each task result and the parent
-  merges them (:mod:`repro.telemetry.tracing`,
+  contexts with monotonic timings; batched pipelines trace one span per
+  chunk (:mod:`repro.telemetry.tracing`,
   :func:`~repro.telemetry.runtime.traced_map`);
 * :class:`~repro.telemetry.ledger.PrivacyLedger` — the append-only
   journal of every epsilon charge, refusal, and sliding-window expiry,
@@ -58,6 +57,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
+from .runtime import activate, count, current, observe, set_gauge, span, traced_map
 from .tracing import NULL_SPAN, SpanRecord, Tracer
 
 __all__ = [
@@ -78,6 +78,13 @@ __all__ = [
     "SpanRecord",
     "Telemetry",
     "Tracer",
+    "activate",
+    "count",
+    "current",
+    "observe",
+    "set_gauge",
+    "span",
+    "traced_map",
 ]
 
 
@@ -85,12 +92,8 @@ __all__ = [
 class Telemetry:
     """One handle bundling the registry, tracer, and ledger.
 
-    Services hold at most one of these; workers build ephemeral ones per
-    task (:func:`~repro.telemetry.runtime.traced_map`) and ship their
-    exported state back for the parent to :meth:`absorb`. The ledger is
-    parent-only by construction — every budget charge and refusal
-    happens on the calling thread — so :meth:`export` carries metrics
-    and spans but never ledger entries.
+    Services hold at most one of these; every chunk, budget charge and
+    refusal records into it on the thread that runs the request.
     """
 
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)
@@ -110,15 +113,6 @@ class Telemetry:
         """Shorthand for ``self.tracer.span`` (reads as ``telemetry.span(...)``)."""
         return self.tracer.span(name, **attrs)
 
-    def export(self) -> dict:
-        """Picklable payload of this bundle's metrics + spans (worker side)."""
-        return {"metrics": self.registry.snapshot(), "spans": self.tracer.records()}
-
-    def absorb(self, payload: dict, worker: str = "") -> None:
-        """Merge an :meth:`export` payload from a worker (parent side)."""
-        self.registry.merge(payload["metrics"])
-        self.tracer.absorb(payload["spans"], worker=worker)
-
     def dump(self) -> dict:
         """JSON-able full state: the ``--telemetry-out`` file format."""
         return {
@@ -126,17 +120,9 @@ class Telemetry:
             "spans": [
                 {
                     "name": r.name, "start": r.start, "duration": r.duration,
-                    "depth": r.depth, "parent": r.parent, "worker": r.worker,
-                    "attrs": r.attrs,
+                    "depth": r.depth, "parent": r.parent, "attrs": r.attrs,
                 }
                 for r in self.tracer.records()
             ],
             "ledger": self.ledger.as_dicts(),
         }
-
-
-# Imported last: runtime's traced_map needs Telemetry at call time, and
-# re-exporting here gives instrumented layers one import surface.
-from .runtime import activate, count, current, observe, set_gauge, span, traced_map  # noqa: E402
-
-__all__ += ["activate", "count", "current", "observe", "set_gauge", "span", "traced_map"]

@@ -19,7 +19,7 @@ retains. A mismatch raises
 :class:`~repro.errors.LedgerInconsistencyError` — it means a release
 happened that the audit trail cannot prove, the exact failure mode a
 private recommender must never ship with. The tests run this check after
-mixed serve/mutate/refuse replays on every executor; the durability
+mixed serve/mutate/refuse replays; the durability
 layer (:mod:`repro.durability`) persists exactly these entries — the
 service's one flush hands the same row tuples to
 :meth:`~repro.durability.wal.WriteAheadLog.buffer_rows`, so a ledger

@@ -1,4 +1,4 @@
-"""Lock-safe, process-merge-able metrics: counters, gauges, histograms.
+"""Lock-safe, mergeable metrics: counters, gauges, histograms.
 
 The repo's only runtime window used to be after-the-fact benchmark JSON;
 this module is the live side: a :class:`MetricsRegistry` that every layer
@@ -12,20 +12,20 @@ Three metric kinds, chosen for mergeability:
   samples drawn, Monte-Carlo blocks). Merging sums.
 * :class:`Gauge` — last-written value (workspace bytes resident, cache
   residency). Merging takes the **max**: the interesting question across
-  workers is "how big did it get anywhere", and max is the only
+  registries is "how big did it get anywhere", and max is the only
   order-free choice that answers it.
 * :class:`Histogram` — fixed-bucket distribution with count/sum/min/max,
   quantile estimates (p50/p95/p99) by linear interpolation inside the
-  owning bucket. Fixed buckets are what make worker histograms mergeable
-  by plain vector addition — no quantile sketch reconciliation.
+  owning bucket. Fixed buckets are what make histograms mergeable by
+  plain vector addition — no quantile sketch reconciliation.
 
 Everything mutates under one registry lock (metric handles share it), so
-a registry can be written from a :class:`~repro.compute.executors.
-ThreadExecutor`'s threads without losing increments.
-:meth:`MetricsRegistry.snapshot` produces a plain-dict, picklable form —
-what :class:`~repro.compute.executors.ProcessExecutor` workers ship back
-with each task result — and :meth:`MetricsRegistry.merge` folds such a
-snapshot into the parent registry. Exporters: :meth:`MetricsRegistry.
+a registry can be written from several threads (the HTTP edge's event
+loop and its compute thread) without losing increments.
+:meth:`MetricsRegistry.snapshot` produces a plain-dict, JSON-able form —
+what ``--telemetry-out`` writes — and :meth:`MetricsRegistry.merge`
+folds such a snapshot into a registry (``repro-social metrics`` rebuilds
+one with :meth:`MetricsRegistry.from_snapshot`). Exporters: :meth:`MetricsRegistry.
 to_json` and :meth:`MetricsRegistry.to_prometheus` (text exposition
 format), plus :meth:`MetricsRegistry.render` for human CLI output.
 """
@@ -66,7 +66,7 @@ DEFAULT_SIZE_BUCKETS = (
 
 
 class Counter:
-    """Monotone accumulator. Merging across workers sums values."""
+    """Monotone accumulator. Merging sums values."""
 
     kind = "counter"
     __slots__ = ("name", "_lock", "_value")
@@ -95,7 +95,7 @@ class Counter:
 
 
 class Gauge:
-    """Last-written value. Merging across workers takes the max."""
+    """Last-written value. Merging takes the max."""
 
     kind = "gauge"
     __slots__ = ("name", "_lock", "_value")
@@ -309,7 +309,7 @@ class MetricsRegistry:
             return self._metrics.get(name)
 
     # ------------------------------------------------------------------
-    # Merge / snapshot (the worker -> parent handshake)
+    # Merge / snapshot
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Plain-dict (picklable, JSON-able) state of every metric."""
@@ -317,9 +317,9 @@ class MetricsRegistry:
             return {name: metric._state() for name, metric in sorted(self._metrics.items())}
 
     def merge(self, snapshot: dict) -> None:
-        """Fold a :meth:`snapshot` (e.g. from a worker process) into this
-        registry: counters add, gauges take the max, histograms add their
-        bucket vectors. Unknown names are created with the snapshot's kind."""
+        """Fold a :meth:`snapshot` into this registry: counters add,
+        gauges take the max, histograms add their bucket vectors. Unknown
+        names are created with the snapshot's kind."""
         kinds = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
         for name, state in snapshot.items():
             kind = kinds.get(state.get("kind"))

@@ -1,4 +1,4 @@
-"""Ambient telemetry: activation, cheap helpers, and worker collection.
+"""Ambient telemetry: activation, cheap helpers, and traced chunk maps.
 
 Instrumentation points deep in the numeric core (mechanism sampling
 loops, Monte-Carlo blocks) cannot take a telemetry handle as a parameter
@@ -10,15 +10,10 @@ read plus a ``None`` check when nothing is active. That is the whole
 disabled-mode contract: no allocation, no lock, no metric objects —
 ``bench_telemetry.py`` asserts it.
 
-:func:`traced_map` is the executor hand-off the tentpole requires: it
-wraps any ``executor.map`` so each task runs under a *worker-local*
-telemetry (fresh per task), times the chunk, snapshots the worker's
-workspace residency, and returns ``(result, payload)``; the parent
-absorbs each payload into its own registry/tracer. Works identically on
-serial, thread, and process executors — the payload rides the normal
-result channel, so no span is ever lost or double-counted — and because
-each task's payload is merged exactly once, span counts are
-deterministic in the number of chunks.
+:func:`traced_map` runs a batched pipeline's chunks inline on the
+calling thread, timing each one into the given telemetry. The chunks run
+under whatever telemetry the caller has activated, so the ambient
+helpers inside them record straight into the caller's registry.
 """
 
 from __future__ import annotations
@@ -32,10 +27,6 @@ from .tracing import NULL_SPAN
 __all__ = ["activate", "count", "current", "observe", "set_gauge", "span", "traced_map"]
 
 _LOCAL = threading.local()
-
-# Filled by the first _traced_task call (imports that would cycle at load).
-_TELEMETRY_CLS = None
-_GET_WORKSPACE = None
 
 
 def current():
@@ -88,97 +79,28 @@ def span(name: str, **attrs):
     return telemetry.tracer.span(name, **attrs)
 
 
-# ----------------------------------------------------------------------
-# Executor collection
-# ----------------------------------------------------------------------
-def _traced_task(wrapped_shared, item):
-    """Executor task wrapper: run ``fn`` under worker-local telemetry.
+def traced_map(fn, items, shared, telemetry, label: str) -> list:
+    """``[fn(shared, item) for item in items]``, timed into ``telemetry``.
 
-    Module-level and argument-pure so :class:`~repro.compute.executors.
-    ProcessExecutor` can pickle it. The telemetry object itself is *not*
-    shipped (locks do not pickle, and a worker-side handle could never
-    report back anyway); the worker builds a fresh one per task and
-    returns its exported state with the result. ``queued_at`` is a
-    wall-clock stamp taken when the map was submitted — wall clocks are
-    process-comparable, unlike ``perf_counter`` on every platform — so
-    ``queue_wait`` measures time between submission and the task actually
-    starting on a worker.
-    """
-    global _TELEMETRY_CLS, _GET_WORKSPACE
-    if _TELEMETRY_CLS is None:
-        # Late imports (cycle at module load); cached after the first task.
-        from . import Telemetry
-        from ..compute.workspace import get_workspace
-
-        _TELEMETRY_CLS, _GET_WORKSPACE = Telemetry, get_workspace
-
-    fn, shared, label, sample_rate, queued_at = wrapped_shared
-    local = _TELEMETRY_CLS.create(sample_rate=sample_rate)
-    queue_wait = max(0.0, time.time() - queued_at)
-    started = time.perf_counter()
-    with activate(local):
-        with local.tracer.span(label, queue_wait_seconds=queue_wait):
-            result = fn(shared, item)
-    busy = time.perf_counter() - started
-    workspace = _GET_WORKSPACE()
-    # Chunk timings and workspace readings travel as raw floats; the
-    # parent folds them into its *persistent* histograms/gauges. Building
-    # per-task histograms here and merging them back costs ~10x as much
-    # per chunk (bounds validation + snapshot + bucket-vector merge) for
-    # the same numbers. The worker registry usually stays empty — it only
-    # fills when code under ``fn`` uses the ambient helpers (e.g. the
-    # mechanism sample counters) — so snapshot it only when non-empty.
-    payload = {
-        "metrics": local.registry.snapshot() if len(local.registry) else None,
-        "spans": local.tracer.records(),
-        "queue_wait": queue_wait,
-        "ws_resident": float(workspace.bytes_resident()),
-        "ws_high": float(workspace.high_water_bytes),
-    }
-    return result, payload, busy
-
-
-def traced_map(executor, fn, items, shared, telemetry, label: str):
-    """``executor.map`` with per-chunk spans/metrics merged into ``telemetry``.
-
-    With ``telemetry=None`` this *is* ``executor.map`` — the instrumented
-    and bare paths share one call site so they cannot drift. Otherwise
-    each chunk contributes one ``label`` span, one ``{label}.chunk_seconds``
-    and ``{label}.queue_wait_seconds`` observation, and the worker's
-    workspace gauges; the map as a whole records ``{label}.map_seconds``
-    and a ``{label}.worker_utilization`` gauge (summed busy time over
-    ``workers x wall`` — 1.0 means every worker was busy the whole map).
+    With ``telemetry=None`` this is exactly the bare loop — the
+    instrumented and bare paths share one call site so they cannot
+    drift. Otherwise each chunk records one ``label`` span and one
+    ``{label}.chunk_seconds`` observation, and the map as a whole one
+    ``{label}.map_seconds`` observation and ``len(items)`` on the
+    ``{label}.chunks`` counter.
     """
     if telemetry is None:
-        return executor.map(fn, items, shared)
-    items = list(items)
-    wrapped_shared = (fn, shared, label, telemetry.tracer.sample_rate, time.time())
-    started = time.perf_counter()
-    outputs = executor.map(_traced_task, items, wrapped_shared)
-    wall = time.perf_counter() - started
+        return [fn(shared, item) for item in items]
     registry = telemetry.registry
     tracer = telemetry.tracer
     chunk_hist = registry.histogram(f"{label}.chunk_seconds")
-    wait_hist = registry.histogram(f"{label}.queue_wait_seconds")
     results = []
-    busy_total = 0.0
-    ws_resident = ws_high = 0.0
-    for result, payload, busy in outputs:
-        results.append(result)
-        if payload["metrics"] is not None:
-            registry.merge(payload["metrics"])
-        tracer.absorb(payload["spans"], worker=executor.name)
-        chunk_hist.observe(busy)
-        wait_hist.observe(payload["queue_wait"])
-        ws_resident = max(ws_resident, payload["ws_resident"])
-        ws_high = max(ws_high, payload["ws_high"])
-        busy_total += busy
-    registry.histogram(f"{label}.map_seconds").observe(wall)
-    registry.counter(f"{label}.chunks").inc(len(items))
-    registry.gauge("workspace.bytes_resident").set(ws_resident)
-    registry.gauge("workspace.high_water_bytes").set(ws_high)
-    if wall > 0 and items:
-        registry.gauge(f"{label}.worker_utilization").set(
-            min(1.0, busy_total / (executor.workers * wall))
-        )
+    started = time.perf_counter()
+    for item in items:
+        chunk_started = time.perf_counter()
+        with tracer.span(label):
+            results.append(fn(shared, item))
+        chunk_hist.observe(time.perf_counter() - chunk_started)
+    registry.histogram(f"{label}.map_seconds").observe(time.perf_counter() - started)
+    registry.counter(f"{label}.chunks").inc(len(results))
     return results

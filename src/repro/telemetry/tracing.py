@@ -1,4 +1,4 @@
-"""Lightweight span contexts with per-worker collection.
+"""Lightweight span contexts.
 
 A span is one timed region of the pipeline — ``span("engine.chunk",
 targets=64)`` — with a monotonic duration, optional attributes, and
@@ -9,12 +9,9 @@ to feed a distributed tracing backend, so the design stays minimal:
 * finished spans accumulate as plain :class:`SpanRecord` rows on the
   owning :class:`Tracer` (bounded by ``max_spans``; the oldest half is
   summarized away into ``dropped`` when full);
-* executor workers build their *own* tracer around each task
-  (:func:`repro.telemetry.runtime.traced_map`), and ship its records
-  back with the task result — :meth:`Tracer.absorb` merges them into
-  the parent, tagged with the worker label. One task, one payload, so
-  span counts are deterministic: no lost and no double-counted chunks
-  whatever the executor;
+* batched pipelines trace one span per chunk
+  (:func:`repro.telemetry.runtime.traced_map`), so span counts are
+  deterministic in the number of chunks;
 * ``sample_rate`` keeps the hot path allocation-free when tracing is
   unwanted: rate 0 returns a shared no-op span (no object creation, no
   record); fractional rates keep every ``k``-th span deterministically
@@ -34,14 +31,13 @@ __all__ = ["NULL_SPAN", "SpanRecord", "Tracer"]
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """One finished span: primitives only, so worker payloads pickle."""
+    """One finished span: primitives only, so a dump is plain JSON."""
 
     name: str
     start: float          #: wall-clock (``time.time``) start, for ordering
     duration: float       #: monotonic (``perf_counter``) elapsed seconds
     depth: int            #: nesting depth at creation (0 = root)
     parent: "str | None"  #: enclosing span's name, if any
-    worker: str = ""      #: merge label ("" = recorded on the parent tracer)
     attrs: dict = field(default_factory=dict)
 
 
@@ -173,28 +169,10 @@ class Tracer:
             return list(self._records)
 
     def drain(self) -> "list[SpanRecord]":
-        """Remove and return every finished span (the worker hand-off)."""
+        """Remove and return every finished span."""
         with self._lock:
             records, self._records = self._records, []
             return records
-
-    def absorb(self, records: "list[SpanRecord]", worker: str = "") -> None:
-        """Merge spans collected elsewhere (a worker process/thread),
-        re-tagging them with the worker label when one is given."""
-        if worker:
-            records = [
-                SpanRecord(
-                    name=r.name, start=r.start, duration=r.duration, depth=r.depth,
-                    parent=r.parent, worker=worker, attrs=r.attrs,
-                )
-                for r in records
-            ]
-        with self._lock:
-            self._records.extend(records)
-            if len(self._records) > self.max_spans:
-                trim = len(self._records) // 2
-                self.dropped += trim
-                del self._records[:trim]
 
     def count(self, name: "str | None" = None) -> int:
         """Number of retained spans (optionally only those named ``name``)."""

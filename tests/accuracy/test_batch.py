@@ -14,7 +14,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.accuracy.batch import STAGE_NAMES, evaluate_targets_batched
+from repro.accuracy.batch import (
+    FUSED_CHUNK_BYTES,
+    STAGE_NAMES,
+    _fused_default_chunk,
+    evaluate_targets_batched,
+)
 from repro.accuracy.evaluator import evaluate_targets
 from repro.errors import UtilityError
 from repro.graphs.generators import erdos_renyi_gnp
@@ -165,6 +170,45 @@ def test_timings_filled_in_pipeline_order():
     )
     assert tuple(timings) == STAGE_NAMES
     assert all(v >= 0.0 for v in timings.values())
+
+
+@pytest.mark.parametrize("num_nodes", [1, 100, 7_115, 96_403, 1_000_000])
+def test_default_chunk_keeps_dense_block_within_budget(num_nodes):
+    """The default chunk's (chunk, n) float64 block fits FUSED_CHUNK_BYTES
+    on full wiki-vote and the full Twitter replica; at 10^6 nodes a single
+    8 MB row is already over budget, so the chunk is that one row."""
+    chunk = _fused_default_chunk(num_nodes)
+    assert chunk >= 1
+    assert chunk * num_nodes * 8 <= max(FUSED_CHUNK_BYTES, num_nodes * 8)
+    # ... and it is the largest such chunk: one more row would not fit.
+    assert (chunk + 1) * num_nodes * 8 > FUSED_CHUNK_BYTES
+
+
+def test_default_chunk_bounds_every_dense_stage(monkeypatch):
+    """With no explicit chunk_size the engine splits targets by the byte
+    budget: shrink the budget to three rows and no scoring call may see
+    more than three targets, while the evaluations stay unchanged."""
+    import repro.accuracy.batch as batch
+
+    graph = erdos_renyi_gnp(30, 0.2, seed=4)
+    utility = CommonNeighbors()
+    mechanisms = make_mechanisms(utility, graph)
+    kwargs = dict(bound_epsilons=(1.0,), seed=5, laplace_trials=20)
+    reference = evaluate_targets_batched(
+        graph, utility, range(30), mechanisms, chunk_size=30, **kwargs
+    )
+    seen: list[int] = []
+    original = CommonNeighbors.batch_scores
+
+    def spying(self, graph, batch_targets, out=None):
+        seen.append(len(np.asarray(batch_targets)))
+        return original(self, graph, batch_targets, out=out)
+
+    monkeypatch.setattr(batch, "FUSED_CHUNK_BYTES", 3 * 8 * graph.num_nodes)
+    monkeypatch.setattr(CommonNeighbors, "batch_scores", spying)
+    result = evaluate_targets_batched(graph, utility, range(30), mechanisms, **kwargs)
+    assert result == reference
+    assert seen and max(seen) <= 3 and sum(seen) == 30
 
 
 @given(

@@ -3,19 +3,16 @@
 The contract (DESIGN.md, "memory dataflow"):
 
 * **float64** (default) is bit-identical to the sequential reference —
-  the engine returns the same evaluations under every chunking/executor
-  combination;
+  the engine returns the same evaluations under every chunking;
 * **float32** is an opt-in half-memory path: same kept targets and same
   recommendations determinism (a fixed seed gives one answer no matter
-  which executor or chunk size ran it), with accuracies and bounds
+  which chunk size ran it), with accuracies and bounds
   within a documented tolerance of the float64 run;
 * dtype is a *compute* knob, never a semantics knob: nothing about
   budgets, audit records, or kept-target sets may depend on it.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
@@ -39,19 +36,13 @@ from repro.serving import RecommendationService
 from repro.streaming import StreamingService, replay_stream, synthetic_event_stream
 from repro.utility.weighted_paths import WeightedPaths
 
-WORKERS = int(os.environ.get("REPRO_SMOKE_WORKERS", "2"))
-
 #: The documented float32 tolerance contract (mirrored by
 #: benchmarks/bench_memory.py).
 RTOL, ATOL = 1e-5, 1e-6
 
 BOUND_EPSILONS = (0.1, 0.5, 1.0, 3.0)
 
-EXECUTORS = [
-    {},
-    {"executor": "thread", "workers": WORKERS, "chunk_size": 9},
-    {"executor": "process", "workers": WORKERS, "chunk_size": 9},
-]
+CHUNKINGS = [{}, {"chunk_size": 9}, {"chunk_size": 1}]
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +99,14 @@ class TestEngineFloat64:
         )
         assert engine(workload) == sequential
 
-    @pytest.mark.parametrize("kwargs", EXECUTORS)
-    def test_float64_identical_across_executors(self, workload, kwargs):
+    @pytest.mark.parametrize("kwargs", CHUNKINGS)
+    def test_float64_identical_across_chunkings(self, workload, kwargs):
         assert engine(workload, **kwargs) == engine(workload)
 
 
 class TestEngineFloat32:
-    @pytest.mark.parametrize("kwargs", EXECUTORS)
-    def test_float32_identical_across_executors(self, workload, kwargs):
+    @pytest.mark.parametrize("kwargs", CHUNKINGS)
+    def test_float32_identical_across_chunkings(self, workload, kwargs):
         reference = engine(workload, dtype="float32")
         assert engine(workload, dtype="float32", **kwargs) == reference
 
@@ -183,21 +174,18 @@ class TestKernelDtype:
 
 class TestServingDtype:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_recommend_batch_identical_across_executors(self, dtype):
+    def test_recommend_batch_identical_across_chunk_sizes(self, dtype):
         graph = wiki_vote(scale=0.05)
         users = list(range(0, graph.num_nodes, 3)) * 2
-        picks = {}
-        for name, kwargs in (
-            ("serial", {}),
-            ("thread", {"executor": "thread", "chunk_size": 7}),
-            ("process", {"executor": "process", "chunk_size": 7}),
-        ):
+        picks = []
+        for chunk_size in (None, 7):
             service = RecommendationService(
-                graph, epsilon=0.5, user_budget=1e9, seed=42, dtype=dtype, **kwargs
+                graph, epsilon=0.5, user_budget=1e9, seed=42, dtype=dtype,
+                chunk_size=chunk_size,
             )
             responses = service.recommend_batch(users)
-            picks[name] = [r.recommendations for r in responses]
-        assert picks["serial"] == picks["thread"] == picks["process"]
+            picks.append([r.recommendations for r in responses])
+        assert picks[0] == picks[1]
 
     def test_float32_service_still_serves_scalar_paths(self):
         graph = wiki_vote(scale=0.05)
@@ -210,16 +198,13 @@ class TestServingDtype:
 
 class TestStreamingDtype:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_replay_stream_identical_across_executors(self, dtype):
+    def test_replay_stream_identical_across_chunk_sizes(self, dtype):
         graph = wiki_vote(scale=0.04)
-        picks = {}
-        for name, kwargs in (
-            ("serial", {}),
-            ("thread", {"executor": "thread", "chunk_size": 5}),
-            ("process", {"executor": "process", "chunk_size": 5}),
-        ):
+        picks = []
+        for chunk_size in (None, 5):
             service = StreamingService(
-                graph, epsilon=0.5, user_budget=1e9, seed=3, dtype=dtype, **kwargs
+                graph, epsilon=0.5, user_budget=1e9, seed=3, dtype=dtype,
+                chunk_size=chunk_size,
             )
             events = synthetic_event_stream(
                 graph, 120, add_fraction=0.1, remove_fraction=0.05, seed=5
@@ -229,8 +214,8 @@ class TestStreamingDtype:
                 service, events, batch_size=16,
                 on_response=lambda r: recorded.append(r.recommendations),
             )
-            picks[name] = recorded
-        assert picks["serial"] == picks["thread"] == picks["process"]
+            picks.append(recorded)
+        assert picks[0] == picks[1]
 
     def test_streaming_cache_stores_at_service_dtype(self):
         graph = wiki_vote(scale=0.04)

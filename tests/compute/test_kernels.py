@@ -1,17 +1,12 @@
-"""Tests for the canonical compute kernels and their executor stability."""
+"""Tests for the canonical compute kernels and their chunking stability."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.compute import (
     ComputePlan,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
     Workspace,
     fused_compact_rows,
     utility_vectors,
@@ -24,8 +19,6 @@ from repro.rng import spawn_rngs
 from repro.utility.base import UtilityVector
 from repro.utility.common_neighbors import CommonNeighbors
 from repro.utility.weighted_paths import WeightedPaths
-
-WORKERS = int(os.environ.get("REPRO_SMOKE_WORKERS", "2"))
 
 
 @pytest.fixture(scope="module")
@@ -113,9 +106,9 @@ class TestSupportForm:
             np.testing.assert_array_equal(values, vector.values[vector.values > 0])
 
 
-class TestSampleRowsExecutorStability:
+class TestSampleRowsChunkStability:
     def test_per_row_streams_make_chunking_irrelevant(self, graph, utility):
-        """The property executors rely on: a row's sample depends only on
+        """The property chunking relies on: a row's sample depends only on
         its own stream, so any chunked partition reproduces it."""
         mechanism = ExponentialMechanism(1.0, sensitivity=2.0)
         vectors = utility_vectors(graph, utility, list(range(20)))
@@ -182,8 +175,8 @@ def _engine_call(graph, utility, mechanisms, targets, **kwargs):
     )
 
 
-class TestEngineExecutorIdentity:
-    """The acceptance property: bit-identical evaluations on every executor."""
+class TestEngineChunkIdentity:
+    """The acceptance property: bit-identical evaluations for every chunking."""
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -204,44 +197,21 @@ class TestEngineExecutorIdentity:
         [
             {"chunk_size": 7},
             {"chunk_size": 1},
-            {"chunk_size": 9, "executor": "thread", "workers": WORKERS},
-            {"chunk_size": 9, "executor": "process", "workers": WORKERS},
-            {"chunk_size": 9, "workers": WORKERS},
-            {"executor": SerialExecutor(), "chunk_size": 13},
-            {"executor": ThreadExecutor(workers=WORKERS)},
-            {"executor": ProcessExecutor(workers=WORKERS), "chunk_size": 11},
+            {"chunk_size": 13},
+            {"chunk_size": 9},
+            {"chunk_size": 11},
+            {"chunk_size": 40},
         ],
-        ids=lambda kw: "-".join(
-            f"{k}={getattr(v, 'name', v)}" for k, v in sorted(kw.items())
-        ),
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in sorted(kw.items())),
     )
     def test_bit_identical_to_serial_unchunked(self, workload, kwargs):
         graph, utility, mechanisms, targets, reference = workload
         assert _engine_call(graph, utility, mechanisms, targets, **kwargs) == reference
 
-    def test_workers_without_chunk_size_still_fan_out(self, workload):
-        """Regression: workers=N with the default chunk_size must produce
-        multiple chunks for the executor, not one inline mega-chunk."""
-        graph, utility, mechanisms, targets, reference = workload
-
-        class RecordingExecutor:
-            name = "recording"
-            workers = 4
-
-            def __init__(self):
-                self.chunk_counts: list[int] = []
-
-            def map(self, fn, items, shared=None):
-                items = list(items)
-                self.chunk_counts.append(len(items))
-                return [fn(shared, item) for item in items]
-
-        executor = RecordingExecutor()
-        result = _engine_call(graph, utility, mechanisms, targets, executor=executor)
-        assert result == reference
-        assert executor.chunk_counts and executor.chunk_counts[0] >= 4
-
-    def test_dense_allocations_bounded_by_chunk_size(self, workload, monkeypatch):
+    @pytest.mark.parametrize("chunk_size", [8, 3])
+    def test_dense_allocations_bounded_by_chunk_size(
+        self, workload, monkeypatch, chunk_size
+    ):
         """No stage may see more targets at once than the chunk size — the
         memory-bound contract of the plan."""
         graph, utility, mechanisms, targets, reference = workload
@@ -253,9 +223,11 @@ class TestEngineExecutorIdentity:
             return original(self, graph, batch_targets, out=out)
 
         monkeypatch.setattr(CommonNeighbors, "batch_scores", spying)
-        result = _engine_call(graph, utility, mechanisms, targets, chunk_size=8)
+        result = _engine_call(
+            graph, utility, mechanisms, targets, chunk_size=chunk_size
+        )
         assert result == reference
-        assert seen and max(seen) <= 8
+        assert seen and max(seen) <= chunk_size
 
 
 def _kept_by_footnote_10(vectors: "list[UtilityVector]") -> "list[int]":

@@ -118,3 +118,32 @@ class TestThreadLocal:
         worker.start()
         worker.join()
         assert seen and seen[0] is not main
+
+
+class TestChunkedPipelines:
+    def test_chunks_reuse_the_calling_threads_arena(self):
+        """Chunks run inline, so a repeated chunked engine run takes every
+        dense buffer from the caller's warm arena: no new allocations."""
+        from repro.accuracy.batch import evaluate_targets_batched
+        from repro.graphs.generators import erdos_renyi_gnp
+        from repro.mechanisms.exponential import ExponentialMechanism
+        from repro.utility.common_neighbors import CommonNeighbors
+
+        graph = erdos_renyi_gnp(40, 0.15, seed=6)
+        mechanisms = {"exponential@1": ExponentialMechanism(1.0, sensitivity=2.0)}
+
+        def run():
+            return evaluate_targets_batched(
+                graph, CommonNeighbors(), range(40), mechanisms,
+                bound_epsilons=(1.0,), seed=2, chunk_size=6,
+            )
+
+        reset_workspace()
+        workspace = get_workspace()
+        first = run()
+        allocations, takes = workspace.allocations, workspace.takes
+        assert takes > 0
+        assert run() == first
+        assert workspace.allocations == allocations
+        assert workspace.takes > takes
+        assert get_workspace() is workspace

@@ -234,6 +234,24 @@ class TestAdmissionControl:
         service.verify_ledger()
 
 
+class TestLifecycle:
+    def test_stop_leaves_no_server_or_compute_thread_behind(self, base_graph):
+        """The drain ends with the compute thread shut down: nothing the
+        server started outlives ``stop``."""
+        before = set(threading.enumerate())
+        handle = serve_in_thread(
+            make_service(base_graph), max_batch=4, flush_seconds=0.002
+        )
+        status, body = request(handle.url, "/recommend", {"user": 3})
+        assert status == 200 and body["status"] == "served"
+        handle.stop()
+        leftover = [
+            thread for thread in threading.enumerate()
+            if thread not in before and thread.is_alive()
+        ]
+        assert leftover == []
+
+
 class TestBitIdentity:
     def test_interleaved_mutations_replay_bit_identically(self, base_graph):
         """Concurrent queries + mutations == serialized replay, exactly.

@@ -32,7 +32,7 @@ class TestValidation:
             dict(epsilons=(0.5, -1.0)),
             dict(target_fraction=0.0),
             dict(laplace_trials=0),
-            dict(workers=0),
+            dict(backend="gpu"),
             dict(chunk_size=0),
         ],
     )
@@ -42,7 +42,6 @@ class TestValidation:
 
     def test_sharding_defaults_are_serial_unchunked(self):
         config = ExperimentConfig()
-        assert config.workers == 1
         assert config.chunk_size is None
 
 
@@ -59,10 +58,23 @@ class TestSerialization:
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
     def test_round_trip_with_sharding(self):
-        config = ExperimentConfig(workers=4, chunk_size=256)
+        config = ExperimentConfig(chunk_size=256)
         restored = ExperimentConfig.from_dict(config.to_dict())
-        assert restored.workers == 4
         assert restored.chunk_size == 256
+
+    def test_from_dict_rejects_unknown_keys_by_name(self):
+        with pytest.raises(ExperimentError, match="bogus"):
+            ExperimentConfig.from_dict({"bogus": 1})
+        # A dict that still carries the removed "workers" field fails
+        # typed, naming it, with no compatibility shim.
+        legacy = {**ExperimentConfig().to_dict(), "workers": 1}
+        with pytest.raises(ExperimentError, match="workers"):
+            ExperimentConfig.from_dict(legacy)
+
+    def test_from_dict_error_names_every_unknown_key(self):
+        data = {**ExperimentConfig().to_dict(), "workers": 2, "executor": "thread"}
+        with pytest.raises(ExperimentError, match="executor, workers"):
+            ExperimentConfig.from_dict(data)
 
     def test_to_dict_serializable(self):
         import json

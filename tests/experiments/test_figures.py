@@ -131,24 +131,25 @@ class TestFigure2c:
 
 class TestShardingPassThrough:
     def test_explicit_config_sharding_not_stomped(self):
-        """Regression: drivers used to replace() workers/chunk_size with
-        their parameter defaults, silently serializing an explicitly
-        sharded config."""
+        """Regression: drivers used to replace() chunk_size with their
+        parameter defaults, silently unchunking an explicitly chunked
+        config."""
         from dataclasses import replace
 
         config = replace(
-            paper_config_figure_1a(scale=0.02, max_targets=8),
-            workers=2,
-            chunk_size=4,
+            paper_config_figure_1a(scale=0.02, max_targets=8), chunk_size=4
         )
         result = figure_1a(config=config)
-        assert result.metadata["config"]["workers"] == 2
         assert result.metadata["config"]["chunk_size"] == 4
 
     def test_driver_kwargs_apply_when_given(self):
-        result = figure_1a(scale=0.02, max_targets=8, workers=2, chunk_size=4)
-        assert result.metadata["config"]["workers"] == 2
+        result = figure_1a(scale=0.02, max_targets=8, chunk_size=4)
         assert result.metadata["config"]["chunk_size"] == 4
+
+    def test_chunked_figure_plots_the_same_curves(self):
+        chunked = figure_1a(scale=0.02, max_targets=8, chunk_size=3)
+        unchunked = figure_1a(scale=0.02, max_targets=8)
+        assert chunked.series == unchunked.series
 
 
 class TestDriverRegistry:

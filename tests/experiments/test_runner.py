@@ -139,7 +139,7 @@ class TestEngineSelection:
         assert batched.num_targets_evaluated == len(sequential)
 
     def test_sharded_run_identical_to_serial(self):
-        """workers/chunk_size flow from the config into the batched engine
+        """chunk_size flows from the config into the batched engine
         without changing a single evaluation."""
         from dataclasses import replace
 
@@ -149,7 +149,8 @@ class TestEngineSelection:
         )
         graph = build_graph(config)
         serial = run_experiment(config, graph=graph)
-        sharded = run_experiment(
-            replace(config, workers=2, chunk_size=4), graph=graph
-        )
-        assert sharded.evaluations == serial.evaluations
+        for chunk_size in (4, 1):
+            sharded = run_experiment(
+                replace(config, chunk_size=chunk_size), graph=graph
+            )
+            assert sharded.evaluations == serial.evaluations

@@ -102,15 +102,14 @@ class TestSweepToFigure:
 
 
 class TestSweepSharding:
-    """Chunking and executors are pure wall-clock knobs: identical points."""
+    """Chunking is a pure wall-clock knob: identical points."""
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"chunk_size": 4},
             {"chunk_size": 1},
-            {"chunk_size": 6, "executor": "thread", "workers": 2},
-            {"chunk_size": 6, "executor": "process", "workers": 2},
+            {"chunk_size": 6},
         ],
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in sorted(kw.items())),
     )
@@ -127,8 +126,8 @@ class TestSweepSharding:
         "kwargs",
         [
             {"chunk_size": 4},
-            {"chunk_size": 5, "executor": "thread", "workers": 2},
-            {"chunk_size": 5, "executor": "process", "workers": 2},
+            {"chunk_size": 5},
+            {"chunk_size": 1},
         ],
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in sorted(kw.items())),
     )

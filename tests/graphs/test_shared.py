@@ -2,29 +2,24 @@
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import pickle
-import subprocess
-import sys
-import textwrap
 
 import numpy as np
 import pytest
 
 from repro.datasets import wiki_vote
-from repro.errors import GraphVersionError, NodeError, SharedGraphError
+from repro.errors import NodeError, SharedGraphError
 from repro.graphs import (
     CSRDescriptor,
     SharedCSR,
     SharedSocialGraph,
     SocialGraph,
-    attach_shared_graph,
-    clear_attach_cache,
     load_edge_list_shared,
     read_edge_list,
 )
 from repro.graphs.generators import build_powerlaw_shared, erdos_renyi_gnm
+from repro.graphs.shared import SEGMENT_PREFIX
 
 BACKINGS = ["shm", "mmap"]
 
@@ -55,8 +50,8 @@ def _assert_row_is_sorted_simple(graph, node):
     assert row.size == graph.degree(node)
 
 
-def _assert_attached_read_only(store):
-    # attached arrays are read-only: scribbling must fail loudly
+def _assert_sealed_read_only(store):
+    # sealed arrays are read-only: scribbling must fail loudly
     with pytest.raises(ValueError):
         store.indices[0] = 1
 
@@ -70,6 +65,27 @@ def _assert_csr_arrays_match(store, graph):
     )
 
 
+def _fill_path_graph(store):
+    """Write the undirected path 0-1-2 into an unsealed 3-node store."""
+    store.indptr[:] = [0, 1, 3, 4]
+    store.indices[:] = [1, 0, 2, 1]
+    store.data[:] = 1.0
+    store.degrees[:] = [1, 2, 1]
+
+
+def _segment_exists(store) -> bool:
+    if store.backing == "mmap":
+        return os.path.exists(store.name)
+    return store.name in shm_segments()
+
+
+def _hold_view_and_close(store):
+    view = store.indices[:2]
+    with pytest.raises(SharedGraphError, match="still alive"):
+        store.close()
+    assert view.size == 2
+
+
 def small_graph(directed: bool = False) -> SocialGraph:
     return erdos_renyi_gnm(60, 150, directed=directed, seed=5)
 
@@ -81,13 +97,6 @@ def shm_segments() -> "list[str]":
         return []
 
 
-@pytest.fixture(autouse=True)
-def _fresh_attach_cache():
-    clear_attach_cache()
-    yield
-    clear_attach_cache()
-
-
 class TestSharedCSRLifecycle:
     @pytest.mark.parametrize("backing", BACKINGS)
     @pytest.mark.parametrize("directed", [False, True])
@@ -97,28 +106,12 @@ class TestSharedCSRLifecycle:
         store = SharedCSR.from_graph(graph, backing=backing, path=path)
         try:
             _assert_csr_arrays_match(store, graph)
+            _assert_sealed_read_only(store)
             descriptor = store.descriptor
             assert descriptor.num_nodes == graph.num_nodes
             assert descriptor.num_edges == graph.num_edges
             assert descriptor.version == graph.version
             assert descriptor.directed == directed
-        finally:
-            store.close()
-            store.unlink()
-
-    @pytest.mark.parametrize("backing", BACKINGS)
-    def test_attach_detach_round_trip(self, backing, tmp_path):
-        graph = small_graph()
-        path = tmp_path / "seg.csr" if backing == "mmap" else None
-        store = SharedCSR.from_graph(graph, backing=backing, path=path)
-        try:
-            attached = SharedCSR.attach(store.descriptor)
-            _assert_csr_arrays_match(attached, small_graph())
-            assert not attached.owner
-            _assert_attached_read_only(attached)
-            attached.close()
-            # idempotent close
-            attached.close()
         finally:
             store.close()
             store.unlink()
@@ -130,45 +123,11 @@ class TestSharedCSRLifecycle:
             assert store.descriptor.nnz == graph.adjacency_matrix().nnz
         assert shm_segments() == before
 
-    def test_descriptor_is_picklable_and_tiny(self):
-        graph = small_graph()
-        with SharedCSR.from_graph(graph) as store:
-            blob = pickle.dumps(store.descriptor)
-            assert len(blob) < 500
-            assert pickle.loads(blob) == store.descriptor
-
     def test_unsealed_segment_has_no_descriptor(self):
         store = SharedCSR.allocate(4, 6, directed=False)
         try:
             with pytest.raises(SharedGraphError, match="not sealed"):
                 _ = store.descriptor
-        finally:
-            store.close()
-            store.unlink()
-
-    def test_attach_refuses_unsealed_segment(self):
-        store = SharedCSR.allocate(4, 6, directed=False)
-        try:
-            fake = CSRDescriptor(
-                backing="shm", name=store.name, num_nodes=4,
-                num_edges=3, nnz=6, directed=False, version=0,
-            )
-            with pytest.raises(SharedGraphError, match="never sealed"):
-                SharedCSR.attach(fake)
-        finally:
-            store.close()
-            store.unlink()
-
-    def test_only_owner_may_seal_or_unlink(self):
-        graph = small_graph()
-        store = SharedCSR.from_graph(graph)
-        try:
-            attached = SharedCSR.attach(store.descriptor)
-            with pytest.raises(SharedGraphError, match="owning process"):
-                attached.seal(1)
-            with pytest.raises(SharedGraphError, match="creating process"):
-                attached.unlink()
-            attached.close()
         finally:
             store.close()
             store.unlink()
@@ -180,43 +139,101 @@ class TestSharedCSRLifecycle:
         with pytest.raises(SharedGraphError, match="closed"):
             _ = store.descriptor
 
-
-class TestVersionStamp:
     @pytest.mark.parametrize("backing", BACKINGS)
-    def test_stale_descriptor_raises_graph_version_error(self, backing, tmp_path):
+    def test_descriptor_reads_the_sealed_header(self, backing, tmp_path):
+        path = tmp_path / "seg.csr" if backing == "mmap" else None
+        with SharedCSR.allocate(3, 4, directed=False, backing=backing, path=path) as store:
+            _fill_path_graph(store)
+            store.seal(version=7)
+            assert store.descriptor == CSRDescriptor(
+                backing=backing, name=store.name, num_nodes=3, num_edges=2,
+                nnz=4, directed=False, version=7,
+            )
+            assert (store.num_nodes, store.nnz) == (3, 4)
+
+    @pytest.mark.parametrize("directed, num_edges", [(False, 2), (True, 4)])
+    def test_seal_defaults_num_edges_by_direction(self, directed, num_edges):
+        with SharedCSR.allocate(3, 4, directed=directed) as store:
+            _fill_path_graph(store)
+            store.seal(version=0)
+            assert store.descriptor.num_edges == num_edges
+            assert store.descriptor.directed == directed
+
+    def test_seal_records_explicit_num_edges(self):
+        with SharedCSR.allocate(3, 4, directed=True) as store:
+            _fill_path_graph(store)
+            store.seal(version=1, num_edges=3)
+            assert store.descriptor.num_edges == 3
+
+    @pytest.mark.parametrize("backing", BACKINGS)
+    def test_arrays_writable_until_sealed(self, backing, tmp_path):
+        path = tmp_path / "seg.csr" if backing == "mmap" else None
+        with SharedCSR.allocate(3, 4, directed=False, backing=backing, path=path) as store:
+            _fill_path_graph(store)
+            store.indices[0] = 1  # still assembling: writes land
+            store.seal(version=0)
+            _assert_sealed_read_only(store)
+
+    @pytest.mark.parametrize("backing", BACKINGS)
+    def test_nbytes_matches_the_segment_layout(self, backing, tmp_path):
         graph = small_graph()
         path = tmp_path / "seg.csr" if backing == "mmap" else None
-        store = SharedCSR.from_graph(graph, backing=backing, path=path)
+        with SharedCSR.from_graph(graph, backing=backing, path=path) as store:
+            n, nnz = graph.num_nodes, store.nnz
+            assert store.nbytes == 8 * (8 + (n + 1) + 2 * nnz + n)
+            if backing == "mmap":
+                assert os.path.getsize(store.name) == store.nbytes
+
+    @pytest.mark.parametrize("backing", BACKINGS)
+    def test_segment_name_carries_the_leak_check_prefix(self, backing):
+        with SharedCSR.from_graph(small_graph(), backing=backing) as store:
+            if backing == "shm":
+                assert store.name.startswith(f"{SEGMENT_PREFIX}{os.getpid()}_")
+            else:
+                assert os.path.isabs(store.name)
+                assert os.path.basename(store.name).startswith(SEGMENT_PREFIX)
+            assert _segment_exists(store)
+
+    def test_allocate_rejects_bad_arguments(self):
+        with pytest.raises(SharedGraphError, match="unknown backing"):
+            SharedCSR.allocate(3, 4, directed=False, backing="gpu")
+        with pytest.raises(SharedGraphError, match="num_nodes >= 0"):
+            SharedCSR.allocate(-1, 4, directed=False)
+        with pytest.raises(SharedGraphError, match="nnz >= 0"):
+            SharedCSR.allocate(3, -4, directed=False)
+
+    @pytest.mark.parametrize("backing", BACKINGS)
+    def test_close_and_unlink_are_idempotent(self, backing, tmp_path):
+        path = tmp_path / "seg.csr" if backing == "mmap" else None
+        store = SharedCSR.from_graph(small_graph(), backing=backing, path=path)
+        store.close()
+        store.close()
+        assert store.closed
+        assert _segment_exists(store)  # closing drops the mapping only
+        store.unlink()
+        store.unlink()
+        assert not _segment_exists(store)
+        with pytest.raises(SharedGraphError, match="closed"):
+            _ = store.num_nodes
+
+    @pytest.mark.parametrize("backing", BACKINGS)
+    def test_close_with_live_views_raises_typed_error(self, backing, tmp_path):
+        path = tmp_path / "seg.csr" if backing == "mmap" else None
+        store = SharedCSR.from_graph(small_graph(), backing=backing, path=path)
         try:
-            stale = dataclasses.replace(store.descriptor, version=graph.version + 7)
-            with pytest.raises(GraphVersionError) as info:
-                SharedCSR.attach(stale)
-            assert info.value.expected == graph.version + 7
-            assert info.value.found == graph.version
-            # typed: it is a GraphError subclass via SharedGraphError
-            assert isinstance(info.value, SharedGraphError)
+            _hold_view_and_close(store)
         finally:
-            store.close()
             store.unlink()
+        assert not _segment_exists(store)
 
-    def test_failed_attach_does_not_leak_mappings(self):
-        before = shm_segments()
-        graph = small_graph()
-        store = SharedCSR.from_graph(graph)
-        stale = dataclasses.replace(store.descriptor, version=-1)
-        with pytest.raises(GraphVersionError):
-            SharedCSR.attach(stale)
-        store.close()
-        store.unlink()
-        assert shm_segments() == before
-
-    def test_gone_segment_raises_typed_error(self):
-        store = SharedCSR.from_graph(small_graph())
-        descriptor = store.descriptor
-        store.close()
-        store.unlink()
-        with pytest.raises(SharedGraphError, match="does not exist"):
-            SharedCSR.attach(descriptor)
+    @pytest.mark.parametrize("backing", BACKINGS)
+    def test_no_segment_left_after_exception(self, backing, tmp_path):
+        path = tmp_path / "seg.csr" if backing == "mmap" else None
+        with pytest.raises(RuntimeError, match="builder failed"):
+            with SharedCSR.from_graph(small_graph(), backing=backing, path=path) as store:
+                raise RuntimeError("builder failed")
+        assert store.closed
+        assert not _segment_exists(store)
 
 
 class TestSharedSocialGraph:
@@ -279,6 +296,46 @@ class TestSharedSocialGraph:
         for node in range(graph.num_nodes):
             assert clone.in_neighbors(node) == graph.in_neighbors(node)
 
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_pickle_degrades_mmap_backed_graph(self, directed, tmp_path):
+        graph = small_graph(directed)
+        with SharedSocialGraph.from_graph(
+            graph, backing="mmap", path=tmp_path / "seg.csr"
+        ) as shared:
+            clone = pickle.loads(pickle.dumps(shared))
+        assert type(clone) is SocialGraph
+        assert clone == graph
+        assert (clone.num_edges, clone.version) == (graph.num_edges, graph.version)
+
+    def test_pickle_outlives_the_segment(self):
+        """The pickle carries the arrays, not the segment name: it still
+        loads after the creator has unlinked the segment."""
+        graph = small_graph()
+        with SharedSocialGraph.from_graph(graph) as shared:
+            payload = pickle.dumps(shared)
+        assert pickle.loads(payload) == graph
+
+    def test_closed_graph_refuses_reads_and_pickles(self):
+        shared = SharedSocialGraph.from_graph(small_graph())
+        shared.close()
+        shared.unlink()
+        with pytest.raises(SharedGraphError, match="closed"):
+            shared.adjacency_matrix()
+        with pytest.raises(SharedGraphError, match="closed"):
+            pickle.dumps(shared)
+
+    @pytest.mark.parametrize("backing", BACKINGS)
+    def test_version_stamp_follows_the_source_graph(self, backing):
+        graph = small_graph()
+        graph.try_add_edge(0, 59)
+        graph.try_remove_edge(0, 59)
+        graph.try_add_edge(1, 58)
+        with SharedSocialGraph.from_graph(graph, backing=backing) as shared:
+            assert shared.version == graph.version > 0
+            assert shared.descriptor == shared.store.descriptor
+            assert shared.descriptor.version == graph.version
+            assert shared.to_heap().version == graph.version
+
     def test_to_heap_matches_and_is_mutable(self):
         graph = small_graph(directed=True)
         with SharedSocialGraph.from_graph(graph) as shared:
@@ -299,107 +356,6 @@ class TestSharedSocialGraph:
                 shared.in_neighbors(0)
             with pytest.raises(SharedGraphError, match="predecessor"):
                 shared.in_degrees()
-
-
-class TestAttachCache:
-    def test_attach_shared_graph_memoizes(self):
-        graph = small_graph()
-        with SharedSocialGraph.from_graph(graph) as shared:
-            first = attach_shared_graph(shared.descriptor)
-            second = attach_shared_graph(shared.descriptor)
-            assert first is second
-            assert first == graph
-            clear_attach_cache()
-
-    def test_cache_distinguishes_versions_by_key(self):
-        graph = small_graph()
-        with SharedSocialGraph.from_graph(graph) as shared:
-            cached = attach_shared_graph(shared.descriptor)
-            assert cached is attach_shared_graph(shared.descriptor)
-            clear_attach_cache()
-            again = attach_shared_graph(shared.descriptor)
-            assert again is not cached
-            clear_attach_cache()
-
-
-class TestWorkerLifecycle:
-    def test_no_leaked_segments_after_worker_exception(self):
-        """A worker crash mid-map must not leave segments or kill cleanup."""
-        before = shm_segments()
-        code = textwrap.dedent(
-            """
-            import sys
-            from repro.compute.executors import ProcessExecutor
-            from repro.graphs import SharedSocialGraph
-            from repro.graphs.generators import erdos_renyi_gnm
-
-            def boom(shared, item):
-                graph = shared["graph"]
-                if item == 3:
-                    raise RuntimeError("worker exploded")
-                return graph.degree(item)
-
-            graph = erdos_renyi_gnm(50, 120, seed=5)
-            shared = SharedSocialGraph.from_graph(graph)
-            try:
-                with ProcessExecutor(workers=2) as executor:
-                    try:
-                        executor.map(boom, range(6), shared={"graph": shared})
-                    except Exception:
-                        pass
-                    else:
-                        sys.exit(3)
-            finally:
-                shared.close()
-                shared.unlink()
-            """
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert result.returncode == 0, result.stderr
-        # resource tracker stays quiet: no leak warnings on stderr
-        assert "leaked shared_memory" not in result.stderr
-        assert "resource_tracker" not in result.stderr
-        assert shm_segments() == before
-
-    def test_resource_tracker_quiet_after_worker_attach(self):
-        """Workers attaching by name must not unlink the segment at exit."""
-        code = textwrap.dedent(
-            """
-            from repro.compute.executors import ProcessExecutor
-            from repro.graphs import SharedCSR, SharedSocialGraph
-            from repro.graphs.generators import erdos_renyi_gnm
-
-            def touch(shared, item):
-                return shared["graph"].degree(item)
-
-            graph = erdos_renyi_gnm(50, 120, seed=5)
-            shared = SharedSocialGraph.from_graph(graph)
-            try:
-                with ProcessExecutor(workers=2) as executor:
-                    executor.map(touch, range(8), shared={"graph": shared})
-                # the segment must still exist after the pool exits
-                probe = SharedCSR.attach(shared.descriptor)
-                probe.close()
-            finally:
-                shared.close()
-                shared.unlink()
-            print("SURVIVED")
-            """
-        )
-        result = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            timeout=300,
-        )
-        assert result.returncode == 0, result.stderr
-        assert "SURVIVED" in result.stdout
-        assert "leaked shared_memory" not in result.stderr
 
 
 class TestOutOfCoreBuilders:

@@ -8,8 +8,6 @@ is a representation change, never a behavioral one.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -30,9 +28,6 @@ from repro.telemetry import (
     KIND_WINDOW_EXPIRY,
     Telemetry,
 )
-
-WORKERS = int(os.environ.get("REPRO_SMOKE_WORKERS", "2"))
-
 
 def small_graph():
     return wiki_vote(scale=0.03)
@@ -68,21 +63,17 @@ class TestServeWhileMutatingIdentity:
         assert compacting.compactions > 0
         assert overlay.graph.stamp[1] == compacting.graph.stamp[1]
 
-    def test_identity_across_executors_and_chunking(self):
+    @pytest.mark.parametrize("chunk_size", [8, 1, 32])
+    def test_identity_across_chunking(self, chunk_size):
         graph = small_graph()
         events = synthetic_event_stream(
             graph, 150, add_fraction=0.1, remove_fraction=0.05, seed=9
         )
         serial = StreamingService(graph, epsilon=0.5, user_budget=1e9, seed=7)
-        sharded = StreamingService(
-            graph,
-            epsilon=0.5,
-            user_budget=1e9,
-            seed=7,
-            executor="thread",
-            chunk_size=8,
+        chunked = StreamingService(
+            graph, epsilon=0.5, user_budget=1e9, seed=7, chunk_size=chunk_size
         )
-        assert run_stream(serial, events) == run_stream(sharded, events)
+        assert run_stream(serial, events) == run_stream(chunked, events)
 
     def test_cache_survives_mutations_selectively(self):
         graph = small_graph()
@@ -404,19 +395,28 @@ class TestReplayStream:
         with pytest.raises(ServingError):
             replay_stream(service, [], batch_size=0)
 
-    @pytest.mark.skipif(WORKERS < 2, reason="needs multiple workers")
-    def test_replay_under_process_executor_matches_serial(self):
+    def test_replay_summary_identical_across_chunk_sizes(self):
+        """Chunking changes neither the picks nor any replay accounting."""
         graph = small_graph()
         events = synthetic_event_stream(
             graph, 120, add_fraction=0.08, remove_fraction=0.04, seed=11
         )
-        serial = StreamingService(graph, epsilon=0.5, user_budget=1e9, seed=13)
-        process = StreamingService(
-            graph,
-            epsilon=0.5,
-            user_budget=1e9,
-            seed=13,
-            executor="process",
-            chunk_size=16,
-        )
-        assert run_stream(serial, events) == run_stream(process, events)
+
+        def replay(chunk_size):
+            service = StreamingService(
+                graph, epsilon=0.5, user_budget=3.0, seed=13,
+                chunk_size=chunk_size, compact_every=30,
+            )
+            picks = []
+            summary = replay_stream(
+                service, events, batch_size=16,
+                on_response=lambda r: picks.append((r.status, r.recommendations)),
+            )
+            counts = (
+                summary.num_served, summary.num_rejected,
+                summary.num_mutations_applied, summary.num_compactions,
+                summary.final_epoch,
+            )
+            return picks, counts
+
+        assert replay(16) == replay(None)

@@ -228,12 +228,38 @@ class TestServiceIntegration:
 
         patched_picks, patched = run(incremental=None)
         evicted_picks, evicted = run(incremental=False)
-        threaded_picks, _ = run(executor="thread", chunk_size=8)
+        chunked_picks, _ = run(chunk_size=8)
         assert patched.service.incremental
         assert not evicted.service.incremental
         assert patched.cache.snapshot()["patched_rows"] > 0
         assert evicted.cache.snapshot()["patched_rows"] == 0
-        assert patched_picks == evicted_picks == threaded_picks
+        assert patched_picks == evicted_picks == chunked_picks
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_patching_identity_across_chunk_sizes(self, dtype):
+        """Patch-on and patch-off serve the same picks, unchunked and in
+        chunks of 4, at either compute dtype."""
+        graph = random_overlay(np.random.default_rng(23), n=50, num_edges=160).materialize()
+        events = synthetic_event_stream(
+            graph, 100, add_fraction=0.12, remove_fraction=0.06, seed=8
+        )
+
+        def picks(incremental, chunk_size):
+            service = StreamingService(
+                graph, "weighted_paths", epsilon=0.5, user_budget=1e9, seed=2,
+                incremental=incremental, chunk_size=chunk_size, dtype=dtype,
+            )
+            recorded = []
+            replay_stream(
+                service, events, batch_size=16,
+                on_response=lambda r: recorded.append(tuple(r.recommendations)),
+            )
+            return recorded
+
+        reference = picks(True, None)
+        assert picks(False, None) == reference
+        assert picks(True, 4) == reference
+        assert picks(False, 4) == reference
 
     def test_explicit_incremental_on_plain_graph_is_harmless(self):
         from repro.serving.service import RecommendationService

@@ -194,7 +194,7 @@ class TestCopyAndMaterialize:
         assert not base.has_edge(1, 2)
 
     def test_pickle_roundtrip(self):
-        """ProcessExecutor ships the serving graph to workers via pickle."""
+        """Result caches and snapshots carry the serving graph by pickle."""
         graph = MutableSocialGraph.from_graph(toy.paper_example_graph())
         graph.add_edge(0, 6)
         clone = pickle.loads(pickle.dumps(graph))

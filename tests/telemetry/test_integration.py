@@ -1,12 +1,11 @@
-"""Cross-layer telemetry coverage: executors, ambient helpers, replays.
+"""Cross-layer telemetry coverage: traced chunk maps, ambient helpers, replays.
 
 The contracts under test:
 
-* worker spans and metrics merge back deterministically — the same chunk
-  count on serial, thread, and process executors, with no span lost and
-  none double-counted;
+* a traced map records exactly one span and one chunk timing per chunk,
+  and its chunks record into the caller's activated telemetry;
 * the privacy ledger reconciles against both accountant types after a
-  mixed serve/mutate/refusal replay, on every executor;
+  mixed serve/mutate/refusal replay;
 * attaching telemetry never changes what gets recommended;
 * with no telemetry attached the ambient helpers allocate nothing in any
   registry (the disabled hot path the overhead benchmark gates).
@@ -14,24 +13,15 @@ The contracts under test:
 
 from __future__ import annotations
 
-import os
+import threading
 
 import pytest
 
-from repro.compute import ProcessExecutor, SerialExecutor, ThreadExecutor
 from repro.datasets import wiki_vote
 from repro.graphs.generators import erdos_renyi_gnp
 from repro.serving import RecommendationService
 from repro.streaming import StreamingService, replay_stream, synthetic_event_stream
 from repro.telemetry import Telemetry, runtime, traced_map
-
-WORKERS = int(os.environ.get("REPRO_SMOKE_WORKERS", "2"))
-
-EXECUTORS = [
-    SerialExecutor(),
-    ThreadExecutor(workers=WORKERS),
-    ProcessExecutor(workers=WORKERS),
-]
 
 
 @pytest.fixture(scope="module")
@@ -40,47 +30,118 @@ def graph():
 
 
 def _double(shared, item):
-    """Module-level chunk fn so ProcessExecutor can pickle it."""
+    return item * shared
+
+
+def _counted_double(shared, item):
+    runtime.count("stage.items")
     return item * shared
 
 
 class TestTracedMap:
-    @pytest.mark.parametrize("executor", EXECUTORS, ids=lambda e: e.name)
-    def test_results_match_plain_map_and_spans_are_deterministic(self, executor):
+    def test_results_match_plain_map_and_spans_are_deterministic(self):
         telemetry = Telemetry.create()
         items = list(range(10))
-        results = traced_map(executor, _double, items, 3, telemetry, "stage")
+        results = traced_map(_double, items, 3, telemetry, "stage")
         assert results == [item * 3 for item in items]
         # One span and one chunk_seconds observation per chunk, exactly.
         assert telemetry.tracer.count("stage") == len(items)
         assert telemetry.registry.histogram("stage.chunk_seconds").count == len(items)
         assert telemetry.registry.counter("stage.chunks").value == len(items)
         assert telemetry.registry.histogram("stage.map_seconds").count == 1
-        utilization = telemetry.registry.gauge("stage.worker_utilization").value
-        assert 0.0 <= utilization <= 1.0
 
-    @pytest.mark.parametrize("executor", EXECUTORS, ids=lambda e: e.name)
-    def test_worker_spans_carry_the_executor_label(self, executor):
+    def test_chunks_record_into_the_callers_telemetry(self):
         telemetry = Telemetry.create()
-        traced_map(executor, _double, [1, 2], 1, telemetry, "stage")
-        workers = {record.worker for record in telemetry.tracer.records()}
-        assert workers == {executor.name}
+        with runtime.activate(telemetry), telemetry.span("batch"):
+            traced_map(_counted_double, [1, 2, 3], 2, telemetry, "stage")
+        assert telemetry.registry.counter("stage.items").value == 3
+        chunk_spans = [r for r in telemetry.tracer.records() if r.name == "stage"]
+        assert len(chunk_spans) == 3
+        assert {(r.parent, r.depth) for r in chunk_spans} == {("batch", 1)}
 
     def test_none_telemetry_is_plain_map(self):
-        assert traced_map(
-            SerialExecutor(), _double, [1, 2, 3], 2, None, "stage"
-        ) == [2, 4, 6]
+        assert traced_map(_double, [1, 2, 3], 2, None, "stage") == [2, 4, 6]
+
+    def test_untraced_telemetry_still_times_every_chunk(self):
+        """sample_rate=0 drops the spans, never the chunk metrics."""
+        telemetry = Telemetry.create(sample_rate=0.0)
+        assert traced_map(_double, [1, 2, 3], 2, telemetry, "stage") == [2, 4, 6]
+        assert telemetry.tracer.count() == 0
+        assert telemetry.registry.counter("stage.chunks").value == 3
+        assert telemetry.registry.histogram("stage.chunk_seconds").count == 3
+
+
+@pytest.fixture(params=["bare", "traced"])
+def map_telemetry(request):
+    """``None`` (the bare loop) or a live telemetry: one contract for both."""
+    return Telemetry.create() if request.param == "traced" else None
+
+
+class TestTracedMapContract:
+    """What every batched pipeline relies on when it maps its chunks."""
+
+    def test_results_in_item_order(self, map_telemetry):
+        items = [5, 3, 9, 1, 7, 2]
+        assert traced_map(_double, items, 2, map_telemetry, "stage") == [
+            10, 6, 18, 2, 14, 4,
+        ]
+
+    def test_empty_and_single_item(self, map_telemetry):
+        assert traced_map(_double, [], 2, map_telemetry, "stage") == []
+        assert traced_map(_double, [4], 2, map_telemetry, "stage") == [8]
+        if map_telemetry is not None:
+            assert map_telemetry.registry.counter("stage.chunks").value == 1
+            assert map_telemetry.tracer.count("stage") == 1
+
+    def test_shared_context_reaches_every_item(self, map_telemetry):
+        shared = {"seen": []}
+
+        def record(context, item):
+            context["seen"].append(item)
+            return context is shared
+
+        assert traced_map(record, [0, 1, 2], shared, map_telemetry, "stage") == [
+            True, True, True,
+        ]
+        assert shared["seen"] == [0, 1, 2]
+
+    def test_chunk_errors_propagate(self, map_telemetry):
+        ran: list = []
+
+        def fail_on_two(shared, item):
+            ran.append(item)
+            if item == 2:
+                raise ValueError("chunk 2 failed")
+            return item
+
+        with pytest.raises(ValueError, match="chunk 2 failed"):
+            traced_map(fail_on_two, [0, 1, 2, 3], None, map_telemetry, "stage")
+        assert ran == [0, 1, 2]  # nothing runs after the failing chunk
+        if map_telemetry is not None:
+            # The failing chunk's span still closes; the map is not counted.
+            assert map_telemetry.tracer.count("stage") == 3
+            assert map_telemetry.registry.counter("stage.chunks").value == 0
+
+    def test_chunks_run_on_the_calling_thread(self, map_telemetry):
+        caller = threading.get_ident()
+        idents = traced_map(
+            lambda shared, item: threading.get_ident(),
+            range(4), None, map_telemetry, "stage",
+        )
+        assert idents == [caller] * 4
 
 
 class TestServingTelemetry:
-    @pytest.mark.parametrize("executor", EXECUTORS, ids=lambda e: e.name)
+    @pytest.mark.parametrize(
+        "chunk_size, vector_chunks", [(8, 4), (3, 10), (None, 1)]
+    )
     def test_batch_replay_reconciles_and_counts_deterministically(
-        self, graph, executor
+        self, graph, chunk_size, vector_chunks
     ):
         telemetry = Telemetry.create()
         service = RecommendationService(
             graph, epsilon=0.5, user_budget=2.0, seed=7,
-            executor=executor, chunk_size=8, telemetry=telemetry,
+            chunk_size=chunk_size, telemetry=telemetry,
         )
         users = list(range(30)) + [3, 3, 7]
         for _ in range(3):  # third round starts refusing (budget 2.0 / 0.5)
@@ -93,9 +154,10 @@ class TestServingTelemetry:
         assert rejected > 0
         assert registry.histogram("serve.request_seconds").count == 3 * len(users)
         assert len(telemetry.ledger) == 3 * len(users)
-        # Chunk accounting merged from workers matches the plans exactly:
-        # 30 unique cold targets in chunks of 8 -> 4 vector chunks.
-        assert registry.counter("serve.vectors.chunks").value == 4
+        # Chunk accounting matches the plans exactly: 30 unique cold
+        # targets in chunks of 8 -> 4 vector chunks (3 -> 10, unchunked -> 1).
+        assert registry.counter("serve.vectors.chunks").value == vector_chunks
+        assert telemetry.tracer.count("serve.vectors") == vector_chunks
 
     def test_recommendations_identical_with_and_without_telemetry(self, graph):
         def run(telemetry):
@@ -123,13 +185,12 @@ class TestServingTelemetry:
 
 
 class TestStreamingTelemetry:
-    @pytest.mark.parametrize("executor", EXECUTORS, ids=lambda e: e.name)
-    def test_mixed_replay_reconciles_both_accountant_types(self, executor):
+    @pytest.mark.parametrize("chunk_size", [8, 1, None])
+    def test_mixed_replay_reconciles_both_accountant_types(self, chunk_size):
         telemetry = Telemetry.create()
         service = StreamingService(
             erdos_renyi_gnp(80, 0.08, seed=2),
-            epsilon=0.5, user_budget=4.0, seed=0,
-            executor=executor, chunk_size=8,
+            epsilon=0.5, user_budget=4.0, seed=0, chunk_size=chunk_size,
             window=10.0, window_budget=1.0, compact_every=40,
             telemetry=telemetry,
         )

@@ -1,13 +1,15 @@
-"""Tests for span tracing: nesting, sampling, absorption, bounds."""
+"""Tests for span tracing: nesting, sampling, collection, bounds."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import pickle
 
 import pytest
 
 from repro.errors import TelemetryError
-from repro.telemetry import NULL_SPAN, Tracer
+from repro.telemetry import NULL_SPAN, SpanRecord, Telemetry, Tracer
 from repro.telemetry.tracing import _NullSpan
 
 
@@ -95,24 +97,18 @@ class TestCollection:
         assert [r.name for r in drained] == ["a"]
         assert tracer.records() == []
 
-    def test_absorb_retags_with_worker_label(self):
-        worker = Tracer()
-        with worker.span("chunk"):
-            pass
-        parent = Tracer()
-        parent.absorb(worker.drain(), worker="process")
-        (record,) = parent.records()
-        assert record.worker == "process"
-        assert record.name == "chunk"
-
-    def test_absorb_without_label_keeps_records_verbatim(self):
-        worker = Tracer()
-        with worker.span("chunk"):
-            pass
-        records = worker.drain()
-        parent = Tracer()
-        parent.absorb(records)
-        assert parent.records() == records
+    def test_dump_span_rows_mirror_the_record_fields(self):
+        """``Telemetry.dump`` (the ``--telemetry-out`` format) writes one
+        JSON row per span with exactly the :class:`SpanRecord` fields."""
+        telemetry = Telemetry.create()
+        with telemetry.span("outer", targets=3):
+            with telemetry.span("inner"):
+                pass
+        rows = json.loads(json.dumps(telemetry.dump()))["spans"]
+        assert [row["name"] for row in rows] == ["inner", "outer"]
+        record_fields = {f.name for f in dataclasses.fields(SpanRecord)}
+        assert all(set(row) == record_fields for row in rows)
+        assert rows[0]["parent"] == "outer" and rows[1]["attrs"] == {"targets": 3}
 
     def test_total_seconds_sums_by_name(self):
         tracer = Tracer()

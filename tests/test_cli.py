@@ -60,20 +60,20 @@ class TestCommands:
 
 class TestComputeFlags:
     @pytest.mark.parametrize(
-        "command", [["figure", "1a"], ["sweep"], ["serve-sim"], ["stream-sim"]]
+        "command",
+        [["figure", "1a"], ["sweep"], ["serve-sim"], ["stream-sim"], ["serve"]],
     )
-    def test_workers_and_chunk_size_parse_with_serial_defaults(self, command):
+    def test_chunk_size_parses_and_workers_is_gone(self, command):
         args = build_parser().parse_args(command)
-        assert args.workers == 1
         assert args.chunk_size is None
-        args = build_parser().parse_args(command + ["--workers", "4", "--chunk-size", "128"])
-        assert args.workers == 4
+        args = build_parser().parse_args(command + ["--chunk-size", "128"])
         assert args.chunk_size == 128
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--workers", "2"])
 
     def test_sweep_runs_sharded(self, capsys):
         code = main(
-            ["sweep", "--scale", "0.02", "--targets", "8",
-             "--workers", "2", "--chunk-size", "4"]
+            ["sweep", "--scale", "0.02", "--targets", "8", "--chunk-size", "4"]
         )
         assert code == 0
         assert "mean accuracy" in capsys.readouterr().out
@@ -81,10 +81,46 @@ class TestComputeFlags:
     def test_serve_sim_runs_sharded(self, capsys):
         code = main(
             ["serve-sim", "--scale", "0.03", "--requests", "60",
-             "--batch-size", "20", "--workers", "2", "--chunk-size", "16"]
+             "--batch-size", "20", "--chunk-size", "16"]
         )
         assert code == 0
         assert "recs/sec" in capsys.readouterr().out
+
+    def test_serve_sim_ledger_identical_across_chunk_sizes(self, tmp_path, capsys):
+        """--chunk-size is a layout knob end to end: the same requests are
+        served and charged, only the number of traced chunks moves."""
+        dumps = {}
+        for chunk_size in ("1", "16"):
+            out = tmp_path / f"telemetry_{chunk_size}.json"
+            code = main(
+                ["serve-sim", "--scale", "0.03", "--requests", "60",
+                 "--batch-size", "20", "--chunk-size", chunk_size,
+                 "--telemetry-out", str(out)]
+            )
+            assert code == 0
+            dumps[chunk_size] = json.loads(out.read_text())
+        capsys.readouterr()
+        assert len(dumps["1"]["ledger"]) == 60
+        assert dumps["1"]["ledger"] == dumps["16"]["ledger"]
+        assert len(dumps["1"]["spans"]) > len(dumps["16"]["spans"])
+
+
+class TestTelemetryOut:
+    def test_dump_round_trips_through_metrics_dump(self, tmp_path, capsys):
+        out = tmp_path / "telemetry.json"
+        code = main(
+            ["serve-sim", "--scale", "0.03", "--requests", "40",
+             "--batch-size", "20", "--telemetry-out", str(out)]
+        )
+        assert code == 0
+        dump = json.loads(out.read_text())
+        assert set(dump) == {"metrics", "spans", "ledger"}
+        assert dump["spans"], "a traced serve-sim records chunk spans"
+        for span in dump["spans"]:
+            assert set(span) == {"name", "start", "duration", "depth", "parent", "attrs"}
+        capsys.readouterr()
+        assert main(["metrics", "dump", str(out)]) == 0
+        assert "serve.vectors.chunks" in capsys.readouterr().out
 
 
 class TestSweepAndAuditCommands:
@@ -185,8 +221,6 @@ class TestStreamSimCommand:
                 "40",
                 "--window-budget",
                 "0.4",
-                "--workers",
-                "2",
                 "--chunk-size",
                 "16",
             ]

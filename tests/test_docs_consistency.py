@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,50 @@ class TestReadme:
             docs = text + (REPO_ROOT / "EXPERIMENTS.md").read_text()
             docs += (REPO_ROOT / "DESIGN.md").read_text()
             assert script.name in docs or script.stem in docs, script.name
+
+    def test_cli_commands_parse(self):
+        """Every documented ``python -m repro.cli ...`` command parses."""
+        from repro.cli import build_parser
+
+        text = (REPO_ROOT / "README.md").read_text().replace("\\\n", " ")
+        commands = [
+            line.split("python -m repro.cli", 1)[1]
+            for line in text.splitlines()
+            if "python -m repro.cli" in line
+        ]
+        assert commands
+        parser = build_parser()
+        for command in commands:
+            try:
+                parser.parse_args(shlex.split(command, comments=True))
+            except SystemExit:
+                pytest.fail(f"README command does not parse: repro.cli{command}")
+
+
+class TestRemovedExecutorLayer:
+    #: The executor layer, context shipping and the shared-graph attach path
+    #: were deleted: every batched pipeline runs its chunks inline.
+    REMOVED = (
+        "Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
+        "make_executor", "executor_lease", "encode_shared", "decode_shared",
+        "shipped_nbytes", "__ship__", "attach_shared_graph",
+        "clear_attach_cache", "GraphVersionError", "for_workers",
+        "REPRO_SMOKE_WORKERS",
+    )
+
+    def test_removed_names_stay_gone(self):
+        pattern = re.compile(
+            r"(?<![A-Za-z0-9])(" + "|".join(map(re.escape, self.REMOVED)) + r")(?![A-Za-z0-9])"
+        )
+        hits = []
+        for top in ("src", "benchmarks", "examples", "scripts", ".github"):
+            for path in sorted((REPO_ROOT / top).rglob("*")):
+                if not path.is_file() or path.suffix not in {".py", ".sh", ".yml", ".yaml"}:
+                    continue
+                for number, line in enumerate(path.read_text().splitlines(), 1):
+                    if pattern.search(line):
+                        hits.append(f"{path.relative_to(REPO_ROOT)}:{number}: {line.strip()}")
+        assert not hits, "\n".join(hits)
 
 
 class TestPublicApiDocstrings:
