@@ -59,14 +59,13 @@ python benchmarks/bench_streaming.py --smoke --min-speedup 2 \
     --output "$smoke_out/BENCH_streaming.json"
 
 echo
-echo "== incremental-maintenance benchmark (smoke) =="
-# Asserts patch-on vs patch-off recommendation identity across chunk
-# sizes and both compute dtypes, and resident rows bit-equal to
-# from-scratch recomputes — deterministic, fully gated in CI. The
-# throughput gate drops to 2x here (small smoke replica + noisy shared
-# runners); the local acceptance run is
-# `python benchmarks/bench_incremental.py` (>= 5x at scale 0.5).
-python benchmarks/bench_incremental.py --smoke --min-speedup 2 \
+echo "== cache-patching benchmark (smoke) =="
+# Asserts that a patching cache serves the same recommendations as a
+# full-flush reference across chunk sizes and both compute dtypes, that
+# resident rows are bit-equal to from-scratch recomputes, and that the
+# replay patches and never flushes — deterministic, fully gated in CI.
+# Throughput (patch_eps) is reported, not gated.
+python benchmarks/bench_incremental.py --smoke \
     --output "$smoke_out/BENCH_incremental.json"
 
 echo

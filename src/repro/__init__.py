@@ -31,7 +31,7 @@ The library implements the paper end-to-end:
   ``repro-social serve-sim`` CLI subcommand;
 * a streaming layer (:mod:`repro.streaming`): a
   :class:`~repro.streaming.overlay.MutableSocialGraph` delta overlay
-  over a frozen CSR base, journal-driven incremental cache invalidation,
+  over a frozen CSR base, cache rows patched from journaled score deltas,
   and a :class:`~repro.streaming.engine.StreamingService` that serves
   recommendation batches while the graph mutates — with an optional
   sliding-window privacy budget — behind the ``repro-social stream-sim``

@@ -3,10 +3,12 @@
 The paper's utilities are low-degree polynomials of the adjacency matrix
 (common neighbors is ``A^2``, weighted paths combines ``A^2 .. A^L``), so
 a single edge mutation perturbs every cached score row by a *closed-form
-sparse delta* — yet the PR-4 invalidation path evicts every row in the
-mutation's reverse-BFS ball and recomputes it from scratch. This module
-computes the delta instead, so the serving cache can patch resident rows
-in place (:meth:`repro.serving.cache.UtilityCache`).
+sparse delta*, and the rows it can change are exactly the delta's
+reverse support (:attr:`EdgeScoreDelta.touched`) plus the edge's
+endpoints. This module computes that delta once per mutation, so the
+serving cache (:class:`repro.serving.cache.UtilityCache`) patches
+resident rows in place instead of recomputing them, and leaves every
+row outside the support untouched.
 
 Delta derivation
 ----------------
@@ -50,16 +52,15 @@ end rounding (the same one rounding point the fill path has).
 
 Endpoint rows (directed ``t == u``; undirected ``t ∈ {u, v}``) change
 their candidate set and/or target degree, so they are *not* patchable —
-:meth:`EdgeScoreDelta.evicts` reports them and the cache falls back to
-the PR-4 selective eviction for exactly those rows.
+:meth:`EdgeScoreDelta.evicts` reports them and the cache evicts and
+recomputes exactly those rows.
 
 Cost model: applying one delta to one row scatters at most
 :attr:`EdgeScoreDelta.scatter_cost` values (forward-level sizes weighted
 by how many components reuse each level). The cache compares the summed
 scatter cost against ``crossover x num_candidates`` — the dense-row cost
 a recompute would pay — and evicts past the crossover instead of
-patching (delta density x ball size is exactly what ``scatter_cost``
-aggregates).
+patching (:data:`repro.serving.cache.PATCH_CROSSOVER`).
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ import numpy as np
 
 from ..errors import GraphError
 from ..utility.base import UtilityVector
-from .workspace import Workspace
 
 #: Metadata key carrying a vector's per-length integer walk components
 #: (``(num_lengths, num_candidates)`` float64). Written by the
@@ -462,7 +462,7 @@ def apply_edge_delta(
     target: int,
     candidates: np.ndarray,
     components: np.ndarray,
-    position_map: "np.ndarray | None" = None,
+    position_map: np.ndarray,
 ) -> bool:
     """Scatter one delta into a target's component rows, in place.
 
@@ -477,11 +477,10 @@ def apply_edge_delta(
     Columns outside the candidate set (the target itself, its
     out-neighbors) are skipped — their counts are never stored. Returns
     whether anything changed. Must not be called for a target
-    :meth:`~EdgeScoreDelta.evicts`. ``position_map``, when given, is a
-    node-id -> candidate-column array (``-1`` for non-candidates, e.g.
-    from :func:`candidate_position_map`) that replaces the per-level
-    binary searches — callers folding several deltas into one row build
-    it once and amortize it.
+    :meth:`~EdgeScoreDelta.evicts`. ``position_map`` is the row's
+    node-id -> candidate-column array (``-1`` for non-candidates, from
+    :func:`candidate_position_map`); callers folding several deltas into
+    one row build it once and amortize it.
     """
     target = int(target)
     changed = False
@@ -518,15 +517,9 @@ def apply_edge_delta(
                 continue
             if ids.size == 0:
                 continue
-            if position_map is not None:
-                mapped = position_map[ids]
-                valid = mapped >= 0
-                columns = mapped[valid]
-            else:
-                positions = np.searchsorted(candidates, ids)
-                clipped = np.minimum(positions, candidates.size - 1)
-                valid = (positions < candidates.size) & (candidates[clipped] == ids)
-                columns = clipped[valid]
+            mapped = position_map[ids]
+            valid = mapped >= 0
+            columns = mapped[valid]
             if not valid.any():
                 continue
             level_add = counts[valid]
@@ -551,26 +544,23 @@ def patch_utility_vector(
     deltas: "list[EdgeScoreDelta]",
     utility,
     dtype,
-    workspace: "Workspace | None" = None,
-    num_nodes: "int | None" = None,
+    num_nodes: int,
 ) -> "UtilityVector | None":
     """A new vector with ``deltas`` folded in, or ``None`` if unpatchable.
 
     Unpatchable means: the vector carries no component side-car (filled
-    before incremental mode, or put by hand), its component block does
+    by a cache that flushes, or put by hand), its component block does
     not match the utility's declared lengths, or some delta rewrites this
     target's candidate set (:meth:`EdgeScoreDelta.evicts`). The caller
     then falls back to eviction; this function never guesses.
 
-    A fresh :class:`UtilityVector` is always returned — resident vectors
-    are shared with callers of ``get()`` and must stay immutable. The
-    float64 recombination scratch rides the ``workspace`` arena when the
-    storage dtype is narrower (the owned float32 values come out of the
-    final ``astype``); at float64 the combined row *is* the stored array,
-    so it is freshly owned by construction. Values/dtype contract: the
-    patched row is bit-identical to a full recompute at float64 and to
-    recompute-then-round at float32 (one end rounding, the same point the
-    fill path rounds at).
+    ``num_nodes`` sizes the row's node-id -> column scatter map, built
+    once and shared by every delta. Unless nothing changed, a fresh
+    :class:`UtilityVector` is returned — resident vectors are shared with
+    callers of ``get()`` and must stay immutable. Values/dtype contract:
+    the patched row is bit-identical to a full recompute at float64 and
+    to recompute-then-round at float32 (one end rounding, the same point
+    the fill path rounds at).
     """
     lengths = utility.walk_component_lengths()
     if lengths is None:
@@ -581,14 +571,7 @@ def patch_utility_vector(
     if any(delta.evicts(vector.target) for delta in deltas):
         return None
     components = components.copy()
-    # One dense scatter map shared by every delta (``num_nodes`` comes
-    # from the serving cache; reference callers without it fall back to
-    # apply_edge_delta's binary searches).
-    position_map = (
-        None
-        if num_nodes is None
-        else candidate_position_map(vector.candidates, num_nodes)
-    )
+    position_map = candidate_position_map(vector.candidates, num_nodes)
     changed = False
     for delta in deltas:
         changed |= apply_edge_delta(
@@ -596,14 +579,7 @@ def patch_utility_vector(
         )
     if not changed:
         return vector
-    dtype = np.dtype(dtype)
-    if dtype == np.float64 or workspace is None:
-        values = utility.combine_component_rows(components)
-    else:
-        scratch = workspace.take(
-            "incremental.combine64", components.shape[1], np.float64
-        )
-        values = utility.combine_component_rows(components, out=scratch)
+    values = utility.combine_component_rows(components)
     metadata = dict(vector.metadata)
     metadata[COMPONENTS_KEY] = components
     return UtilityVector(

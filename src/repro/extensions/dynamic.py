@@ -67,10 +67,7 @@ class TemporalGraph:
         self._reset_cursor()
 
     def _reset_cursor(self) -> None:
-        # journal_horizon=None: the cursor attaches no version-keyed
-        # cache, so per-mutation dirty-ball journaling would be pure
-        # overhead — this keeps event application genuinely O(1).
-        self._cursor = MutableSocialGraph.from_graph(self.initial, journal_horizon=None)
+        self._cursor = MutableSocialGraph.from_graph(self.initial)
         self._applied = 0
 
     def at(self, time: float) -> MutableSocialGraph:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import GraphError
 from .graph import SocialGraph
 
 
@@ -36,7 +37,7 @@ def simple_path_counts(graph: SocialGraph, source: int, max_length: int) -> list
     for validation on small graphs and lengths <= 4.
     """
     if max_length < 1:
-        raise ValueError(f"max_length must be >= 1, got {max_length}")
+        raise GraphError(f"max_length must be >= 1, got {max_length}")
     n = graph.num_nodes
     counts = [np.zeros(n, dtype=np.float64) for _ in range(max_length)]
     source = int(source)

@@ -12,6 +12,7 @@ from collections import deque
 
 import numpy as np
 
+from ..errors import GraphError
 from .graph import SocialGraph
 
 
@@ -69,7 +70,7 @@ def walk_counts(graph: SocialGraph, source: int, max_length: int) -> list[np.nda
     ``O(L * m)`` rather than materializing ``A^l``.
     """
     if max_length < 1:
-        raise ValueError(f"max_length must be >= 1, got {max_length}")
+        raise GraphError(f"max_length must be >= 1, got {max_length}")
     adjacency = graph.adjacency_matrix()
     row = np.zeros(graph.num_nodes, dtype=np.float64)
     row[int(source)] = 1.0
@@ -102,7 +103,7 @@ def batch_walk_matrices(
     ``targets`` reproduces the same rows.
     """
     if max_length < 1:
-        raise ValueError(f"max_length must be >= 1, got {max_length}")
+        raise GraphError(f"max_length must be >= 1, got {max_length}")
     targets = np.asarray(targets, dtype=np.int64)
     adjacency = graph.adjacency_matrix()
     current = np.asarray(graph.adjacency_rows(targets).toarray(), dtype=np.float64)

@@ -5,40 +5,31 @@ Utility vectors depend only on the graph structure, and
 mutation — so a cached vector is valid exactly as long as the graph
 version it was computed at. The cache never needs explicit invalidation
 calls: each lookup compares the stored version with the graph's current
-one and reconciles on mismatch. Reconciliation has two modes:
+one and reconciles on mismatch. A cached row follows a mutation in one
+of two ways, and the cache picks between them from its inputs
+(:attr:`UtilityCache.patchable`):
 
-* **selective** — when the graph journals its mutations (a
-  :class:`~repro.streaming.overlay.MutableSocialGraph`) *and* the
-  utility declares a dirty radius
-  (:meth:`~repro.utility.base.UtilityFunction.invalidation_horizon`),
-  only the targets the journal marks dirty are evicted; every other
-  resident vector is bit-identical at the new version and stays. This is
-  what keeps hit rates high under streaming mutation;
-* **full flush** — any time the selective answer is unavailable (plain
-  graph, unbounded-radius utility, journal too stale or too shallow),
-  the whole generation drops. Always correct, never required to be
-  cheap.
-
-With ``incremental=True`` the selective mode gets a third, cheaper
-outcome: dirty rows whose mutations journaled typed score deltas
-(:mod:`repro.compute.incremental`) are *patched in place* — their
-cached walk-count components absorb the sparse deltas and the row is
-current at the new version without recomputation. Patching is **lazy**:
-every resident row carries its own version stamp; a version sync merely
-advances the stamps of rows the journal proves untouched, and a stale
-(dirty) row is reconciled only when next read. Work is therefore
-proportional to rows *accessed*, exactly like the eviction baseline's
-recompute-on-miss — never to rows merely resident — and a row accessed
-after many mutations folds the whole pending delta run into one patch.
-Per stale row the cache decides patch-vs-evict at access time: rows
-whose candidate set some pending mutation rewrote (the edge's
-endpoints), rows cached without a component side-car, rows whose stamp
-fell behind the delta journal, and rows whose summed scatter cost
-exceeds ``patch_crossover x num_candidates`` (past that crossover a
-dense recompute is cheaper than replaying the deltas) are evicted
-exactly as before; everything else is patched and counted in
-``stats.patched_rows`` — disjoint from ``selective_evictions``, which
-counts only rows actually dropped.
+* **patch** — when the utility decomposes into walk components
+  (:meth:`~repro.utility.base.UtilityFunction.walk_component_lengths`)
+  and the graph journals typed score deltas (a
+  :class:`~repro.streaming.overlay.MutableSocialGraph`), misses are
+  filled with the walk-count side-car and stale rows are *patched in
+  place* from the journaled sparse deltas
+  (:mod:`repro.compute.incremental`). Patching is **lazy**: every
+  resident row carries its own version stamp, a version sync merely
+  advances the cache's watermark, and a stale row is reconciled only
+  when next read — work proportional to rows *accessed*, never to rows
+  merely resident, and a row read after many mutations folds the whole
+  pending delta run into one patch. A row untouched by every pending
+  delta just advances its stamp. A row is evicted instead when it is an
+  endpoint of some pending mutation (its candidate set changed), when
+  its stamp fell behind the journal, or when its summed scatter cost
+  exceeds :data:`PATCH_CROSSOVER` x its candidate count (past that a
+  recompute is cheaper than replaying the deltas). Patched rows count in
+  ``stats.patched_rows``, evicted ones in ``selective_evictions``;
+* **flush** — in every other case a version change drops the whole
+  generation (``stats.invalidations``). Always correct, and a from-scratch
+  recompute is exactly what a patched row must equal.
 
 Caching matters because utilities carry no per-request randomness: the
 privacy all lives in the *sampling* step, so two requests for the same
@@ -63,11 +54,12 @@ from dataclasses import dataclass
 from ..compute.incremental import patch_utility_vector
 from ..compute.kernels import utility_vectors
 from ..compute.plan import resolve_dtype
+from ..errors import ServingError
 from ..graphs.graph import SocialGraph
 from ..utility.base import UtilityFunction, UtilityVector
 
-#: Default patch-vs-evict crossover: patch while the summed sparse
-#: scatter cost stays below this multiple of the row's candidate count.
+#: Patch-vs-evict crossover: a stale row is patched while the summed
+#: sparse scatter cost stays below this multiple of its candidate count.
 #: The two sides are not priced per element alike: a scatter touches
 #: ``scatter_cost`` values at memcpy speed, while recomputing the row
 #: pays ``max_length - 1`` adjacency-wide matrix products *plus* the
@@ -76,8 +68,8 @@ from ..utility.base import UtilityFunction, UtilityVector
 #: measured break-even on the wiki replica at ``max_length = 4`` sits
 #: above 128 candidate-multiples; 64 keeps half that as safety margin
 #: for graphs with cheaper recomputes (see DESIGN.md, "incremental
-#: dataflow").
-DEFAULT_PATCH_CROSSOVER = 64.0
+#: dataflow"). Read at call time.
+PATCH_CROSSOVER = 64.0
 
 
 @dataclass
@@ -85,11 +77,11 @@ class CacheStats:
     """Hit/miss/invalidation counters exposed for monitoring.
 
     ``invalidations`` counts whole-generation flushes (entries present,
-    version mismatch, no selective answer); ``selective_evictions``
-    counts individual rows dropped by journal-guided invalidation —
-    under streaming mutation the first should stay at zero while the
-    second tracks the churn's dirty footprint. ``patched_rows`` counts
-    stale rows brought current by in-place delta patching instead (one
+    version mismatch, cache not patchable); ``selective_evictions``
+    counts individual stale rows a patchable cache dropped instead of
+    patching — under streaming mutation the first should stay at zero
+    while the second tracks the endpoint rows. ``patched_rows`` counts
+    stale rows brought current by in-place delta patching (one
     increment per reconciliation, however many pending mutations it
     folded in); a row reconciled lands in exactly one of the two
     counters, never both.
@@ -128,19 +120,6 @@ class UtilityCache:
         :meth:`~repro.utility.base.UtilityVector.with_dtype`, so a
         float32 pipeline cannot silently double its resident memory by
         caching whatever dtype a kernel happened to emit.
-    incremental:
-        Patch dirty rows with journaled score deltas instead of evicting
-        them (module docstring). Requires a utility that decomposes into
-        walk components
-        (:meth:`~repro.utility.base.UtilityFunction.walk_component_lengths`);
-        the graph additionally needs ``request_score_deltas`` for patches
-        to ever apply — without it the cache degrades to plain selective
-        eviction. Misses are then filled *with* the component side-car so
-        freshly cached rows are patchable too.
-    patch_crossover:
-        Scatter-cost multiple of the candidate count past which a dirty
-        row is evicted rather than patched (``0`` disables patching
-        per-row without disabling component fills).
     """
 
     def __init__(
@@ -149,102 +128,54 @@ class UtilityCache:
         utility: UtilityFunction,
         max_entries: "int | None" = None,
         dtype=None,
-        incremental: bool = False,
-        patch_crossover: float = DEFAULT_PATCH_CROSSOVER,
     ) -> None:
         if max_entries is not None and max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if patch_crossover < 0:
-            raise ValueError(f"patch_crossover must be >= 0, got {patch_crossover}")
+            raise ServingError(f"max_entries must be >= 1, got {max_entries}")
         self._graph = graph
         self._utility = utility
         self._dtype = resolve_dtype(dtype)
         self._max_entries = max_entries
         self._entries: dict[int, UtilityVector] = {}
-        # Per-row version stamps (incremental mode): the graph version at
-        # which each resident row is known exact. Kept key-synchronized
-        # with _entries; a stamp behind _cached_version marks a row the
-        # journal dirtied that has not been read since (reconciled
-        # lazily by _reconcile_row).
+        # Per-row version stamps: the graph version at which each
+        # resident row is known exact. Kept key-synchronized with
+        # _entries; a stamp behind _cached_version marks a row of a
+        # patchable cache that has not been read since the graph moved
+        # (reconciled lazily by _reconcile_row).
         self._row_versions: dict[int, int] = {}
         self._cached_version = graph.version
         self._lock = threading.RLock()
         self.stats = CacheStats()
-        self._incremental = bool(incremental)
-        self._patch_crossover = float(patch_crossover)
-        self._component_lengths = utility.walk_component_lengths()
-        if self._incremental and self._component_lengths is None:
-            raise ValueError(
-                f"incremental caching needs a walk-decomposable utility; "
-                f"{utility.name!r} declares no component lengths"
-            )
-        # A journaling graph must record at least this utility's dirty
-        # radius for selective eviction to ever answer; requesting it up
-        # front means every mutation after construction is deep enough.
-        request = getattr(graph, "request_journal_horizon", None)
-        if request is not None:
-            request(self._invalidation_horizon())
-        if self._incremental:
-            request_deltas = getattr(graph, "request_score_deltas", None)
-            if request_deltas is not None:
-                request_deltas(max(self._component_lengths))
+        lengths = utility.walk_component_lengths()
+        request_deltas = getattr(graph, "request_score_deltas", None)
+        self._delta_length = None if lengths is None else max(lengths)
+        self._patchable = self._delta_length is not None and request_deltas is not None
+        if self._patchable:
+            # Every mutation from here on journals a delta this deep.
+            request_deltas(self._delta_length)
 
-    def _invalidation_horizon(self) -> "int | None":
-        horizon = getattr(self._utility, "invalidation_horizon", None)
-        return None if horizon is None else horizon()
+    @property
+    def patchable(self) -> bool:
+        """Whether stale rows are patched from journaled deltas.
 
-    def _dirty_targets(self) -> "set[int] | None":
-        """Targets to evict for the pending version change, or ``None``.
-
-        ``None`` — the journal cannot answer (or the graph keeps none) —
-        means everything must go.
+        True when the utility decomposes into walk components and the
+        graph journals typed score deltas; otherwise a version change
+        flushes the whole cache (module docstring).
         """
-        dirty_since = getattr(self._graph, "dirty_since", None)
-        if dirty_since is None:
-            return None
-        horizon = self._invalidation_horizon()
-        if horizon is None:
-            return None
-        return dirty_since(self._cached_version, horizon)
-
-    def _score_deltas_since(self, stamp: int):
-        """Ordered journaled deltas ``stamp -> now``, or ``None``."""
-        if not self._incremental:
-            return None
-        deltas_since = getattr(self._graph, "score_deltas_since", None)
-        if deltas_since is None:
-            return None
-        return deltas_since(stamp, max(self._component_lengths))
+        return self._patchable
 
     def _sync_version(self) -> None:
-        # Callers hold self._lock. The graph version is snapshotted once
-        # up front: a mutation landing between dirty_since() and the
-        # version assignment would otherwise be skipped forever (the
-        # journal answer may conservatively include it, which is fine —
-        # advancing past it without reconciling would not be).
+        # Callers hold self._lock. A patchable cache only advances its
+        # watermark: resident rows keep their own stamps and are
+        # reconciled when next read (_reconcile_row), so a sync is O(1)
+        # however large the mutation burst or the resident set. Any other
+        # cache cannot tell which rows changed and drops them all.
         version = self._graph.version
         if self._cached_version == version:
             return
-        if self._incremental:
-            # Lazy reconciliation: a sync only advances the watermark.
-            # Resident rows keep their own stamps and are reconciled when
-            # next read (_reconcile_row): untouched rows advance for the
-            # price of a journal scan, touched rows are patched or
-            # evicted. The journal-can't-answer case needs no full flush
-            # either — each row's deltas_since(stamp) independently
-            # returns None and that row alone is dropped. Sync is O(1)
-            # however large the mutation burst or the resident set.
-            self._cached_version = version
-            return
-        dirty = self._dirty_targets() if self._entries else set()
-        if dirty is None:
+        if not self._patchable and self._entries:
             self.stats.invalidations += 1
             self._entries.clear()
             self._row_versions.clear()
-        else:
-            for target in [t for t in dirty if t in self._entries]:
-                self._drop(target)
-                self.stats.selective_evictions += 1
         self._cached_version = version
 
     def _drop(self, target: int) -> None:
@@ -255,22 +186,23 @@ class UtilityCache:
         """The resident row brought current, or ``None`` (absent/evicted).
 
         Callers hold the lock and have synced. Fresh rows return as-is;
-        a stale row is patched with the journaled deltas spanning its
-        stamp (one ``patched_rows`` increment regardless of how many
-        mutations the run folds in) or selectively evicted when
-        unpatchable: stamp behind the delta journal, endpoint of some
-        pending mutation, no component side-car, or scatter cost past the
-        crossover. Keyed reassignment keeps the row's LRU position — a
-        patch is maintenance, not a use.
+        only a patchable cache keeps stale rows. A stale row is patched
+        with the journaled deltas spanning its stamp (one
+        ``patched_rows`` increment regardless of how many mutations the
+        run folds in) or selectively evicted when unpatchable: stamp
+        behind the delta journal, endpoint of some pending mutation, no
+        component side-car, or scatter cost past the crossover. Keyed
+        reassignment keeps the row's LRU position — a patch is
+        maintenance, not a use.
         """
         vector = self._entries.get(target)
         if vector is None:
             return None
-        stamp = self._row_versions.get(target, self._cached_version)
+        stamp = self._row_versions[target]
         if stamp == self._cached_version:
             return vector
         patched = None
-        deltas = self._score_deltas_since(stamp)
+        deltas = self._graph.score_deltas_since(stamp, self._delta_length)
         if deltas is not None:
             # A mutation may have landed after this sync's version
             # snapshot; patching past _cached_version would desynchronize
@@ -289,7 +221,7 @@ class UtilityCache:
                     self._row_versions[target] = self._cached_version
                     return vector
                 cost = sum(d.scatter_cost for d in relevant)
-                budget = self._patch_crossover * max(vector.num_candidates, 1)
+                budget = PATCH_CROSSOVER * max(vector.num_candidates, 1)
                 if cost <= budget:
                     patched = patch_utility_vector(
                         vector,
@@ -308,12 +240,9 @@ class UtilityCache:
             self.stats.patched_rows += 1
         return patched
 
-    def _touch(self, target: int) -> "UtilityVector | None":
-        """Return the resident vector, moving it to most-recently-used."""
-        vector = self._entries.pop(target, None)
-        if vector is not None:
-            self._entries[target] = vector
-        return vector
+    def _touch(self, target: int) -> None:
+        """Move a resident vector to the most-recently-used position."""
+        self._entries[target] = self._entries.pop(target)
 
     def __len__(self) -> int:
         with self._lock:
@@ -323,25 +252,18 @@ class UtilityCache:
     def __contains__(self, target: int) -> bool:
         with self._lock:
             self._sync_version()
-            target = int(target)
-            if self._incremental:
-                # Residency must be truthful: a stale row that cannot be
-                # patched is not servable, so reconcile before answering.
-                return self._reconcile_row(target) is not None
-            return target in self._entries
+            # Residency must be truthful: a stale row that cannot be
+            # patched is not servable, so reconcile before answering.
+            return self._reconcile_row(int(target)) is not None
 
     def get(self, target: int) -> UtilityVector:
         """Return the utility vector for ``target``, computing on miss."""
         target = int(target)
         with self._lock:
             self._sync_version()
-            if self._incremental:
-                vector = self._reconcile_row(target)
-                if vector is not None:
-                    self._touch(target)  # the read is a use; the patch was not
-            else:
-                vector = self._touch(target)
+            vector = self._reconcile_row(target)
             if vector is not None:
+                self._touch(target)  # the read is a use; a patch was not
                 self.stats.hits += 1
                 return vector
             self.stats.misses += 1
@@ -350,14 +272,14 @@ class UtilityCache:
         # proceed in parallel, and a duplicated computation for the *same*
         # target is deterministic, so whichever insert lands last is fine.
         # The fill is the batched path's kernel: a support-form row, or in
-        # incremental mode a dense one carrying the walk-count side-car
-        # future syncs patch; the values are bit-identical either way.
+        # a patchable cache a dense one carrying the walk-count side-car
+        # later reads patch; the values are bit-identical either way.
         vector = utility_vectors(
             self._graph,
             self._utility,
             [target],
             dtype=self._dtype,
-            with_components=self._incremental,
+            with_components=self._patchable,
         )[0]
         with self._lock:
             self._sync_version()
@@ -376,14 +298,10 @@ class UtilityCache:
         target = int(target)
         with self._lock:
             self._sync_version()
-            if self._incremental:
-                vector = self._reconcile_row(target)
-                if vector is not None:
-                    self._touch(target)
-            else:
-                vector = self._touch(target)
+            vector = self._reconcile_row(target)
             if vector is None:
                 raise KeyError(target)
+            self._touch(target)
             return vector
 
     def put(self, target: int, vector: UtilityVector) -> None:
@@ -410,19 +328,15 @@ class UtilityCache:
     def missing(self, targets: "list[int]") -> list[int]:
         """The subset of ``targets`` not currently servable (order kept).
 
-        In incremental mode each queried target is reconciled on the way
-        through — a stale-but-patchable row is patched now (and is then
-        *not* missing), an unpatchable one is evicted (and is). This is
-        the access that makes lazy patching access-proportional on the
+        Each queried target is reconciled on the way through — a
+        stale-but-patchable row is patched now (and is then *not*
+        missing), an unpatchable one is evicted (and is). This is the
+        access that makes lazy patching access-proportional on the
         batched serving path: only rows a batch actually asks for pay.
         """
         with self._lock:
             self._sync_version()
-            if self._incremental:
-                return [
-                    int(t) for t in targets if self._reconcile_row(int(t)) is None
-                ]
-            return [int(t) for t in targets if int(t) not in self._entries]
+            return [int(t) for t in targets if self._reconcile_row(int(t)) is None]
 
     def record_lookups(self, hits: int, misses: int) -> None:
         """Fold a batch's hit/miss tallies into the stats, atomically.
@@ -434,7 +348,7 @@ class UtilityCache:
         accounting goes through the lock like every per-lookup update.
         """
         if hits < 0 or misses < 0:
-            raise ValueError(f"negative lookup tallies: hits={hits}, misses={misses}")
+            raise ServingError(f"negative lookup tallies: hits={hits}, misses={misses}")
         with self._lock:
             self.stats.hits += int(hits)
             self.stats.misses += int(misses)
@@ -450,12 +364,11 @@ class UtilityCache:
         """
         with self._lock:
             self._sync_version()
-            if self._incremental:
-                # A durable snapshot is stamped with one version, so every
-                # exported row must actually be at it: reconcile the full
-                # resident set (the one access pattern that is not lazy).
-                for target in list(self._entries):
-                    self._reconcile_row(target)
+            # A durable snapshot is stamped with one version, so every
+            # exported row must actually be at it: reconcile the full
+            # resident set (the one access pattern that is not lazy).
+            for target in list(self._entries):
+                self._reconcile_row(target)
             return self._cached_version, list(self._entries.items())
 
     def restore_entries(

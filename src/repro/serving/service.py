@@ -42,7 +42,7 @@ from ..telemetry.ledger import KIND_CHARGE, KIND_REFUSAL
 from ..telemetry.runtime import traced_map
 from ..utility.base import UtilityFunction, make_utility
 from .budgets import BudgetManager
-from .cache import DEFAULT_PATCH_CROSSOVER, UtilityCache
+from .cache import UtilityCache
 from .records import (
     STATUS_REJECTED,
     STATUS_SERVED,
@@ -78,8 +78,8 @@ class RecommendationService:
         Seed / generator for all sampling randomness.
     chunk_size:
         Maximum requests (and missing-vector targets) a single batch
-        chunk handles. Serving rows are support-form, so only an
-        incremental service's component fills materialize a dense
+        chunk handles. Serving rows are support-form, so only a
+        patching cache's component fills materialize a dense
         ``chunk_size x num_nodes`` block per chunk. ``None`` keeps the
         whole batch in one chunk. Batch results are bit-identical for
         every chunk size — sampling draws from per-request spawned
@@ -100,21 +100,12 @@ class RecommendationService:
         internals count samples through the ambient helpers. ``None``
         (default) keeps the service exactly as fast as before — the
         instrumentation reduces to ``is None`` checks.
-    incremental:
-        Patch dirty cached rows with journaled score deltas instead of
-        evicting them (:mod:`repro.compute.incremental`). ``None`` (the
-        default) auto-enables exactly when it can help: the utility
-        decomposes into walk components *and* the graph journals typed
-        deltas (a :class:`~repro.streaming.overlay.MutableSocialGraph`).
-        ``False`` forces the evict-and-recompute behavior; ``True`` on a
-        non-decomposable utility raises
-        :class:`~repro.errors.ServingError` (on a plain graph it merely
-        caches component side-cars that never get to patch). Served
-        scores are bit-identical either way.
-    patch_crossover:
-        Forwarded to :class:`~repro.serving.cache.UtilityCache`: the
-        scatter-cost multiple of a row's candidate count past which a
-        dirty row is evicted rather than patched.
+
+    The utility cache patches stale rows from journaled score deltas
+    when it can (a walk-decomposable utility on a
+    :class:`~repro.streaming.overlay.MutableSocialGraph`) and flushes on
+    a version change otherwise; ``service.cache.patchable`` says which.
+    Served scores are bit-identical either way.
     """
 
     def __init__(
@@ -131,8 +122,6 @@ class RecommendationService:
         chunk_size: "int | None" = None,
         dtype=None,
         telemetry=None,
-        incremental: "bool | None" = None,
-        patch_crossover: float = DEFAULT_PATCH_CROSSOVER,
     ) -> None:
         self.graph = graph
         if utility is None:
@@ -149,22 +138,8 @@ class RecommendationService:
         self.mechanism = mechanism
         self.dtype = resolve_dtype(dtype)
         self.budgets = BudgetManager(user_budget, overrides=budget_overrides)
-        decomposable = self.utility.walk_component_lengths() is not None
-        if incremental is None:
-            incremental = decomposable and hasattr(graph, "request_score_deltas")
-        elif incremental and not decomposable:
-            raise ServingError(
-                f"incremental serving needs a walk-decomposable utility; "
-                f"{self.utility.name!r} declares no component lengths"
-            )
-        self.incremental = bool(incremental)
         self.cache = UtilityCache(
-            graph,
-            self.utility,
-            max_entries=cache_max_entries,
-            dtype=self.dtype,
-            incremental=self.incremental,
-            patch_crossover=patch_crossover,
+            graph, self.utility, max_entries=cache_max_entries, dtype=self.dtype
         )
         self._rng = ensure_rng(seed)
         self._next_request_id = 0
@@ -570,7 +545,7 @@ class RecommendationService:
             fresh_chunks = traced_map(
                 _vectors_chunk,
                 [np.asarray(chunk.take(missing), dtype=np.int64) for chunk in plan],
-                (self.graph, self.utility, self.dtype.name, self.incremental),
+                (self.graph, self.utility, self.dtype.name, self.cache.patchable),
                 self.telemetry,
                 label="serve.vectors",
             )
@@ -720,10 +695,10 @@ def _vectors_chunk(shared, targets: np.ndarray):
 
     Argument-pure (graph + utility in, vectors out); the service applies
     the results to its cache. The vectors are support-form, except that
-    an incremental service fills dense rows with the walk-component
-    side-car (their score/mask blocks ride the thread's reusable
-    workspace) so every freshly cached row is patchable — same values
-    either way.
+    a patching cache is filled with dense rows carrying the
+    walk-component side-car (their score/mask blocks ride the thread's
+    reusable workspace) so every freshly cached row is patchable — same
+    values either way.
     """
     graph, utility, dtype_name, with_components = shared
     return utility_vectors(

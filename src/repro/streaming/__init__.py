@@ -8,11 +8,10 @@ this package is the operational answer, the repo's fourth subsystem
   sets) over a frozen CSR base: O(delta) row reads, in-place degree
   maintenance, epoch-based :meth:`~MutableSocialGraph.compact`, and a
   monotone ``(epoch, version)`` stamp;
-* :class:`DirtyNodeTracker` — journals every mutation with the exact
-  reverse-radius ball of targets whose utility rows can change (1 hop
-  for common neighbors, ``max_length - 1`` for weighted paths), so the
-  serving cache evicts rows instead of flushing
-  (:mod:`repro.streaming.invalidation`);
+* :class:`DirtyNodeTracker` — once a patching cache asks, journals
+  every mutation's typed score delta, whose ``touched`` set is exactly
+  the utility rows it can change, so the serving cache patches stale
+  rows instead of flushing (:mod:`repro.streaming.invalidation`);
 * :class:`StreamingService` — interleaves mutation batches and
   recommendation batches over the existing :mod:`repro.compute`
   kernels, with an optional :class:`SlidingWindowAccountant` mode
@@ -37,7 +36,7 @@ from .events import (
     synthetic_event_stream,
     to_edge_events,
 )
-from .invalidation import DirtyNodeTracker, MutationRecord, reverse_ball_layers
+from .invalidation import DirtyNodeTracker
 from .overlay import MutableSocialGraph
 
 __all__ = [
@@ -46,13 +45,11 @@ __all__ = [
     "KIND_QUERY",
     "KIND_REMOVE",
     "MutableSocialGraph",
-    "MutationRecord",
     "SlidingWindowAccountant",
     "StreamEvent",
     "StreamReplaySummary",
     "StreamingService",
     "replay_stream",
-    "reverse_ball_layers",
     "synthetic_event_stream",
     "to_edge_events",
 ]

@@ -6,13 +6,15 @@
 kinds of work:
 
 * **mutation batches** — edge adds/removes applied through the overlay
-  (O(1) per event, journaled for incremental invalidation), with
-  optional automatic :meth:`~MutableSocialGraph.compact` once the delta
-  grows past a threshold;
+  (O(1) per event, plus one journaled score delta when a patching cache
+  reads the graph), with optional automatic
+  :meth:`~MutableSocialGraph.compact` once the delta grows past a
+  threshold;
 * **recommendation batches** — delegated to the wrapped service's
-  vectorized hot path on the existing :mod:`repro.compute` kernels; the
-  service's utility cache evicts only the rows the journal marks dirty,
-  so cache hits survive churn.
+  vectorized hot path on the existing :mod:`repro.compute` kernels; for
+  walk-counting utilities the service's utility cache patches stale
+  rows from the journaled deltas and evicts only mutation endpoints, so
+  cache hits survive churn (other utilities flush on every mutation).
 
 Privacy-over-time gets a second accounting mode: the paper's companion
 impossibility results for continual observation motivate bounding the
@@ -149,15 +151,13 @@ class StreamingService:
         :class:`MutableSocialGraph` (copied); passing an overlay uses it
         directly, shared with the caller.
     utility, mechanism, epsilon, user_budget, budget_overrides,
-    cache_max_entries, seed, chunk_size, dtype, incremental,
-    patch_crossover:
+    cache_max_entries, seed, chunk_size, dtype:
         Forwarded to the wrapped
         :class:`~repro.serving.service.RecommendationService` (``dtype``
         selects the compute dtype of the batched dense stages and the
-        utility cache's storage; float64 default is exact;
-        ``incremental=None`` auto-enables delta patching here, since the
-        overlay graph always journals typed deltas for decomposable
-        utilities).
+        utility cache's storage; float64 default is exact). The overlay
+        graph journals typed score deltas, so a walk-decomposable
+        utility's cache patches stale rows.
     window, window_budget:
         Enable sliding-window accounting: within any trailing ``window``
         of the event clock, each user spends at most ``window_budget``
@@ -169,9 +169,10 @@ class StreamingService:
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`, shared with the
         wrapped service (requests instrument there). The streaming layer
-        adds mutation latency, dirty-ball sizes, compaction durations,
-        window refusals, and ``window_charge``/``window_expiry`` ledger
-        entries for every sliding-window spend and expiry.
+        adds mutation latency, dirty-ball sizes (only for mutations a
+        patching cache journals), compaction durations, window refusals,
+        and ``window_charge``/``window_expiry`` ledger entries for every
+        sliding-window spend and expiry.
     """
 
     def __init__(
@@ -191,8 +192,6 @@ class StreamingService:
         window_budget: "float | None" = None,
         compact_every: "int | None" = None,
         telemetry=None,
-        incremental: "bool | None" = None,
-        patch_crossover: "float | None" = None,
     ) -> None:
         if not isinstance(graph, MutableSocialGraph):
             graph = MutableSocialGraph.from_graph(graph)
@@ -209,12 +208,6 @@ class StreamingService:
             chunk_size=chunk_size,
             dtype=dtype,
             telemetry=telemetry,
-            incremental=incremental,
-            **(
-                {}
-                if patch_crossover is None
-                else {"patch_crossover": float(patch_crossover)}
-            ),
         )
         if window is None and window_budget is not None:
             raise ServingError("window_budget requires window to be set")
@@ -313,7 +306,7 @@ class StreamingService:
         :class:`~repro.mechanisms.laplace.LaplaceMechanism`'s
         Monte-Carlo ``trials``).
 
-        Interaction with incremental caching: sensitivity depends only on
+        Interaction with cache patching: sensitivity depends only on
         the live graph (degrees), never on how a cached row was produced,
         and rows the cache *patches* are exact at the current version
         (bit-identical to recompute) — so a patched row sampled under the
@@ -552,7 +545,7 @@ class StreamingService:
     # ------------------------------------------------------------------
     @property
     def cache(self):
-        """The wrapped service's utility cache (selective eviction lives there)."""
+        """The wrapped service's utility cache (row patching lives there)."""
         return self.service.cache
 
     def collect_metrics(self):

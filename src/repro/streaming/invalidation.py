@@ -1,382 +1,145 @@
-"""Incremental invalidation: mapping edge mutations to dirty utility rows.
+"""The mutation journal: typed score deltas for patching cached rows.
 
-The serving layer caches one utility vector per target, keyed by the
-graph's mutation ``version``. Before this module existed any version bump
-flushed the *whole* cache — correct, but brutal under streaming mutation,
-where a single edge flip perturbs only a small neighborhood of utility
-rows. This module computes that neighborhood exactly:
+The serving cache keeps one utility row per target, stamped with the
+graph ``version`` it is exact at. For a utility that counts walks
+(common neighbors is ``A^2``, weighted paths combines ``A^2 .. A^L``),
+an edge flip changes a cached row by a closed-form sparse delta
+(:class:`~repro.compute.incremental.EdgeScoreDelta`), and the rows it
+can change are exactly the delta's ``touched`` set — every target with
+a nonzero pre-mutation reverse walk count into a mutated endpoint —
+plus the two endpoint rows, whose candidate sets change:
 
-* a utility row (the scores of every candidate for one target ``r``) can
-  only change when the flipped edge ``{x, y}`` participates in a walk the
-  utility counts from ``r``. Every such walk has a prefix from ``r`` to
-  the first traversal of the flipped edge that avoids the edge itself, so
-  the prefix exists in both the pre- and the post-flip graph. A utility
-  that counts walks of length at most ``L`` therefore only dirties
-  targets within ``L - 1`` reverse hops of ``{x, y}`` — distance 1 for
-  common neighbors (``L = 2``), distance ``max_length - 1`` for weighted
-  paths. Utilities declare that radius via
-  :meth:`~repro.utility.base.UtilityFunction.invalidation_horizon`;
-* :class:`DirtyNodeTracker` journals each mutation together with the
-  reverse-BFS ball around its endpoints, layer by layer, computed *at
-  application time* (computing it later, after further mutations, could
-  miss targets whose reverse paths were since removed);
-* :meth:`DirtyNodeTracker.dirty_since` answers the cache's question —
-  "which targets may have changed between version ``v`` and now?" — with
-  a set, or ``None`` when the journal cannot answer (version predates the
-  retained window, or the requested horizon exceeds what was recorded),
-  in which case the caller falls back to a full flush. ``None`` is always
-  safe; a returned set is exact up to the documented superset slack (the
-  ball is a superset of the truly-changed rows, never a subset);
-* with :meth:`DirtyNodeTracker.request_score_deltas` enabled, each record
-  additionally journals the mutation's *typed score delta*
-  (:class:`~repro.compute.incremental.EdgeScoreDelta`) so consumers can
-  *patch* dirty rows instead of evicting them;
-  :meth:`DirtyNodeTracker.deltas_since` hands back the exact ordered
-  delta sequence ``version -> now``, or ``None`` when any relevant
-  record predates delta journaling (the caller then falls back to the
-  eviction path).
+* :class:`DirtyNodeTracker` journals each mutation's delta *at
+  application time* (the delta's reverse counts are recovered from the
+  post-mutation graph, so computing it later, after further mutations,
+  would be wrong);
+* :meth:`DirtyNodeTracker.deltas_since` answers the cache's question —
+  "what transforms a row stamped at ``v`` into its current value?" —
+  with the ordered delta run, or ``None`` when the journal cannot
+  answer (``v`` predates the retained window, or some delta was
+  journaled shallower than the consumer combines). ``None`` is always
+  safe: the caller evicts the row and recomputes it.
+
+A graph creates its journal on the first
+:meth:`~repro.streaming.overlay.MutableSocialGraph.request_score_deltas`,
+so a graph no patching cache reads journals nothing.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import deque
-from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..compute.incremental import EdgeScoreDelta, compute_edge_delta
 from ..errors import GraphError
 
-#: Default reverse-BFS radius journaled per mutation: enough for common
-#: neighbors (radius 1, the package's default utility) without paying a
-#: 2-hop ball — a large fraction of a scale-free graph around a hub —
-#: per mutation that nothing will query. Deeper consumers (weighted
-#: paths needs ``max_length - 1``) raise it via
-#: :meth:`DirtyNodeTracker.request_horizon`; the
-#: :class:`~repro.serving.cache.UtilityCache` does so automatically at
-#: construction.
-DEFAULT_JOURNAL_HORIZON = 1
-
-#: Default journal length bound. Beyond it the oldest records are dropped
-#: and the answerable-version floor rises, so a cache that fell far behind
-#: degrades to a full flush instead of an unbounded journal.
+#: Default journal length bound. Beyond it the oldest deltas are dropped
+#: and the answerable-version floor rises, so a row that fell far behind
+#: is evicted instead of the journal growing without bound.
 DEFAULT_JOURNAL_LIMIT = 512
 
 
-def reverse_ball_layers(graph, seeds, horizon: int) -> "tuple[frozenset[int], ...]":
-    """Reverse-BFS layers around ``seeds``: nodes reaching them in ``<= h`` hops.
-
-    ``layers[0]`` is the seed set itself; ``layers[k]`` holds the nodes whose
-    shortest out-edge path *to* some seed has length exactly ``k`` (so the
-    union of layers ``0..h`` is every target with a length-``<= h`` walk
-    prefix into the mutated edge). Follows in-edges on directed graphs —
-    utility walks leave the target, so dirtiness propagates backwards.
-    """
-    if horizon < 0:
-        raise GraphError(f"horizon must be >= 0, got {horizon}")
-    current = {int(node) for node in seeds}
-    seen = set(current)
-    layers = [frozenset(current)]
-    for _ in range(horizon):
-        frontier: set[int] = set()
-        for node in current:
-            frontier |= graph.in_neighbors(node)
-        frontier -= seen
-        seen |= frontier
-        layers.append(frozenset(frontier))
-        current = frontier
-        if not frontier:
-            # Remaining layers are empty; record them so indexing by
-            # horizon stays uniform.
-            layers.extend(frozenset() for _ in range(horizon - len(layers) + 1))
-            break
-    return tuple(layers)
-
-
-def _layers_from_delta(delta, horizon: int) -> "tuple[frozenset[int], ...]":
-    """Dirty layers recovered from a delta's reverse support, BFS-free.
-
-    ``layers[0]`` is the endpoint set; ``layers[1]`` holds the delta's
-    entire remaining reverse support (every non-endpoint row the mutation
-    can change, at any journaled depth). Shallower ``dirty(h)`` queries
-    then see a superset of the true radius-``h`` ball — sound, and the
-    padding keeps ``len(layers) == horizon + 1`` so depth accounting in
-    :meth:`MutationRecord.dirty` is unchanged.
-    """
-    endpoints = frozenset((int(delta.u), int(delta.v)))
-    layers = [endpoints]
-    if horizon >= 1:
-        layers.append(frozenset(delta.touched.tolist()) - endpoints)
-        layers.extend(frozenset() for _ in range(horizon - 1))
-    return tuple(layers)
-
-
-@dataclass(frozen=True)
-class MutationRecord:
-    """One journaled edge mutation and its dirty-target ball.
-
-    ``layers[k]`` is the set of targets at reverse distance exactly ``k``
-    from the mutated edge, captured on the graph state right after the
-    mutation applied (for delta-journaled records the distance refinement
-    collapses: ``layers[1]`` holds the delta's whole reverse support, see
-    :func:`_layers_from_delta`); ``version`` is the graph version the
-    mutation produced (so a cache at version ``v`` is affected by every
-    record with ``version > v``). ``delta`` carries the mutation's typed
-    score delta when delta journaling was enabled at record time, else
-    ``None`` (consumers must then evict rather than patch).
-    """
-
-    version: int
-    u: int
-    v: int
-    added: bool
-    #: ``None`` for delta-journaled records: the frozenset layers cost
-    #: O(ball) Python set work per mutation, but a patching consumer may
-    #: never ask for them, so they are materialized (and memoized) from
-    #: ``delta.touched`` on first :meth:`dirty` call instead.
-    layers: "tuple[frozenset[int], ...] | None"
-    delta: "EdgeScoreDelta | None" = field(default=None, compare=False)
-    #: Journaled depth when ``layers`` is lazy (eager records carry it as
-    #: ``len(layers) - 1``).
-    horizon: int = 0
-
-    @property
-    def recorded_horizon(self) -> int:
-        """How deep this record can answer :meth:`dirty` queries."""
-        return self.horizon if self.layers is None else len(self.layers) - 1
-
-    def _materialized_layers(self) -> "tuple[frozenset[int], ...]":
-        layers = self.layers
-        if layers is None:
-            layers = _layers_from_delta(self.delta, self.horizon)
-            object.__setattr__(self, "layers", layers)  # memoize on the frozen record
-        return layers
-
-    def dirty(self, horizon: int) -> "frozenset[int] | None":
-        """Union of layers ``0..horizon``; ``None`` if not recorded that deep."""
-        if horizon > self.recorded_horizon:
-            return None
-        result: set[int] = set()
-        for layer in self._materialized_layers()[: horizon + 1]:
-            result |= layer
-        return frozenset(result)
+def _check_delta_length(max_length: int) -> int:
+    if max_length < 2:
+        raise GraphError(f"delta max_length must be >= 2, got {max_length}")
+    return int(max_length)
 
 
 class DirtyNodeTracker:
-    """Bounded journal of mutations with per-mutation dirty balls.
+    """Bounded journal of the typed score deltas of recent mutations.
 
     Owned by a :class:`~repro.streaming.overlay.MutableSocialGraph`, which
-    calls :meth:`record` from its mutation hooks — eagerly, so every ball
-    reflects the graph at application time (see module docstring for why
-    lazy expansion would be unsound).
+    calls :meth:`record` from its mutation hooks — eagerly, so every delta
+    is computed on the graph it describes (see module docstring).
 
     Parameters
     ----------
     floor_version:
-        The graph version at tracker creation; ``dirty_since`` can only
-        answer for versions at or above the floor.
-    horizon:
-        Reverse-BFS radius journaled per mutation.
+        The graph version at tracker creation; :meth:`deltas_since` can
+        only answer for versions at or above the floor.
+    max_length:
+        Longest walk length deltas are journaled for (2 for common
+        neighbors, ``max_length`` for weighted paths); raised later by
+        :meth:`request_score_deltas`.
     limit:
-        Maximum retained records; older ones are dropped and the floor
-        rises (turning very stale queries into full flushes).
+        Maximum retained deltas; older ones are dropped and the floor
+        rises (turning very stale rows into evictions).
     """
 
     def __init__(
         self,
         floor_version: int,
-        horizon: int = DEFAULT_JOURNAL_HORIZON,
+        max_length: int,
         limit: int = DEFAULT_JOURNAL_LIMIT,
     ) -> None:
-        if horizon < 0:
-            raise GraphError(f"journal horizon must be >= 0, got {horizon}")
         if limit < 1:
             raise GraphError(f"journal limit must be >= 1, got {limit}")
-        self.horizon = int(horizon)
+        #: Longest walk length future deltas are journaled for.
+        self.delta_length = _check_delta_length(max_length)
         self.limit = int(limit)
-        #: Longest walk length score deltas are journaled for; ``None``
-        #: means delta journaling is off (records carry ``delta=None``).
-        self.delta_length: "int | None" = None
         self._floor = int(floor_version)
-        # A deque so steady-state trimming is O(1); maxlen is not used
-        # because the floor must be read off each dropped record.
-        self._records: deque[MutationRecord] = deque()
-        # deltas_since cache: (max_length, versions, deltas, last_bad
-        # position). Invalidated on every record() — see deltas_since.
-        self._deltas_cache: "tuple[int, list[int], list, int] | None" = None
-
-    @property
-    def floor_version(self) -> int:
-        """Oldest version ``dirty_since`` can still answer for."""
-        return self._floor
+        # Parallel lists in journal (= version) order. Journaled depth only
+        # ever deepens, so delta max_length never decreases along them.
+        self._versions: list[int] = []
+        self._deltas: list[EdgeScoreDelta] = []
 
     @property
     def last_ball_size(self) -> "int | None":
-        """Dirty-ball size of the most recent journaled mutation.
+        """Rows the most recent journaled mutation can change.
 
-        The union size across every recorded layer — the number of
-        targets the last mutation can possibly dirty at the journaled
-        horizon. ``None`` before any mutation was journaled. Telemetry's
-        dirty-ball histogram reads this right after each mutation.
+        The size of the delta's ``touched`` set plus whichever endpoints
+        it does not already contain; ``None`` before any mutation was
+        journaled. Telemetry's dirty-ball histogram reads this right
+        after each mutation.
         """
-        if not self._records:
+        if not self._deltas:
             return None
-        record = self._records[-1]
-        if record.layers is None:
-            # touched ∪ endpoints, without materializing the frozensets.
-            touched = record.delta.touched
-            extra = sum(
-                1
-                for node in {record.u, record.v}
-                if not (
-                    (position := int(np.searchsorted(touched, node))) < touched.size
-                    and int(touched[position]) == node
-                )
-            )
-            return int(touched.size) + extra
-        return len(frozenset().union(*record.layers))
+        delta = self._deltas[-1]
+        endpoints = {delta.u, delta.v}
+        return int(delta.touched.size) + sum(
+            1 for node in endpoints if not delta.touches(node)
+        )
 
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def request_horizon(self, horizon: "int | None") -> None:
-        """Raise the journaled radius for *future* records.
-
-        Already-journaled records keep their recorded depth; a
-        ``dirty_since`` query deeper than what some relevant record holds
-        returns ``None`` (full flush) rather than guessing.
-        """
-        if horizon is not None and horizon > self.horizon:
-            self.horizon = int(horizon)
-
-    def request_score_deltas(self, max_length: "int | None") -> None:
-        """Enable (or deepen) typed score-delta journaling for future records.
+    def request_score_deltas(self, max_length: int) -> None:
+        """Deepen delta journaling for future records.
 
         ``max_length`` is the longest walk length any patching consumer
         combines; requests only ever deepen (several caches may share the
-        tracker). Like :meth:`request_horizon`, already-journaled records
-        are not retrofitted — a ``deltas_since`` query spanning them
-        returns ``None`` and the caller evicts instead.
+        tracker). Already-journaled deltas are not retrofitted — a
+        :meth:`deltas_since` query spanning them returns ``None`` and the
+        caller evicts instead.
         """
-        if max_length is None:
-            return
-        if max_length < 2:
-            raise GraphError(f"delta max_length must be >= 2, got {max_length}")
-        if self.delta_length is None or max_length > self.delta_length:
-            self.delta_length = int(max_length)
+        self.delta_length = max(self.delta_length, _check_delta_length(max_length))
 
     def record(self, graph, u: int, v: int, added: bool) -> None:
         """Journal one just-applied mutation (called by the graph's hooks)."""
-        delta = (
-            None
-            if self.delta_length is None
-            else compute_edge_delta(graph, u, v, added, self.delta_length)
-        )
-        if delta is not None and delta.max_length - 1 >= self.horizon:
-            # The delta's reverse support is already a sound dirty set: a
-            # truly-affected row has a walk prefix into the mutated edge
-            # that avoids the edge itself, so it exists in the pre-mutation
-            # graph and carries a nonzero reverse count. Reusing it skips a
-            # second reverse-BFS per mutation (and is *tighter* than the
-            # distance ball — zero-count targets cannot change). The
-            # frozenset layers themselves are built lazily on first
-            # dirty() query — patching consumers usually never ask.
-            layers = None
-        else:
-            layers = reverse_ball_layers(graph, (u, v), self.horizon)
-        self._records.append(
-            MutationRecord(
-                version=graph.version,
-                u=int(u),
-                v=int(v),
-                added=bool(added),
-                layers=layers,
-                delta=delta,
-                horizon=self.horizon,
-            )
-        )
-        # Keep the deltas_since cache coherent in place: append the new
-        # record, shift out trimmed ones. O(limit) memmove per trim beats
-        # the O(limit) rebuild a plain invalidation would force on the
-        # next of the (about equally frequent) deltas_since queries.
-        cache = self._deltas_cache
-        if cache is not None:
-            cached_length, versions, deltas, last_bad = cache
-            versions.append(int(graph.version))
-            deltas.append(delta)
-            if delta is None or delta.max_length < cached_length:
-                last_bad = len(deltas) - 1
-        while len(self._records) > self.limit:
-            dropped = self._records.popleft()
-            # The dropped record's effects are no longer reconstructible;
+        delta = compute_edge_delta(graph, u, v, added, self.delta_length)
+        self._versions.append(delta.version)
+        self._deltas.append(delta)
+        if len(self._deltas) > self.limit:
+            # The dropped delta's effects are no longer reconstructible;
             # only versions from it onward remain answerable.
-            self._floor = max(self._floor, dropped.version)
-            if cache is not None:
-                del versions[0]
-                del deltas[0]
-                last_bad = max(-1, last_bad - 1)
-        if cache is not None:
-            self._deltas_cache = (cached_length, versions, deltas, last_bad)
-
-    def dirty_since(self, version: int, horizon: int) -> "set[int] | None":
-        """Targets whose utility rows may differ between ``version`` and now.
-
-        Returns ``None`` — "cannot say, flush everything" — when
-        ``version`` predates the journal floor or any relevant record was
-        journaled shallower than ``horizon``. Otherwise the union of the
-        relevant records' balls, a superset of the truly-changed rows.
-        """
-        if horizon < 0:
-            raise GraphError(f"horizon must be >= 0, got {horizon}")
-        if version < self._floor:
-            return None
-        dirty: set[int] = set()
-        for record in self._records:
-            if record.version <= version:
-                continue
-            ball = record.dirty(horizon)
-            if ball is None:
-                return None
-            dirty |= ball
-        return dirty
+            self._floor = max(self._floor, self._versions[0])
+            del self._versions[0]
+            del self._deltas[0]
 
     def deltas_since(
         self, version: int, max_length: int
     ) -> "list[EdgeScoreDelta] | None":
         """The ordered score deltas transforming ``version`` into now.
 
-        Returns the relevant records' :class:`EdgeScoreDelta` objects in
-        journal (= version) order — applying them sequentially to a row
-        cached at ``version`` yields that row's exact current walk
-        counts. Returns ``None`` — "cannot patch, evict instead" — when
-        ``version`` predates the floor or any relevant record lacks a
-        delta journaled at least ``max_length`` deep (mutations applied
-        before delta journaling was enabled or deepened).
+        Applying them in order to a row cached at ``version`` yields that
+        row's exact current walk counts. Returns ``None`` — "cannot
+        patch, evict instead" — when ``version`` predates the floor or
+        some delta newer than ``version`` was journaled shallower than
+        ``max_length`` (before a deeper consumer asked).
         """
-        if max_length < 2:
-            raise GraphError(f"delta max_length must be >= 2, got {max_length}")
+        _check_delta_length(max_length)
         if version < self._floor:
             return None
-        # Record versions are strictly increasing, so "records newer than
-        # version" is a suffix — answered by one bisect over a cached
-        # (versions, deltas) snapshot instead of scanning the journal per
-        # query. ``last_bad`` is the last position whose delta cannot
-        # serve ``max_length``; any suffix reaching it is unpatchable.
-        cache = self._deltas_cache
-        if cache is None or cache[0] != max_length:
-            versions: list[int] = []
-            deltas: list = []
-            last_bad = -1
-            for position, record in enumerate(self._records):
-                versions.append(record.version)
-                if record.delta is None or record.delta.max_length < max_length:
-                    last_bad = position
-                deltas.append(record.delta)
-            cache = (int(max_length), versions, deltas, last_bad)
-            self._deltas_cache = cache
-        _, versions, deltas, last_bad = cache
-        start = bisect_right(versions, version)
-        if start <= last_bad:
+        # Versions strictly increase, so "newer than version" is a
+        # suffix; depth never decreases, so its first delta is its
+        # shallowest.
+        start = bisect_right(self._versions, version)
+        if start < len(self._deltas) and self._deltas[start].max_length < max_length:
             return None
-        return deltas[start:]
+        return self._deltas[start:]

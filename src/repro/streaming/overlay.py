@@ -31,10 +31,12 @@ quadratic in practice.
   version-keyed utility caches stay valid across compaction boundaries.
   :attr:`stamp` — ``(epoch, version)`` — is strictly monotone under the
   lexicographic order;
-* every mutation is journaled in a
-  :class:`~repro.streaming.invalidation.DirtyNodeTracker`, so caches can
-  ask :meth:`dirty_since` for the exact rows to evict instead of
-  flushing (see :mod:`repro.streaming.invalidation`).
+* once a patching cache calls :meth:`request_score_deltas`, every
+  mutation's typed score delta is journaled in a
+  :class:`~repro.streaming.invalidation.DirtyNodeTracker`, so the cache
+  can patch its stale rows from :meth:`score_deltas_since` instead of
+  flushing (see :mod:`repro.streaming.invalidation`); until then the
+  graph journals nothing.
 
 The class *is a* :class:`SocialGraph` (same adjacency-set core, same
 invariants), so every utility function, mechanism, kernel, and service in
@@ -49,11 +51,7 @@ import scipy.sparse as sp
 
 from ..errors import GraphError
 from ..graphs.graph import SocialGraph
-from .invalidation import (
-    DEFAULT_JOURNAL_HORIZON,
-    DEFAULT_JOURNAL_LIMIT,
-    DirtyNodeTracker,
-)
+from .invalidation import DEFAULT_JOURNAL_LIMIT, DirtyNodeTracker
 
 
 class MutableSocialGraph(SocialGraph):
@@ -63,18 +61,9 @@ class MutableSocialGraph(SocialGraph):
     ----------
     num_nodes, directed:
         As for :class:`SocialGraph`.
-    journal_horizon:
-        Reverse-BFS radius journaled per mutation for incremental cache
-        invalidation (raised automatically by consumers that need more
-        via :meth:`request_journal_horizon`). ``None`` disables
-        journaling entirely — mutations skip the per-event reverse BFS,
-        the right mode for consumers that never attach a version-keyed
-        cache (e.g. the temporal replay cursor); attaching one later
-        re-enables it from that point via
-        :meth:`request_journal_horizon`.
     journal_limit:
-        Maximum journaled mutations before the oldest are dropped (stale
-        caches then fall back to a full flush).
+        Maximum journaled mutations before the oldest are dropped (rows
+        stamped before the dropped ones are then evicted, not patched).
 
     Examples
     --------
@@ -100,7 +89,6 @@ class MutableSocialGraph(SocialGraph):
         num_nodes: int,
         directed: bool = False,
         *,
-        journal_horizon: "int | None" = DEFAULT_JOURNAL_HORIZON,
         journal_limit: int = DEFAULT_JOURNAL_LIMIT,
     ) -> None:
         super().__init__(num_nodes, directed=directed)
@@ -127,15 +115,9 @@ class MutableSocialGraph(SocialGraph):
         self._delta_entries = 0                  # total oriented delta entries
         self._live_degrees = np.zeros(self._n, dtype=np.int64)
         self._journal_limit = int(journal_limit)
-        self._tracker: DirtyNodeTracker | None = (
-            None
-            if journal_horizon is None
-            else DirtyNodeTracker(
-                floor_version=self._version,
-                horizon=journal_horizon,
-                limit=journal_limit,
-            )
-        )
+        # Created by the first request_score_deltas: no patching consumer,
+        # no journaling cost.
+        self._tracker: DirtyNodeTracker | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -145,19 +127,17 @@ class MutableSocialGraph(SocialGraph):
         cls,
         graph: SocialGraph,
         *,
-        journal_horizon: "int | None" = DEFAULT_JOURNAL_HORIZON,
         journal_limit: int = DEFAULT_JOURNAL_LIMIT,
     ) -> "MutableSocialGraph":
         """Wrap a frozen graph as epoch-0 base state (the graph is copied).
 
         The overlay starts at the source's ``version`` (like
         :meth:`SocialGraph.copy`, so version-keyed caches cannot collide)
-        with empty deltas and an empty journal.
+        with empty deltas and no journal.
         """
         overlay = cls(
             graph.num_nodes,
             directed=graph.is_directed,
-            journal_horizon=journal_horizon,
             journal_limit=journal_limit,
         )
         graph._copy_core_into(overlay)
@@ -187,23 +167,18 @@ class MutableSocialGraph(SocialGraph):
             (len(s) for s in self._succ), dtype=np.int64, count=self._n
         )
         if self._tracker is not None:
-            delta_length = self._tracker.delta_length
-            self._tracker = DirtyNodeTracker(
-                floor_version=self._version,
-                horizon=self._tracker.horizon,
-                limit=self._tracker.limit,
-            )
             # Consumers that enabled delta journaling keep it across a
             # journal reset — only the retained window restarts.
-            self._tracker.request_score_deltas(delta_length)
+            self._tracker = DirtyNodeTracker(
+                floor_version=self._version,
+                max_length=self._tracker.delta_length,
+                limit=self._tracker.limit,
+            )
 
     def copy(self) -> "MutableSocialGraph":
         """Deep copy with fresh (empty) overlay state at the same version."""
         clone = MutableSocialGraph(
-            self._n,
-            directed=self._directed,
-            journal_horizon=self.journal_horizon,
-            journal_limit=self._journal_limit,
+            self._n, directed=self._directed, journal_limit=self._journal_limit
         )
         self._copy_core_into(clone)
         clone._refresh_overlay_state()
@@ -332,14 +307,12 @@ class MutableSocialGraph(SocialGraph):
         cls,
         state: dict,
         *,
-        journal_horizon: "int | None" = DEFAULT_JOURNAL_HORIZON,
         journal_limit: int = DEFAULT_JOURNAL_LIMIT,
     ) -> "MutableSocialGraph":
         """Build a fresh overlay graph directly from a :meth:`csr_state` dict."""
         graph = cls(
             int(state["num_nodes"]),
             directed=bool(state["directed"]),
-            journal_horizon=journal_horizon,
             journal_limit=journal_limit,
         )
         graph.restore_csr_state(state)
@@ -369,76 +342,39 @@ class MutableSocialGraph(SocialGraph):
         return self._delta_entries if self._directed else self._delta_entries // 2
 
     @property
-    def journal_horizon(self) -> "int | None":
-        """Reverse-BFS radius the mutation journal records (None = off)."""
-        return None if self._tracker is None else self._tracker.horizon
-
-    @property
     def last_dirty_ball_size(self) -> "int | None":
-        """Dirty-ball size of the most recently journaled mutation.
+        """Rows the most recently journaled mutation can change.
 
-        ``None`` when journaling is off or nothing was journaled yet; the
-        streaming engine's telemetry reads this after each applied
-        mutation to histogram invalidation footprints.
+        ``None`` when nothing was journaled yet (no patching cache asked
+        for deltas); the streaming engine's telemetry reads this after
+        each applied mutation to histogram invalidation footprints.
         """
         return None if self._tracker is None else self._tracker.last_ball_size
 
-    def request_journal_horizon(self, horizon: "int | None") -> None:
-        """Ensure future mutations journal at least this dirty radius.
+    def request_score_deltas(self, max_length: int) -> None:
+        """Ensure future mutations journal typed score deltas this deep.
 
-        On a journal-disabled graph this *enables* journaling from the
-        current version onward (earlier mutations stay unanswerable, so
-        a cache attached late simply full-flushes once) — which is what
-        lets journaling default to off for cache-less consumers without
-        breaking any that attach a cache later.
+        The first request creates the journal at the current version;
+        earlier mutations stay unanswerable, so rows stamped before it
+        are evicted rather than patched.
         """
-        if horizon is None:
-            return
         if self._tracker is None:
             self._tracker = DirtyNodeTracker(
                 floor_version=self._version,
-                horizon=horizon,
+                max_length=max_length,
                 limit=self._journal_limit,
             )
         else:
-            self._tracker.request_horizon(horizon)
-
-    def dirty_since(self, version: int, horizon: int) -> "set[int] | None":
-        """Targets whose utility rows may differ between ``version`` and now.
-
-        ``None`` means the journal cannot answer (disabled, too stale,
-        or too shallow) and the caller must treat everything as dirty.
-        See :meth:`~repro.streaming.invalidation.DirtyNodeTracker.dirty_since`.
-        """
-        if self._tracker is None:
-            return None
-        return self._tracker.dirty_since(version, horizon)
-
-    def request_score_deltas(self, max_length: "int | None") -> None:
-        """Ensure future mutations journal typed score deltas this deep.
-
-        Enables journaling outright when it was off, mirroring
-        :meth:`request_journal_horizon` — a patching cache attached late
-        full-flushes once and patches from there on.
-        """
-        if max_length is None:
-            return
-        if self._tracker is None:
-            self._tracker = DirtyNodeTracker(
-                floor_version=self._version,
-                horizon=DEFAULT_JOURNAL_HORIZON,
-                limit=self._journal_limit,
-            )
-        self._tracker.request_score_deltas(max_length)
+            self._tracker.request_score_deltas(max_length)
 
     def score_deltas_since(
         self, version: int, max_length: int
     ) -> "list | None":
         """Ordered typed score deltas ``version -> now``, or ``None``.
 
-        ``None`` — journaling off, version too stale, or some relevant
-        mutation journaled no (or too shallow a) delta — means the caller
-        must evict instead of patch. See
+        ``None`` — no journal yet, version too stale, or some relevant
+        mutation journaled too shallow a delta — means the caller must
+        evict instead of patch. See
         :meth:`~repro.streaming.invalidation.DirtyNodeTracker.deltas_since`.
         """
         if self._tracker is None:
@@ -644,8 +580,8 @@ class MutableSocialGraph(SocialGraph):
         O(n + m): one CSR assembly. The logical graph is unchanged, so
         ``version`` stays put (caches keyed on it remain valid) while
         ``epoch`` bumps; the mutation journal is *kept* — its recorded
-        dirty balls remain correct — so caches can still invalidate
-        incrementally across the compaction boundary.
+        deltas remain correct — so caches can still patch across the
+        compaction boundary.
         """
         self._base_csr = self._build_csr()
         self._base_csr_rev = None

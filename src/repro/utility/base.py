@@ -476,20 +476,6 @@ class UtilityFunction(abc.ABC):
     def sensitivity(self, graph: SocialGraph, target: int) -> float:
         """Analytic bound on ``||u^G - u^G'||_1`` over one-edge neighbors G'."""
 
-    def invalidation_horizon(self) -> "int | None":
-        """Reverse-hop radius within which an edge flip can dirty a target's row.
-
-        Flipping edge ``{x, y}`` can only change this utility's scores for
-        targets that reach ``{x, y}`` within this many (reverse) hops —
-        the contract behind incremental cache invalidation
-        (:mod:`repro.streaming.invalidation`): targets outside the radius
-        keep bit-identical utility vectors. ``None`` (the default) means
-        "no such bound is known", and version-keyed caches must fall back
-        to a full flush on any mutation. Walk-counting utilities override
-        this with ``max walk length - 1``.
-        """
-        return None
-
     # ------------------------------------------------------------------
     # Walk-component decomposition (incremental score maintenance)
     # ------------------------------------------------------------------
@@ -511,8 +497,8 @@ class UtilityFunction(abc.ABC):
           patch the integer components under edge deltas and recombine
           without ever drifting from full recomputation.
 
-        ``None`` (the default) means "not decomposable"; caches then fall
-        back to evicting dirty rows.
+        ``None`` (the default) means "not decomposable"; caches then
+        flush on every graph version change.
         """
         return None
 

@@ -118,15 +118,6 @@ class CommonNeighbors(UtilityFunction):
     def sensitivity(self, graph: SocialGraph, target: int) -> float:
         return 1.0 if graph.is_directed else 2.0
 
-    def invalidation_horizon(self) -> int:
-        """Flipping ``{x, y}`` only dirties targets adjacent to the edge.
-
-        ``C(i, r)`` counts length-2 walks out of ``r``; a flipped edge can
-        appear in such a walk only when ``r`` is an endpoint or an (in-)
-        neighbor of one — one reverse hop.
-        """
-        return 1
-
     def experimental_t(self, vector: UtilityVector) -> int:
         """Exact ``t`` from Section 7.1: ``u_max + 1 + 1[u_max == d_r]``.
 

@@ -157,16 +157,6 @@ class WeightedPaths(UtilityFunction):
         total[np.arange(targets.size), targets] = 0.0
         return total
 
-    def invalidation_horizon(self) -> int:
-        """Gamma-horizon dirtiness: ``max_length - 1`` reverse hops.
-
-        A flipped edge appears in a length-``l <= max_length`` walk from
-        ``r`` only after a prefix of at most ``l - 1`` edges that avoids
-        the flipped edge itself, so only targets within ``max_length - 1``
-        reverse hops of the edge can see any score change.
-        """
-        return self.max_length - 1
-
     def sensitivity(self, graph: SocialGraph, target: int) -> float:
         d_max = graph.max_degree()
         factor = 1.0 if graph.is_directed else 2.0

@@ -17,10 +17,10 @@ from repro.compute.incremental import (
     COMPONENTS_KEY,
     EdgeScoreDelta,
     apply_edge_delta,
+    candidate_position_map,
     compute_edge_delta,
     patch_utility_vector,
 )
-from repro.compute.workspace import Workspace
 from repro.errors import GraphError
 from repro.graphs.graph import SocialGraph
 from repro.streaming.overlay import MutableSocialGraph
@@ -72,7 +72,10 @@ class TestDeltaExactness:
                 if delta.evicts(target):
                     continue
                 components = np.stack([level[target].copy() for level in before])
-                apply_edge_delta(delta, target, candidates, components)
+                apply_edge_delta(
+                    delta, target, candidates, components,
+                    candidate_position_map(candidates, graph.num_nodes),
+                )
                 expected = np.stack([level[target] for level in after])
                 assert np.array_equal(components, expected)
 
@@ -94,7 +97,10 @@ class TestDeltaExactness:
                 [c for c in range(graph.num_nodes) if c != target], dtype=np.int64
             )
             components = before[target].take(candidates)[np.newaxis].copy()
-            apply_edge_delta(delta, target, candidates, components)
+            apply_edge_delta(
+                delta, target, candidates, components,
+                candidate_position_map(candidates, graph.num_nodes),
+            )
             assert np.array_equal(components[0], after[target].take(candidates))
 
     def test_deeper_delta_patches_shallower_component_block(self):
@@ -113,7 +119,10 @@ class TestDeltaExactness:
                 continue
             components = before[target][np.newaxis].copy()
             components[0, target] = 0.0  # CN components zero the diagonal
-            apply_edge_delta(delta, target, candidates, components)
+            apply_edge_delta(
+                delta, target, candidates, components,
+                candidate_position_map(candidates, graph.num_nodes),
+            )
             expected = after[target].copy()
             assert components[0, target] == 0.0 or expected[target] == components[0, target]
             mask = candidates != target
@@ -143,7 +152,10 @@ class TestDeltaSemantics:
             if delta.evicts(target) or delta.touches(target):
                 continue
             components = np.ones((2, candidates.size))
-            assert not apply_edge_delta(delta, target, candidates, components)
+            assert not apply_edge_delta(
+                delta, target, candidates, components,
+                candidate_position_map(candidates, graph.num_nodes),
+            )
             assert np.array_equal(components, np.ones((2, candidates.size)))
 
     def test_scatter_cost_counts_weighted_forward_levels(self):
@@ -183,7 +195,9 @@ class TestPatchUtilityVector:
             deltas.append(compute_edge_delta(graph, u, v, added, 3))
         if any(d.evicts(target) for d in deltas):
             pytest.skip("random flips hit the target; rerun with another seed")
-        patched = patch_utility_vector(vector, deltas, utility, np.float64)
+        patched = patch_utility_vector(
+            vector, deltas, utility, np.float64, graph.num_nodes
+        )
         fresh = self._patchable_vector(graph, utility, target)
         assert np.array_equal(patched.values, fresh.values)
         assert np.array_equal(
@@ -200,7 +214,7 @@ class TestPatchUtilityVector:
         if delta.evicts(1):
             pytest.skip("flip hit the target")
         patched = patch_utility_vector(
-            vector, [delta], utility, np.float32, workspace=Workspace()
+            vector, [delta], utility, np.float32, graph.num_nodes
         )
         fresh = self._patchable_vector(graph, utility, 1).with_dtype(np.float32)
         assert patched.values.dtype == np.float32
@@ -213,17 +227,23 @@ class TestPatchUtilityVector:
         bare = utility.utility_vector(graph, 0)  # no component side-car
         u, v, added = random_flip(rng, graph)
         delta = compute_edge_delta(graph, u, v, added, 3)
-        assert patch_utility_vector(bare, [delta], utility, np.float64) is None
+        assert patch_utility_vector(
+            bare, [delta], utility, np.float64, graph.num_nodes
+        ) is None
         # An endpoint row refuses even with components present.
         endpoint = self._patchable_vector(graph, utility, u)
-        assert patch_utility_vector(endpoint, [delta], utility, np.float64) is None
+        assert patch_utility_vector(
+            endpoint, [delta], utility, np.float64, graph.num_nodes
+        ) is None
 
     def test_empty_delta_list_returns_vector_unchanged(self):
         rng = np.random.default_rng(10)
         graph = random_overlay(rng)
         utility = CommonNeighbors()
         vector = self._patchable_vector(graph, utility, 2)
-        assert patch_utility_vector(vector, [], utility, np.float64) is vector
+        assert patch_utility_vector(
+            vector, [], utility, np.float64, graph.num_nodes
+        ) is vector
 
 
 class TestComponentFillPath:

@@ -40,11 +40,10 @@ def events(base_graph):
 def build_service(base_graph):
     """Factory building identically-configured services on demand."""
 
-    def build(telemetry=None, **overrides):
+    def build(telemetry=None, utility="common_neighbors", **overrides):
         kwargs = {**SERVICE_KWARGS, **overrides}
         return StreamingService(
-            base_graph, "common_neighbors", "exponential",
-            telemetry=telemetry, **kwargs,
+            base_graph, utility, "exponential", telemetry=telemetry, **kwargs
         )
 
     return build

@@ -179,16 +179,18 @@ class TestServiceStateCapture:
         ]
 
     def test_support_form_cache_round_trip(self, build_service, events):
-        """A non-incremental service's cached rows (support form) survive
-        capture/install through pickle and serve identically after."""
+        """A flushing cache's rows (support form, from a utility with no
+        walk components) survive capture/install through pickle and
+        serve identically after."""
         from repro.streaming import replay_stream
 
-        donor = build_service(incremental=False)
+        donor = build_service(utility="adamic_adar")
+        assert not donor.cache.patchable
         replay_stream(donor, events[:120], batch_size=16)
         state = pickle.loads(pickle.dumps(
             capture_state(donor, events_done=120, wal_offset=0)
         ))
-        clone = build_service(incremental=False)
+        clone = build_service(utility="adamic_adar")
         install_state(clone, state)
 
         donor_version, donor_rows = donor.service.cache.export_entries()

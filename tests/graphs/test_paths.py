@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import toy
+from repro.errors import GraphError
 from repro.graphs.generators import erdos_renyi_gnp
 from repro.graphs.paths import simple_path_counts, walks_equal_simple_paths_on_candidates
 from repro.graphs.traversal import walk_counts
@@ -30,7 +31,7 @@ class TestSimplePathCounts:
         assert counts[1][3] == 1
 
     def test_invalid_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError):
             simple_path_counts(toy.star(2), 0, 0)
 
     def test_walks_upper_bound_simple_paths(self):

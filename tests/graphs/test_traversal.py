@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import toy
+from repro.errors import GraphError
 from repro.graphs.generators import erdos_renyi_gnp
 from repro.graphs.graph import SocialGraph
 from repro.graphs.traversal import (
@@ -84,7 +85,7 @@ class TestWalkCounts:
             np.testing.assert_allclose(counts[length], power[source])
 
     def test_rejects_zero_length(self, triangle_graph):
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError):
             walk_counts(triangle_graph, 0, 0)
 
     def test_walks_on_path_graph(self):
@@ -140,5 +141,5 @@ class TestBatchWalkMatrices:
 
     def test_invalid_length_rejected(self):
         g = erdos_renyi_gnp(5, 0.5, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(GraphError):
             batch_walk_matrices(g, [0], max_length=0)

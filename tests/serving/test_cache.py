@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import toy
+from repro.errors import ServingError
 from repro.serving import UtilityCache
 from repro.streaming import MutableSocialGraph
 from repro.utility import CommonNeighbors, PersonalizedPageRank
@@ -45,6 +46,7 @@ class TestHitsAndMisses:
 
 class TestInvalidation:
     def test_mutation_clears_cache(self, cache, graph):
+        assert not cache.patchable  # a plain graph journals no deltas
         cache.get(0)
         cache.get(1)
         assert len(cache) == 2
@@ -87,11 +89,13 @@ class TestInvalidation:
 
 
 class TestSelectiveInvalidation:
-    """Per-target eviction when the graph journals mutations.
+    """Per-row patching when the graph journals score deltas.
 
     ``paper_example_graph`` has a far component (8-9, 10-11) no mutation
     near target 0's neighborhood can touch — those rows must stay
-    resident while the dirty neighborhood is evicted.
+    resident and hit. Adding edge ``(1, 5)`` touches rows 0, 2, 3, 4 and
+    6 (patched on read) and rewrites the candidate sets of endpoints 1
+    and 5 (evicted on read).
     """
 
     @pytest.fixture
@@ -100,13 +104,15 @@ class TestSelectiveInvalidation:
 
     def test_untouched_targets_stay_resident_across_a_mutation(self, overlay):
         cache = UtilityCache(overlay, CommonNeighbors())
+        assert cache.patchable
         for target in (0, 4, 8, 10):
             cache.get(target)
         overlay.add_edge(1, 5)  # inside target 0's neighborhood
         assert 8 in cache and 10 in cache  # far component: untouched
-        assert 0 not in cache and 4 not in cache  # dirty ball: evicted
-        assert cache.snapshot()["invalidations"] == 0
-        assert cache.snapshot()["selective_evictions"] == 2
+        snapshot = cache.snapshot()
+        assert snapshot["invalidations"] == 0
+        assert snapshot["patched_rows"] == 0
+        assert snapshot["selective_evictions"] == 0
 
     def test_resident_survivors_serve_hits_not_misses(self, overlay):
         cache = UtilityCache(overlay, CommonNeighbors())
@@ -119,26 +125,34 @@ class TestSelectiveInvalidation:
             vector.values, CommonNeighbors().utility_vector(overlay, 8).values
         )
 
-    def test_evicted_targets_recompute_fresh_values(self, overlay):
+    def test_touched_rows_are_patched_and_endpoint_rows_evicted(self, overlay):
         cache = UtilityCache(overlay, CommonNeighbors())
         stale = cache.get(0)
+        for target in (1, 4, 5):
+            cache.get(target)
         overlay.add_edge(1, 5)  # node 5 gains a third common neighbor with 0
-        fresh = cache.get(0)
-        assert not np.array_equal(fresh.values, stale.values)
-        np.testing.assert_array_equal(
-            fresh.values, CommonNeighbors().utility_vector(overlay, 0).values
-        )
+        for target in (0, 1, 4, 5):
+            fresh = cache.get(target)
+            expected = CommonNeighbors().utility_vector(overlay, target)
+            np.testing.assert_array_equal(fresh.candidates, expected.candidates)
+            np.testing.assert_array_equal(fresh.values, expected.values)
+        assert not np.array_equal(cache.get(0).values, stale.values)
+        snapshot = cache.snapshot()
+        assert snapshot["patched_rows"] == 2  # rows 0 and 4
+        assert snapshot["selective_evictions"] == 2  # endpoints 1 and 5
+        assert snapshot["misses"] == 4 + 2
+        assert snapshot["invalidations"] == 0
 
-    def test_unbounded_horizon_utility_falls_back_to_full_flush(self, overlay):
-        assert PersonalizedPageRank().invalidation_horizon() is None
+    def test_non_decomposable_utility_falls_back_to_full_flush(self, overlay):
         cache = UtilityCache(overlay, PersonalizedPageRank())
+        assert not cache.patchable
         cache.get(8)
         cache.get(10)
         overlay.add_edge(1, 5)
         assert len(cache) == 0
         assert cache.snapshot()["invalidations"] == 1
 
-    def test_stale_journal_falls_back_to_full_flush(self):
+    def test_stale_journal_evicts_the_row_when_read(self):
         overlay = MutableSocialGraph.from_graph(
             toy.paper_example_graph(), journal_limit=2
         )
@@ -147,7 +161,8 @@ class TestSelectiveInvalidation:
         for u, v in ((1, 5), (2, 6), (3, 4)):  # overflow the 2-entry journal
             overlay.add_edge(u, v)
         assert 8 not in cache
-        assert cache.snapshot()["invalidations"] == 1
+        assert cache.snapshot()["selective_evictions"] == 1
+        assert cache.snapshot()["invalidations"] == 0
 
     def test_survivors_persist_across_compaction(self, overlay):
         cache = UtilityCache(overlay, CommonNeighbors())
@@ -157,14 +172,20 @@ class TestSelectiveInvalidation:
         assert 8 in cache
         assert cache.snapshot()["invalidations"] == 0
 
-    def test_cache_requests_journal_depth_for_its_utility(self, overlay):
+    @pytest.mark.parametrize("max_length", [2, 3, 4])
+    def test_cache_requests_delta_depth_for_its_utility(self, overlay, max_length):
         from repro.utility import WeightedPaths
 
-        assert overlay.journal_horizon == 1  # default covers common neighbors
-        UtilityCache(overlay, WeightedPaths(gamma=0.05))
-        assert overlay.journal_horizon == 2
-        UtilityCache(overlay, WeightedPaths(gamma=0.05, max_length=4))
-        assert overlay.journal_horizon == 3
+        utility = (
+            CommonNeighbors()
+            if max_length == 2
+            else WeightedPaths(gamma=0.05, max_length=max_length)
+        )
+        version = overlay.version
+        UtilityCache(overlay, utility)
+        overlay.add_edge(1, 5)
+        (delta,) = overlay.score_deltas_since(version, max_length)
+        assert delta.max_length == max_length
 
 
 class TestBoundedCache:
@@ -186,7 +207,7 @@ class TestBoundedCache:
         assert 0 in cache and 1 in cache
 
     def test_max_entries_validated(self, graph):
-        with pytest.raises(ValueError):
+        with pytest.raises(ServingError):
             UtilityCache(graph, CommonNeighbors(), max_entries=0)
 
 
@@ -329,9 +350,9 @@ class TestSnapshot:
         assert snap["hit_rate"] == 0.7
 
     def test_record_lookups_rejects_negative_tallies(self, cache):
-        with pytest.raises(ValueError):
+        with pytest.raises(ServingError):
             cache.record_lookups(-1, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ServingError):
             cache.record_lookups(0, -1)
 
     def test_concurrent_bulk_and_single_lookups_lose_nothing(self, graph):
@@ -399,7 +420,7 @@ class TestStorageDtype:
 
 
 class TestResidentFootprint:
-    """Non-incremental rows are support-form: O(support + degree) bytes."""
+    """Rows of a flushing cache are support-form: O(support + degree) bytes."""
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_batch_rows_stay_support_sized_at_1e5_nodes(self, dtype):

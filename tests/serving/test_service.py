@@ -277,6 +277,10 @@ class TestConfiguration:
             service.recommend(9)  # 0.5 > 0.4
         assert service.recommend(8).served
 
+    def test_cache_bound_validated_with_a_typed_error(self, graph):
+        with pytest.raises(ServingError):
+            make_service(graph, cache_max_entries=0)
+
     @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan")])
     def test_bad_budget_override_fails_at_construction(self, graph, bad):
         """A bad override must not wait for the first batch containing

@@ -190,6 +190,8 @@ class TestStreamingServiceBasics:
             StreamingService(toy.star(4), window=0.0)
         with pytest.raises(ServingError):
             StreamingService(toy.star(4), window=10.0, window_budget=-1.0)
+        with pytest.raises(ServingError):
+            StreamingService(toy.star(4), cache_max_entries=0)
 
 
 class TestSlidingWindowAccountant:

@@ -1,11 +1,12 @@
-"""Property tests for incremental cache maintenance under streaming churn.
+"""Property tests for cache patching under streaming churn.
 
-The contract under test (ISSUE 10's tentpole): a cache row *patched*
-through any interleaving of edge adds, removes, and ``compact()`` calls
-is bit-identical to the row recomputed from scratch on the current
-graph — for common neighbors and weighted paths, directed and
-undirected, float64 and float32 — and patched rows are accounted
-disjointly from selectively evicted ones.
+The contract under test: a cache row *patched* through any interleaving
+of edge adds, removes, and ``compact()`` calls is bit-identical to the
+row recomputed from scratch on the current graph — for common neighbors
+and weighted paths, directed and undirected, float64 and float32 — and
+patched rows are accounted disjointly from selectively evicted ones.
+The full-flush cache, which recomputes every row after every mutation,
+is the reference a patching replay must match.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compute.incremental import COMPONENTS_KEY
-from repro.errors import ServingError
 from repro.graphs.graph import SocialGraph
+from repro.serving import cache as cache_module
 from repro.serving.cache import UtilityCache
 from repro.streaming.engine import StreamingService, replay_stream
 from repro.streaming.events import synthetic_event_stream
@@ -33,6 +33,13 @@ def random_overlay(rng, n=30, num_edges=90, directed=False):
     return MutableSocialGraph.from_graph(
         SocialGraph.from_edges(sorted(edges), n, directed=directed)
     )
+
+
+class FlushingWeightedPaths(WeightedPaths):
+    """Weighted paths declaring no walk components: its cache flushes."""
+
+    def walk_component_lengths(self):
+        return None
 
 
 def flip_random_edge(rng, graph):
@@ -59,7 +66,7 @@ class TestInterleavedPatchingProperty:
     ):
         rng = np.random.default_rng(directed * 100 + len(utility.name))
         graph = random_overlay(rng, directed=directed)
-        cache = UtilityCache(graph, utility, incremental=True)
+        cache = UtilityCache(graph, utility)
         for target in range(graph.num_nodes):
             cache.get(target)
         for step in range(100):
@@ -81,7 +88,7 @@ class TestInterleavedPatchingProperty:
         rng = np.random.default_rng(42)
         graph = random_overlay(rng)
         utility = WeightedPaths(gamma=0.01, max_length=3)
-        cache = UtilityCache(graph, utility, dtype=np.float32, incremental=True)
+        cache = UtilityCache(graph, utility, dtype=np.float32)
         for target in range(graph.num_nodes):
             cache.get(target)
         for _ in range(60):
@@ -100,7 +107,7 @@ class TestStatsDisjointness:
     def test_each_dirty_resident_row_lands_in_exactly_one_counter(self):
         rng = np.random.default_rng(6)
         graph = random_overlay(rng)
-        cache = UtilityCache(graph, CommonNeighbors(), incremental=True)
+        cache = UtilityCache(graph, CommonNeighbors())
         for target in range(graph.num_nodes):
             cache.get(target)
         resident_before = len(cache)
@@ -120,12 +127,11 @@ class TestStatsDisjointness:
         )
         assert snap["invalidations"] == 0
 
-    def test_zero_crossover_disables_patching_not_correctness(self):
+    def test_zero_crossover_disables_patching_not_correctness(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "PATCH_CROSSOVER", 0.0)
         rng = np.random.default_rng(14)
         graph = random_overlay(rng)
-        cache = UtilityCache(
-            graph, CommonNeighbors(), incremental=True, patch_crossover=0.0
-        )
+        cache = UtilityCache(graph, CommonNeighbors())
         for target in range(graph.num_nodes):
             cache.get(target)
         for _ in range(30):
@@ -139,21 +145,13 @@ class TestStatsDisjointness:
         # must all have been evicted and recomputed.
         assert snap["selective_evictions"] > 0
 
-    def test_incremental_requires_decomposable_utility(self):
-        rng = np.random.default_rng(15)
-        graph = random_overlay(rng)
-        from repro.utility.base import make_utility
-
-        with pytest.raises(ValueError):
-            UtilityCache(graph, make_utility("graph_distance"), incremental=True)
-
 
 class TestJournalDegradation:
     def test_deltas_missing_for_pre_enable_mutations(self):
         rng = np.random.default_rng(16)
         graph = random_overlay(rng)
         version = graph.version
-        flip_random_edge(rng, graph)  # journaled without a delta
+        flip_random_edge(rng, graph)  # not journaled: nobody asked yet
         graph.request_score_deltas(3)
         flip_random_edge(rng, graph)
         assert graph.score_deltas_since(version, 3) is None
@@ -171,31 +169,33 @@ class TestJournalDegradation:
         assert graph.score_deltas_since(version, 2) is not None
         assert graph.score_deltas_since(version, 4) is None
 
-    def test_plain_graph_degrades_to_selective_eviction(self):
+    def test_stale_journal_degrades_to_per_row_eviction(self):
         rng = np.random.default_rng(18)
-        base = random_overlay(rng)
-        cache = UtilityCache(base, CommonNeighbors(), incremental=True)
-        # Simulate a graph without delta journaling by disabling the
-        # tracker's deltas: a fresh overlay whose tracker never enabled
-        # them answers dirty_since but not deltas_since.
-        base._tracker.delta_length = None
-        for target in range(base.num_nodes):
+        graph = MutableSocialGraph.from_graph(
+            random_overlay(rng).materialize(), journal_limit=1
+        )
+        cache = UtilityCache(graph, CommonNeighbors())
+        for target in range(graph.num_nodes):
             cache.get(target)
-        flip_random_edge(rng, base)
-        for target in range(base.num_nodes):
+        # Two flips overflow the one-delta journal: every resident row's
+        # stamp now predates its floor.
+        flip_random_edge(rng, graph)
+        flip_random_edge(rng, graph)
+        for target in range(graph.num_nodes):
             got = cache.get(target)
-            want = CommonNeighbors().utility_vector(base, target)
+            want = CommonNeighbors().utility_vector(graph, target)
             assert np.array_equal(got.values, want.values)
         snap = cache.snapshot()
         assert snap["patched_rows"] == 0
-        assert snap["selective_evictions"] > 0
+        assert snap["invalidations"] == 0
+        assert snap["selective_evictions"] == graph.num_nodes
 
 
 class TestServiceIntegration:
     def test_streaming_service_auto_enables_and_patches(self):
         graph = random_overlay(np.random.default_rng(19), n=60, num_edges=200)
         service = StreamingService(graph, "weighted_paths", epsilon=0.5, seed=1)
-        assert service.service.incremental
+        assert service.cache.patchable
         events = synthetic_event_stream(
             graph, 200, add_fraction=0.15, remove_fraction=0.1, seed=3
         )
@@ -204,7 +204,7 @@ class TestServiceIntegration:
         assert snap["invalidations"] == 0
         assert snap["patched_rows"] > 0
 
-    def test_incremental_off_and_on_serve_identical_picks(self):
+    def test_patching_and_full_flush_serve_identical_picks(self):
         # materialize(): each run wraps its own fresh copy — passing the
         # overlay itself would share mutation state across runs.
         graph = random_overlay(np.random.default_rng(21), n=60, num_edges=200).materialize()
@@ -212,10 +212,9 @@ class TestServiceIntegration:
             graph, 150, add_fraction=0.1, remove_fraction=0.06, seed=4
         )
 
-        def run(**kwargs):
+        def run(utility, **kwargs):
             service = StreamingService(
-                graph, "weighted_paths", epsilon=0.5, user_budget=1e9, seed=11,
-                **kwargs,
+                graph, utility, epsilon=0.5, user_budget=1e9, seed=11, **kwargs
             )
             picks = []
             replay_stream(
@@ -226,28 +225,29 @@ class TestServiceIntegration:
             )
             return picks, service
 
-        patched_picks, patched = run(incremental=None)
-        evicted_picks, evicted = run(incremental=False)
-        chunked_picks, _ = run(chunk_size=8)
-        assert patched.service.incremental
-        assert not evicted.service.incremental
+        patched_picks, patched = run(WeightedPaths())
+        flushed_picks, flushed = run(FlushingWeightedPaths())
+        chunked_picks, _ = run(WeightedPaths(), chunk_size=8)
+        assert patched.cache.patchable
+        assert not flushed.cache.patchable
         assert patched.cache.snapshot()["patched_rows"] > 0
-        assert evicted.cache.snapshot()["patched_rows"] == 0
-        assert patched_picks == evicted_picks == chunked_picks
+        assert flushed.cache.snapshot()["patched_rows"] == 0
+        assert flushed.cache.snapshot()["invalidations"] > 0
+        assert patched_picks == flushed_picks == chunked_picks
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_patching_identity_across_chunk_sizes(self, dtype):
-        """Patch-on and patch-off serve the same picks, unchunked and in
-        chunks of 4, at either compute dtype."""
+        """Patching and full-flush caches serve the same picks, unchunked
+        and in chunks of 4, at either compute dtype."""
         graph = random_overlay(np.random.default_rng(23), n=50, num_edges=160).materialize()
         events = synthetic_event_stream(
             graph, 100, add_fraction=0.12, remove_fraction=0.06, seed=8
         )
 
-        def picks(incremental, chunk_size):
+        def picks(utility, chunk_size):
             service = StreamingService(
-                graph, "weighted_paths", epsilon=0.5, user_budget=1e9, seed=2,
-                incremental=incremental, chunk_size=chunk_size, dtype=dtype,
+                graph, utility, epsilon=0.5, user_budget=1e9, seed=2,
+                chunk_size=chunk_size, dtype=dtype,
             )
             recorded = []
             replay_stream(
@@ -256,20 +256,10 @@ class TestServiceIntegration:
             )
             return recorded
 
-        reference = picks(True, None)
-        assert picks(False, None) == reference
-        assert picks(True, 4) == reference
-        assert picks(False, 4) == reference
-
-    def test_explicit_incremental_on_plain_graph_is_harmless(self):
-        from repro.serving.service import RecommendationService
-
-        graph = SocialGraph.from_edges([(0, 1), (1, 2), (2, 3), (0, 2)], 5)
-        service = RecommendationService(graph, "common_neighbors", incremental=True)
-        vector = service.cache.get(1)
-        assert COMPONENTS_KEY in vector.metadata
-        with pytest.raises(ServingError):
-            RecommendationService(graph, "graph_distance", incremental=True)
+        reference = picks(WeightedPaths(), None)
+        assert picks(FlushingWeightedPaths(), None) == reference
+        assert picks(WeightedPaths(), 4) == reference
+        assert picks(FlushingWeightedPaths(), 4) == reference
 
     def test_collect_metrics_exports_patched_rows_gauge(self):
         from repro.telemetry import Telemetry

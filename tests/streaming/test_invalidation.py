@@ -1,9 +1,9 @@
-"""Dirty-node tracking: the journaled ball must cover every changed row.
+"""The delta journal: a mutation's ``touched`` set must cover every changed row.
 
-The load-bearing invariant (what makes selective cache eviction sound):
-for any mutation, every target whose utility vector changed is inside
-``dirty_since(pre_version, utility.invalidation_horizon())``. Tested by
-brute force — compare every node's utility vector before and after real
+The load-bearing invariant (what makes patching sound): for any
+mutation ``(u, v)``, every target whose utility vector changed is in
+the journaled delta's ``touched`` set or is an endpoint. Tested by brute
+force — compare every node's utility vector before and after real
 mutations on random graphs.
 """
 
@@ -14,8 +14,7 @@ import pytest
 
 from repro.datasets import toy
 from repro.errors import GraphError
-from repro.graphs import SocialGraph
-from repro.streaming import DirtyNodeTracker, MutableSocialGraph, reverse_ball_layers
+from repro.streaming import DirtyNodeTracker, MutableSocialGraph
 from repro.utility import CommonNeighbors, WeightedPaths
 
 
@@ -36,14 +35,19 @@ def changed_targets(before, after):
     return changed
 
 
-@pytest.mark.parametrize("utility", [CommonNeighbors(), WeightedPaths(gamma=0.05)])
+@pytest.mark.parametrize(
+    "utility",
+    [CommonNeighbors(), WeightedPaths(gamma=0.05), WeightedPaths(gamma=0.05, max_length=4)],
+    ids=["cn", "wp3", "wp4"],
+)
 @pytest.mark.parametrize("directed", [False, True])
 @pytest.mark.parametrize("seed", range(3))
-def test_dirty_ball_covers_every_changed_row(utility, directed, seed):
+def test_touched_set_covers_every_changed_row(utility, directed, seed):
     rng = np.random.default_rng(seed)
     num_nodes = 18
-    horizon = utility.invalidation_horizon()
-    graph = MutableSocialGraph(num_nodes, directed=directed, journal_horizon=horizon)
+    max_length = max(utility.walk_component_lengths())
+    graph = MutableSocialGraph(num_nodes, directed=directed)
+    graph.request_score_deltas(max_length)
     for _ in range(45):
         u, v = (int(x) for x in rng.integers(0, num_nodes, size=2))
         graph.try_add_edge(u, v)
@@ -58,90 +62,58 @@ def test_dirty_ball_covers_every_changed_row(utility, directed, seed):
         if not mutated:
             continue
         after = all_vectors(graph, utility)
-        dirty = graph.dirty_since(pre_version, horizon)
-        assert dirty is not None
-        assert changed_targets(before, after) <= dirty
-
-
-class TestHorizons:
-    def test_common_neighbors_horizon_is_one_hop(self):
-        assert CommonNeighbors().invalidation_horizon() == 1
-
-    def test_weighted_paths_horizon_tracks_max_length(self):
-        assert WeightedPaths(gamma=0.05).invalidation_horizon() == 2
-        assert WeightedPaths(gamma=0.05, max_length=5).invalidation_horizon() == 4
-
-    def test_unknown_utilities_decline(self):
-        from repro.utility import PersonalizedPageRank
-
-        assert PersonalizedPageRank().invalidation_horizon() is None
-
-
-class TestReverseBallLayers:
-    def test_layers_are_distance_classes(self):
-        graph = toy.path(4)  # 0-1-2-3-4
-        layers = reverse_ball_layers(graph, (2,), 2)
-        assert layers == (frozenset({2}), frozenset({1, 3}), frozenset({0, 4}))
-
-    def test_directed_follows_in_edges(self):
-        graph = SocialGraph.from_edges([(0, 1), (1, 2), (2, 3)], directed=True)
-        layers = reverse_ball_layers(graph, (2,), 2)
-        assert layers == (frozenset({2}), frozenset({1}), frozenset({0}))
-
-    def test_exhausted_frontier_pads_empty_layers(self):
-        graph = SocialGraph.from_edges([(0, 1)], num_nodes=3)
-        layers = reverse_ball_layers(graph, (0,), 3)
-        assert len(layers) == 4
-        assert layers[2] == frozenset() and layers[3] == frozenset()
+        (delta,) = graph.score_deltas_since(pre_version, max_length)
+        assert changed_targets(before, after) <= set(delta.touched.tolist()) | {u, v}
 
 
 class TestTrackerProtocol:
     def graph(self, **kwargs):
-        return MutableSocialGraph.from_graph(toy.paper_example_graph(), **kwargs)
+        graph = MutableSocialGraph.from_graph(toy.paper_example_graph(), **kwargs)
+        graph.request_score_deltas(2)
+        return graph
 
-    def test_accumulates_across_mutations(self):
+    def test_accumulates_deltas_across_mutations(self):
         graph = self.graph()
         version = graph.version
         graph.add_edge(0, 6)
-        first = set(graph.dirty_since(version, 0))
+        (first,) = graph.score_deltas_since(version, 2)
         graph.add_edge(6, 9)
-        both = graph.dirty_since(version, 0)
-        assert first < both
-        assert {0, 6, 9} <= both
+        both = graph.score_deltas_since(version, 2)
+        assert both[0] is first
+        assert [(d.u, d.v, d.version) for d in both] == [
+            (0, 6, version + 1),
+            (6, 9, version + 2),
+        ]
+        touched = set(both[1].touched.tolist())
+        assert graph.last_dirty_ball_size == len(touched | {6, 9})
 
     def test_same_version_is_clean(self):
         graph = self.graph()
         graph.add_edge(0, 6)
-        assert graph.dirty_since(graph.version, 2) == set()
+        assert graph.score_deltas_since(graph.version, 2) == []
 
     def test_stale_version_returns_none(self):
         graph = self.graph()
-        assert graph.dirty_since(graph.version - 1, 1) is None
+        assert graph.score_deltas_since(graph.version - 1, 2) is None
 
     def test_journal_limit_raises_floor(self):
         graph = self.graph(journal_limit=3)
         version = graph.version
         for u, v in ((2, 6), (3, 6), (4, 7), (5, 8)):
             graph.add_edge(u, v)
-        assert graph.dirty_since(version, 1) is None  # oldest record dropped
-        assert graph.dirty_since(graph.version - 3, 1) is not None
+        assert graph.score_deltas_since(version, 2) is None  # oldest delta dropped
+        assert len(graph.score_deltas_since(graph.version - 3, 2)) == 3
 
-    def test_horizon_deeper_than_journal_returns_none(self):
-        graph = self.graph(journal_horizon=1)
+    def test_deepened_journal_answers_deep_queries_only_after_deepening(self):
+        graph = self.graph()
         version = graph.version
         graph.add_edge(0, 6)
-        assert graph.dirty_since(version, 1) is not None
-        assert graph.dirty_since(version, 2) is None
-
-    def test_request_horizon_applies_to_future_records_only(self):
-        graph = self.graph(journal_horizon=1)
-        version = graph.version
-        graph.add_edge(0, 6)
-        graph.request_journal_horizon(2)
+        graph.request_score_deltas(4)
         mid_version = graph.version
         graph.add_edge(6, 9)
-        assert graph.dirty_since(version, 2) is None  # old record too shallow
-        assert graph.dirty_since(mid_version, 2) is not None
+        assert graph.score_deltas_since(version, 4) is None  # first delta too shallow
+        assert len(graph.score_deltas_since(version, 2)) == 2
+        assert len(graph.score_deltas_since(mid_version, 4)) == 1
 
     def test_journal_survives_compaction(self):
         graph = self.graph()
@@ -149,44 +121,46 @@ class TestTrackerProtocol:
         graph.add_edge(0, 6)
         graph.compact()
         graph.add_edge(6, 9)
-        dirty = graph.dirty_since(version, 1)
-        assert dirty is not None
-        assert {0, 6, 9} <= dirty
+        deltas = graph.score_deltas_since(version, 2)
+        assert [(d.u, d.v) for d in deltas] == [(0, 6), (6, 9)]
 
-    def test_disabled_journal_records_nothing_and_answers_none(self):
-        graph = self.graph(journal_horizon=None)
-        assert graph.journal_horizon is None
+    def test_graph_without_patching_consumer_records_nothing(self):
+        graph = MutableSocialGraph.from_graph(toy.paper_example_graph())
         version = graph.version
         graph.add_edge(0, 6)
-        assert graph.dirty_since(version, 0) is None  # full-flush fallback
+        assert graph.last_dirty_ball_size is None
+        assert graph.score_deltas_since(version, 2) is None
 
-    def test_request_horizon_enables_journaling_from_now_on(self):
-        graph = self.graph(journal_horizon=None)
+    def test_late_request_records_from_then_on(self):
+        graph = MutableSocialGraph.from_graph(toy.paper_example_graph())
         version = graph.version
         graph.add_edge(0, 6)  # unjournaled
-        graph.request_journal_horizon(1)
-        assert graph.journal_horizon == 1
+        graph.request_score_deltas(2)
         mid_version = graph.version
         graph.add_edge(6, 9)
-        assert graph.dirty_since(version, 1) is None  # predates the journal
-        dirty = graph.dirty_since(mid_version, 1)
-        assert dirty is not None and {6, 9} <= dirty
+        assert graph.score_deltas_since(version, 2) is None  # predates the journal
+        (delta,) = graph.score_deltas_since(mid_version, 2)
+        assert (delta.u, delta.v) == (6, 9)
 
-    def test_temporal_cursor_journals_nothing(self):
+    def test_temporal_cursor_records_nothing(self):
         from repro.extensions.dynamic import EdgeEvent, TemporalGraph
 
+        initial = toy.paper_example_graph()
         temporal = TemporalGraph(
-            initial=toy.paper_example_graph(),
+            initial=initial,
             events=[EdgeEvent(1.0, 0, 6), EdgeEvent(2.0, 6, 9)],
         )
         cursor = temporal.at(2.0)
-        assert cursor.journal_horizon is None
+        assert cursor.last_dirty_ball_size is None
+        assert cursor.score_deltas_since(initial.version, 2) is None
 
     def test_tracker_validates_parameters(self):
         with pytest.raises(GraphError):
-            DirtyNodeTracker(0, horizon=-1)
+            DirtyNodeTracker(0, max_length=1)
         with pytest.raises(GraphError):
-            DirtyNodeTracker(0, limit=0)
-        tracker = DirtyNodeTracker(0)
+            DirtyNodeTracker(0, max_length=2, limit=0)
+        tracker = DirtyNodeTracker(0, max_length=2)
         with pytest.raises(GraphError):
-            tracker.dirty_since(0, -1)
+            tracker.request_score_deltas(1)
+        with pytest.raises(GraphError):
+            tracker.deltas_since(0, 1)

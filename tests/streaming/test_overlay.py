@@ -155,10 +155,11 @@ class TestMutationSemantics:
 
     def test_try_remove_records_one_journal_entry(self):
         graph = MutableSocialGraph.from_graph(toy.star(4))
+        graph.request_score_deltas(2)
         version = graph.version
         assert graph.try_remove_edge(0, 1)
-        dirty = graph.dirty_since(version, 0)
-        assert dirty == {0, 1}  # one record, endpoints only at radius 0
+        (delta,) = graph.score_deltas_since(version, 2)  # exactly one record
+        assert (delta.u, delta.v, delta.sign) == (0, 1, -1.0)
 
     def test_version_counts_every_mutation(self):
         graph = MutableSocialGraph.from_graph(toy.star(4))

@@ -119,20 +119,34 @@ class TestReadme:
                 pytest.fail(f"README command does not parse: repro.cli{command}")
 
 
-class TestRemovedExecutorLayer:
-    #: The executor layer, context shipping and the shared-graph attach path
-    #: were deleted: every batched pipeline runs its chunks inline.
-    REMOVED = (
+#: Deleted API, by removal: none of these names may come back in code.
+REMOVED_NAMES = {
+    # The executor layer, context shipping and the shared-graph attach
+    # path: every batched pipeline runs its chunks inline.
+    "executor-layer": (
         "Executor", "SerialExecutor", "ThreadExecutor", "ProcessExecutor",
         "make_executor", "executor_lease", "encode_shared", "decode_shared",
         "shipped_nbytes", "__ship__", "attach_shared_graph",
         "clear_attach_cache", "GraphVersionError", "for_workers",
         "REPRO_SMOKE_WORKERS",
-    )
+    ),
+    # The dirty-ball journal and the evict mode: a cached row is patched
+    # from journaled score deltas or flushed, nothing in between.
+    "evict-mode": (
+        "reverse_ball_layers", "MutationRecord", "DEFAULT_JOURNAL_HORIZON",
+        "dirty_since", "request_journal_horizon", "request_horizon",
+        "invalidation_horizon", "journal_horizon", "patch_crossover",
+        "DEFAULT_PATCH_CROSSOVER",
+    ),
+}
 
-    def test_removed_names_stay_gone(self):
+
+class TestRemovedNames:
+    @pytest.mark.parametrize("group", sorted(REMOVED_NAMES))
+    def test_removed_names_stay_gone(self, group):
+        names = REMOVED_NAMES[group]
         pattern = re.compile(
-            r"(?<![A-Za-z0-9])(" + "|".join(map(re.escape, self.REMOVED)) + r")(?![A-Za-z0-9])"
+            r"(?<![A-Za-z0-9])(" + "|".join(map(re.escape, names)) + r")(?![A-Za-z0-9])"
         )
         hits = []
         for top in ("src", "benchmarks", "examples", "scripts", ".github"):
@@ -143,6 +157,33 @@ class TestRemovedExecutorLayer:
                     if pattern.search(line):
                         hits.append(f"{path.relative_to(REPO_ROOT)}:{number}: {line.strip()}")
         assert not hits, "\n".join(hits)
+
+    @pytest.mark.parametrize("keyword", ["incremental", "patch_crossover"])
+    @pytest.mark.parametrize(
+        "build", ["UtilityCache", "RecommendationService", "StreamingService"]
+    )
+    def test_removed_cache_mode_arguments_are_rejected(self, build, keyword):
+        from repro.datasets import toy
+        from repro.serving import UtilityCache
+        from repro.utility import CommonNeighbors
+
+        graph = toy.star(4)
+        constructors = {
+            "UtilityCache": lambda **kw: UtilityCache(graph, CommonNeighbors(), **kw),
+            "RecommendationService": lambda **kw: repro.RecommendationService(graph, **kw),
+            "StreamingService": lambda **kw: repro.StreamingService(graph, **kw),
+        }
+        with pytest.raises(TypeError):
+            constructors[build](**{keyword: True})
+
+    def test_removed_journal_horizon_argument_is_rejected(self):
+        from repro.datasets import toy
+        from repro.streaming import MutableSocialGraph
+
+        with pytest.raises(TypeError):
+            MutableSocialGraph(4, journal_horizon=1)
+        with pytest.raises(TypeError):
+            MutableSocialGraph.from_graph(toy.star(4), journal_horizon=1)
 
 
 class TestPublicApiDocstrings:
