@@ -11,15 +11,15 @@ stay resident across churn and only endpoint rows ever recompute.
 
 Correctness gates run **before** any timing:
 
-1. chunk-size x dtype identity — on a reduced replica, the patching
-   pipeline must return *identical* recommendation sequences to a
-   full-flush reference (the same weighted-paths utility declaring no
-   walk components, so its cache recomputes every row after every
-   mutation), unchunked and at chunk size 4, under both compute dtypes
-   (float64 / float32). Patching is exact integer arithmetic on walk
-   counts, so this is bit-identity, not a tolerance check — for float32
-   the single end-rounding is the same one the fill path has (see
-   DESIGN.md, "incremental dataflow" for the dtype contract);
+1. byte-budget identity — on a reduced replica, the patching pipeline
+   must return *identical* recommendation sequences to a full-flush
+   reference (the same weighted-paths utility declaring no walk
+   components, so its cache recomputes every row after every mutation)
+   at four compute byte budgets, from the default
+   (:data:`repro.compute.plan.CHUNK_BYTES`) down to one row per chunk,
+   so the component fills run in every chunk layout from one pass to
+   one row at a time. Patching is exact integer arithmetic on walk
+   counts, so this is bit-identity, not a tolerance check;
 2. resident-row equality — after the full-profile replay, every row
    still resident in the cache must equal a from-scratch recompute on
    the final graph, bit for bit;
@@ -45,6 +45,7 @@ import numpy as np
 
 from harness import best_of, finish, require
 
+from repro.compute import plan
 from repro.datasets import wiki_vote
 from repro.streaming import StreamingService, replay_stream, synthetic_event_stream
 from repro.utility import WeightedPaths
@@ -64,9 +65,11 @@ GAMMA = 0.005
 MAX_LENGTH = 4
 COMPACT_EVERY = 400
 
-#: Replays the identity matrix runs (chunk size x dtype); each must
-#: match the full-flush reference pick for pick.
-IDENTITY_REPLAYS = 4
+#: Byte budgets the identity matrix replays at, in rows per chunk on the
+#: identity graph (``None``: the default budget); each replay must match
+#: the full-flush reference pick for pick.
+IDENTITY_BUDGET_ROWS = (None, 16, 4, 1)
+IDENTITY_REPLAYS = len(IDENTITY_BUDGET_ROWS)
 
 
 class FlushingWeightedPaths(WeightedPaths):
@@ -81,7 +84,7 @@ class FlushingWeightedPaths(WeightedPaths):
         return None
 
 
-def make_service(graph, *, utility_class=WeightedPaths, chunk_size=None, dtype=None):
+def make_service(graph, *, utility_class=WeightedPaths):
     # Budget sized to never reject: rejection handling is not what we time.
     return StreamingService(
         graph,
@@ -89,8 +92,6 @@ def make_service(graph, *, utility_class=WeightedPaths, chunk_size=None, dtype=N
         epsilon=0.5,
         user_budget=1e12,
         seed=0,
-        chunk_size=chunk_size,
-        dtype=dtype,
         compact_every=COMPACT_EVERY,
     )
 
@@ -127,36 +128,39 @@ def time_replay(graph, events, batch_size: int) -> float:
 
 
 def check_identity_matrix(scale: float, num_events: int, batch_size: int) -> int:
-    """Patching vs full-flush picks across chunk sizes and both dtypes.
+    """Patching picks at four byte budgets vs one full-flush reference.
 
     Runs on a reduced replica: the gate is about *exactness*, which does
     not depend on problem size, and the full-flush reference recomputes
-    every queried row after every mutation.
+    every queried row after every mutation. The budget is the module
+    constant every dense stage reads at call time, restored afterwards.
     """
     graph = wiki_vote(scale=scale)
     events = make_events(graph, num_events)
+    flushed, _ = collect_picks(
+        graph, events, batch_size, utility_class=FlushingWeightedPaths
+    )
+    default_budget = plan.CHUNK_BYTES
     checked = 0
-    for dtype in ("float64", "float32"):
-        for chunk_size in (None, 4):
-            patched, patch_service = collect_picks(
-                graph, events, batch_size, chunk_size=chunk_size, dtype=dtype
-            )
-            flushed, _ = collect_picks(
-                graph, events, batch_size,
-                utility_class=FlushingWeightedPaths, chunk_size=chunk_size, dtype=dtype,
-            )
+    try:
+        for rows in IDENTITY_BUDGET_ROWS:
+            if rows is not None:
+                plan.CHUNK_BYTES = 8 * graph.num_nodes * rows
+            per_chunk = plan.chunk_rows(graph.num_nodes)
+            patched, patch_service = collect_picks(graph, events, batch_size)
             require(
                 patched == flushed,
-                f"patching diverged from the full-flush reference "
-                f"(chunk_size={chunk_size}, dtype={dtype})",
+                "patching diverged from the full-flush reference "
+                f"({per_chunk} rows per chunk)",
             )
-            snap = patch_service.cache.snapshot()
             require(
-                snap["patched_rows"] > 0,
-                f"identity matrix never exercised the patch path "
-                f"(chunk_size={chunk_size}, dtype={dtype})",
+                patch_service.cache.snapshot()["patched_rows"] > 0,
+                "identity matrix never exercised the patch path "
+                f"({per_chunk} rows per chunk)",
             )
             checked += 1
+    finally:
+        plan.CHUNK_BYTES = default_budget
     return checked
 
 
@@ -270,7 +274,7 @@ def main(argv: "list[str] | None" = None) -> int:
         f"({result['mutations']} mutations)"
     )
     print(
-        f"  identity:   {result['identity_checks']} chunk-size x dtype replays, "
+        f"  identity:   {result['identity_checks']} byte-budget replays, "
         f"patch == full flush pick-for-pick; "
         f"{result['resident_rows_checked']} resident rows == from-scratch"
     )
@@ -288,7 +292,7 @@ def main(argv: "list[str] | None" = None) -> int:
             (
                 "identity_checks",
                 IDENTITY_REPLAYS,
-                "chunk-size x dtype replays matching the full-flush reference",
+                "byte-budget replays matching the full-flush reference",
             ),
             ("resident_rows_checked", 1, "resident rows equal to a recompute"),
         ],

@@ -131,12 +131,12 @@ def run_scale(
         if smoke:
             return result
 
-        # Chunked throughout: a dense row block at 10^6 columns is 8 MB
-        # per row, so unchunked passes would defeat the RSS gate by
-        # construction rather than by regression.
+        # The engine sizes its own chunks: a dense row at 10^6 columns is
+        # 8 MB, already over the byte budget, so every chunk is one row
+        # and the RSS gate measures the program, not a benchmark knob.
         config = _engine_config(
             1.0, max_targets, dataset="synthetic", nodes=nodes,
-            exponent=exponent, backend="shm", chunk_size=32,
+            exponent=exponent, backend="shm",
         )
         engine_run = run_experiment(config, graph=shared)
         result["engine"] = {
@@ -160,8 +160,7 @@ def run_scale(
         # the serving rate stays comparable across commits.
         users = list(range(serve_users))
         service = RecommendationService(
-            shared, epsilon=SERVE_EPSILON, seed=SERVE_SEED,
-            chunk_size=32, cache_max_entries=32,
+            shared, epsilon=SERVE_EPSILON, seed=SERVE_SEED, cache_max_entries=32,
         )
         serve_started = time.perf_counter()
         responses = []

@@ -13,9 +13,7 @@ single-recommendation requests:
 Both paths run on fresh service instances with cold caches, so the
 comparison isolates vectorization rather than cache effects. The
 acceptance target for this repo is a >= 5x speedup at 500 distinct
-targets (scale 0.1 replica). A third, chunked configuration exercises the
-:mod:`repro.compute` sharded path (``chunk_size`` bounds the rows one
-chunk handles) to confirm chunking does not forfeit the batched speedup.
+targets (scale 0.1 replica).
 
 Writes ``BENCH_serving.json`` (profile + recs/sec for each path) so CI
 uploads serving throughput alongside ``BENCH_experiment.json`` and
@@ -23,7 +21,7 @@ uploads serving throughput alongside ``BENCH_experiment.json`` and
 
 Run:  python benchmarks/bench_serving.py [--smoke] [--scale S]
                                          [--targets N] [--repeats R]
-                                         [--chunk-size C] [--output PATH]
+                                         [--output PATH]
 """
 
 from __future__ import annotations
@@ -38,11 +36,9 @@ from repro.datasets import wiki_vote
 from repro.serving import RecommendationService
 
 
-def _make_service(graph, epsilon: float, chunk_size: "int | None" = None) -> RecommendationService:
+def _make_service(graph, epsilon: float) -> RecommendationService:
     # Budget sized to never reject: rejection handling is not what we time.
-    return RecommendationService(
-        graph, epsilon=epsilon, user_budget=1e9, seed=0, chunk_size=chunk_size
-    )
+    return RecommendationService(graph, epsilon=epsilon, user_budget=1e9, seed=0)
 
 
 def time_sequential(graph, users: list[int], epsilon: float) -> float:
@@ -53,22 +49,14 @@ def time_sequential(graph, users: list[int], epsilon: float) -> float:
     return time.perf_counter() - started
 
 
-def time_batched(
-    graph, users: list[int], epsilon: float, chunk_size: "int | None" = None
-) -> float:
-    service = _make_service(graph, epsilon, chunk_size=chunk_size)
+def time_batched(graph, users: list[int], epsilon: float) -> float:
+    service = _make_service(graph, epsilon)
     started = time.perf_counter()
     service.recommend_batch(users)
     return time.perf_counter() - started
 
 
-def run(
-    scale: float,
-    num_targets: int,
-    repeats: int,
-    epsilon: float,
-    chunk_size: int,
-) -> dict:
+def run(scale: float, num_targets: int, repeats: int, epsilon: float) -> dict:
     graph = wiki_vote(scale=scale)
     rng = np.random.default_rng(7)
     users = [
@@ -79,29 +67,21 @@ def run(
     ]
     sequential = min(time_sequential(graph, users, epsilon) for _ in range(repeats))
     batched = min(time_batched(graph, users, epsilon) for _ in range(repeats))
-    chunked = min(
-        time_batched(graph, users, epsilon, chunk_size=chunk_size)
-        for _ in range(repeats)
-    )
     return {
         "profile": {
             "dataset": "wiki_vote",
             "scale": scale,
             "epsilon": epsilon,
             "repeats": repeats,
-            "chunk_size": chunk_size,
         },
         "nodes": graph.num_nodes,
         "edges": graph.num_edges,
         "targets": len(users),
         "sequential_seconds": sequential,
         "batched_seconds": batched,
-        "batched_chunked_seconds": chunked,
         "sequential_rps": len(users) / sequential,
         "batched_rps": len(users) / batched,
-        "batched_chunked_rps": len(users) / chunked,
         "speedup": sequential / batched,
-        "chunked_speedup": sequential / chunked,
     }
 
 
@@ -120,13 +100,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "since wall-clock ratios are noisy on shared runners)",
     )
     parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=64,
-        dest="chunk_size",
-        help="chunk size for the sharded batched configuration",
-    )
-    parser.add_argument(
         "--output",
         default="BENCH_serving.json",
         help="where to write the JSON result",
@@ -140,7 +113,7 @@ def main(argv: "list[str] | None" = None) -> int:
     if args.smoke:
         args.scale, args.targets, args.repeats = 0.05, 200, 2
 
-    result = run(args.scale, args.targets, args.repeats, args.epsilon, args.chunk_size)
+    result = run(args.scale, args.targets, args.repeats, args.epsilon)
     print(
         f"wiki replica scale {args.scale}: {result['nodes']} nodes, "
         f"{result['edges']} edges, {result['targets']} targets"
@@ -152,11 +125,6 @@ def main(argv: "list[str] | None" = None) -> int:
     print(
         f"  batched:    {result['batched_seconds']:.3f} s "
         f"({result['batched_rps']:,.0f} recs/sec)"
-    )
-    print(
-        f"  chunked:    {result['batched_chunked_seconds']:.3f} s "
-        f"({result['batched_chunked_rps']:,.0f} recs/sec, "
-        f"chunk_size={args.chunk_size}, {result['chunked_speedup']:.1f}x)"
     )
     print(f"  speedup:    {result['speedup']:.1f}x")
 

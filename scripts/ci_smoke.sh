@@ -61,9 +61,10 @@ python benchmarks/bench_streaming.py --smoke --min-speedup 2 \
 echo
 echo "== cache-patching benchmark (smoke) =="
 # Asserts that a patching cache serves the same recommendations as a
-# full-flush reference across chunk sizes and both compute dtypes, that
-# resident rows are bit-equal to from-scratch recomputes, and that the
-# replay patches and never flushes — deterministic, fully gated in CI.
+# full-flush reference at four compute byte budgets (the default down to
+# one row per chunk), that resident rows are bit-equal to from-scratch
+# recomputes, and that the replay patches and never flushes —
+# deterministic, fully gated in CI.
 # Throughput (patch_eps) is reported, not gated.
 python benchmarks/bench_incremental.py --smoke \
     --output "$smoke_out/BENCH_incremental.json"

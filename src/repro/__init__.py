@@ -20,9 +20,9 @@ The library implements the paper end-to-end:
 * the Section 7 experiment harness with one driver per paper figure
   (:mod:`repro.experiments`);
 * a chunked compute layer (:mod:`repro.compute`): the canonical batched
-  utility/mechanism kernels and chunking plans that bound peak dense
-  allocation, run inline with bit-identical results for every chunk
-  size;
+  utility/mechanism kernels and chunking plans sized by one byte budget
+  that bound peak dense allocation, run inline with bit-identical
+  results at every budget;
 * an online serving layer (:mod:`repro.serving`): a
   :class:`~repro.serving.service.RecommendationService` with per-user
   privacy-budget accounting, a version-keyed utility cache, and a

@@ -34,15 +34,17 @@ At the default float64 compute dtype the result is bit-identical to the
 sequential evaluator. ``dtype="float32"`` opts into the half-memory
 compute path under the tolerance contract documented in DESIGN.md
 ("memory dataflow"); float32 results are still bit-identical across
-chunk sizes, just not across dtypes.
+chunkings, just not across dtypes.
 
-Chunks run one after another on the calling thread and reassemble in
-target order. Every stage is per-target independent and all randomness
-comes from per-target spawned streams, so the result is bit-identical
-across chunk sizes. ``tests/accuracy/test_batch.py`` enforces the
-sequential contract property-style, ``tests/compute/`` enforces the
-chunking and dtype contracts, and ``benchmarks/bench_memory.py`` asserts
-all of it before timing.
+Chunks hold :func:`~repro.compute.plan.chunk_rows` targets each (the one
+byte budget :data:`~repro.compute.plan.CHUNK_BYTES`), run one after
+another on the calling thread and reassemble in target order. Every
+stage is per-target independent and all randomness comes from
+per-target spawned streams, so the result is bit-identical whatever the
+budget. ``tests/accuracy/test_batch.py`` enforces the sequential
+contract property-style, ``tests/compute/`` enforces the chunking and
+dtype contracts, and ``benchmarks/bench_memory.py`` asserts all of it
+before timing.
 """
 
 from __future__ import annotations
@@ -191,19 +193,6 @@ def _needs_vectors(mechanisms: "dict[str, Mechanism]") -> bool:
     )
 
 
-#: Target dense-block size for the engine's automatic chunking:
-#: chunk_size is picked so one (chunk, num_nodes) float64 block is at
-#: most this many bytes (or one row, when a single row is larger). Small
-#: enough that the workspace buffers every stage streams through stay
-#: cache-resident (measurably faster than unchunked on replica-scale
-#: graphs).
-FUSED_CHUNK_BYTES = 4_000_000
-
-
-def _fused_default_chunk(num_nodes: int) -> int:
-    return max(1, FUSED_CHUNK_BYTES // (8 * max(1, num_nodes)))
-
-
 def _evaluate_chunk(
     graph: SocialGraph,
     utility: UtilityFunction,
@@ -291,18 +280,17 @@ def evaluate_targets_batched(
     seed: "int | np.random.Generator | None" = None,
     laplace_trials: int = 1_000,
     timings: "dict[str, float] | None" = None,
-    chunk_size: "int | None" = None,
     dtype=None,
     memory: "dict[str, int] | None" = None,
 ) -> list[TargetEvaluation]:
     """Batched, bit-identical equivalent of
     :func:`~repro.accuracy.evaluator.evaluate_targets`.
 
-    ``chunk_size`` bounds the dense rows materialized at once (peak dense
-    allocation is ``chunk_size x num_nodes`` instead of
-    ``len(targets) x num_nodes``). Without one, the engine picks the
-    largest chunk whose dense block fits in :data:`FUSED_CHUNK_BYTES`.
-    Results are bit-identical across all chunk sizes. A target outside
+    Targets run in :class:`~repro.compute.plan.ComputePlan` chunks whose
+    dense ``rows x num_nodes`` blocks fit the byte budget
+    :data:`~repro.compute.plan.CHUNK_BYTES`, so peak dense allocation is
+    bounded however many targets are asked for; results are
+    bit-identical at every budget. A target outside
     ``[0, num_nodes)`` raises :class:`~repro.errors.UtilityError`, as in
     the sequential evaluator.
 
@@ -334,14 +322,7 @@ def evaluate_targets_batched(
         return []
 
     epsilon_grid = tuple(float(eps) for eps in bound_epsilons)
-    if chunk_size is None:
-        # The engine chunks by default: workspace buffers sized to
-        # ~FUSED_CHUNK_BYTES stay cache-resident across every stage, which
-        # is faster than one all-targets pass *and* bounds peak memory.
-        # Results are bit-identical for every chunking (tested), so this
-        # is purely a layout default; explicit chunk_size still wins.
-        chunk_size = _fused_default_chunk(graph.num_nodes)
-    plan = ComputePlan(int(targets.size), chunk_size, dtype)
+    plan = ComputePlan(int(targets.size), graph.num_nodes, dtype)
     clock = _StageClock(timings, memory)
     evaluations: list[TargetEvaluation] = []
     for chunk in plan:

@@ -36,13 +36,11 @@ reconciliation after the summary) and ``--telemetry-out PATH`` to write
 the full dump — metrics snapshot, spans, and the privacy ledger — as
 JSON for ``repro-social metrics`` to read back.
 
-``figure``, ``sweep``, ``serve-sim``, ``stream-sim``, and ``serve``
-accept ``--chunk-size C`` to chunk their batched pipelines through the
-:mod:`repro.compute` layer (results are bit-identical for every setting;
-the flag only trades wall-clock against peak memory), and
-``--dtype {float64,float32}`` to pick the compute dtype (float64 is the
-bit-exact default; float32 halves dense memory under the documented
-tolerance contract).
+``figure`` and ``sweep`` accept ``--dtype {float64,float32}`` to pick
+the experiment engine's compute dtype (float64 is the bit-exact
+default; float32 halves dense memory under the documented tolerance
+contract). Serving always runs in float64, and every command sizes its
+own compute chunks from one byte budget (:mod:`repro.compute.plan`).
 
 Also runnable as ``python -m repro.cli ...``.
 """
@@ -99,7 +97,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     driver = FIGURE_DRIVERS[args.figure_id]
     kwargs: dict = {
         "scale": args.scale,
-        "chunk_size": args.chunk_size,
         "dtype": args.dtype,
         "backend": args.backend,
         "nodes": args.nodes,
@@ -152,7 +149,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             graph,
             CommonNeighbors(),
             targets,
-            chunk_size=args.chunk_size,
             dtype=args.dtype,
         )
     finally:
@@ -223,13 +219,6 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
     from .mechanisms.smoothing import SmoothingMechanism
     from .serving import RecommendationService, replay, synthetic_workload
 
-    if args.backend != "heap" and args.mutate_every:
-        print(
-            "serve-sim: --mutate-every needs a mutable graph; "
-            "--backend shm/mmap serves a frozen snapshot (use --backend heap)",
-            file=sys.stderr,
-        )
-        return 2
     graph = _build_cli_graph(args)
     # Smoothing is parameterized by a mixing weight, not an epsilon; build
     # it here so the registry path stays epsilon-keyed for the others.
@@ -245,21 +234,13 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         user_budget=args.budget,
         seed=args.seed,
-        chunk_size=args.chunk_size,
-        dtype=args.dtype,
         telemetry=telemetry,
     )
     try:
         requests = synthetic_workload(
             graph, args.requests, zipf_exponent=args.zipf, seed=args.seed
         )
-        summary = replay(
-            service,
-            requests,
-            batch_size=args.batch_size,
-            mutate_every=args.mutate_every,
-            seed=args.seed,
-        )
+        summary = replay(service, requests, batch_size=args.batch_size)
         source = (
             f"synthetic power-law n={args.nodes} ({args.backend} backing)"
             if args.nodes is not None
@@ -289,9 +270,7 @@ def _stream_config(args: argparse.Namespace) -> dict:
     Recorded in every snapshot and in the durability directory's
     ``config.json`` so ``repro-social recover`` can rebuild the same
     service and regenerate the same event stream without re-passing
-    flags. Compute chunking knobs are deliberately absent: results are
-    bit-identical for every chunking configuration, so they are not part
-    of the run's identity.
+    flags.
     """
     return {
         "scale": args.scale,
@@ -311,8 +290,7 @@ def _stream_config(args: argparse.Namespace) -> dict:
     }
 
 
-def _build_stream_service(config: dict, telemetry=None, *,
-                          chunk_size: "int | None" = None, dtype=None):
+def _build_stream_service(config: dict, telemetry=None):
     from .streaming import StreamingService
 
     graph = wiki_vote(scale=config["scale"])
@@ -322,8 +300,6 @@ def _build_stream_service(config: dict, telemetry=None, *,
         epsilon=config["epsilon"],
         user_budget=config["budget"],
         seed=config["seed"],
-        chunk_size=chunk_size,
-        dtype=dtype,
         window=config["window"],
         window_budget=config["window_budget"],
         compact_every=config["compact_every"],
@@ -372,9 +348,7 @@ def _cmd_stream_sim(args: argparse.Namespace) -> int:
 
     config = _stream_config(args)
     telemetry = _make_telemetry(args)
-    graph, service = _build_stream_service(
-        config, telemetry, chunk_size=args.chunk_size, dtype=args.dtype,
-    )
+    graph, service = _build_stream_service(config, telemetry)
     events = _build_stream_events(config, graph)
     if args.wal is not None:
         from .durability import replay_stream_durable
@@ -502,8 +476,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         user_budget=args.budget,
         seed=args.seed,
-        chunk_size=args.chunk_size,
-        dtype=args.dtype,
         window=args.window,
         window_budget=args.window_budget,
         telemetry=telemetry,
@@ -652,17 +624,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         time.sleep(args.interval)
 
 
-def _add_compute_arguments(subparser: argparse.ArgumentParser) -> None:
-    """The shared chunking knobs of every compute-layer-backed command."""
-    subparser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        dest="chunk_size",
-        help="targets per compute chunk (bounds peak dense memory; "
-        "default: a cache-sized chunk for the experiment engine, one "
-        "chunk per batch when serving)",
-    )
+def _add_dtype_argument(subparser: argparse.ArgumentParser) -> None:
+    """The experiment engine's compute-dtype knob (figure and sweep)."""
     subparser.add_argument(
         "--dtype",
         choices=COMPUTE_DTYPES,
@@ -744,7 +707,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--scale", type=float, default=0.1, help="replica scale in (0, 1]")
     figure.add_argument("--max-targets", type=int, default=None, dest="max_targets")
     figure.add_argument("--out", type=str, default=None, help="save result JSON here")
-    _add_compute_arguments(figure)
+    _add_dtype_argument(figure)
     _add_backend_arguments(figure)
     figure.set_defaults(func=_cmd_figure)
 
@@ -761,7 +724,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--targets", type=int, default=40)
     sweep.add_argument("--seed", type=int, default=7)
     sweep.add_argument("--out", type=str, default=None)
-    _add_compute_arguments(sweep)
+    _add_dtype_argument(sweep)
     _add_backend_arguments(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -790,15 +753,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mixing weight when --mechanism smoothing (its epsilon follows Theorem 5)",
     )
     serve.add_argument("--zipf", type=float, default=1.1, help="traffic skew exponent")
-    serve.add_argument(
-        "--mutate-every",
-        type=int,
-        default=0,
-        dest="mutate_every",
-        help="add a random edge every N batches (0 = static graph)",
-    )
     serve.add_argument("--seed", type=int, default=0)
-    _add_compute_arguments(serve)
     _add_backend_arguments(serve)
     _add_telemetry_arguments(serve)
     serve.set_defaults(func=_cmd_serve_sim)
@@ -869,7 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
         "events (bounds recovery time; never changes results)",
     )
     _add_sync_every_argument(stream)
-    _add_compute_arguments(stream)
     _add_telemetry_arguments(stream)
     stream.set_defaults(func=_cmd_stream_sim)
 
@@ -942,7 +896,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="registered mechanism name",
     )
     serve_http.add_argument("--seed", type=int, default=0)
-    _add_compute_arguments(serve_http)
     serve_http.set_defaults(func=_cmd_serve)
 
     recover_cmd = subparsers.add_parser(

@@ -10,19 +10,21 @@ home, split into small pieces:
   stage (support-form rows for serving), shared by serving, the batched
   experiment engine, and the parameter sweeps;
 * :mod:`~repro.compute.plan` — :class:`ComputePlan`, which splits a
-  target list into fixed-size chunks so peak dense allocation is
-  ``chunk_size x num_nodes`` instead of ``len(targets) x num_nodes``;
+  target list into chunks sized by one byte budget
+  (:data:`~repro.compute.plan.CHUNK_BYTES`), so peak dense allocation is
+  bounded by the budget instead of ``len(targets) x num_nodes``;
 * :mod:`~repro.compute.workspace` — the per-thread arena of reusable
   dense buffers the chunks stream through;
 * :mod:`~repro.compute.incremental` — journaled score deltas that patch
   cached rows after an edge mutation.
 
-Every batched pipeline runs its chunks one after another on the calling
-thread and reassembles results in target order. Determinism contract:
-every kernel stage is per-target independent and all per-target
-randomness flows through explicitly spawned streams
+Every stage that allocates a dense ``rows x num_nodes`` block runs its
+chunks one after another on the calling thread and reassembles results
+in target order; a stage with no dense block runs in one pass.
+Determinism contract: every kernel stage is per-target independent and
+all per-target randomness flows through explicitly spawned streams
 (:func:`repro.rng.spawn_rngs`), so for a fixed seed the output is
-bit-identical across chunk sizes.
+bit-identical whatever the budget.
 """
 
 from .incremental import (

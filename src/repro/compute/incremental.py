@@ -47,8 +47,8 @@ integer arithmetic: components patched through any interleaving of
 deltas equal the from-scratch counts bit for bit, and the utility's
 :meth:`~repro.utility.base.UtilityFunction.combine_component_rows`
 recombines them with the same accumulation sequence as a full
-recompute — float64 bit-identical, float32 identical after the single
-end rounding (the same one rounding point the fill path has).
+recompute, so a patched float64 row is bit-identical to a recomputed
+one.
 
 Endpoint rows (directed ``t == u``; undirected ``t ∈ {u, v}``) change
 their candidate set and/or target degree, so they are *not* patchable —
@@ -543,7 +543,6 @@ def patch_utility_vector(
     vector: UtilityVector,
     deltas: "list[EdgeScoreDelta]",
     utility,
-    dtype,
     num_nodes: int,
 ) -> "UtilityVector | None":
     """A new vector with ``deltas`` folded in, or ``None`` if unpatchable.
@@ -557,10 +556,8 @@ def patch_utility_vector(
     ``num_nodes`` sizes the row's node-id -> column scatter map, built
     once and shared by every delta. Unless nothing changed, a fresh
     :class:`UtilityVector` is returned — resident vectors are shared with
-    callers of ``get()`` and must stay immutable. Values/dtype contract:
-    the patched row is bit-identical to a full recompute at float64 and
-    to recompute-then-round at float32 (one end rounding, the same point
-    the fill path rounds at).
+    callers of ``get()`` and must stay immutable. Values contract: the
+    patched float64 row is bit-identical to a full recompute.
     """
     lengths = utility.walk_component_lengths()
     if lengths is None:
@@ -588,4 +585,4 @@ def patch_utility_vector(
         values=values,
         target_degree=vector.target_degree,
         metadata=metadata,
-    ).with_dtype(dtype)
+    )

@@ -11,11 +11,12 @@ dense ``(targets, n)`` matrices wider than one chunk.
 
 Two extraction flavors exist because the consumers genuinely differ:
 
-* :func:`utility_vectors` — *unfiltered*: one vector per target over its
-  full candidate set, zero-signal targets included. The serving layer
-  needs this (a user with no utility signal still gets an answer — or a
-  well-defined error — from the mechanism). Its rows are support-form by
-  default, built from sparse score rows; the serving sampler
+* :func:`utility_vectors` — *unfiltered*: one float64 vector per target
+  over its full candidate set, zero-signal targets included. The serving
+  layer needs this (a user with no utility signal still gets an answer —
+  or a well-defined error — from the mechanism). Its rows are
+  support-form by default, built from sparse score rows; the serving
+  sampler
   (:meth:`~repro.mechanisms.exponential.ExponentialMechanism.recommend_vectors`)
   consumes them in O(support) per request.
 * :func:`fused_compact_rows` — *filtered*: the paper's footnote-10 drop
@@ -26,9 +27,10 @@ Two extraction flavors exist because the consumers genuinely differ:
   engine and the gamma sweep need this; it is the only producer of
   :class:`~repro.mechanisms.exponential.CompactRows`.
 
-Every stage accepts the plan's compute dtype; float64 is bit-exact
-against the sequential evaluator, float32 is the documented-tolerance
-half-memory path (DESIGN.md, "memory dataflow").
+The engine's stages accept the plan's compute dtype; float64 is
+bit-exact against the sequential evaluator, float32 is the
+documented-tolerance half-memory path (DESIGN.md, "memory dataflow").
+Serving rows are always float64.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from ..graphs.graph import SocialGraph
 from ..mechanisms.exponential import CompactRows
 from ..utility.base import UtilityFunction, UtilityVector, candidate_mask
 from .incremental import COMPONENTS_KEY
-from .plan import resolve_dtype
+from .plan import ComputePlan, resolve_dtype
 from .workspace import Workspace
 
 
@@ -134,22 +136,20 @@ def utility_vectors(
     graph: SocialGraph,
     utility: UtilityFunction,
     targets: "np.ndarray | list[int]",
-    dtype=None,
     workspace: "Workspace | None" = None,
     with_components: bool = False,
 ) -> "list[UtilityVector]":
-    """One :class:`UtilityVector` per target, unfiltered (serving flavor).
+    """One float64 :class:`UtilityVector` per target, unfiltered (serving flavor).
 
     Every target yields a vector over its full candidate set — including
     targets the footnote-10 filter would drop — whose ``candidates`` and
     ``values`` equal what the per-target reference
-    ``utility.utility_vector`` builds, at the compute ``dtype``. The
-    vectors hold *owned* arrays (they outlive the chunk — the serving
-    cache keeps them).
+    ``utility.utility_vector`` builds. The vectors hold *owned* arrays
+    (they outlive the call — the serving cache keeps them).
 
     By default the vectors are support-form
     (:meth:`~repro.utility.base.UtilityVector.from_support_rows`), built
-    from the utility's sparse score rows
+    in one pass from the utility's sparse score rows
     (:meth:`~repro.utility.base.UtilityFunction.support_scores` — for
     common neighbors the ``A[targets] @ A`` product itself, so no
     ``(len(targets), num_nodes)`` block is allocated), and each row costs
@@ -162,14 +162,14 @@ def utility_vectors(
     utilities that declare
     :meth:`~repro.utility.base.UtilityFunction.walk_component_lengths`.
     Scores are then derived from those very components via the utility's
-    ``combine_component_matrices`` — the same float64 accumulation with
-    the same single end rounding as the support path, so the values are
-    bit-identical with the flag on or off; the dense score/mask blocks
-    ride the ``workspace``. Utilities without components fall back to the
-    support path.
+    ``combine_component_matrices`` — the same float64 accumulation as the
+    support path, so the values are bit-identical with the flag on or
+    off. This fill allocates dense component, score and mask blocks, so
+    it runs in :class:`~repro.compute.plan.ComputePlan` chunks (the score
+    and mask blocks ride the ``workspace``). Utilities without components
+    fall back to the support path.
     """
     targets = checked_targets(graph, targets)
-    dtype = resolve_dtype(dtype)
     degrees = graph.out_degrees_of(targets)
     if not (with_components and utility.walk_component_lengths() is not None):
         links = graph.adjacency_rows(targets)
@@ -178,34 +178,36 @@ def utility_vectors(
         )
         return UtilityVector.from_support_rows(
             targets,
-            utility.support_scores(graph, targets).astype(dtype, copy=False),
+            utility.support_scores(graph, targets),
             links + own,
             degrees,
             {"utility": utility.name},
         )
-    components = utility.batch_score_components(graph, targets)
-    scores = _rounded_block(
-        lambda out: utility.combine_component_matrices(components, targets, out=out),
-        (targets.size, graph.num_nodes), dtype, workspace,
-    )
-    mask = candidate_mask_rows(graph, targets, workspace=workspace)
     vectors = []
-    for row in range(targets.size):
-        candidates = np.flatnonzero(mask[row]).astype(np.int64, copy=False)
-        vectors.append(
-            UtilityVector(
-                target=int(targets[row]),
-                candidates=candidates,
-                values=scores[row].take(candidates),
-                target_degree=int(degrees[row]),
-                metadata={
-                    "utility": utility.name,
-                    COMPONENTS_KEY: np.stack(
-                        [component[row].take(candidates) for component in components]
-                    ),
-                },
-            )
+    for chunk in ComputePlan(int(targets.size), graph.num_nodes):
+        rows = chunk.take(targets)
+        components = utility.batch_score_components(graph, rows)
+        scores = _rounded_block(
+            lambda out: utility.combine_component_matrices(components, rows, out=out),
+            (rows.size, graph.num_nodes), None, workspace,
         )
+        mask = candidate_mask_rows(graph, rows, workspace=workspace)
+        for row in range(rows.size):
+            candidates = np.flatnonzero(mask[row]).astype(np.int64, copy=False)
+            vectors.append(
+                UtilityVector(
+                    target=int(rows[row]),
+                    candidates=candidates,
+                    values=scores[row].take(candidates),
+                    target_degree=int(degrees[chunk.start + row]),
+                    metadata={
+                        "utility": utility.name,
+                        COMPONENTS_KEY: np.stack(
+                            [component[row].take(candidates) for component in components]
+                        ),
+                    },
+                )
+            )
     return vectors
 
 

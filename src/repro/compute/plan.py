@@ -2,27 +2,30 @@
 
 Every batched pipeline in this repo ultimately materializes per-target
 dense rows of width ``num_nodes`` (utility scores, candidate masks,
-sampling logits). Evaluating ``len(targets)`` targets in one shot
+walk-count components). Evaluating ``len(targets)`` targets in one shot
 therefore allocates ``len(targets) x num_nodes`` floats — fine for a
 figure run, fatal at the ROADMAP's millions-of-users scale. A
-:class:`ComputePlan` splits the target list into fixed-size chunks so the
-kernels only ever hold ``chunk_size x num_nodes`` dense elements at a
-time, regardless of how many targets the caller asks for.
+:class:`ComputePlan` splits the target list into chunks of
+:func:`chunk_rows` targets, so a stage holding one chunk's dense
+``rows x num_nodes`` block stays within the one byte budget
+:data:`CHUNK_BYTES`, regardless of how many targets the caller asks for.
+The program sizes its own chunks: no entry point takes a chunk size.
 
 Plans are pure index arithmetic: a chunk is a ``[start, stop)`` window
 into the caller's target order. Callers run the chunks in order on the
 calling thread and concatenate the results, which — because every
 kernel stage is per-target independent — reproduces the unchunked
-output bit for bit.
+output bit for bit, whatever the budget.
 
 A plan also carries the pipeline's *compute dtype*: the element type the
 dense kernel stages run at. ``float64`` (the default) keeps the engines
 bit-identical to the sequential reference; ``float32`` halves every dense
 buffer and is covered by the tolerance contract documented in
-DESIGN.md ("memory dataflow"). :func:`resolve_dtype` is the single
-normalization point every layer (configs, services, kernels) funnels
-through, so ``"float32"``, ``np.float32``, and ``np.dtype("float32")``
-all mean the same plan.
+DESIGN.md ("memory dataflow"). Only the experiment engine and the
+figure/sweep drivers take a dtype; serving always runs in float64.
+:func:`resolve_dtype` is the single normalization point, so
+``"float32"``, ``np.float32``, and ``np.dtype("float32")`` all mean the
+same plan.
 """
 
 from __future__ import annotations
@@ -37,6 +40,21 @@ from ..errors import ComputeError
 #: Compute dtypes the kernel stages support. float64 is the bit-exact
 #: reference path; float32 is the opt-in half-memory path.
 COMPUTE_DTYPES = ("float32", "float64")
+
+#: Byte budget of one chunk's dense ``rows x num_nodes`` float64 block:
+#: every stage that allocates such a block (the experiment engine, the
+#: gamma sweep, a patching cache's component fill, the default
+#: ``UtilityFunction.support_scores``) takes :func:`chunk_rows` targets at
+#: a time. Small enough that the workspace buffers the engine streams
+#: through stay cache-resident (faster than one all-targets pass on
+#: replica-scale graphs). Read at call time.
+CHUNK_BYTES = 4_000_000
+
+
+def chunk_rows(num_nodes: int) -> int:
+    """Targets per chunk on a ``num_nodes`` graph: the most whose float64
+    ``rows x num_nodes`` block fits in :data:`CHUNK_BYTES`, at least one."""
+    return max(1, CHUNK_BYTES // (8 * max(1, int(num_nodes))))
 
 
 def resolve_dtype(spec) -> np.dtype:
@@ -102,59 +120,41 @@ class TargetChunk:
 
 @dataclass(frozen=True)
 class ComputePlan:
-    """Fixed-size chunking of ``num_items`` targets.
+    """Budget-sized chunking of ``num_items`` targets on a ``num_nodes`` graph.
 
     Parameters
     ----------
     num_items:
         Length of the target list being split.
-    chunk_size:
-        Maximum targets per chunk. ``None`` means "one chunk with
-        everything" — the unchunked layout older callers relied on.
+    num_nodes:
+        Width of the dense rows the chunks materialize; every chunk but
+        the last holds :func:`chunk_rows` targets.
     dtype:
         Compute dtype of the dense kernel stages (anything
         :func:`resolve_dtype` accepts; ``None`` means float64). Chunk
         geometry is dtype-independent; the plan just carries the choice
         to the kernels so one object describes the whole dense layout.
-
-    With ``chunk_size = c`` and a graph of ``n`` nodes, every kernel stage
-    holds at most ``c * n`` dense elements at a time instead of
-    ``num_items * n`` (halved again under ``float32``).
     """
 
     num_items: int
-    chunk_size: "int | None" = None
+    num_nodes: int
     dtype: "np.dtype | str | None" = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_items < 0:
             raise ComputeError(f"num_items must be >= 0, got {self.num_items}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ComputeError(f"chunk_size must be >= 1, got {self.chunk_size}")
         object.__setattr__(self, "dtype", resolve_dtype(self.dtype))
 
     @property
-    def effective_chunk_size(self) -> int:
-        """The bound on dense rows a single chunk can materialize."""
-        if self.chunk_size is None:
-            return self.num_items
-        return min(self.chunk_size, self.num_items)
-
-    @property
     def num_chunks(self) -> int:
-        if self.num_items == 0:
-            return 0
-        size = self.effective_chunk_size
-        return -(-self.num_items // size) if size else 0
+        return -(-self.num_items // chunk_rows(self.num_nodes))
 
     def chunks(self) -> "list[TargetChunk]":
         """All chunks, in target order."""
         return list(self)
 
     def __iter__(self) -> Iterator[TargetChunk]:
-        size = self.effective_chunk_size
-        if size <= 0:
-            return
+        size = chunk_rows(self.num_nodes)
         for index, start in enumerate(range(0, self.num_items, size)):
             yield TargetChunk(index, start, min(start + size, self.num_items))
 

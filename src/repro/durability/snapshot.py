@@ -55,8 +55,10 @@ SNAPSHOT_MAGIC = b"RPROSNAP"
 
 #: Format tag embedded in the payload; bump on incompatible layout changes
 #: (2: cached utility vectors pickle as dense or support form; 3: budgets
-#: hold one spent float per user instead of per-release entry lists).
-SNAPSHOT_FORMAT = 3
+#: hold one spent float per user instead of per-release entry lists; 4:
+#: cached rows are always float64, so a format-3 float32 row is never
+#: restored into a float64 cache).
+SNAPSHOT_FORMAT = 4
 
 _HEADER = struct.Struct("<II")  # payload length, crc32(payload)
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.snap$")

@@ -13,7 +13,9 @@ routes:
   the vectorized hot path instead of per-request calls.
 * ``POST /edge-event`` — one graph mutation (streaming services only),
   executed on the *same* compute thread so mutations serialize strictly
-  between batches, never inside one.
+  between batches, never inside one. An endpoint outside the graph
+  answers 400 ``unknown_node`` and a non-numeric or non-finite ``time`` a
+  400 protocol error, before anything reaches the engine or its log.
 * ``GET /metrics`` — live Prometheus text (``?format=json`` for the
   ``metrics dump`` payload shape), collected on the compute thread so
   scrapes never race a batch.
@@ -46,6 +48,7 @@ writing, then close connections and shut the compute thread down.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -386,7 +389,19 @@ class EdgeServer:
             raise http.ProtocolError(
                 "edge-event needs integer 'u' and 'v'"
             ) from None
-        time = float(payload.get("time", self._clock()))
+        try:
+            time = float(payload.get("time", self._clock()))
+            if not math.isfinite(time):
+                raise ValueError(time)
+        except (TypeError, ValueError):
+            raise http.ProtocolError(
+                "edge-event 'time' must be a finite number"
+            ) from None
+        for node in (u, v):
+            if node < 0 or node >= self._base.graph.num_nodes:
+                return http.response_bytes(
+                    400, {"error": "unknown_node", "node": node}
+                )
         if self._draining:
             return self._reject(u, REASON_DRAINING, 503)
         changed, seq = await self._dispatch_event(

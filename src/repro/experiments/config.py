@@ -30,10 +30,7 @@ class ExperimentConfig:
     1,000 Laplace trials, weighted paths truncated at length 3.
     ``scale`` and ``max_targets`` exist so test/benchmark runs finish in
     seconds; the full-paper setting is ``scale=1.0, max_targets=None``.
-    ``chunk_size`` chunks the batched engine through
-    :mod:`repro.compute`; results are bit-identical for every setting, so
-    it is a pure wall-clock / memory knob (``None`` lets the engine pick
-    a cache-sized chunk). ``dtype`` selects the engine's compute dtype:
+    ``dtype`` selects the engine's compute dtype:
     ``"float64"`` (default) is bit-identical to the sequential
     evaluator, ``"float32"`` halves dense memory under the tolerance
     contract documented in DESIGN.md ("memory dataflow").
@@ -58,7 +55,6 @@ class ExperimentConfig:
     laplace_trials: int = 1_000
     include_laplace: bool = True
     seed: int = 7
-    chunk_size: "int | None" = None
     dtype: str = "float64"
     backend: str = "heap"
     nodes: "int | None" = None
@@ -87,8 +83,6 @@ class ExperimentConfig:
             )
         if self.laplace_trials < 1:
             raise ExperimentError(f"laplace_trials must be >= 1, got {self.laplace_trials}")
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ExperimentError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.dtype not in COMPUTE_DTYPES:
             raise ExperimentError(
                 f"unknown dtype {self.dtype!r}; known: {COMPUTE_DTYPES}"
@@ -130,8 +124,6 @@ class ExperimentConfig:
         data["epsilons"] = tuple(data.get("epsilons", (1.0,)))
         if "max_targets" in data and data["max_targets"] is not None:
             data["max_targets"] = int(data["max_targets"])
-        if "chunk_size" in data and data["chunk_size"] is not None:
-            data["chunk_size"] = int(data["chunk_size"])
         if "nodes" in data and data["nodes"] is not None:
             data["nodes"] = int(data["nodes"])
         return cls(**data)

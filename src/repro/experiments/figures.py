@@ -13,10 +13,9 @@ the paper plots:
 ``scale``/``max_targets`` default to CI-friendly values; pass ``scale=1.0,
 max_targets=None`` for the full-size replicas. Laplace series are included
 when ``include_laplace=True`` so the Section 7.2 "Laplace ~= Exponential"
-observation can be read off the same result object. ``chunk_size``
-chunks the batched engine through :mod:`repro.compute` (bit-identical
-results; a pure wall-clock/memory knob), mirroring the CLI's
-``--chunk-size``.
+observation can be read off the same result object. ``dtype``,
+``backend``, ``nodes`` and ``exponent`` override the config, mirroring
+the CLI's flags.
 """
 
 from __future__ import annotations
@@ -41,24 +40,21 @@ from .runner import ExperimentRun, build_graph, mechanism_key, run_experiment
 
 def _with_overrides(
     config: ExperimentConfig,
-    chunk_size: "int | None",
     dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
 ) -> ExperimentConfig:
-    """Apply only explicitly requested chunking/dtype/backend overrides.
+    """Apply only explicitly requested dtype/backend overrides.
 
     ``None`` means "keep the config's own value" — an explicitly passed
-    ``config`` with ``chunk_size=128`` must not be silently reset to the
-    default chunking by the drivers' parameter defaults.
+    ``config`` with ``dtype="float32"`` must not be silently reset to
+    float64 by the drivers' parameter defaults.
     ``nodes`` swaps the dataset for the synthetic power-law builder at
     that size (the figure then reads on synthetic data rather than the
     paper replica — a scale study, not a paper reproduction).
     """
     overrides: dict = {}
-    if chunk_size is not None:
-        overrides["chunk_size"] = chunk_size
     if dtype is not None:
         overrides["dtype"] = dtype
     if backend is not None:
@@ -125,7 +121,6 @@ def figure_1a(
     max_targets: "int | None" = 150,
     include_laplace: bool = False,
     config: "ExperimentConfig | None" = None,
-    chunk_size: "int | None" = None,
     dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
@@ -134,9 +129,7 @@ def figure_1a(
     """Figure 1(a): common neighbors on Wiki-vote, eps in {0.5, 1}."""
     if config is None:
         config = paper_config_figure_1a(scale=scale, max_targets=max_targets)
-    config = _with_overrides(
-        config, chunk_size, dtype, backend, nodes, exponent
-    )
+    config = _with_overrides(config, dtype, backend, nodes, exponent)
     run = run_experiment(config)
     return _cdf_figure(
         run,
@@ -151,7 +144,6 @@ def figure_1b(
     max_targets: "int | None" = 150,
     include_laplace: bool = False,
     config: "ExperimentConfig | None" = None,
-    chunk_size: "int | None" = None,
     dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
@@ -160,9 +152,7 @@ def figure_1b(
     """Figure 1(b): common neighbors on Twitter, eps in {1, 3}."""
     if config is None:
         config = paper_config_figure_1b(scale=scale, max_targets=max_targets)
-    config = _with_overrides(
-        config, chunk_size, dtype, backend, nodes, exponent
-    )
+    config = _with_overrides(config, dtype, backend, nodes, exponent)
     run = run_experiment(config)
     return _cdf_figure(
         run,
@@ -226,7 +216,6 @@ def figure_2a(
     max_targets: "int | None" = 150,
     gammas: tuple[float, ...] = (0.0005, 0.05),
     include_laplace: bool = False,
-    chunk_size: "int | None" = None,
     dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
@@ -236,7 +225,6 @@ def figure_2a(
     configs = [
         _with_overrides(
             paper_config_figure_2a(gamma, scale=scale, max_targets=max_targets),
-            chunk_size,
             dtype,
             backend,
             nodes,
@@ -257,7 +245,6 @@ def figure_2b(
     max_targets: "int | None" = 150,
     gammas: tuple[float, ...] = (0.0005, 0.05),
     include_laplace: bool = False,
-    chunk_size: "int | None" = None,
     dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
@@ -267,7 +254,6 @@ def figure_2b(
     configs = [
         _with_overrides(
             paper_config_figure_2b(gamma, scale=scale, max_targets=max_targets),
-            chunk_size,
             dtype,
             backend,
             nodes,
@@ -288,7 +274,6 @@ def figure_2c(
     max_targets: "int | None" = 300,
     bins_per_decade: int = 3,
     config: "ExperimentConfig | None" = None,
-    chunk_size: "int | None" = None,
     dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
@@ -297,9 +282,7 @@ def figure_2c(
     """Figure 2(c): accuracy vs. degree, Wiki-vote, common neighbors, eps = 0.5."""
     if config is None:
         config = paper_config_figure_2c(scale=scale, max_targets=max_targets)
-    config = _with_overrides(
-        config, chunk_size, dtype, backend, nodes, exponent
-    )
+    config = _with_overrides(config, dtype, backend, nodes, exponent)
     run = run_experiment(config)
     eps = config.epsilons[0]
     bins = accuracy_by_degree(

@@ -19,9 +19,9 @@ The gamma sweep has its own chunk kernel on the shared
 walk matrices are gamma-independent, so each chunk computes them once
 (:func:`~repro.graphs.traversal.batch_walk_matrices`) and only the cheap
 gamma recombination runs per decay value. Both run in
-:class:`~repro.compute.plan.ComputePlan` chunks, and per-target results
-are concatenated in target order before aggregating, so every chunk
-size produces bit-identical sweep points.
+:class:`~repro.compute.plan.ComputePlan` chunks sized by the one byte
+budget, and per-target results are concatenated in target order before
+aggregating, so every budget produces bit-identical sweep points.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ def epsilon_sweep(
     utility: UtilityFunction,
     targets: "list[int] | np.ndarray",
     epsilons: "tuple[float, ...]" = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0),
-    chunk_size: "int | None" = None,
     dtype=None,
 ) -> list[SweepPoint]:
     """Exponential-mechanism accuracy and Corollary 1 bound vs. epsilon.
@@ -67,8 +66,7 @@ def epsilon_sweep(
     One engine pass serves the whole epsilon grid: per epsilon the
     accuracies are one exact batch-softmax kernel and the bounds one
     vectorized Corollary 1 curve over each target's shared threshold
-    table. ``chunk_size``/``dtype`` are the engine's; results are
-    identical for every chunking, and the float64 default is exact.
+    table. ``dtype`` is the engine's; the float64 default is exact.
     """
     if not epsilons or any(e <= 0 for e in epsilons):
         raise ExperimentError(f"epsilons must be positive, got {epsilons}")
@@ -81,7 +79,7 @@ def epsilon_sweep(
     }
     evaluations = evaluate_targets_batched(
         graph, utility, targets, mechanisms,
-        bound_epsilons=epsilon_grid, chunk_size=chunk_size, dtype=dtype,
+        bound_epsilons=epsilon_grid, dtype=dtype,
     )
     if not evaluations:
         raise ExperimentError("no target with non-zero utility in the sample")
@@ -140,7 +138,6 @@ def gamma_sweep(
     gammas: "tuple[float, ...]" = (0.0001, 0.0005, 0.005, 0.02, 0.05),
     epsilon: float = 1.0,
     max_length: int = 3,
-    chunk_size: "int | None" = None,
 ) -> list[tuple[float, float, float]]:
     """(gamma, Delta f, mean accuracy) as the weighted-paths decay varies.
 
@@ -165,7 +162,7 @@ def gamma_sweep(
             graph, chunk.take(target_array), gamma_grid, sensitivities,
             float(epsilon), int(max_length),
         )
-        for chunk in ComputePlan(int(target_array.size), chunk_size)
+        for chunk in ComputePlan(int(target_array.size), graph.num_nodes)
     ]
     results = []
     for column, gamma in enumerate(gamma_grid):

@@ -29,6 +29,12 @@ from ..telemetry import runtime as telemetry_runtime
 from ..utility.base import UtilityVector
 from .base import DEFAULT_TRIALS, PrivateMechanism, register_mechanism
 
+#: Noise values drawn per Monte-Carlo block (8 MB of float64 per
+#: buffer). Not a compute chunk size: blocks fill trials in stream order,
+#: so this fixes which draws each trial gets and moving it changes every
+#: Laplace estimate.
+MC_BLOCK_ELEMENTS = 1_000_000
+
 
 def laplace_argmax_probability_two(u1: float, u2: float, scale_inverse: float) -> float:
     """Lemma 3 closed form: probability that candidate 1 wins when n = 2.
@@ -178,14 +184,13 @@ class LaplaceMechanism(PrivateMechanism):
         """
         total = 0.0
         n = values.size
-        # Chunk the noise matrix to bound memory at ~8 MB per block.
-        chunk = max(1, min(trial_count, int(1_000_000 / max(1, n))))
-        e1, e2 = self._noise_buffers(chunk * n, workspace)
-        winners = np.empty(chunk, dtype=np.int64)
-        picked = np.empty(chunk, dtype=values.dtype)
+        block_trials = max(1, min(trial_count, int(MC_BLOCK_ELEMENTS / max(1, n))))
+        e1, e2 = self._noise_buffers(block_trials * n, workspace)
+        winners = np.empty(block_trials, dtype=np.int64)
+        picked = np.empty(block_trials, dtype=values.dtype)
         done = 0
         while done < trial_count:
-            block = min(chunk, trial_count - done)
+            block = min(block_trials, trial_count - done)
             size = block * n
             noisy = self._fill_laplace(rng, e1[:size], e2[:size]).reshape(block, n)
             np.add(noisy, values, out=noisy)
@@ -249,12 +254,12 @@ class LaplaceMechanism(PrivateMechanism):
         values = vector.values
         n = values.size
         counts = np.zeros(n, dtype=np.float64)
-        chunk = max(1, min(trials, int(1_000_000 / max(1, n))))
-        e1, e2 = self._noise_buffers(chunk * n, None)
-        winners = np.empty(chunk, dtype=np.int64)
+        block_trials = max(1, min(trials, int(MC_BLOCK_ELEMENTS / max(1, n))))
+        e1, e2 = self._noise_buffers(block_trials * n, None)
+        winners = np.empty(block_trials, dtype=np.int64)
         done = 0
         while done < trials:
-            block = min(chunk, trials - done)
+            block = min(block_trials, trials - done)
             size = block * n
             noisy = self._fill_laplace(rng, e1[:size], e2[:size]).reshape(block, n)
             np.add(noisy, values, out=noisy)

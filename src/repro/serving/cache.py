@@ -53,7 +53,6 @@ from dataclasses import dataclass
 
 from ..compute.incremental import patch_utility_vector
 from ..compute.kernels import utility_vectors
-from ..compute.plan import resolve_dtype
 from ..errors import ServingError
 from ..graphs.graph import SocialGraph
 from ..utility.base import UtilityFunction, UtilityVector
@@ -113,13 +112,8 @@ class UtilityCache:
         Optional bound on resident vectors; when exceeded, the least
         recently *used* entry is evicted (hits refresh recency, so hot
         users survive arbitrary interleavings of cold traffic).
-    dtype:
-        Storage dtype of every resident vector's values (anything
-        :func:`repro.compute.plan.resolve_dtype` accepts; float64
-        default). Every ``put`` normalizes through
-        :meth:`~repro.utility.base.UtilityVector.with_dtype`, so a
-        float32 pipeline cannot silently double its resident memory by
-        caching whatever dtype a kernel happened to emit.
+
+    Resident rows are float64, as the serving kernels emit them.
     """
 
     def __init__(
@@ -127,13 +121,11 @@ class UtilityCache:
         graph: SocialGraph,
         utility: UtilityFunction,
         max_entries: "int | None" = None,
-        dtype=None,
     ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ServingError(f"max_entries must be >= 1, got {max_entries}")
         self._graph = graph
         self._utility = utility
-        self._dtype = resolve_dtype(dtype)
         self._max_entries = max_entries
         self._entries: dict[int, UtilityVector] = {}
         # Per-row version stamps: the graph version at which each
@@ -227,7 +219,6 @@ class UtilityCache:
                         vector,
                         relevant,
                         self._utility,
-                        self._dtype,
                         num_nodes=self._graph.num_nodes,
                     )
         if patched is None:
@@ -278,7 +269,6 @@ class UtilityCache:
             self._graph,
             self._utility,
             [target],
-            dtype=self._dtype,
             with_components=self._patchable,
         )[0]
         with self._lock:
@@ -305,15 +295,10 @@ class UtilityCache:
             return vector
 
     def put(self, target: int, vector: UtilityVector) -> None:
-        """Insert a vector computed elsewhere (e.g. by the batched path).
-
-        The vector is normalized to the cache's storage dtype first, so
-        resident memory is what the service's compute dtype promises no
-        matter which kernel produced the rows.
-        """
+        """Insert a vector computed elsewhere (e.g. by the batched path)."""
         with self._lock:
             self._sync_version()
-            self._put_locked(int(target), vector.with_dtype(self._dtype))
+            self._put_locked(int(target), vector)
 
     def _put_locked(self, target: int, vector: UtilityVector) -> None:
         if self._entries.pop(target, None) is None:  # overwrites keep length
@@ -377,16 +362,14 @@ class UtilityCache:
         """Adopt an :meth:`export_entries` payload as the resident set.
 
         Only meaningful when the graph has been restored to exactly
-        ``version`` (recovery checks this before calling); each vector is
-        re-normalized through the cache's storage dtype in case the
-        snapshot was taken under a different compute configuration.
+        ``version`` (recovery checks this before calling).
         """
         with self._lock:
             self._entries.clear()
             self._row_versions.clear()
             self._cached_version = int(version)
             for target, vector in pairs:
-                self._put_locked(int(target), vector.with_dtype(self._dtype))
+                self._put_locked(int(target), vector)
 
     def snapshot(self) -> "dict[str, float]":
         """One atomic reading of every statistic plus current residency.

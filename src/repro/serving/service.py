@@ -28,7 +28,6 @@ from contextlib import nullcontext
 import numpy as np
 
 from ..compute.kernels import utility_vectors
-from ..compute.plan import ComputePlan, resolve_dtype
 from ..compute.workspace import get_workspace
 from ..errors import BudgetExhaustedError, ServingError
 from ..extensions.multi_recommendations import TopKRecommender
@@ -76,30 +75,19 @@ class RecommendationService:
         Optional cap on resident cached utility vectors.
     seed:
         Seed / generator for all sampling randomness.
-    chunk_size:
-        Maximum requests (and missing-vector targets) a single batch
-        chunk handles. Serving rows are support-form, so only a
-        patching cache's component fills materialize a dense
-        ``chunk_size x num_nodes`` block per chunk. ``None`` keeps the
-        whole batch in one chunk. Batch results are bit-identical for
-        every chunk size — sampling draws from per-request spawned
-        streams, never from a shared generator.
-    dtype:
-        Compute dtype of the batched stages and of every cached utility
-        vector (anything :func:`repro.compute.plan.resolve_dtype`
-        accepts). The float64 default reproduces historical behavior
-        exactly; ``"float32"`` halves the cache's resident value bytes
-        under the tolerance contract of DESIGN.md ("memory dataflow").
-        Scalar paths (single ``recommend``, probability vectors) always
-        evaluate in float64 regardless.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`. When given, every
         request records latency/status metrics and a privacy-ledger
-        entry (charge or refusal), batch chunks run traced
-        (:func:`~repro.telemetry.runtime.traced_map`), and mechanism
+        entry (charge or refusal), the batch's kernel and sampler tasks
+        run traced (:func:`~repro.telemetry.runtime.traced_map`), and mechanism
         internals count samples through the ambient helpers. ``None``
         (default) keeps the service exactly as fast as before — the
         instrumentation reduces to ``is None`` checks.
+
+    Serving runs in float64 and sizes its own compute: a batch's cache
+    misses are filled in one kernel call (whose dense stages, if any,
+    chunk by the byte budget of :mod:`repro.compute.plan`) and its
+    requests are sampled in one pass.
 
     The utility cache patches stale rows from journaled score deltas
     when it can (a walk-decomposable utility on a
@@ -119,8 +107,6 @@ class RecommendationService:
         budget_overrides: "dict[int, float] | None" = None,
         cache_max_entries: "int | None" = None,
         seed: "int | np.random.Generator | None" = None,
-        chunk_size: "int | None" = None,
-        dtype=None,
         telemetry=None,
     ) -> None:
         self.graph = graph
@@ -136,11 +122,8 @@ class RecommendationService:
                 mechanism, epsilon=epsilon, sensitivity=self._sensitivity
             )
         self.mechanism = mechanism
-        self.dtype = resolve_dtype(dtype)
         self.budgets = BudgetManager(user_budget, overrides=budget_overrides)
-        self.cache = UtilityCache(
-            graph, self.utility, max_entries=cache_max_entries, dtype=self.dtype
-        )
+        self.cache = UtilityCache(graph, self.utility, max_entries=cache_max_entries)
         self._rng = ensure_rng(seed)
         self._next_request_id = 0
         # The service's endpoints share mutable state (RNG, cache fills,
@@ -150,9 +133,6 @@ class RecommendationService:
         # streaming engine, the HTTP edge) so mutations and batches from
         # any thread interleave whole-call, never mid-batch.
         self._submission_lock = threading.Lock()
-        # Validates eagerly so a bad chunk_size fails at construction.
-        ComputePlan(0, chunk_size)
-        self.chunk_size = chunk_size
         self.telemetry = telemetry
         # Ledger rows feed the telemetry ledger *and* any attached row
         # sink (the durability layer's WAL); the buffer exists
@@ -182,10 +162,6 @@ class RecommendationService:
             return nullcontext()
         return telemetry_runtime.activate(self.telemetry)
 
-    def _graph_stamp(self) -> "tuple[int, int]":
-        """The graph's ``(epoch, version)``; plain graphs live in epoch 0."""
-        stamp = getattr(self.graph, "stamp", None)
-        return (0, self.graph.version) if stamp is None else stamp
     def _mechanism_for(self, epsilon: "float | None") -> Mechanism:
         """The serving mechanism, re-parameterized for a per-request epsilon."""
         if epsilon is None or epsilon == self.mechanism.epsilon:
@@ -519,14 +495,12 @@ class RecommendationService:
         to_serve: list[tuple[int, int]],
         mechanism: ExponentialMechanism,
     ) -> tuple[dict[int, int], dict[int, bool]]:
-        """Vectorized hot path, chunked through :mod:`repro.compute`.
+        """Vectorized hot path on the shared :mod:`repro.compute` kernels.
 
-        Missing utility vectors are computed by the shared kernel stage in
-        :class:`~repro.compute.plan.ComputePlan` chunks; sampling runs per
-        chunk of *requests* with one spawned RNG stream per request. The
-        chunk functions are pure; cache fills and stats are applied here,
-        after each map. Per-request streams make the sampled
-        recommendations bit-identical for every chunk size.
+        Missing utility vectors are computed by one call of the shared
+        kernel stage; sampling runs in one pass over the batch's
+        requests with one spawned RNG stream per request. The two task
+        functions are pure; cache fills and stats are applied here.
         """
         unique_users = sorted(set(served_users))
         missing = self.cache.missing(unique_users)
@@ -541,40 +515,28 @@ class RecommendationService:
             if user not in missing_set
         }
         if missing:
-            plan = ComputePlan(len(missing), self.chunk_size, self.dtype)
-            fresh_chunks = traced_map(
+            [fresh] = traced_map(
                 _vectors_chunk,
-                [np.asarray(chunk.take(missing), dtype=np.int64) for chunk in plan],
-                (self.graph, self.utility, self.dtype.name, self.cache.patchable),
+                [np.asarray(missing, dtype=np.int64)],
+                (self.graph, self.utility, self.cache.patchable),
                 self.telemetry,
                 label="serve.vectors",
             )
-            for fresh in fresh_chunks:
-                for vector in fresh:
-                    vectors[vector.target] = vector
-                    self.cache.put(vector.target, vector)
+            for vector in fresh:
+                vectors[vector.target] = vector
+                self.cache.put(vector.target, vector)
         # One stream per request (duplicated users sample independently);
-        # position in the batch, not chunk layout, decides each draw.
+        # position in the batch decides each draw.
         streams = spawn_rngs(self._rng, len(to_serve))
-        plan = ComputePlan(len(to_serve), self.chunk_size, self.dtype)
-        payloads = [
-            (
-                [vectors[user] for _, user in chunk.take(to_serve)],
-                chunk.take(streams),
-            )
-            for chunk in plan
-        ]
-        sampled_chunks = traced_map(
+        [sampled] = traced_map(
             _sample_chunk,
-            payloads,
+            [([vectors[user] for _, user in to_serve], streams)],
             mechanism,
             self.telemetry,
             label="serve.sample",
         )
         picks = {
-            position: int(node)
-            for chunk, sampled in zip(plan, sampled_chunks)
-            for (position, _), node in zip(chunk.take(to_serve), sampled)
+            position: int(node) for (position, _), node in zip(to_serve, sampled)
         }
         return picks, hit_for_user
 
@@ -664,7 +626,7 @@ class RecommendationService:
         become ``cache.*`` gauges (gauges, not counters: these are
         cumulative readings of external state, and re-scraping must
         overwrite, never re-add), alongside the calling thread's
-        workspace, where the batch chunks ran.
+        workspace, where the batch kernels ran.
         """
         if self.telemetry is None:
             raise ServingError("service has no telemetry attached")
@@ -691,30 +653,29 @@ class RecommendationService:
 
 
 def _vectors_chunk(shared, targets: np.ndarray):
-    """Chunk task: utility vectors for one chunk of cache misses.
+    """Kernel task: utility vectors for one batch's cache misses.
 
     Argument-pure (graph + utility in, vectors out); the service applies
     the results to its cache. The vectors are support-form, except that
     a patching cache is filled with dense rows carrying the
     walk-component side-car (their score/mask blocks ride the thread's
-    reusable workspace) so every freshly cached row is patchable — same
-    values either way.
+    reusable workspace, chunked by the byte budget) so every freshly
+    cached row is patchable — same values either way.
     """
-    graph, utility, dtype_name, with_components = shared
+    graph, utility, with_components = shared
     return utility_vectors(
         graph,
         utility,
         targets,
-        dtype=dtype_name,
         workspace=get_workspace(),
         with_components=with_components,
     )
 
 
 def _sample_chunk(mechanism: ExponentialMechanism, payload):
-    """Chunk task: exponential samples for one chunk of requests.
+    """Sampler task: exponential samples for one batch's requests.
 
-    ``payload`` is ``(vectors, streams)`` — the chunk's per-request
+    ``payload`` is ``(vectors, streams)`` — the batch's per-request
     utility vectors and RNG streams, sampled by
     :meth:`ExponentialMechanism.recommend_vectors` in O(support) per
     request.

@@ -1,13 +1,14 @@
 """Synthetic request traffic and replay harness.
 
 The paper evaluates mechanisms target-by-target; a serving system faces a
-*stream*: many users, popularity skew (a few heavy requesters), repeat
-visits that should hit the utility cache, and background graph churn that
-must invalidate it. :func:`synthetic_workload` generates such a stream
-over any graph, and :func:`replay` drives a
+*stream*: many users, popularity skew (a few heavy requesters) and
+repeat visits that should hit the utility cache. :func:`synthetic_workload`
+generates such a stream over any graph, and :func:`replay` drives a
 :class:`~repro.serving.service.RecommendationService` through it in
 batches, returning throughput / cache / budget statistics. This is the
-engine behind the ``repro-social serve-sim`` CLI subcommand.
+engine behind the ``repro-social serve-sim`` CLI subcommand; serving
+under graph churn is the streaming layer's job
+(:func:`repro.streaming.replay_stream`, ``repro-social stream-sim``).
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ class ReplaySummary:
     cache_hit_rate: float
     total_epsilon_spent: float
     unique_users: int
-    graph_mutations: int
 
     def render(self) -> str:
         """Human-readable multi-line summary for CLI output."""
@@ -79,7 +79,6 @@ class ReplaySummary:
                 f"  throughput:      {self.requests_per_second:,.0f} recs/sec",
                 f"  cache hit rate:  {self.cache_hit_rate:.1%}",
                 f"  epsilon spent:   {self.total_epsilon_spent:.2f} (all users)",
-                f"  graph mutations: {self.graph_mutations}",
             ]
         )
 
@@ -89,8 +88,6 @@ def replay(
     requests: list[RecommendationRequest],
     *,
     batch_size: int = 64,
-    mutate_every: int = 0,
-    seed: "int | np.random.Generator | None" = None,
 ) -> ReplaySummary:
     """Drive the service through a request stream in vectorized batches.
 
@@ -103,12 +100,6 @@ def replay(
         :func:`synthetic_workload`.
     batch_size:
         Requests per :meth:`~RecommendationService.recommend_batch` call.
-    mutate_every:
-        If positive, add one random edge to the graph after every
-        ``mutate_every`` batches — simulating live graph churn and
-        exercising version-keyed cache invalidation.
-    seed:
-        Randomness for the mutation edges only.
     """
     if batch_size < 1:
         raise ServingError(f"batch_size must be >= 1, got {batch_size}")
@@ -119,9 +110,7 @@ def replay(
             "replay batches share the service's default epsilon; "
             "per-request epsilon overrides are not supported"
         )
-    rng = ensure_rng(seed)
-    graph = service.graph
-    served = rejected = hits = mutations = 0
+    served = rejected = hits = 0
     epsilon_spent = 0.0
     users_seen: set[int] = set()
     started = time.perf_counter()
@@ -136,10 +125,6 @@ def replay(
                 epsilon_spent += response.epsilon_spent
             else:
                 rejected += 1
-        if mutate_every and (batch_index // batch_size + 1) % mutate_every == 0:
-            u, v = (int(x) for x in rng.integers(0, graph.num_nodes, size=2))
-            if graph.try_add_edge(u, v):
-                mutations += 1
     wall = time.perf_counter() - started
     return ReplaySummary(
         num_requests=len(requests),
@@ -150,5 +135,4 @@ def replay(
         cache_hit_rate=hits / served if served else 0.0,
         total_epsilon_spent=epsilon_spent,
         unique_users=len(users_seen),
-        graph_mutations=mutations,
     )

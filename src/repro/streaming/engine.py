@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import PrivacyParameterError, ServingError
+from ..errors import NodeError, PrivacyParameterError, ServingError
 from ..graphs.graph import SocialGraph
 from ..mechanisms.base import Mechanism, PrivateMechanism
 from ..serving.records import RecommendationResponse
@@ -151,11 +151,9 @@ class StreamingService:
         :class:`MutableSocialGraph` (copied); passing an overlay uses it
         directly, shared with the caller.
     utility, mechanism, epsilon, user_budget, budget_overrides,
-    cache_max_entries, seed, chunk_size, dtype:
+    cache_max_entries, seed:
         Forwarded to the wrapped
-        :class:`~repro.serving.service.RecommendationService` (``dtype``
-        selects the compute dtype of the batched dense stages and the
-        utility cache's storage; float64 default is exact). The overlay
+        :class:`~repro.serving.service.RecommendationService`. The overlay
         graph journals typed score deltas, so a walk-decomposable
         utility's cache patches stale rows.
     window, window_budget:
@@ -186,8 +184,6 @@ class StreamingService:
         budget_overrides: "dict[int, float] | None" = None,
         cache_max_entries: "int | None" = None,
         seed: "int | np.random.Generator | None" = None,
-        chunk_size: "int | None" = None,
-        dtype=None,
         window: "float | None" = None,
         window_budget: "float | None" = None,
         compact_every: "int | None" = None,
@@ -205,8 +201,6 @@ class StreamingService:
             budget_overrides=budget_overrides,
             cache_max_entries=cache_max_entries,
             seed=seed,
-            chunk_size=chunk_size,
-            dtype=dtype,
             telemetry=telemetry,
         )
         if window is None and window_budget is not None:
@@ -254,10 +248,16 @@ class StreamingService:
         be replayed against a graph that drifted), advancing the clock
         either way. Auto-compacts when the delta crosses
         ``compact_every``, and re-derives the serving mechanism's noise
-        calibration after every applied mutation.
+        calibration after every applied mutation. An endpoint outside
+        the graph raises :class:`~repro.errors.NodeError` before the
+        event touches the clock, the cursor or the write-ahead log, so a
+        rejected event leaves nothing for recovery to replay.
         """
         if not event.is_mutation:
             raise ServingError(f"not a mutation event: {event!r}")
+        for node in (event.u, event.v):
+            if node >= self.graph.num_nodes:
+                raise NodeError(node, self.graph.num_nodes)
         self.clock = max(self.clock, event.time)
         self.mutation_events_seen += 1
         if self.wal is not None:
@@ -437,8 +437,12 @@ class StreamingService:
         up front (audited as rejections, spending nothing); the rest go
         through the normal pipeline — lifetime budgets and all — and
         only actually-served responses charge their window accountants.
+        A non-finite timestamp raises :class:`~repro.errors.ServingError`:
+        an infinite clock would expire every window spend on arrival.
         """
         users = [int(u) for u in users]
+        if at is not None and not np.isfinite(at).all():
+            raise ServingError(f"timestamps must be finite, got at={at!r}")
         if at is None:
             times = [self.clock] * len(users)
         elif np.ndim(at) == 0:

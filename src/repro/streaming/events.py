@@ -18,6 +18,7 @@ TemporalGraph` event type so the naive rebuild-per-event baseline in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,8 @@ class StreamEvent:
 
     ``u``/``v`` are the edge endpoints for mutation events; ``user`` is
     the requesting user for query events; the unused fields stay ``-1``.
+    ``time`` must be finite: the streaming clock follows it, and an
+    infinite clock would expire every sliding-window spend on arrival.
     """
 
     time: float
@@ -47,6 +50,8 @@ class StreamEvent:
     user: int = -1
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.time):
+            raise ServingError(f"stream event time must be finite, got {self.time!r}")
         if self.kind not in (KIND_ADD, KIND_REMOVE, KIND_QUERY):
             raise ServingError(f"unknown stream event kind {self.kind!r}")
         if self.kind == KIND_QUERY:

@@ -10,8 +10,8 @@ benchmark JSON. Three coordinated pieces behind one handle:
   and rebuilt from JSON, exported as Prometheus text or JSON
   (:mod:`repro.telemetry.metrics`);
 * :class:`~repro.telemetry.tracing.Tracer` — lightweight nested span
-  contexts with monotonic timings; batched pipelines trace one span per
-  chunk (:mod:`repro.telemetry.tracing`,
+  contexts with monotonic timings; a serving batch traces one span per
+  kernel and sampler task (:mod:`repro.telemetry.tracing`,
   :func:`~repro.telemetry.runtime.traced_map`);
 * :class:`~repro.telemetry.ledger.PrivacyLedger` — the append-only
   journal of every epsilon charge, refusal, and sliding-window expiry,
@@ -92,8 +92,8 @@ __all__ = [
 class Telemetry:
     """One handle bundling the registry, tracer, and ledger.
 
-    Services hold at most one of these; every chunk, budget charge and
-    refusal records into it on the thread that runs the request.
+    Services hold at most one of these; every traced task, budget charge
+    and refusal records into it on the thread that runs the request.
     """
 
     registry: MetricsRegistry = field(default_factory=MetricsRegistry)

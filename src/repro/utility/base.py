@@ -326,18 +326,6 @@ class UtilityVector:
             raise UtilityError(f"rescale factor must be positive, got {factor}")
         return self._with_values(self._values * float(factor))
 
-    def with_dtype(self, dtype) -> "UtilityVector":
-        """This vector with its utilities stored at ``dtype`` (self if already).
-
-        The serving cache normalizes every entry through this so a mixed
-        float32/float64 pipeline cannot silently double its resident
-        memory by caching rows at whatever dtype a kernel emitted.
-        """
-        dtype = np.dtype(dtype)
-        if self._values.dtype == dtype:
-            return self
-        return self._with_values(self._values.astype(dtype))
-
     def value_of(self, candidate: int) -> float:
         """Utility of a specific candidate id."""
         matches = np.nonzero(self.candidates == int(candidate))[0]
@@ -466,11 +454,24 @@ class UtilityFunction(abc.ABC):
         (:func:`repro.compute.kernels.utility_vectors`): row ``j`` holds
         every non-zero score of ``targets[j]`` (entries for the target or
         its links may appear; the kernel ignores them). This default
-        sparsifies the dense :meth:`batch_scores` block, transient and
-        bounded like every chunk's; utilities with a sparse product form
-        override it and never build the block.
+        sparsifies dense :meth:`batch_scores` blocks one
+        :class:`~repro.compute.plan.ComputePlan` chunk at a time, so the
+        transient block stays within the byte budget; utilities with a
+        sparse product form override it and never build the block.
         """
-        return sparse.csr_matrix(self.batch_scores(graph, targets))
+        from ..compute.plan import ComputePlan
+
+        targets = np.asarray(targets, dtype=np.int64)
+        plan = ComputePlan(int(targets.size), graph.num_nodes)
+        if plan.num_chunks <= 1:
+            return sparse.csr_matrix(self.batch_scores(graph, targets))
+        return sparse.vstack(
+            [
+                sparse.csr_matrix(self.batch_scores(graph, chunk.take(targets)))
+                for chunk in plan
+            ],
+            format="csr",
+        )
 
     @abc.abstractmethod
     def sensitivity(self, graph: SocialGraph, target: int) -> float:

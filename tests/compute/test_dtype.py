@@ -1,15 +1,14 @@
-"""Tests for compute-dtype plumbing across every batched hot path.
+"""Tests for the compute dtype and the byte budget across the hot paths.
 
 The contract (DESIGN.md, "memory dataflow"):
 
 * **float64** (default) is bit-identical to the sequential reference —
-  the engine returns the same evaluations under every chunking;
-* **float32** is an opt-in half-memory path: same kept targets and same
-  recommendations determinism (a fixed seed gives one answer no matter
-  which chunk size ran it), with accuracies and bounds
-  within a documented tolerance of the float64 run;
-* dtype is a *compute* knob, never a semantics knob: nothing about
-  budgets, audit records, or kept-target sets may depend on it.
+  the engine returns the same evaluations at every byte budget;
+* **float32** is the engine's opt-in half-memory path: same kept
+  targets and the same answer at every budget, with accuracies and
+  bounds within a documented tolerance of the float64 run;
+* serving always runs in float64: its picks are identical at every
+  budget, and its cached rows are float64.
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ RTOL, ATOL = 1e-5, 1e-6
 
 BOUND_EPSILONS = (0.1, 0.5, 1.0, 3.0)
 
-CHUNKINGS = [{}, {"chunk_size": 9}, {"chunk_size": 1}]
+#: Rows per chunk the budget is set to (None: the default budget).
+BUDGET_ROWS = [None, 9, 1]
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +80,8 @@ class TestResolveDtype:
             resolve_dtype(spec)
 
     def test_plan_carries_dtype(self):
-        assert ComputePlan(10, 4, "float32").dtype == np.float32
-        assert ComputePlan(10, 4).dtype == np.float64
+        assert ComputePlan(10, 40, "float32").dtype == np.float32
+        assert ComputePlan(10, 40).dtype == np.float64
 
     def test_config_validates_dtype(self):
         assert ExperimentConfig(dtype="float32").dtype == "float32"
@@ -99,16 +99,19 @@ class TestEngineFloat64:
         )
         assert engine(workload) == sequential
 
-    @pytest.mark.parametrize("kwargs", CHUNKINGS)
-    def test_float64_identical_across_chunkings(self, workload, kwargs):
-        assert engine(workload, **kwargs) == engine(workload)
+    @pytest.mark.parametrize("rows", BUDGET_ROWS)
+    def test_float64_identical_across_budgets(self, workload, budget_rows, rows):
+        reference = engine(workload)
+        budget_rows(workload[0].num_nodes, rows)
+        assert engine(workload) == reference
 
 
 class TestEngineFloat32:
-    @pytest.mark.parametrize("kwargs", CHUNKINGS)
-    def test_float32_identical_across_chunkings(self, workload, kwargs):
+    @pytest.mark.parametrize("rows", BUDGET_ROWS)
+    def test_float32_identical_across_budgets(self, workload, budget_rows, rows):
         reference = engine(workload, dtype="float32")
-        assert engine(workload, dtype="float32", **kwargs) == reference
+        budget_rows(workload[0].num_nodes, rows)
+        assert engine(workload, dtype="float32") == reference
 
     def test_float32_within_tolerance_of_float64(self, workload):
         _, _, mechanisms, _ = workload
@@ -172,39 +175,47 @@ class TestKernelDtype:
             assert chunk.compact.scaled.dtype == np.dtype(dtype)
 
 
-class TestServingDtype:
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_recommend_batch_identical_across_chunk_sizes(self, dtype):
+#: Serving utilities: common neighbors fills in one sparse pass; weighted
+#: paths fills through the budget-chunked dense paths (the default
+#: ``support_scores``, and a patching cache's component fill).
+SERVING_UTILITIES = ["common_neighbors", WeightedPaths(gamma=0.005)]
+
+
+class TestServingBudget:
+    @pytest.mark.parametrize("utility", SERVING_UTILITIES, ids=["cn", "wp"])
+    def test_recommend_batch_identical_across_budgets(self, budget_rows, utility):
         graph = wiki_vote(scale=0.05)
         users = list(range(0, graph.num_nodes, 3)) * 2
-        picks = []
-        for chunk_size in (None, 7):
+
+        def picks():
             service = RecommendationService(
-                graph, epsilon=0.5, user_budget=1e9, seed=42, dtype=dtype,
-                chunk_size=chunk_size,
+                graph, utility, epsilon=0.5, user_budget=1e9, seed=42
             )
             responses = service.recommend_batch(users)
-            picks.append([r.recommendations for r in responses])
-        assert picks[0] == picks[1]
+            return [r.recommendations for r in responses], service.cache.snapshot()
 
-    def test_float32_service_still_serves_scalar_paths(self):
+        reference = picks()
+        budget_rows(graph.num_nodes, 7)
+        assert picks() == reference
+
+    def test_service_serves_float64_rows(self):
         graph = wiki_vote(scale=0.05)
-        service = RecommendationService(graph, seed=0, dtype="float32")
-        response = service.recommend(1)
-        assert response.status == "served"
-        top = service.recommend_top_k(2, k=3)
-        assert len(top.recommendations) == 3
+        service = RecommendationService(graph, seed=0)
+        assert service.recommend(1).status == "served"
+        assert len(service.recommend_top_k(2, k=3).recommendations) == 3
+        service.recommend_batch([3, 4])
+        for user in (1, 2, 3, 4):
+            assert service.cache.get_resident(user).values.dtype == np.float64
 
 
-class TestStreamingDtype:
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_replay_stream_identical_across_chunk_sizes(self, dtype):
+class TestStreamingBudget:
+    @pytest.mark.parametrize("utility", SERVING_UTILITIES, ids=["cn", "wp"])
+    def test_replay_stream_identical_across_budgets(self, budget_rows, utility):
         graph = wiki_vote(scale=0.04)
-        picks = []
-        for chunk_size in (None, 5):
+
+        def picks():
             service = StreamingService(
-                graph, epsilon=0.5, user_budget=1e9, seed=3, dtype=dtype,
-                chunk_size=chunk_size,
+                graph, utility, epsilon=0.5, user_budget=1e9, seed=3
             )
             events = synthetic_event_stream(
                 graph, 120, add_fraction=0.1, remove_fraction=0.05, seed=5
@@ -214,15 +225,18 @@ class TestStreamingDtype:
                 service, events, batch_size=16,
                 on_response=lambda r: recorded.append(r.recommendations),
             )
-            picks.append(recorded)
-        assert picks[0] == picks[1]
+            return recorded, service.cache.snapshot()
 
-    def test_streaming_cache_stores_at_service_dtype(self):
+        reference = picks()
+        budget_rows(graph.num_nodes, 5)
+        assert picks() == reference
+
+    def test_streaming_cache_stores_float64(self):
         graph = wiki_vote(scale=0.04)
-        service = StreamingService(graph, seed=0, dtype="float32")
+        service = StreamingService(graph, seed=0)
         service.service.recommend(2)
         cached = service.service.cache.get_resident(2)
-        assert cached.values.dtype == np.float32
+        assert cached.values.dtype == np.float64
 
 
 class TestSweepDtype:

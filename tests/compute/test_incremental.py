@@ -196,7 +196,7 @@ class TestPatchUtilityVector:
         if any(d.evicts(target) for d in deltas):
             pytest.skip("random flips hit the target; rerun with another seed")
         patched = patch_utility_vector(
-            vector, deltas, utility, np.float64, graph.num_nodes
+            vector, deltas, utility, graph.num_nodes
         )
         fresh = self._patchable_vector(graph, utility, target)
         assert np.array_equal(patched.values, fresh.values)
@@ -204,20 +204,24 @@ class TestPatchUtilityVector:
             patched.metadata[COMPONENTS_KEY], fresh.metadata[COMPONENTS_KEY]
         )
 
-    def test_float32_patch_equals_recompute_then_round(self):
+    def test_patch_returns_a_fresh_float64_row(self):
+        """A patch never mutates the resident row (callers of get() share
+        it) and comes back at the serving dtype, float64."""
         rng = np.random.default_rng(8)
         graph = random_overlay(rng, n=20, num_edges=50)
         utility = WeightedPaths(gamma=0.01, max_length=3)
-        vector = self._patchable_vector(graph, utility, 1).with_dtype(np.float32)
+        vector = self._patchable_vector(graph, utility, 1)
+        before = vector.values.copy(), vector.metadata[COMPONENTS_KEY].copy()
         u, v, added = random_flip(rng, graph)
         delta = compute_edge_delta(graph, u, v, added, 3)
-        if delta.evicts(1):
-            pytest.skip("flip hit the target")
-        patched = patch_utility_vector(
-            vector, [delta], utility, np.float32, graph.num_nodes
-        )
-        fresh = self._patchable_vector(graph, utility, 1).with_dtype(np.float32)
-        assert patched.values.dtype == np.float32
+        if delta.evicts(1) or not delta.touches(1):
+            pytest.skip("flip hit or missed the target")
+        patched = patch_utility_vector(vector, [delta], utility, graph.num_nodes)
+        assert patched is not vector
+        assert patched.values.dtype == np.float64
+        assert np.array_equal(vector.values, before[0])
+        assert np.array_equal(vector.metadata[COMPONENTS_KEY], before[1])
+        fresh = self._patchable_vector(graph, utility, 1)
         assert np.array_equal(patched.values, fresh.values)
 
     def test_unpatchable_inputs_return_none(self):
@@ -228,12 +232,12 @@ class TestPatchUtilityVector:
         u, v, added = random_flip(rng, graph)
         delta = compute_edge_delta(graph, u, v, added, 3)
         assert patch_utility_vector(
-            bare, [delta], utility, np.float64, graph.num_nodes
+            bare, [delta], utility, graph.num_nodes
         ) is None
         # An endpoint row refuses even with components present.
         endpoint = self._patchable_vector(graph, utility, u)
         assert patch_utility_vector(
-            endpoint, [delta], utility, np.float64, graph.num_nodes
+            endpoint, [delta], utility, graph.num_nodes
         ) is None
 
     def test_empty_delta_list_returns_vector_unchanged(self):
@@ -242,7 +246,7 @@ class TestPatchUtilityVector:
         utility = CommonNeighbors()
         vector = self._patchable_vector(graph, utility, 2)
         assert patch_utility_vector(
-            vector, [], utility, np.float64, graph.num_nodes
+            vector, [], utility, graph.num_nodes
         ) is vector
 
 
@@ -250,21 +254,24 @@ class TestComponentFillPath:
     """utility_vectors(with_components=True) must not perturb values."""
 
     @pytest.mark.parametrize("utility", [CommonNeighbors(), WeightedPaths(gamma=0.01)])
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_component_fill_is_value_identical(self, utility, dtype):
+    @pytest.mark.parametrize("rows", [None, 3], ids=["default-budget", "3-row-budget"])
+    def test_component_fill_is_value_identical(self, utility, rows, budget_rows):
+        """The dense component fill runs in budget-sized chunks; at any
+        budget its rows equal the one-pass support fill's."""
         from repro.compute.kernels import utility_vectors
 
         rng = np.random.default_rng(12)
         graph = random_overlay(rng, n=20, num_edges=60)
         targets = np.arange(graph.num_nodes, dtype=np.int64)
-        plain = utility_vectors(graph, utility, targets, dtype=dtype)
-        carred = utility_vectors(
-            graph, utility, targets, dtype=dtype, with_components=True
-        )
+        plain = utility_vectors(graph, utility, targets)
+        budget_rows(graph.num_nodes, rows)
+        carred = utility_vectors(graph, utility, targets, with_components=True)
+        assert [c.target for c in carred] == targets.tolist()
         for p, c in zip(plain, carred):
             assert np.array_equal(p.candidates, c.candidates)
             assert np.array_equal(p.values, c.values)
-            assert p.values.dtype == c.values.dtype == dtype
+            assert p.target_degree == c.target_degree
+            assert p.values.dtype == c.values.dtype == np.float64
             assert COMPONENTS_KEY not in p.metadata
             components = c.metadata[COMPONENTS_KEY]
             assert components.shape == (
@@ -273,7 +280,7 @@ class TestComponentFillPath:
             )
             # Components recombine to the row's float64 scores exactly.
             combined = utility.combine_component_rows(components)
-            assert np.array_equal(combined.astype(dtype), c.values)
+            assert np.array_equal(combined, c.values)
 
     def test_non_decomposable_utility_falls_back_silently(self):
         from repro.compute.kernels import utility_vectors

@@ -42,11 +42,12 @@ class TestUtilityRows:
             np.testing.assert_array_equal(np.flatnonzero(mask[row]), vector.candidates)
             np.testing.assert_array_equal(scores[row][vector.candidates], vector.values)
 
-    def test_chunked_partition_is_bit_identical(self, graph, utility):
+    def test_chunked_partition_is_bit_identical(self, graph, utility, budget_rows):
         targets = np.arange(30, dtype=np.int64)
         full_scores = score_rows(graph, utility, targets)
         full_mask = candidate_mask_rows(graph, targets)
-        for chunk in ComputePlan(30, 7):
+        budget_rows(graph.num_nodes, 7)
+        for chunk in ComputePlan(30, graph.num_nodes):
             scores = score_rows(graph, utility, chunk.take(targets))
             mask = candidate_mask_rows(graph, chunk.take(targets))
             np.testing.assert_array_equal(scores, full_scores[chunk.start : chunk.stop])
@@ -69,21 +70,25 @@ class TestUtilityVectors:
         vectors = utility_vectors(graph, CommonNeighbors(), [1])
         assert len(vectors) == 1  # unfiltered: serving needs every target
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("rows", [None, 3], ids=["default-budget", "3-row-budget"])
     @pytest.mark.parametrize("utility", [CommonNeighbors(), WeightedPaths(gamma=0.05)])
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
-    def test_support_rows_round_trip_to_reference(self, utility, directed, dtype):
+    def test_support_rows_round_trip_to_reference(
+        self, utility, directed, rows, budget_rows
+    ):
         """A support-form row's dense view equals the per-target reference
-        exactly, on both graph conventions and at both compute dtypes."""
+        exactly, on both graph conventions and at any byte budget (weighted
+        paths sparsifies its dense score rows chunk by chunk)."""
         graph = twitter(scale=0.05) if directed else wiki_vote(scale=0.05)
         assert graph.is_directed == directed
+        budget_rows(graph.num_nodes, rows)
         targets = list(range(0, graph.num_nodes, max(1, graph.num_nodes // 25)))
-        for vector in utility_vectors(graph, utility, targets, dtype=dtype):
-            reference = utility.utility_vector(graph, vector.target).with_dtype(dtype)
+        for vector in utility_vectors(graph, utility, targets):
+            reference = utility.utility_vector(graph, vector.target)
             assert vector.target_degree == reference.target_degree
             assert vector.num_candidates == reference.num_candidates
             np.testing.assert_array_equal(vector.candidates, reference.candidates)
-            assert vector.values.dtype == np.dtype(dtype)
+            assert vector.values.dtype == np.float64
             np.testing.assert_array_equal(vector.values, reference.values)
 
     def test_out_of_range_targets_rejected(self, graph, utility):
@@ -107,19 +112,22 @@ class TestSupportForm:
 
 
 class TestSampleRowsChunkStability:
-    def test_per_row_streams_make_chunking_irrelevant(self, graph, utility):
-        """The property chunking relies on: a row's sample depends only on
-        its own stream, so any chunked partition reproduces it."""
+    def test_per_row_streams_make_chunking_irrelevant(
+        self, graph, utility, budget_rows
+    ):
+        """The property per-request streams give: a row's sample depends
+        only on its own stream, so any partition of a batch reproduces it."""
         mechanism = ExponentialMechanism(1.0, sensitivity=2.0)
         vectors = utility_vectors(graph, utility, list(range(20)))
 
         full = mechanism.recommend_vectors(vectors, spawn_rngs(123, 20))
 
         streams = spawn_rngs(123, 20)
+        budget_rows(graph.num_nodes, 6)
         chunked = np.concatenate(
             [
                 mechanism.recommend_vectors(chunk.take(vectors), chunk.take(streams))
-                for chunk in ComputePlan(20, 6)
+                for chunk in ComputePlan(20, graph.num_nodes)
             ]
         )
         np.testing.assert_array_equal(full, chunked)
@@ -176,7 +184,7 @@ def _engine_call(graph, utility, mechanisms, targets, **kwargs):
 
 
 class TestEngineChunkIdentity:
-    """The acceptance property: bit-identical evaluations for every chunking."""
+    """The acceptance property: bit-identical evaluations at every byte budget."""
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -192,29 +200,20 @@ class TestEngineChunkIdentity:
         reference = _engine_call(graph, utility, mechanisms, targets)
         return graph, utility, mechanisms, targets, reference
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"chunk_size": 7},
-            {"chunk_size": 1},
-            {"chunk_size": 13},
-            {"chunk_size": 9},
-            {"chunk_size": 11},
-            {"chunk_size": 40},
-        ],
-        ids=lambda kw: "-".join(f"{k}={v}" for k, v in sorted(kw.items())),
-    )
-    def test_bit_identical_to_serial_unchunked(self, workload, kwargs):
+    @pytest.mark.parametrize("rows", [7, 1, 13, 9, 11, 40], ids=lambda r: f"rows={r}")
+    def test_bit_identical_to_default_budget(self, workload, budget_rows, rows):
         graph, utility, mechanisms, targets, reference = workload
-        assert _engine_call(graph, utility, mechanisms, targets, **kwargs) == reference
+        budget_rows(graph.num_nodes, rows)
+        assert _engine_call(graph, utility, mechanisms, targets) == reference
 
-    @pytest.mark.parametrize("chunk_size", [8, 3])
-    def test_dense_allocations_bounded_by_chunk_size(
-        self, workload, monkeypatch, chunk_size
+    @pytest.mark.parametrize("rows", [8, 3])
+    def test_dense_allocations_bounded_by_budget(
+        self, workload, monkeypatch, budget_rows, rows
     ):
-        """No stage may see more targets at once than the chunk size — the
-        memory-bound contract of the plan."""
+        """No stage may see more targets at once than the budget's rows —
+        the memory-bound contract of the plan."""
         graph, utility, mechanisms, targets, reference = workload
+        budget_rows(graph.num_nodes, rows)
         seen: list[int] = []
         original = CommonNeighbors.batch_scores
 
@@ -223,11 +222,9 @@ class TestEngineChunkIdentity:
             return original(self, graph, batch_targets, out=out)
 
         monkeypatch.setattr(CommonNeighbors, "batch_scores", spying)
-        result = _engine_call(
-            graph, utility, mechanisms, targets, chunk_size=chunk_size
-        )
+        result = _engine_call(graph, utility, mechanisms, targets)
         assert result == reference
-        assert seen and max(seen) <= chunk_size
+        assert seen and max(seen) <= rows
 
 
 def _kept_by_footnote_10(vectors: "list[UtilityVector]") -> "list[int]":

@@ -1,54 +1,70 @@
-"""Tests for ComputePlan chunking arithmetic."""
+"""Tests for ComputePlan chunking arithmetic and the one byte budget."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.compute import ComputePlan, TargetChunk, contiguous_node_range
+from repro.compute import ComputePlan, TargetChunk, contiguous_node_range, plan
 from repro.errors import ComputeError
 
 
 class TestComputePlan:
-    def test_none_chunk_size_is_one_chunk(self):
-        plan = ComputePlan(17)
-        chunks = plan.chunks()
-        assert len(chunks) == 1
-        assert chunks[0] == TargetChunk(0, 0, 17)
-        assert plan.effective_chunk_size == 17
+    def test_default_budget_formula(self):
+        """Today's formula: the most float64 rows of width num_nodes in
+        4 MB, at least one — 70 rows at the wiki replica's 7,115 nodes."""
+        assert plan.CHUNK_BYTES == 4_000_000
+        assert plan.chunk_rows(7_115) == 70
+        assert plan.chunk_rows(100_000) == 5
+        for num_nodes in (1, 10, 711, 7_115, 99_999):
+            assert plan.chunk_rows(num_nodes) == max(
+                1, plan.CHUNK_BYTES // (8 * num_nodes)
+            )
 
-    def test_even_split(self):
-        plan = ComputePlan(12, 4)
-        assert [(c.start, c.stop) for c in plan] == [(0, 4), (4, 8), (8, 12)]
-        assert plan.num_chunks == len(plan) == 3
+    def test_wide_graph_keeps_one_row(self):
+        assert plan.chunk_rows(10**6) == 1
+        assert ComputePlan(3, 10**6).chunks() == [
+            TargetChunk(0, 0, 1), TargetChunk(1, 1, 2), TargetChunk(2, 2, 3)
+        ]
 
-    def test_ragged_tail(self):
-        plan = ComputePlan(10, 4)
-        chunks = plan.chunks()
+    def test_small_batch_is_one_chunk(self):
+        chunks = ComputePlan(17, 100).chunks()
+        assert chunks == [TargetChunk(0, 0, 17)]
+
+    def test_even_split(self, budget_rows):
+        budget_rows(100, 4)
+        layout = ComputePlan(12, 100)
+        assert [(c.start, c.stop) for c in layout] == [(0, 4), (4, 8), (8, 12)]
+        assert layout.num_chunks == len(layout) == 3
+
+    def test_ragged_tail(self, budget_rows):
+        budget_rows(100, 4)
+        chunks = ComputePlan(10, 100).chunks()
         assert [(c.start, c.stop) for c in chunks] == [(0, 4), (4, 8), (8, 10)]
         assert chunks[-1].size == 2
 
-    def test_chunks_cover_every_target_once(self):
-        plan = ComputePlan(101, 7)
+    def test_chunks_cover_every_target_once(self, budget_rows):
+        budget_rows(50, 7)
         covered = np.concatenate(
-            [np.arange(c.start, c.stop) for c in plan]
+            [np.arange(c.start, c.stop) for c in ComputePlan(101, 50)]
         )
         np.testing.assert_array_equal(covered, np.arange(101))
 
-    def test_chunk_size_larger_than_items(self):
-        plan = ComputePlan(3, 100)
-        assert plan.num_chunks == 1
-        assert plan.effective_chunk_size == 3
+    def test_budget_larger_than_items(self, budget_rows):
+        budget_rows(10, 100)
+        layout = ComputePlan(3, 10)
+        assert layout.num_chunks == 1
+        assert plan.chunk_rows(10) == 100
 
     def test_empty_plan(self):
-        plan = ComputePlan(0, 5)
-        assert plan.num_chunks == 0
-        assert plan.chunks() == []
+        layout = ComputePlan(0, 5)
+        assert layout.num_chunks == 0
+        assert layout.chunks() == []
 
-    def test_take_slices_parallel_sequences(self):
-        plan = ComputePlan(5, 2)
+    def test_take_slices_parallel_sequences(self, budget_rows):
+        budget_rows(10, 2)
         items = ["a", "b", "c", "d", "e"]
-        assert [chunk.take(items) for chunk in plan] == [
+        assert [chunk.take(items) for chunk in ComputePlan(5, 10)] == [
             ["a", "b"],
             ["c", "d"],
             ["e"],
@@ -56,29 +72,31 @@ class TestComputePlan:
 
     def test_invalid_parameters(self):
         with pytest.raises(ComputeError):
-            ComputePlan(-1)
-        with pytest.raises(ComputeError):
-            ComputePlan(10, 0)
+            ComputePlan(-1, 10)
+        with pytest.raises(TypeError):
+            ComputePlan(10)
 
     @pytest.mark.parametrize(
-        "num_items, chunk_size",
+        "num_items, rows",
         [(0, None), (0, 3), (1, None), (1, 1), (7, 1), (7, 3), (7, 7), (7, 100)],
     )
-    def test_layout_is_contiguous_ordered_and_bounded(self, num_items, chunk_size):
-        """Every layout a caller can build: chunks tile ``[0, num_items)``
-        in order, are indexed 0.., and none exceeds the effective size."""
-        plan = ComputePlan(num_items, chunk_size)
-        chunks = plan.chunks()
+    def test_layout_is_contiguous_ordered_and_bounded(
+        self, budget_rows, num_items, rows
+    ):
+        """Every layout a budget can produce: chunks tile ``[0, num_items)``
+        in order, are indexed 0.., and none exceeds the budget's rows."""
+        budget_rows(20, rows)
+        layout = ComputePlan(num_items, 20)
+        chunks = layout.chunks()
         assert [chunk.index for chunk in chunks] == list(range(len(chunks)))
-        assert len(chunks) == plan.num_chunks == len(plan)
+        assert len(chunks) == layout.num_chunks == len(layout)
         position = 0
         for chunk in chunks:
             assert chunk.start == position and 0 < chunk.size
-            assert chunk.size <= plan.effective_chunk_size
+            assert chunk.size <= plan.chunk_rows(20)
             position = chunk.stop
         assert position == num_items
-        expected = 0 if num_items == 0 else -(-num_items // (chunk_size or num_items))
-        assert plan.num_chunks == expected
+        assert layout.num_chunks == -(-num_items // plan.chunk_rows(20))
 
     def test_dtype_is_not_part_of_plan_equality(self):
         # Geometry defines the plan; the dtype only rides along.
@@ -92,10 +110,18 @@ class TestComputePlan:
             ComputePlan(10, 4, object())
 
     def test_peak_dense_bound(self):
-        """The plan's whole point: no chunk exceeds chunk_size targets, so
-        dense allocations are bounded by chunk_size x num_nodes."""
-        plan = ComputePlan(1000, 64)
-        assert max(chunk.size for chunk in plan) <= 64
+        """The plan's whole point: a chunk's float64 ``rows x num_nodes``
+        block fits the byte budget whenever it holds more than one row."""
+        for num_nodes in (100, 7_115, 100_000):
+            layout = ComputePlan(1000, num_nodes)
+            rows = max(chunk.size for chunk in layout)
+            assert rows == 1 or 8 * rows * num_nodes <= plan.CHUNK_BYTES
+
+    def test_budget_is_read_at_call_time(self, monkeypatch):
+        layout = ComputePlan(100, 1000)
+        assert layout.num_chunks == 1
+        monkeypatch.setattr(plan, "CHUNK_BYTES", 8 * 1000 * 30)
+        assert layout.num_chunks == 4
 
 
 class TestNodeRangeSharding:
@@ -117,9 +143,10 @@ class TestNodeRangeSharding:
         assert contiguous_node_range([0, 1, 2]) == (0, 3)
 
 
-class TestChunkSizeValidation:
-    """Every batched entry point funnels chunk_size through ComputePlan, so
-    a non-positive size fails with the same typed error everywhere."""
+class TestNoChunkSizeArgument:
+    """The program sizes its own chunks: no entry point takes a chunk
+    size, so passing one is a caller error, not a silent no-op (the
+    services are covered in tests/test_docs_consistency.py)."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -127,32 +154,33 @@ class TestChunkSizeValidation:
 
         return erdos_renyi_gnp(20, 0.2, seed=1)
 
-    def test_recommendation_service(self, graph):
-        from repro.serving import RecommendationService
-
-        with pytest.raises(ComputeError, match="chunk_size"):
-            RecommendationService(graph, chunk_size=0)
-
-    def test_streaming_service(self, graph):
-        from repro.streaming import StreamingService
-
-        with pytest.raises(ComputeError, match="chunk_size"):
-            StreamingService(graph, chunk_size=-3)
-
     def test_batched_engine(self, graph):
         from repro.accuracy.batch import evaluate_targets_batched
         from repro.mechanisms.best import BestMechanism
         from repro.utility.common_neighbors import CommonNeighbors
 
-        with pytest.raises(ComputeError, match="chunk_size"):
+        with pytest.raises(TypeError):
             evaluate_targets_batched(
                 graph, CommonNeighbors(), range(5), {"best": BestMechanism()},
-                chunk_size=0,
+                chunk_size=4,
             )
 
     def test_epsilon_sweep(self, graph):
         from repro.experiments.sweeps import epsilon_sweep
         from repro.utility.common_neighbors import CommonNeighbors
 
-        with pytest.raises(ComputeError, match="chunk_size"):
-            epsilon_sweep(graph, CommonNeighbors(), range(5), chunk_size=0)
+        with pytest.raises(TypeError):
+            epsilon_sweep(graph, CommonNeighbors(), range(5), chunk_size=4)
+
+    def test_gamma_sweep(self, graph):
+        from repro.experiments.sweeps import gamma_sweep
+
+        with pytest.raises(TypeError):
+            gamma_sweep(graph, range(5), chunk_size=4)
+
+    @pytest.mark.parametrize("figure_id", ["1a", "1b", "2a", "2b", "2c"])
+    def test_figure_drivers(self, figure_id):
+        from repro.experiments.figures import FIGURE_DRIVERS
+
+        with pytest.raises(TypeError):
+            FIGURE_DRIVERS[figure_id](chunk_size=4)

@@ -121,7 +121,7 @@ class TestThreadLocal:
 
 
 class TestChunkedPipelines:
-    def test_chunks_reuse_the_calling_threads_arena(self):
+    def test_chunks_reuse_the_calling_threads_arena(self, budget_rows):
         """Chunks run inline, so a repeated chunked engine run takes every
         dense buffer from the caller's warm arena: no new allocations."""
         from repro.accuracy.batch import evaluate_targets_batched
@@ -131,11 +131,12 @@ class TestChunkedPipelines:
 
         graph = erdos_renyi_gnp(40, 0.15, seed=6)
         mechanisms = {"exponential@1": ExponentialMechanism(1.0, sensitivity=2.0)}
+        budget_rows(graph.num_nodes, 6)
 
         def run():
             return evaluate_targets_batched(
                 graph, CommonNeighbors(), range(40), mechanisms,
-                bound_epsilons=(1.0,), seed=2, chunk_size=6,
+                bound_epsilons=(1.0,), seed=2,
             )
 
         reset_workspace()

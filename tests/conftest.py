@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compute import plan
 from repro.datasets import toy
 from repro.graphs.generators import erdos_renyi_gnp
 from repro.graphs.graph import SocialGraph
@@ -15,6 +16,21 @@ from repro.utility.base import UtilityVector
 def rng() -> np.random.Generator:
     """Deterministic generator shared by stochastic tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def budget_rows(monkeypatch):
+    """``budget_rows(num_nodes, rows)`` sets the compute byte budget so a
+    ``num_nodes``-node graph chunks ``rows`` targets at a time (``None``
+    keeps the default budget) — how chunk-identity tests vary chunking
+    now that no entry point takes a chunk size."""
+
+    def set_rows(num_nodes: int, rows: "int | None") -> None:
+        if rows is not None:
+            monkeypatch.setattr(plan, "CHUNK_BYTES", 8 * num_nodes * rows)
+        assert rows is None or plan.chunk_rows(num_nodes) == rows
+
+    return set_rows
 
 
 @pytest.fixture

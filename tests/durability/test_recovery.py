@@ -209,6 +209,40 @@ class TestTornTail:
         assert got == reference["picks"][len(reference["picks"]) - len(got):]
 
 
+class TestRejectedEvents:
+    def test_out_of_range_edge_event_leaves_the_log_recoverable(
+        self, build_service, tmp_path
+    ):
+        """Regression: an edge event naming a node outside the graph was
+        journaled (and advanced the clock and the mutation cursor) before
+        the graph refused it, so recovery failed replaying that record and
+        nothing committed after it could be recovered."""
+        from repro.errors import NodeError
+        from repro.streaming import KIND_ADD, StreamEvent
+
+        service = build_service()
+        service.attach_wal(WriteAheadLog(tmp_path / WAL_FILENAME))
+        service.recommend_batch([1, 2, 3], at=1.0)
+        logged = service.wal.tail_offset()
+        bad = StreamEvent(2.0, KIND_ADD, u=0, v=service.graph.num_nodes)
+        with pytest.raises(NodeError):
+            service.apply_edge_event(bad)
+        assert service.wal.tail_offset() == logged
+        service.apply_edge_event(StreamEvent(3.0, KIND_ADD, u=0, v=5))
+        picks = [r.recommendations for r in service.recommend_batch([1, 4], at=4.0)]
+        state, stamp = service.durable_state(), service.stamp
+        service.wal.close()
+
+        report = recover(tmp_path, build_service)
+        assert report.service.durable_state() == state
+        assert report.service.stamp == stamp
+        assert report.service.mutation_events_seen == 1
+        fresh = build_service()
+        fresh.recommend_batch([1, 2, 3], at=1.0)
+        fresh.apply_edge_event(StreamEvent(3.0, KIND_ADD, u=0, v=5))
+        assert [r.recommendations for r in fresh.recommend_batch([1, 4], at=4.0)] == picks
+
+
 class TestTypedFailures:
     def test_nothing_to_recover_raises(self, build_service, tmp_path):
         with pytest.raises(RecoveryError) as excinfo:

@@ -123,6 +123,36 @@ class TestRouting:
             assert status == 400
         assert service.mutations_applied == 1
 
+    def test_bad_edge_events_answer_typed_400s(self, base_graph):
+        """An unknown endpoint or a non-numeric / non-finite time is the
+        client's error: a typed 400 (not ``500 internal``), and nothing
+        reaches the engine's clock, cursor or graph."""
+        service = make_service(base_graph)
+        n = base_graph.num_nodes
+        with serve_in_thread(service) as handle:
+            for u, v in ((1, n), (n + 5, 2), (-1, 2)):
+                status, body = request(
+                    handle.url, "/edge-event", {"kind": "add", "u": u, "v": v}
+                )
+                assert status == 400
+                assert body == {"error": "unknown_node", "node": v if u == 1 else u}
+            for time in ("soon", None, [1.0], float("inf"), float("nan")):
+                status, body = request(
+                    handle.url, "/edge-event",
+                    {"kind": "add", "u": 1, "v": 2, "time": time},
+                )
+                assert status == 400 and "time" in body["error"]
+            raw = urllib.request.Request(
+                handle.url + "/edge-event", method="POST",
+                data=b'{"kind": "add", "u": 1, "v": 2, "time": 1e999}',
+            )
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(raw, timeout=30)
+            assert excinfo.value.code == 400
+        assert service.mutation_events_seen == 0
+        assert service.clock == 0.0
+        assert service.mutations_applied == 0
+
     def test_edge_event_needs_a_streaming_service(self, base_graph):
         service = RecommendationService(
             base_graph, seed=SEED, telemetry=Telemetry.create(sample_rate=0.0)

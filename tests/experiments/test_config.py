@@ -33,16 +33,18 @@ class TestValidation:
             dict(target_fraction=0.0),
             dict(laplace_trials=0),
             dict(backend="gpu"),
-            dict(chunk_size=0),
+            dict(dtype="float16"),
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ExperimentError):
             ExperimentConfig(**overrides)
 
-    def test_sharding_defaults_are_serial_unchunked(self):
-        config = ExperimentConfig()
-        assert config.chunk_size is None
+    def test_config_takes_no_chunk_size(self):
+        """The engine sizes its own chunks from the byte budget."""
+        assert not hasattr(ExperimentConfig(), "chunk_size")
+        with pytest.raises(TypeError):
+            ExperimentConfig(chunk_size=4)
 
 
 class TestSerialization:
@@ -57,10 +59,16 @@ class TestSerialization:
         )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
-    def test_round_trip_with_sharding(self):
-        config = ExperimentConfig(chunk_size=256)
+    def test_round_trip_with_float32(self):
+        config = ExperimentConfig(dtype="float32")
         restored = ExperimentConfig.from_dict(config.to_dict())
-        assert restored.chunk_size == 256
+        assert restored.dtype == "float32"
+        assert "chunk_size" not in config.to_dict()
+
+    def test_from_dict_rejects_removed_chunk_size(self):
+        legacy = {**ExperimentConfig().to_dict(), "chunk_size": 256}
+        with pytest.raises(ExperimentError, match="chunk_size"):
+            ExperimentConfig.from_dict(legacy)
 
     def test_from_dict_rejects_unknown_keys_by_name(self):
         with pytest.raises(ExperimentError, match="bogus"):

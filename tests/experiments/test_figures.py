@@ -130,25 +130,26 @@ class TestFigure2c:
 
 
 class TestShardingPassThrough:
-    def test_explicit_config_sharding_not_stomped(self):
-        """Regression: drivers used to replace() chunk_size with their
-        parameter defaults, silently unchunking an explicitly chunked
-        config."""
+    def test_explicit_config_dtype_not_stomped(self):
+        """Regression: drivers used to replace() config fields with their
+        parameter defaults, silently resetting an explicit config."""
         from dataclasses import replace
 
         config = replace(
-            paper_config_figure_1a(scale=0.02, max_targets=8), chunk_size=4
+            paper_config_figure_1a(scale=0.02, max_targets=8), dtype="float32"
         )
         result = figure_1a(config=config)
-        assert result.metadata["config"]["chunk_size"] == 4
+        assert result.metadata["config"]["dtype"] == "float32"
 
     def test_driver_kwargs_apply_when_given(self):
-        result = figure_1a(scale=0.02, max_targets=8, chunk_size=4)
-        assert result.metadata["config"]["chunk_size"] == 4
+        result = figure_1a(scale=0.02, max_targets=8, dtype="float32")
+        assert result.metadata["config"]["dtype"] == "float32"
+        assert "chunk_size" not in result.metadata["config"]
 
-    def test_chunked_figure_plots_the_same_curves(self):
-        chunked = figure_1a(scale=0.02, max_targets=8, chunk_size=3)
+    def test_chunked_figure_plots_the_same_curves(self, budget_rows):
         unchunked = figure_1a(scale=0.02, max_targets=8)
+        budget_rows(unchunked.metadata["num_nodes"], 3)
+        chunked = figure_1a(scale=0.02, max_targets=8)
         assert chunked.series == unchunked.series
 
 

@@ -138,19 +138,16 @@ class TestEngineSelection:
         assert batched.evaluations == sequential
         assert batched.num_targets_evaluated == len(sequential)
 
-    def test_sharded_run_identical_to_serial(self):
-        """chunk_size flows from the config into the batched engine
+    def test_sharded_run_identical_to_serial(self, budget_rows):
+        """A smaller byte budget splits the run into more engine chunks
         without changing a single evaluation."""
-        from dataclasses import replace
-
         config = ExperimentConfig(
             dataset="wiki_vote", scale=0.02, epsilons=(0.5, 1.0),
             max_targets=15, laplace_trials=60, seed=13,
         )
         graph = build_graph(config)
         serial = run_experiment(config, graph=graph)
-        for chunk_size in (4, 1):
-            sharded = run_experiment(
-                replace(config, chunk_size=chunk_size), graph=graph
-            )
+        for rows in (4, 1):
+            budget_rows(graph.num_nodes, rows)
+            sharded = run_experiment(config, graph=graph)
             assert sharded.evaluations == serial.evaluations

@@ -102,47 +102,34 @@ class TestSweepToFigure:
 
 
 class TestSweepSharding:
-    """Chunking is a pure wall-clock knob: identical points."""
+    """The byte budget only changes chunking: identical points."""
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"chunk_size": 4},
-            {"chunk_size": 1},
-            {"chunk_size": 6},
-        ],
-        ids=lambda kw: "-".join(f"{k}={v}" for k, v in sorted(kw.items())),
-    )
-    def test_epsilon_sweep_identical_when_sharded(self, sweep_graph, kwargs):
+    @pytest.mark.parametrize("rows", [4, 1, 6], ids=lambda r: f"rows={r}")
+    def test_epsilon_sweep_identical_when_sharded(self, sweep_graph, budget_rows, rows):
         targets = list(range(20))
         epsilons = (0.5, 1.0, 3.0)
         reference = epsilon_sweep(sweep_graph, CommonNeighbors(), targets, epsilons)
+        budget_rows(sweep_graph.num_nodes, rows)
         assert (
-            epsilon_sweep(sweep_graph, CommonNeighbors(), targets, epsilons, **kwargs)
+            epsilon_sweep(sweep_graph, CommonNeighbors(), targets, epsilons)
             == reference
         )
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"chunk_size": 4},
-            {"chunk_size": 5},
-            {"chunk_size": 1},
-        ],
-        ids=lambda kw: "-".join(f"{k}={v}" for k, v in sorted(kw.items())),
-    )
-    def test_gamma_sweep_identical_when_sharded(self, sweep_graph, kwargs):
+    @pytest.mark.parametrize("rows", [4, 5, 1], ids=lambda r: f"rows={r}")
+    def test_gamma_sweep_identical_when_sharded(self, sweep_graph, budget_rows, rows):
         targets = list(range(15))
         gammas = (0.0005, 0.05)
         reference = gamma_sweep(sweep_graph, targets, gammas=gammas)
-        assert gamma_sweep(sweep_graph, targets, gammas=gammas, **kwargs) == reference
+        budget_rows(sweep_graph.num_nodes, rows)
+        assert gamma_sweep(sweep_graph, targets, gammas=gammas) == reference
 
-    def test_no_signal_rejected_even_when_chunked(self):
+    def test_no_signal_rejected_even_when_chunked(self, budget_rows):
         from repro.graphs.generators import erdos_renyi_gnp as gnp
 
         empty = gnp(10, 0.0, seed=0)
+        budget_rows(empty.num_nodes, 1)
         with pytest.raises(ExperimentError):
-            epsilon_sweep(empty, CommonNeighbors(), targets=[0, 1], chunk_size=1)
+            epsilon_sweep(empty, CommonNeighbors(), targets=[0, 1])
 
 
 class TestSweepBatchingEquivalence:

@@ -63,8 +63,14 @@ CASES = {
 
 
 def _row(case: str, form: str, dtype: str) -> "tuple[UtilityVector, float, int]":
+    """The case's row with its utilities stored at ``dtype``.
+
+    Serving fills float64 rows; float32 ones are still valid input to
+    the public mechanism API, so the sampler is held to the pmf at both.
+    """
     build, epsilon, seed = CASES[case]
-    vector = build().with_dtype(dtype)
+    vector = build()
+    vector = vector._with_values(vector.support()[1].astype(dtype))
     if form == "dense":
         vector = UtilityVector(
             vector.target, vector.candidates, vector.values, vector.target_degree

@@ -383,52 +383,44 @@ class TestSnapshot:
 
 
 class TestStorageDtype:
-    """Satellite regression: a float32 pipeline must not silently double its
-    resident memory by caching rows at whatever dtype a kernel emitted."""
+    """Serving has one dtype: every resident row is float64, and the cache
+    takes no dtype to make it otherwise."""
 
     def test_default_cache_stores_float64(self, graph):
         cache = UtilityCache(graph, CommonNeighbors())
         assert cache.get(0).values.dtype == np.float64
 
-    def test_float32_cache_normalizes_computed_vectors(self, graph):
-        cache = UtilityCache(graph, CommonNeighbors(), dtype="float32")
-        assert cache.get(0).values.dtype == np.float32
+    def test_cache_takes_no_dtype(self, graph):
+        with pytest.raises(TypeError):
+            UtilityCache(graph, CommonNeighbors(), dtype="float32")
 
-    def test_put_normalizes_foreign_dtype(self, graph):
-        cache = UtilityCache(graph, CommonNeighbors(), dtype="float32")
-        vector = CommonNeighbors().utility_vector(graph, 3)  # float64
+    def test_patchable_cache_fills_float64_component_rows(self):
+        from repro.compute import COMPONENTS_KEY
+        from repro.utility.weighted_paths import WeightedPaths
+
+        overlay = MutableSocialGraph.from_graph(toy.two_communities(block_size=6))
+        cache = UtilityCache(overlay, WeightedPaths(gamma=0.01))
+        assert cache.patchable
+        vector = cache.get(4)
         assert vector.values.dtype == np.float64
-        cache.put(3, vector)
-        cached = cache.get_resident(3)
-        assert cached.values.dtype == np.float32
-        np.testing.assert_array_equal(
-            cached.values, vector.values.astype(np.float32)
-        )
-        np.testing.assert_array_equal(cached.candidates, vector.candidates)
+        assert vector.metadata[COMPONENTS_KEY].dtype == np.float64
 
-    def test_put_of_matching_dtype_is_not_copied(self, graph):
+    def test_put_is_not_copied(self, graph):
         cache = UtilityCache(graph, CommonNeighbors())
         vector = CommonNeighbors().utility_vector(graph, 2)
         cache.put(2, vector)
         assert cache.get_resident(2) is vector
 
-    def test_float32_put_into_float64_cache_upcasts(self, graph):
-        cache = UtilityCache(graph, CommonNeighbors())
-        vector = CommonNeighbors().utility_vector(graph, 1).with_dtype(np.float32)
-        cache.put(1, vector)
-        assert cache.get_resident(1).values.dtype == np.float64
-
 
 class TestResidentFootprint:
     """Rows of a flushing cache are support-form: O(support + degree) bytes."""
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_batch_rows_stay_support_sized_at_1e5_nodes(self, dtype):
+    def test_batch_rows_stay_support_sized_at_1e5_nodes(self):
         from repro.graphs.generators.powerlaw import build_powerlaw_shared
         from repro.serving import RecommendationService
 
         with build_powerlaw_shared(100_000, 2.2, seed=5) as graph:
-            service = RecommendationService(graph, epsilon=0.5, seed=3, dtype=dtype)
+            service = RecommendationService(graph, epsilon=0.5, seed=3)
             users = list(range(0, graph.num_nodes, 1_571))
             responses = service.recommend_batch(users)
             assert all(r.served for r in responses)

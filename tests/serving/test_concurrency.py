@@ -1,10 +1,11 @@
 """Concurrency coverage: the serving batch path's accounting integrity.
 
-The contract under test: chunk functions are pure and all stateful work
-(budget charges, cache fills, ledger rows) is applied by the service, so
-chunking cannot lose budget charges, double-count cache statistics, or
-perturb the ledger rows — and external submitters on several threads
-serialize whole batches on the service's submission lock.
+The contract under test: the kernel and sampler tasks are pure and all
+stateful work (budget charges, cache fills, ledger rows) is applied by
+the service, so the byte budget that chunks a dense fill cannot lose
+budget charges, double-count cache statistics, or perturb the ledger
+rows — and external submitters on several threads serialize whole
+batches on the service's submission lock.
 """
 
 from __future__ import annotations
@@ -16,10 +17,15 @@ import pytest
 from repro.datasets import wiki_vote
 from repro.serving import RecommendationService, synthetic_workload
 from repro.telemetry import Telemetry
+from repro.utility.weighted_paths import WeightedPaths
 
-#: Chunk layouts the integrity contract must hold under: one target per
-#: chunk, the helper's default, and the unchunked single pass.
-CHUNK_SIZES = [1, 8, None]
+#: Budgets the integrity contract must hold under, in rows per chunk:
+#: one target per chunk, eight, and the default budget (one chunk here).
+BUDGET_ROWS = [1, 8, None]
+
+#: Weighted paths fills through the default, dense ``support_scores``,
+#: so the byte budget really splits its fills into chunks.
+UTILITY = WeightedPaths(gamma=0.005)
 
 
 @pytest.fixture(scope="module")
@@ -31,8 +37,7 @@ def make_service(graph, **kwargs):
     kwargs.setdefault("epsilon", 0.5)
     kwargs.setdefault("user_budget", 1e6)
     kwargs.setdefault("seed", 99)
-    kwargs.setdefault("chunk_size", 8)
-    return RecommendationService(graph, **kwargs)
+    return RecommendationService(graph, UTILITY, **kwargs)
 
 
 def run_batches(service):
@@ -44,45 +49,49 @@ def run_batches(service):
 
 
 class TestChunkIdentity:
-    @pytest.mark.parametrize("chunk_size", [1, 3, None])
-    def test_recommendations_bit_identical_across_chunk_sizes(
-        self, graph, chunk_size
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    def test_recommendations_bit_identical_across_budgets(
+        self, graph, budget_rows, rows
     ):
         reference = run_batches(make_service(graph))
-        chunked = run_batches(make_service(graph, chunk_size=chunk_size))
+        budget_rows(graph.num_nodes, rows)
+        chunked = run_batches(make_service(graph))
         assert [r.recommendations for r in chunked] == [
             r.recommendations for r in reference
         ]
         assert [r.status for r in chunked] == [r.status for r in reference]
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_workload_responses_and_ledger_rows_identical(self, graph, dtype):
+    @pytest.mark.parametrize("utility", ["common_neighbors", UTILITY], ids=["cn", "wp"])
+    def test_workload_responses_and_ledger_rows_identical(
+        self, graph, budget_rows, utility
+    ):
         """A skewed request stream in fixed batches: responses and the
-        privacy ledger's rows do not depend on the chunk size."""
+        privacy ledger's rows do not depend on the byte budget."""
         requests = synthetic_workload(graph, 300, seed=5)
         users = [request.user for request in requests]
 
-        def replay(chunk_size):
+        def replay():
             service = RecommendationService(
-                graph, epsilon=0.5, seed=7, dtype=dtype, chunk_size=chunk_size,
-                telemetry=Telemetry.create(),
+                graph, utility, epsilon=0.5, seed=7, telemetry=Telemetry.create(),
             )
             responses = []
             for start in range(0, len(users), 64):
                 responses.extend(service.recommend_batch(users[start:start + 64]))
             return responses, service.telemetry.ledger.raw_rows()
 
-        responses, rows = replay(None)
-        chunked_responses, chunked_rows = replay(16)
+        responses, rows = replay()
+        budget_rows(graph.num_nodes, 16)
+        chunked_responses, chunked_rows = replay()
         assert chunked_responses == responses
         assert chunked_rows == rows
         assert len(rows) == len(users)
 
 
 class TestBudgetAndStatsIntegrity:
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_no_lost_budget_charges(self, graph, chunk_size):
-        service = make_service(graph, chunk_size=chunk_size)
+    @pytest.mark.parametrize("rows", BUDGET_ROWS)
+    def test_no_lost_budget_charges(self, graph, budget_rows, rows):
+        budget_rows(graph.num_nodes, rows)
+        service = make_service(graph)
         responses = run_batches(service)
         served = [r for r in responses if r.served]
         # Every served response charged exactly its epsilon — summed per
@@ -95,9 +104,10 @@ class TestBudgetAndStatsIntegrity:
         for user, expected in per_user.items():
             assert service.budgets.spent(user) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_no_double_counted_cache_stats(self, graph, chunk_size):
-        service = make_service(graph, chunk_size=chunk_size)
+    @pytest.mark.parametrize("rows", BUDGET_ROWS)
+    def test_no_double_counted_cache_stats(self, graph, budget_rows, rows):
+        budget_rows(graph.num_nodes, rows)
+        service = make_service(graph)
         users = list(range(30))
         service.recommend_batch(users)
         snap = service.cache.snapshot()
@@ -110,9 +120,16 @@ class TestBudgetAndStatsIntegrity:
         assert snap["misses"] == 30
         assert snap["hits"] == 30
 
-    @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_ledger_rows_deterministic_and_complete(self, graph, chunk_size):
-        service = make_service(graph, chunk_size=chunk_size)
+    @pytest.mark.parametrize("per_chunk", BUDGET_ROWS)
+    def test_ledger_rows_deterministic_and_complete(
+        self, graph, budget_rows, per_chunk
+    ):
+        reference = make_service(graph)
+        reference_rows: list = []
+        reference.attach_row_sink(reference_rows.extend)
+        run_batches(reference)
+        budget_rows(graph.num_nodes, per_chunk)
+        service = make_service(graph)
         rows: list = []
         service.attach_row_sink(rows.extend)
         responses = run_batches(service)
@@ -122,23 +139,20 @@ class TestBudgetAndStatsIntegrity:
         assert [(row[1], row[2]) for row in rows] == [
             (r.user, r.epsilon_spent) for r in responses
         ]
-        reference = make_service(graph, chunk_size=None)
-        reference_rows: list = []
-        reference.attach_row_sink(reference_rows.extend)
-        run_batches(reference)
         assert rows == reference_rows
 
-    def test_budget_exhaustion_consistent_under_threads(self, graph):
+    def test_budget_exhaustion_consistent_under_threads(self, graph, budget_rows):
         """Repeated users hitting their cap, within one batch and from
-        several submitting threads: the triage happens before any chunk
+        several submitting threads: the triage happens before any kernel
         runs and batches serialize on the submission lock, so nothing
         overspends."""
-        service = make_service(graph, user_budget=2.0, seed=1, chunk_size=2)
+        budget_rows(graph.num_nodes, 2)
+        service = make_service(graph, user_budget=2.0, seed=1)
         responses = service.recommend_batch([9] * 7)  # 4 releases fit
         assert [r.served for r in responses] == [True] * 4 + [False] * 3
         assert service.budgets.spent(9) == pytest.approx(2.0)
 
-        service = make_service(graph, user_budget=2.0, seed=1, chunk_size=2)
+        service = make_service(graph, user_budget=2.0, seed=1)
         batches: list = []
         threads = [
             threading.Thread(
@@ -155,11 +169,12 @@ class TestBudgetAndStatsIntegrity:
         assert len(served) == 12 and sum(served) == 4
         assert service.budgets.spent(9) == pytest.approx(2.0)
 
-    def test_concurrent_submitters_keep_every_ledger_row(self, graph):
+    def test_concurrent_submitters_keep_every_ledger_row(self, graph, budget_rows):
         """Four threads submitting interleaved batches: each batch comes
         back whole and in its own user order, every request leaves exactly
         one ledger row, and request ids stay unique and ordered."""
-        service = make_service(graph, chunk_size=3)
+        budget_rows(graph.num_nodes, 3)
+        service = make_service(graph)
         rows: list = []
         service.attach_row_sink(rows.extend)
         results: dict = {}

@@ -63,17 +63,17 @@ class TestServeWhileMutatingIdentity:
         assert compacting.compactions > 0
         assert overlay.graph.stamp[1] == compacting.graph.stamp[1]
 
-    @pytest.mark.parametrize("chunk_size", [8, 1, 32])
-    def test_identity_across_chunking(self, chunk_size):
+    @pytest.mark.parametrize("rows", [8, 1, 32])
+    def test_identity_across_budgets(self, budget_rows, rows):
         graph = small_graph()
         events = synthetic_event_stream(
             graph, 150, add_fraction=0.1, remove_fraction=0.05, seed=9
         )
         serial = StreamingService(graph, epsilon=0.5, user_budget=1e9, seed=7)
-        chunked = StreamingService(
-            graph, epsilon=0.5, user_budget=1e9, seed=7, chunk_size=chunk_size
-        )
-        assert run_stream(serial, events) == run_stream(chunked, events)
+        reference = run_stream(serial, events)
+        budget_rows(graph.num_nodes, rows)
+        chunked = StreamingService(graph, epsilon=0.5, user_budget=1e9, seed=7)
+        assert run_stream(chunked, events) == reference
 
     def test_cache_survives_mutations_selectively(self):
         graph = small_graph()
@@ -171,6 +171,20 @@ class TestStreamingServiceBasics:
         with pytest.raises(ServingError):
             service.apply_edge_event(StreamEvent(0.0, KIND_QUERY, user=1))
 
+    def test_out_of_range_edge_event_changes_nothing(self):
+        """An endpoint outside the graph raises before the event touches
+        the clock, the mutation cursor or the graph."""
+        from repro.errors import NodeError
+        from repro.streaming import KIND_ADD, StreamEvent
+
+        service = StreamingService(toy.star(5), seed=0)
+        service.apply_edge_event(StreamEvent(1.0, KIND_ADD, u=1, v=2))
+        before = (service.clock, service.mutation_events_seen, service.graph.version)
+        for u, v in ((1, 6), (6, 1), (99, 2)):
+            with pytest.raises(NodeError):
+                service.apply_edge_event(StreamEvent(5.0, KIND_ADD, u=u, v=v))
+        assert (service.clock, service.mutation_events_seen, service.graph.version) == before
+
     def test_auto_compaction_threshold(self):
         service = StreamingService(toy.two_communities(5), seed=0, compact_every=3)
         from repro.streaming import KIND_ADD, StreamEvent
@@ -256,6 +270,33 @@ class TestWindowMode:
         assert statuses == [STATUS_SERVED, STATUS_SERVED, STATUS_REJECTED]
         later = service.recommend_batch([0], at=20.0)
         assert later[0].status == STATUS_SERVED
+
+    @pytest.mark.parametrize(
+        "at", [float("inf"), float("nan"), [0.0, float("inf")], [float("-inf"), 0.0]]
+    )
+    def test_non_finite_timestamps_rejected(self, at):
+        service = self.service()
+        service.recommend_batch([0], at=3.0)
+        with pytest.raises(ServingError, match="finite"):
+            service.recommend_batch([0, 1], at=at)
+        assert service.clock == 3.0
+        assert service.window_remaining(0) == pytest.approx(0.5)
+
+    def test_infinite_event_time_cannot_switch_off_the_window(self):
+        """Regression: an edge event at ``time=inf`` moved the clock to
+        infinity, after which every window spend expired as soon as it was
+        recorded and one user was served 6 of 6 requests instead of 2."""
+        from repro.streaming import KIND_ADD, StreamEvent
+
+        service = self.service()
+        with pytest.raises(ServingError):
+            service.apply_edge_event(StreamEvent(float("inf"), KIND_ADD, u=0, v=7))
+        served = [
+            response.served
+            for step in range(6)
+            for response in service.recommend_batch([0], at=float(step))
+        ]
+        assert served == [True, True, False, False, False, False]
 
     def test_refusals_are_audited_and_spend_nothing(self):
         service = self.service()
@@ -397,17 +438,16 @@ class TestReplayStream:
         with pytest.raises(ServingError):
             replay_stream(service, [], batch_size=0)
 
-    def test_replay_summary_identical_across_chunk_sizes(self):
-        """Chunking changes neither the picks nor any replay accounting."""
+    def test_replay_summary_identical_across_budgets(self, budget_rows):
+        """The byte budget changes neither the picks nor any replay accounting."""
         graph = small_graph()
         events = synthetic_event_stream(
             graph, 120, add_fraction=0.08, remove_fraction=0.04, seed=11
         )
 
-        def replay(chunk_size):
+        def replay():
             service = StreamingService(
-                graph, epsilon=0.5, user_budget=3.0, seed=13,
-                chunk_size=chunk_size, compact_every=30,
+                graph, epsilon=0.5, user_budget=3.0, seed=13, compact_every=30,
             )
             picks = []
             summary = replay_stream(
@@ -421,4 +461,6 @@ class TestReplayStream:
             )
             return picks, counts
 
-        assert replay(16) == replay(None)
+        reference = replay()
+        budget_rows(graph.num_nodes, 4)
+        assert replay() == reference

@@ -31,6 +31,15 @@ class TestStreamEvent:
         with pytest.raises(ServingError):
             StreamEvent(0.0, "rename", u=0, v=1)
 
+    @pytest.mark.parametrize("time", [float("inf"), float("-inf"), float("nan"), 1e999])
+    def test_non_finite_time_rejected(self, time):
+        """An infinite event time would become the streaming clock and
+        expire every sliding-window spend on arrival."""
+        with pytest.raises(ServingError, match="finite"):
+            StreamEvent(time, KIND_ADD, u=0, v=1)
+        with pytest.raises(ServingError, match="finite"):
+            StreamEvent(time, KIND_QUERY, user=4)
+
     def test_is_mutation(self):
         assert StreamEvent(0.0, KIND_ADD, u=0, v=1).is_mutation
         assert StreamEvent(0.0, KIND_REMOVE, u=0, v=1).is_mutation

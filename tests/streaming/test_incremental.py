@@ -84,21 +84,25 @@ class TestInterleavedPatchingProperty:
         assert snap["patched_rows"] > 0
         assert snap["selective_evictions"] > 0  # endpoint rows still evict
 
-    def test_float32_patched_rows_equal_recompute_then_round(self):
+    def test_rows_of_a_chunked_fill_patch_to_recompute(self, budget_rows):
+        """Rows a batch fill produced in 3-row budget chunks carry the same
+        component side-car, so they patch to the from-scratch row."""
+        from repro.compute.kernels import utility_vectors
+
         rng = np.random.default_rng(42)
         graph = random_overlay(rng)
         utility = WeightedPaths(gamma=0.01, max_length=3)
-        cache = UtilityCache(graph, utility, dtype=np.float32)
-        for target in range(graph.num_nodes):
-            cache.get(target)
+        cache = UtilityCache(graph, utility)
+        budget_rows(graph.num_nodes, 3)
+        targets = np.arange(graph.num_nodes, dtype=np.int64)
+        for vector in utility_vectors(graph, utility, targets, with_components=True):
+            cache.put(vector.target, vector)
         for _ in range(60):
             flip_random_edge(rng, graph)
             for target in rng.integers(0, graph.num_nodes, 3):
                 got = cache.get(int(target))
-                want = utility.utility_vector(graph, int(target)).with_dtype(
-                    np.float32
-                )
-                assert got.values.dtype == np.float32
+                want = utility.utility_vector(graph, int(target))
+                assert got.values.dtype == np.float64
                 assert np.array_equal(got.values, want.values)
         assert cache.snapshot()["patched_rows"] > 0
 
@@ -204,7 +208,7 @@ class TestServiceIntegration:
         assert snap["invalidations"] == 0
         assert snap["patched_rows"] > 0
 
-    def test_patching_and_full_flush_serve_identical_picks(self):
+    def test_patching_and_full_flush_serve_identical_picks(self, budget_rows):
         # materialize(): each run wraps its own fresh copy — passing the
         # overlay itself would share mutation state across runs.
         graph = random_overlay(np.random.default_rng(21), n=60, num_edges=200).materialize()
@@ -212,9 +216,9 @@ class TestServiceIntegration:
             graph, 150, add_fraction=0.1, remove_fraction=0.06, seed=4
         )
 
-        def run(utility, **kwargs):
+        def run(utility):
             service = StreamingService(
-                graph, utility, epsilon=0.5, user_budget=1e9, seed=11, **kwargs
+                graph, utility, epsilon=0.5, user_budget=1e9, seed=11
             )
             picks = []
             replay_stream(
@@ -227,7 +231,8 @@ class TestServiceIntegration:
 
         patched_picks, patched = run(WeightedPaths())
         flushed_picks, flushed = run(FlushingWeightedPaths())
-        chunked_picks, _ = run(WeightedPaths(), chunk_size=8)
+        budget_rows(graph.num_nodes, 8)
+        chunked_picks, _ = run(WeightedPaths())
         assert patched.cache.patchable
         assert not flushed.cache.patchable
         assert patched.cache.snapshot()["patched_rows"] > 0
@@ -235,19 +240,18 @@ class TestServiceIntegration:
         assert flushed.cache.snapshot()["invalidations"] > 0
         assert patched_picks == flushed_picks == chunked_picks
 
-    @pytest.mark.parametrize("dtype", ["float64", "float32"])
-    def test_patching_identity_across_chunk_sizes(self, dtype):
-        """Patching and full-flush caches serve the same picks, unchunked
-        and in chunks of 4, at either compute dtype."""
+    @pytest.mark.parametrize("rows", [4, 1])
+    def test_patching_identity_across_budgets(self, budget_rows, rows):
+        """Patching and full-flush caches serve the same picks at the
+        default byte budget and at a budget of a few rows per chunk."""
         graph = random_overlay(np.random.default_rng(23), n=50, num_edges=160).materialize()
         events = synthetic_event_stream(
             graph, 100, add_fraction=0.12, remove_fraction=0.06, seed=8
         )
 
-        def picks(utility, chunk_size):
+        def picks(utility):
             service = StreamingService(
-                graph, utility, epsilon=0.5, user_budget=1e9, seed=2,
-                chunk_size=chunk_size, dtype=dtype,
+                graph, utility, epsilon=0.5, user_budget=1e9, seed=2
             )
             recorded = []
             replay_stream(
@@ -256,10 +260,11 @@ class TestServiceIntegration:
             )
             return recorded
 
-        reference = picks(WeightedPaths(), None)
-        assert picks(FlushingWeightedPaths(), None) == reference
-        assert picks(WeightedPaths(), 4) == reference
-        assert picks(FlushingWeightedPaths(), 4) == reference
+        reference = picks(WeightedPaths())
+        assert picks(FlushingWeightedPaths()) == reference
+        budget_rows(graph.num_nodes, rows)
+        assert picks(WeightedPaths()) == reference
+        assert picks(FlushingWeightedPaths()) == reference
 
     def test_collect_metrics_exports_patched_rows_gauge(self):
         from repro.telemetry import Telemetry

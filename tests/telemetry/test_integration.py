@@ -2,8 +2,9 @@
 
 The contracts under test:
 
-* a traced map records exactly one span and one chunk timing per chunk,
-  and its chunks record into the caller's activated telemetry;
+* a traced map records exactly one span and one chunk timing per item,
+  and its items record into the caller's activated telemetry; the
+  serving batch maps one kernel call and one sampler call;
 * the privacy ledger reconciles against both accountant types after a
   mixed serve/mutate/refusal replay;
 * attaching telemetry never changes what gets recommended;
@@ -132,16 +133,14 @@ class TestTracedMapContract:
 
 
 class TestServingTelemetry:
-    @pytest.mark.parametrize(
-        "chunk_size, vector_chunks", [(8, 4), (3, 10), (None, 1)]
-    )
+    @pytest.mark.parametrize("rows", [8, 3, None])
     def test_batch_replay_reconciles_and_counts_deterministically(
-        self, graph, chunk_size, vector_chunks
+        self, graph, budget_rows, rows
     ):
+        budget_rows(graph.num_nodes, rows)
         telemetry = Telemetry.create()
         service = RecommendationService(
-            graph, epsilon=0.5, user_budget=2.0, seed=7,
-            chunk_size=chunk_size, telemetry=telemetry,
+            graph, epsilon=0.5, user_budget=2.0, seed=7, telemetry=telemetry,
         )
         users = list(range(30)) + [3, 3, 7]
         for _ in range(3):  # third round starts refusing (budget 2.0 / 0.5)
@@ -154,10 +153,13 @@ class TestServingTelemetry:
         assert rejected > 0
         assert registry.histogram("serve.request_seconds").count == 3 * len(users)
         assert len(telemetry.ledger) == 3 * len(users)
-        # Chunk accounting matches the plans exactly: 30 unique cold
-        # targets in chunks of 8 -> 4 vector chunks (3 -> 10, unchunked -> 1).
-        assert registry.counter("serve.vectors.chunks").value == vector_chunks
-        assert telemetry.tracer.count("serve.vectors") == vector_chunks
+        # Task accounting is one kernel call per batch with misses (only
+        # the cold first round here) and one sampler call per batch that
+        # serves anyone, whatever the byte budget.
+        assert registry.counter("serve.vectors.chunks").value == 1
+        assert telemetry.tracer.count("serve.vectors") == 1
+        assert registry.counter("serve.sample.chunks").value == 3
+        assert telemetry.tracer.count("serve.sample") == 3
 
     def test_recommendations_identical_with_and_without_telemetry(self, graph):
         def run(telemetry):
@@ -185,12 +187,13 @@ class TestServingTelemetry:
 
 
 class TestStreamingTelemetry:
-    @pytest.mark.parametrize("chunk_size", [8, 1, None])
-    def test_mixed_replay_reconciles_both_accountant_types(self, chunk_size):
+    @pytest.mark.parametrize("rows", [8, 1, None])
+    def test_mixed_replay_reconciles_both_accountant_types(self, budget_rows, rows):
+        budget_rows(80, rows)
         telemetry = Telemetry.create()
         service = StreamingService(
             erdos_renyi_gnp(80, 0.08, seed=2),
-            epsilon=0.5, user_budget=4.0, seed=0, chunk_size=chunk_size,
+            epsilon=0.5, user_budget=4.0, seed=0,
             window=10.0, window_budget=1.0, compact_every=40,
             telemetry=telemetry,
         )

@@ -58,51 +58,88 @@ class TestCommands:
         assert "Exponential eps=0.5" in capsys.readouterr().out
 
 
+#: Every subcommand, with the positional arguments it needs to parse.
+ALL_COMMANDS = [
+    ["figure", "1a"], ["bounds"], ["dataset-stats", "wiki_vote"], ["sweep"],
+    ["audit"], ["serve-sim"], ["stream-sim"], ["serve"], ["recover", "run"],
+    ["metrics", "dump", "run.json"], ["metrics", "watch"],
+]
+
+
 class TestComputeFlags:
-    @pytest.mark.parametrize(
-        "command",
-        [["figure", "1a"], ["sweep"], ["serve-sim"], ["stream-sim"], ["serve"]],
-    )
-    def test_chunk_size_parses_and_workers_is_gone(self, command):
-        args = build_parser().parse_args(command)
-        assert args.chunk_size is None
-        args = build_parser().parse_args(command + ["--chunk-size", "128"])
-        assert args.chunk_size == 128
+    @pytest.mark.parametrize("command", ALL_COMMANDS, ids=lambda c: "-".join(c))
+    def test_chunk_size_and_workers_are_gone(self, command):
+        """The program sizes its own compute: no command takes a chunk
+        size (or the executor layer's worker count)."""
+        build_parser().parse_args(command)
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--chunk-size", "128"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + ["--workers", "2"])
 
-    def test_sweep_runs_sharded(self, capsys):
+    @pytest.mark.parametrize(
+        "command, engine",
+        [
+            (["figure", "1a"], True), (["sweep"], True), (["serve-sim"], False),
+            (["stream-sim"], False), (["serve"], False),
+        ],
+        ids=lambda c: "-".join(c) if isinstance(c, list) else None,
+    )
+    def test_dtype_only_on_engine_commands(self, command, engine):
+        """figure and sweep keep the engine's --dtype; serving is float64."""
+        if engine:
+            args = build_parser().parse_args(command + ["--dtype", "float32"])
+            assert args.dtype == "float32"
+            assert build_parser().parse_args(command).dtype is None
+        else:
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--dtype", "float32"])
+
+    def test_sweep_runs_float32(self, capsys):
         code = main(
-            ["sweep", "--scale", "0.02", "--targets", "8", "--chunk-size", "4"]
+            ["sweep", "--scale", "0.02", "--targets", "8", "--dtype", "float32"]
         )
         assert code == 0
         assert "mean accuracy" in capsys.readouterr().out
 
-    def test_serve_sim_runs_sharded(self, capsys):
+    def test_figure_runs_float32(self, tmp_path, capsys):
+        out = tmp_path / "fig.json"
         code = main(
-            ["serve-sim", "--scale", "0.03", "--requests", "60",
-             "--batch-size", "20", "--chunk-size", "16"]
+            ["figure", "1a", "--scale", "0.02", "--max-targets", "8",
+             "--dtype", "float32", "--out", str(out)]
         )
         assert code == 0
-        assert "recs/sec" in capsys.readouterr().out
+        assert json.loads(out.read_text())["metadata"]["config"]["dtype"] == "float32"
+        assert "Exponential eps=0.5" in capsys.readouterr().out
 
-    def test_serve_sim_ledger_identical_across_chunk_sizes(self, tmp_path, capsys):
-        """--chunk-size is a layout knob end to end: the same requests are
-        served and charged, only the number of traced chunks moves."""
+    def test_serve_sim_ledger_identical_across_budgets(
+        self, tmp_path, capsys, budget_rows
+    ):
+        """The byte budget is a layout detail end to end: the same
+        requests are served and charged, through the same traced calls."""
         dumps = {}
-        for chunk_size in ("1", "16"):
-            out = tmp_path / f"telemetry_{chunk_size}.json"
+        for rows in (None, 1):
+            if rows is not None:
+                budget_rows(wiki_num_nodes(0.03), rows)
+            out = tmp_path / f"telemetry_{rows}.json"
             code = main(
                 ["serve-sim", "--scale", "0.03", "--requests", "60",
-                 "--batch-size", "20", "--chunk-size", chunk_size,
-                 "--telemetry-out", str(out)]
+                 "--batch-size", "20", "--telemetry-out", str(out)]
             )
             assert code == 0
-            dumps[chunk_size] = json.loads(out.read_text())
+            dumps[rows] = json.loads(out.read_text())
         capsys.readouterr()
-        assert len(dumps["1"]["ledger"]) == 60
-        assert dumps["1"]["ledger"] == dumps["16"]["ledger"]
-        assert len(dumps["1"]["spans"]) > len(dumps["16"]["spans"])
+        assert len(dumps[None]["ledger"]) == 60
+        assert dumps[None]["ledger"] == dumps[1]["ledger"]
+        assert [span["name"] for span in dumps[None]["spans"]] == [
+            span["name"] for span in dumps[1]["spans"]
+        ]
+
+
+def wiki_num_nodes(scale: float) -> int:
+    from repro.datasets import wiki_vote
+
+    return wiki_vote(scale=scale).num_nodes
 
 
 class TestTelemetryOut:
@@ -162,8 +199,6 @@ class TestServeSimCommand:
                 "200",
                 "--batch-size",
                 "32",
-                "--mutate-every",
-                "3",
             ]
         )
         assert code == 0
@@ -172,6 +207,13 @@ class TestServeSimCommand:
         assert "recs/sec" in output
         assert "cache hit rate" in output
         assert "invalidations" in output
+        assert "graph mutations" not in output
+
+    def test_mutate_every_is_gone(self):
+        """Serving under churn is stream-sim's job; serve-sim replays a
+        static graph."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve-sim", "--mutate-every", "3"])
 
 
 class TestStreamSimCommand:
@@ -209,7 +251,7 @@ class TestStreamSimCommand:
         assert "selective evictions" in output
         assert "compactions" in output
 
-    def test_stream_sim_window_mode_runs_sharded(self, capsys):
+    def test_stream_sim_window_mode_runs(self, capsys):
         code = main(
             [
                 "stream-sim",
@@ -221,8 +263,6 @@ class TestStreamSimCommand:
                 "40",
                 "--window-budget",
                 "0.4",
-                "--chunk-size",
-                "16",
             ]
         )
         assert code == 0

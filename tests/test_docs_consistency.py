@@ -138,6 +138,12 @@ REMOVED_NAMES = {
         "invalidation_horizon", "journal_horizon", "patch_crossover",
         "DEFAULT_PATCH_CROSSOVER",
     ),
+    # User-set chunk sizes, the serving dtype and serve-sim's churn mode:
+    # one byte budget sizes every chunk, serving runs in float64, and
+    # serving under churn is stream-sim's job.
+    "compute-knobs": (
+        "with_dtype", "FUSED_CHUNK_BYTES", "_fused_default_chunk", "mutate_every",
+    ),
 }
 
 
@@ -158,11 +164,13 @@ class TestRemovedNames:
                         hits.append(f"{path.relative_to(REPO_ROOT)}:{number}: {line.strip()}")
         assert not hits, "\n".join(hits)
 
-    @pytest.mark.parametrize("keyword", ["incremental", "patch_crossover"])
+    @pytest.mark.parametrize(
+        "keyword", ["incremental", "patch_crossover", "chunk_size", "dtype"]
+    )
     @pytest.mark.parametrize(
         "build", ["UtilityCache", "RecommendationService", "StreamingService"]
     )
-    def test_removed_cache_mode_arguments_are_rejected(self, build, keyword):
+    def test_removed_arguments_are_rejected(self, build, keyword):
         from repro.datasets import toy
         from repro.serving import UtilityCache
         from repro.utility import CommonNeighbors
