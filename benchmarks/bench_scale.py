@@ -13,8 +13,8 @@ Exercises the scale path end to end and gates it in two phases:
    experiment engine on sampled targets and a serving batch on live
    users, and gate peak RSS (``ru_maxrss``) under ``--max-rss-gib``.
    The peak is also appended to ``BENCH_memory.json``'s ``trajectory``
-   list so the memory story is tracked per PR alongside the fused-core
-   numbers.
+   list so the memory story is tracked per PR alongside the engine's
+   memory numbers.
 
 ``--smoke`` (CI) runs the identity gate and a 10^5-node build only —
 phase 2 reports nothing and gates nothing, keeping the job sub-minute.
@@ -131,9 +131,8 @@ def run_scale(
         if smoke:
             return result
 
-        # The engine sizes its own chunks: a dense row at 10^6 columns is
-        # 8 MB, already over the byte budget, so every chunk is one row
-        # and the RSS gate measures the program, not a benchmark knob.
+        # The engine reads support rows only (no rows x num_nodes block),
+        # so the RSS gate measures the program, not a benchmark knob.
         config = _engine_config(
             1.0, max_targets, dataset="synthetic", nodes=nodes,
             exponent=exponent, backend="shm",
@@ -149,9 +148,8 @@ def run_scale(
             f"{engine_run.elapsed_seconds:.2f} s", flush=True,
         )
 
-        # The engine's workspace arena stays resident after its run;
-        # release it so the serving phase's peak measures serving, not
-        # the sum of both phases' buffers.
+        # Release any workspace arena left resident, so the serving
+        # phase's peak measures serving, not the sum of both phases.
         reset_workspace()
 
         # Served in 32-user batches with a 32-entry cache. Dense rows were

@@ -4,6 +4,7 @@
 # HTTP-edge benchmarks, and every example script.
 #
 # Usage: scripts/ci_smoke.sh   (from the repository root or anywhere)
+#        REPRO_SMOKE_OUT=DIR scripts/ci_smoke.sh   (keep the smoke artifacts)
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -11,9 +12,16 @@ cd "$repo_root"
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 # Smoke benches write their artifacts here, never over the committed
-# full-profile BENCH_*.json files; the directory goes away on exit.
-smoke_out="$(mktemp -d)"
-trap 'rm -rf "$smoke_out"' EXIT
+# full-profile BENCH_*.json files. REPRO_SMOKE_OUT names a directory to
+# keep them in (CI uploads it); by default they go to a temporary
+# directory removed on exit.
+if [ -n "${REPRO_SMOKE_OUT:-}" ]; then
+    smoke_out="$REPRO_SMOKE_OUT"
+    mkdir -p "$smoke_out"
+else
+    smoke_out="$(mktemp -d)"
+    trap 'rm -rf "$smoke_out"' EXIT
+fi
 
 echo "== perf trajectory (committed artifacts) =="
 # Parses the COMMITTED BENCH_*.json files and fails if any gated number
@@ -41,11 +49,10 @@ python benchmarks/bench_experiment_engine.py --smoke --min-speedup 2 \
 
 echo
 echo "== memory benchmark (smoke) =="
-# Asserts engine == sequential plus the float32 tolerance contract, then
-# gates allocation pressure at >= 1 evaluated target per numpy allocation
-# call (deterministic, so it gates fully in CI). The float32 speedup is
-# reported, not gated, and the wiki-vote scale-1.0 full run is local
-# acceptance only: `python benchmarks/bench_memory.py`.
+# Asserts engine == sequential, then gates allocation pressure at >= 1
+# evaluated target per numpy allocation call (deterministic, so it gates
+# fully in CI). The wiki-vote scale-1.0 full run is local acceptance
+# only: `python benchmarks/bench_memory.py`.
 python benchmarks/bench_memory.py --smoke --output "$smoke_out/BENCH_memory.json"
 
 echo

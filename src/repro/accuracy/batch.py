@@ -1,50 +1,44 @@
-"""Batched experiment engine: evaluate every target as one matrix pipeline.
+"""Batched experiment engine: evaluate every target as flat support rows.
 
 :func:`~repro.accuracy.evaluator.evaluate_targets` — the reference
 implementation and the engine's test oracle — walks one target at a
 time: a graph traversal per utility vector, a candidate scan per target,
-a sorted threshold search per (target, epsilon) bound. This module
-computes the same experiment through the shared :mod:`repro.compute`
-kernels, as a handful of matrix stages per
-:class:`~repro.compute.plan.ComputePlan` chunk:
+a threshold search per (target, epsilon) bound. This module computes
+the same experiment for all targets at once, from each target's
+positive-utility support plus one count, its zero bucket:
 
-1. **utilities / mask** — the chunk's ``(chunk, n)`` score matrix and
-   candidate mask (for the paper's utilities: one sparse ``A[chunk] @ A``
-   product per path length instead of per-target matvecs);
-2. **filter** — the footnote-10 drop (fewer than two candidates, or no
-   non-zero utility) and row-major compaction of the survivors as flat
-   vectorized passes (:func:`~repro.compute.kernels.fused_compact_rows`);
-3. **accuracies** — the exponential mechanism runs its exact batch kernel
-   (one flat stabilized softmax over all candidates of the chunk), the
-   Laplace mechanism runs its blocked Monte-Carlo against per-target RNG
-   streams, and any other mechanism falls back to its own
-   ``expected_accuracy`` on the reconstructed vector;
-4. **bounds** — Corollary 1 runs straight off the masked score rows
-   (:func:`~repro.bounds.tradeoff.tightest_accuracy_bounds_masked`), one
-   epsilon-independent threshold/k table per target shared across the
-   whole epsilon grid.
+1. **utilities** — the utility's sparse score rows
+   (:meth:`~repro.utility.base.UtilityFunction.support_scores`; for the
+   paper's common neighbours one ``A[targets] @ A`` product);
+2. **mask** — each target's excluded ids (itself and its links) and the
+   flat positive supports :func:`~repro.utility.base.support_rows`
+   builds from the two, validating every utility like the sequential
+   evaluator does;
+3. **filter** — the footnote-10 drop (fewer than two candidates, or no
+   non-zero utility) and the survivors' compaction
+   (:func:`~repro.compute.kernels.footnote10_support`);
+4. **vectors** — support-form :class:`~repro.utility.base.UtilityVector`
+   objects, built only when a mechanism other than the exponential one
+   (or a per-vector ``t``) needs them;
+5. **accuracies** — the exponential mechanism runs its flat support
+   kernel (:meth:`~repro.mechanisms.exponential.ExponentialMechanism.support_accuracies`),
+   the Laplace mechanism its blocked Monte-Carlo against per-target RNG
+   streams, and any other mechanism its own ``expected_accuracy``;
+6. **bounds** — Corollary 1 from the same flat supports
+   (:func:`~repro.bounds.tradeoff.support_bounds`), one threshold table
+   per target shared across the whole epsilon grid.
 
-Dense blocks live in the calling thread's
-:class:`~repro.compute.workspace.Workspace` buffers, reused across chunks,
-and :class:`~repro.utility.base.UtilityVector` objects are only
-materialized when a mechanism actually needs them (the exponential fast
-path and the Section 7.1 ``t`` closed forms do not).
-
-At the default float64 compute dtype the result is bit-identical to the
-sequential evaluator. ``dtype="float32"`` opts into the half-memory
-compute path under the tolerance contract documented in DESIGN.md
-("memory dataflow"); float32 results are still bit-identical across
-chunkings, just not across dtypes.
-
-Chunks hold :func:`~repro.compute.plan.chunk_rows` targets each (the one
-byte budget :data:`~repro.compute.plan.CHUNK_BYTES`), run one after
-another on the calling thread and reassemble in target order. Every
-stage is per-target independent and all randomness comes from
-per-target spawned streams, so the result is bit-identical whatever the
-budget. ``tests/accuracy/test_batch.py`` enforces the sequential
-contract property-style, ``tests/compute/`` enforces the chunking and
-dtype contracts, and ``benchmarks/bench_memory.py`` asserts all of it
-before timing.
+A zero-utility candidate adds the same ``e^{-epsilon u_max / Delta f}``
+to the softmax denominator and nothing to the numerator, and the whole
+zero bucket adds one ``tau = 0`` threshold to the bound search, so no
+stage holds a ``rows x num_nodes`` block and the engine runs in one pass.
+The sequential evaluator's exponential accuracy and Corollary 1 search
+are the one-row cases of the same kernels, so the result is
+bit-identical to it; every stage is per-target independent and all
+randomness comes from per-target spawned streams, so it is also the same
+whatever else shares the call. ``tests/accuracy/test_batch.py`` enforces
+the sequential contract property-style, and
+``benchmarks/bench_memory.py`` asserts it before timing.
 """
 
 from __future__ import annotations
@@ -54,21 +48,15 @@ import tracemalloc
 
 import numpy as np
 
-from ..bounds.tradeoff import tightest_accuracy_bounds_masked
-from ..compute.kernels import (
-    candidate_mask_rows,
-    checked_targets,
-    fused_compact_rows,
-    score_rows,
-)
-from ..compute.plan import ComputePlan
+from ..bounds.tradeoff import support_bounds
+from ..compute.kernels import checked_targets, excluded_rows, footnote10_support
 from ..compute.workspace import get_workspace
 from ..graphs.graph import SocialGraph
 from ..mechanisms.base import Mechanism
 from ..mechanisms.exponential import ExponentialMechanism
 from ..mechanisms.laplace import LaplaceMechanism
 from ..rng import spawn_rngs
-from ..utility.base import UtilityFunction, UtilityVector
+from ..utility.base import UtilityFunction, UtilityVector, support_rows
 from .evaluator import TargetEvaluation
 
 __all__ = ["STAGE_NAMES", "evaluate_targets_batched"]
@@ -122,153 +110,49 @@ class _StageClock:
         self._last = now
 
 
-def _exponential_fast_path(mechanism: Mechanism) -> bool:
-    """Whether the exact exponential batch kernel reproduces this mechanism.
+def _flat_exponential(mechanism: Mechanism) -> bool:
+    """Whether the flat support kernel reproduces this mechanism's accuracy.
 
-    The kernel replays ``ExponentialMechanism.probabilities`` inside the
-    base ``expected_accuracy``; a subclass overriding either may compute
-    anything, so it falls back to the generic per-target call (trivially
-    identical to the sequential evaluator).
+    True for the exponential mechanism unless a subclass overrides
+    ``expected_accuracy``, which may then compute anything; it falls
+    back to the generic per-target call (trivially identical to the
+    sequential evaluator).
     """
     return (
         isinstance(mechanism, ExponentialMechanism)
-        and type(mechanism).expected_accuracy is Mechanism.expected_accuracy
-        and type(mechanism).probabilities is ExponentialMechanism.probabilities
+        and type(mechanism).expected_accuracy is ExponentialMechanism.expected_accuracy
     )
 
 
-def _accuracy_columns(
-    mechanisms: "dict[str, Mechanism]",
-    compact,
+def _accuracy_column(
+    mechanism: Mechanism,
     vectors: "list[UtilityVector]",
-    kept_streams,
-    laplace_trials: int,
-    workspace,
-) -> "dict[str, np.ndarray]":
-    """One accuracy column per mechanism.
-
-    Mechanism columns are evaluated in dict order so that any mechanism
-    drawing from a target's stream consumes it in the same sequence as the
-    sequential evaluator (e.g. laplace@0.5 before laplace@1).
-    """
-    columns: dict[str, np.ndarray] = {}
-    for name, mechanism in mechanisms.items():
-        if mechanism.name == "laplace":
-            # expected_accuracy_batch is a per-stream loop over the shared
-            # blocked Monte-Carlo kernel, so this branch equals the
-            # sequential per-target call for subclasses too.
-            if isinstance(mechanism, LaplaceMechanism):
-                column = mechanism.expected_accuracy_batch(
-                    vectors, kept_streams, trials=laplace_trials,
-                    workspace=workspace,
-                )
-            else:
-                column = np.asarray(
-                    [
-                        mechanism.expected_accuracy(
-                            vector, seed=stream, trials=laplace_trials
-                        )
-                        for vector, stream in zip(vectors, kept_streams)
-                    ],
-                    dtype=np.float64,
-                )
-        elif _exponential_fast_path(mechanism):
-            column = mechanism.expected_accuracy_compact(compact, workspace=workspace)
-        else:
-            column = np.asarray(
-                [
-                    mechanism.expected_accuracy(vector, seed=stream)
-                    for vector, stream in zip(vectors, kept_streams)
-                ],
-                dtype=np.float64,
-            )
-        columns[name] = column
-    return columns
-
-
-def _needs_vectors(mechanisms: "dict[str, Mechanism]") -> bool:
-    """Whether any mechanism column requires materialized utility vectors."""
-    return any(
-        not _exponential_fast_path(mechanism) for mechanism in mechanisms.values()
-    )
-
-
-def _evaluate_chunk(
-    graph: SocialGraph,
-    utility: UtilityFunction,
-    mechanisms: "dict[str, Mechanism]",
-    epsilon_grid: "tuple[float, ...]",
-    laplace_trials: int,
-    dtype: np.dtype,
-    targets: np.ndarray,
     streams: list,
-    clock: _StageClock,
-) -> "list[TargetEvaluation]":
-    """Evaluate one chunk of targets, lapping ``clock`` after each stage.
-
-    All randomness comes from the per-target ``streams``, so the
-    evaluations do not depend on where the chunk boundaries fall.
-    """
-    workspace = get_workspace()
-    scores = score_rows(graph, utility, targets, dtype=dtype, workspace=workspace)
-    clock.lap("utilities")
-    mask = candidate_mask_rows(graph, targets, workspace=workspace)
-    clock.lap("mask")
-
-    chunk = fused_compact_rows(scores, mask, workspace=workspace)
-    compact = chunk.compact
-    clock.lap("filter")
-    if chunk.kept.size == 0:
-        return []
-
-    degrees = graph.out_degrees_of(targets)[chunk.kept]
-    ts = utility.experimental_t_batch(compact.u_maxes, degrees)
-    # Vectors are views into workspace buffers — chunk-local by the
-    # workspace contract, which is fine: they are consumed (Laplace MC,
-    # generic mechanisms, per-vector t) before this chunk returns, and
-    # everything returned is scalars.
-    if ts is None or _needs_vectors(mechanisms):
-        vectors = chunk.materialize_vectors(utility, targets, degrees)
-    else:
-        vectors = []
-    kept_streams = [streams[row] for row in chunk.kept]
-    clock.lap("vectors")
-
-    columns = _accuracy_columns(
-        mechanisms, compact, vectors, kept_streams, laplace_trials,
-        workspace=workspace,
-    )
-    clock.lap("accuracies")
-
-    if ts is None:
-        ts = np.asarray(
-            [utility.experimental_t(vector) for vector in vectors], dtype=np.int64
+    laplace_trials: int,
+) -> np.ndarray:
+    """Per-vector accuracies of a mechanism without a flat kernel."""
+    if mechanism.name == "laplace":
+        # expected_accuracy_batch is a per-stream loop over the shared
+        # blocked Monte-Carlo kernel, so this branch equals the
+        # sequential per-target call for subclasses too.
+        if isinstance(mechanism, LaplaceMechanism):
+            return mechanism.expected_accuracy_batch(
+                vectors, streams, trials=laplace_trials, workspace=get_workspace()
+            )
+        return np.asarray(
+            [
+                mechanism.expected_accuracy(vector, seed=stream, trials=laplace_trials)
+                for vector, stream in zip(vectors, streams)
+            ],
+            dtype=np.float64,
         )
-    bound_matrix = tightest_accuracy_bounds_masked(
-        scores, mask, chunk.kept, compact.counts, compact.u_maxes,
-        ts, epsilon_grid, workspace=workspace,
+    return np.asarray(
+        [
+            mechanism.expected_accuracy(vector, seed=stream)
+            for vector, stream in zip(vectors, streams)
+        ],
+        dtype=np.float64,
     )
-    clock.lap("bounds")
-
-    evaluations = [
-        TargetEvaluation(
-            target=int(targets[row]),
-            degree=int(degrees[index]),
-            num_candidates=int(compact.counts[index]),
-            u_max=float(compact.u_maxes[index]),
-            t=int(ts[index]),
-            accuracies={
-                name: float(column[index]) for name, column in columns.items()
-            },
-            theoretical_bounds={
-                eps: float(bound_matrix[index, column])
-                for column, eps in enumerate(epsilon_grid)
-            },
-        )
-        for index, row in enumerate(chunk.kept)
-    ]
-    clock.lap("assemble")
-    return evaluations
 
 
 def evaluate_targets_batched(
@@ -280,24 +164,16 @@ def evaluate_targets_batched(
     seed: "int | np.random.Generator | None" = None,
     laplace_trials: int = 1_000,
     timings: "dict[str, float] | None" = None,
-    dtype=None,
     memory: "dict[str, int] | None" = None,
 ) -> list[TargetEvaluation]:
     """Batched, bit-identical equivalent of
     :func:`~repro.accuracy.evaluator.evaluate_targets`.
 
-    Targets run in :class:`~repro.compute.plan.ComputePlan` chunks whose
-    dense ``rows x num_nodes`` blocks fit the byte budget
-    :data:`~repro.compute.plan.CHUNK_BYTES`, so peak dense allocation is
-    bounded however many targets are asked for; results are
-    bit-identical at every budget. A target outside
-    ``[0, num_nodes)`` raises :class:`~repro.errors.UtilityError`, as in
-    the sequential evaluator.
-
-    ``dtype`` is the compute dtype of the dense kernel stages (anything
-    :func:`repro.compute.plan.resolve_dtype` accepts). The float64
-    default is bit-identical to the sequential evaluator; ``"float32"``
-    halves dense memory under the tolerance contract of DESIGN.md.
+    All targets run in one pass over flat support rows; memory grows
+    with the targets' supports and degrees, not with ``num_nodes``. A
+    target outside ``[0, num_nodes)`` raises
+    :class:`~repro.errors.UtilityError`, and so does a negative or
+    non-finite utility, as in the sequential evaluator.
 
     ``timings``, when provided, is filled in place with seconds spent per
     pipeline stage (keys :data:`STAGE_NAMES`) so benchmarks can attribute
@@ -306,15 +182,14 @@ def evaluate_targets_batched(
     stays at zero otherwise).
     """
     targets = checked_targets(graph, targets)
+    flat = {name for name, mechanism in mechanisms.items() if _flat_exponential(mechanism)}
     # Spawn one stream per *sampled* target (dropped ones included), exactly
     # like the sequential evaluator: results must not depend on how many
-    # neighbors survive the footnote-10 filter — or on chunk boundaries.
-    # When the grid is all closed-form (exponential fast path, no Laplace,
-    # no generic fallback) the streams are never drawn from, so their
-    # spawn cost — ~14 us of SeedSequence work per target — is skipped
-    # outright; the identity tests pin that the output is the same either
-    # way.
-    if not _needs_vectors(mechanisms):
+    # neighbors survive the footnote-10 filter. When every mechanism is
+    # closed-form the streams are never drawn from, so their spawn cost —
+    # ~14 us of SeedSequence work per target — is skipped outright; the
+    # identity tests pin that the output is the same either way.
+    if len(flat) == len(mechanisms):
         streams: "list[np.random.Generator | None]" = [None] * int(targets.size)
     else:
         streams = spawn_rngs(seed, int(targets.size))
@@ -322,14 +197,67 @@ def evaluate_targets_batched(
         return []
 
     epsilon_grid = tuple(float(eps) for eps in bound_epsilons)
-    plan = ComputePlan(int(targets.size), graph.num_nodes, dtype)
     clock = _StageClock(timings, memory)
-    evaluations: list[TargetEvaluation] = []
-    for chunk in plan:
-        evaluations.extend(
-            _evaluate_chunk(
-                graph, utility, mechanisms, epsilon_grid, laplace_trials,
-                plan.dtype, chunk.take(targets), chunk.take(streams), clock,
-            )
+    scores = utility.support_scores(graph, targets)
+    clock.lap("utilities")
+    excluded = excluded_rows(graph, targets)
+    _, values, offsets = support_rows(scores, excluded)
+    num_candidates = graph.num_nodes - np.diff(excluded.indptr)
+    clock.lap("mask")
+    kept, values, offsets, zeros = footnote10_support(values, offsets, num_candidates)
+    clock.lap("filter")
+    if kept.size == 0:
+        return []
+
+    kept_targets = targets[kept]
+    degrees = graph.out_degrees_of(kept_targets)
+    u_maxes = np.maximum.reduceat(values, offsets[:-1])
+    ts = utility.experimental_t_batch(u_maxes, degrees)
+    vectors: "list[UtilityVector]" = []
+    if ts is None or len(flat) < len(mechanisms):
+        vectors = UtilityVector.from_support_rows(
+            kept_targets, scores[kept], excluded[kept], degrees,
+            {"utility": utility.name},
         )
+    kept_streams = [streams[row] for row in kept]
+    clock.lap("vectors")
+
+    # Mechanism columns are evaluated in dict order so that any mechanism
+    # drawing from a target's stream consumes it in the same sequence as
+    # the sequential evaluator (e.g. laplace@0.5 before laplace@1).
+    columns = {
+        name: (
+            mechanism.support_accuracies(values, offsets, zeros)
+            if name in flat
+            else _accuracy_column(mechanism, vectors, kept_streams, laplace_trials)
+        )
+        for name, mechanism in mechanisms.items()
+    }
+    clock.lap("accuracies")
+
+    if ts is None:
+        ts = np.asarray(
+            [utility.experimental_t(vector) for vector in vectors], dtype=np.int64
+        )
+    bound_matrix = support_bounds(values, offsets, zeros, ts, epsilon_grid)
+    clock.lap("bounds")
+
+    evaluations = [
+        TargetEvaluation(
+            target=int(kept_targets[index]),
+            degree=int(degrees[index]),
+            num_candidates=int(num_candidates[row]),
+            u_max=float(u_maxes[index]),
+            t=int(ts[index]),
+            accuracies={
+                name: float(column[index]) for name, column in columns.items()
+            },
+            theoretical_bounds={
+                eps: float(bound_matrix[index, column])
+                for column, eps in enumerate(epsilon_grid)
+            },
+        )
+        for index, row in enumerate(kept)
+    ]
+    clock.lap("assemble")
     return evaluations

@@ -142,11 +142,13 @@ def sample_targets(
 
     Nodes with (out-)degree below ``min_degree`` are excluded up front —
     a degree-0 target has an empty 2-hop neighborhood and would be dropped
-    by the footnote-10 filter anyway. ``max_targets`` caps the sample for
-    CI-speed runs.
+    by the footnote-10 filter anyway. ``max_targets`` (at least 1) caps
+    the sample for CI-speed runs.
     """
     if not 0.0 < fraction <= 1.0:
         raise ExperimentError(f"target fraction must be in (0, 1], got {fraction}")
+    if max_targets is not None and not max_targets >= 1:
+        raise ExperimentError(f"max_targets must be >= 1, got {max_targets}")
     rng = ensure_rng(seed)
     # One vectorized pass over the cached (out-)degree vector; same
     # ascending node order the historical per-node loop produced, so the

@@ -61,10 +61,7 @@ def accuracy_upper_bound(epsilon: float, n: int, k: int, t: int, c: float = 1.0)
     Section 4.2 example uses ``c = 0.99``.
     """
     _validate_counts(n, k)
-    if epsilon < 0:
-        raise BoundError(f"epsilon must be non-negative, got {epsilon}")
-    if t < 1:
-        raise BoundError(f"edit count t must be >= 1, got {t}")
+    _validate_bound_parameters(epsilon, t)
     if not 0.0 < c <= 1.0:
         raise BoundError(f"c must be in (0, 1], got {c}")
     low = n - k
@@ -118,8 +115,8 @@ def _bounds_from_log_highs(
 
     The single home of the vectorized formula *and* its saturation cutoff
     (the bound is exactly 1.0 once the exponent passes 700, matching the
-    scalar :func:`accuracy_upper_bound`); the per-vector and the masked
-    searches both funnel through here so they cannot drift apart.
+    scalar :func:`accuracy_upper_bound`); the per-vector and the flat
+    support searches both funnel through here so they cannot drift apart.
     """
     highs = np.exp(np.minimum(log_highs, _SATURATION_EXPONENT))
     bounds = 1.0 - cs * lows / (lows + highs)
@@ -157,6 +154,7 @@ def tightest_accuracy_bound(
     tighter).
     """
     table = _split_table(vector, thresholds)
+    _validate_bound_parameters(epsilon, t)
     if table is None:
         # Every candidate already has maximum utility: any recommendation is
         # optimal, so the trade-off imposes no constraint at all.
@@ -170,7 +168,6 @@ def tightest_accuracy_bound(
             epsilon=float(epsilon),
         )
     taus, ks, cs, n = table
-    _validate_bound_parameters(epsilon, t)
     curve = corollary1_curve(float(epsilon), n, ks, cs, int(t))
     best = int(np.argmin(curve))  # first index on ties, like the old scan
     return BoundEvaluation(
@@ -191,151 +188,116 @@ def tightest_accuracy_bounds(
 ) -> dict[float, float]:
     """Tightest Corollary 1 bound at several epsilons, sharing one split table.
 
-    The threshold/k split table is epsilon-independent, so evaluating many
-    privacy levels costs one sort plus one vectorized curve per epsilon.
-    Each value is identical to ``tightest_accuracy_bound(vector, eps, t)
-    .accuracy_bound`` — both run the same table and curve kernels. This is
-    the convenient single-vector API; the batched engine uses
-    :func:`tightest_accuracy_bounds_masked`, which builds the tables of a
-    whole chunk of targets at once.
+    The one-row case of :func:`support_bounds`, on the vector's positive
+    support and zero-bucket size: each value is identical to
+    ``tightest_accuracy_bound(vector, eps, t).accuracy_bound``.
     """
-    table = _split_table(vector, None)
-    if table is None:
-        return {float(eps): 1.0 for eps in epsilons}
-    taus, ks, cs, n = table
-    bounds: dict[float, float] = {}
-    for epsilon in epsilons:
-        _validate_bound_parameters(epsilon, t)
-        curve = corollary1_curve(float(epsilon), n, ks, cs, int(t))
-        bounds[float(epsilon)] = float(curve.min())
-    return bounds
+    _, values = vector.support()
+    matrix = support_bounds(
+        values, [0, values.size], [vector.zero_count], [t], epsilons
+    )
+    return {float(eps): float(matrix[0, column]) for column, eps in enumerate(epsilons)}
 
 
-def tightest_accuracy_bounds_masked(
-    scores: np.ndarray,
-    mask: np.ndarray,
-    kept: np.ndarray,
-    counts: np.ndarray,
-    u_maxes: np.ndarray,
-    ts: np.ndarray,
+def support_bounds(
+    values: np.ndarray,
+    offsets: "np.ndarray | list[int]",
+    zeros: "np.ndarray | list[int]",
+    ts: "np.ndarray | list[int]",
     epsilons: "tuple[float, ...] | list[float]",
-    workspace=None,
 ) -> np.ndarray:
-    """Tightest Corollary 1 bounds straight from masked score rows.
+    """Tightest Corollary 1 bounds of many rows from their positive supports.
 
-    The engine's form of :func:`tightest_accuracy_bound`: instead of one
-    Python ``_split_table`` (a sort, a distinct scan, a ``searchsorted``)
-    per target and epsilon, the whole chunk's threshold/k tables are built
-    from the dense ``(rows, n)`` score matrix and candidate mask the
-    engine already holds, as a handful of array passes:
+    Row ``j``'s positive utilities are ``values[offsets[j]:offsets[j +
+    1]]`` (rows concatenated), ``zeros[j]`` more candidates score zero
+    and ``ts[j]`` is its edit count. Entry ``[j, e]`` equals
+    ``tightest_accuracy_bound(vector_j, epsilons[e], ts[j])
+    .accuracy_bound`` bit for bit: the thresholds are the row's distinct
+    support values below its maximum, each with ``k = #{u > tau}``
+    counted inside the support, plus — when the row has zeros — the
+    zero bucket's one threshold ``tau = 0`` with ``k = |support|``.
+    Candidates at zero never exceed a threshold, so nothing else of the
+    bucket enters the search.
 
-    * non-candidates are padded to ``+inf`` and every row is sorted by one
-      ``np.sort(axis=1)`` — row-local direct sorts, which profile an order
-      of magnitude faster than any flat segmented (lexsort) scheme;
-    * distinct-value flags plus a ``value < u_max`` eligibility test yield
-      each row's thresholds (the padding and each row's ``u_max`` tie group
-      are excluded exactly like ``threshold_splits``' ``tau < u_max`` rule);
-    * for a threshold at sorted position ``p``, ``k = #\\{u > tau\\}`` is the
-      count of candidates past its *next* distinct position — pure index
-      arithmetic, identical to the per-row ``searchsorted(..., "right")``
-      complement;
-    * the curve funnels through :func:`_bounds_from_log_highs` and the
-      per-row minimum is one ``minimum.reduceat``.
-
-    ``kept`` selects the rows to evaluate (the engine's footnote-10
-    survivors, each guaranteed ``>= 2`` candidates and positive maximum);
-    ``counts``/``u_maxes``/``ts`` are parallel to ``kept``. Entry ``[j, e]``
-    equals ``tightest_accuracy_bound(vector_j, epsilons[e], ts[j])
-    .accuracy_bound`` bit for bit when ``scores`` is float64. Float32 scores
-    are supported (the compute-dtype path): thresholds and maxima enter at
-    their rounded float32 values, but the search arithmetic always runs in
-    float64 — ``e^{epsilon t}`` saturates float32's exponent range three
-    orders of magnitude too early for the paper's lenient settings.
+    Flat passes over all rows: one zero per bucket row is inserted to
+    stand for the bucket, one direct sort of (row, value-rank) integer
+    keys orders every row, index arithmetic on the distinct positions
+    yields each threshold's ``k``, one ``(thresholds x epsilons)`` curve
+    funnels through :func:`_bounds_from_log_highs`, and the per-row
+    minimum is one ``minimum.reduceat``. A row with no threshold (every
+    candidate at the maximum) is unconstrained: 1.0.
     """
-    num_rows, num_nodes = scores.shape
-    kept = np.asarray(kept, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
     epsilon_grid = [float(eps) for eps in epsilons]
+    values = np.asarray(values, dtype=np.float64)
+    offsets = np.asarray(offsets, dtype=np.int64)
+    zeros = np.asarray(zeros, dtype=np.int64)
+    ts = np.asarray(ts, dtype=np.int64)
+    num_rows = offsets.size - 1
+    if zeros.shape != (num_rows,) or ts.shape != (num_rows,):
+        raise BoundError(
+            f"got {num_rows} rows but {zeros.size} zero counts and {ts.size} edit counts"
+        )
     for epsilon in epsilon_grid:
         _validate_bound_parameters(epsilon, 1)
-    if kept.size == 0 or not epsilon_grid:
-        return np.ones((kept.size, len(epsilon_grid)), dtype=np.float64)
-    if counts.size != kept.size:
-        raise BoundError(f"got {kept.size} rows but {counts.size} counts")
-    if int(counts.min()) < 2:
+    results = np.ones((num_rows, len(epsilon_grid)), dtype=np.float64)
+    if num_rows == 0:
+        return results
+    counts = np.diff(offsets)
+    if int((counts + zeros).min()) < 2:
         raise BoundError("the bound needs at least two candidates")
-    u_maxes = np.asarray(u_maxes)
-    if float(u_maxes.min()) <= 0.0:
+    if int(counts.min()) < 1:
         raise BoundError("the bound is undefined when all utilities are zero")
-    ts = np.asarray(ts, dtype=np.int64)
-    if ts.size != kept.size:
-        raise BoundError(f"got {kept.size} rows but {ts.size} edit counts")
     if int(ts.min()) < 1:
         raise BoundError(f"edit count t must be >= 1, got {int(ts.min())}")
+    if not epsilon_grid:
+        return results
 
-    shape = scores.shape
-    dtype = scores.dtype
-    if workspace is not None:
-        padded = workspace.take("bounds.padded", shape, dtype)
-        flags = workspace.take("bounds.flags", shape, np.bool_)
-        second = workspace.take("bounds.flags2", shape, np.bool_)
-    else:
-        padded = np.empty(shape, dtype=dtype)
-        flags = np.empty(shape, dtype=np.bool_)
-        second = np.empty(shape, dtype=np.bool_)
-    padded.fill(np.inf)
-    np.copyto(padded, scores, where=mask)
-    padded.sort(axis=1)
-
-    # Rows outside `kept` get a -inf ceiling: nothing in them is eligible,
-    # so dropped targets (and their padding) contribute no thresholds.
-    ceilings = np.full(num_rows, -np.inf, dtype=np.float64)
-    ceilings[kept] = u_maxes.astype(np.float64, copy=False)
-    # Distinct flags over the sorted rows. Spurious flags at the padding
-    # boundary (first +inf after the candidates) are harmless: they sit
-    # *after* every row's u_max group, so no eligible threshold ever reads
-    # them as its "next distinct", and eligibility excludes them outright.
-    flags[:, 0] = True
-    np.not_equal(padded[:, 1:], padded[:, :-1], out=flags[:, 1:])
-    np.less(padded, ceilings[:, None], out=second)
-    distinct_idx = np.flatnonzero(flags.reshape(-1))
-    eligible = second.reshape(-1)[distinct_idx]
-    next_distinct = np.empty(distinct_idx.size, dtype=np.int64)
-    next_distinct[:-1] = distinct_idx[1:]
-    next_distinct[-1] = num_rows * num_nodes
-    tau_pos = distinct_idx[eligible]
-    tau_next = next_distinct[eligible]
-    rows_of_tau = tau_pos // num_nodes
-
-    counts_full = np.zeros(num_rows, dtype=np.int64)
-    counts_full[kept] = counts
-    ts_full = np.zeros(num_rows, dtype=np.float64)
-    ts_full[kept] = ts.astype(np.float64)
-    # k = candidates - position-after-last-occurrence == the per-row
-    # searchsorted(sorted_values, tau, side="right") complement.
-    ks = counts_full[rows_of_tau] - (tau_next - rows_of_tau * num_nodes)
-    taus = padded.reshape(-1)[tau_pos].astype(np.float64, copy=False)
-    cs = 1.0 - taus / ceilings[rows_of_tau]
+    candidates = (counts + zeros).astype(np.float64)
+    bucket = zeros > 0
+    values = np.insert(values, offsets[:-1][bucket], 0.0)
+    counts = counts + bucket
+    ends = np.cumsum(counts)
+    # Sort every row by value at once: one integer key per entry, its row
+    # times the number of distinct values plus its value's rank among
+    # them, so a direct sort of the keys orders rows, then values within.
+    uniques = np.unique(values)
+    width = uniques.size
+    keys = np.repeat(np.arange(num_rows) * width, counts) + np.searchsorted(uniques, values)
+    keys.sort()
+    distinct = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    positions = np.flatnonzero(distinct)
+    # k = #{u > tau}: the row's entries from the next distinct position
+    # on (a key never repeats across rows, so the last distinct value of
+    # a row meets the row's end).
+    next_distinct = np.append(positions[1:], keys.size)
+    rows = keys[positions] // width
+    ks = ends[rows] - next_distinct
+    eligible = ks > 0  # tau < u_max
+    positions, rows, ks = positions[eligible], rows[eligible], ks[eligible]
+    if rows.size == 0:
+        return results
+    taus = uniques[keys[positions] % width]
+    u_maxes = uniques[keys[ends - 1] % width]
+    cs = 1.0 - taus / u_maxes[rows]
     ks_f = ks.astype(np.float64)
-    lows = counts_full[rows_of_tau].astype(np.float64) - ks_f
+    lows = candidates[rows] - ks_f
     log_ks = np.log(ks_f + 1.0)
-    ts_rep = ts_full[rows_of_tau]
-
-    results_full = np.ones((num_rows, len(epsilon_grid)), dtype=np.float64)
-    thresholds_per_row = np.bincount(rows_of_tau, minlength=num_rows)
-    rows_with = thresholds_per_row > 0
-    if rows_with.any():
-        starts = np.zeros(num_rows, dtype=np.int64)
-        np.cumsum(thresholds_per_row[:-1], out=starts[1:])
-        starts_with = starts[rows_with]
-        for column, epsilon in enumerate(epsilon_grid):
-            bounds = _bounds_from_log_highs(epsilon * ts_rep + log_ks, cs, lows)
-            results_full[rows_with, column] = np.minimum.reduceat(bounds, starts_with)
-    return results_full[kept]
+    ts_rep = ts.astype(np.float64)[rows]
+    # One (thresholds x epsilons) curve; each element is the same
+    # arithmetic as the per-vector curve, so broadcasting changes no bit.
+    log_highs = ts_rep[:, None] * np.asarray(epsilon_grid) + log_ks[:, None]
+    bounds = _bounds_from_log_highs(log_highs, cs[:, None], lows[:, None])
+    per_row = np.bincount(rows, minlength=num_rows)
+    with_thresholds = per_row > 0
+    starts = (np.cumsum(per_row) - per_row)[with_thresholds]
+    results[with_thresholds] = np.minimum.reduceat(bounds, starts, axis=0)
+    return results
 
 
 def _validate_bound_parameters(epsilon: float, t: int) -> None:
-    if epsilon < 0:
+    # ``not >=`` rejects NaN too; epsilon = inf is legal (the bound is 1.0).
+    if not epsilon >= 0:
         raise BoundError(f"epsilon must be non-negative, got {epsilon}")
     if t < 1:
         raise BoundError(f"edit count t must be >= 1, got {t}")
@@ -346,18 +308,26 @@ def _split_table(
 ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, int] | None":
     """Validated ``(thresholds, ks, cs, n)`` arrays for the tightest search.
 
-    Returns ``None`` when no threshold below ``u_max`` exists (all candidates
-    tie at the maximum). Caller-supplied thresholds are filtered to the valid
-    ``1 <= k < n`` / ``0 < c <= 1`` region, mirroring the skip conditions of
-    the historical scan loop.
+    Built from the vector's positive support plus its zero bucket, like
+    :func:`support_bounds`: one zero stands for the whole bucket, which
+    adds the threshold ``tau = 0`` with ``k = |support|`` and is never
+    above a threshold ``tau >= 0``. (A negative threshold has ``c > 1``
+    and is filtered out whatever its ``k``.) Returns ``None`` when no
+    threshold below ``u_max`` exists (all candidates tie at the maximum).
+    Caller-supplied thresholds are filtered to the valid ``1 <= k < n`` /
+    ``0 < c <= 1`` region, mirroring the skip conditions of the
+    historical scan loop.
     """
     if len(vector) < 2:
         raise BoundError("the bound needs at least two candidates")
-    values = vector.values
     u_max = vector.u_max
     if u_max <= 0:
         raise BoundError("the bound is undefined when all utilities are zero")
     n = len(vector)
+    _, values = vector.support()
+    values = values.astype(np.float64)
+    if vector.zero_count:
+        values = np.append(values, 0.0)
     if thresholds is None:
         taus, ks = threshold_splits(values, u_max)
         if taus.size == 0:

@@ -36,11 +36,8 @@ reconciliation after the summary) and ``--telemetry-out PATH`` to write
 the full dump — metrics snapshot, spans, and the privacy ledger — as
 JSON for ``repro-social metrics`` to read back.
 
-``figure`` and ``sweep`` accept ``--dtype {float64,float32}`` to pick
-the experiment engine's compute dtype (float64 is the bit-exact
-default; float32 halves dense memory under the documented tolerance
-contract). Serving always runs in float64, and every command sizes its
-own compute chunks from one byte budget (:mod:`repro.compute.plan`).
+Every command computes in float64 and sizes its own compute chunks
+from one byte budget (:mod:`repro.compute.plan`).
 
 Also runnable as ``python -m repro.cli ...``.
 """
@@ -52,7 +49,6 @@ import sys
 
 from .attacks.edge_inference import audit_privacy
 from .bounds.tradeoff import section_4_2_worked_example
-from .compute.plan import COMPUTE_DTYPES
 from .datasets import toy, twitter, wiki_vote
 from .experiments.figures import FIGURE_DRIVERS
 from .experiments.reporting import render_figure_table, render_table
@@ -97,7 +93,6 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     driver = FIGURE_DRIVERS[args.figure_id]
     kwargs: dict = {
         "scale": args.scale,
-        "dtype": args.dtype,
         "backend": args.backend,
         "nodes": args.nodes,
         "exponent": args.exponent,
@@ -145,12 +140,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         targets = sample_targets(
             graph, 0.2, max_targets=args.targets, seed=args.seed
         )
-        points = epsilon_sweep(
-            graph,
-            CommonNeighbors(),
-            targets,
-            dtype=args.dtype,
-        )
+        points = epsilon_sweep(graph, CommonNeighbors(), targets)
     finally:
         _close_cli_graph(graph)
     source = (
@@ -624,17 +614,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         time.sleep(args.interval)
 
 
-def _add_dtype_argument(subparser: argparse.ArgumentParser) -> None:
-    """The experiment engine's compute-dtype knob (figure and sweep)."""
-    subparser.add_argument(
-        "--dtype",
-        choices=COMPUTE_DTYPES,
-        default=None,
-        help="compute dtype of the dense kernel stages (float64 = exact "
-        "default; float32 = half-memory path with documented tolerance)",
-    )
-
-
 def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
     """The graph-backing knobs of the scale-capable commands."""
     from .datasets import DEFAULT_SYNTHETIC_EXPONENT
@@ -707,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--scale", type=float, default=0.1, help="replica scale in (0, 1]")
     figure.add_argument("--max-targets", type=int, default=None, dest="max_targets")
     figure.add_argument("--out", type=str, default=None, help="save result JSON here")
-    _add_dtype_argument(figure)
     _add_backend_arguments(figure)
     figure.set_defaults(func=_cmd_figure)
 
@@ -724,7 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--targets", type=int, default=40)
     sweep.add_argument("--seed", type=int, default=7)
     sweep.add_argument("--out", type=str, default=None)
-    _add_dtype_argument(sweep)
     _add_backend_arguments(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 

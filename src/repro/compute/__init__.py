@@ -1,14 +1,14 @@
 """Chunked compute layer: one kernel pipeline, run inline chunk by chunk.
 
 The paper's Section 7 measurements and the serving layer reduce to the
-same computation — per-target utility rows, candidate masks, and
+same computation — per-target utility rows, excluded ids, and
 mechanism kernels over them. This package is that computation's single
 home, split into small pieces:
 
 * :mod:`~repro.compute.kernels` — the canonical
-  ``batch_scores -> candidate_mask -> compact rows / UtilityVector``
-  stage (support-form rows for serving), shared by serving, the batched
-  experiment engine, and the parameter sweeps;
+  ``support_scores -> excluded rows -> positive supports`` stage
+  (support-form ``UtilityVector`` rows for serving, filtered flat
+  supports for the experiment engine and the parameter sweeps);
 * :mod:`~repro.compute.plan` — :class:`ComputePlan`, which splits a
   target list into chunks sized by one byte budget
   (:data:`~repro.compute.plan.CHUNK_BYTES`), so peak dense allocation is
@@ -34,24 +34,12 @@ from .incremental import (
     compute_edge_delta,
     patch_utility_vector,
 )
-from .kernels import (
-    CompactChunk,
-    fused_compact_rows,
-    utility_vectors,
-)
-from .plan import (
-    COMPUTE_DTYPES,
-    ComputePlan,
-    TargetChunk,
-    contiguous_node_range,
-    resolve_dtype,
-)
+from .kernels import utility_vectors
+from .plan import ComputePlan, TargetChunk, contiguous_node_range
 from .workspace import Workspace, get_workspace, reset_workspace
 
 __all__ = [
     "COMPONENTS_KEY",
-    "COMPUTE_DTYPES",
-    "CompactChunk",
     "ComputePlan",
     "EdgeScoreDelta",
     "TargetChunk",
@@ -59,10 +47,8 @@ __all__ = [
     "apply_edge_delta",
     "compute_edge_delta",
     "contiguous_node_range",
-    "fused_compact_rows",
     "get_workspace",
     "patch_utility_vector",
-    "resolve_dtype",
     "reset_workspace",
     "utility_vectors",
 ]

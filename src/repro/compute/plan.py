@@ -1,9 +1,9 @@
 """Chunking plans: bound peak dense allocation for batched pipelines.
 
-Every batched pipeline in this repo ultimately materializes per-target
-dense rows of width ``num_nodes`` (utility scores, candidate masks,
-walk-count components). Evaluating ``len(targets)`` targets in one shot
-therefore allocates ``len(targets) x num_nodes`` floats — fine for a
+A few batched stages materialize per-target dense rows of width
+``num_nodes`` (walk-count components, the gamma sweep's score rows, the
+default sparse score fill). Evaluating ``len(targets)`` targets in one
+shot would allocate ``len(targets) x num_nodes`` floats — fine for a
 figure run, fatal at the ROADMAP's millions-of-users scale. A
 :class:`ComputePlan` splits the target list into chunks of
 :func:`chunk_rows` targets, so a stage holding one chunk's dense
@@ -15,39 +15,24 @@ Plans are pure index arithmetic: a chunk is a ``[start, stop)`` window
 into the caller's target order. Callers run the chunks in order on the
 calling thread and concatenate the results, which — because every
 kernel stage is per-target independent — reproduces the unchunked
-output bit for bit, whatever the budget.
-
-A plan also carries the pipeline's *compute dtype*: the element type the
-dense kernel stages run at. ``float64`` (the default) keeps the engines
-bit-identical to the sequential reference; ``float32`` halves every dense
-buffer and is covered by the tolerance contract documented in
-DESIGN.md ("memory dataflow"). Only the experiment engine and the
-figure/sweep drivers take a dtype; serving always runs in float64.
-:func:`resolve_dtype` is the single normalization point, so
-``"float32"``, ``np.float32``, and ``np.dtype("float32")`` all mean the
-same plan.
+output bit for bit, whatever the budget. Every dense block is float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from ..errors import ComputeError
 
-#: Compute dtypes the kernel stages support. float64 is the bit-exact
-#: reference path; float32 is the opt-in half-memory path.
-COMPUTE_DTYPES = ("float32", "float64")
-
 #: Byte budget of one chunk's dense ``rows x num_nodes`` float64 block:
-#: every stage that allocates such a block (the experiment engine, the
-#: gamma sweep, a patching cache's component fill, the default
-#: ``UtilityFunction.support_scores``) takes :func:`chunk_rows` targets at
-#: a time. Small enough that the workspace buffers the engine streams
-#: through stay cache-resident (faster than one all-targets pass on
-#: replica-scale graphs). Read at call time.
+#: every stage that allocates such a block (the gamma sweep, a patching
+#: cache's component fill, the default ``UtilityFunction.support_scores``)
+#: takes :func:`chunk_rows` targets at a time. Small enough that the
+#: workspace buffers those stages stream through stay cache-resident.
+#: Read at call time.
 CHUNK_BYTES = 4_000_000
 
 
@@ -55,28 +40,6 @@ def chunk_rows(num_nodes: int) -> int:
     """Targets per chunk on a ``num_nodes`` graph: the most whose float64
     ``rows x num_nodes`` block fits in :data:`CHUNK_BYTES`, at least one."""
     return max(1, CHUNK_BYTES // (8 * max(1, int(num_nodes))))
-
-
-def resolve_dtype(spec) -> np.dtype:
-    """Normalize a compute-dtype spec to a ``np.dtype``.
-
-    Accepts ``None`` (the float64 default), the strings of
-    :data:`COMPUTE_DTYPES`, or anything ``np.dtype`` accepts — but only
-    resolves to one of the two supported compute dtypes; anything else
-    raises :class:`~repro.errors.ComputeError` so a typo'd config fails
-    at plan time, not deep inside a kernel.
-    """
-    if spec is None:
-        return np.dtype(np.float64)
-    try:
-        dtype = np.dtype(spec)
-    except TypeError as exc:
-        raise ComputeError(f"cannot resolve compute dtype from {spec!r}: {exc}") from None
-    if dtype.name not in COMPUTE_DTYPES:
-        raise ComputeError(
-            f"unsupported compute dtype {dtype.name!r}; known: {COMPUTE_DTYPES}"
-        )
-    return dtype
 
 
 def contiguous_node_range(targets: np.ndarray) -> "tuple[int, int] | None":
@@ -129,21 +92,14 @@ class ComputePlan:
     num_nodes:
         Width of the dense rows the chunks materialize; every chunk but
         the last holds :func:`chunk_rows` targets.
-    dtype:
-        Compute dtype of the dense kernel stages (anything
-        :func:`resolve_dtype` accepts; ``None`` means float64). Chunk
-        geometry is dtype-independent; the plan just carries the choice
-        to the kernels so one object describes the whole dense layout.
     """
 
     num_items: int
     num_nodes: int
-    dtype: "np.dtype | str | None" = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.num_items < 0:
             raise ComputeError(f"num_items must be >= 0, got {self.num_items}")
-        object.__setattr__(self, "dtype", resolve_dtype(self.dtype))
 
     @property
     def num_chunks(self) -> int:

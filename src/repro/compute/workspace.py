@@ -1,11 +1,11 @@
 """Reusable dense buffers for the batched numeric core.
 
-Every chunk of the batched pipelines materializes the same family of
-dense temporaries — ``(chunk, n)`` score rows, candidate masks, flat
-candidate values, softmax exponents, Laplace noise blocks. Before this
-module existed each stage allocated them fresh per chunk (and some per
-*row*), so a scale-1.0 experiment run spent a large share of its wall
-clock inside the allocator and peaked far above its working set. A
+The stages that still hold dense temporaries — a patching cache's
+component fill (``(chunk, n)`` score rows and candidate masks), the gamma
+sweep's recombined score rows, Laplace noise blocks — take them from
+here instead of allocating them fresh per chunk (or per *row*), which
+once made a scale-1.0 experiment run spend a large share of its wall
+clock inside the allocator and peak far above its working set. A
 :class:`Workspace` is a small keyed arena that ends that churn: each
 logical buffer is requested by name via :meth:`Workspace.take`, which
 hands back a view into a capacity-grown flat array — the first request

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 
-from ..compute.plan import COMPUTE_DTYPES
 from ..errors import ExperimentError
 
 #: Names the runner understands for the ``dataset`` field.
@@ -29,11 +28,8 @@ class ExperimentConfig:
     Defaults mirror the paper: 10% targets on Wiki-vote, 1% on Twitter,
     1,000 Laplace trials, weighted paths truncated at length 3.
     ``scale`` and ``max_targets`` exist so test/benchmark runs finish in
-    seconds; the full-paper setting is ``scale=1.0, max_targets=None``.
-    ``dtype`` selects the engine's compute dtype:
-    ``"float64"`` (default) is bit-identical to the sequential
-    evaluator, ``"float32"`` halves dense memory under the tolerance
-    contract documented in DESIGN.md ("memory dataflow").
+    seconds; the full-paper setting is ``scale=1.0, max_targets=None``
+    (a cap, when set, must be at least 1).
 
     ``backend`` picks the graph's backing store: ``"heap"`` (classic
     per-node sets), ``"shm"`` (POSIX shared memory, flat CSR arrays), or
@@ -55,7 +51,6 @@ class ExperimentConfig:
     laplace_trials: int = 1_000
     include_laplace: bool = True
     seed: int = 7
-    dtype: str = "float64"
     backend: str = "heap"
     nodes: "int | None" = None
     exponent: float = 2.2
@@ -81,12 +76,10 @@ class ExperimentConfig:
             raise ExperimentError(
                 f"target_fraction must be in (0, 1], got {self.target_fraction}"
             )
+        if self.max_targets is not None and not self.max_targets >= 1:
+            raise ExperimentError(f"max_targets must be >= 1, got {self.max_targets}")
         if self.laplace_trials < 1:
             raise ExperimentError(f"laplace_trials must be >= 1, got {self.laplace_trials}")
-        if self.dtype not in COMPUTE_DTYPES:
-            raise ExperimentError(
-                f"unknown dtype {self.dtype!r}; known: {COMPUTE_DTYPES}"
-            )
         if self.backend not in KNOWN_BACKENDS:
             raise ExperimentError(
                 f"unknown backend {self.backend!r}; known: {KNOWN_BACKENDS}"

@@ -13,9 +13,9 @@ the paper plots:
 ``scale``/``max_targets`` default to CI-friendly values; pass ``scale=1.0,
 max_targets=None`` for the full-size replicas. Laplace series are included
 when ``include_laplace=True`` so the Section 7.2 "Laplace ~= Exponential"
-observation can be read off the same result object. ``dtype``,
-``backend``, ``nodes`` and ``exponent`` override the config, mirroring
-the CLI's flags.
+observation can be read off the same result object. ``backend``,
+``nodes`` and ``exponent`` override the config, mirroring the CLI's
+flags.
 """
 
 from __future__ import annotations
@@ -40,23 +40,20 @@ from .runner import ExperimentRun, build_graph, mechanism_key, run_experiment
 
 def _with_overrides(
     config: ExperimentConfig,
-    dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
 ) -> ExperimentConfig:
-    """Apply only explicitly requested dtype/backend overrides.
+    """Apply only explicitly requested backend/dataset overrides.
 
     ``None`` means "keep the config's own value" — an explicitly passed
-    ``config`` with ``dtype="float32"`` must not be silently reset to
-    float64 by the drivers' parameter defaults.
+    ``config`` with ``backend="shm"`` must not be silently reset to the
+    heap by the drivers' parameter defaults.
     ``nodes`` swaps the dataset for the synthetic power-law builder at
     that size (the figure then reads on synthetic data rather than the
     paper replica — a scale study, not a paper reproduction).
     """
     overrides: dict = {}
-    if dtype is not None:
-        overrides["dtype"] = dtype
     if backend is not None:
         overrides["backend"] = backend
     if nodes is not None:
@@ -121,7 +118,6 @@ def figure_1a(
     max_targets: "int | None" = 150,
     include_laplace: bool = False,
     config: "ExperimentConfig | None" = None,
-    dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
@@ -129,7 +125,7 @@ def figure_1a(
     """Figure 1(a): common neighbors on Wiki-vote, eps in {0.5, 1}."""
     if config is None:
         config = paper_config_figure_1a(scale=scale, max_targets=max_targets)
-    config = _with_overrides(config, dtype, backend, nodes, exponent)
+    config = _with_overrides(config, backend, nodes, exponent)
     run = run_experiment(config)
     return _cdf_figure(
         run,
@@ -144,7 +140,6 @@ def figure_1b(
     max_targets: "int | None" = 150,
     include_laplace: bool = False,
     config: "ExperimentConfig | None" = None,
-    dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
@@ -152,7 +147,7 @@ def figure_1b(
     """Figure 1(b): common neighbors on Twitter, eps in {1, 3}."""
     if config is None:
         config = paper_config_figure_1b(scale=scale, max_targets=max_targets)
-    config = _with_overrides(config, dtype, backend, nodes, exponent)
+    config = _with_overrides(config, backend, nodes, exponent)
     run = run_experiment(config)
     return _cdf_figure(
         run,
@@ -216,7 +211,6 @@ def figure_2a(
     max_targets: "int | None" = 150,
     gammas: tuple[float, ...] = (0.0005, 0.05),
     include_laplace: bool = False,
-    dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
@@ -225,7 +219,6 @@ def figure_2a(
     configs = [
         _with_overrides(
             paper_config_figure_2a(gamma, scale=scale, max_targets=max_targets),
-            dtype,
             backend,
             nodes,
             exponent,
@@ -245,7 +238,6 @@ def figure_2b(
     max_targets: "int | None" = 150,
     gammas: tuple[float, ...] = (0.0005, 0.05),
     include_laplace: bool = False,
-    dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
@@ -254,7 +246,6 @@ def figure_2b(
     configs = [
         _with_overrides(
             paper_config_figure_2b(gamma, scale=scale, max_targets=max_targets),
-            dtype,
             backend,
             nodes,
             exponent,
@@ -274,7 +265,6 @@ def figure_2c(
     max_targets: "int | None" = 300,
     bins_per_decade: int = 3,
     config: "ExperimentConfig | None" = None,
-    dtype: "str | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
@@ -282,7 +272,7 @@ def figure_2c(
     """Figure 2(c): accuracy vs. degree, Wiki-vote, common neighbors, eps = 0.5."""
     if config is None:
         config = paper_config_figure_2c(scale=scale, max_targets=max_targets)
-    config = _with_overrides(config, dtype, backend, nodes, exponent)
+    config = _with_overrides(config, backend, nodes, exponent)
     run = run_experiment(config)
     eps = config.epsilons[0]
     bins = accuracy_by_degree(

@@ -153,7 +153,6 @@ def run_experiment(
             bound_epsilons=tuple(config.epsilons),
             seed=config.seed + 1,
             laplace_trials=config.laplace_trials,
-            dtype=config.dtype,
         )
         num_nodes, num_edges = graph.num_nodes, graph.num_edges
     finally:

@@ -18,7 +18,9 @@ The gamma sweep has its own chunk kernel on the shared
 :mod:`repro.compute` stages because it saves real work: the length-``l``
 walk matrices are gamma-independent, so each chunk computes them once
 (:func:`~repro.graphs.traversal.batch_walk_matrices`) and only the cheap
-gamma recombination runs per decay value. Both run in
+gamma recombination runs per decay value; each recombined score block is
+then sparsified into the engine's flat support rows and accuracy kernel.
+Those walk matrices are dense, so the gamma sweep runs in
 :class:`~repro.compute.plan.ComputePlan` chunks sized by the one byte
 budget, and per-target results are concatenated in target order before
 aggregating, so every budget produces bit-identical sweep points.
@@ -30,15 +32,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scipy import sparse
+
 from ..accuracy.batch import evaluate_targets_batched
-from ..compute.kernels import candidate_mask_rows, checked_targets, fused_compact_rows
+from ..compute.kernels import checked_targets, excluded_rows, footnote10_support
 from ..compute.plan import ComputePlan
 from ..compute.workspace import get_workspace
 from ..errors import ExperimentError
 from ..graphs.graph import SocialGraph
 from ..graphs.traversal import batch_walk_matrices
 from ..mechanisms.exponential import ExponentialMechanism
-from ..utility.base import UtilityFunction
+from ..utility.base import UtilityFunction, support_rows
 from ..utility.weighted_paths import WeightedPaths
 from .results import FigureResult, Series
 
@@ -59,14 +63,13 @@ def epsilon_sweep(
     utility: UtilityFunction,
     targets: "list[int] | np.ndarray",
     epsilons: "tuple[float, ...]" = (0.1, 0.25, 0.5, 1.0, 2.0, 3.0, 5.0),
-    dtype=None,
 ) -> list[SweepPoint]:
     """Exponential-mechanism accuracy and Corollary 1 bound vs. epsilon.
 
     One engine pass serves the whole epsilon grid: per epsilon the
-    accuracies are one exact batch-softmax kernel and the bounds one
+    accuracies are one flat support kernel and the bounds one
     vectorized Corollary 1 curve over each target's shared threshold
-    table. ``dtype`` is the engine's; the float64 default is exact.
+    table.
     """
     if not epsilons or any(e <= 0 for e in epsilons):
         raise ExperimentError(f"epsilons must be positive, got {epsilons}")
@@ -79,7 +82,7 @@ def epsilon_sweep(
     }
     evaluations = evaluate_targets_batched(
         graph, utility, targets, mechanisms,
-        bound_epsilons=epsilon_grid, dtype=dtype,
+        bound_epsilons=epsilon_grid,
     )
     if not evaluations:
         raise ExperimentError("no target with non-zero utility in the sample")
@@ -103,32 +106,26 @@ def _gamma_chunk(graph, targets, gammas, sensitivities, epsilon, max_length):
     """Per-chunk gamma-sweep kernel: one accuracy array per gamma value.
 
     The chunk's walk matrices are computed once and recombined per gamma;
-    deterministic and per-target independent, so chunking cannot change
+    each recombined block is sparsified into flat support rows for the
+    footnote-10 filter and the exponential mechanism's support kernel.
+    Deterministic and per-target independent, so chunking cannot change
     any value. Sensitivities arrive precomputed — they are graph-level
     (one ``max_degree`` scan each), so chunks must not redo them.
     """
-    workspace = get_workspace()
     walk_matrices = batch_walk_matrices(graph, targets, max_length)
-    mask = candidate_mask_rows(graph, targets, workspace=workspace)
-    # A sweep-owned key: the kernel layer's "kernel.*" namespace is its
-    # aliasing protection, and borrowing "kernel.scores64" here would
-    # silently overwrite these scores if this chunk ever also called
-    # score_rows on the same workspace.
-    scores_buffer = workspace.take(
+    excluded = excluded_rows(graph, targets)
+    num_candidates = graph.num_nodes - np.diff(excluded.indptr)
+    scores_buffer = get_workspace().take(
         "sweep.gamma_scores", (targets.size, graph.num_nodes), np.float64
     )
     columns = []
     for gamma, sensitivity in zip(gammas, sensitivities):
         utility = WeightedPaths(gamma=gamma, max_length=max_length)
         scores = utility.combine_walk_matrices(walk_matrices, targets, out=scores_buffer)
-        chunk = fused_compact_rows(scores, mask, workspace=workspace)
-        if chunk.kept.size == 0:
-            columns.append(np.empty(0, dtype=np.float64))
-            continue
+        _, values, offsets = support_rows(sparse.csr_matrix(scores), excluded)
+        _, values, offsets, zeros = footnote10_support(values, offsets, num_candidates)
         mechanism = ExponentialMechanism(epsilon, sensitivity=sensitivity)
-        columns.append(
-            mechanism.expected_accuracy_compact(chunk.compact, workspace=workspace)
-        )
+        columns.append(mechanism.support_accuracies(values, offsets, zeros))
     return columns
 
 

@@ -22,39 +22,13 @@ costs O(support), not O(num_nodes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import MechanismError
 from ..telemetry import runtime as telemetry_runtime
 from ..utility.base import UtilityVector
-from .base import PrivateMechanism, register_mechanism
-
-
-@dataclass(frozen=True)
-class CompactRows:
-    """Candidate entries of a masked utility matrix, compacted row-major.
-
-    The epsilon-independent half of the batched softmax-accuracy kernel:
-    building it once lets a whole mechanism grid (one mechanism per epsilon)
-    reuse the flat candidate values, per-row boundaries, per-row maxima and
-    pre-divided ``values / u_max`` array. Produced by
-    :func:`repro.compute.kernels.fused_compact_rows` (workspace-backed
-    views valid for the current chunk only); its rows are exactly the
-    footnote-10 survivors, each with at least two candidates and a
-    positive maximum.
-    """
-
-    flat: np.ndarray      #: candidate utilities, rows concatenated in order
-    counts: np.ndarray    #: candidates per row
-    offsets: np.ndarray   #: ``counts`` cumulated; ``len(rows) + 1`` entries
-    scaled: np.ndarray    #: ``flat / u_max`` per row (accuracy denominators)
-    u_maxes: np.ndarray   #: per-row maxima (also feed the Corollary 1 search)
-
-    @property
-    def num_rows(self) -> int:
-        return int(self.counts.size)
+from .base import DEFAULT_TRIALS, PrivateMechanism, register_mechanism
 
 
 @register_mechanism
@@ -66,7 +40,7 @@ class ExponentialMechanism(PrivateMechanism):
     def probabilities(self, vector: UtilityVector) -> np.ndarray:
         # Always float64: the scalar paths (recommend's rng.choice validates
         # that probabilities sum to 1 within float64 tolerance) must not
-        # inherit a float32 cache entry's rounding.
+        # inherit a float32 row's rounding.
         values = np.asarray(vector.values, dtype=np.float64)
         exponents = (self._epsilon / self.sensitivity) * values
         exponents -= exponents.max()  # numerical stability; shift cancels
@@ -85,67 +59,72 @@ class ExponentialMechanism(PrivateMechanism):
         log_normalizer = np.log(np.exp(shifted).sum()) + exponents.max()
         return exponents - log_normalizer
 
-    def expected_accuracy_compact(
-        self, compact: CompactRows, workspace=None
+    def expected_accuracy(
+        self,
+        vector: UtilityVector,
+        seed: "int | np.random.Generator | None" = None,
+        trials: int = DEFAULT_TRIALS,
+    ) -> float:
+        """Exact ``E[u of recommendation] / u_max``: the one-row case of
+        :meth:`support_accuracies`, on the vector's positive support and
+        zero-bucket size. ``seed`` and ``trials`` are unused (the value is
+        closed-form)."""
+        if len(vector) == 0:
+            raise MechanismError("cannot evaluate accuracy on an empty candidate set")
+        if vector.u_max <= 0.0:
+            raise MechanismError(
+                "accuracy undefined when all utilities are zero "
+                "(the paper drops such targets; see UtilityVector.has_signal)"
+            )
+        _, values = vector.support()
+        return float(
+            self.support_accuracies(values, [0, values.size], [vector.zero_count])[0]
+        )
+
+    def support_accuracies(
+        self,
+        values: np.ndarray,
+        offsets: "np.ndarray | list[int]",
+        zeros: "np.ndarray | list[int]",
     ) -> np.ndarray:
-        """Exact expected accuracy for every row of a :class:`CompactRows`.
+        """Exact expected accuracy of many rows from their positive supports.
 
-        Row ``j``'s value equals :meth:`expected_accuracy` on that row's
-        utility vector, bit for bit. The compact form is
-        epsilon-independent, so an epsilon grid of mechanisms (the
-        experiment engine's common case) builds it once and each mechanism
-        only pays its own exponent pass here.
+        Row ``j``'s positive utilities are ``values[offsets[j]:offsets[j +
+        1]]`` (non-empty, rows concatenated) and ``zeros[j]`` more
+        candidates score zero. With ``s = epsilon / Delta f``, the row's
+        maximum ``u_max``, the shift ``m = s u_max`` and the support
+        weights ``w_i = e^{s u_i - m}``, the accuracy is
 
-        The row-wise stabilized softmax is organized so the expensive
-        transcendental work is one flat vectorized pass: the per-row
-        exponent shift comes from one ``maximum.reduceat`` and a single
-        ``np.exp`` covers every candidate of every row. The final
-        normalize-and-dot runs per row on contiguous slices because
-        NumPy's pairwise summation is sensitive to element placement:
-        summing a zero-padded row (or ``add.reduceat``, which accumulates
-        sequentially) would regroup the partials and drift from the
-        sequential evaluator by an ulp, and the engine's contract is exact
-        agreement, not closeness.
+        ``sum_i w_i (u_i / u_max) / (sum_i w_i + |Z| e^{-m})``:
 
-        ``workspace`` (any object with a ``take(key, shape, dtype)``
-        method, see :class:`repro.compute.workspace.Workspace`) lands the
-        exponent array — the kernel's one full-width temporary — in a
-        reused buffer; the arithmetic is unchanged, so the result is
-        bit-for-bit the same with or without a workspace.
+        a zero-utility candidate adds ``e^{-m}`` to the softmax
+        denominator and nothing to the numerator, so the whole bucket is
+        one closed-form term. This is an exact rewrite of the paper's
+        ``sum_i p_i u_i / u_max`` over all candidates; it rounds
+        differently from normalizing first, and tests hold it to a dense
+        ``math.fsum`` reference.
 
-        Runs at ``compact.flat``'s dtype: float64 keeps the exact
-        sequential contract; float32 is the documented-tolerance compute
-        path.
+        One flat pass per step over every row: one ``np.exp`` for all
+        support entries and one pairwise ``add.reduceat`` per sum, whose
+        per-segment result depends only on the segment, so a row's value
+        is the same alone (:meth:`expected_accuracy`) or among others (the
+        experiment engine). Arithmetic is float64 for float32 input too.
         """
-        if compact.num_rows == 0:
+        values = np.asarray(values, dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        if values.size == 0:
             return np.empty(0, dtype=np.float64)
-        flat, counts, offsets = compact.flat, compact.counts, compact.offsets
+        starts, counts = offsets[:-1], np.diff(offsets)
+        u_maxes = np.maximum.reduceat(values, starts)
         scale = self._epsilon / self.sensitivity
-        if workspace is None:
-            exponents = scale * flat
-        else:
-            exponents = workspace.take("expmech.exponents", flat.shape, flat.dtype)
-            np.multiply(flat, scale, out=exponents)
-        shifts = np.maximum.reduceat(exponents, offsets[:-1])
-        # np.repeat for the per-row broadcasts: it is a sequential fill an
-        # order of magnitude faster than a gather (np.take) of the same
-        # size, and its two small temporaries per call are the price of
-        # keeping this kernel's arithmetic identical in both modes.
+        shifts = scale * u_maxes
+        exponents = scale * values
         exponents -= np.repeat(shifts, counts)
         weights = np.exp(exponents, out=exponents)
-        scaled = compact.scaled
-        # Normalizer sums run per row (pairwise summation must see exactly
-        # the per-vector slice), but the normalization itself is one flat
-        # in-place division with the row sum broadcast back over each slice.
-        sums = np.empty(compact.num_rows, dtype=flat.dtype)
-        for row in range(compact.num_rows):
-            sums[row] = weights[offsets[row]:offsets[row + 1]].sum()
-        probabilities = np.divide(weights, np.repeat(sums, counts), out=weights)
-        accuracies = np.empty(compact.num_rows, dtype=flat.dtype)
-        for row in range(compact.num_rows):
-            start, end = offsets[row], offsets[row + 1]
-            accuracies[row] = np.dot(probabilities[start:end], scaled[start:end])
-        return accuracies
+        denominators = np.add.reduceat(weights, starts)
+        denominators += np.asarray(zeros, dtype=np.float64) * np.exp(-shifts)
+        weights *= values / np.repeat(u_maxes, counts)
+        return np.add.reduceat(weights, starts) / denominators
 
     def recommend_vectors(
         self,

@@ -26,9 +26,9 @@ from ..graphs.graph import SocialGraph
 def _checked_utilities(values, where=True) -> np.ndarray:
     """``values`` as a float array, rejecting negative and non-finite entries.
 
-    Only entries selected by ``where`` are checked. float32 is a supported
-    compute dtype (see repro.compute.plan) and survives packaging;
-    everything else normalizes to float64. NaN fails every comparison, so
+    Only entries selected by ``where`` are checked. float32 rows survive
+    packaging (a caller's own float32 utilities stay float32); everything
+    else normalizes to float64. NaN fails every comparison, so
     the finiteness check runs on the extremes before the sign check can
     silently pass it.
     """
@@ -43,6 +43,51 @@ def _checked_utilities(values, where=True) -> np.ndarray:
         if low < 0:
             raise UtilityError("utilities must be non-negative")
     return values
+
+
+def support_rows(
+    scores: sparse.csr_matrix, excluded: sparse.csr_matrix
+) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """Every row's positive-utility support, rows concatenated.
+
+    Row ``j`` of the two ``(rows, num_nodes)`` CSR matrices belongs to
+    one target: ``scores`` holds its explicit entries (every unlisted
+    node scores zero) and the pattern of ``excluded`` marks its excluded
+    ids (the target and its links). Both are put in canonical form in
+    place. As in :meth:`UtilityFunction.utility_vector`, scores at
+    excluded ids are ignored and the remaining ones must be finite and
+    non-negative (:class:`~repro.errors.UtilityError` otherwise).
+
+    Returns ``(ids, values, offsets)``: row ``j``'s positive utilities
+    are ``values[offsets[j]:offsets[j + 1]]`` at the ascending ``ids`` of
+    the same slice. Every other candidate of the row scores zero, so its
+    zero bucket holds ``num_nodes - excluded - support`` candidates. The
+    one builder of support rows: serving's
+    :meth:`UtilityVector.from_support_rows`, the experiment engine and
+    the gamma sweep all read their rows through it.
+    """
+    rows, num_nodes = scores.shape
+    if excluded.shape != scores.shape:
+        raise UtilityError(
+            f"score and excluded rows must match, got {scores.shape} and "
+            f"{excluded.shape}"
+        )
+    scores.sum_duplicates()
+    excluded.sum_duplicates()
+    # Flat (row, id) keys, unique and ascending: rows in order, ids
+    # sorted within. Excluded keys are few, so they are the queries.
+    row_starts = np.arange(rows, dtype=np.int64) * num_nodes
+    keys = np.repeat(row_starts, np.diff(scores.indptr)) + scores.indices
+    excluded_keys = np.repeat(row_starts, np.diff(excluded.indptr)) + excluded.indices
+    keep = np.ones(keys.size, dtype=bool)
+    if keys.size:
+        slots = np.minimum(np.searchsorted(keys, excluded_keys), keys.size - 1)
+        keep[slots[keys[slots] == excluded_keys]] = False
+    data = _checked_utilities(scores.data, where=keep)
+    keep &= data > 0
+    offsets = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=offsets[1:])
+    return scores.indices[keep].astype(np.int64), data[keep], offsets[scores.indptr]
 
 
 def _sorted_ids(ids, name: str, num_nodes: int) -> np.ndarray:
@@ -152,43 +197,19 @@ class UtilityVector:
         """Support-form vectors for many targets from sparse score rows.
 
         Row ``j`` of the ``(len(targets), num_nodes)`` CSR matrices
-        belongs to ``targets[j]``: ``scores`` holds its explicit entries
-        (every unlisted node scores zero) and the pattern of ``excluded``
-        marks its excluded ids (the target and its links). Both are put
-        in canonical form in place. As in
-        :meth:`UtilityFunction.utility_vector`, scores at excluded ids are
-        ignored and the remaining ones must be finite and non-negative —
-        checked once for all rows. Zero scores join the zero bucket with
-        every unlisted candidate, so each stored support holds positive
-        utilities only. Each vector owns its arrays.
+        belongs to ``targets[j]``; :func:`support_rows` states the rules
+        and checks every row's utilities at once. Zero scores join the
+        zero bucket with every unlisted candidate, so each stored support
+        holds positive utilities only. Each vector owns its arrays.
         """
         targets = np.asarray(targets, dtype=np.int64)
-        rows, num_nodes = scores.shape
-        if excluded.shape != scores.shape or targets.shape != (rows,):
+        if targets.shape != (scores.shape[0],):
             raise UtilityError(
-                f"{targets.shape} targets need score and excluded rows of matching "
-                f"shape, got {scores.shape} and {excluded.shape}"
+                f"{targets.shape} targets need {scores.shape[0]} score rows"
             )
-        scores.sum_duplicates()
-        excluded.sum_duplicates()
-        # Flat (row, id) keys, unique and ascending: rows in order, ids
-        # sorted within. Excluded keys are few, so they are the queries.
-        keys = np.repeat(np.arange(rows) * num_nodes, np.diff(scores.indptr)) + scores.indices
-        excluded_keys = (
-            np.repeat(np.arange(rows) * num_nodes, np.diff(excluded.indptr))
-            + excluded.indices
-        )
-        keep = np.ones(keys.size, dtype=bool)
-        if keys.size:
-            slots = np.minimum(np.searchsorted(keys, excluded_keys), keys.size - 1)
-            keep[slots[keys[slots] == excluded_keys]] = False
-        data = _checked_utilities(scores.data, where=keep)
-        keep &= data > 0
-        support = scores.indices[keep].astype(np.int64)
-        values = data[keep]
-        kept_before = np.zeros(keep.size + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept_before[1:])
-        bounds = kept_before[scores.indptr].tolist()
+        support, values, offsets = support_rows(scores, excluded)
+        num_nodes = scores.shape[1]
+        bounds = offsets.tolist()
         cuts = excluded.indptr.tolist()
         excluded_ids = excluded.indices.astype(np.int64)
         vectors = []
@@ -422,17 +443,15 @@ class UtilityFunction(abc.ABC):
         CommonNeighbors`) override it with one sparse matrix product, which
         is what makes the serving layer's batched hot path fast. ``out``,
         when given, must be a float64 ``(len(targets), num_nodes)`` array
-        (typically a workspace buffer) and receives the rows in place;
-        scores are always *computed* in float64 — a float32 compute path
-        rounds afterwards, in one place, at the kernel layer.
+        (typically a workspace buffer) and receives the rows in place.
         """
         targets = np.asarray(targets, dtype=np.int64)
-        matrix = self._score_rows_out(out, targets.size, graph.num_nodes)
+        matrix = self._batch_scores_out(out, targets.size, graph.num_nodes)
         for row, target in enumerate(targets):
             matrix[row] = self.scores(graph, int(target))
         return matrix
 
-    def _score_rows_out(
+    def _batch_scores_out(
         self, out: "np.ndarray | None", num_rows: int, num_nodes: int
     ) -> np.ndarray:
         """Validate (or allocate) the output block for ``batch_scores``."""
@@ -450,10 +469,11 @@ class UtilityFunction(abc.ABC):
     ) -> sparse.csr_matrix:
         """Raw scores for many targets as a sparse float64 CSR matrix.
 
-        The input of the support-form serving kernel
-        (:func:`repro.compute.kernels.utility_vectors`): row ``j`` holds
-        every non-zero score of ``targets[j]`` (entries for the target or
-        its links may appear; the kernel ignores them). This default
+        The input of every support-row consumer (:func:`support_rows`:
+        serving's :func:`repro.compute.kernels.utility_vectors` and the
+        experiment engine): row ``j`` holds every non-zero score of
+        ``targets[j]`` (entries for the target or its links may appear;
+        the builder ignores them). This default
         sparsifies dense :meth:`batch_scores` blocks one
         :class:`~repro.compute.plan.ComputePlan` chunk at a time, so the
         transient block stays within the byte budget; utilities with a
@@ -566,7 +586,7 @@ class UtilityFunction(abc.ABC):
         """Vectorized :meth:`experimental_t` over parallel per-target arrays.
 
         The Section 7.1 closed forms depend only on ``u_max`` and the
-        target degree, so the fused experiment engine computes every
+        target degree, so the experiment engine computes every
         ``t`` in one array expression and skips materializing
         :class:`UtilityVector` objects entirely when no mechanism needs
         them. Returns ``None`` (the default) when only the per-vector

@@ -59,7 +59,7 @@ class CommonNeighbors(UtilityFunction):
         temporary that used to be allocated per chunk.
         """
         targets = np.asarray(targets, dtype=np.int64)
-        counts = self._score_rows_out(out, targets.size, graph.num_nodes)
+        counts = self._batch_scores_out(out, targets.size, graph.num_nodes)
         counts.fill(0.0)
         self.support_scores(graph, targets).toarray(out=counts)
         counts[np.arange(targets.size), targets] = 0.0
@@ -110,7 +110,7 @@ class CommonNeighbors(UtilityFunction):
         targets: np.ndarray,
         out: "np.ndarray | None" = None,
     ) -> np.ndarray:
-        matrix = self._score_rows_out(out, *components[0].shape)
+        matrix = self._batch_scores_out(out, *components[0].shape)
         if matrix is not components[0]:
             np.copyto(matrix, components[0])
         return matrix

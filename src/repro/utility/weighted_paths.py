@@ -94,7 +94,7 @@ class WeightedPaths(UtilityFunction):
                 f"got {len(walk_matrices)}"
             )
         targets = np.asarray(targets, dtype=np.int64)
-        total = self._score_rows_out(out, *walk_matrices[0].shape)
+        total = self._batch_scores_out(out, *walk_matrices[0].shape)
         total.fill(0.0)
         for length in range(2, self.max_length + 1):
             total += (self.gamma ** (length - 2)) * walk_matrices[length - 1]
@@ -150,7 +150,7 @@ class WeightedPaths(UtilityFunction):
                 f"got {len(components)} matrices"
             )
         targets = np.asarray(targets, dtype=np.int64)
-        total = self._score_rows_out(out, *components[0].shape)
+        total = self._batch_scores_out(out, *components[0].shape)
         total.fill(0.0)
         for index, length in enumerate(range(2, self.max_length + 1)):
             total += (self.gamma ** (length - 2)) * components[index]

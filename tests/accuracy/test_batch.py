@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.accuracy.batch import STAGE_NAMES, evaluate_targets_batched
 from repro.compute import plan
 from repro.accuracy.evaluator import evaluate_targets
-from repro.errors import UtilityError
+from repro.errors import BoundError, UtilityError
 from repro.graphs.generators import erdos_renyi_gnp
 from repro.graphs.graph import SocialGraph
 from repro.mechanisms.best import BestMechanism, UniformMechanism
@@ -180,29 +180,85 @@ def test_default_chunk_keeps_dense_block_within_budget(num_nodes):
     assert (chunk + 1) * num_nodes * 8 > plan.CHUNK_BYTES
 
 
-def test_default_chunk_bounds_every_dense_stage(monkeypatch):
-    """The engine splits targets by the byte budget: shrink the budget
-    to three rows and no scoring call may see more than three targets,
-    while the evaluations stay unchanged."""
+def test_engine_builds_no_dense_block(monkeypatch):
+    """The engine reads support rows only: with the dense score fill and
+    the dense candidate mask both unavailable it still equals the
+    sequential evaluator."""
+    import repro.compute.kernels as kernels
+
     graph = erdos_renyi_gnp(30, 0.2, seed=4)
     utility = CommonNeighbors()
     mechanisms = make_mechanisms(utility, graph)
     kwargs = dict(bound_epsilons=(1.0,), seed=5, laplace_trials=20)
-    reference = evaluate_targets_batched(
-        graph, utility, range(30), mechanisms, **kwargs
-    )
-    seen: list[int] = []
-    original = CommonNeighbors.batch_scores
+    reference = evaluate_targets(graph, utility, range(30), mechanisms, **kwargs)
 
-    def spying(self, graph, batch_targets, out=None):
-        seen.append(len(np.asarray(batch_targets)))
-        return original(self, graph, batch_targets, out=out)
+    def dense(*args, **kwargs):
+        raise AssertionError("the engine built a rows x num_nodes block")
 
-    monkeypatch.setattr(plan, "CHUNK_BYTES", 3 * 8 * graph.num_nodes)
-    monkeypatch.setattr(CommonNeighbors, "batch_scores", spying)
+    monkeypatch.setattr(CommonNeighbors, "batch_scores", dense)
+    monkeypatch.setattr(kernels, "candidate_mask", dense)
     result = evaluate_targets_batched(graph, utility, range(30), mechanisms, **kwargs)
     assert result == reference
-    assert seen and max(seen) <= 3 and sum(seen) == 30
+
+
+class _CorruptedCommonNeighbors(CommonNeighbors):
+    """Common neighbours with one candidate's score replaced by ``bad``."""
+
+    def __init__(self, bad: float) -> None:
+        self.bad = bad
+
+    def _corrupt(self, graph, target: int) -> int:
+        candidates = np.flatnonzero(
+            ~np.isin(np.arange(graph.num_nodes), list(graph.out_neighbors(target)) + [target])
+        )
+        return int(candidates[0])
+
+    def scores(self, graph, target):
+        counts = super().scores(graph, target)
+        counts[self._corrupt(graph, target)] = self.bad
+        return counts
+
+    def support_scores(self, graph, targets):
+        rows = super().support_scores(graph, targets).tolil()
+        for row, target in enumerate(np.asarray(targets)):
+            rows[row, self._corrupt(graph, int(target))] = self.bad
+        return rows.tocsr()
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf], ids=["nan", "negative", "inf"])
+def test_bad_utilities_raise_the_same_error_in_both_engines(bad):
+    """Regression: with closed-form mechanisms only, the engine used to
+    skip the utility check, returning accuracies for NaN and negative
+    scores and a BoundError for +inf."""
+    graph = erdos_renyi_gnp(20, 0.25, seed=2)
+    utility = _CorruptedCommonNeighbors(bad)
+    mechanisms = {"exponential@1": ExponentialMechanism(1.0, sensitivity=2.0)}
+    for engine in (evaluate_targets, evaluate_targets_batched):
+        with pytest.raises(UtilityError):
+            engine(graph, utility, range(20), mechanisms, bound_epsilons=(1.0,), seed=1)
+
+
+def test_nan_bound_epsilon_raises_in_both_engines():
+    """Regression: a NaN epsilon used to yield NaN bounds."""
+    graph = erdos_renyi_gnp(20, 0.25, seed=2)
+    utility = CommonNeighbors()
+    mechanisms = make_mechanisms(utility, graph)
+    for engine in (evaluate_targets, evaluate_targets_batched):
+        with pytest.raises(BoundError):
+            engine(graph, utility, range(20), mechanisms, bound_epsilons=(float("nan"),), seed=1)
+
+
+def test_infinite_bound_epsilon_is_the_trivial_bound():
+    graph = erdos_renyi_gnp(20, 0.25, seed=2)
+    utility = CommonNeighbors()
+    mechanisms = make_mechanisms(utility, graph)
+    batched = evaluate_targets_batched(
+        graph, utility, range(20), mechanisms, bound_epsilons=(float("inf"),), seed=1
+    )
+    assert batched == evaluate_targets(
+        graph, utility, range(20), mechanisms, bound_epsilons=(float("inf"),), seed=1
+    )
+    assert batched and all(e.theoretical_bounds[float("inf")] == 1.0 for e in batched)
 
 
 @given(

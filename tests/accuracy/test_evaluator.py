@@ -119,6 +119,14 @@ class TestSampleTargets:
         with pytest.raises(ExperimentError):
             sample_targets(g, 0.0)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_non_positive_cap_names_the_value(self, cap):
+        """Regression: a negative cap ended in numpy's untyped "negative
+        dimensions are not allowed", and 0 failed later and elsewhere."""
+        g = erdos_renyi_gnp(10, 0.2, seed=5)
+        with pytest.raises(ExperimentError, match=f"max_targets must be >= 1, got {cap}"):
+            sample_targets(g, 0.5, max_targets=cap, seed=1)
+
     def test_sorted_output(self):
         g = erdos_renyi_gnp(80, 0.1, seed=6)
         targets = sample_targets(g, 0.3, seed=10)

@@ -13,11 +13,12 @@ from repro.bounds.tradeoff import (
     accuracy_upper_bound,
     epsilon_lower_bound,
     section_4_2_worked_example,
+    support_bounds,
     tightest_accuracy_bound,
     tightest_accuracy_bounds,
-    tightest_accuracy_bounds_masked,
 )
 from repro.errors import BoundError
+from repro.utility.base import UtilityVector
 from tests.conftest import make_vector
 
 
@@ -154,27 +155,48 @@ def test_property_corollary1_is_valid_accuracy(epsilon, n, k, t, c):
     assert bound >= 1.0 - c - 1e-12
 
 
-def _pack_rows(rows):
-    """Pack ragged per-row candidate values into scores/mask arrays."""
-    num_nodes = max((len(values) for values in rows), default=0) + 3
-    scores = np.zeros((len(rows), num_nodes))
-    mask = np.zeros((len(rows), num_nodes), dtype=bool)
-    for index, values in enumerate(rows):
-        columns = np.arange(1, 1 + len(values))
-        scores[index, columns] = values
-        mask[index, columns] = True
-    return scores, mask
+def _dense_reference(values, epsilon, t):
+    """The dense tightest-bound search over every candidate, zeros included.
+
+    A test-local copy of the search the engine ran before support rows:
+    ``threshold_splits`` over the full candidate vector, then the
+    Corollary 1 curve with its saturation cutoff, minimized.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    u_max = values.max()
+    sorted_values = np.sort(values)
+    distinct = np.ones(sorted_values.size, dtype=bool)
+    distinct[1:] = sorted_values[1:] != sorted_values[:-1]
+    uniques = sorted_values[distinct]
+    taus = uniques[uniques < u_max]
+    if taus.size == 0:
+        return 1.0
+    ks = values.size - np.searchsorted(sorted_values, taus, side="right")
+    cs = 1.0 - taus / u_max
+    ks_f = ks.astype(np.float64)
+    lows = float(values.size) - ks_f
+    log_highs = epsilon * t + np.log(ks_f + 1.0)
+    highs = np.exp(np.minimum(log_highs, 700.0))
+    bounds = 1.0 - cs * lows / (lows + highs)
+    return float(np.where(log_highs > 700.0, 1.0, bounds).min())
 
 
-def _masked_bounds(rows, ts, epsilons):
-    """The engine's masked search with every row of ``rows`` kept."""
-    scores, mask = _pack_rows(rows)
-    return tightest_accuracy_bounds_masked(
-        scores, mask, np.arange(len(rows)),
-        np.asarray([len(values) for values in rows], dtype=np.int64),
-        np.asarray([max(values) for values in rows], dtype=np.float64),
-        np.asarray(ts, dtype=np.int64), epsilons,
-    )
+def _support_rows(rows):
+    """Flat positive supports and zero counts of dense candidate rows."""
+    supports = [np.asarray(values, dtype=np.float64) for values in rows]
+    supports = [values[values > 0] for values in supports]
+    offsets = np.cumsum([0] + [values.size for values in supports])
+    zeros = [len(values) - support.size for values, support in zip(rows, supports)]
+    flat = np.concatenate(supports) if supports else np.empty(0)
+    return flat, offsets, zeros
+
+
+#: Candidate rows: every value non-negative, at least two candidates and
+#: a positive maximum; zeros are common (the paper's typical target).
+_ROWS = st.lists(
+    st.one_of(st.just(0.0), st.floats(0.0, 100.0, allow_nan=False, width=32)),
+    min_size=2, max_size=20,
+).filter(lambda values: max(values) > 0.0)
 
 
 class TestMultiEpsilonBounds:
@@ -185,134 +207,112 @@ class TestMultiEpsilonBounds:
             single = tightest_accuracy_bound(simple_vector, eps, 4).accuracy_bound
             assert shared[eps] == single  # bit-identical, shared table
 
-    def test_batch_matrix_matches_single_calls(self, simple_vector):
+    def test_matrix_matches_single_calls(self, simple_vector):
         other = make_vector([3.0, 1.0, 0.0, 0.0, 0.0, 7.0])
         degenerate = make_vector([2.0, 2.0])
         vectors = [simple_vector, other, degenerate]
         ts = [4, 2, 3]
         epsilons = (0.25, 1.0, 2.0)
-        matrix = _masked_bounds([vector.values for vector in vectors], ts, epsilons)
+        matrix = support_bounds(
+            *_support_rows([vector.values for vector in vectors]), ts, epsilons
+        )
         assert matrix.shape == (3, 3)
         for row, (vector, t) in enumerate(zip(vectors, ts)):
             for col, eps in enumerate(epsilons):
                 expected = tightest_accuracy_bound(vector, eps, t).accuracy_bound
                 assert matrix[row, col] == expected
 
-    def test_batch_empty_inputs(self):
-        assert _masked_bounds([], [], (1.0,)).shape == (0, 1)
-        assert _masked_bounds([[1.0, 2.0]], [2], ()).shape == (1, 0)
+    def test_empty_inputs(self):
+        assert support_bounds([], [0], [], [], (1.0,)).shape == (0, 1)
+        assert support_bounds([1.0, 2.0], [0, 2], [0], [2], ()).shape == (1, 0)
 
-    def test_batch_mismatched_lengths_rejected(self):
+    def test_mismatched_lengths_rejected(self):
         with pytest.raises(BoundError):
-            _masked_bounds([[1.0, 2.0]], [], (1.0,))
-
-    @given(
-        values=st.lists(st.floats(0.0, 30.0), min_size=2, max_size=25),
-        epsilon=st.floats(0.05, 4.0),
-        t=st.integers(1, 40),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_property_batch_equals_sequential_search(self, values, epsilon, t):
-        if max(values) <= 0.0:
-            values = values + [1.0]
-        matrix = _masked_bounds([values], [t], (epsilon,))
-        single = tightest_accuracy_bound(make_vector(values), epsilon, t).accuracy_bound
-        assert matrix[0, 0] == single
+            support_bounds([1.0, 2.0], [0, 2], [0], [], (1.0,))
 
 
-class TestMaskedBatchKernel:
-    """The engine's masked Corollary 1 search must equal the per-vector
-    :func:`tightest_accuracy_bound` bit for bit (same thresholds, same
-    ks, same curve arithmetic) for arbitrary candidate sets."""
+class TestSupportBoundOracle:
+    """The flat support kernel and the per-vector search must equal the
+    dense all-candidates search bit for bit: the zero bucket is exactly
+    one ``tau = 0`` threshold with ``k = |support|``."""
 
-    def _reference(self, rows, ts, epsilons):
-        return np.asarray([
-            [
-                tightest_accuracy_bound(make_vector(values), epsilon, t).accuracy_bound
-                for epsilon in epsilons
-            ]
-            for values, t in zip(rows, ts)
-        ]).reshape(len(rows), len(epsilons))
-
-    def test_matches_per_vector_batch(self):
+    def test_hand_rows(self):
         rows = [
             [3.0, 1.0, 0.0, 2.0, 3.0],
             [5.0, 5.0, 5.0],            # all tie at u_max: unconstrained
-            [0.5, 0.25, 0.125, 4.0],
-            [1.0, 2.0],
+            [5.0, 5.0, 0.0],            # ties at u_max, bucket below
+            [0.5, 0.25, 0.125, 4.0],    # no zero bucket
+            [1.0] + [0.0] * 300,        # one strong candidate, long tail
         ]
-        ts = [2, 3, 1, 4]
+        ts = [2, 3, 1, 4, 2]
         epsilons = (0.1, 1.0, 3.0, 50.0)  # 50*t saturates the exponent
-        scores, mask = _pack_rows(rows)
-        kept = np.arange(len(rows))
-        counts = np.asarray([len(values) for values in rows])
-        u_maxes = np.asarray([max(values) for values in rows])
-        result = tightest_accuracy_bounds_masked(
-            scores, mask, kept, counts, u_maxes, np.asarray(ts), epsilons
-        )
-        np.testing.assert_array_equal(result, self._reference(rows, ts, epsilons))
-
-    def test_dropped_rows_are_skipped(self):
-        rows = [
-            [0.0, 0.0, 0.0],            # zero signal: dropped upstream
-            [4.0, 1.0, 2.0],
-            [7.0],                      # single candidate: dropped upstream
-            [2.0, 9.0, 9.0, 3.0],
-        ]
-        scores, mask = _pack_rows(rows)
-        kept = np.asarray([1, 3])
-        counts = np.asarray([3, 4])
-        u_maxes = np.asarray([4.0, 9.0])
-        ts = np.asarray([2, 5])
-        result = tightest_accuracy_bounds_masked(
-            scores, mask, kept, counts, u_maxes, ts, (0.5, 2.0)
-        )
-        reference = self._reference([rows[1], rows[3]], [2, 5], (0.5, 2.0))
+        result = support_bounds(*_support_rows(rows), ts, epsilons)
+        reference = [[_dense_reference(v, e, t) for e in epsilons] for v, t in zip(rows, ts)]
         np.testing.assert_array_equal(result, reference)
 
-    @given(
-        data=st.lists(
-            st.lists(
-                st.floats(0.0, 100.0, allow_nan=False, width=32),
-                min_size=2, max_size=20,
-            ).filter(lambda values: max(values) > 0.0),
-            min_size=1, max_size=8,
-        ),
-        t=st.integers(1, 20),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_property_matches_reference(self, data, t):
-        ts = [t] * len(data)
+    @given(data=st.lists(_ROWS, min_size=1, max_size=8), t=st.integers(1, 20))
+    @settings(max_examples=80, deadline=None)
+    def test_property_flat_kernel_matches_dense_search(self, data, t):
         epsilons = (0.25, 1.0, 4.0)
-        scores, mask = _pack_rows(data)
-        kept = np.arange(len(data))
-        counts = np.asarray([len(values) for values in data])
-        u_maxes = np.asarray([max(values) for values in data])
-        result = tightest_accuracy_bounds_masked(
-            scores, mask, kept, counts, u_maxes, np.asarray(ts), epsilons
-        )
-        np.testing.assert_array_equal(result, self._reference(data, ts, epsilons))
+        ts = [t + row for row in range(len(data))]
+        result = support_bounds(*_support_rows(data), ts, epsilons)
+        reference = [
+            [_dense_reference(values, epsilon, row_t) for epsilon in epsilons]
+            for values, row_t in zip(data, ts)
+        ]
+        np.testing.assert_array_equal(result, reference)
 
-    def test_validations_match_reference(self):
-        scores, mask = _pack_rows([[1.0, 2.0]])
-        kept = np.asarray([0])
+    @given(values=_ROWS, epsilon=st.floats(0.05, 40.0), t=st.integers(1, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_property_per_vector_search_matches_dense_search(self, values, epsilon, t):
+        expected = _dense_reference(values, epsilon, t)
+        dense = make_vector(values)
+        ids = np.flatnonzero(dense.values)
+        support_form = UtilityVector.from_support(
+            0, ids + 1, dense.values[ids], [0], len(values) + 1, 3
+        )
+        for vector in (dense, support_form):
+            assert tightest_accuracy_bound(vector, epsilon, t).accuracy_bound == expected
+            assert tightest_accuracy_bounds(vector, (epsilon,), t) == {epsilon: expected}
+
+    def test_bucket_threshold_reported_first(self):
+        """``tau = 0`` is the smallest threshold, so ties resolve to it as
+        in the dense search's ascending table."""
+        result = tightest_accuracy_bound(make_vector([4.0] + [0.0] * 50), 0.5, 5)
+        assert (result.threshold, result.k, result.c) == (0.0, 1, 1.0)
+
+    def test_validations(self):
+        with pytest.raises(BoundError, match="two candidates"):
+            support_bounds([2.0], [0, 1], [0], [1], (1.0,))
+        with pytest.raises(BoundError, match="all utilities are zero"):
+            support_bounds([], [0, 0], [3], [1], (1.0,))
+        with pytest.raises(BoundError, match="t must be >= 1"):
+            support_bounds([1.0, 2.0], [0, 2], [0], [0], (1.0,))
+        with pytest.raises(BoundError, match="non-negative"):
+            support_bounds([1.0, 2.0], [0, 2], [0], [1], (-1.0,))
+
+
+class TestNanEpsilon:
+    """Regression: ``epsilon < 0`` let NaN through, and every bound came
+    back NaN instead of a typed error. ``epsilon = inf`` stays legal."""
+
+    def test_scalar_bound(self):
+        with pytest.raises(BoundError, match="nan"):
+            accuracy_upper_bound(math.nan, 10, 2, 3)
+        assert accuracy_upper_bound(math.inf, 10, 2, 3) == 1.0
+
+    def test_tightest_bound(self, simple_vector):
         with pytest.raises(BoundError):
-            tightest_accuracy_bounds_masked(
-                scores, mask, kept, np.asarray([1]), np.asarray([2.0]),
-                np.asarray([1]), (1.0,),
-            )
+            tightest_accuracy_bound(simple_vector, math.nan, 4)
         with pytest.raises(BoundError):
-            tightest_accuracy_bounds_masked(
-                scores, mask, kept, np.asarray([2]), np.asarray([0.0]),
-                np.asarray([1]), (1.0,),
-            )
+            tightest_accuracy_bound(make_vector([2.0, 2.0]), math.nan, 4)
         with pytest.raises(BoundError):
-            tightest_accuracy_bounds_masked(
-                scores, mask, kept, np.asarray([2]), np.asarray([2.0]),
-                np.asarray([0]), (1.0,),
-            )
+            tightest_accuracy_bounds(simple_vector, (1.0, math.nan), 4)
+        assert tightest_accuracy_bound(simple_vector, math.inf, 4).accuracy_bound == 1.0
+
+    def test_flat_kernel(self):
         with pytest.raises(BoundError):
-            tightest_accuracy_bounds_masked(
-                scores, mask, kept, np.asarray([2]), np.asarray([2.0]),
-                np.asarray([1]), (-1.0,),
-            )
+            support_bounds([1.0, 2.0], [0, 2], [3], [2], (math.nan,))
+        np.testing.assert_array_equal(
+            support_bounds([1.0, 2.0], [0, 2], [3], [2], (math.inf,)), [[1.0]]
+        )

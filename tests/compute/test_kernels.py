@@ -5,18 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compute import (
-    ComputePlan,
-    Workspace,
-    fused_compact_rows,
-    utility_vectors,
-)
-from repro.compute.kernels import candidate_mask_rows, score_rows
+from scipy import sparse
+
+from repro.compute import ComputePlan, utility_vectors
+from repro.compute.kernels import excluded_rows, footnote10_support
 from repro.datasets import toy, twitter, wiki_vote
 from repro.errors import UtilityError
 from repro.mechanisms.exponential import ExponentialMechanism
 from repro.rng import spawn_rngs
-from repro.utility.base import UtilityVector
+from repro.utility.base import UtilityVector, support_rows
 from repro.utility.common_neighbors import CommonNeighbors
 from repro.utility.weighted_paths import WeightedPaths
 
@@ -31,27 +28,49 @@ def utility():
     return CommonNeighbors()
 
 
-class TestUtilityRows:
+class TestSupportRows:
     def test_matches_reference_per_target(self, graph, utility):
-        targets = [0, 5, 17, 40]
-        scores = score_rows(graph, utility, targets)
-        mask = candidate_mask_rows(graph, targets)
-        assert scores.shape == mask.shape == (4, graph.num_nodes)
+        """Excluded rows are the complement of each target's candidates,
+        and the support rows hold exactly its positive utilities."""
+        targets = np.asarray([0, 5, 17, 40])
+        excluded = excluded_rows(graph, targets)
+        ids, values, offsets = support_rows(utility.support_scores(graph, targets), excluded)
+        assert excluded.shape == (4, graph.num_nodes)
         for row, target in enumerate(targets):
             vector = utility.utility_vector(graph, target)
-            np.testing.assert_array_equal(np.flatnonzero(mask[row]), vector.candidates)
-            np.testing.assert_array_equal(scores[row][vector.candidates], vector.values)
+            keep = np.ones(graph.num_nodes, dtype=bool)
+            keep[excluded.indices[excluded.indptr[row]:excluded.indptr[row + 1]]] = False
+            np.testing.assert_array_equal(np.flatnonzero(keep), vector.candidates)
+            support_ids, support_values = vector.support()
+            np.testing.assert_array_equal(ids[offsets[row]:offsets[row + 1]], support_ids)
+            np.testing.assert_array_equal(
+                values[offsets[row]:offsets[row + 1]], support_values
+            )
 
-    def test_chunked_partition_is_bit_identical(self, graph, utility, budget_rows):
+    def test_chunked_partition_is_bit_identical(self, graph, budget_rows):
+        """The default ``support_scores`` sparsifies budget-sized dense
+        blocks; any budget yields the same rows."""
+        utility = WeightedPaths(gamma=0.05)
         targets = np.arange(30, dtype=np.int64)
-        full_scores = score_rows(graph, utility, targets)
-        full_mask = candidate_mask_rows(graph, targets)
+        full = utility.support_scores(graph, targets)
         budget_rows(graph.num_nodes, 7)
-        for chunk in ComputePlan(30, graph.num_nodes):
-            scores = score_rows(graph, utility, chunk.take(targets))
-            mask = candidate_mask_rows(graph, chunk.take(targets))
-            np.testing.assert_array_equal(scores, full_scores[chunk.start : chunk.stop])
-            np.testing.assert_array_equal(mask, full_mask[chunk.start : chunk.stop])
+        chunked = utility.support_scores(graph, targets)
+        assert (full != chunked).nnz == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+    def test_bad_candidate_utilities_rejected(self, bad):
+        scores = sparse.csr_matrix(np.asarray([[0.0, 2.0, bad, 1.0]]))
+        excluded = sparse.csr_matrix(np.asarray([[1.0, 0.0, 0.0, 0.0]]))
+        with pytest.raises(UtilityError):
+            support_rows(scores, excluded)
+
+    def test_bad_utilities_at_excluded_ids_ignored(self):
+        scores = sparse.csr_matrix(np.asarray([[np.nan, 2.0, 0.0, -1.0]]))
+        excluded = sparse.csr_matrix(np.asarray([[1.0, 0.0, 0.0, 1.0]]))
+        ids, values, offsets = support_rows(scores, excluded)
+        np.testing.assert_array_equal(ids, [1])
+        np.testing.assert_array_equal(values, [2.0])
+        np.testing.assert_array_equal(offsets, [0, 1])
 
 
 class TestUtilityVectors:
@@ -206,26 +225,6 @@ class TestEngineChunkIdentity:
         budget_rows(graph.num_nodes, rows)
         assert _engine_call(graph, utility, mechanisms, targets) == reference
 
-    @pytest.mark.parametrize("rows", [8, 3])
-    def test_dense_allocations_bounded_by_budget(
-        self, workload, monkeypatch, budget_rows, rows
-    ):
-        """No stage may see more targets at once than the budget's rows —
-        the memory-bound contract of the plan."""
-        graph, utility, mechanisms, targets, reference = workload
-        budget_rows(graph.num_nodes, rows)
-        seen: list[int] = []
-        original = CommonNeighbors.batch_scores
-
-        def spying(self, graph, batch_targets, out=None):
-            seen.append(len(np.asarray(batch_targets)))
-            return original(self, graph, batch_targets, out=out)
-
-        monkeypatch.setattr(CommonNeighbors, "batch_scores", spying)
-        result = _engine_call(graph, utility, mechanisms, targets)
-        assert result == reference
-        assert seen and max(seen) <= rows
-
 
 def _kept_by_footnote_10(vectors: "list[UtilityVector]") -> "list[int]":
     """The sequential evaluator's drop rule, applied per vector."""
@@ -235,95 +234,59 @@ def _kept_by_footnote_10(vectors: "list[UtilityVector]") -> "list[int]":
     ]
 
 
-def _mask_row_vectors(scores, mask) -> "list[UtilityVector]":
-    """One vector per row of a raw score/mask pair (row index as target)."""
-    vectors = []
-    for row in range(scores.shape[0]):
-        candidates = np.flatnonzero(mask[row])
-        vectors.append(
-            UtilityVector(row, candidates, scores[row][candidates], target_degree=0)
-        )
-    return vectors
+def _dense_row_vectors(rows) -> "list[UtilityVector]":
+    """One dense vector per candidate-value row (row index as target)."""
+    return [
+        UtilityVector(row, np.arange(len(values)), np.asarray(values, dtype=float), 0)
+        for row, values in enumerate(rows)
+    ]
 
 
-class TestFusedCompactRows:
-    """The fused filter keeps exactly the rows the sequential evaluator
+def _flat_support(vectors):
+    supports = [vector.support()[1] for vector in vectors]
+    offsets = np.cumsum([0] + [support.size for support in supports])
+    flat = np.concatenate(supports) if supports else np.empty(0)
+    return flat, offsets, np.asarray([len(vector) for vector in vectors])
+
+
+class TestFootnote10Support:
+    """The flat filter keeps exactly the rows the sequential evaluator
     keeps (footnote 10: at least two candidates and ``has_signal()``),
-    with each kept row's candidates and values in order, its maximum, and
-    the same ``values / u_max`` scaling."""
+    with each kept row's positive utilities in order and its zero-bucket
+    size."""
 
-    def _compare(self, vectors, scores, mask, workspace=None):
-        chunk = fused_compact_rows(
-            scores, mask,
-            workspace=Workspace() if workspace == "fresh" else workspace,
-        )
-        compact = chunk.compact
-        kept = _kept_by_footnote_10(vectors)
-        np.testing.assert_array_equal(chunk.kept, kept)
-        np.testing.assert_array_equal(compact.counts, [len(vectors[row]) for row in kept])
-        np.testing.assert_array_equal(compact.offsets, np.cumsum([0] + list(compact.counts)))
-        for index, row in enumerate(kept):
+    def _compare(self, vectors):
+        kept, values, offsets, zeros = footnote10_support(*_flat_support(vectors))
+        expected = _kept_by_footnote_10(vectors)
+        np.testing.assert_array_equal(kept, expected)
+        for index, row in enumerate(expected):
             vector = vectors[row]
-            start, stop = compact.offsets[index], compact.offsets[index + 1]
-            np.testing.assert_array_equal(chunk.candidate_row(index), vector.candidates)
-            np.testing.assert_array_equal(chunk.value_row(index), vector.values)
-            assert compact.u_maxes[index] == vector.u_max
             np.testing.assert_array_equal(
-                compact.scaled[start:stop], vector.values / vector.u_max
+                values[offsets[index]:offsets[index + 1]], vector.support()[1]
             )
-        return chunk
+            assert zeros[index] == vector.zero_count
+        return kept, values, offsets, zeros
 
-    @pytest.mark.parametrize("workspace", [None, "fresh"])
-    def test_matches_reference_on_graph_rows(self, graph, utility, workspace):
-        targets = np.arange(0, graph.num_nodes, 2, dtype=np.int64)
-        scores = score_rows(graph, utility, targets)
-        mask = candidate_mask_rows(graph, targets)
-        vectors = [utility.utility_vector(graph, target) for target in targets]
-        assert self._compare(vectors, scores, mask, workspace).kept.size > 0
+    def test_matches_reference_on_graph_rows(self, graph, utility):
+        vectors = [utility.utility_vector(graph, t) for t in range(0, graph.num_nodes, 2)]
+        assert self._compare(vectors)[0].size > 0
 
-    def test_footnote_10_filter(self):
-        scores = np.asarray([[0.0, 2.0, 1.0], [0.0, 0.0, 0.0], [0.0, 3.0, 0.0]])
-        mask = np.asarray(
-            [[False, True, True], [False, True, True], [False, True, False]]
-        )
-        chunk = self._compare(_mask_row_vectors(scores, mask), scores, mask)
-        # row 1: no signal; row 2: single candidate -> both dropped
-        np.testing.assert_array_equal(chunk.kept, [0])
-        np.testing.assert_array_equal(chunk.candidate_row(0), [1, 2])
-        np.testing.assert_array_equal(chunk.value_row(0), [2.0, 1.0])
-        np.testing.assert_array_equal(chunk.compact.scaled, [1.0, 0.5])
-
-    def test_dropped_rows_exercise_the_compress_path(self):
-        scores = np.asarray([
-            [0.0, 3.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 0.0],   # zero signal: dropped
-            [0.0, 2.0, 0.0, 5.0],
-            [0.0, 7.0, 0.0, 0.0],   # one candidate: dropped
+    def test_drops_zero_signal_and_single_candidate_rows(self):
+        vectors = _dense_row_vectors([
+            [3.0, 1.0, 0.0],
+            [0.0, 0.0],    # zero signal: dropped
+            [2.0, 0.0, 5.0],
+            [7.0],         # one candidate: dropped
         ])
-        mask = np.asarray([
-            [False, True, True, True],
-            [False, True, True, False],
-            [True, True, False, True],
-            [False, True, False, False],
-        ])
-        chunk = self._compare(_mask_row_vectors(scores, mask), scores, mask)
-        np.testing.assert_array_equal(chunk.kept, [0, 2])
+        kept, values, offsets, zeros = self._compare(vectors)
+        np.testing.assert_array_equal(kept, [0, 2])
+        np.testing.assert_array_equal(values, [3.0, 1.0, 2.0, 5.0])
+        np.testing.assert_array_equal(offsets, [0, 2, 4])
+        np.testing.assert_array_equal(zeros, [1, 1])
 
-    def test_empty_mask_yields_empty_chunk(self):
-        chunk = fused_compact_rows(
-            np.zeros((3, 4)), np.zeros((3, 4), dtype=bool)
+    def test_nothing_kept(self):
+        kept, values, offsets, zeros = footnote10_support(
+            np.empty(0), np.zeros(4, dtype=np.int64), np.asarray([3, 1, 0])
         )
-        assert chunk.kept.size == 0
-        assert chunk.compact.num_rows == 0
-        assert chunk.candidate_cols.size == 0
-
-    def test_workspace_views_are_reused_across_calls(self, graph, utility):
-        workspace = Workspace()
-        targets = np.arange(24, dtype=np.int64)
-        scores = score_rows(graph, utility, targets)
-        mask = candidate_mask_rows(graph, targets)
-        first = fused_compact_rows(scores, mask, workspace=workspace)
-        allocations = workspace.allocations
-        second = fused_compact_rows(scores, mask, workspace=workspace)
-        assert workspace.allocations == allocations  # pure reuse
-        np.testing.assert_array_equal(first.compact.counts, second.compact.counts)
+        assert kept.size == values.size == zeros.size == 0
+        np.testing.assert_array_equal(offsets, [0])

@@ -98,16 +98,10 @@ class TestComputePlan:
         assert position == num_items
         assert layout.num_chunks == -(-num_items // plan.chunk_rows(20))
 
-    def test_dtype_is_not_part_of_plan_equality(self):
-        # Geometry defines the plan; the dtype only rides along.
-        assert ComputePlan(10, 4, "float32") == ComputePlan(10, 4)
-        assert ComputePlan(10, 4, "float32") != ComputePlan(10, 5, "float32")
-
-    def test_unsupported_dtype_rejected_at_plan_time(self):
-        with pytest.raises(ComputeError, match="unsupported compute dtype"):
-            ComputePlan(10, 4, "int64")
-        with pytest.raises(ComputeError, match="cannot resolve"):
-            ComputePlan(10, 4, object())
+    def test_plan_carries_no_dtype(self):
+        """Every dense block is float64; a plan is geometry only."""
+        with pytest.raises(TypeError):
+            ComputePlan(10, 4, "float32")
 
     def test_peak_dense_bound(self):
         """The plan's whole point: a chunk's float64 ``rows x num_nodes``

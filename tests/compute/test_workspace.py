@@ -122,22 +122,17 @@ class TestThreadLocal:
 
 class TestChunkedPipelines:
     def test_chunks_reuse_the_calling_threads_arena(self, budget_rows):
-        """Chunks run inline, so a repeated chunked engine run takes every
-        dense buffer from the caller's warm arena: no new allocations."""
-        from repro.accuracy.batch import evaluate_targets_batched
+        """Chunks run inline, so a repeated chunked gamma sweep takes its
+        dense score buffer from the caller's warm arena: no new
+        allocations."""
+        from repro.experiments.sweeps import gamma_sweep
         from repro.graphs.generators import erdos_renyi_gnp
-        from repro.mechanisms.exponential import ExponentialMechanism
-        from repro.utility.common_neighbors import CommonNeighbors
 
         graph = erdos_renyi_gnp(40, 0.15, seed=6)
-        mechanisms = {"exponential@1": ExponentialMechanism(1.0, sensitivity=2.0)}
         budget_rows(graph.num_nodes, 6)
 
         def run():
-            return evaluate_targets_batched(
-                graph, CommonNeighbors(), range(40), mechanisms,
-                bound_epsilons=(1.0,), seed=2,
-            )
+            return gamma_sweep(graph, range(40), gammas=(0.0, 0.05), epsilon=1.0)
 
         reset_workspace()
         workspace = get_workspace()

@@ -33,12 +33,18 @@ class TestValidation:
             dict(target_fraction=0.0),
             dict(laplace_trials=0),
             dict(backend="gpu"),
-            dict(dtype="float16"),
+            dict(max_targets=0),
+            dict(max_targets=-2),
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ExperimentError):
             ExperimentConfig(**overrides)
+
+    @pytest.mark.parametrize("cap", [0, -2])
+    def test_non_positive_target_cap_names_the_value(self, cap):
+        with pytest.raises(ExperimentError, match=f"max_targets must be >= 1, got {cap}"):
+            ExperimentConfig(max_targets=cap)
 
     def test_config_takes_no_chunk_size(self):
         """The engine sizes its own chunks from the byte budget."""
@@ -59,11 +65,13 @@ class TestSerialization:
         )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
-    def test_round_trip_with_float32(self):
-        config = ExperimentConfig(dtype="float32")
-        restored = ExperimentConfig.from_dict(config.to_dict())
-        assert restored.dtype == "float32"
-        assert "chunk_size" not in config.to_dict()
+    def test_from_dict_rejects_removed_dtype(self):
+        """The engine computes in float64 only; a config naming a dtype
+        is refused by name, not silently ignored."""
+        legacy = {**ExperimentConfig().to_dict(), "dtype": "float32"}
+        assert "dtype" not in ExperimentConfig().to_dict()
+        with pytest.raises(ExperimentError, match="dtype"):
+            ExperimentConfig.from_dict(legacy)
 
     def test_from_dict_rejects_removed_chunk_size(self):
         legacy = {**ExperimentConfig().to_dict(), "chunk_size": 256}

@@ -130,21 +130,26 @@ class TestFigure2c:
 
 
 class TestShardingPassThrough:
-    def test_explicit_config_dtype_not_stomped(self):
+    def test_explicit_config_backend_not_stomped(self):
         """Regression: drivers used to replace() config fields with their
         parameter defaults, silently resetting an explicit config."""
         from dataclasses import replace
 
         config = replace(
-            paper_config_figure_1a(scale=0.02, max_targets=8), dtype="float32"
+            paper_config_figure_1a(scale=0.02, max_targets=8), backend="shm"
         )
         result = figure_1a(config=config)
-        assert result.metadata["config"]["dtype"] == "float32"
+        assert result.metadata["config"]["backend"] == "shm"
 
     def test_driver_kwargs_apply_when_given(self):
-        result = figure_1a(scale=0.02, max_targets=8, dtype="float32")
-        assert result.metadata["config"]["dtype"] == "float32"
+        result = figure_1a(scale=0.02, max_targets=8, backend="shm")
+        assert result.metadata["config"]["backend"] == "shm"
         assert "chunk_size" not in result.metadata["config"]
+        assert "dtype" not in result.metadata["config"]
+
+    def test_drivers_take_no_dtype(self):
+        with pytest.raises(TypeError):
+            figure_1a(scale=0.02, max_targets=8, dtype="float64")
 
     def test_chunked_figure_plots_the_same_curves(self, budget_rows):
         unchunked = figure_1a(scale=0.02, max_targets=8)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.axioms.monotonicity import check_probability_monotonicity
-from repro.compute import fused_compact_rows
+from repro.errors import MechanismError
 from repro.mechanisms.exponential import ExponentialMechanism
 from repro.utility.base import UtilityVector
 from tests.conftest import make_vector
@@ -114,47 +117,121 @@ def test_property_probabilities_valid_and_monotone(values, epsilon):
     assert np.all(np.diff(probs[order]) >= -1e-15)
 
 
-class TestExpectedAccuracyBatch:
-    def _matrix_and_mask(self, rng, rows=12, cols=30):
-        utilities = rng.integers(0, 9, size=(rows, cols)).astype(float)
-        valid = rng.random((rows, cols)) < 0.7
-        valid[:, :2] = True  # keep every row a footnote-10 survivor
-        utilities[:, 0] = np.maximum(utilities[:, 0], 1.0)  # with signal
-        return utilities, valid
+#: The accuracy kernel's documented distance from an exact-sum reference.
+ORACLE_RTOL = 1e-12
 
-    def _vectors(self, utilities, valid):
-        return [
-            UtilityVector(
-                target=0,
-                candidates=np.flatnonzero(valid[row]),
-                values=utilities[row, np.flatnonzero(valid[row])],
-                target_degree=1,
+
+def _fsum_accuracy(values, epsilon: float, sensitivity: float = 1.0) -> float:
+    """The paper's ``sum_i p_i u_i / u_max`` over every candidate, with
+    exactly rounded sums: the dense reference of the support kernel."""
+    values = [float(value) for value in np.asarray(values)]
+    u_max = max(values)
+    scale = epsilon / sensitivity
+    weights = [math.exp(scale * value - scale * u_max) for value in values]
+    numerator = math.fsum(w * (value / u_max) for w, value in zip(weights, values))
+    return numerator / math.fsum(weights)
+
+
+def _support_form(vector: UtilityVector) -> UtilityVector:
+    """The same row stored support-form (candidates are ids 100.. here)."""
+    ids, values = vector.support()
+    num_nodes = 100 + len(vector)
+    return UtilityVector.from_support(
+        vector.target, ids, values, np.arange(100), num_nodes, vector.target_degree
+    )
+
+
+class TestSupportAccuracyOracle:
+    """``expected_accuracy`` is the one-row case of the flat support
+    kernel: ``sum w u / u_max / (sum w + |Z| e^{-shift})``. It rounds
+    differently from the dense normalize-then-dot form, so it is held to
+    an exact-sum reference instead."""
+
+    @pytest.mark.parametrize(
+        "values, epsilon",
+        [
+            ([5.0, 3.0, 1.0, 1.0, 0.0], 0.5),
+            ([3.0, 1.0, 2.0, 7.0], 1.0),             # |Z| = 0
+            ([2.0] + [0.0] * 5_000, 0.3),            # long zero tail
+            ([1000.0, 999.0, 0.0, 0.0], 5.0),        # e^{-shift} underflows
+            ([1e-300, 0.0, 5e-301], 1.0),            # subnormal-scale utilities
+        ],
+    )
+    def test_dense_and_support_forms_match_fsum(self, values, epsilon):
+        mechanism = ExponentialMechanism(epsilon, sensitivity=1.0)
+        dense = make_vector(values)
+        expected = _fsum_accuracy(values, epsilon)
+        got = mechanism.expected_accuracy(dense)
+        assert got == pytest.approx(expected, rel=ORACLE_RTOL, abs=0.0)
+        assert mechanism.expected_accuracy(_support_form(dense)) == got
+
+    def test_underflowing_bucket_adds_nothing(self):
+        mechanism = ExponentialMechanism(5.0)
+        with_bucket = mechanism.expected_accuracy(make_vector([1000.0, 999.0, 0.0, 0.0]))
+        without = mechanism.expected_accuracy(make_vector([1000.0, 999.0]))
+        assert with_bucket == without
+
+    def test_float32_rows(self):
+        values = np.asarray([7.0, 3.5, 0.1, 0.0, 0.0, 2.25], dtype=np.float32)
+        vector = UtilityVector(0, np.arange(values.size), values, 2)
+        assert vector.values.dtype == np.float32
+        mechanism = ExponentialMechanism(1.3, sensitivity=2.0)
+        expected = _fsum_accuracy(values.astype(np.float64), 1.3, 2.0)
+        got = mechanism.expected_accuracy(vector)
+        assert got == pytest.approx(expected, rel=ORACLE_RTOL, abs=0.0)
+        assert got == mechanism.expected_accuracy(
+            UtilityVector(0, np.arange(values.size), values.astype(np.float64), 2)
+        )
+
+    @given(
+        rows=st.lists(
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(0.0, 50.0, allow_nan=False)),
+                min_size=1, max_size=30,
+            ).filter(lambda values: max(values) > 0.0),
+            min_size=1, max_size=6,
+        ),
+        epsilon=st.floats(0.01, 20.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_flat_rows_match_fsum_and_one_row_calls(self, rows, epsilon):
+        mechanism = ExponentialMechanism(epsilon, sensitivity=2.0)
+        vectors = [make_vector(values) for values in rows]
+        supports = [vector.support()[1] for vector in vectors]
+        offsets = np.cumsum([0] + [support.size for support in supports])
+        flat = mechanism.support_accuracies(
+            np.concatenate(supports), offsets, [v.zero_count for v in vectors]
+        )
+        for row, (values, vector) in enumerate(zip(rows, vectors)):
+            # A row's value does not depend on the rows around it.
+            assert flat[row] == mechanism.expected_accuracy(vector)
+            assert flat[row] == pytest.approx(
+                _fsum_accuracy(values, epsilon, 2.0), rel=ORACLE_RTOL, abs=0.0
             )
-            for row in range(utilities.shape[0])
-        ]
 
-    def test_matches_per_vector_expected_accuracy_exactly(self, rng):
-        utilities, valid = self._matrix_and_mask(rng)
-        mechanism = ExponentialMechanism(0.7, sensitivity=2.0)
-        chunk = fused_compact_rows(utilities, valid)
-        assert chunk.kept.size == utilities.shape[0]
-        batch = mechanism.expected_accuracy_compact(chunk.compact)
-        for row, vector in enumerate(self._vectors(utilities, valid)):
-            assert batch[row] == mechanism.expected_accuracy(vector)
+    def test_graph_rows_match_fsum(self):
+        """Every wiki-vote (scale 0.1) target with common neighbours, at
+        three epsilons."""
+        from repro.datasets import wiki_vote
+        from repro.utility.common_neighbors import CommonNeighbors
 
-    def test_compact_rows_reused_across_epsilons(self, rng):
-        utilities, valid = self._matrix_and_mask(rng)
-        compact = fused_compact_rows(utilities, valid).compact
-        vectors = self._vectors(utilities, valid)
-        for eps in (0.2, 1.0, 4.0):
-            mechanism = ExponentialMechanism(eps, sensitivity=1.5)
-            via_compact = mechanism.expected_accuracy_compact(compact)
-            direct = [mechanism.expected_accuracy(vector) for vector in vectors]
-            assert via_compact.tolist() == direct
+        graph = wiki_vote(scale=0.1)
+        utility = CommonNeighbors()
+        checked = 0
+        for target in range(graph.num_nodes):
+            vector = utility.utility_vector(graph, target)
+            if len(vector) < 2 or not vector.has_signal():
+                continue
+            for epsilon in (0.5, 1.0, 3.0):
+                mechanism = ExponentialMechanism(epsilon, sensitivity=2.0)
+                assert mechanism.expected_accuracy(vector) == pytest.approx(
+                    _fsum_accuracy(vector.values, epsilon, 2.0), rel=ORACLE_RTOL, abs=0.0
+                )
+            checked += 1
+        assert checked > 100
 
-    def test_empty_matrix(self):
+    def test_empty_input_and_zero_rows(self):
         mechanism = ExponentialMechanism(1.0)
-        compact = fused_compact_rows(
-            np.empty((0, 4)), np.empty((0, 4), dtype=bool)
-        ).compact
-        assert mechanism.expected_accuracy_compact(compact).shape == (0,)
+        assert mechanism.support_accuracies([], [0], []).shape == (0,)
+        with pytest.raises(MechanismError):
+            mechanism.expected_accuracy(make_vector([0.0, 0.0]))

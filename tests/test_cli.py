@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.errors import ExperimentError
 
 
 class TestParser:
@@ -77,40 +78,22 @@ class TestComputeFlags:
         with pytest.raises(SystemExit):
             build_parser().parse_args(command + ["--workers", "2"])
 
-    @pytest.mark.parametrize(
-        "command, engine",
-        [
-            (["figure", "1a"], True), (["sweep"], True), (["serve-sim"], False),
-            (["stream-sim"], False), (["serve"], False),
-        ],
-        ids=lambda c: "-".join(c) if isinstance(c, list) else None,
-    )
-    def test_dtype_only_on_engine_commands(self, command, engine):
-        """figure and sweep keep the engine's --dtype; serving is float64."""
-        if engine:
-            args = build_parser().parse_args(command + ["--dtype", "float32"])
-            assert args.dtype == "float32"
-            assert build_parser().parse_args(command).dtype is None
-        else:
-            with pytest.raises(SystemExit):
-                build_parser().parse_args(command + ["--dtype", "float32"])
+    @pytest.mark.parametrize("command", ALL_COMMANDS, ids=lambda c: "-".join(c))
+    def test_dtype_is_gone(self, command):
+        """Every command computes in float64: none takes --dtype, the
+        experiment engine's figure and sweep included."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(command + ["--dtype", "float32"])
 
-    def test_sweep_runs_float32(self, capsys):
-        code = main(
-            ["sweep", "--scale", "0.02", "--targets", "8", "--dtype", "float32"]
-        )
-        assert code == 0
-        assert "mean accuracy" in capsys.readouterr().out
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_sweep_rejects_a_non_positive_target_cap(self, cap):
+        with pytest.raises(ExperimentError, match=f"max_targets must be >= 1, got {cap}"):
+            main(["sweep", "--scale", "0.02", "--targets", cap])
 
-    def test_figure_runs_float32(self, tmp_path, capsys):
-        out = tmp_path / "fig.json"
-        code = main(
-            ["figure", "1a", "--scale", "0.02", "--max-targets", "8",
-             "--dtype", "float32", "--out", str(out)]
-        )
-        assert code == 0
-        assert json.loads(out.read_text())["metadata"]["config"]["dtype"] == "float32"
-        assert "Exponential eps=0.5" in capsys.readouterr().out
+    @pytest.mark.parametrize("cap", ["0", "-2"])
+    def test_figure_rejects_a_non_positive_target_cap(self, cap):
+        with pytest.raises(ExperimentError, match=f"max_targets must be >= 1, got {cap}"):
+            main(["figure", "1a", "--scale", "0.02", "--max-targets", cap])
 
     def test_serve_sim_ledger_identical_across_budgets(
         self, tmp_path, capsys, budget_rows

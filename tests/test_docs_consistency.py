@@ -144,6 +144,14 @@ REMOVED_NAMES = {
     "compute-knobs": (
         "with_dtype", "FUSED_CHUNK_BYTES", "_fused_default_chunk", "mutate_every",
     ),
+    # The dense experiment engine and its float32 knob: accuracies and
+    # Corollary 1 bounds come from each target's positive support plus
+    # one zero bucket, so no stage holds a rows x num_nodes block.
+    "dense-engine": (
+        "fused_compact_rows", "CompactChunk", "CompactRows",
+        "expected_accuracy_compact", "tightest_accuracy_bounds_masked",
+        "score_rows", "COMPUTE_DTYPES", "resolve_dtype",
+    ),
 }
 
 
@@ -183,6 +191,29 @@ class TestRemovedNames:
         }
         with pytest.raises(TypeError):
             constructors[build](**{keyword: True})
+
+    def test_removed_engine_dtype_is_rejected(self):
+        """The engine, the epsilon sweep, the experiment config and the
+        figure/sweep commands lost ``dtype`` with the dense engine."""
+        from repro.accuracy.batch import evaluate_targets_batched
+        from repro.cli import build_parser
+        from repro.datasets import toy
+        from repro.errors import ExperimentError
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.sweeps import epsilon_sweep
+        from repro.utility import CommonNeighbors
+
+        graph = toy.star(4)
+        with pytest.raises(TypeError):
+            evaluate_targets_batched(graph, CommonNeighbors(), [0], {}, dtype="float32")
+        with pytest.raises(TypeError):
+            epsilon_sweep(graph, CommonNeighbors(), [0], dtype="float32")
+        config = ExperimentConfig().to_dict()
+        with pytest.raises(ExperimentError, match="dtype"):
+            ExperimentConfig.from_dict({**config, "dtype": "float32"})
+        for command in (["figure", "1a"], ["sweep"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(command + ["--dtype", "float32"])
 
     def test_removed_journal_horizon_argument_is_rejected(self):
         from repro.datasets import toy
