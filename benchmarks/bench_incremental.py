@@ -4,8 +4,8 @@ Replays one reproducible mutation-heavy add/remove/query event stream
 (40% mutations, zipf-skewed query users) through a
 :class:`~repro.streaming.engine.StreamingService` whose utility cache
 patches stale rows: each mutation's journaled
-:class:`~repro.compute.incremental.EdgeScoreDelta` is scattered into the
-resident rows' exact walk-count components
+:class:`~repro.compute.incremental.EdgeScoreDelta` is merged into the
+resident support-form rows' sparse walk-count side-cars
 (:func:`~repro.compute.incremental.patch_utility_vector`), so hot rows
 stay resident across churn and only endpoint rows ever recompute.
 
@@ -16,10 +16,10 @@ Correctness gates run **before** any timing:
    reference (the same weighted-paths utility declaring no walk
    components, so its cache recomputes every row after every mutation)
    at four compute byte budgets, from the default
-   (:data:`repro.compute.plan.CHUNK_BYTES`) down to one row per chunk,
-   so the component fills run in every chunk layout from one pass to
-   one row at a time. Patching is exact integer arithmetic on walk
-   counts, so this is bit-identity, not a tolerance check;
+   (:data:`repro.compute.plan.CHUNK_BYTES`) down to one row per chunk.
+   The patching cache's side-car fill is sparse and takes no chunks, so
+   no budget may change a pick. Patching is exact integer arithmetic on
+   walk counts, so this is bit-identity, not a tolerance check;
 2. resident-row equality — after the full-profile replay, every row
    still resident in the cache must equal a from-scratch recompute on
    the final graph, bit for bit;

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI smoke: the tier-1 test suite plus sub-minute serving, experiment-engine,
 # streaming, incremental, memory, telemetry, durability, scale, and
-# HTTP-edge benchmarks, and every example script.
+# HTTP-edge benchmarks, the end-to-end benchmark's correctness checks, and
+# every example script.
 #
 # Usage: scripts/ci_smoke.sh   (from the repository root or anywhere)
 #        REPRO_SMOKE_OUT=DIR scripts/ci_smoke.sh   (keep the smoke artifacts)
@@ -117,6 +118,26 @@ echo "== edge benchmark (smoke) =="
 # (`python benchmarks/bench_service_edge.py`): wall-clock ratios are
 # noisy on shared runners.
 python benchmarks/bench_service_edge.py --smoke --output "$smoke_out/BENCH_service_edge.json"
+
+echo
+echo "== perfbench correctness checks =="
+# The end-to-end benchmark checks what it serves: the edge workloads
+# validate every pick against the graph and replay coalesced batches on
+# a fresh service, the durable stream checks one write-ahead-log edge
+# record per mutation, and every serving workload reconciles its privacy
+# ledger. Two seconds per workload runs every check; the timings are
+# not gated here. The last stdout line must read correct with 0 failed.
+for workload in edge_wiki edge_1e5 stream_durable engine_twitter; do
+    echo "-- $workload"
+    outcome=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 | tail -n 1)
+    echo "$outcome"
+    python3 -c '
+import json, sys
+outcome = json.loads(sys.argv[1])
+if outcome["correct"] is not True or outcome["failed"] != 0:
+    sys.exit("FAIL: perfbench checks did not pass")
+' "$outcome"
+done
 
 echo
 echo "== examples =="

@@ -30,7 +30,6 @@ bit-identical whatever the budget.
 from .incremental import (
     COMPONENTS_KEY,
     EdgeScoreDelta,
-    apply_edge_delta,
     compute_edge_delta,
     patch_utility_vector,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "EdgeScoreDelta",
     "TargetChunk",
     "Workspace",
-    "apply_edge_delta",
     "compute_edge_delta",
     "contiguous_node_range",
     "get_workspace",

@@ -50,6 +50,16 @@ recombines them with the same accumulation sequence as a full
 recompute, so a patched float64 row is bit-identical to a recomputed
 one.
 
+Rows stay support-form while they are patched. A row's side-car holds
+only its *walk support* — the candidates with a non-zero count of some
+length — and the counts there (a single-length utility's row is its own
+side-car), so :func:`patch_utility_vector` merges each delta's scattered
+ids into that support: it inserts the ids that gain a count, sums the
+run's ``(id, length)`` updates with one ``bincount``, drops the ids
+whose counts all return to zero and recombines, in
+O(lengths x support + delta x log(support)) — no sort of the whole
+update, no hashing.
+
 Endpoint rows (directed ``t == u``; undirected ``t ∈ {u, v}``) change
 their candidate set and/or target degree, so they are *not* patchable —
 :meth:`EdgeScoreDelta.evicts` reports them and the cache evicts and
@@ -58,8 +68,9 @@ recomputes exactly those rows.
 Cost model: applying one delta to one row scatters at most
 :attr:`EdgeScoreDelta.scatter_cost` values (forward-level sizes weighted
 by how many components reuse each level). The cache compares the summed
-scatter cost against ``crossover x num_candidates`` — the dense-row cost
-a recompute would pay — and evicts past the crossover instead of
+scatter cost against ``crossover x num_candidates`` — the row's width,
+the budget dense rows were tuned on, kept so support-form rows patch or
+evict exactly where they did — and evicts past the crossover instead of
 patching (:data:`repro.serving.cache.PATCH_CROSSOVER`).
 """
 
@@ -72,10 +83,12 @@ import numpy as np
 from ..errors import GraphError
 from ..utility.base import UtilityVector
 
-#: Metadata key carrying a vector's per-length integer walk components
-#: (``(num_lengths, num_candidates)`` float64). Written by the
-#: component-aware fill path (:func:`repro.compute.kernels.utility_vectors`
-#: with ``with_components=True``), consumed by :func:`patch_utility_vector`.
+#: Metadata key of a patchable support-form vector's walk-count side-car,
+#: ``(ids, counts)``: the ascending walk-support ids and the
+#: ``(num_lengths, len(ids))`` float64 block of exact counts there.
+#: Written by :func:`repro.compute.kernels.utility_vectors` with
+#: ``with_components=True`` for utilities over more than one length,
+#: consumed by :func:`patch_utility_vector`.
 COMPONENTS_KEY = "walk_components"
 
 
@@ -193,6 +206,42 @@ def _add_at(ids, counts: np.ndarray, node: int, value: float):
     )
 
 
+def _sparse_level(ids, counts: np.ndarray):
+    """A level as ``(ids, counts)`` over its non-zeros (dense levels too)."""
+    if ids is not None:
+        return ids, counts
+    ids = np.flatnonzero(counts)
+    return ids, counts[ids]
+
+
+def _journal_entries(forward: dict, reverse: dict, max_length: int, num_nodes: int):
+    """``(forward, scatter_cost, touched)`` of a delta under construction.
+
+    Forward levels become sparse (a scatter only visits non-zeros);
+    level ``m`` feeds components ``k = j + m + 1`` for ``j = 1..L-1-m``,
+    so it can be scattered up to ``L - 1 - m`` times per orientation.
+    ``touched`` is the union of the reverse supports as a frozenset,
+    so the cache tests membership in O(1).
+    """
+    forward = {
+        seed: tuple(_sparse_level(*level) for level in levels)
+        for seed, levels in forward.items()
+    }
+    scatter_cost = sum(
+        (max_length - 1 - m) * int(ids.size)
+        for levels in forward.values()
+        for m, (ids, _) in enumerate(levels)
+    )
+    touched_flags = np.zeros(num_nodes, dtype=bool)
+    for levels in reverse.values():
+        for ids, level_counts in levels:
+            if ids is None:
+                touched_flags |= level_counts != 0.0
+            else:
+                touched_flags[ids] = True
+    return forward, scatter_cost, frozenset(np.flatnonzero(touched_flags).tolist())
+
+
 def _drop_zeros(ids, counts: np.ndarray):
     if ids is None:
         return ids, counts  # dense levels keep exact zeros in place
@@ -210,13 +259,14 @@ class EdgeScoreDelta:
     pre-mutation graph (``reverse[seed][j-1]`` is the column
     ``(A_old^j)[:, seed]``, ``j = 1..max_length-1``) and the forward
     walk-count levels on the post-mutation graph (``forward[seed][m]``
-    is the row ``(A_new^m)[seed, :]``, ``m = 0..max_length-2``). A level
-    is an ascending sparse ``(ids, counts)`` pair, or — once its support
-    covers a sizable fraction of the graph — ``(None, dense_counts)``
-    with a full length-``n`` float64 vector. ``touched`` is the sorted
-    union of every reverse level's support — the exact set of rows this
-    delta can change. Applying the delta to a target's component rows is
-    then a pure scatter — no graph access at patch time.
+    is the row ``(A_new^m)[seed, :]``, ``m = 0..max_length-2``). A
+    forward level is an ascending sparse ``(ids, counts)`` pair over its
+    non-zeros; a reverse level is one too, or — once its support covers
+    a sizable fraction of the graph — ``(None, dense_counts)`` with a
+    full length-``n`` float64 vector. ``touched`` is the frozenset union
+    of every reverse level's support — the exact set of rows this delta
+    can change. Applying the delta to a target's side-car is then a pure
+    scatter — no graph access at patch time.
     """
 
     version: int
@@ -227,7 +277,7 @@ class EdgeScoreDelta:
     max_length: int
     reverse: "dict[int, tuple[tuple[np.ndarray, np.ndarray], ...]]"
     forward: "dict[int, tuple[tuple[np.ndarray, np.ndarray], ...]]"
-    touched: np.ndarray
+    touched: "frozenset[int]"
     scatter_cost: int
 
     def pairs(self) -> "tuple[tuple[int, int], ...]":
@@ -252,13 +302,11 @@ class EdgeScoreDelta:
 
         True exactly when the target has a nonzero pre-mutation reverse
         walk count into some mutated endpoint — the weight every scatter
-        term is multiplied by. A false result makes :func:`apply_edge_delta`
-        a guaranteed no-op, so callers skip the delta (and its
-        :attr:`scatter_cost`) in the patch-vs-evict estimate.
+        term is multiplied by. A false result makes the delta a guaranteed
+        no-op for the row, so callers skip it (and its
+        :attr:`scatter_cost`) in the patch-vs-evict estimate. O(1).
         """
-        target = int(target)
-        position = int(np.searchsorted(self.touched, target))
-        return position < self.touched.size and int(self.touched[position]) == target
+        return int(target) in self.touched
 
 
 def compute_edge_delta(graph, u: int, v: int, added: bool, max_length: int) -> EdgeScoreDelta:
@@ -313,25 +361,9 @@ def compute_edge_delta(graph, u: int, v: int, added: bool, max_length: int) -> E
             previous_ids, previous_counts = ids, counts
         reverse[seed] = tuple(levels)
 
-    # Forward level m feeds components k = j + m + 1 for j = 1..L-1-m:
-    # it can be scattered up to (L - 1 - m) times per orientation.
-    scatter_cost = 0
-    for levels in forward.values():
-        for m, (ids, level_counts) in enumerate(levels):
-            support = np.count_nonzero(level_counts) if ids is None else ids.size
-            scatter_cost += (max_length - 1 - m) * int(support)
-
-    # Sorted union of the reverse supports via one O(n) flag pass — the
-    # level ids are already sorted, and a flag scatter beats sorting the
-    # concatenation (np.unique) on every mutation.
-    touched_flags = np.zeros(int(graph.num_nodes), dtype=bool)
-    for levels in reverse.values():
-        for ids, level_counts in levels:
-            if ids is None:
-                touched_flags |= level_counts != 0.0
-            else:
-                touched_flags[ids] = True
-    touched = np.nonzero(touched_flags)[0].astype(np.int64, copy=False)
+    forward, scatter_cost, touched = _journal_entries(
+        forward, reverse, max_length, int(graph.num_nodes)
+    )
 
     return EdgeScoreDelta(
         version=int(graph.version),
@@ -428,20 +460,9 @@ def _undirected_edge_delta(
                 levels.append((None, accumulator))
         reverse[seed] = tuple(levels)
 
-    scatter_cost = 0
-    for levels in forward.values():
-        for m, (ids, level_counts) in enumerate(levels):
-            support = np.count_nonzero(level_counts) if ids is None else ids.size
-            scatter_cost += (max_length - 1 - m) * int(support)
-
-    touched_flags = np.zeros(num_nodes, dtype=bool)
-    for levels in reverse.values():
-        for ids, level_counts in levels:
-            if ids is None:
-                touched_flags |= level_counts != 0.0
-            else:
-                touched_flags[ids] = True
-    touched = np.nonzero(touched_flags)[0].astype(np.int64, copy=False)
+    forward, scatter_cost, touched = _journal_entries(
+        forward, reverse, max_length, num_nodes
+    )
 
     return EdgeScoreDelta(
         version=int(graph.version),
@@ -457,132 +478,112 @@ def _undirected_edge_delta(
     )
 
 
-def apply_edge_delta(
-    delta: EdgeScoreDelta,
-    target: int,
-    candidates: np.ndarray,
-    components: np.ndarray,
-    position_map: np.ndarray,
-) -> bool:
-    """Scatter one delta into a target's component rows, in place.
+def _side_car(vector: UtilityVector, num_lengths: int):
+    """A patchable vector's ``(ids, counts)`` walk side-car, or ``None``."""
+    if vector.excluded is None:
+        return None
+    if num_lengths == 1:
+        ids, values = vector.support()
+        return ids, values[np.newaxis]
+    car = vector.metadata.get(COMPONENTS_KEY)
+    if car is None or car[1].shape[0] != num_lengths:
+        return None
+    return car
 
-    ``components`` is the ``(num_lengths, num_candidates)`` float64 block
-    of exact walk counts for contiguous lengths starting at 2 (matching
-    :meth:`~repro.utility.base.UtilityFunction.walk_component_lengths`);
-    ``candidates`` is the row's ascending candidate id array. A delta
-    journaled deeper than the block is fine — only the levels feeding
-    lengths ``<= components.shape[0] + 1`` are scattered; a delta
-    journaled *shallower* cannot patch the block and the caller must not
-    get here (:meth:`DirtyNodeTracker.deltas_since` filters those out).
-    Columns outside the candidate set (the target itself, its
-    out-neighbors) are skipped — their counts are never stored. Returns
-    whether anything changed. Must not be called for a target
-    :meth:`~EdgeScoreDelta.evicts`. ``position_map`` is the row's
-    node-id -> candidate-column array (``-1`` for non-candidates, from
-    :func:`candidate_position_map`); callers folding several deltas into
-    one row build it once and amortize it.
+
+def _scatter(deltas: "list[EdgeScoreDelta]", target: int, num_lengths: int):
+    """Every delta's updates to ``target``'s counts as flat
+    ``(id * num_lengths + component, add)`` pairs, unmerged.
+
+    Forward level ``m`` of a pair adds ``sign * r_j[target] * F_m`` to
+    component ``k - 2 = j + m - 1`` for every ``j`` with a non-zero
+    reverse weight. A delta journaled deeper than the side-car only
+    scatters the levels feeding its lengths.
     """
-    target = int(target)
-    changed = False
-    length = min(delta.max_length, components.shape[0] + 1)
-    sign = delta.sign
-    for reverse_seed, forward_seed in delta.pairs():
-        reverse_levels = delta.reverse[reverse_seed]
-        # Reverse weights r_j[target], j = 1..length-1, up front: a pair
-        # whose weights all vanish is skipped wholesale, and forward
-        # level m is gathered ONCE and reused for every j it feeds
-        # (it scatters into component rows j+m-1 for j <= length-1-m).
-        weights = [_value_at(*reverse_levels[j - 1], target) for j in range(1, length)]
-        if not any(weights):
-            continue
-        forward_levels = delta.forward[forward_seed]
-        for m in range(0, length - 1):
-            active = [
-                (j, weight)
-                for j, weight in enumerate(weights, start=1)
-                if weight and m < length - j
-            ]
-            if not active:
+    keys, adds = [], []
+    for delta in deltas:
+        length = min(delta.max_length, num_lengths + 1)
+        for reverse_seed, forward_seed in delta.pairs():
+            reverse_levels = delta.reverse[reverse_seed]
+            weights = [_value_at(*reverse_levels[j - 1], target) for j in range(1, length)]
+            if not any(weights):
                 continue
-            ids, counts = forward_levels[m]
-            if ids is None:
-                # Dense level: one full-width gather-and-add. Columns
-                # outside the support add exact zeros — harmless.
-                row_add = counts[candidates]
-                if not row_add.any():
+            for m, (ids, counts) in enumerate(delta.forward[forward_seed][: length - 1]):
+                if ids.size == 0:
                     continue
-                for j, weight in active:
-                    components[j + m - 1] += sign * weight * row_add
-                changed = True
-                continue
-            if ids.size == 0:
-                continue
-            mapped = position_map[ids]
-            valid = mapped >= 0
-            columns = mapped[valid]
-            if not valid.any():
-                continue
-            level_add = counts[valid]
-            # Component index for walk length k = j + m + 1; lengths
-            # start at 2, so the row is k - 2. ids are unique, so the
-            # fancy add is exact without add.at.
-            for j, weight in active:
-                components[j + m - 1, columns] += sign * weight * level_add
-            changed = True
-    return changed
-
-
-def candidate_position_map(candidates: np.ndarray, num_nodes: int) -> np.ndarray:
-    """Dense node-id -> candidate-column map (``-1`` for non-candidates)."""
-    position_map = np.full(int(num_nodes), -1, dtype=np.int64)
-    position_map[candidates] = np.arange(candidates.size, dtype=np.int64)
-    return position_map
+                for j, weight in enumerate(weights[: length - 1 - m], start=1):
+                    if weight:
+                        keys.append(ids * num_lengths + (j + m - 1))
+                        adds.append(delta.sign * weight * counts)
+    return keys, adds
 
 
 def patch_utility_vector(
     vector: UtilityVector,
     deltas: "list[EdgeScoreDelta]",
     utility,
-    num_nodes: int,
 ) -> "UtilityVector | None":
     """A new vector with ``deltas`` folded in, or ``None`` if unpatchable.
 
-    Unpatchable means: the vector carries no component side-car (filled
-    by a cache that flushes, or put by hand), its component block does
-    not match the utility's declared lengths, or some delta rewrites this
-    target's candidate set (:meth:`EdgeScoreDelta.evicts`). The caller
-    then falls back to eviction; this function never guesses.
+    Unpatchable means: the vector is dense or carries no side-car for
+    the utility's lengths (filled by a cache that flushes, or put by
+    hand), or some delta rewrites this target's candidate set
+    (:meth:`EdgeScoreDelta.evicts`). The caller then falls back to
+    eviction; this function never guesses.
 
-    ``num_nodes`` sizes the row's node-id -> column scatter map, built
-    once and shared by every delta. Unless nothing changed, a fresh
-    :class:`UtilityVector` is returned — resident vectors are shared with
-    callers of ``get()`` and must stay immutable. Values contract: the
-    patched float64 row is bit-identical to a full recompute.
+    The merge (module docstring) skips excluded ids (their counts are
+    never stored), inserts the ids new to the walk support (one
+    ``np.unique`` over those alone), sums every update into the block
+    with one ``bincount`` and deletes the columns that emptied. Unless
+    no update reached a candidate, a fresh support-form
+    :class:`UtilityVector` is returned — resident vectors are shared
+    with callers of ``get()`` and must stay immutable. Values contract: the patched float64 row
+    and its side-car are bit-identical to a fresh fill.
     """
     lengths = utility.walk_component_lengths()
     if lengths is None:
         return None
-    components = vector.metadata.get(COMPONENTS_KEY)
-    if components is None or components.shape != (len(lengths), vector.candidates.size):
+    num_lengths = len(lengths)
+    car = _side_car(vector, num_lengths)
+    if car is None or any(delta.evicts(vector.target) for delta in deltas):
         return None
-    if any(delta.evicts(vector.target) for delta in deltas):
-        return None
-    components = components.copy()
-    position_map = candidate_position_map(vector.candidates, num_nodes)
-    changed = False
-    for delta in deltas:
-        changed |= apply_edge_delta(
-            delta, vector.target, vector.candidates, components, position_map
-        )
-    if not changed:
+    keys, adds = _scatter(deltas, vector.target, num_lengths)
+    if not keys:
         return vector
-    values = utility.combine_component_rows(components)
+    keys = np.concatenate(keys)
+    node_ids = keys // num_lengths
+    excluded = vector.excluded
+    slots = np.minimum(np.searchsorted(excluded, node_ids), excluded.size - 1)
+    keep = excluded[slots] != node_ids
+    if not keep.any():
+        return vector  # nothing reached a candidate: the row is unchanged
+    keys, node_ids, adds = keys[keep], node_ids[keep], np.concatenate(adds)[keep]
+    ids, counts = car
+    positions = np.searchsorted(ids, node_ids)
+    fresh = positions >= ids.size
+    fresh[~fresh] = ids[positions[~fresh]] != node_ids[~fresh]
+    if fresh.any():
+        # Only ids new to the walk support are sorted; the rest are
+        # located by binary search.
+        joining = np.unique(node_ids[fresh])
+        at = np.searchsorted(ids, joining)
+        ids = np.insert(ids, at, joining)
+        counts = np.insert(counts, at, 0.0, axis=1)
+        positions = np.searchsorted(ids, node_ids)
+    # One bincount sums every update per (component, column); integer
+    # counts make the sum exact in any order.
+    counts = counts + np.bincount(
+        (keys % num_lengths) * ids.size + positions, weights=adds,
+        minlength=counts.size,
+    ).reshape(counts.shape)
+    emptied = np.flatnonzero(~counts.any(axis=0))
+    if emptied.size:
+        ids = np.delete(ids, emptied)
+        counts = np.delete(counts, emptied, axis=1)
     metadata = dict(vector.metadata)
-    metadata[COMPONENTS_KEY] = components
-    return UtilityVector(
-        target=vector.target,
-        candidates=vector.candidates,
-        values=values,
-        target_degree=vector.target_degree,
-        metadata=metadata,
-    )
+    if num_lengths == 1:
+        return vector.with_support(ids, counts[0], metadata)
+    scores = utility.combine_component_rows(counts)
+    positive = scores > 0
+    metadata[COMPONENTS_KEY] = (ids, counts)
+    return vector.with_support(ids[positive], scores[positive], metadata)

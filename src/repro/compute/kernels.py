@@ -13,7 +13,8 @@ Two extraction flavors exist because the consumers genuinely differ:
   over its full candidate set, zero-signal targets included. The serving
   layer needs this (a user with no utility signal still gets an answer —
   or a well-defined error — from the mechanism). Its rows are
-  support-form by default; the serving sampler
+  support-form (a patching cache's carry a sparse walk-count side-car);
+  the serving sampler
   (:meth:`~repro.mechanisms.exponential.ExponentialMechanism.recommend_vectors`)
   consumes them in O(support) per request.
 * :func:`footnote10_support` — *filtered*: the paper's footnote-10 drop
@@ -36,25 +37,8 @@ from scipy import sparse
 
 from ..errors import UtilityError
 from ..graphs.graph import SocialGraph
-from ..utility.base import UtilityFunction, UtilityVector, candidate_mask
+from ..utility.base import UtilityFunction, UtilityVector, support_rows
 from .incremental import COMPONENTS_KEY
-from .plan import ComputePlan
-from .workspace import Workspace
-
-
-def candidate_mask_rows(
-    graph: SocialGraph,
-    targets: np.ndarray,
-    workspace: "Workspace | None" = None,
-) -> np.ndarray:
-    """Dense candidate mask rows for one chunk of targets (the component fill's)."""
-    targets = np.asarray(targets, dtype=np.int64)
-    if workspace is None:
-        return candidate_mask(graph, targets)
-    shape = (targets.size, graph.num_nodes)
-    return candidate_mask(
-        graph, targets, out=workspace.take("kernel.mask", shape, np.bool_)
-    )
 
 
 def checked_targets(
@@ -76,16 +60,20 @@ def checked_targets(
     return targets
 
 
-def excluded_rows(graph: SocialGraph, targets: np.ndarray) -> sparse.csr_matrix:
+def excluded_rows(
+    graph: SocialGraph, targets: np.ndarray, links: "sparse.csr_matrix | None" = None
+) -> sparse.csr_matrix:
     """Each target's excluded ids — itself and its links — as CSR rows.
 
     Row ``j``'s pattern is the complement of ``targets[j]``'s candidate
     set (:func:`~repro.utility.base.candidate_nodes`), in canonical form,
     so ``num_nodes - np.diff(indptr)`` counts each row's candidates; the
     form :func:`~repro.utility.base.support_rows` takes. O(degree) per
-    row.
+    row. ``links``, when the caller already read them, are the targets'
+    ``graph.adjacency_rows``.
     """
-    links = graph.adjacency_rows(targets)
+    if links is None:
+        links = graph.adjacency_rows(targets)
     own = sparse.csr_matrix(
         (np.ones(targets.size), targets, np.arange(targets.size + 1)), shape=links.shape
     )
@@ -123,73 +111,69 @@ def utility_vectors(
     graph: SocialGraph,
     utility: UtilityFunction,
     targets: "np.ndarray | list[int]",
-    workspace: "Workspace | None" = None,
     with_components: bool = False,
 ) -> "list[UtilityVector]":
-    """One float64 :class:`UtilityVector` per target, unfiltered (serving flavor).
+    """One float64 support-form :class:`UtilityVector` per target, unfiltered.
 
     Every target yields a vector over its full candidate set — including
-    targets the footnote-10 filter would drop — whose ``candidates`` and
-    ``values`` equal what the per-target reference
-    ``utility.utility_vector`` builds. The vectors hold *owned* arrays
-    (they outlive the call — the serving cache keeps them).
-
-    By default the vectors are support-form
-    (:meth:`~repro.utility.base.UtilityVector.from_support_rows`), built
-    in one pass from the utility's sparse score rows
+    targets the footnote-10 filter would drop — whose dense view equals
+    what the per-target reference ``utility.utility_vector`` builds. The
+    vectors are built in one pass from the utility's sparse score rows
     (:meth:`~repro.utility.base.UtilityFunction.support_scores` — for
     common neighbors the ``A[targets] @ A`` product itself, so no
-    ``(len(targets), num_nodes)`` block is allocated), and each row costs
-    O(support + degree) bytes.
+    ``(len(targets), num_nodes)`` block is allocated), hold *owned*
+    arrays (the serving cache keeps them) and cost O(support + degree)
+    bytes each.
 
-    ``with_components=True`` instead builds dense vectors that carry
-    their exact per-length walk-count slice as
-    ``metadata["walk_components"]`` (the side-car
-    :func:`repro.compute.incremental.patch_utility_vector` consumes), for
-    utilities that declare
-    :meth:`~repro.utility.base.UtilityFunction.walk_component_lengths`.
-    Scores are then derived from those very components via the utility's
-    ``combine_component_matrices`` — the same float64 accumulation as the
-    support path, so the values are bit-identical with the flag on or
-    off. This fill allocates dense component, score and mask blocks, so
-    it runs in :class:`~repro.compute.plan.ComputePlan` chunks (the score
-    and mask blocks ride the ``workspace``). Utilities without components
-    fall back to the support path.
+    ``with_components=True`` makes every vector patchable by
+    :func:`repro.compute.incremental.patch_utility_vector` when the
+    utility declares
+    :meth:`~repro.utility.base.UtilityFunction.walk_component_lengths`:
+    the scores are recombined from the utility's sparse
+    :meth:`~repro.utility.base.UtilityFunction.walk_rows` — the same
+    float64 accumulation as the reference, so the values are
+    bit-identical with the flag on or off — and a vector over more than
+    one length carries ``metadata[COMPONENTS_KEY] = (ids, counts)``: its
+    walk support (every candidate with a non-zero count of some length)
+    and the ``(num_lengths, len(ids))`` block of exact counts there. A
+    single-length utility's row is its own side-car. Each target's CSR
+    row is read once, for both the walks and the excluded ids.
     """
     targets = checked_targets(graph, targets)
     degrees = graph.out_degrees_of(targets)
-    if not (with_components and utility.walk_component_lengths() is not None):
+    metadata = {"utility": utility.name}
+    if not with_components or utility.walk_component_lengths() is None:
         return UtilityVector.from_support_rows(
             targets,
             utility.support_scores(graph, targets),
             excluded_rows(graph, targets),
             degrees,
-            {"utility": utility.name},
+            metadata,
         )
-    vectors = []
-    for chunk in ComputePlan(int(targets.size), graph.num_nodes):
-        rows = chunk.take(targets)
-        components = utility.batch_score_components(graph, rows)
-        shape = (rows.size, graph.num_nodes)
-        scores = utility.combine_component_matrices(
-            components, rows,
-            out=None if workspace is None else workspace.take("kernel.scores64", shape, np.float64),
-        )
-        mask = candidate_mask_rows(graph, rows, workspace=workspace)
-        for row in range(rows.size):
-            candidates = np.flatnonzero(mask[row]).astype(np.int64, copy=False)
-            vectors.append(
-                UtilityVector(
-                    target=int(rows[row]),
-                    candidates=candidates,
-                    values=scores[row].take(candidates),
-                    target_degree=int(degrees[chunk.start + row]),
-                    metadata={
-                        "utility": utility.name,
-                        COMPONENTS_KEY: np.stack(
-                            [component[row].take(candidates) for component in components]
-                        ),
-                    },
-                )
-            )
+    links = graph.adjacency_rows(targets)
+    excluded = excluded_rows(graph, targets, links)
+    walks = utility.walk_rows(graph, links)
+    if len(walks) == 1:
+        return UtilityVector.from_support_rows(targets, walks[0], excluded, degrees, metadata)
+    # Walk support: the positive entries of the summed (non-negative)
+    # counts outside the excluded ids; then every length's count there.
+    walk_ids, _, offsets = support_rows(sum(walks[1:], walks[0]), excluded)
+    num_nodes = graph.num_nodes
+    row_starts = np.arange(targets.size, dtype=np.int64) * num_nodes
+    queries = np.repeat(row_starts, np.diff(offsets)) + walk_ids
+    counts = np.zeros((len(walks), walk_ids.size), dtype=np.float64)
+    for length, walk in enumerate(walks):
+        walk.sum_duplicates()
+        keys = np.repeat(row_starts, np.diff(walk.indptr)) + walk.indices
+        if keys.size:
+            slots = np.minimum(np.searchsorted(keys, queries), keys.size - 1)
+            found = keys[slots] == queries
+            counts[length, found] = walk.data[slots[found]]
+    scores = sparse.csr_matrix(
+        (utility.combine_component_rows(counts), walk_ids, offsets),
+        shape=(targets.size, num_nodes),
+    )
+    vectors = UtilityVector.from_support_rows(targets, scores, excluded, degrees, metadata)
+    for vector, low, high in zip(vectors, offsets[:-1].tolist(), offsets[1:].tolist()):
+        vector.metadata[COMPONENTS_KEY] = (walk_ids[low:high].copy(), counts[:, low:high].copy())
     return vectors

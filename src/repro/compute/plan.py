@@ -1,8 +1,8 @@
 """Chunking plans: bound peak dense allocation for batched pipelines.
 
 A few batched stages materialize per-target dense rows of width
-``num_nodes`` (walk-count components, the gamma sweep's score rows, the
-default sparse score fill). Evaluating ``len(targets)`` targets in one
+``num_nodes`` (the gamma sweep's walk-count and score rows, the default
+sparse score fill). Evaluating ``len(targets)`` targets in one
 shot would allocate ``len(targets) x num_nodes`` floats — fine for a
 figure run, fatal at the ROADMAP's millions-of-users scale. A
 :class:`ComputePlan` splits the target list into chunks of
@@ -28,9 +28,8 @@ import numpy as np
 from ..errors import ComputeError
 
 #: Byte budget of one chunk's dense ``rows x num_nodes`` float64 block:
-#: every stage that allocates such a block (the gamma sweep, a patching
-#: cache's component fill, the default ``UtilityFunction.support_scores``)
-#: takes :func:`chunk_rows` targets at a time. Small enough that the
+#: every stage that allocates such a block (the gamma sweep and the
+#: default ``UtilityFunction.support_scores``) takes :func:`chunk_rows` targets at a time. Small enough that the
 #: workspace buffers those stages stream through stay cache-resident.
 #: Read at call time.
 CHUNK_BYTES = 4_000_000

@@ -1,8 +1,7 @@
 """Reusable dense buffers for the batched numeric core.
 
-The stages that still hold dense temporaries — a patching cache's
-component fill (``(chunk, n)`` score rows and candidate masks), the gamma
-sweep's recombined score rows, Laplace noise blocks — take them from
+The stages that still hold dense temporaries — the gamma sweep's
+recombined score rows, Laplace noise blocks — take them from
 here instead of allocating them fresh per chunk (or per *row*), which
 once made a scale-1.0 experiment run spend a large share of its wall
 clock inside the allocator and peak far above its working set. A

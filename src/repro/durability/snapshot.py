@@ -57,8 +57,10 @@ SNAPSHOT_MAGIC = b"RPROSNAP"
 #: (2: cached utility vectors pickle as dense or support form; 3: budgets
 #: hold one spent float per user instead of per-release entry lists; 4:
 #: cached rows are always float64, so a format-3 float32 row is never
-#: restored into a float64 cache).
-SNAPSHOT_FORMAT = 4
+#: restored into a float64 cache; 5: a patching cache's rows are
+#: support-form with a sparse walk-count side-car, so a format-4 dense
+#: side-car row is never restored into a cache that patches by merge).
+SNAPSHOT_FORMAT = 5
 
 _HEADER = struct.Struct("<II")  # payload length, crc32(payload)
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{8})\.snap$")

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import EdgeServiceError
 
@@ -52,7 +52,6 @@ class CoalescerStats:
     batches: int = 0
     items: int = 0
     cancelled_in_queue: int = 0
-    batch_sizes: "list[int]" = field(default_factory=list)
 
 
 class CoalescingQueue:
@@ -181,7 +180,6 @@ class CoalescingQueue:
                 continue
             self.stats.batches += 1
             self.stats.items += len(batch)
-            self.stats.batch_sizes.append(len(batch))
             try:
                 await self._dispatch(batch)
             except Exception as error:  # noqa: BLE001 - fan failure out, keep flushing

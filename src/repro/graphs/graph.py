@@ -459,6 +459,18 @@ class SocialGraph:
         targets = np.asarray(targets, dtype=np.int64)
         return self.adjacency_matrix()[targets]
 
+    def adjacency_product(self, rows: sp.csr_matrix) -> sp.csr_matrix:
+        """The sparse product ``rows @ A`` of CSR rows with the adjacency.
+
+        One walk step: with ``rows = A[targets]`` it is the length-2
+        walk-count rows common neighbors scores, and repeated it yields
+        every longer walk length. Counts are exact integers in float64,
+        so any evaluation order gives the same matrix; the streaming
+        overlay computes it from its epoch base and delta instead of
+        rebuilding ``A``.
+        """
+        return rows @ self.adjacency_matrix()
+
     def out_degrees_of(self, targets: "np.ndarray | list[int]") -> np.ndarray:
         """Vector of out-degrees for an arbitrary target list.
 

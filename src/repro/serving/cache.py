@@ -195,32 +195,18 @@ class UtilityCache:
             return vector
         patched = None
         deltas = self._graph.score_deltas_since(stamp, self._delta_length)
-        if deltas is not None:
-            # A mutation may have landed after this sync's version
-            # snapshot; patching past _cached_version would desynchronize
-            # the stamp, so clamp the run to the synced window.
-            deltas = [d for d in deltas if d.version <= self._cached_version]
-            # The evicts() screen runs over *every* pending delta: an
-            # endpoint row's candidate set changed even when its reverse
-            # walk overlap with the delta is empty, so the touches()
-            # filter below must not hide it.
-            if not any(d.evicts(target) for d in deltas):
-                relevant = [d for d in deltas if d.touches(target)]
-                if not relevant:
-                    # No pending mutation reaches this row: advance its
-                    # stamp for free (not a patch, not a miss — the lazy
-                    # analogue of the row never having been dirtied).
-                    self._row_versions[target] = self._cached_version
-                    return vector
-                cost = sum(d.scatter_cost for d in relevant)
-                budget = PATCH_CROSSOVER * max(vector.num_candidates, 1)
-                if cost <= budget:
-                    patched = patch_utility_vector(
-                        vector,
-                        relevant,
-                        self._utility,
-                        num_nodes=self._graph.num_nodes,
-                    )
+        relevant = None if deltas is None else self._relevant_deltas(deltas, target)
+        if relevant is not None:
+            if not relevant:
+                # No pending mutation reaches this row: advance its
+                # stamp for free (not a patch, not a miss — the lazy
+                # analogue of the row never having been dirtied).
+                self._row_versions[target] = self._cached_version
+                return vector
+            cost = sum(d.scatter_cost for d in relevant)
+            budget = PATCH_CROSSOVER * max(vector.num_candidates, 1)
+            if cost <= budget:
+                patched = patch_utility_vector(vector, relevant, self._utility)
         if patched is None:
             self._drop(target)
             self.stats.selective_evictions += 1
@@ -230,6 +216,26 @@ class UtilityCache:
         if patched is not vector:
             self.stats.patched_rows += 1
         return patched
+
+    def _relevant_deltas(self, deltas, target: int) -> "list | None":
+        """The pending deltas that reach ``target``, or ``None`` (evict).
+
+        O(1) per delta: an endpoint test and one frozenset membership.
+        The run is clamped to the synced window — a mutation may land
+        after this sync's version snapshot, and patching past
+        ``_cached_version`` would desynchronize the stamp. The endpoint
+        screen runs over *every* delta in the window: an endpoint row's
+        candidate set changed even when no reverse walk reaches it.
+        """
+        relevant = []
+        for delta in deltas:
+            if delta.version > self._cached_version:
+                break
+            if delta.evicts(target):
+                return None
+            if target in delta.touched:
+                relevant.append(delta)
+        return relevant
 
     def _touch(self, target: int) -> None:
         """Move a resident vector to the most-recently-used position."""
@@ -262,8 +268,8 @@ class UtilityCache:
         # Compute outside the lock: concurrent misses for different targets
         # proceed in parallel, and a duplicated computation for the *same*
         # target is deterministic, so whichever insert lands last is fine.
-        # The fill is the batched path's kernel: a support-form row, or in
-        # a patchable cache a dense one carrying the walk-count side-car
+        # The fill is the batched path's kernel: a support-form row that,
+        # in a patchable cache, carries the sparse walk-count side-car
         # later reads patch; the values are bit-identical either way.
         vector = utility_vectors(
             self._graph,

@@ -656,20 +656,12 @@ def _vectors_chunk(shared, targets: np.ndarray):
     """Kernel task: utility vectors for one batch's cache misses.
 
     Argument-pure (graph + utility in, vectors out); the service applies
-    the results to its cache. The vectors are support-form, except that
-    a patching cache is filled with dense rows carrying the
-    walk-component side-car (their score/mask blocks ride the thread's
-    reusable workspace, chunked by the byte budget) so every freshly
+    the results to its cache. The vectors are support-form; a patching
+    cache's carry the sparse walk-count side-car, so every freshly
     cached row is patchable — same values either way.
     """
     graph, utility, with_components = shared
-    return utility_vectors(
-        graph,
-        utility,
-        targets,
-        workspace=get_workspace(),
-        with_components=with_components,
-    )
+    return utility_vectors(graph, utility, targets, with_components=with_components)
 
 
 def _sample_chunk(mechanism: ExponentialMechanism, payload):

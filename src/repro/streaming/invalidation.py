@@ -86,18 +86,17 @@ class DirtyNodeTracker:
     def last_ball_size(self) -> "int | None":
         """Rows the most recent journaled mutation can change.
 
-        The size of the delta's ``touched`` set plus whichever endpoints
-        it does not already contain; ``None`` before any mutation was
-        journaled. Telemetry's dirty-ball histogram reads this right
-        after each mutation.
+        The size of the delta's ``touched`` set plus whichever endpoint
+        rows it evicts (the tail of a directed mutation, both endpoints
+        of an undirected one) that it does not already contain; ``None``
+        before any mutation was journaled. Telemetry's dirty-ball
+        histogram reads this right after each mutation.
         """
         if not self._deltas:
             return None
         delta = self._deltas[-1]
-        endpoints = {delta.u, delta.v}
-        return int(delta.touched.size) + sum(
-            1 for node in endpoints if not delta.touches(node)
-        )
+        evicted = {node for node in (delta.u, delta.v) if delta.evicts(node)}
+        return len(delta.touched) + len(evicted - delta.touched)
 
     def request_score_deltas(self, max_length: int) -> None:
         """Deepen delta journaling for future records.

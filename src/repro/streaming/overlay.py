@@ -738,6 +738,24 @@ class MutableSocialGraph(SocialGraph):
         self._csr_version = self._version
         return current
 
+    def adjacency_product(self, rows: sp.csr_matrix) -> sp.csr_matrix:
+        """``rows @ A`` as ``rows @ base + rows @ Δ`` — no O(m) rebuild.
+
+        Reuses the matrix view when it is current; otherwise the overlay
+        delta's (u, v, sign) triplets form a sparse ``Δ`` (cancelling
+        pairs sum away). Counts are exact integers, so the result equals
+        ``rows @ adjacency_matrix()`` entry for entry; entries that cancel
+        to zero may stay explicit, and support builders filter them.
+        """
+        if self._csr is not None and self._csr_version == self._version:
+            return rows @ self._csr
+        product = rows @ self._ensure_base()
+        if self._delta_triplets:
+            sources, sinks, signs = self._delta_columns()
+            delta = sp.csr_matrix((signs, (sources, sinks)), shape=(self._n, self._n))
+            product = product + rows @ delta
+        return product
+
     def adjacency_rows(self, targets: "np.ndarray | list[int]") -> sp.csr_matrix:
         """CSR row slice ``A[targets]`` — O(rows + delta), no full rebuild.
 

@@ -3,7 +3,6 @@
 from .base import (
     UtilityFunction,
     UtilityVector,
-    candidate_mask,
     candidate_nodes,
     make_utility,
     register_utility,
@@ -28,7 +27,6 @@ __all__ = [
     "UtilityFunction",
     "UtilityVector",
     "WeightedPaths",
-    "candidate_mask",
     "candidate_nodes",
     "make_utility",
     "probe_sensitivity",

@@ -275,6 +275,26 @@ class UtilityVector:
         return self._ids[positive], self._values[positive]
 
     @property
+    def excluded(self) -> "np.ndarray | None":
+        """Ascending excluded ids (the target and its links) of a
+        support-form vector; ``None`` for a dense one."""
+        return self._excluded
+
+    def with_support(self, ids: np.ndarray, values: np.ndarray, metadata: dict) -> "UtilityVector":
+        """This support-form vector with its positive support replaced.
+
+        Target, degree and excluded ids are kept. The caller guarantees
+        what :meth:`from_support_rows` would establish: ``ids`` strictly
+        increasing non-excluded node ids, ``values`` positive and finite.
+        """
+        vector = UtilityVector.__new__(UtilityVector)
+        vector._set(
+            self.target, self.target_degree, metadata, ids, values,
+            self._excluded, self._num_nodes,
+        )
+        return vector
+
+    @property
     def zero_count(self) -> int:
         """Number of zero-utility candidates (the paper's Section 7 bucket)."""
         if self._excluded is not None:
@@ -370,43 +390,6 @@ def candidate_nodes(graph: SocialGraph, target: int) -> np.ndarray:
         mask[np.fromiter(neighbors, dtype=np.int64, count=len(neighbors))] = False
     mask[target] = False
     return np.flatnonzero(mask).astype(np.int64, copy=False)
-
-
-def candidate_mask(
-    graph: SocialGraph,
-    targets: "np.ndarray | list[int]",
-    out: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """Boolean candidate matrix for many targets at once.
-
-    Row ``j`` is ``True`` at every node eligible as a recommendation for
-    ``targets[j]`` — the matrix analogue of :func:`candidate_nodes`, built
-    from the cached CSR adjacency structure so the batched paths never touch
-    per-node Python sets. All excluded cells are cleared with one flat
-    scatter rather than one fancy-index assignment per row. ``out``, when
-    given, must be a ``(len(targets), num_nodes)`` bool array (typically a
-    workspace buffer) and is filled in place instead of allocating.
-    """
-    targets = np.asarray(targets, dtype=np.int64)
-    rows = graph.adjacency_rows(targets)
-    num_nodes = graph.num_nodes
-    if out is None:
-        mask = np.empty(targets.size * num_nodes, dtype=bool)
-    else:
-        if out.shape != (targets.size, num_nodes) or out.dtype != np.bool_:
-            raise UtilityError(
-                f"candidate_mask out must be bool {(targets.size, num_nodes)}, "
-                f"got {out.dtype} {out.shape}"
-            )
-        mask = out.reshape(-1)
-    mask.fill(True)
-    # The sliced CSR block already lays every target's neighbor columns out
-    # consecutively; one flat scatter clears all of them at once.
-    lengths = np.diff(rows.indptr)
-    row_offsets = np.arange(targets.size, dtype=np.int64) * num_nodes
-    mask[rows.indices + np.repeat(row_offsets, lengths)] = False
-    mask[row_offsets + targets] = False
-    return mask.reshape(targets.size, num_nodes)
 
 
 class UtilityFunction(abc.ABC):
@@ -509,60 +492,45 @@ class UtilityFunction(abc.ABC):
         of candidate ``i`` for target ``r`` is a fixed linear combination
         of the exact length-``k`` walk counts ``(A^k)[r, i]``, and
 
-        * :meth:`batch_score_components` produces those counts (exact
+        * :meth:`walk_rows` produces those counts as sparse rows (exact
           integers in float64, one matrix per length);
-        * :meth:`combine_component_rows` / :meth:`combine_component_matrices`
-          recombine them with the *identical* accumulation sequence as
-          :meth:`batch_scores`, so ``combine(components)`` is bit-for-bit
-          equal to a from-scratch score — the property that lets a cache
-          patch the integer components under edge deltas and recombine
-          without ever drifting from full recomputation.
+        * :meth:`combine_component_rows` recombines them with the
+          *identical* accumulation sequence as :meth:`scores`, so
+          ``combine(components)`` is bit-for-bit equal to a from-scratch
+          score — the property that lets a cache patch the integer
+          components under edge deltas and recombine without ever
+          drifting from full recomputation.
 
+        A utility returning ``(2,)`` scores exactly its length-2 walk
+        count, so its support row is its own component side-car.
         ``None`` (the default) means "not decomposable"; caches then
         flush on every graph version change.
         """
         return None
 
-    def batch_score_components(
-        self, graph: SocialGraph, targets: "np.ndarray | list[int]"
-    ) -> "list[np.ndarray]":
-        """Exact per-length walk-count matrices for many targets at once.
+    def walk_rows(
+        self, graph: SocialGraph, links: sparse.csr_matrix
+    ) -> "list[sparse.csr_matrix]":
+        """Exact per-length walk-count rows for many targets at once.
 
-        One float64 ``(len(targets), num_nodes)`` matrix per entry of
-        :meth:`walk_component_lengths`, holding exact integer walk counts.
-        Only meaningful when :meth:`walk_component_lengths` is not ``None``.
+        ``links`` is ``graph.adjacency_rows(targets)``, the length-1 walk
+        rows; the result holds one ``(len(targets), num_nodes)`` CSR
+        matrix per entry of :meth:`walk_component_lengths`, each one more
+        :meth:`~repro.graphs.graph.SocialGraph.adjacency_product` step.
+        Only meaningful when :meth:`walk_component_lengths` is not
+        ``None``.
         """
         raise UtilityError(
             f"utility function {self.name!r} does not decompose into walk components"
         )
 
-    def combine_component_rows(
-        self, components: np.ndarray, out: "np.ndarray | None" = None
-    ) -> np.ndarray:
-        """Recombine one target's candidate-sliced components into scores.
+    def combine_component_rows(self, components: np.ndarray) -> np.ndarray:
+        """Recombine per-length walk counts into scores, column by column.
 
-        ``components`` is ``(num_lengths, num_candidates)`` float64 — the
-        per-length walk counts at each candidate column. Returns float64
-        scores using the same multiply-accumulate sequence as
-        :meth:`batch_scores` (elementwise, so slicing to the candidate set
-        commutes with combining and bit-identity is preserved).
-        """
-        raise UtilityError(
-            f"utility function {self.name!r} does not decompose into walk components"
-        )
-
-    def combine_component_matrices(
-        self,
-        components: "list[np.ndarray]",
-        targets: np.ndarray,
-        out: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """Recombine :meth:`batch_score_components` output into score rows.
-
-        Must be bit-identical to :meth:`batch_scores` on the same graph
-        state (including the zeroed target diagonal); the component-aware
-        fill path builds both the cached values and the side-car
-        components from one component computation through this.
+        ``components`` is ``(num_lengths, columns)`` float64 — the
+        per-length walk counts at each column. Returns float64 scores
+        using the same elementwise multiply-accumulate sequence as
+        :meth:`scores`, so any column subset recombines bit-identically.
         """
         raise UtilityError(
             f"utility function {self.name!r} does not decompose into walk components"

@@ -75,45 +75,20 @@ class CommonNeighbors(UtilityFunction):
         :meth:`utility_vector` bit for bit.
         """
         targets = np.asarray(targets, dtype=np.int64)
-        return graph.adjacency_rows(targets) @ graph.adjacency_matrix()
+        return graph.adjacency_product(graph.adjacency_rows(targets))
 
     def walk_component_lengths(self) -> "tuple[int, ...]":
         """Common neighbors is exactly the length-2 walk count."""
         return (2,)
 
-    def batch_score_components(
-        self, graph: SocialGraph, targets: "np.ndarray | list[int]"
-    ) -> "list[np.ndarray]":
-        """One component: the length-2 walk counts (already diagonal-zeroed).
+    def walk_rows(
+        self, graph: SocialGraph, links: sparse.csr_matrix
+    ) -> "list[sparse.csr_matrix]":
+        """One component: the :meth:`support_scores` product itself."""
+        return [graph.adjacency_product(links)]
 
-        :meth:`batch_scores` *is* the length-2 count matrix with the
-        target column cleared; reusing it keeps the component
-        definitionally bit-identical to the full recompute. The cleared
-        diagonal is invisible to candidate slices (a target is never its
-        own candidate), so patching the component with raw walk-count
-        deltas stays exact.
-        """
-        return [self.batch_scores(graph, targets)]
-
-    def combine_component_rows(
-        self, components: np.ndarray, out: "np.ndarray | None" = None
-    ) -> np.ndarray:
-        components = np.asarray(components, dtype=np.float64)
-        if out is None:
-            return components[0].copy()
-        np.copyto(out, components[0])
-        return out
-
-    def combine_component_matrices(
-        self,
-        components: "list[np.ndarray]",
-        targets: np.ndarray,
-        out: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        matrix = self._batch_scores_out(out, *components[0].shape)
-        if matrix is not components[0]:
-            np.copyto(matrix, components[0])
-        return matrix
+    def combine_component_rows(self, components: np.ndarray) -> np.ndarray:
+        return np.array(components[0], dtype=np.float64)
 
     def sensitivity(self, graph: SocialGraph, target: int) -> float:
         return 1.0 if graph.is_directed else 2.0

@@ -23,6 +23,7 @@ mechanism accuracy.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
 
 from ..errors import UtilityError
 from ..graphs.graph import SocialGraph
@@ -105,56 +106,27 @@ class WeightedPaths(UtilityFunction):
         """One exact walk-count component per counted length ``2..L``."""
         return tuple(range(2, self.max_length + 1))
 
-    def batch_score_components(
-        self, graph: SocialGraph, targets: "np.ndarray | list[int]"
-    ) -> "list[np.ndarray]":
-        """Exact per-length walk-count matrices, lengths ``2..max_length``.
+    def walk_rows(
+        self, graph: SocialGraph, links: sparse.csr_matrix
+    ) -> "list[sparse.csr_matrix]":
+        """Sparse walk-count rows of lengths ``2..max_length``.
 
-        The same :func:`~repro.graphs.traversal.batch_walk_matrices`
-        product :meth:`batch_scores` runs — dropping the length-1 matrix,
-        which the score never uses — so the components a cache patches
-        are definitionally the ones full recomputation would combine.
+        ``W_k = W_{k-1} @ A`` from ``W_1 = links``, one
+        :meth:`~repro.graphs.graph.SocialGraph.adjacency_product` per
+        length: the exact counts :func:`~repro.graphs.traversal.walk_counts`
+        and :meth:`batch_scores` hold, without a dense block.
         """
-        targets = np.asarray(targets, dtype=np.int64)
-        return batch_walk_matrices(graph, targets, self.max_length)[1:]
+        rows = [links]
+        for _ in range(2, self.max_length + 1):
+            rows.append(graph.adjacency_product(rows[-1]))
+        return rows[1:]
 
-    def combine_component_rows(
-        self, components: np.ndarray, out: "np.ndarray | None" = None
-    ) -> np.ndarray:
-        """Per-candidate gamma recombination, same term order as ``scores``."""
+    def combine_component_rows(self, components: np.ndarray) -> np.ndarray:
+        """Per-column gamma recombination, same term order as ``scores``."""
         components = np.asarray(components, dtype=np.float64)
-        if out is None:
-            total = np.zeros(components.shape[1], dtype=np.float64)
-        else:
-            total = out
-            total.fill(0.0)
+        total = np.zeros(components.shape[1], dtype=np.float64)
         for index, length in enumerate(range(2, self.max_length + 1)):
             total += (self.gamma ** (length - 2)) * components[index]
-        return total
-
-    def combine_component_matrices(
-        self,
-        components: "list[np.ndarray]",
-        targets: np.ndarray,
-        out: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """Matrix-level recombination mirroring :meth:`combine_walk_matrices`.
-
-        Same multiply-accumulate sequence and the same zeroed target
-        diagonal, just indexed off the length-2-based component list
-        instead of the length-1-based walk-matrix list.
-        """
-        if len(components) != self.max_length - 1:
-            raise UtilityError(
-                f"need walk components for lengths 2..{self.max_length}, "
-                f"got {len(components)} matrices"
-            )
-        targets = np.asarray(targets, dtype=np.int64)
-        total = self._batch_scores_out(out, *components[0].shape)
-        total.fill(0.0)
-        for index, length in enumerate(range(2, self.max_length + 1)):
-            total += (self.gamma ** (length - 2)) * components[index]
-        total[np.arange(targets.size), targets] = 0.0
         return total
 
     def sensitivity(self, graph: SocialGraph, target: int) -> float:

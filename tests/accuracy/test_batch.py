@@ -182,9 +182,10 @@ def test_default_chunk_keeps_dense_block_within_budget(num_nodes):
 
 def test_engine_builds_no_dense_block(monkeypatch):
     """The engine reads support rows only: with the dense score fill and
-    the dense candidate mask both unavailable it still equals the
-    sequential evaluator."""
-    import repro.compute.kernels as kernels
+    every dense candidate set (the per-target builder and a vector's
+    dense candidate view) unavailable it still equals the sequential
+    evaluator."""
+    import repro.utility.base as utility_base
 
     graph = erdos_renyi_gnp(30, 0.2, seed=4)
     utility = CommonNeighbors()
@@ -196,7 +197,8 @@ def test_engine_builds_no_dense_block(monkeypatch):
         raise AssertionError("the engine built a rows x num_nodes block")
 
     monkeypatch.setattr(CommonNeighbors, "batch_scores", dense)
-    monkeypatch.setattr(kernels, "candidate_mask", dense)
+    monkeypatch.setattr(utility_base, "candidate_nodes", dense)
+    monkeypatch.setattr(utility_base.UtilityVector, "candidates", property(dense))
     result = evaluate_targets_batched(graph, utility, range(30), mechanisms, **kwargs)
     assert result == reference
 

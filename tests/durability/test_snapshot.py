@@ -85,6 +85,20 @@ class TestFileFormat:
         assert "format" in str(excinfo.value)
 
 
+    def test_format_4_snapshot_is_refused(self, tmp_path):
+        """Format-4 snapshots pickled dense side-car rows; a cache that
+        patches support-form rows by merge must never adopt one."""
+        assert SNAPSHOT_FORMAT == 5
+        payload = pickle.dumps({"format": 4, "tag": "dense side-car rows"})
+        framed = SNAPSHOT_MAGIC + _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+        path = snapshot_path(tmp_path, 1)
+        path.write_bytes(framed)
+        with pytest.raises(RecoveryError, match="unsupported format 4"):
+            read_snapshot(path)
+        loaded = load_latest_snapshot(tmp_path)
+        assert loaded.state is None and "format" in loaded.skipped[0][1]
+
+
 class TestLatestFallback:
     def test_prefers_newest(self, tmp_path):
         for i in range(3):
@@ -204,6 +218,54 @@ class TestServiceStateCapture:
         assert [r.recommendations for r in donor.recommend_batch(users)] == [
             r.recommendations for r in clone.recommend_batch(users)
         ]
+
+    @pytest.mark.parametrize("utility", ["common_neighbors", "weighted_paths"])
+    def test_patching_cache_round_trip_keeps_patching(self, build_service, events, utility):
+        """A patching cache's support-form rows and side-cars survive
+        capture/install; the restored cache keeps patching them, and
+        serves and counts exactly like the uninterrupted run."""
+        from repro.compute import COMPONENTS_KEY
+        from repro.streaming import replay_stream
+
+        donor = build_service(utility=utility)
+        assert donor.cache.patchable
+        replay_stream(donor, events[:100], batch_size=16)
+        state = pickle.loads(pickle.dumps(
+            capture_state(donor, events_done=100, wal_offset=0)
+        ))
+        clone = build_service(utility=utility)
+        install_state(clone, state)
+        donor_rows = donor.service.cache.export_entries()[1]
+        clone_rows = clone.service.cache.export_entries()[1]
+        assert donor_rows and [t for t, _ in clone_rows] == [t for t, _ in donor_rows]
+        for (_, restored), (_, original) in zip(clone_rows, donor_rows):
+            assert restored.excluded is not None  # support form
+            for mine, theirs in zip(restored.support(), original.support()):
+                np.testing.assert_array_equal(mine, theirs)
+            if utility == "weighted_paths":
+                for mine, theirs in zip(
+                    restored.metadata[COMPONENTS_KEY], original.metadata[COMPONENTS_KEY]
+                ):
+                    np.testing.assert_array_equal(mine, theirs)
+            else:
+                assert COMPONENTS_KEY not in restored.metadata
+
+        def rest(service):
+            picks = []
+            before = service.cache.snapshot()
+            replay_stream(
+                service, events[100:], batch_size=16,
+                on_response=lambda r: picks.append(tuple(r.recommendations)),
+            )
+            after = service.cache.snapshot()
+            counters = ("hits", "misses", "invalidations", "selective_evictions", "patched_rows")
+            return picks, {key: after[key] - before[key] for key in counters}
+
+        donor_picks, donor_stats = rest(donor)
+        clone_picks, clone_stats = rest(clone)
+        assert clone_picks == donor_picks
+        assert clone_stats == donor_stats
+        assert clone_stats["patched_rows"] > 0
 
     def test_install_rejects_stamp_mismatch(self, build_service, events):
         from repro.streaming import replay_stream

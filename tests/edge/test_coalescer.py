@@ -175,3 +175,28 @@ class TestValidation:
             await queue.drain()
 
         asyncio.run(scenario())
+
+
+class TestBoundedStats:
+    def test_stats_hold_only_scalar_counters_after_many_dispatches(self):
+        """A long-running queue keeps O(1) statistics: the per-dispatch size
+        distribution belongs to the ``edge.batch_size`` histogram."""
+        from dataclasses import fields
+
+        async def scenario():
+            batches = []
+            queue = CoalescingQueue(
+                _echo_dispatcher(batches), max_batch=1, flush_seconds=0.001
+            )
+            queue.start()
+            await asyncio.wait_for(
+                asyncio.gather(*(queue.submit(n) for n in range(300))), 10.0
+            )
+            await queue.drain()
+            return queue.stats, batches
+
+        stats, batches = asyncio.run(scenario())
+        assert stats.batches == len(batches) == 300
+        assert stats.items == 300
+        values = [getattr(stats, field.name) for field in fields(stats)]
+        assert all(isinstance(value, int) for value in values), values

@@ -11,7 +11,8 @@ from repro.errors import MechanismError
 from repro.mechanisms import ExponentialMechanism, make_mechanism, mechanism_registry
 from repro.rng import spawn_rngs
 from repro.utility import CommonNeighbors, JaccardCoefficient
-from repro.utility.base import UtilityVector, candidate_mask, candidate_nodes
+from repro.compute.kernels import excluded_rows
+from repro.utility.base import UtilityVector, candidate_nodes
 
 
 class TestBatchScores:
@@ -41,22 +42,25 @@ class TestBatchScores:
             np.testing.assert_allclose(matrix[row], utility.scores(graph, target))
 
 
-class TestCandidateMask:
+class TestExcludedRows:
+    """The batched candidate sets: each row's excluded ids are the
+    complement of :func:`candidate_nodes`."""
+
     def test_matches_candidate_nodes(self):
         graph = wiki_vote(scale=0.03)
-        targets = [0, 5, 17]
-        mask = candidate_mask(graph, targets)
+        targets = np.asarray([0, 5, 17])
+        excluded = excluded_rows(graph, targets)
         for row, target in enumerate(targets):
+            ids = excluded.indices[excluded.indptr[row]:excluded.indptr[row + 1]]
             np.testing.assert_array_equal(
-                np.nonzero(mask[row])[0], candidate_nodes(graph, target)
+                np.setdiff1d(np.arange(graph.num_nodes), ids),
+                candidate_nodes(graph, target),
             )
 
     def test_excludes_target_and_neighbors(self):
         graph = toy.paper_example_graph()
-        mask = candidate_mask(graph, [0])
-        assert not mask[0, 0]
-        for neighbor in graph.neighbors(0):
-            assert not mask[0, neighbor]
+        excluded = excluded_rows(graph, np.asarray([0]))
+        assert set(excluded.indices.tolist()) == {0} | set(graph.neighbors(0))
 
 
 class TestGumbelMaxSample:

@@ -403,7 +403,7 @@ class TestStorageDtype:
         assert cache.patchable
         vector = cache.get(4)
         assert vector.values.dtype == np.float64
-        assert vector.metadata[COMPONENTS_KEY].dtype == np.float64
+        assert vector.metadata[COMPONENTS_KEY][1].dtype == np.float64
 
     def test_put_is_not_copied(self, graph):
         cache = UtilityCache(graph, CommonNeighbors())

@@ -84,9 +84,10 @@ class TestInterleavedPatchingProperty:
         assert snap["patched_rows"] > 0
         assert snap["selective_evictions"] > 0  # endpoint rows still evict
 
-    def test_rows_of_a_chunked_fill_patch_to_recompute(self, budget_rows):
-        """Rows a batch fill produced in 3-row budget chunks carry the same
-        component side-car, so they patch to the from-scratch row."""
+    def test_rows_of_a_batch_fill_patch_to_recompute(self, budget_rows):
+        """Rows a batch fill produced and ``put`` carry the same sparse
+        side-car as a cache miss's, so they patch to the from-scratch row;
+        the byte budget (here 3 rows) does not reach the sparse fill."""
         from repro.compute.kernels import utility_vectors
 
         rng = np.random.default_rng(42)
@@ -284,3 +285,68 @@ class TestServiceIntegration:
         assert patched > 0
         assert patched == service.cache.snapshot()["patched_rows"]
         assert evicted == service.cache.snapshot()["selective_evictions"]
+
+
+def row_nbytes(vector) -> int:
+    """Bytes of every array a resident row holds, side-car included."""
+    arrays = [value for value in vars(vector).values() if isinstance(value, np.ndarray)]
+    for value in vector.metadata.values():
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, tuple):
+            arrays.extend(item for item in value if isinstance(item, np.ndarray))
+    return sum(array.nbytes for array in arrays)
+
+
+class TestSupportFormRows:
+    """A patching cache's rows cost O(support) bytes and are served and
+    patched without a dense view."""
+
+    @pytest.mark.parametrize(
+        "utility",
+        [CommonNeighbors(), WeightedPaths(gamma=0.01, max_length=3)],
+        ids=["cn", "wp"],
+    )
+    def test_resident_bytes_ignore_isolated_nodes(self, utility):
+        rng = np.random.default_rng(31)
+        small = random_overlay(rng, n=40, num_edges=120).materialize()
+        flips = [tuple(int(x) for x in rng.choice(40, 2, replace=False)) for _ in range(30)]
+        reads = rng.integers(0, 40, size=(30, 4)).tolist()
+
+        def resident_bytes(num_nodes):
+            graph = MutableSocialGraph.from_graph(
+                SocialGraph.from_edges(small.edges(), num_nodes)
+            )
+            cache = UtilityCache(graph, utility)
+            for target in range(40):
+                cache.get(target)
+            for (u, v), targets in zip(flips, reads):
+                if graph.has_edge(u, v):
+                    graph.remove_edge(u, v)
+                else:
+                    graph.add_edge(u, v)
+                for target in targets:
+                    cache.get(target)
+            assert cache.snapshot()["patched_rows"] > 0
+            return [row_nbytes(vector) for _, vector in cache.export_entries()[1]]
+
+        assert resident_bytes(40) == resident_bytes(40 + 100_000)
+
+    @pytest.mark.parametrize("utility", ["common_neighbors", "weighted_paths"])
+    def test_serving_patched_rows_reads_no_dense_view(self, monkeypatch, utility):
+        from repro.utility.base import UtilityVector
+
+        graph = random_overlay(np.random.default_rng(29), n=60, num_edges=200)
+        service = StreamingService(graph, utility, epsilon=0.5, user_budget=1e9, seed=5)
+        service.recommend_batch(list(range(60)))
+        events = synthetic_event_stream(
+            graph, 300, add_fraction=0.1, remove_fraction=0.1, seed=6
+        )
+
+        def dense(*args, **kwargs):
+            raise AssertionError("a streaming row was read through a dense view")
+
+        monkeypatch.setattr(UtilityVector, "values", property(dense))
+        monkeypatch.setattr(UtilityVector, "candidates", property(dense))
+        replay_stream(service, events, batch_size=16)
+        assert service.cache.snapshot()["patched_rows"] > 0

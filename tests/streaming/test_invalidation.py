@@ -63,7 +63,22 @@ def test_touched_set_covers_every_changed_row(utility, directed, seed):
             continue
         after = all_vectors(graph, utility)
         (delta,) = graph.score_deltas_since(pre_version, max_length)
-        assert changed_targets(before, after) <= set(delta.touched.tolist()) | {u, v}
+        assert changed_targets(before, after) <= delta.touched | {u, v}
+
+
+def test_dirty_ball_counts_only_the_rows_a_directed_mutation_changes():
+    """A directed ``(u, v)`` rewrites ``u``'s row and the touched rows;
+    the head ``v`` keeps its candidate set and is not in the ball."""
+    from repro.graphs import SocialGraph
+
+    base = SocialGraph.from_edges([(0, 1), (1, 2), (3, 0)], 6, directed=True)
+    graph = MutableSocialGraph.from_graph(base)
+    graph.request_score_deltas(2)
+    before = all_vectors(graph, CommonNeighbors())
+    graph.add_edge(1, 4)
+    changed = changed_targets(before, all_vectors(graph, CommonNeighbors()))
+    assert changed == {0, 1}
+    assert graph.last_dirty_ball_size == len(changed) == 2
 
 
 class TestTrackerProtocol:
@@ -84,8 +99,7 @@ class TestTrackerProtocol:
             (0, 6, version + 1),
             (6, 9, version + 2),
         ]
-        touched = set(both[1].touched.tolist())
-        assert graph.last_dirty_ball_size == len(touched | {6, 9})
+        assert graph.last_dirty_ball_size == len(both[1].touched | {6, 9})
 
     def test_same_version_is_clean(self):
         graph = self.graph()

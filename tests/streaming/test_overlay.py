@@ -13,7 +13,8 @@ from repro.datasets import toy
 from repro.errors import EdgeError
 from repro.graphs import SocialGraph
 from repro.streaming import MutableSocialGraph
-from repro.utility.base import candidate_mask
+from repro.compute.kernels import excluded_rows
+from repro.utility.base import candidate_nodes
 
 
 def random_ops(rng, num_nodes: int, num_ops: int):
@@ -44,6 +45,13 @@ def apply_ops(graph, ops, compactable: bool):
 
 def assert_reads_equal(overlay: MutableSocialGraph, reference: SocialGraph, rng):
     """Every vectorized read the kernels use must match bit for bit."""
+    # First, before adjacency_matrix() caches a matrix view: the walk step
+    # then runs on the epoch base plus the delta.
+    rows = reference.adjacency_rows(np.arange(reference.num_nodes))
+    np.testing.assert_array_equal(
+        overlay.adjacency_product(rows).toarray(),
+        reference.adjacency_product(rows).toarray(),
+    )
     assert overlay == reference
     assert overlay.num_edges == reference.num_edges
     assert overlay.max_degree() == reference.max_degree()
@@ -59,9 +67,15 @@ def assert_reads_equal(overlay: MutableSocialGraph, reference: SocialGraph, rng)
     np.testing.assert_array_equal(
         overlay.out_degrees_of(targets), reference.out_degrees_of(targets)
     )
-    np.testing.assert_array_equal(
-        candidate_mask(overlay, targets), candidate_mask(reference, targets)
-    )
+    excluded = excluded_rows(overlay, targets)
+    for row, target in enumerate(targets.tolist()):
+        np.testing.assert_array_equal(
+            candidate_nodes(overlay, target), candidate_nodes(reference, target)
+        )
+        np.testing.assert_array_equal(
+            excluded.indices[excluded.indptr[row]:excluded.indptr[row + 1]],
+            np.setdiff1d(np.arange(reference.num_nodes), candidate_nodes(reference, target)),
+        )
 
 
 class TestOverlayEquivalence:

@@ -152,6 +152,16 @@ REMOVED_NAMES = {
         "expected_accuracy_compact", "tightest_accuracy_bounds_masked",
         "score_rows", "COMPUTE_DTYPES", "resolve_dtype",
     ),
+    # The dense component side-car: a patching cache's rows are
+    # support-form, their walk counts a sparse side-car patched by merge.
+    "dense-side-car": (
+        "candidate_mask", "candidate_mask_rows", "apply_edge_delta",
+        "candidate_position_map", "batch_score_components",
+        "combine_component_matrices", "kernel.scores64", "kernel.mask",
+    ),
+    # The coalescer's per-dispatch size list grew without bound; the
+    # edge.batch_size histogram records the distribution.
+    "coalescer-history": ("batch_sizes",),
 }
 
 
