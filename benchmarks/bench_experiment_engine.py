@@ -17,11 +17,9 @@ anything — a speedup over a wrong answer is worthless.
 The quick profile mirrors Figure 1(a): the Wikipedia-vote replica, common
 neighbors, the mechanism grid at the paper's epsilons, and the theoretical
 Corollary 1 bound evaluated on the dense epsilon grid the sweeps use. The
-Laplace mechanism is deliberately excluded from the *timed* comparison:
-its Monte-Carlo draws are pinned to per-target RNG streams for bit
-reproducibility, so both engines run the identical sampling kernel and the
-ratio would only measure noise-drawing time common to both (the identity
-check still covers it via the test suite).
+timed grid is exponential-only, as in every earlier entry of the
+committed trajectory; both engines call the same per-row Laplace kernel,
+and the test suite checks their Laplace columns for identity.
 
 Writes ``BENCH_experiment.json`` with targets/sec for both engines, the
 batched engine's per-stage wall-clock, and the ``--min-speedup`` gate it

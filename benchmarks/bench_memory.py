@@ -13,8 +13,8 @@ Three questions, answered in one run:
    :class:`AllocationSpy` that wraps the numpy constructor/extraction
    API (``np.empty``, ``np.zeros``, ``np.concatenate``, ``np.repeat``,
    ``np.sort``, ``np.flatnonzero``, ...), plus the workspace's own
-   take/allocation counters (the engine takes no workspace buffer unless
-   a Laplace column needs its noise buffers). Gate:
+   take/allocation counters (the engine takes no workspace buffer).
+   Gate:
    ``targets_per_allocation >= 1``, i.e. at most one numpy allocation
    call per evaluated target. The engine is timed best-of-R at
    ``--scale`` (default 0.5). The timed grid is exponential-only, like

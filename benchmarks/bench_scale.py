@@ -62,10 +62,8 @@ def leaked_segments() -> list[str]:
 
 
 def _engine_config(scale: float, max_targets: int, **overrides) -> ExperimentConfig:
-    # Laplace is excluded for the same reason bench_experiment_engine.py
-    # excludes it: its Monte-Carlo draws a full-width noise vector per
-    # trial (1000 x num_nodes doubles *per target* at 10^6 nodes), which
-    # measures the noise generator, not the scale path under test.
+    # The timed grid is exponential-only, like bench_experiment_engine.py's,
+    # so the scale path's entries stay comparable across the trajectory.
     base = dict(
         scale=scale,
         epsilons=ENGINE_EPSILONS,

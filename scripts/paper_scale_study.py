@@ -1,16 +1,12 @@
 """Paper-scale reproduction run.
 
-Runs the figure drivers at (or near) the original dataset sizes and stores
-results under ``benchmarks/results/paper_scale/``. Slower than the quick
-benchmark profile — minutes, not seconds; EXPERIMENTS.md quotes these
-numbers.
-
-Sizing notes:
-* Wiki-vote runs at full scale (7,115 nodes) with 300 of the ~711 paper
-  targets (the CDF is stable well before that);
-* Twitter runs at scale 0.2 (19,281 nodes) — full scale is 96k nodes and
-  the Laplace Monte-Carlo there is hours of compute for no change in the
-  CDF shape; the Exponential/bound series are exact either way.
+Runs every figure driver at the paper's sizes — each replica at scale 1.0,
+every sampled target (10% of Wiki-vote, 1% of Twitter) — and stores the
+results under ``benchmarks/results/paper_scale/``. Figures 1(a), 1(b),
+2(a) and 2(b) also evaluate and print the exact Laplace accuracy beside
+the Exponential one (Section 7.2's comparison); 2(c) plots what the paper
+plots. Each job reports its wall time and the share of it spent in the
+Laplace accuracy kernel; EXPERIMENTS.md quotes these numbers.
 
 Run:  python scripts/paper_scale_study.py
 """
@@ -21,58 +17,62 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments.config import (
-    paper_config_figure_1a,
-    paper_config_figure_1b,
-    paper_config_figure_2a,
-    paper_config_figure_2b,
-    paper_config_figure_2c,
-)
 from repro.experiments.figures import figure_1a, figure_1b, figure_2a, figure_2b, figure_2c
 from repro.experiments.reporting import render_figure_table
+from repro.mechanisms.laplace import LaplaceMechanism
 
 RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results" / "paper_scale"
+
+#: Every job runs at the paper's size: full replica, every sampled target.
+PAPER_SIZE = {"scale": 1.0, "max_targets": None}
+
+
+class _LaplaceClock:
+    """Accumulates the wall time spent in the Laplace accuracy kernel."""
+
+    def __init__(self) -> None:
+        self.seconds = 0.0
+        self._kernel = LaplaceMechanism.support_accuracies
+
+    def __enter__(self) -> "_LaplaceClock":
+        clock, kernel = self, self._kernel
+
+        def timed(mechanism, *args, **kwargs):
+            started = time.perf_counter()
+            try:
+                return kernel(mechanism, *args, **kwargs)
+            finally:
+                clock.seconds += time.perf_counter() - started
+
+        LaplaceMechanism.support_accuracies = timed
+        return self
+
+    def __exit__(self, *exc) -> None:
+        LaplaceMechanism.support_accuracies = self._kernel
 
 
 def run_all() -> None:
     RESULTS.mkdir(parents=True, exist_ok=True)
     jobs = [
-        (
-            "figure_1a",
-            lambda: figure_1a(
-                config=paper_config_figure_1a(scale=1.0, max_targets=300),
-                include_laplace=True,
-            ),
-        ),
-        (
-            "figure_1b",
-            lambda: figure_1b(
-                config=paper_config_figure_1b(scale=0.2, max_targets=200),
-                include_laplace=False,
-            ),
-        ),
-        (
-            "figure_2a",
-            lambda: figure_2a(scale=1.0, max_targets=200, gammas=(0.0005, 0.05)),
-        ),
-        (
-            "figure_2b",
-            lambda: figure_2b(scale=0.2, max_targets=150, gammas=(0.0005, 0.05)),
-        ),
-        (
-            "figure_2c",
-            lambda: figure_2c(
-                config=paper_config_figure_2c(scale=1.0, max_targets=500)
-            ),
-        ),
+        ("figure_1a", lambda: figure_1a(include_laplace=True, **PAPER_SIZE)),
+        ("figure_1b", lambda: figure_1b(include_laplace=True, **PAPER_SIZE)),
+        ("figure_2a", lambda: figure_2a(include_laplace=True, **PAPER_SIZE)),
+        ("figure_2b", lambda: figure_2b(include_laplace=True, **PAPER_SIZE)),
+        ("figure_2c", lambda: figure_2c(**PAPER_SIZE)),
     ]
     for name, job in jobs:
-        started = time.perf_counter()
         print(f"[{name}] running ...", flush=True)
-        result = job()
+        started = time.perf_counter()
+        with _LaplaceClock() as laplace:
+            result = job()
+        elapsed = time.perf_counter() - started
         result.save_json(RESULTS / f"{name}.json")
         result.save_csv(RESULTS / f"{name}.csv")
-        print(f"[{name}] done in {time.perf_counter() - started:.1f}s", flush=True)
+        print(
+            f"[{name}] done in {elapsed:.1f}s; Laplace accuracy kernel "
+            f"{laplace.seconds:.1f}s ({100.0 * laplace.seconds / elapsed:.0f}%)",
+            flush=True,
+        )
         print(render_figure_table(result), flush=True)
         print(flush=True)
 

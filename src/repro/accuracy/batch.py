@@ -18,12 +18,14 @@ positive-utility support plus one count, its zero bucket:
    non-zero utility) and the survivors' compaction
    (:func:`~repro.compute.kernels.footnote10_support`);
 4. **vectors** — support-form :class:`~repro.utility.base.UtilityVector`
-   objects, built only when a mechanism other than the exponential one
-   (or a per-vector ``t``) needs them;
-5. **accuracies** — the exponential mechanism runs its flat support
-   kernel (:meth:`~repro.mechanisms.exponential.ExponentialMechanism.support_accuracies`),
-   the Laplace mechanism its blocked Monte-Carlo against per-target RNG
-   streams, and any other mechanism its own ``expected_accuracy``;
+   objects, built only when a mechanism without a flat kernel (or a
+   per-vector ``t``) needs them;
+5. **accuracies** — the exponential and Laplace mechanisms run their
+   flat support kernels
+   (:meth:`~repro.mechanisms.exponential.ExponentialMechanism.support_accuracies`,
+   :meth:`~repro.mechanisms.laplace.LaplaceMechanism.support_accuracies`),
+   and any other mechanism its own ``expected_accuracy`` against
+   per-target RNG streams;
 6. **bounds** — Corollary 1 from the same flat supports
    (:func:`~repro.bounds.tradeoff.support_bounds`), one threshold table
    per target shared across the whole epsilon grid.
@@ -32,13 +34,14 @@ A zero-utility candidate adds the same ``e^{-epsilon u_max / Delta f}``
 to the softmax denominator and nothing to the numerator, and the whole
 zero bucket adds one ``tau = 0`` threshold to the bound search, so no
 stage holds a ``rows x num_nodes`` block and the engine runs in one pass.
-The sequential evaluator's exponential accuracy and Corollary 1 search
+The sequential evaluator's kernel accuracies and Corollary 1 search
 are the one-row cases of the same kernels, so the result is
-bit-identical to it; every stage is per-target independent and all
-randomness comes from per-target spawned streams, so it is also the same
-whatever else shares the call. ``tests/accuracy/test_batch.py`` enforces
-the sequential contract property-style, and
-``benchmarks/bench_memory.py`` asserts it before timing.
+bit-identical to it; every stage is per-target independent and a
+mechanism without a kernel draws only from its target's spawned stream,
+so it is also the same whatever else shares the call.
+``tests/accuracy/test_batch.py`` enforces the sequential contract
+property-style, and ``benchmarks/bench_memory.py`` asserts it before
+timing.
 """
 
 from __future__ import annotations
@@ -50,11 +53,8 @@ import numpy as np
 
 from ..bounds.tradeoff import support_bounds
 from ..compute.kernels import checked_targets, excluded_rows, footnote10_support
-from ..compute.workspace import get_workspace
 from ..graphs.graph import SocialGraph
 from ..mechanisms.base import Mechanism
-from ..mechanisms.exponential import ExponentialMechanism
-from ..mechanisms.laplace import LaplaceMechanism
 from ..rng import spawn_rngs
 from ..utility.base import UtilityFunction, UtilityVector, support_rows
 from .evaluator import TargetEvaluation
@@ -110,48 +110,18 @@ class _StageClock:
         self._last = now
 
 
-def _flat_exponential(mechanism: Mechanism) -> bool:
-    """Whether the flat support kernel reproduces this mechanism's accuracy.
+def _flat(mechanism: Mechanism) -> bool:
+    """Whether a flat support kernel reproduces this mechanism's accuracy.
 
-    True for the exponential mechanism unless a subclass overrides
-    ``expected_accuracy``, which may then compute anything; it falls
-    back to the generic per-target call (trivially identical to the
-    sequential evaluator).
+    True when the mechanism's class supplies ``support_accuracies`` and
+    keeps :meth:`~repro.mechanisms.base.Mechanism.expected_accuracy`,
+    whose one-row case that kernel is. A class that overrides
+    ``expected_accuracy`` may compute anything, so it gets the generic
+    per-target call (trivially identical to the sequential evaluator).
     """
     return (
-        isinstance(mechanism, ExponentialMechanism)
-        and type(mechanism).expected_accuracy is ExponentialMechanism.expected_accuracy
-    )
-
-
-def _accuracy_column(
-    mechanism: Mechanism,
-    vectors: "list[UtilityVector]",
-    streams: list,
-    laplace_trials: int,
-) -> np.ndarray:
-    """Per-vector accuracies of a mechanism without a flat kernel."""
-    if mechanism.name == "laplace":
-        # expected_accuracy_batch is a per-stream loop over the shared
-        # blocked Monte-Carlo kernel, so this branch equals the
-        # sequential per-target call for subclasses too.
-        if isinstance(mechanism, LaplaceMechanism):
-            return mechanism.expected_accuracy_batch(
-                vectors, streams, trials=laplace_trials, workspace=get_workspace()
-            )
-        return np.asarray(
-            [
-                mechanism.expected_accuracy(vector, seed=stream, trials=laplace_trials)
-                for vector, stream in zip(vectors, streams)
-            ],
-            dtype=np.float64,
-        )
-    return np.asarray(
-        [
-            mechanism.expected_accuracy(vector, seed=stream)
-            for vector, stream in zip(vectors, streams)
-        ],
-        dtype=np.float64,
+        hasattr(mechanism, "support_accuracies")
+        and type(mechanism).expected_accuracy is Mechanism.expected_accuracy
     )
 
 
@@ -162,7 +132,6 @@ def evaluate_targets_batched(
     mechanisms: "dict[str, Mechanism]",
     bound_epsilons: "tuple[float, ...]" = (),
     seed: "int | np.random.Generator | None" = None,
-    laplace_trials: int = 1_000,
     timings: "dict[str, float] | None" = None,
     memory: "dict[str, int] | None" = None,
 ) -> list[TargetEvaluation]:
@@ -182,11 +151,11 @@ def evaluate_targets_batched(
     stays at zero otherwise).
     """
     targets = checked_targets(graph, targets)
-    flat = {name for name, mechanism in mechanisms.items() if _flat_exponential(mechanism)}
+    flat = {name for name, mechanism in mechanisms.items() if _flat(mechanism)}
     # Spawn one stream per *sampled* target (dropped ones included), exactly
     # like the sequential evaluator: results must not depend on how many
-    # neighbors survive the footnote-10 filter. When every mechanism is
-    # closed-form the streams are never drawn from, so their spawn cost —
+    # neighbors survive the footnote-10 filter. When every mechanism has a
+    # flat kernel the streams are never drawn from, so their spawn cost —
     # ~14 us of SeedSequence work per target — is skipped outright; the
     # identity tests pin that the output is the same either way.
     if len(flat) == len(mechanisms):
@@ -224,12 +193,18 @@ def evaluate_targets_batched(
 
     # Mechanism columns are evaluated in dict order so that any mechanism
     # drawing from a target's stream consumes it in the same sequence as
-    # the sequential evaluator (e.g. laplace@0.5 before laplace@1).
+    # the sequential evaluator.
     columns = {
         name: (
             mechanism.support_accuracies(values, offsets, zeros)
             if name in flat
-            else _accuracy_column(mechanism, vectors, kept_streams, laplace_trials)
+            else np.asarray(
+                [
+                    mechanism.expected_accuracy(vector, seed=stream)
+                    for vector, stream in zip(vectors, kept_streams)
+                ],
+                dtype=np.float64,
+            )
         )
         for name, mechanism in mechanisms.items()
     }

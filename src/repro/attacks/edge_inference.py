@@ -13,10 +13,11 @@ graph. Differential privacy caps the attacker's likelihood ratio at
   distributions).
 * :func:`audit_privacy` sweeps candidate edges and reports the worst
   observed ratio, an *empirical lower bound* on the mechanism's true
-  epsilon. For the Exponential mechanism (exact probabilities) the audit
-  certifies Theorem 4 numerically; for the non-private ``R_best`` it
-  exhibits infinite ratios — the privacy breach of the paper's
-  "one friend" introduction example.
+  epsilon. Every built-in mechanism's probabilities are exact, so for the
+  Exponential and Laplace mechanisms the audit certifies Theorem 4
+  numerically; for the non-private ``R_best`` it exhibits infinite
+  ratios — the privacy breach of the paper's "one friend" introduction
+  example.
 """
 
 from __future__ import annotations
@@ -83,23 +84,13 @@ class EdgeInferenceAttack:
         self.utility = utility
 
     def _output_distribution(
-        self, graph: SocialGraph, target: int, trials: int, seed
+        self, graph: SocialGraph, target: int
     ) -> tuple[np.ndarray, np.ndarray]:
         vector = self.utility.utility_vector(graph, target)
-        try:
-            probs = self.mechanism.probabilities(vector)
-        except NotImplementedError:
-            probs = self.mechanism.estimate_probabilities(vector, trials=trials, seed=seed)
+        probs = self.mechanism.probabilities(vector)
         return vector.candidates, np.asarray(probs, dtype=np.float64)
 
-    def run(
-        self,
-        graph: SocialGraph,
-        target: int,
-        edge: tuple[int, int],
-        trials: int = 20_000,
-        seed: "int | np.random.Generator | None" = None,
-    ) -> AttackResult:
+    def run(self, graph: SocialGraph, target: int, edge: tuple[int, int]) -> AttackResult:
         """Attack one edge: compare output distributions with/without it.
 
         ``edge`` must not touch ``target`` (the relaxed privacy definition:
@@ -112,11 +103,10 @@ class EdgeInferenceAttack:
                 "edge-inference attacks target edges not incident to the "
                 "recommendation receiver (relaxed DP, Section 3.2)"
             )
-        rng = ensure_rng(seed)
         world_with = graph if graph.has_edge(u, v) else graph.with_edge(u, v)
         world_without = graph.without_edge(u, v) if graph.has_edge(u, v) else graph
-        cands_with, probs_with = self._output_distribution(world_with, target, trials, rng)
-        cands_without, probs_without = self._output_distribution(world_without, target, trials, rng)
+        cands_with, probs_with = self._output_distribution(world_with, target)
+        cands_without, probs_without = self._output_distribution(world_without, target)
         if not np.array_equal(cands_with, cands_without):
             raise MechanismError(
                 "candidate sets differ between worlds; the flipped edge must "
@@ -150,13 +140,13 @@ def audit_privacy(
     graph: SocialGraph,
     target: int,
     num_edges: int = 10,
-    trials: int = 20_000,
     seed: "int | np.random.Generator | None" = None,
 ) -> PrivacyAudit:
     """Attack ``num_edges`` random non-target-incident edge slots.
 
     Half of the probes flip existing edges (removal direction), half absent
-    slots (addition direction), when available. Returns the worst attack.
+    slots (addition direction), when available. ``seed`` picks the probed
+    slots. Returns the worst attack.
     """
     rng = ensure_rng(seed)
     attack = EdgeInferenceAttack(mechanism, utility)
@@ -171,7 +161,7 @@ def audit_privacy(
         if u == v or target in (u, v) or (u, v) in tested:
             continue
         tested.add((u, v))
-        result = attack.run(graph, target, (u, v), trials=trials, seed=rng)
+        result = attack.run(graph, target, (u, v))
         if worst is None or result.max_log_ratio > worst.max_log_ratio:
             worst = result
     if worst is None:

@@ -1,10 +1,11 @@
 """Monotonicity property checker (Definition 4).
 
 An algorithm is monotonic when higher-utility candidates receive strictly
-higher recommendation probability. The Exponential mechanism satisfies it
-exactly; the Laplace mechanism only in expectation (Section 6's remark) —
-its Monte-Carlo probability estimates can locally invert, which the checker
-tolerates via a slack parameter sized to sampling error.
+higher recommendation probability. The Exponential and Laplace mechanisms
+satisfy it, and their probabilities are exact; sampled estimates
+(:meth:`~repro.mechanisms.base.Mechanism.estimate_probabilities`) can
+locally invert, which the checker tolerates via a slack parameter sized
+to sampling error.
 """
 
 from __future__ import annotations
@@ -91,21 +92,9 @@ def check_mechanism_monotonicity(
     mechanism: Mechanism,
     vector: UtilityVector,
     slack: float = 0.0,
-    trials: "int | None" = None,
-    seed: "int | np.random.Generator | None" = None,
 ) -> MonotonicityReport:
-    """Monotonicity of a mechanism's (possibly estimated) probabilities.
-
-    Uses exact probabilities when available; otherwise Monte-Carlo with
-    ``trials`` samples, in which case pass a ``slack`` of a few standard
-    errors (``~3/sqrt(trials)``) to avoid flagging sampling noise.
-    """
-    try:
-        probabilities = mechanism.probabilities(vector)
-    except NotImplementedError:
-        probabilities = mechanism.estimate_probabilities(
-            vector, trials=trials or 10_000, seed=seed
-        )
+    """Monotonicity of a mechanism's exact probabilities."""
+    probabilities = mechanism.probabilities(vector)
     report = check_probability_monotonicity(vector.values, probabilities, slack=slack)
     return MonotonicityReport(
         mechanism_name=mechanism.name,

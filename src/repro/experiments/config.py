@@ -2,9 +2,9 @@
 
 A single dataclass describes everything a figure run needs: which dataset
 replica (and at what scale), which utility function, which privacy levels,
-how targets are sampled, and how much Monte-Carlo effort to spend on the
-Laplace mechanism. Configurations are plain data — serializable to JSON so
-result files are self-describing.
+how targets are sampled, and whether to evaluate the Laplace mechanism
+beside the Exponential one. Configurations are plain data — serializable
+to JSON so result files are self-describing.
 """
 
 from __future__ import annotations
@@ -26,10 +26,15 @@ class ExperimentConfig:
     """Parameters of one accuracy-vs-bound experiment.
 
     Defaults mirror the paper: 10% targets on Wiki-vote, 1% on Twitter,
-    1,000 Laplace trials, weighted paths truncated at length 3.
+    weighted paths truncated at length 3.
     ``scale`` and ``max_targets`` exist so test/benchmark runs finish in
     seconds; the full-paper setting is ``scale=1.0, max_targets=None``
     (a cap, when set, must be at least 1).
+
+    ``include_laplace`` adds an exact Laplace accuracy column per epsilon
+    (Section 7.2). It is the only Laplace switch: figures print Laplace
+    series exactly when their run computed them, and the paper's figure
+    configs leave it off, as the paper plots none.
 
     ``backend`` picks the graph's backing store: ``"heap"`` (classic
     per-node sets), ``"shm"`` (POSIX shared memory, flat CSR arrays), or
@@ -48,7 +53,6 @@ class ExperimentConfig:
     epsilons: tuple[float, ...] = (0.5, 1.0)
     target_fraction: float = 0.1
     max_targets: "int | None" = 150
-    laplace_trials: int = 1_000
     include_laplace: bool = True
     seed: int = 7
     backend: str = "heap"
@@ -78,8 +82,6 @@ class ExperimentConfig:
             )
         if self.max_targets is not None and not self.max_targets >= 1:
             raise ExperimentError(f"max_targets must be >= 1, got {self.max_targets}")
-        if self.laplace_trials < 1:
-            raise ExperimentError(f"laplace_trials must be >= 1, got {self.laplace_trials}")
         if self.backend not in KNOWN_BACKENDS:
             raise ExperimentError(
                 f"unknown backend {self.backend!r}; known: {KNOWN_BACKENDS}"
@@ -131,6 +133,7 @@ def paper_config_figure_1a(scale: float = 0.1, max_targets: "int | None" = 150) 
         epsilons=(0.5, 1.0),
         target_fraction=0.1,
         max_targets=max_targets,
+        include_laplace=False,
         name="figure_1a",
     )
 
@@ -144,6 +147,7 @@ def paper_config_figure_1b(scale: float = 0.02, max_targets: "int | None" = 150)
         epsilons=(1.0, 3.0),
         target_fraction=0.01,
         max_targets=max_targets,
+        include_laplace=False,
         name="figure_1b",
     )
 
@@ -160,6 +164,7 @@ def paper_config_figure_2a(
         epsilons=(1.0,),
         target_fraction=0.1,
         max_targets=max_targets,
+        include_laplace=False,
         name=f"figure_2a_gamma_{gamma:g}",
     )
 
@@ -176,6 +181,7 @@ def paper_config_figure_2b(
         epsilons=(1.0,),
         target_fraction=0.01,
         max_targets=max_targets,
+        include_laplace=False,
         name=f"figure_2b_gamma_{gamma:g}",
     )
 
@@ -189,5 +195,6 @@ def paper_config_figure_2c(scale: float = 0.1, max_targets: "int | None" = 300) 
         epsilons=(0.5,),
         target_fraction=0.1,
         max_targets=max_targets,
+        include_laplace=False,
         name="figure_2c",
     )

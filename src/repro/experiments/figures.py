@@ -11,11 +11,12 @@ the paper plots:
   Wiki-vote at epsilon = 0.5.
 
 ``scale``/``max_targets`` default to CI-friendly values; pass ``scale=1.0,
-max_targets=None`` for the full-size replicas. Laplace series are included
-when ``include_laplace=True`` so the Section 7.2 "Laplace ~= Exponential"
-observation can be read off the same result object. ``backend``,
-``nodes`` and ``exponent`` override the config, mirroring the CLI's
-flags.
+max_targets=None`` for the full-size replicas. A figure prints Laplace
+series exactly when its run computed them
+(:attr:`~repro.experiments.config.ExperimentConfig.include_laplace`), so
+the Section 7.2 "Laplace ~= Exponential" observation can be read off the
+same result object. ``include_laplace``, ``backend``, ``nodes`` and
+``exponent`` override the config, mirroring the CLI's flags.
 """
 
 from __future__ import annotations
@@ -43,17 +44,20 @@ def _with_overrides(
     backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
+    include_laplace: "bool | None" = None,
 ) -> ExperimentConfig:
-    """Apply only explicitly requested backend/dataset overrides.
+    """Apply only explicitly requested backend/dataset/Laplace overrides.
 
     ``None`` means "keep the config's own value" — an explicitly passed
-    ``config`` with ``backend="shm"`` must not be silently reset to the
-    heap by the drivers' parameter defaults.
+    ``config`` with ``backend="shm"`` or ``include_laplace=True`` must not
+    be silently reset by the drivers' parameter defaults.
     ``nodes`` swaps the dataset for the synthetic power-law builder at
     that size (the figure then reads on synthetic data rather than the
     paper replica — a scale study, not a paper reproduction).
     """
     overrides: dict = {}
+    if include_laplace is not None:
+        overrides["include_laplace"] = include_laplace
     if backend is not None:
         overrides["backend"] = backend
     if nodes is not None:
@@ -81,12 +85,7 @@ def _metadata(run: ExperimentRun) -> dict:
     }
 
 
-def _cdf_figure(
-    run: ExperimentRun,
-    figure_id: str,
-    title: str,
-    include_laplace: bool,
-) -> FigureResult:
+def _cdf_figure(run: ExperimentRun, figure_id: str, title: str) -> FigureResult:
     series: list[Series] = []
     for eps in run.config.epsilons:
         series.append(
@@ -95,7 +94,7 @@ def _cdf_figure(
                 run.accuracies(mechanism_key("exponential", eps)),
             )
         )
-        if include_laplace and run.config.include_laplace:
+        if run.config.include_laplace:
             series.append(
                 _cdf_series(
                     f"Laplace eps={eps:g}",
@@ -116,7 +115,7 @@ def _cdf_figure(
 def figure_1a(
     scale: float = 0.1,
     max_targets: "int | None" = 150,
-    include_laplace: bool = False,
+    include_laplace: "bool | None" = None,
     config: "ExperimentConfig | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
@@ -125,20 +124,19 @@ def figure_1a(
     """Figure 1(a): common neighbors on Wiki-vote, eps in {0.5, 1}."""
     if config is None:
         config = paper_config_figure_1a(scale=scale, max_targets=max_targets)
-    config = _with_overrides(config, backend, nodes, exponent)
+    config = _with_overrides(config, backend, nodes, exponent, include_laplace)
     run = run_experiment(config)
     return _cdf_figure(
         run,
         "figure_1a",
         "Accuracy CDF, common neighbors, Wikipedia vote network",
-        include_laplace,
     )
 
 
 def figure_1b(
     scale: float = 0.02,
     max_targets: "int | None" = 150,
-    include_laplace: bool = False,
+    include_laplace: "bool | None" = None,
     config: "ExperimentConfig | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
@@ -147,21 +145,17 @@ def figure_1b(
     """Figure 1(b): common neighbors on Twitter, eps in {1, 3}."""
     if config is None:
         config = paper_config_figure_1b(scale=scale, max_targets=max_targets)
-    config = _with_overrides(config, backend, nodes, exponent)
+    config = _with_overrides(config, backend, nodes, exponent, include_laplace)
     run = run_experiment(config)
     return _cdf_figure(
         run,
         "figure_1b",
         "Accuracy CDF, common neighbors, Twitter network",
-        include_laplace,
     )
 
 
 def _weighted_paths_figure(
-    figure_id: str,
-    title: str,
-    configs: "list[ExperimentConfig]",
-    include_laplace: bool,
+    figure_id: str, title: str, configs: "list[ExperimentConfig]"
 ) -> FigureResult:
     """Shared driver for Figures 2(a)/2(b): one run per gamma, shared graph."""
     series: list[Series] = []
@@ -177,7 +171,7 @@ def _weighted_paths_figure(
                     run.accuracies(mechanism_key("exponential", eps)),
                 )
             )
-            if include_laplace and config.include_laplace:
+            if config.include_laplace:
                 series.append(
                     _cdf_series(
                         f"Lap. gamma={config.gamma:g}",
@@ -210,7 +204,7 @@ def figure_2a(
     scale: float = 0.1,
     max_targets: "int | None" = 150,
     gammas: tuple[float, ...] = (0.0005, 0.05),
-    include_laplace: bool = False,
+    include_laplace: "bool | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
@@ -222,6 +216,7 @@ def figure_2a(
             backend,
             nodes,
             exponent,
+            include_laplace,
         )
         for gamma in gammas
     ]
@@ -229,7 +224,6 @@ def figure_2a(
         "figure_2a",
         "Accuracy CDF, weighted paths, Wikipedia vote network (eps = 1)",
         configs,
-        include_laplace,
     )
 
 
@@ -237,7 +231,7 @@ def figure_2b(
     scale: float = 0.02,
     max_targets: "int | None" = 150,
     gammas: tuple[float, ...] = (0.0005, 0.05),
-    include_laplace: bool = False,
+    include_laplace: "bool | None" = None,
     backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
@@ -249,6 +243,7 @@ def figure_2b(
             backend,
             nodes,
             exponent,
+            include_laplace,
         )
         for gamma in gammas
     ]
@@ -256,7 +251,6 @@ def figure_2b(
         "figure_2b",
         "Accuracy CDF, weighted paths, Twitter network (eps = 1)",
         configs,
-        include_laplace,
     )
 
 
@@ -275,31 +269,42 @@ def figure_2c(
     config = _with_overrides(config, backend, nodes, exponent)
     run = run_experiment(config)
     eps = config.epsilons[0]
-    bins = accuracy_by_degree(
-        run.evaluations,
-        mechanism_key("exponential", eps),
-        eps,
-        bins_per_decade=bins_per_decade,
+    kinds = ("exponential", "laplace") if config.include_laplace else ("exponential",)
+    bins = {
+        kind: accuracy_by_degree(
+            run.evaluations,
+            mechanism_key(kind, eps),
+            eps,
+            bins_per_decade=bins_per_decade,
+        )
+        for kind in kinds
+    }
+    centers = tuple(b.center for b in bins["exponential"])
+    series = [
+        Series(
+            label=f"{kind.capitalize()} mechanism",
+            x=centers,
+            y=tuple(b.mean_accuracy for b in kind_bins),
+        )
+        for kind, kind_bins in bins.items()
+    ]
+    series.append(
+        Series(
+            label="Theoretical Bound",
+            x=centers,
+            y=tuple(b.mean_bound for b in bins["exponential"]),
+        )
     )
-    centers = tuple(b.center for b in bins)
     return FigureResult(
         figure_id="figure_2c",
         title="Accuracy vs. target degree (Wiki vote, common neighbors, eps = 0.5)",
         x_label="Target node degree",
         y_label="Accuracy (1 - delta)",
-        series=(
-            Series(
-                label="Exponential mechanism",
-                x=centers,
-                y=tuple(b.mean_accuracy for b in bins),
-            ),
-            Series(
-                label="Theoretical Bound",
-                x=centers,
-                y=tuple(b.mean_bound for b in bins),
-            ),
-        ),
-        metadata={**_metadata(run), "bin_counts": [b.count for b in bins]},
+        series=tuple(series),
+        metadata={
+            **_metadata(run),
+            "bin_counts": [b.count for b in bins["exponential"]],
+        },
     )
 
 

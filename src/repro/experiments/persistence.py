@@ -4,7 +4,7 @@ Figure results serialize through :mod:`repro.experiments.results`; this
 module serializes the underlying per-target records (JSON Lines, one
 record per line) so expensive runs can be archived and re-analyzed —
 different CDF grids, degree binnings, or bound comparisons — without
-recomputing the Monte-Carlo work.
+recomputing the experiment.
 """
 
 from __future__ import annotations

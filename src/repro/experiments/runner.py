@@ -112,7 +112,7 @@ def build_mechanisms(
         )
         if config.include_laplace:
             mechanisms[mechanism_key("laplace", eps)] = LaplaceMechanism(
-                eps, sensitivity=sensitivity, trials=config.laplace_trials
+                eps, sensitivity=sensitivity
             )
     return mechanisms
 
@@ -152,7 +152,6 @@ def run_experiment(
             mechanisms,
             bound_epsilons=tuple(config.epsilons),
             seed=config.seed + 1,
-            laplace_trials=config.laplace_trials,
         )
         num_nodes, num_edges = graph.num_nodes, graph.num_edges
     finally:

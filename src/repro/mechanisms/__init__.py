@@ -12,7 +12,6 @@ from .base import (
 from .best import BestMechanism, UniformMechanism
 from .exponential import ExponentialMechanism
 from .laplace import LaplaceMechanism, laplace_argmax_probability_two
-from .laplace_exact import exact_argmax_probabilities, exact_expected_accuracy
 from .smoothing import SmoothingMechanism, smoothing_epsilon, smoothing_x_for_epsilon
 
 __all__ = [
@@ -24,8 +23,6 @@ __all__ = [
     "PrivateMechanism",
     "SmoothingMechanism",
     "UniformMechanism",
-    "exact_argmax_probabilities",
-    "exact_expected_accuracy",
     "laplace_argmax_probability_two",
     "make_mechanism",
     "mechanism_registry",

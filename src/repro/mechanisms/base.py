@@ -5,12 +5,11 @@ nodes; its expected utility is ``sum_i u_i p_i`` and its accuracy is that
 expectation divided by ``u_max``. Mechanisms here consume a
 :class:`~repro.utility.base.UtilityVector` and expose:
 
-* :meth:`Mechanism.probabilities` — the vector ``p`` (exact where a closed
-  form exists, :class:`NotImplementedError` otherwise, e.g. Laplace with
-  more than two candidates);
+* :meth:`Mechanism.probabilities` — the exact vector ``p``;
 * :meth:`Mechanism.recommend` — sample a single recommendation;
-* :meth:`Mechanism.expected_accuracy` — exact when probabilities are exact,
-  Monte-Carlo otherwise (the paper uses 1,000 trials for Laplace).
+* :meth:`Mechanism.expected_accuracy` — ``sum_i p_i u_i / u_max``, exact
+  for every built-in mechanism (Laplace included: the paper's 1,000-trial
+  Monte Carlo estimates the same quantity).
 
 Mechanisms are privacy-annotated: ``epsilon`` is ``None`` for non-private
 baselines (R_best, uniform) and the differential-privacy parameter for the
@@ -28,7 +27,7 @@ from ..rng import ensure_rng
 from ..telemetry import runtime as telemetry_runtime
 from ..utility.base import UtilityVector
 
-#: Default Monte-Carlo trial count, matching the paper's Laplace evaluation.
+#: Default sample count of :meth:`Mechanism.estimate_probabilities`.
 DEFAULT_TRIALS = 1_000
 
 
@@ -52,8 +51,8 @@ class Mechanism(abc.ABC):
     def probabilities(self, vector: UtilityVector) -> np.ndarray:
         """Exact recommendation probabilities, parallel to ``vector.candidates``.
 
-        Raises :class:`NotImplementedError` when no tractable closed form
-        exists (use :meth:`estimate_probabilities`).
+        :meth:`estimate_probabilities` checks a mechanism's sampler
+        against them.
         """
 
     def recommend(
@@ -72,12 +71,14 @@ class Mechanism(abc.ABC):
         self,
         vector: UtilityVector,
         seed: "int | np.random.Generator | None" = None,
-        trials: int = DEFAULT_TRIALS,
     ) -> float:
         """``E[u of recommendation] / u_max`` for this utility vector.
 
-        Exact whenever :meth:`probabilities` is; subclasses without closed
-        forms override with Monte-Carlo estimates.
+        The one-row case of a mechanism's flat ``support_accuracies(values,
+        offsets, zeros)`` kernel where it has one, so the experiment
+        engine's flat call reproduces it bit for bit; else ``sum_i p_i u_i
+        / u_max`` from :meth:`probabilities`. ``seed`` is for subclasses
+        that sample.
         """
         if len(vector) == 0:
             raise MechanismError("cannot evaluate accuracy on an empty candidate set")
@@ -87,6 +88,10 @@ class Mechanism(abc.ABC):
                 "accuracy undefined when all utilities are zero "
                 "(the paper drops such targets; see UtilityVector.has_signal)"
             )
+        kernel = getattr(self, "support_accuracies", None)
+        if kernel is not None:
+            _, values = vector.support()
+            return float(kernel(values, [0, values.size], [vector.zero_count])[0])
         probs = self.probabilities(vector)
         # Normalize before the dot product: accuracy is scale-invariant, and
         # dividing afterwards underflows to 0 for subnormal utility values.

@@ -28,7 +28,7 @@ import numpy as np
 from ..errors import MechanismError
 from ..telemetry import runtime as telemetry_runtime
 from ..utility.base import UtilityVector
-from .base import DEFAULT_TRIALS, PrivateMechanism, register_mechanism
+from .base import PrivateMechanism, register_mechanism
 
 
 @register_mechanism
@@ -59,28 +59,6 @@ class ExponentialMechanism(PrivateMechanism):
         log_normalizer = np.log(np.exp(shifted).sum()) + exponents.max()
         return exponents - log_normalizer
 
-    def expected_accuracy(
-        self,
-        vector: UtilityVector,
-        seed: "int | np.random.Generator | None" = None,
-        trials: int = DEFAULT_TRIALS,
-    ) -> float:
-        """Exact ``E[u of recommendation] / u_max``: the one-row case of
-        :meth:`support_accuracies`, on the vector's positive support and
-        zero-bucket size. ``seed`` and ``trials`` are unused (the value is
-        closed-form)."""
-        if len(vector) == 0:
-            raise MechanismError("cannot evaluate accuracy on an empty candidate set")
-        if vector.u_max <= 0.0:
-            raise MechanismError(
-                "accuracy undefined when all utilities are zero "
-                "(the paper drops such targets; see UtilityVector.has_signal)"
-            )
-        _, values = vector.support()
-        return float(
-            self.support_accuracies(values, [0, values.size], [vector.zero_count])[0]
-        )
-
     def support_accuracies(
         self,
         values: np.ndarray,
@@ -107,8 +85,8 @@ class ExponentialMechanism(PrivateMechanism):
         One flat pass per step over every row: one ``np.exp`` for all
         support entries and one pairwise ``add.reduceat`` per sum, whose
         per-segment result depends only on the segment, so a row's value
-        is the same alone (:meth:`expected_accuracy`) or among others (the
-        experiment engine). Arithmetic is float64 for float32 input too.
+        is the same alone (:meth:`~repro.mechanisms.base.Mechanism.expected_accuracy`)
+        or among others (the experiment engine). Arithmetic is float64 for float32 input too.
         """
         values = np.asarray(values, dtype=np.float64)
         offsets = np.asarray(offsets, dtype=np.int64)

@@ -1,25 +1,30 @@
 """The Laplace mechanism (Definition 6; Dwork et al.).
 
 ``A_L(epsilon)`` perturbs every utility with independent Laplace noise of
-scale ``Delta f / epsilon`` and recommends the candidate with the highest
-noisy utility. It is epsilon-differentially private (Theorem 4: the noisy
-utilities form a private histogram and the argmax is post-processing) and
-"more closely mimics the optimal mechanism R_best" than the Exponential
-mechanism does (Section 6).
+scale ``b = Delta f / epsilon`` and recommends the candidate with the
+highest noisy utility. It is epsilon-differentially private (Theorem 4:
+the noisy utilities form a private histogram and the argmax is
+post-processing) and "more closely mimics the optimal mechanism R_best"
+than the Exponential mechanism does (Section 6).
 
-Unlike the Exponential mechanism, the recommendation probabilities have no
-simple closed form for more than two candidates; the paper evaluates the
-mechanism's accuracy with 1,000 Monte-Carlo trials per target, and so do we
-(vectorized, so a trial is one ``argmax`` over a noise matrix). For exactly
-two candidates, Appendix E's Lemma 3 gives the closed form
-
-``P[u1 + X1 > u2 + X2] = 1 - e^{-b d}/2 - b d e^{-b d}/4``
-
-with ``b = epsilon / Delta f`` and ``d = u1 - u2 >= 0``; ``probabilities``
-uses it so the n = 2 comparison benchmarks are exact.
+The paper estimates its accuracy with 1,000 Monte-Carlo trials per target
+and gives a closed form only for two candidates (Appendix E, Lemma 3,
+:func:`laplace_argmax_probability_two`). Here the probabilities are exact
+for any number of candidates. With a row's distinct utilities ``v_k`` and
+counts ``c_k`` (the zero bucket is one group), ``G(t) = prod_k F_b(t -
+v_k)^{c_k}`` is the CDF of the largest noisy utility and ``P[the pick has
+utility v_k] = integral G(t) c_k h_b(t - v_k) dt`` with ``h_b = f_b /
+F_b``; ``sum_k P[v_k] = 1`` checks every row. The integral is closed-form
+below the smallest value and composite Gauss-Legendre above it, and
+running power sums in ``e^{-(t - v_k)/b} / 2`` carry every group into
+every panel, so a row costs O((groups + panels) x terms). docs/THEORY.md
+derives it.
 """
 
 from __future__ import annotations
+
+import math
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -27,23 +32,33 @@ from ..errors import MechanismError
 from ..rng import ensure_rng
 from ..telemetry import runtime as telemetry_runtime
 from ..utility.base import UtilityVector
-from .base import DEFAULT_TRIALS, PrivateMechanism, register_mechanism
+from .base import PrivateMechanism, register_mechanism
 
-#: Noise values drawn per Monte-Carlo block (8 MB of float64 per
-#: buffer). Not a compute chunk size: blocks fill trials in stream order,
-#: so this fixes which draws each trial gets and moving it changes every
-#: Laplace estimate.
-MC_BLOCK_ELEMENTS = 1_000_000
+#: Gauss-Legendre nodes and weights of one quadrature panel, on [-1, 1].
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+#: Widest panel, in noise scales.
+_PANEL = 0.5
+#: Power-series terms: every term has ratio q <= 1/2, and 2^-56 is below
+#: float64 resolution.
+_ORDERS = np.arange(1, 57, dtype=np.float64)
+#: Widest stretch, in noise scales, one blocked running sum spans, so its
+#: scaled terms stay below e^{56 * 10} and cannot overflow.
+_BLOCK = 10.0
+#: Live panels whose node terms one pass holds (~3 MB of float64 in all).
+_PASS_PANELS = 1_024
+#: A panel whose largest ``log G`` is below this contributes exact zeros.
+_UNDERFLOW = -750.0
+#: Largest ``|sum_k P[v_k] - 1|`` a row may show before the kernel refuses
+#: it; a working row reads ~1e-14.
+_NORMALIZATION_TOLERANCE = 1e-9
 
 
 def laplace_argmax_probability_two(u1: float, u2: float, scale_inverse: float) -> float:
     """Lemma 3 closed form: probability that candidate 1 wins when n = 2.
 
     ``scale_inverse`` is ``1/b = epsilon / Delta f``; ``u1 >= u2`` is not
-    required (the complement rule handles the other order). Ties are a
-    measure-zero event split evenly, consistent with the formula's value of
-    ``1/2 + ...`` at ``u1 = u2``... specifically the formula yields exactly
-    1/2 when the utilities coincide.
+    required (the complement rule handles the other order). A tie is a
+    measure-zero event, and at ``u1 = u2`` the formula gives exactly 1/2.
     """
     difference = u1 - u2
     if difference < 0:
@@ -52,17 +67,197 @@ def laplace_argmax_probability_two(u1: float, u2: float, scale_inverse: float) -
     return 1.0 - 0.5 * np.exp(-z) - 0.25 * z * np.exp(-z)
 
 
+def _discounted_cumsum(positions: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``out[j, m-1] = sum_{i <= j} weights[i, m-1] e^{-m (positions[j] - positions[i])}``.
+
+    ``positions`` ascend; ``weights`` has one column per power or one for
+    all. Terms are scaled by ``e^{m (position - block start)}`` within
+    blocks of at most ``_BLOCK`` scales, so none overflows, and each
+    block's sum is carried, decayed, into the next. No term is negative.
+    """
+    out = np.empty((positions.size, _ORDERS.size), dtype=np.float64)
+    carry = np.zeros(_ORDERS.size, dtype=np.float64)
+    last = positions[0]
+    start = 0
+    while start < positions.size:
+        origin = positions[start]
+        stop = int(np.searchsorted(positions, origin + _BLOCK, side="right"))
+        growth = np.exp(np.multiply.outer(positions[start:stop] - origin, _ORDERS))
+        carry *= np.exp(-_ORDERS * (origin - last))
+        running = np.cumsum(weights[start:stop] * growth, axis=0)
+        running += carry
+        out[start:stop] = running / growth
+        carry = out[stop - 1].copy()
+        last = positions[stop - 1]
+        start = stop
+    return out
+
+
+class _Layout(NamedTuple):
+    """One row's quadrature panels and the node terms of its live ones."""
+
+    counts: np.ndarray  # candidates per group, float64
+    first: np.ndarray  # each group's first panel, then the panel count
+    edges: np.ndarray  # each panel's left edge, in noise scales
+    live: np.ndarray  # panels where G can exceed the underflow level
+    low: float  # the integral of G below the lowest group
+    ratio: np.ndarray  # r = e^{-(t - edge)/b} / 2 at every live node
+    weight: np.ndarray  # quadrature weight of every live node
+    linear: np.ndarray  # log G's terms from the groups above, per live node
+    series: np.ndarray  # A_m / m at every live left edge
+
+
+def _layout(values: np.ndarray, counts: np.ndarray, scale: float) -> _Layout:
+    """Panels of one row: ``values`` distinct and ascending, ``counts[k] >=
+    1`` candidates share ``values[k]``, and ``scale`` is the noise scale."""
+    counts = counts.astype(np.float64)
+    total = float(counts.sum())
+    # Positions in noise scales below the top value, which sits at 0.
+    x = (values - values[-1]) / scale
+    gaps = np.diff(x)
+    # Candidates above each group, and D = their sum of c_k (x_k - x_group).
+    above = np.append(np.cumsum(counts[::-1])[::-1][1:], 0.0)
+    spread = np.append(np.cumsum((above[:-1] * gaps)[::-1])[::-1], 0.0)
+    # Between groups k and k + 1, log G(t) <= -D - (candidates above)
+    # (ln 2 + x_{k+1} - t): only the top `reach` scales of a gap can hold
+    # a G above the underflow level. They split into panels at most
+    # _PANEL wide and one `head` panel spans the rest. Above the top,
+    # _PANEL-wide panels run ln(total) scales, the last one to infinity.
+    ceilings = -spread[1:] - above[:-1] * math.log(2.0)
+    reach = np.clip((ceilings - _UNDERFLOW) / above[:-1], 0.0, gaps)
+    tail = (math.ceil(math.log(total) / _PANEL) + 1) * _PANEL
+    reach = np.append(reach, tail)
+    gaps = np.append(gaps, tail)
+    splits = np.ceil(reach / _PANEL).astype(np.int64)
+    head = ((reach < gaps) | (splits == 0)).astype(np.int64)
+    widths = reach / np.maximum(splits, 1)
+    # Panel p starts at x[owner] + offset and ends at most at the next
+    # group: every group is at or below its left edge, or at or above its
+    # right edge.
+    first = np.concatenate(([0], np.cumsum(splits + head)))
+    owner = np.repeat(np.arange(values.size), splits + head)
+    split = np.arange(first[-1]) - first[owner] - head[owner]
+    is_head = split < 0
+    rest = (gaps - reach)[owner]
+    width = np.where(is_head, rest, widths[owner])
+    offset = np.where(is_head, 0.0, rest + split * widths[owner])
+    to_next = np.where(is_head, reach[owner], (splits[owner] - 1 - split) * widths[owner])
+
+    # The same bound at every panel's right edge.
+    above_p = above[owner]
+    right_d = np.append(spread[1:], 0.0)[owner] + above_p * to_next
+    live = np.flatnonzero(-right_d - above_p * math.log(2.0) > _UNDERFLOW)
+
+    # Quadrature nodes (offsets from the left edge) and weights of the
+    # live panels; the last panel is always among them. With s = e^{-(t -
+    # edge)/b}, the last panel's integral is one Gauss-Legendre panel
+    # over s in (0, 1], where the integrand is a power series in s.
+    half = 0.5 * width[live, None]
+    node = half * (1.0 + _NODES)
+    weight = half * _WEIGHTS
+    node[-1] = -np.log(0.5 * (1.0 + _NODES))
+    weight[-1] = _WEIGHTS / (1.0 + _NODES)
+    linear = -above_p[live, None] * (2.0 * half - node + math.log(2.0))
+    linear -= right_d[live, None]
+    # A_m / m at every live left edge, A_m = the sum over groups at or
+    # below it of c_k e^{-m (edge - x_k)}.
+    series = _discounted_cumsum(x, counts[:, None])[owner[live]]
+    series *= np.exp(-np.multiply.outer(offset[live], _ORDERS))
+    series /= _ORDERS
+    return _Layout(
+        counts, first, x[owner] + offset, live,
+        math.exp(-spread[0] - total * math.log(2.0)) / total,
+        0.5 * np.exp(-node), weight, linear, series,
+    )
+
+
+def _group_pmf(layout: _Layout, panel_g: np.ndarray, moments: np.ndarray) -> np.ndarray:
+    """``P[the noisy argmax has utility v_k]`` for every group of a row,
+    from its live panels' integrals."""
+    every_g = np.zeros(layout.edges.size, dtype=np.float64)
+    every_g[layout.live] = panel_g
+    every_moment = np.zeros((layout.edges.size, _ORDERS.size), dtype=np.float64)
+    every_moment[layout.live] = moments
+    # Group k sits above every panel left of it (h_b = 1/b there) and
+    # below the rest, where its terms are the moments decayed back to x_k.
+    starts = layout.first[:-1]
+    left = np.concatenate(([0.0], np.cumsum(every_g)))[starts] + layout.low
+    right = _discounted_cumsum(-layout.edges[::-1], every_moment[::-1])[::-1][starts]
+    pmf = layout.counts * (left + right.sum(axis=1))
+    error = abs(math.fsum(pmf) - 1.0)
+    if not error <= _NORMALIZATION_TOLERANCE:
+        raise MechanismError(
+            f"Laplace argmax probabilities sum to 1 {error:+.3g} over "
+            f"{pmf.size} utility groups; the quadrature failed"
+        )
+    return pmf
+
+
+def _group_pmfs(
+    rows: "Iterable[tuple[np.ndarray, np.ndarray]]", scale: float
+) -> "Iterator[np.ndarray]":
+    """Group probabilities of every ``(values, counts)`` row, in order.
+
+    Rows are laid out one by one and their node integrals taken in passes
+    of at most ``_PASS_PANELS`` live panels (a row larger than that is a
+    pass of its own), so memory stays bounded and a row's result depends
+    on that row alone.
+    """
+    batch: "list[_Layout]" = []
+    held = 0
+    for values, counts in rows:
+        layout = _layout(values, counts, scale)
+        if batch and held + layout.live.size > _PASS_PANELS:
+            yield from _finish(batch)
+            batch, held = [], 0
+        batch.append(layout)
+        held += layout.live.size
+    if batch:
+        yield from _finish(batch)
+
+
+def _finish(batch: "list[_Layout]") -> "Iterator[np.ndarray]":
+    """Group probabilities of a batch of rows, from one pass over the
+    nodes of their live panels: the integral of ``G`` and of ``G r^m``,
+    m = 1..56, on every panel. Every step of the pass is elementwise or
+    sums one panel's 16 nodes, so no panel's values depend on the others.
+    """
+    ratio = np.concatenate([layout.ratio for layout in batch])
+    series = np.concatenate([layout.series for layout in batch])
+    # log G = linear - sum_m r^m A_m / m, the sum by Horner in r.
+    log_g = series[:, -1, None] * ratio
+    for column in range(_ORDERS.size - 2, -1, -1):
+        log_g += series[:, column, None]
+        log_g *= ratio
+    np.subtract(np.concatenate([layout.linear for layout in batch]), log_g, out=log_g)
+    mass = np.exp(log_g, out=log_g)
+    mass *= np.concatenate([layout.weight for layout in batch])
+    moments = np.empty((_ORDERS.size, ratio.shape[0]), dtype=np.float64)
+    term = ratio.copy()
+    for column in range(_ORDERS.size):
+        np.einsum("pi,pi->p", mass, term, out=moments[column])
+        term *= ratio
+    panel_g, moments = mass.sum(axis=1), moments.T
+    cut = 0
+    for layout in batch:
+        part = slice(cut, cut + layout.live.size)
+        yield _group_pmf(layout, panel_g[part], moments[part])
+        cut = part.stop
+
+
+def _row_groups(support: np.ndarray, zeros: int) -> "tuple[np.ndarray, np.ndarray]":
+    """A row's distinct utilities and their counts, its zero bucket first."""
+    groups, counts = np.unique(support, return_counts=True)
+    if zeros:
+        return np.concatenate(([0.0], groups)), np.concatenate(([zeros], counts))
+    return groups, counts
+
+
 @register_mechanism
 class LaplaceMechanism(PrivateMechanism):
     """Noisy-argmax recommender, the paper's ``A_L(epsilon)``."""
 
     name = "laplace"
-
-    def __init__(self, epsilon: float, sensitivity: float = 1.0, trials: int = DEFAULT_TRIALS) -> None:
-        super().__init__(epsilon, sensitivity)
-        if trials < 1:
-            raise MechanismError(f"trials must be >= 1, got {trials}")
-        self.trials = int(trials)
 
     @property
     def noise_scale(self) -> float:
@@ -70,23 +265,18 @@ class LaplaceMechanism(PrivateMechanism):
         return self.sensitivity / self._epsilon
 
     def probabilities(self, vector: UtilityVector) -> np.ndarray:
-        """Exact probabilities — only available for n <= 2 (Lemma 3).
+        """Exact argmax probabilities for any number of candidates.
 
-        Raises :class:`NotImplementedError` for larger candidate sets; use
-        :meth:`estimate_probabilities` or :meth:`expected_accuracy` there.
+        Candidates with equal utility share their group's probability
+        evenly.
         """
-        n = len(vector)
-        if n == 1:
-            return np.ones(1, dtype=np.float64)
-        if n == 2:
-            p1 = laplace_argmax_probability_two(
-                float(vector.values[0]), float(vector.values[1]), 1.0 / self.noise_scale
-            )
-            return np.asarray([p1, 1.0 - p1], dtype=np.float64)
-        raise NotImplementedError(
-            "Laplace argmax probabilities have no closed form for n > 2; "
-            "use estimate_probabilities (Monte-Carlo)"
+        groups, inverse, counts = np.unique(
+            np.asarray(vector.values, dtype=np.float64),
+            return_inverse=True,
+            return_counts=True,
         )
+        (pmf,) = _group_pmfs([(groups, counts)], self.noise_scale)
+        return (pmf / counts)[inverse]
 
     def recommend(
         self, vector: UtilityVector, seed: "int | np.random.Generator | None" = None
@@ -98,172 +288,31 @@ class LaplaceMechanism(PrivateMechanism):
         noisy = vector.values + rng.laplace(0.0, self.noise_scale, size=len(vector))
         return int(vector.candidates[int(np.argmax(noisy))])
 
-    def expected_accuracy(
-        self,
-        vector: UtilityVector,
-        seed: "int | np.random.Generator | None" = None,
-        trials: int | None = None,
-        workspace=None,
-    ) -> float:
-        """Monte-Carlo accuracy: average utility of noisy-argmax picks / u_max.
-
-        This is exactly the paper's procedure ("running 1,000 independent
-        trials of A_L(epsilon) and averaging the utilities obtained"). For
-        n <= 2 the Lemma 3 closed form is used instead, making the Appendix E
-        benchmarks exact. ``workspace`` optionally supplies the reused
-        noise buffers (see :meth:`_noise_buffers`); it never changes the
-        result, only where the noise lands.
-        """
-        if len(vector) == 0:
-            raise MechanismError("cannot evaluate accuracy on an empty candidate set")
-        u_max = vector.u_max
-        if u_max <= 0.0:
-            raise MechanismError("accuracy undefined when all utilities are zero")
-        if len(vector) <= 2:
-            probs = self.probabilities(vector)
-            return float(np.dot(probs, vector.values)) / u_max
-        rng = ensure_rng(seed)
-        trial_count = self.trials if trials is None else int(trials)
-        return self._monte_carlo_accuracy(
-            vector.values, u_max, rng, trial_count, workspace=workspace
-        )
-
-    def _noise_buffers(
-        self, capacity: int, workspace
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """The two flat float64 draw buffers one Monte-Carlo call reuses.
-
-        With a ``workspace`` (anything exposing ``take(key, shape,
-        dtype)``, e.g. :class:`repro.compute.workspace.Workspace`) the
-        buffers persist *across* calls too; without one they are
-        allocated once per call and shared by every block of that call —
-        the fix for the old per-block ``(trials_chunk, n)`` reallocation.
-        """
-        if workspace is not None:
-            return (
-                workspace.take("laplace.e1", capacity, np.float64),
-                workspace.take("laplace.e2", capacity, np.float64),
-            )
-        return np.empty(capacity, dtype=np.float64), np.empty(capacity, dtype=np.float64)
-
-    def _fill_laplace(
-        self, rng: np.random.Generator, e1: np.ndarray, e2: np.ndarray
-    ) -> np.ndarray:
-        """Fill ``e1`` with Laplace(0, noise_scale) noise, in place.
-
-        Draws two standard-exponential blocks directly into the reused
-        buffers (``Generator.standard_exponential`` supports ``out=``,
-        unlike ``Generator.laplace``) and uses that the difference of two
-        independent Exp(1) variables is exactly standard Laplace. No
-        allocation happens per block — only draws and in-place arithmetic.
-        """
-        rng.standard_exponential(out=e1)
-        rng.standard_exponential(out=e2)
-        np.subtract(e1, e2, out=e1)
-        np.multiply(e1, self.noise_scale, out=e1)
-        return e1
-
-    def _monte_carlo_accuracy(
+    def support_accuracies(
         self,
         values: np.ndarray,
-        u_max: float,
-        rng: np.random.Generator,
-        trial_count: int,
-        workspace=None,
-    ) -> float:
-        """Blocked noisy-argmax Monte-Carlo over one target's utility values.
-
-        The single kernel shared by :meth:`expected_accuracy` and
-        :meth:`expected_accuracy_batch`: each block fills a
-        ``(trials_chunk, n)`` view of one *reused* noise buffer (see
-        :meth:`_fill_laplace`) and resolves every trial with one
-        vectorized argmax — no per-block allocation. Keeping one code
-        path is what makes the batched experiment engine bit-identical
-        to the sequential evaluator — same generator, same draw order,
-        same accumulation.
-        """
-        total = 0.0
-        n = values.size
-        block_trials = max(1, min(trial_count, int(MC_BLOCK_ELEMENTS / max(1, n))))
-        e1, e2 = self._noise_buffers(block_trials * n, workspace)
-        winners = np.empty(block_trials, dtype=np.int64)
-        picked = np.empty(block_trials, dtype=values.dtype)
-        done = 0
-        while done < trial_count:
-            block = min(block_trials, trial_count - done)
-            size = block * n
-            noisy = self._fill_laplace(rng, e1[:size], e2[:size]).reshape(block, n)
-            np.add(noisy, values, out=noisy)
-            np.argmax(noisy, axis=1, out=winners[:block])
-            np.take(values, winners[:block], out=picked[:block])
-            total += float(picked[:block].sum())
-            done += block
-            telemetry_runtime.count("mechanism.mc_blocks")
-        return (total / trial_count) / u_max
-
-    def expected_accuracy_batch(
-        self,
-        vectors: "list[UtilityVector]",
-        seeds: "list[np.random.Generator | int | None]",
-        trials: "int | None" = None,
-        workspace=None,
+        offsets: "np.ndarray | list[int]",
+        zeros: "np.ndarray | list[int]",
     ) -> np.ndarray:
-        """Monte-Carlo accuracy for many targets, one RNG stream per target.
+        """Exact expected accuracy of many rows from their positive supports.
 
-        Unlike the exponential mechanism's closed-form batch kernel, the
-        Laplace noise cannot be drawn as one ``(targets, trials, n)`` tensor
-        from a single stream without changing every target's noise: the
-        sequential evaluator gives each target its own spawned generator so
-        results are independent of sample composition, and this method keeps
-        that contract. Each target therefore runs the shared blocked
-        :meth:`_monte_carlo_accuracy` kernel (vectorized over its
-        ``trials_chunk x n`` noise blocks) against its own stream, which
-        makes the output bit-identical to calling :meth:`expected_accuracy`
-        target by target — while still skipping all per-call graph and
-        utility-vector recomputation the batched engine already amortized.
+        Row ``j``'s positive utilities are ``values[offsets[j]:offsets[j +
+        1]]`` (non-empty, rows concatenated) and ``zeros[j]`` more
+        candidates score zero, one more utility group. Each row is
+        ``sum_k P[v_k] v_k / u_max`` over its groups (module docstring).
+        Rows share node passes, but every step there is elementwise or
+        sums one panel, so a row's value is the same alone
+        (:meth:`~repro.mechanisms.base.Mechanism.expected_accuracy`) or
+        among others (the experiment engine).
         """
-        if len(vectors) != len(seeds):
-            raise MechanismError(
-                f"got {len(vectors)} vectors but {len(seeds)} RNG seeds"
-            )
+        values = np.asarray(values, dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.int64)
+        rows = [
+            _row_groups(values[start:stop], zero)
+            for start, stop, zero in zip(offsets[:-1], offsets[1:], zeros)
+        ]
+        pmfs = _group_pmfs(rows, self.noise_scale)
         return np.asarray(
-            [
-                self.expected_accuracy(
-                    vector, seed=seed, trials=trials, workspace=workspace
-                )
-                for vector, seed in zip(vectors, seeds)
-            ],
+            [math.fsum(pmf * (groups / groups[-1])) for (groups, _), pmf in zip(rows, pmfs)],
             dtype=np.float64,
         )
-
-    def estimate_probabilities(
-        self,
-        vector: UtilityVector,
-        trials: int = DEFAULT_TRIALS,
-        seed: "int | np.random.Generator | None" = None,
-    ) -> np.ndarray:
-        """Vectorized Monte-Carlo estimate of the argmax distribution.
-
-        Shares the reused-buffer noise kernel of
-        :meth:`_monte_carlo_accuracy`: one buffer pair per call, filled in
-        place per block instead of reallocating the ``(block, n)`` matrix.
-        """
-        if trials < 1:
-            raise MechanismError(f"trials must be >= 1, got {trials}")
-        rng = ensure_rng(seed)
-        values = vector.values
-        n = values.size
-        counts = np.zeros(n, dtype=np.float64)
-        block_trials = max(1, min(trials, int(MC_BLOCK_ELEMENTS / max(1, n))))
-        e1, e2 = self._noise_buffers(block_trials * n, None)
-        winners = np.empty(block_trials, dtype=np.int64)
-        done = 0
-        while done < trials:
-            block = min(block_trials, trials - done)
-            size = block * n
-            noisy = self._fill_laplace(rng, e1[:size], e2[:size]).reshape(block, n)
-            np.add(noisy, values, out=noisy)
-            np.argmax(noisy, axis=1, out=winners[:block])
-            counts += np.bincount(winners[:block], minlength=n)
-            done += block
-        return counts / trials

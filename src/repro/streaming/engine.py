@@ -302,9 +302,8 @@ class StreamingService:
         The calibration is updated *in place*: every private mechanism
         reads ``sensitivity`` at sampling time and derives nothing else
         from it at construction, so assignment re-calibrates without
-        discarding subclass state a rebuild would lose (e.g.
-        :class:`~repro.mechanisms.laplace.LaplaceMechanism`'s
-        Monte-Carlo ``trials``).
+        discarding state a rebuild would lose (e.g. attributes a
+        mechanism subclass sets in its constructor).
 
         Interaction with cache patching: sensitivity depends only on
         the live graph (degrees), never on how a cached row was produced,

@@ -9,7 +9,7 @@ the simulators, ``bench_telemetry.py``) read back out.
 Three metric kinds, chosen for mergeability:
 
 * :class:`Counter` — monotone float/int accumulator (requests served,
-  samples drawn, Monte-Carlo blocks). Merging sums.
+  samples drawn). Merging sums.
 * :class:`Gauge` — last-written value (workspace bytes resident, cache
   residency). Merging takes the **max**: the interesting question across
   registries is "how big did it get anywhere", and max is the only

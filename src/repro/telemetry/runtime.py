@@ -1,7 +1,7 @@
 """Ambient telemetry: activation, cheap helpers, and traced chunk maps.
 
 Instrumentation points deep in the numeric core (mechanism sampling
-loops, Monte-Carlo blocks) cannot take a telemetry handle as a parameter
+loops, chunked kernels) cannot take a telemetry handle as a parameter
 without threading it through every kernel signature. Instead they call
 the module-level helpers here — :func:`count`, :func:`observe`,
 :func:`span` — which write to whatever :class:`~repro.telemetry.

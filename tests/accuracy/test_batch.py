@@ -29,30 +29,26 @@ from repro.utility.weighted_paths import WeightedPaths
 BOUND_EPSILONS = (0.5, 1.0, 3.0)
 
 
-def make_mechanisms(utility, graph, epsilons=(0.5, 1.0), trials=40):
+def make_mechanisms(utility, graph, epsilons=(0.5, 1.0)):
     sensitivity = utility.sensitivity(graph, 0)
     mechanisms = {}
     for eps in epsilons:
         mechanisms[f"exponential@{eps:g}"] = ExponentialMechanism(
             eps, sensitivity=sensitivity
         )
-        mechanisms[f"laplace@{eps:g}"] = LaplaceMechanism(
-            eps, sensitivity=sensitivity, trials=trials
-        )
+        mechanisms[f"laplace@{eps:g}"] = LaplaceMechanism(eps, sensitivity=sensitivity)
     mechanisms["best"] = BestMechanism()
     mechanisms["uniform"] = UniformMechanism()
     return mechanisms
 
 
-def assert_engines_agree(graph, utility, targets, seed=11, laplace_trials=40):
+def assert_engines_agree(graph, utility, targets, seed=11):
     mechanisms = make_mechanisms(utility, graph)
     sequential = evaluate_targets(
-        graph, utility, targets, mechanisms,
-        bound_epsilons=BOUND_EPSILONS, seed=seed, laplace_trials=laplace_trials,
+        graph, utility, targets, mechanisms, bound_epsilons=BOUND_EPSILONS, seed=seed
     )
     batched = evaluate_targets_batched(
-        graph, utility, targets, mechanisms,
-        bound_epsilons=BOUND_EPSILONS, seed=seed, laplace_trials=laplace_trials,
+        graph, utility, targets, mechanisms, bound_epsilons=BOUND_EPSILONS, seed=seed
     )
     assert [e.target for e in sequential] == [e.target for e in batched]
     for seq, bat in zip(sequential, batched):
@@ -127,10 +123,10 @@ def test_no_bound_epsilons():
     utility = CommonNeighbors()
     mechanisms = make_mechanisms(utility, graph)
     sequential = evaluate_targets(
-        graph, utility, range(20), mechanisms, seed=2, laplace_trials=40
+        graph, utility, range(20), mechanisms, seed=2
     )
     batched = evaluate_targets_batched(
-        graph, utility, range(20), mechanisms, seed=2, laplace_trials=40
+        graph, utility, range(20), mechanisms, seed=2
     )
     assert sequential == batched
     assert all(e.theoretical_bounds == {} for e in batched)
@@ -143,10 +139,10 @@ def test_results_independent_of_sample_composition():
     utility = CommonNeighbors()
     mechanisms = make_mechanisms(utility, graph)
     full = evaluate_targets_batched(
-        graph, utility, [0, 1, 2, 3], mechanisms, seed=9, laplace_trials=40
+        graph, utility, [0, 1, 2, 3], mechanisms, seed=9
     )
     alone = evaluate_targets_batched(
-        graph, utility, [0], mechanisms, seed=9, laplace_trials=40
+        graph, utility, [0], mechanisms, seed=9
     )
     assert full[0] == alone[0]
 
@@ -161,7 +157,6 @@ def test_timings_filled_in_pipeline_order():
         make_mechanisms(CommonNeighbors(), graph),
         bound_epsilons=(1.0,),
         seed=3,
-        laplace_trials=20,
         timings=timings,
     )
     assert tuple(timings) == STAGE_NAMES
@@ -190,7 +185,7 @@ def test_engine_builds_no_dense_block(monkeypatch):
     graph = erdos_renyi_gnp(30, 0.2, seed=4)
     utility = CommonNeighbors()
     mechanisms = make_mechanisms(utility, graph)
-    kwargs = dict(bound_epsilons=(1.0,), seed=5, laplace_trials=20)
+    kwargs = dict(bound_epsilons=(1.0,), seed=5)
     reference = evaluate_targets(graph, utility, range(30), mechanisms, **kwargs)
 
     def dense(*args, **kwargs):
@@ -275,13 +270,58 @@ def test_property_exact_equivalence(edges, directed, seed):
     edges = [(u, v) for u, v in edges if u != v]
     graph = SocialGraph.from_edges(edges, num_nodes=12, directed=directed)
     for utility in (CommonNeighbors(), WeightedPaths(gamma=0.01)):
-        mechanisms = make_mechanisms(utility, graph, epsilons=(1.0,), trials=25)
+        mechanisms = make_mechanisms(utility, graph, epsilons=(1.0,))
         sequential = evaluate_targets(
-            graph, utility, range(12), mechanisms,
-            bound_epsilons=(0.5, 2.0), seed=seed, laplace_trials=25,
+            graph, utility, range(12), mechanisms, bound_epsilons=(0.5, 2.0), seed=seed
         )
         batched = evaluate_targets_batched(
-            graph, utility, range(12), mechanisms,
-            bound_epsilons=(0.5, 2.0), seed=seed, laplace_trials=25,
+            graph, utility, range(12), mechanisms, bound_epsilons=(0.5, 2.0), seed=seed
         )
         assert sequential == batched
+
+
+class _SampledLaplace(LaplaceMechanism):
+    """Overrides ``expected_accuracy`` with a sampled estimate, so no flat
+    kernel reproduces it and it must run on its target's stream."""
+
+    def expected_accuracy(self, vector, seed=None):
+        picks = [self.recommend(vector, seed=seed) for _ in range(25)]
+        values = dict(zip(vector.candidates.tolist(), vector.values.tolist()))
+        return float(np.mean([values[pick] for pick in picks])) / vector.u_max
+
+
+def test_overridden_expected_accuracy_runs_on_per_target_streams():
+    graph = erdos_renyi_gnp(30, 0.15, seed=6)
+    utility = CommonNeighbors()
+    sensitivity = utility.sensitivity(graph, 0)
+    mechanisms = {
+        "laplace@1": LaplaceMechanism(1.0, sensitivity=sensitivity),
+        "sampled@1": _SampledLaplace(1.0, sensitivity=sensitivity),
+    }
+    sequential = evaluate_targets(graph, utility, range(30), mechanisms, seed=4)
+    batched = evaluate_targets_batched(graph, utility, range(30), mechanisms, seed=4)
+    assert sequential == batched
+    assert any(
+        e.accuracies["sampled@1"] != e.accuracies["laplace@1"] for e in batched
+    )
+
+
+def test_kernel_mechanisms_spawn_no_streams(monkeypatch):
+    """With only flat-kernel columns (exponential and Laplace) the engine
+    draws no random numbers: it spawns no per-target stream."""
+    import repro.accuracy.batch as batch
+
+    def spawn(*args, **kwargs):
+        raise AssertionError("spawned RNG streams for closed-form columns")
+
+    monkeypatch.setattr(batch, "spawn_rngs", spawn)
+    graph = erdos_renyi_gnp(30, 0.2, seed=4)
+    utility = CommonNeighbors()
+    mechanisms = {
+        name: mechanism
+        for name, mechanism in make_mechanisms(utility, graph).items()
+        if name.startswith(("exponential", "laplace"))
+    }
+    assert evaluate_targets_batched(
+        graph, utility, range(30), mechanisms, bound_epsilons=(1.0,), seed=5
+    )

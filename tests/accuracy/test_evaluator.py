@@ -38,7 +38,6 @@ class TestEvaluateTarget:
             mechanisms,
             bound_epsilons=(1.0,),
             seed=0,
-            laplace_trials=500,
         )
         assert record is not None
         assert record.target == 0

@@ -33,7 +33,7 @@ def workload():
     graph = wiki_vote(scale=0.06)
     config = ExperimentConfig(
         scale=0.06, epsilons=(0.5, 1.0), include_laplace=True,
-        laplace_trials=25, target_fraction=0.3, max_targets=None,
+        target_fraction=0.3, max_targets=None,
     )
     utility = build_utility(config)
     mechanisms = build_mechanisms(config, utility.sensitivity(graph, 0))
@@ -45,7 +45,7 @@ def engine(workload, **kwargs):
     graph, utility, mechanisms, targets = workload
     return evaluate_targets_batched(
         graph, utility, targets, mechanisms,
-        bound_epsilons=BOUND_EPSILONS, seed=11, laplace_trials=25, **kwargs,
+        bound_epsilons=BOUND_EPSILONS, seed=11, **kwargs,
     )
 
 
@@ -54,7 +54,7 @@ class TestEngineFloat64:
         graph, utility, mechanisms, targets = workload
         sequential = evaluate_targets(
             graph, utility, targets, mechanisms,
-            bound_epsilons=BOUND_EPSILONS, seed=11, laplace_trials=25,
+            bound_epsilons=BOUND_EPSILONS, seed=11,
         )
         assert engine(workload) == sequential
 
@@ -74,7 +74,7 @@ class TestEngineFloat64:
         def run():
             return evaluate_targets_batched(
                 graph, utility, targets, mechanisms,
-                bound_epsilons=BOUND_EPSILONS, seed=11, laplace_trials=25,
+                bound_epsilons=BOUND_EPSILONS, seed=11,
             )
 
         reference = run()

@@ -197,7 +197,6 @@ def _engine_call(graph, utility, mechanisms, targets, **kwargs):
         mechanisms,
         bound_epsilons=(0.5, 1.0),
         seed=17,
-        laplace_trials=40,
         **kwargs,
     )
 
@@ -213,7 +212,7 @@ class TestEngineChunkIdentity:
 
         mechanisms = {
             "exponential@0.5": ExponentialMechanism(0.5, sensitivity=2.0),
-            "laplace@0.5": LaplaceMechanism(0.5, sensitivity=2.0, trials=40),
+            "laplace@0.5": LaplaceMechanism(0.5, sensitivity=2.0),
         }
         targets = list(range(40))
         reference = _engine_call(graph, utility, mechanisms, targets)

@@ -19,7 +19,7 @@ class TestValidation:
     def test_defaults_valid(self):
         config = ExperimentConfig()
         assert config.dataset == "wiki_vote"
-        assert config.laplace_trials == 1_000
+        assert config.include_laplace
 
     @pytest.mark.parametrize(
         "overrides",
@@ -31,7 +31,6 @@ class TestValidation:
             dict(epsilons=()),
             dict(epsilons=(0.5, -1.0)),
             dict(target_fraction=0.0),
-            dict(laplace_trials=0),
             dict(backend="gpu"),
             dict(max_targets=0),
             dict(max_targets=-2),
@@ -129,3 +128,19 @@ class TestPaperConfigs:
         config = paper_config_figure_2c()
         assert config.epsilons == (0.5,)
         assert config.utility == "common_neighbors"
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            paper_config_figure_1a,
+            paper_config_figure_1b,
+            lambda: paper_config_figure_2a(gamma=0.05),
+            lambda: paper_config_figure_2b(gamma=0.05),
+            paper_config_figure_2c,
+        ],
+        ids=["1a", "1b", "2a", "2b", "2c"],
+    )
+    def test_paper_figures_leave_laplace_off(self, build):
+        """The paper's figures plot no Laplace series, so their configs
+        compute none."""
+        assert build().include_laplace is False

@@ -20,7 +20,6 @@ from repro.experiments.figures import FIGURE_DRIVERS, figure_1a, figure_2a, figu
 @pytest.fixture(scope="module")
 def tiny_figure_1a():
     config = paper_config_figure_1a(scale=0.02, max_targets=25)
-    config = type(config)(**{**config.to_dict(), "laplace_trials": 200})
     return figure_1a(config=config, include_laplace=True)
 
 
@@ -57,7 +56,7 @@ class TestFigure1a:
         With few targets a node whose accuracy sits on a grid boundary can
         flip one CDF cell, so compare the mean CDF gap, not the pointwise
         max (the per-node agreement is tested directly in
-        tests/test_paper_claims.py with more Monte-Carlo effort).
+        tests/test_paper_claims.py on more targets).
         """
         for eps in ("0.5", "1"):
             exp = np.asarray(tiny_figure_1a.series_by_label(f"Exponential eps={eps}").y)
@@ -105,9 +104,7 @@ class TestFigure2a:
 class TestFigure2c:
     @pytest.fixture(scope="class")
     def tiny_figure_2c(self):
-        config = paper_config_figure_2c(scale=0.05, max_targets=80)
-        config = type(config)(**{**config.to_dict(), "laplace_trials": 100})
-        return figure_2c(config=config)
+        return figure_2c(config=paper_config_figure_2c(scale=0.05, max_targets=80))
 
     def test_two_series(self, tiny_figure_2c):
         labels = [series.label for series in tiny_figure_2c.series]
@@ -156,6 +153,52 @@ class TestShardingPassThrough:
         budget_rows(unchunked.metadata["num_nodes"], 3)
         chunked = figure_1a(scale=0.02, max_targets=8)
         assert chunked.series == unchunked.series
+
+
+class TestOneLaplaceSwitch:
+    """``ExperimentConfig.include_laplace`` alone decides whether a figure
+    computes Laplace accuracies, and a figure prints Laplace series
+    exactly when its run computed them."""
+
+    @staticmethod
+    def _laplace_labels(result):
+        return [s.label for s in result.series if s.label.startswith(("Laplace", "Lap."))]
+
+    def test_default_figures_evaluate_no_laplace_accuracy(self, monkeypatch):
+        from repro.mechanisms.laplace import LaplaceMechanism
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a default figure evaluated a Laplace accuracy")
+
+        monkeypatch.setattr(LaplaceMechanism, "support_accuracies", refuse)
+        monkeypatch.setattr(LaplaceMechanism, "probabilities", refuse)
+        assert self._laplace_labels(figure_1a()) == []
+        assert self._laplace_labels(figure_2a(scale=0.02, max_targets=10)) == []
+        assert self._laplace_labels(figure_2c(scale=0.02, max_targets=10)) == []
+
+    def test_explicit_config_keeps_its_laplace_field(self):
+        from dataclasses import replace
+
+        config = replace(
+            paper_config_figure_1a(scale=0.02, max_targets=8), include_laplace=True
+        )
+        result = figure_1a(config=config)
+        assert self._laplace_labels(result) == ["Laplace eps=0.5", "Laplace eps=1"]
+        assert result.metadata["config"]["include_laplace"] is True
+        off = figure_1a(config=config, include_laplace=False)
+        assert self._laplace_labels(off) == []
+        assert off.metadata["config"]["include_laplace"] is False
+
+    def test_weighted_paths_and_degree_figures_print_what_they_computed(self):
+        from dataclasses import replace
+
+        two_a = figure_2a(scale=0.02, max_targets=10, include_laplace=True)
+        assert self._laplace_labels(two_a) == ["Lap. gamma=0.0005", "Lap. gamma=0.05"]
+        config = replace(
+            paper_config_figure_2c(scale=0.02, max_targets=10), include_laplace=True
+        )
+        labels = [series.label for series in figure_2c(config=config).series]
+        assert labels == ["Exponential mechanism", "Laplace mechanism", "Theoretical Bound"]
 
 
 class TestDriverRegistry:

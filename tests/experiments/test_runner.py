@@ -24,7 +24,6 @@ def small_run():
         utility="common_neighbors",
         epsilons=(0.5, 1.0),
         max_targets=20,
-        laplace_trials=200,
         seed=3,
     )
     return run_experiment(config)
@@ -98,7 +97,7 @@ class TestRunExperiment:
     def test_deterministic_given_seed(self):
         config = ExperimentConfig(
             dataset="wiki_vote", scale=0.02, epsilons=(1.0,),
-            max_targets=5, laplace_trials=50, seed=11,
+            max_targets=5, seed=11,
         )
         a = run_experiment(config)
         b = run_experiment(config)
@@ -107,7 +106,7 @@ class TestRunExperiment:
     def test_reused_graph(self, small_run):
         config = ExperimentConfig(
             dataset="wiki_vote", scale=0.02, epsilons=(1.0,),
-            max_targets=5, laplace_trials=50, seed=11,
+            max_targets=5, seed=11,
         )
         graph = build_graph(config)
         run = run_experiment(config, graph=graph)
@@ -118,7 +117,7 @@ class TestEngineSelection:
     def test_batched_and_sequential_engines_identical(self):
         config = ExperimentConfig(
             dataset="wiki_vote", scale=0.02, epsilons=(0.5, 1.0),
-            max_targets=15, laplace_trials=60, seed=13,
+            max_targets=15, seed=13,
         )
         graph = build_graph(config)
         batched = run_experiment(config, graph=graph)
@@ -133,7 +132,6 @@ class TestEngineSelection:
             build_mechanisms(config, utility.sensitivity(graph, 0)),
             bound_epsilons=tuple(config.epsilons),
             seed=config.seed + 1,
-            laplace_trials=config.laplace_trials,
         )
         assert batched.evaluations == sequential
         assert batched.num_targets_evaluated == len(sequential)
@@ -143,7 +141,7 @@ class TestEngineSelection:
         without changing a single evaluation."""
         config = ExperimentConfig(
             dataset="wiki_vote", scale=0.02, epsilons=(0.5, 1.0),
-            max_targets=15, laplace_trials=60, seed=13,
+            max_targets=15, seed=13,
         )
         graph = build_graph(config)
         serial = run_experiment(config, graph=graph)

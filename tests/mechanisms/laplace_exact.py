@@ -1,10 +1,8 @@
-"""Exact Laplace argmax probabilities by numerical integration.
+"""Test oracle: Laplace argmax probabilities by adaptive quadrature.
 
-Appendix E derives the closed-form win probability for two candidates and
-notes it is the first such explicit expression. For more candidates no
-closed form is known, but the probability has a one-dimensional integral
-representation that standard quadrature evaluates to near machine
-precision:
+For more than two candidates the win probability has a one-dimensional
+integral representation that adaptive quadrature evaluates candidate by
+candidate:
 
 ``P[argmax = i] = Integral  f_b(x) * Prod_{j != i} F_b(u_i - u_j + x) dx``
 
@@ -12,9 +10,11 @@ where ``f_b`` / ``F_b`` are the Laplace(0, b) pdf/cdf and ``b = Delta f /
 epsilon``: condition on candidate i's own noise being ``x``; every rival j
 must then draw noise below ``u_i + x - u_j``, independently.
 
-This extends the paper's exact evaluation from n = 2 to any n small enough
-for quadrature (costs O(n) per candidate, O(n^2) total), and provides a
-ground truth for validating the Monte-Carlo estimator the experiments use.
+This costs O(n) per candidate and O(n^2) per row, with no grouping, power
+series or panels, so it is an independent check of
+:class:`repro.mechanisms.laplace.LaplaceMechanism`'s grouped kernel on
+small rows. The integrand has kinks at ``x = 0`` and at every ``u_j -
+u_i``; they are passed to ``quad`` as break points.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 from scipy import integrate
 
-from ..errors import MechanismError
-from ..utility.base import UtilityVector
+from repro.errors import MechanismError
+from repro.utility.base import UtilityVector
 
 
 def laplace_cdf(x: np.ndarray, scale: float) -> np.ndarray:
@@ -72,8 +72,10 @@ def exact_argmax_probabilities(
                 np.prod(laplace_cdf(gaps + x, scale))
             )
 
+        kinks = np.unique(np.append(-gaps[np.abs(gaps) < span], 0.0))
         value, _ = integrate.quad(
-            integrand, -span, span, epsabs=tolerance, epsrel=tolerance, limit=400
+            integrand, -span, span, epsabs=tolerance, epsrel=tolerance,
+            limit=400, points=kinks,
         )
         probabilities[i] = value
     total = probabilities.sum()

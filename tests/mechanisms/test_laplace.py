@@ -1,6 +1,9 @@
-"""Tests for the Laplace mechanism (Definition 6) and its n=2 closed form."""
+"""Tests for the Laplace mechanism (Definition 6): Lemma 3, and the exact
+grouped kernel behind ``probabilities`` and ``support_accuracies``."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -8,8 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MechanismError
-from repro.mechanisms.laplace import LaplaceMechanism, laplace_argmax_probability_two
+from repro.mechanisms.laplace import (
+    LaplaceMechanism,
+    _group_pmfs,
+    laplace_argmax_probability_two,
+)
+from repro.utility.base import UtilityVector, support_rows
 from tests.conftest import make_vector
+from tests.mechanisms.laplace_exact import exact_argmax_probabilities
+
+#: The quadrature oracle's own error reaches ~1e-9 without break points;
+#: with them it is ~1e-13 absolute, so this is the kernel's margin.
+ORACLE_RTOL = 1e-8
+ORACLE_ATOL = 1e-13
 
 
 class TestRecommend:
@@ -42,93 +56,33 @@ class TestClosedFormTwoCandidates:
         q = laplace_argmax_probability_two(4.0, 1.0, 0.5)
         assert p == pytest.approx(1.0 - q)
 
-    def test_closed_form_matches_monte_carlo(self):
+    def test_closed_form_matches_exact_probabilities(self):
         epsilon, u1, u2 = 0.8, 4.0, 1.5
         closed = laplace_argmax_probability_two(u1, u2, epsilon)
-        rng = np.random.default_rng(0)
-        trials = 200_000
-        noise = rng.laplace(0.0, 1.0 / epsilon, size=(trials, 2))
-        wins = np.mean(u1 + noise[:, 0] > u2 + noise[:, 1])
-        assert abs(closed - wins) < 0.005
+        oracle = exact_argmax_probabilities([u1, u2], epsilon, tolerance=1e-13)
+        kernel = LaplaceMechanism(epsilon).probabilities(make_vector([u1, u2]))
+        assert abs(closed - oracle[0]) < 1e-12
+        assert abs(closed - kernel[0]) < 1e-13
 
-    def test_probabilities_uses_closed_form_for_n2(self):
+    def test_probabilities_match_lemma3_for_n2(self):
         vector = make_vector([4.0, 1.0])
         mechanism = LaplaceMechanism(1.0, sensitivity=2.0)
         probs = mechanism.probabilities(vector)
         expected = laplace_argmax_probability_two(4.0, 1.0, 0.5)
-        assert probs[0] == pytest.approx(expected)
-        assert probs.sum() == pytest.approx(1.0)
+        assert abs(probs[0] - expected) < 1e-13
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_probabilities_n1(self):
         probs = LaplaceMechanism(1.0).probabilities(make_vector([2.0]))
-        np.testing.assert_allclose(probs, [1.0])
+        np.testing.assert_allclose(probs, [1.0], atol=1e-13)
 
-    def test_probabilities_unavailable_for_n3(self, simple_vector):
-        with pytest.raises(NotImplementedError):
-            LaplaceMechanism(1.0).probabilities(simple_vector)
-
-
-class TestExpectedAccuracy:
-    def test_exact_for_two_candidates(self):
-        vector = make_vector([4.0, 1.0])
+    def test_probabilities_exact_for_n3_and_more(self, simple_vector):
         mechanism = LaplaceMechanism(1.0)
-        p_win = laplace_argmax_probability_two(4.0, 1.0, 1.0)
-        expected = (p_win * 4.0 + (1 - p_win) * 1.0) / 4.0
-        assert mechanism.expected_accuracy(vector) == pytest.approx(expected)
-
-    def test_monte_carlo_reproducible_with_seed(self, simple_vector):
-        mechanism = LaplaceMechanism(1.0, trials=500)
-        a = mechanism.expected_accuracy(simple_vector, seed=5)
-        b = mechanism.expected_accuracy(simple_vector, seed=5)
-        assert a == b
-
-    def test_accuracy_increases_with_epsilon(self, simple_vector):
-        accuracies = [
-            LaplaceMechanism(eps, trials=4000).expected_accuracy(simple_vector, seed=1)
-            for eps in (0.1, 1.0, 10.0)
-        ]
-        assert accuracies == sorted(accuracies)
-
-    def test_trials_override(self, simple_vector):
-        mechanism = LaplaceMechanism(1.0, trials=10)
-        value = mechanism.expected_accuracy(simple_vector, seed=0, trials=5000)
-        assert 0.0 < value <= 1.0
-
-
-class TestEstimateProbabilities:
-    def test_estimates_sum_to_one(self, simple_vector):
-        probs = LaplaceMechanism(1.0).estimate_probabilities(simple_vector, trials=2000, seed=0)
-        assert probs.sum() == pytest.approx(1.0)
-
-    def test_estimates_match_closed_form_n2(self):
-        vector = make_vector([3.0, 1.0])
-        mechanism = LaplaceMechanism(1.0)
-        estimate = mechanism.estimate_probabilities(vector, trials=100_000, seed=1)
-        closed = mechanism.probabilities(vector)
-        assert np.abs(estimate - closed).max() < 0.01
-
-    def test_monotone_in_expectation(self, simple_vector):
-        """Section 6: A_L satisfies monotonicity in expectation."""
-        probs = LaplaceMechanism(1.0).estimate_probabilities(
-            simple_vector, trials=50_000, seed=2
-        )
-        order = np.argsort(simple_vector.values)
-        # allow Monte-Carlo slack of ~4 standard errors
-        assert np.all(np.diff(probs[order]) >= -0.02)
-
-
-class TestDifferentialPrivacyEmpirical:
-    def test_output_ratio_within_budget_on_neighboring_vectors(self):
-        """Empirical Theorem 4 check for A_L via high-trial estimates."""
-        epsilon, sensitivity = 1.0, 1.0
-        mechanism = LaplaceMechanism(epsilon, sensitivity=sensitivity)
-        base = make_vector([3.0, 2.0, 0.0])
-        neighbor = make_vector([3.0, 2.0, 1.0])  # L1 distance 1 = sensitivity
-        p = mechanism.estimate_probabilities(base, trials=400_000, seed=3)
-        q = mechanism.estimate_probabilities(neighbor, trials=400_000, seed=4)
-        ratio = np.max(np.maximum(p / q, q / p))
-        # allow sampling slack on top of e^eps
-        assert ratio <= np.exp(epsilon) * 1.05
+        probs = mechanism.probabilities(simple_vector)
+        oracle = exact_argmax_probabilities(simple_vector.values, 1.0, tolerance=1e-13)
+        np.testing.assert_allclose(probs, oracle, rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
+        # Tied candidates share their group's probability evenly.
+        assert probs[2] == probs[3]
 
 
 @given(
@@ -146,123 +100,194 @@ def test_property_closed_form_is_probability_and_ordered(u1, u2, epsilon):
         assert p <= 0.5
 
 
-class TestExpectedAccuracyBatch:
-    def test_matches_sequential_per_target_streams(self, rng):
-        mechanism = LaplaceMechanism(1.0, sensitivity=2.0, trials=30)
-        vectors = [
-            make_vector([3.0, 1.0, 0.5, 0.0, 2.0]),
-            make_vector([1.0, 1.0, 4.0]),
-            make_vector([2.0, 1.0]),  # n = 2: closed form, no draws
-        ]
-        batch = mechanism.expected_accuracy_batch(
-            vectors, seeds=[11, 22, 33], trials=30
-        )
-        singles = [
-            mechanism.expected_accuracy(vector, seed=seed, trials=30)
-            for vector, seed in zip(vectors, [11, 22, 33])
-        ]
-        assert np.array_equal(batch, np.asarray(singles))
+@given(
+    u1=st.floats(0.0, 30.0),
+    u2=st.floats(0.0, 30.0),
+    epsilon=st.floats(0.05, 5.0),
+    sensitivity=st.sampled_from([0.5, 1.0, 2.0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_property_kernel_is_lemma3_for_two_candidates(u1, u2, epsilon, sensitivity):
+    """The grouped integral's n = 2 case is Appendix E's closed form."""
+    probs = LaplaceMechanism(epsilon, sensitivity=sensitivity).probabilities(
+        make_vector([u1, u2])
+    )
+    closed = laplace_argmax_probability_two(u1, u2, epsilon / sensitivity)
+    assert abs(probs[0] - closed) <= 1e-13
+    assert abs(probs[1] - (1.0 - closed)) <= 1e-13
 
-    def test_mismatched_seed_count_rejected(self):
+
+@given(
+    values=st.lists(
+        st.one_of(
+            st.integers(0, 4).map(float),  # ties, and zero buckets
+            st.floats(0.0, 40.0, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    epsilon=st.sampled_from([0.1, 0.5, 1.0, 3.0]),
+    sensitivity=st.sampled_from([1.0, 2.0]),
+)
+@settings(max_examples=20, deadline=None)
+def test_property_kernel_matches_quadrature_oracle(values, epsilon, sensitivity):
+    probs = LaplaceMechanism(epsilon, sensitivity=sensitivity).probabilities(
+        make_vector(values)
+    )
+    oracle = exact_argmax_probabilities(values, epsilon, sensitivity, tolerance=1e-13)
+    np.testing.assert_allclose(probs, oracle, rtol=ORACLE_RTOL, atol=ORACLE_ATOL)
+    assert abs(math.fsum(probs) - 1.0) <= 1e-12
+
+
+class TestGroupedIntegral:
+    """``sum_k P[v_k] = integral G' = 1`` checks every row."""
+
+    @pytest.mark.parametrize("utility_name", ["common_neighbors", "weighted_paths"])
+    def test_integral_of_g_prime_is_one_on_graph_rows(self, utility_name):
+        from repro.compute.kernels import excluded_rows
+        from repro.datasets import wiki_vote
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.runner import build_utility
+
+        graph = wiki_vote(scale=0.1)
+        utility = build_utility(
+            ExperimentConfig(utility=utility_name, gamma=0.0005)
+        )
+        targets = np.arange(0, graph.num_nodes, 6)
+        _, values, offsets = support_rows(
+            utility.support_scores(graph, targets), excluded_rows(graph, targets)
+        )
+        zeros = graph.num_nodes - np.diff(excluded_rows(graph, targets).indptr)
+        zeros -= np.diff(offsets)
+        rows = []
+        for row in range(targets.size):
+            support = values[offsets[row]:offsets[row + 1]]
+            if support.size:
+                groups, counts = np.unique(support, return_counts=True)
+                rows.append(
+                    (np.concatenate(([0.0], groups)), np.concatenate(([zeros[row]], counts)))
+                )
+        assert len(rows) > 60
+        for scale in (0.5, 2.0):
+            sums = [math.fsum(pmf) for pmf in _group_pmfs(rows, scale)]
+            assert len(sums) == len(rows)
+            assert max(abs(total - 1.0) for total in sums) <= 1e-12
+
+    def test_wide_row_of_distinct_values(self):
+        """A weighted-paths-like row: thousands of distinct values within a
+        few dozen noise scales, plus a large zero bucket."""
+        rng = np.random.default_rng(4)
+        groups = np.concatenate(([0.0], np.unique(56.0 * rng.random(3_000) ** 0.3)))
+        counts = np.concatenate(([4_000], np.ones(groups.size - 1, dtype=np.int64)))
+        (pmf,) = _group_pmfs([(groups, counts)], 1.0)
+        assert abs(math.fsum(pmf) - 1.0) <= 1e-12
+        assert np.all(pmf >= 0.0)
+
+    def test_probabilities_sum_to_one(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            values = np.round(rng.exponential(3.0, size=int(rng.integers(2, 400))), 1)
+            probs = LaplaceMechanism(float(rng.uniform(0.1, 3.0))).probabilities(
+                make_vector(values)
+            )
+            assert abs(math.fsum(probs) - 1.0) <= 1e-12
+
+    def test_far_below_candidates_keep_relative_precision(self):
+        # A candidate 30 scales below the top wins with probability
+        # ~e^{-30}; the kernel resolves it, not just its absolute size.
+        probs = LaplaceMechanism(1.0).probabilities(make_vector([30.0, 0.0]))
+        closed = 1.0 - laplace_argmax_probability_two(30.0, 0.0, 1.0)
+        assert probs[1] == pytest.approx(0.25 * 32.0 * math.exp(-30.0), rel=1e-12)
+        assert closed == pytest.approx(probs[1], rel=1e-3)  # 1 - p loses digits
+
+
+class TestExpectedAccuracy:
+    def test_exact_for_two_candidates(self):
+        vector = make_vector([4.0, 1.0])
         mechanism = LaplaceMechanism(1.0)
+        p_win = laplace_argmax_probability_two(4.0, 1.0, 1.0)
+        expected = (p_win * 4.0 + (1 - p_win) * 1.0) / 4.0
+        assert mechanism.expected_accuracy(vector) == pytest.approx(expected, rel=1e-13)
+
+    def test_seed_does_not_change_the_exact_value(self, simple_vector):
+        mechanism = LaplaceMechanism(1.0)
+        assert mechanism.expected_accuracy(simple_vector, seed=5) == (
+            mechanism.expected_accuracy(simple_vector, seed=6)
+        )
+
+    def test_accuracy_increases_with_epsilon(self, simple_vector):
+        accuracies = [
+            LaplaceMechanism(eps).expected_accuracy(simple_vector)
+            for eps in (0.1, 1.0, 10.0)
+        ]
+        assert accuracies == sorted(accuracies)
+
+    def test_matches_probabilities(self, simple_vector):
+        mechanism = LaplaceMechanism(0.7, sensitivity=2.0)
+        probs = mechanism.probabilities(simple_vector)
+        expected = math.fsum(probs * simple_vector.values) / simple_vector.u_max
+        assert mechanism.expected_accuracy(simple_vector) == pytest.approx(
+            expected, rel=1e-13
+        )
+
+    def test_dense_and_support_forms_agree(self):
+        dense = make_vector([5.0, 3.0, 1.0, 1.0, 0.0, 0.0])
+        ids, values = dense.support()
+        support_form = UtilityVector.from_support(
+            0, ids, values, np.arange(100), 100 + len(dense), 3
+        )
+        mechanism = LaplaceMechanism(1.3)
+        assert mechanism.expected_accuracy(support_form) == (
+            mechanism.expected_accuracy(dense)
+        )
+
+    def test_flat_rows_equal_one_row_calls(self):
+        mechanism = LaplaceMechanism(0.8, sensitivity=2.0)
+        rows = [[3.0, 1.0, 0.5, 0.0, 2.0], [1.0, 1.0, 4.0], [2.0, 0.0], [7.5]]
+        vectors = [make_vector(values) for values in rows]
+        supports = [vector.support()[1] for vector in vectors]
+        offsets = np.cumsum([0] + [support.size for support in supports])
+        flat = mechanism.support_accuracies(
+            np.concatenate(supports), offsets, [v.zero_count for v in vectors]
+        )
+        for row, vector in enumerate(vectors):
+            # A row's value does not depend on the rows around it.
+            assert flat[row] == mechanism.expected_accuracy(vector)
+
+    def test_empty_input_and_zero_rows(self):
+        mechanism = LaplaceMechanism(1.0)
+        assert mechanism.support_accuracies([], [0], []).shape == (0,)
         with pytest.raises(MechanismError):
-            mechanism.expected_accuracy_batch([make_vector([1.0, 2.0])], seeds=[])
+            mechanism.expected_accuracy(make_vector([0.0, 0.0]))
 
 
-class TestNoiseBufferReuse:
-    """Satellite regression: the Monte-Carlo kernel must not reallocate the
-    (trials_chunk, n) noise matrix per block — one reused buffer pair per
-    call (or per workspace), filled in place by ``standard_exponential``."""
+class TestEstimateProbabilities:
+    def test_estimates_sum_to_one(self, simple_vector):
+        probs = LaplaceMechanism(1.0).estimate_probabilities(simple_vector, trials=2000, seed=0)
+        assert probs.sum() == pytest.approx(1.0)
 
-    def _spied_run(self, monkeypatch, trials, n, workspace=None):
-        from repro.mechanisms import laplace as laplace_module
 
-        vector = make_vector(np.linspace(0.0, 5.0, n))
-        mechanism = LaplaceMechanism(1.0, trials=trials)
-        empty_calls = []
-        fill_calls = []
-        original_empty = np.empty
-        original_fill = LaplaceMechanism._fill_laplace
+class TestMonotonicity:
+    def test_monotone(self, simple_vector):
+        """Section 6: a higher utility gets a higher win probability."""
+        probs = LaplaceMechanism(1.0).probabilities(simple_vector)
+        order = np.argsort(simple_vector.values, kind="stable")
+        levels = simple_vector.values[order]
+        steps = np.diff(probs[order])
+        assert np.all(steps[np.diff(levels) > 0] > 0)
+        assert np.all(steps[np.diff(levels) == 0] == 0)
 
-        def spy_empty(*args, **kwargs):
-            empty_calls.append(args)
-            return original_empty(*args, **kwargs)
 
-        def spy_fill(self, rng, e1, e2):
-            fill_calls.append((e1.__array_interface__["data"][0], e1.size))
-            return original_fill(self, rng, e1, e2)
-
-        monkeypatch.setattr(laplace_module.np, "empty", spy_empty)
-        monkeypatch.setattr(LaplaceMechanism, "_fill_laplace", spy_fill)
-        accuracy = mechanism.expected_accuracy(
-            vector, seed=5, trials=trials, workspace=workspace
-        )
-        monkeypatch.undo()
-        assert 0.0 < accuracy <= 1.0
-        return empty_calls, fill_calls
-
-    def test_multiple_blocks_share_one_buffer_pair(self, monkeypatch):
-        # n=700 -> chunk = 1428 trials/block -> 4 blocks for 5000 trials.
-        empty_calls, fill_calls = self._spied_run(monkeypatch, trials=5000, n=700)
-        assert len(fill_calls) == 4
-        # One buffer pair + winners + picked: a constant number of
-        # allocations per *call*, not per block.
-        assert len(empty_calls) == 4
-        # Every block drew into the same backing storage.
-        assert len({address for address, _ in fill_calls}) == 1
-
-    def test_single_block_path_unchanged(self, monkeypatch):
-        empty_calls, fill_calls = self._spied_run(monkeypatch, trials=200, n=700)
-        assert len(fill_calls) == 1
-        assert len(empty_calls) == 4
-
-    def test_workspace_supplies_the_noise_buffers(self, monkeypatch):
-        from repro.compute import Workspace
-
-        workspace = Workspace()
-        # Warm the workspace so the measured call allocates nothing for noise.
-        self._spied_run(monkeypatch, trials=5000, n=700, workspace=workspace)
-        empty_calls, fill_calls = self._spied_run(
-            monkeypatch, trials=5000, n=700, workspace=workspace
-        )
-        assert len(fill_calls) == 4
-        # Only winners + picked remain; e1/e2 come from the warmed arena.
-        assert len(empty_calls) == 2
-
-    def test_rng_laplace_not_drawn_per_block(self, monkeypatch):
-        """The legacy per-block ``rng.laplace`` matrix allocation is gone:
-        every block is two in-place ``standard_exponential(out=...)`` fills."""
-        from repro.mechanisms import laplace as laplace_module
-
-        class RecordingRNG:
-            def __init__(self, inner):
-                self._inner = inner
-                self.methods: list[str] = []
-
-            def __getattr__(self, name):
-                attribute = getattr(self._inner, name)
-                if not callable(attribute):
-                    return attribute
-
-                def wrapped(*args, **kwargs):
-                    self.methods.append(name)
-                    return attribute(*args, **kwargs)
-
-                return wrapped
-
-        proxy = RecordingRNG(np.random.default_rng(3))
-        monkeypatch.setattr(laplace_module, "ensure_rng", lambda seed: proxy)
-        vector = make_vector(np.linspace(0.0, 5.0, 700))
-        # n=700 -> chunk = 1428 trials/block -> 3 blocks for 4000 trials.
-        LaplaceMechanism(1.0).expected_accuracy(vector, seed=None, trials=4000)
-        assert "laplace" not in proxy.methods
-        assert proxy.methods.count("standard_exponential") == 2 * 3
-
-    def test_estimate_probabilities_matches_closed_form_after_reuse(self):
-        """Distribution sanity: the exponential-difference sampler is exactly
-        Laplace (Appendix E closed form still reproduced by Monte-Carlo)."""
-        vector = make_vector([3.0, 1.0])
-        mechanism = LaplaceMechanism(1.0)
-        estimate = mechanism.estimate_probabilities(vector, trials=200_000, seed=9)
-        closed = mechanism.probabilities(vector)
-        assert np.abs(estimate - closed).max() < 0.01
+class TestDifferentialPrivacy:
+    def test_output_ratio_within_budget_on_neighboring_vectors(self):
+        """Theorem 4 on exact probabilities: no output's probability moves
+        by more than e^epsilon between utility vectors at L1 distance
+        Delta f."""
+        epsilon, sensitivity = 1.0, 1.0
+        mechanism = LaplaceMechanism(epsilon, sensitivity=sensitivity)
+        base = make_vector([3.0, 2.0, 0.0])
+        neighbor = make_vector([3.0, 2.0, 1.0])  # L1 distance 1 = sensitivity
+        p = mechanism.probabilities(base)
+        q = mechanism.probabilities(neighbor)
+        ratio = np.max(np.maximum(p / q, q / p))
+        assert ratio <= np.exp(epsilon)

@@ -1,4 +1,4 @@
-"""Tests for the quadrature-exact Laplace argmax probabilities."""
+"""Tests for the quadrature oracle of the Laplace argmax probabilities."""
 
 from __future__ import annotations
 
@@ -7,12 +7,12 @@ import pytest
 
 from repro.errors import MechanismError
 from repro.mechanisms.laplace import LaplaceMechanism, laplace_argmax_probability_two
-from repro.mechanisms.laplace_exact import (
+from tests.conftest import make_vector
+from tests.mechanisms.laplace_exact import (
     exact_argmax_probabilities,
     exact_expected_accuracy,
     laplace_cdf,
 )
-from tests.conftest import make_vector
 
 
 class TestLaplaceCdf:
@@ -40,16 +40,13 @@ class TestExactProbabilities:
         assert probs[0] == pytest.approx(closed, abs=1e-8)
         assert probs.sum() == pytest.approx(1.0)
 
-    def test_n5_matches_monte_carlo(self):
+    def test_n5_matches_grouped_kernel(self):
+        # Two independent exact computations: per-candidate quadrature
+        # here, grouped power-series panels in the mechanism.
         values = np.asarray([5.0, 3.0, 3.0, 1.0, 0.0])
-        epsilon = 1.0
-        exact = exact_argmax_probabilities(values, epsilon)
-        rng = np.random.default_rng(1)
-        trials = 400_000
-        noise = rng.laplace(0.0, 1.0 / epsilon, size=(trials, 5))
-        winners = np.argmax(values[None, :] + noise, axis=1)
-        empirical = np.bincount(winners, minlength=5) / trials
-        assert np.abs(exact - empirical).max() < 0.004
+        exact = exact_argmax_probabilities(values, 1.0, tolerance=1e-13)
+        kernel = LaplaceMechanism(1.0).probabilities(make_vector(values))
+        np.testing.assert_allclose(exact, kernel, rtol=1e-9, atol=1e-13)
 
     def test_equal_utilities_uniform(self):
         probs = exact_argmax_probabilities([2.0, 2.0, 2.0], 1.0)
@@ -75,13 +72,13 @@ class TestExactProbabilities:
 
 
 class TestExactAccuracy:
-    def test_matches_monte_carlo_estimator(self, simple_vector):
+    def test_matches_the_mechanism(self, simple_vector):
         epsilon, sensitivity = 1.0, 2.0
         exact = exact_expected_accuracy(simple_vector, epsilon, sensitivity)
-        mc = LaplaceMechanism(epsilon, sensitivity=sensitivity).expected_accuracy(
-            simple_vector, seed=0, trials=300_000
+        kernel = LaplaceMechanism(epsilon, sensitivity=sensitivity).expected_accuracy(
+            simple_vector
         )
-        assert exact == pytest.approx(mc, abs=0.003)
+        assert exact == pytest.approx(kernel, rel=1e-9)
 
     def test_zero_utilities_rejected(self):
         with pytest.raises(MechanismError):

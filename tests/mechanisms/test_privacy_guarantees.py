@@ -3,9 +3,8 @@
 These tests exercise the full pipeline of Definition 1: build neighboring
 graphs G and G' = G +/- {e} with e not incident to the target, run the
 mechanisms on both, and check every output probability ratio against
-e^epsilon. The Exponential mechanism is checked exactly; Laplace via
-high-trial Monte-Carlo with statistical slack; R_best is shown to *violate*
-privacy (the motivating breach).
+e^epsilon. The Exponential and Laplace mechanisms are checked exactly;
+R_best is shown to *violate* privacy (the motivating breach).
 """
 
 from __future__ import annotations
@@ -69,19 +68,20 @@ class TestExponentialMechanismDP:
 
 
 class TestLaplaceMechanismDP:
-    def test_monte_carlo_dp_on_small_graph(self):
+    def test_exact_dp_on_small_graph(self):
+        """Theorem 4 on exact probabilities: every output of every
+        one-edge neighbour stays within e^epsilon, rare outputs included."""
         g = toy.paper_example_graph()
         target = 0
         utility = CommonNeighbors()
         sensitivity = utility.sensitivity(g, target)
         mechanism = LaplaceMechanism(1.0, sensitivity=sensitivity)
-        vec_with, vec_without = _neighboring_vectors(g, target, (4, 3), utility)
-        p = mechanism.estimate_probabilities(vec_with, trials=300_000, seed=0)
-        q = mechanism.estimate_probabilities(vec_without, trials=300_000, seed=1)
-        # Only compare well-estimated entries; rare-event ratios are noise.
-        mask = np.minimum(p, q) > 5e-3
-        ratio = float(np.max(np.maximum(p[mask] / q[mask], q[mask] / p[mask])))
-        assert ratio <= np.exp(1.0) * 1.1
+        for edge in _all_non_target_edges(g, target, limit=60):
+            vec_with, vec_without = _neighboring_vectors(g, target, edge, utility)
+            p = mechanism.probabilities(vec_with)
+            q = mechanism.probabilities(vec_without)
+            ratio = float(np.max(np.maximum(p / q, q / p)))
+            assert ratio <= np.exp(1.0) + 1e-9
 
 
 class TestBestMechanismBreach:

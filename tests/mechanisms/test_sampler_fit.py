@@ -1,13 +1,15 @@
-"""Exact-pmf goodness of fit for the serving sampler.
+"""Exact-pmf goodness of fit for the samplers.
 
 ``ExponentialMechanism.recommend_vectors`` draws one Gumbel key per
 positive-utility candidate plus one grouped ``log|Z| + G`` key for the
 zero bucket ``Z``, then a uniform rank inside ``Z`` when that key wins.
-These tests hold its draws against the mechanism's exact
-``probabilities``: a G-test over the support with the zero bucket pooled
-into one category, and a G-test of uniformity over the bucket's members.
-Seeds are fixed, so pass/fail is deterministic; ``ALPHA`` is the level
-each test rejects at.
+``LaplaceMechanism.recommend`` adds Laplace noise to every candidate and
+takes the argmax, and ``SmoothingMechanism`` mixes its base's draw with a
+uniform one. These tests hold each sampler's draws against the
+mechanism's exact ``probabilities``: a G-test over the support with the
+zero bucket pooled into one category, and a G-test of uniformity over
+the bucket's members. Seeds are fixed, so pass/fail is deterministic;
+``ALPHA`` is the level each test rejects at.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from scipy.stats import chi2
 from repro.compute import utility_vectors
 from repro.datasets import wiki_vote
 from repro.mechanisms.exponential import ExponentialMechanism
+from repro.mechanisms.laplace import LaplaceMechanism
+from repro.mechanisms.smoothing import SmoothingMechanism
 from repro.utility.base import UtilityVector
 from repro.utility.common_neighbors import CommonNeighbors
 
@@ -129,6 +133,59 @@ class TestExactPmfFit:
         assert g_test_pvalue(bucket, np.ones(bucket.size)) > ALPHA
 
 
+#: name -> mechanism at a case's epsilon (sensitivity 1), drawn from one
+#: ``recommend`` call at a time.
+RECOMMENDERS = {
+    "laplace": lambda epsilon: LaplaceMechanism(epsilon, sensitivity=1.0),
+    "smoothing_laplace": lambda epsilon: SmoothingMechanism(
+        0.7, base=LaplaceMechanism(epsilon, sensitivity=1.0)
+    ),
+}
+
+
+def _recommend_counts(mechanism, vector: UtilityVector, seed: int) -> np.ndarray:
+    """Draw counts per candidate position of ``DRAWS`` ``recommend`` calls."""
+    rng = np.random.default_rng(seed)
+    picks = np.asarray([mechanism.recommend(vector, seed=rng) for _ in range(DRAWS)])
+    candidates = vector.candidates
+    positions = np.searchsorted(candidates, picks)
+    assert (candidates[np.minimum(positions, candidates.size - 1)] == picks).all()
+    return np.bincount(positions, minlength=candidates.size)
+
+
+@lru_cache(maxsize=None)
+def _recommender_counts(sampler: str, case: str, form: str) -> np.ndarray:
+    vector, epsilon, seed = _row(case, form, "float64")
+    return _recommend_counts(RECOMMENDERS[sampler](epsilon), vector, seed)
+
+
+@pytest.mark.parametrize("form", ["support", "dense"])
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("sampler", sorted(RECOMMENDERS))
+class TestRecommendFit:
+    """The Laplace sampler, alone and as a smoothing base, against the
+    exact grouped-integral probabilities."""
+
+    def test_pooled_bucket_matches_probabilities(self, sampler, case, form):
+        vector, epsilon, _ = _row(case, form, "float64")
+        exact = RECOMMENDERS[sampler](epsilon).probabilities(vector)
+        counts = _recommender_counts(sampler, case, form)
+        support = vector.values > 0
+        observed = np.append(counts[support], counts[~support].sum())
+        expected = np.append(exact[support], exact[~support].sum())
+        assert g_test_pvalue(observed, expected) > ALPHA
+
+    def test_uniform_inside_zero_bucket(self, sampler, case, form):
+        vector, epsilon, _ = _row(case, form, "float64")
+        zero = vector.values == 0
+        bucket = _recommender_counts(sampler, case, form)[zero]
+        if bucket.sum() == 0:
+            exact = RECOMMENDERS[sampler](epsilon).probabilities(vector)
+            assert exact[zero].sum() < 1e-12  # empty or negligible bucket
+            return
+        assert g_test_pvalue(bucket, np.ones(bucket.size)) > ALPHA
+
+
 def test_forms_and_dtypes_draw_identically():
     """One stream, one row: the pick does not depend on the storage form,
     and float32 rows of integer utilities match float64 ones."""
@@ -144,7 +201,8 @@ def test_forms_and_dtypes_draw_identically():
 
 def test_fit_detects_a_biased_sampler():
     """The G-test has power at this draw count: dropping the bucket's
-    ``log|Z|`` term (treating the bucket as one candidate) is rejected."""
+    ``log|Z|`` term (treating the bucket as one candidate) is rejected,
+    and so is Laplace noise at half its scale."""
     vector, epsilon, seed = _row("mixed", "support", "float64")
     exact = ExponentialMechanism(epsilon, sensitivity=1.0).probabilities(vector)
     support = vector.values > 0
@@ -155,4 +213,11 @@ def test_fit_detects_a_biased_sampler():
         rng.choice(biased.size, size=DRAWS, p=biased / biased.sum()),
         minlength=biased.size,
     )
+    assert g_test_pvalue(observed, expected) < ALPHA
+
+    # A Laplace sampler whose noise scale is halved is rejected too.
+    exact = LaplaceMechanism(epsilon, sensitivity=1.0).probabilities(vector)
+    counts = _recommend_counts(LaplaceMechanism(2.0 * epsilon, sensitivity=1.0), vector, seed)
+    observed = np.append(counts[support], counts[~support].sum())
+    expected = np.append(exact[support], exact[~support].sum())
     assert g_test_pvalue(observed, expected) < ALPHA

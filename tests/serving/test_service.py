@@ -166,7 +166,7 @@ class TestBatch:
         assert service.recommend(10).cache_hit
 
     def test_nonexponential_fallback_path(self, graph):
-        mechanism = LaplaceMechanism(epsilon=0.5, sensitivity=2.0, trials=10)
+        mechanism = LaplaceMechanism(epsilon=0.5, sensitivity=2.0)
         service = make_service(graph, mechanism=mechanism)
         responses = service.recommend_batch([0, 1, 2])
         assert all(r.served for r in responses)

@@ -123,21 +123,24 @@ class TestSensitivityRecalibration:
 
     def test_recalibration_preserves_mechanism_state(self):
         """Regression: recalibration used to rebuild the mechanism from
-        (epsilon, sensitivity) alone, resetting subclass state such as
-        the Laplace Monte-Carlo trial count."""
+        (epsilon, sensitivity) alone, resetting state a subclass sets in
+        its constructor."""
         from repro.mechanisms import LaplaceMechanism
         from repro.streaming import KIND_ADD, StreamEvent
         from repro.utility import WeightedPaths
 
+        class TaggedLaplace(LaplaceMechanism):
+            def __init__(self, epsilon, sensitivity, tag):
+                super().__init__(epsilon, sensitivity)
+                self.tag = tag
+
         graph = toy.path(4)
         utility = WeightedPaths(gamma=0.05)
-        mechanism = LaplaceMechanism(
-            0.5, sensitivity=utility.sensitivity(graph, 0), trials=12345
-        )
+        mechanism = TaggedLaplace(0.5, sensitivity=utility.sensitivity(graph, 0), tag=12345)
         service = StreamingService(graph, utility, mechanism, seed=0)
         for step, leaf in enumerate((2, 3, 4)):
             service.apply_edge_event(StreamEvent(float(step), KIND_ADD, u=0, v=leaf))
-        assert service.service.mechanism.trials == 12345
+        assert service.service.mechanism.tag == 12345
         assert service.service.mechanism.sensitivity == pytest.approx(
             utility.sensitivity(service.graph, 0)
         )

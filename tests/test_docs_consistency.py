@@ -162,6 +162,13 @@ REMOVED_NAMES = {
     # The coalescer's per-dispatch size list grew without bound; the
     # edge.batch_size histogram records the distribution.
     "coalescer-history": ("batch_sizes",),
+    # The Laplace Monte-Carlo accuracy path: Laplace accuracies and
+    # probabilities are exact for any number of candidates.
+    "monte-carlo-laplace": (
+        "laplace_trials", "MC_BLOCK_ELEMENTS", "_monte_carlo_accuracy",
+        "_noise_buffers", "_fill_laplace", "expected_accuracy_batch",
+        "laplace.e1", "laplace.e2",
+    ),
 }
 
 
@@ -224,6 +231,28 @@ class TestRemovedNames:
         for command in (["figure", "1a"], ["sweep"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(command + ["--dtype", "float32"])
+
+    def test_removed_laplace_trials_are_rejected(self):
+        """Laplace accuracies are exact: no entry point takes a trial count."""
+        from repro.accuracy.batch import evaluate_targets_batched
+        from repro.accuracy.evaluator import evaluate_targets
+        from repro.datasets import toy
+        from repro.errors import ExperimentError
+        from repro.experiments.config import ExperimentConfig
+        from repro.mechanisms import LaplaceMechanism
+        from repro.utility import CommonNeighbors
+
+        with pytest.raises(TypeError):
+            LaplaceMechanism(1.0, trials=10)
+        graph = toy.star(4)
+        mechanisms = {"laplace@1": LaplaceMechanism(1.0)}
+        for engine in (evaluate_targets, evaluate_targets_batched):
+            with pytest.raises(TypeError):
+                engine(graph, CommonNeighbors(), [0], mechanisms, laplace_trials=10)
+        legacy = {**ExperimentConfig().to_dict(), "laplace_trials": 1_000}
+        assert "laplace_trials" not in ExperimentConfig().to_dict()
+        with pytest.raises(ExperimentError, match="laplace_trials"):
+            ExperimentConfig.from_dict(legacy)
 
     def test_removed_journal_horizon_argument_is_rejected(self):
         from repro.datasets import toy

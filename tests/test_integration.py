@@ -44,7 +44,6 @@ class TestRunToFigureToDisk:
             scale=0.02,
             epsilons=(1.0,),
             max_targets=12,
-            laplace_trials=100,
             seed=5,
         )
         run = run_experiment(config)

@@ -29,7 +29,7 @@ def wiki_evaluations(wiki_graph):
     sensitivity = utility.sensitivity(wiki_graph, 0)
     mechanisms = {
         "exponential": ExponentialMechanism(1.0, sensitivity=sensitivity),
-        "laplace": LaplaceMechanism(1.0, sensitivity=sensitivity, trials=3000),
+        "laplace": LaplaceMechanism(1.0, sensitivity=sensitivity),
     }
     targets = sample_targets(wiki_graph, fraction=0.15, max_targets=40, seed=5)
     return evaluate_targets(
@@ -39,7 +39,6 @@ def wiki_evaluations(wiki_graph):
         mechanisms,
         bound_epsilons=(1.0,),
         seed=6,
-        laplace_trials=3000,
     )
 
 
