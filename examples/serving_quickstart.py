@@ -57,7 +57,7 @@ def main() -> None:
     batch = service.recommend_batch(range(20, 60))
     served = [response for response in batch if response.served]
     print(f"\nrecommend_batch(40 users): {len(served)} served in one "
-          f"sparse product + O(support) Gumbel-max pass")
+          f"sparse product + O(support) sampling pass")
 
     # 4. Version-keyed cache invalidation on graph change.
     resident_before = len(service.cache)

@@ -148,6 +148,27 @@ if outcome["correct"] is not True or outcome["failed"] != 0:
 done
 
 echo
+echo "== perfbench per-layer evidence =="
+# perfbench times the utility kernel and the sampler by wrapping
+# repro.serving.service._vectors_chunk and _sample_chunk by name. A
+# rename leaves those layers at 0 and is reported only on stderr, so a
+# two-second traced run of each serving workload must read both above 0.
+for workload in edge_wiki stream_durable; do
+    echo "-- $workload (traced)"
+    outcome=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 1 | tail -n 1)
+    echo "$outcome"
+    python3 -c '
+import json, sys
+outcome = json.loads(sys.argv[1])
+if outcome["correct"] is not True or outcome["failed"] != 0:
+    sys.exit("FAIL: perfbench checks did not pass")
+for layer in ("sampler_pct", "utility_kernel_pct"):
+    if not outcome["metrics"][layer]["value"] > 0:
+        sys.exit(f"FAIL: perfbench reads {layer} = 0; its entry point was not traced")
+' "$outcome"
+done
+
+echo
 echo "== examples =="
 # Every examples/*.py is a narrative end-to-end drive of the public API
 # (about a second each); any non-zero exit fails the smoke, so an

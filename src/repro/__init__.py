@@ -26,7 +26,7 @@ The library implements the paper end-to-end:
 * an online serving layer (:mod:`repro.serving`): a
   :class:`~repro.serving.service.RecommendationService` with per-user
   privacy-budget accounting, a version-keyed utility cache, and a
-  batch path (sparse utility rows + O(support) Gumbel-max sampling),
+  batch path (sparse utility rows + O(support) inverse-CDF sampling),
   plus a synthetic-traffic replay harness behind the
   ``repro-social serve-sim`` CLI subcommand;
 * a streaming layer (:mod:`repro.streaming`): a

@@ -21,10 +21,11 @@ home, split into small pieces:
 Every stage that allocates a dense ``rows x num_nodes`` block runs its
 chunks one after another on the calling thread and reassembles results
 in target order; a stage with no dense block runs in one pass.
-Determinism contract: every kernel stage is per-target independent and
-all per-target randomness flows through explicitly spawned streams
-(:func:`repro.rng.spawn_rngs`), so for a fixed seed the output is
-bit-identical whatever the budget.
+Determinism contract: every kernel stage is per-target independent, the
+experiment engine's per-target randomness flows through explicitly
+spawned streams (:func:`repro.rng.spawn_rngs`), and a served pick depends
+only on its row and its own two uniforms, so for a fixed seed the output
+is bit-identical whatever the budget.
 """
 
 from .incremental import (

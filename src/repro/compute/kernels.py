@@ -16,7 +16,8 @@ Two extraction flavors exist because the consumers genuinely differ:
   support-form (a patching cache's carry a sparse walk-count side-car);
   the serving sampler
   (:meth:`~repro.mechanisms.exponential.ExponentialMechanism.recommend_vectors`)
-  consumes them in O(support) per request.
+  consumes them in O(support) per request, by inverse CDF from two
+  uniforms per request.
 * :func:`footnote10_support` — *filtered*: the paper's footnote-10 drop
   (at least two candidates, positive maximum utility) over flat support
   rows, plus each kept row's zero-bucket size. The experiment engine and

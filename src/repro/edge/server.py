@@ -27,8 +27,10 @@ routes:
 that enqueues it on the single compute thread, so sequence order equals
 execution order. Responses carry ``(batch_seq, batch_index)`` — replay
 the units against a fresh same-seed service in sequence order and every
-recommendation is bit-identical, because ``recommend_batch`` draws each
-request's noise from a positionally spawned RNG stream.
+recommendation is bit-identical, because ``recommend_batch`` draws two
+uniforms per served request from the service's generator, in batch
+order, and a pick depends only on its utility row and those two
+uniforms.
 ``benchmarks/bench_service_edge.py`` gates exactly this.
 
 **Admission control.** Typed, audited rejection instead of collapse:

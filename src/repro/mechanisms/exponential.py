@@ -12,20 +12,19 @@ cannot overflow.
 
 This module also provides the sampling entry point of the serving layer
 (:mod:`repro.serving`): :meth:`ExponentialMechanism.recommend_vectors`
-draws one sample per utility vector by the Gumbel-max trick —
-``argmax_i (logit_i + G_i)`` with i.i.d. standard Gumbel noise is
-distributed exactly as ``softmax(logits)`` — over the positive-utility
-support plus one key for the whole zero-utility bucket, so a request
-costs O(support), not O(num_nodes).
+draws one sample per utility vector by inverse-CDF sampling from two
+uniforms per vector. The cells of a row's CDF are its positive-utility
+support plus one cell for the whole zero-utility bucket, so a request
+costs O(support), not O(num_nodes), and a bucket winner is named by a
+uniform rank inside the bucket.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..errors import MechanismError
+from ..rng import ensure_rng
 from ..telemetry import runtime as telemetry_runtime
 from ..utility.base import UtilityVector
 from .base import PrivateMechanism, register_mechanism
@@ -104,48 +103,87 @@ class ExponentialMechanism(PrivateMechanism):
         weights *= values / np.repeat(u_maxes, counts)
         return np.add.reduceat(weights, starts) / denominators
 
+    def recommend(
+        self, vector: UtilityVector, seed: "int | np.random.Generator | None" = None
+    ) -> int:
+        """One recommendation: the one-row case of :meth:`recommend_vectors`,
+        from one ``random((1, 2))`` draw of ``seed``'s generator."""
+        return int(self.recommend_vectors([vector], ensure_rng(seed).random((1, 2)))[0])
+
     def recommend_vectors(
         self,
         vectors: "list[UtilityVector]",
-        streams: "list[np.random.Generator]",
+        uniforms: np.ndarray,
     ) -> np.ndarray:
-        """One recommendation per utility vector, one RNG stream per vector.
+        """One recommendation per utility vector, from two uniforms per vector.
 
-        Gumbel-max over each vector's positive-utility support, plus one
-        key for its zero bucket ``Z``: every zero-utility candidate has
-        logit 0, and the maximum of ``|Z|`` i.i.d. standard Gumbels is
-        distributed as ``log|Z| + G`` with its argmax uniform over ``Z``
-        and independent of the maximum. So a single ``log|Z| + G`` key
-        stands in for the bucket, and when it wins a uniform rank picks
-        the node (:meth:`~repro.utility.base.UtilityVector.zero_candidate`).
-        The draw is exactly :meth:`probabilities` over all candidates, at
+        Row ``j``'s CDF has one cell per positive-utility candidate, with
+        weight ``w_i = e^{s u_i - s u_max}`` (``s = epsilon / Delta f``),
+        and one cell for its zero bucket ``Z`` with weight ``|Z| e^{-s
+        u_max}``: every zero-utility candidate has weight ``e^{-s u_max}``.
+        ``uniforms[j, 0]`` picks a cell. Only a support win searches the
+        row's CDF; a bucket win takes rank ``floor(uniforms[j, 1] * |Z|)``
+        inside the bucket
+        (:meth:`~repro.utility.base.UtilityVector.zero_candidate`). The
+        draw is exactly :meth:`probabilities` over all candidates, at
         O(support) per vector on support-form rows.
 
-        Row ``j`` consumes only ``streams[j]`` — ``support + 1`` Gumbels,
-        then one integer if the bucket wins — so a pick does not depend
-        on how rows are chunked, nor on whether the row is stored dense or
-        support-form. Logits are formed in
-        float64 from float32 rows too.
+        The weights of every distinct row (a vector object repeated in
+        ``vectors`` is weighed once) come from one ``np.exp`` pass and
+        their sums from one ``add.reduceat``, whose per-segment result
+        depends only on the segment. So a pick depends only on its row and
+        its two uniforms: not on the other rows of the call, nor on
+        whether the row is stored dense or support-form. Weights are
+        formed in float64 from float32 rows too.
         """
-        if len(vectors) != len(streams):
+        uniforms = np.asarray(uniforms, dtype=np.float64)
+        if uniforms.shape != (len(vectors), 2):
             raise MechanismError(
-                f"got {len(vectors)} utility vectors but {len(streams)} RNG streams"
+                f"got {len(vectors)} utility vectors but uniforms of shape "
+                f"{uniforms.shape}; need two per vector"
             )
+        if not vectors:
+            return np.empty(0, dtype=np.int64)
+        if not (uniforms.min() >= 0.0 and uniforms.max() < 1.0):
+            raise MechanismError("uniforms must lie in [0, 1)")
+        # Weigh each distinct row once: a batch repeats popular users.
+        distinct = {id(vector): vector for vector in vectors}
+        slot = {key: row for row, key in enumerate(distinct)}
+        rows = np.array([slot[id(vector)] for vector in vectors])
+        supports = [vector.support() for vector in distinct.values()]
+        counts = np.array([ids.size for ids, _ in supports], dtype=np.int64)
+        zeros = np.array([vector.zero_count for vector in distinct.values()], dtype=np.int64)
+        if not (counts + zeros).all():
+            raise MechanismError("cannot recommend from an empty candidate set")
+        offsets = np.zeros(len(supports) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        occupied = counts > 0
+        starts = offsets[:-1][occupied]
         scale = self._epsilon / self.sensitivity
+        weights = scale * np.concatenate([values for _, values in supports]).astype(
+            np.float64, copy=False
+        )
+        shifts = np.zeros(len(supports))
+        shifts[occupied] = np.maximum.reduceat(weights, starts)
+        weights -= np.repeat(shifts, counts)
+        np.exp(weights, out=weights)
+        mass = np.zeros(len(supports))
+        mass[occupied] = np.add.reduceat(weights, starts)
+        # The support's cells fill [0, mass) of the row's total, the bucket's
+        # cell the rest; an empty support (mass 0) always lands in the bucket.
+        cuts = uniforms[:, 0] * (mass + zeros * np.exp(-shifts))[rows]
+        in_bucket = (zeros[rows] > 0) & (cuts >= mass[rows])
         picks = np.empty(len(vectors), dtype=np.int64)
-        for row, (vector, stream) in enumerate(zip(vectors, streams)):
-            ids, values = vector.support()
-            zeros = vector.zero_count
-            if ids.size == 0 and zeros == 0:
-                raise MechanismError("cannot recommend from an empty candidate set")
-            keys = stream.gumbel(size=ids.size + 1)
-            keys[:-1] += scale * values.astype(np.float64, copy=False)
-            keys[-1] += math.log(zeros) if zeros else -math.inf
-            winner = int(np.argmax(keys))
-            if winner < ids.size:
-                picks[row] = ids[winner]
-            else:
-                picks[row] = vector.zero_candidate(int(stream.integers(zeros)))
+        for request in np.flatnonzero(~in_bucket).tolist():
+            row = rows[request]
+            cdf = weights[offsets[row]:offsets[row + 1]].cumsum()
+            cell = int(cdf.searchsorted(cuts[request], side="right"))
+            ids = supports[row][0]
+            picks[request] = ids[min(cell, ids.size - 1)]  # cdf[-1] may round below mass
+        for request in np.flatnonzero(in_bucket).tolist():
+            # u2 * |Z| rounds below |Z| for every float64 u2 < 1.
+            rank = int(uniforms[request, 1] * zeros[rows[request]])
+            picks[request] = vectors[request].zero_candidate(rank)
         telemetry_runtime.count("mechanism.samples_drawn", len(vectors))
         return picks
 

@@ -14,7 +14,7 @@ requests from many users the way a production system must:
   run inline: a batch's missing utility rows from one kernel call (one
   sparse product for common neighbors; dense stages chunk by the byte
   budget of :mod:`repro.compute.plan`), exponential-mechanism sampling
-  in one pass via per-request Gumbel-max streams;
+  in one inverse-CDF pass from two uniforms per request;
 * :func:`synthetic_workload` / :func:`replay` — skewed traffic generation
   and a replay harness reporting throughput, cache, and budget statistics.
 """

@@ -11,7 +11,8 @@ function, and a (registry-resolvable) mechanism, behind three endpoints —
   (:class:`~repro.extensions.multi_recommendations.TopKRecommender`);
 * :meth:`RecommendationService.recommend_batch` — one recommendation for
   each of many users in a single batched pass (sparse batched utility
-  rows + Gumbel-max sampling over each row's support).
+  rows + one inverse-CDF sampling pass over every row's support, from
+  two uniforms per request).
 
 Every endpoint enforces per-user privacy budgets (refusing *before*
 sampling, so refusals spend nothing), reuses utilities through a
@@ -35,7 +36,7 @@ from ..graphs.graph import SocialGraph
 from ..mechanisms.base import Mechanism, PrivateMechanism, make_mechanism
 from ..mechanisms.exponential import ExponentialMechanism
 from ..mechanisms.smoothing import SmoothingMechanism
-from ..rng import ensure_rng, spawn_rngs
+from ..rng import ensure_rng
 from ..telemetry import runtime as telemetry_runtime
 from ..telemetry.ledger import KIND_CHARGE, KIND_REFUSAL
 from ..telemetry.runtime import traced_map
@@ -411,10 +412,16 @@ class RecommendationService:
         response — the rest of the batch is still served. With an
         :class:`ExponentialMechanism` the served users share one batched
         utility computation (``A[targets] @ A`` on the cached CSR adjacency
-        matrix, kept sparse) and one Gumbel-max pass over each row's
+        matrix, kept sparse) and one inverse-CDF pass over every row's
         support (:meth:`ExponentialMechanism.recommend_vectors`); other
         mechanisms fall back to a per-user loop that still shares the
         utility cache.
+
+        Each served exponential request draws exactly two uniforms from
+        the service's generator, in batch order, and its pick depends only
+        on its row and those two uniforms. So a same-seed service answers
+        the same requests identically however they are split into batches
+        or single :meth:`recommend` calls; refused requests draw nothing.
 
         Per-request latency is the batch wall time divided evenly across
         its requests.
@@ -499,8 +506,9 @@ class RecommendationService:
 
         Missing utility vectors are computed by one call of the shared
         kernel stage; sampling runs in one pass over the batch's
-        requests with one spawned RNG stream per request. The two task
-        functions are pure; cache fills and stats are applied here.
+        requests, from one ``random((served, 2))`` draw of the service's
+        generator. The two task functions are pure; cache fills and stats
+        are applied here.
         """
         unique_users = sorted(set(served_users))
         missing = self.cache.missing(unique_users)
@@ -525,12 +533,12 @@ class RecommendationService:
             for vector in fresh:
                 vectors[vector.target] = vector
                 self.cache.put(vector.target, vector)
-        # One stream per request (duplicated users sample independently);
-        # position in the batch decides each draw.
-        streams = spawn_rngs(self._rng, len(to_serve))
+        # Two uniforms per request, in batch order (duplicated users sample
+        # independently).
+        uniforms = self._rng.random((len(to_serve), 2))
         [sampled] = traced_map(
             _sample_chunk,
-            [([vectors[user] for _, user in to_serve], streams)],
+            [([vectors[user] for _, user in to_serve], uniforms)],
             mechanism,
             self.telemetry,
             label="serve.sample",
@@ -667,10 +675,10 @@ def _vectors_chunk(shared, targets: np.ndarray):
 def _sample_chunk(mechanism: ExponentialMechanism, payload):
     """Sampler task: exponential samples for one batch's requests.
 
-    ``payload`` is ``(vectors, streams)`` — the batch's per-request
-    utility vectors and RNG streams, sampled by
+    ``payload`` is ``(vectors, uniforms)`` — the batch's per-request
+    utility vectors and its ``(requests, 2)`` uniforms, sampled by
     :meth:`ExponentialMechanism.recommend_vectors` in O(support) per
     request.
     """
-    vectors, streams = payload
-    return mechanism.recommend_vectors(vectors, streams)
+    vectors, uniforms = payload
+    return mechanism.recommend_vectors(vectors, uniforms)

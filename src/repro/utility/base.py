@@ -304,17 +304,26 @@ class UtilityVector:
     def zero_candidate(self, rank: int) -> int:
         """The ``rank``-th smallest zero-utility candidate id (0-based).
 
-        Support form: rank-select over the sorted union of excluded and
-        support ids — ``taken[j] - j`` free ids lie below ``taken[j]``.
+        Support form: a sort-free rank-select over the sorted, disjoint
+        excluded and support ids, O(degree log support + support).
+
+        * One ``searchsorted`` of the excluded ids into the support gives
+          the free ids below each excluded id, hence the number ``k`` of
+          excluded ids below the pick.
+        * The pick is then the ``(rank + k)``-th id outside the support.
+          ``support[i] - i`` such ids lie below ``support[i]``, so a
+          binary search over the support finds it.
         """
         rank = int(rank)
         if not 0 <= rank < self.zero_count:
             raise UtilityError(f"zero-utility rank {rank} out of range [0, {self.zero_count})")
         if self._excluded is None:
             return int(self._ids[np.flatnonzero(self._values == 0)[rank]])
-        taken = np.sort(np.concatenate((self._excluded, self._ids)))
-        below = taken - np.arange(taken.size)
-        return rank + int(np.searchsorted(below, rank, side="right"))
+        support, excluded = self._ids, self._excluded
+        free = excluded - np.arange(excluded.size) - support.searchsorted(excluded)
+        rank += int(free.searchsorted(rank, side="right"))
+        gaps = support - np.arange(support.size)
+        return rank + int(gaps.searchsorted(rank, side="right"))
 
     @property
     def u_max(self) -> float:

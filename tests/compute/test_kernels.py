@@ -12,10 +12,10 @@ from repro.compute.kernels import excluded_rows, footnote10_support
 from repro.datasets import toy, twitter, wiki_vote
 from repro.errors import UtilityError
 from repro.mechanisms.exponential import ExponentialMechanism
-from repro.rng import spawn_rngs
 from repro.utility.base import UtilityVector, support_rows
 from repro.utility.common_neighbors import CommonNeighbors
 from repro.utility.weighted_paths import WeightedPaths
+from tests.conftest import make_uniforms
 
 
 @pytest.fixture(scope="module")
@@ -131,21 +131,21 @@ class TestSupportForm:
 
 
 class TestSampleRowsChunkStability:
-    def test_per_row_streams_make_chunking_irrelevant(
+    def test_per_row_uniforms_make_chunking_irrelevant(
         self, graph, utility, budget_rows
     ):
-        """The property per-request streams give: a row's sample depends
-        only on its own stream, so any partition of a batch reproduces it."""
+        """A row's sample depends only on the row and its two uniforms,
+        so any partition of a batch reproduces it."""
         mechanism = ExponentialMechanism(1.0, sensitivity=2.0)
         vectors = utility_vectors(graph, utility, list(range(20)))
+        uniforms = make_uniforms(123, 20)
 
-        full = mechanism.recommend_vectors(vectors, spawn_rngs(123, 20))
+        full = mechanism.recommend_vectors(vectors, uniforms)
 
-        streams = spawn_rngs(123, 20)
         budget_rows(graph.num_nodes, 6)
         chunked = np.concatenate(
             [
-                mechanism.recommend_vectors(chunk.take(vectors), chunk.take(streams))
+                mechanism.recommend_vectors(chunk.take(vectors), chunk.take(uniforms))
                 for chunk in ComputePlan(20, graph.num_nodes)
             ]
         )
@@ -153,27 +153,27 @@ class TestSampleRowsChunkStability:
 
     def test_storage_form_is_irrelevant(self, graph, utility):
         """A dense row and its support-form twin draw the same node from
-        the same stream."""
+        the same uniforms."""
         mechanism = ExponentialMechanism(1.0, sensitivity=2.0)
         targets = list(range(20))
         support_rows = utility_vectors(graph, utility, targets)
         dense_rows = [utility.utility_vector(graph, t) for t in targets]
         np.testing.assert_array_equal(
-            mechanism.recommend_vectors(support_rows, spawn_rngs(9, 20)),
-            mechanism.recommend_vectors(dense_rows, spawn_rngs(9, 20)),
+            mechanism.recommend_vectors(support_rows, make_uniforms(9, 20)),
+            mechanism.recommend_vectors(dense_rows, make_uniforms(9, 20)),
         )
 
     def test_samples_are_valid_candidates(self, graph, utility):
         mechanism = ExponentialMechanism(1.0, sensitivity=2.0)
         vectors = utility_vectors(graph, utility, list(range(10)))
-        picks = mechanism.recommend_vectors(vectors, spawn_rngs(0, 10))
+        picks = mechanism.recommend_vectors(vectors, make_uniforms(0, 10))
         for vector, pick in zip(vectors, picks):
             assert pick != vector.target
             assert not graph.has_edge(vector.target, int(pick))
 
     def test_follows_softmax_distribution(self):
-        """Per-row-stream sampling is still exactly the exponential
-        mechanism's distribution (TV distance over many tiled rows)."""
+        """Inverse-CDF sampling is exactly the exponential mechanism's
+        distribution (TV distance over many tiled rows)."""
         graph = toy.paper_example_graph()
         utility = CommonNeighbors()
         mechanism = ExponentialMechanism(epsilon=2.0, sensitivity=2.0)
@@ -181,7 +181,7 @@ class TestSampleRowsChunkStability:
         exact = mechanism.probabilities(vector)
 
         draws = 20_000
-        picks = mechanism.recommend_vectors([vector] * draws, spawn_rngs(5, draws))
+        picks = mechanism.recommend_vectors([vector] * draws, make_uniforms(5, draws))
         counts = np.bincount(picks, minlength=graph.num_nodes)[vector.candidates]
         tv_distance = 0.5 * np.abs(counts / draws - exact).sum()
         assert tv_distance < 0.03

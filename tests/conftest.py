@@ -85,3 +85,8 @@ def make_vector(values, target: int = 0, target_degree: int = 3) -> UtilityVecto
         values=values,
         target_degree=target_degree,
     )
+
+
+def make_uniforms(seed: int, rows: int) -> np.ndarray:
+    """Two uniforms per row, as a service draws them for its requests."""
+    return np.random.default_rng(seed).random((rows, 2))

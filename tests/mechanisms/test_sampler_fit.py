@@ -1,15 +1,19 @@
 """Exact-pmf goodness of fit for the samplers.
 
-``ExponentialMechanism.recommend_vectors`` draws one Gumbel key per
-positive-utility candidate plus one grouped ``log|Z| + G`` key for the
-zero bucket ``Z``, then a uniform rank inside ``Z`` when that key wins.
-``LaplaceMechanism.recommend`` adds Laplace noise to every candidate and
-takes the argmax, and ``SmoothingMechanism`` mixes its base's draw with a
-uniform one. These tests hold each sampler's draws against the
-mechanism's exact ``probabilities``: a G-test over the support with the
-zero bucket pooled into one category, and a G-test of uniformity over
-the bucket's members. Seeds are fixed, so pass/fail is deterministic;
-``ALPHA`` is the level each test rejects at.
+``ExponentialMechanism.recommend_vectors`` draws by inverse CDF from two
+uniforms per row: the first picks a cell among the positive-utility
+candidates and one grouped cell for the zero bucket ``Z``, the second a
+uniform rank inside ``Z`` when that cell wins. Single ``recommend`` calls
+and the serving layer run the same kernel. ``LaplaceMechanism.recommend``
+adds Laplace noise to every candidate and takes the argmax, and
+``SmoothingMechanism`` mixes its base's draw with a uniform one. These
+tests hold each sampler's draws against the mechanism's exact
+``probabilities``: a G-test over the support with the zero bucket pooled
+into one category, and a G-test of uniformity over the bucket's members.
+The exponential draws are taken at the mechanism and through every served
+path: batches on missed and resident rows, a streaming service's patched
+rows and single ``recommend`` calls. Seeds are fixed, so pass/fail is
+deterministic; ``ALPHA`` is the level each test rejects at.
 """
 
 from __future__ import annotations
@@ -20,13 +24,17 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from repro import RecommendationService, StreamingService
 from repro.compute import utility_vectors
 from repro.datasets import wiki_vote
 from repro.mechanisms.exponential import ExponentialMechanism
 from repro.mechanisms.laplace import LaplaceMechanism
 from repro.mechanisms.smoothing import SmoothingMechanism
+from repro.serving import service as service_module
+from repro.streaming import KIND_ADD, KIND_REMOVE, StreamEvent
 from repro.utility.base import UtilityVector
 from repro.utility.common_neighbors import CommonNeighbors
+from tests.conftest import make_uniforms
 
 DRAWS = 20_000
 ALPHA = 1e-3
@@ -95,17 +103,22 @@ def g_test_pvalue(observed: np.ndarray, probabilities: np.ndarray) -> float:
     return float(chi2.sf(statistic, dof)) if dof > 0 else 1.0
 
 
+def _position_counts(vector: UtilityVector, picks) -> np.ndarray:
+    """Draw counts per candidate position of ``vector``."""
+    picks = np.asarray(picks)
+    candidates = vector.candidates
+    positions = np.searchsorted(candidates, picks)
+    assert (candidates[np.minimum(positions, candidates.size - 1)] == picks).all()
+    return np.bincount(positions, minlength=candidates.size)
+
+
 @lru_cache(maxsize=None)
 def _draw_counts(case: str, form: str, dtype: str) -> np.ndarray:
     """Draw counts per candidate position of the case's row."""
     vector, epsilon, seed = _row(case, form, dtype)
     mechanism = ExponentialMechanism(epsilon, sensitivity=1.0)
-    rng = np.random.default_rng(seed)
-    picks = mechanism.recommend_vectors([vector] * DRAWS, [rng] * DRAWS)
-    candidates = vector.candidates
-    positions = np.searchsorted(candidates, picks)
-    assert (candidates[np.minimum(positions, candidates.size - 1)] == picks).all()
-    return np.bincount(positions, minlength=candidates.size)
+    picks = mechanism.recommend_vectors([vector] * DRAWS, make_uniforms(seed, DRAWS))
+    return _position_counts(vector, picks)
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -146,11 +159,9 @@ RECOMMENDERS = {
 def _recommend_counts(mechanism, vector: UtilityVector, seed: int) -> np.ndarray:
     """Draw counts per candidate position of ``DRAWS`` ``recommend`` calls."""
     rng = np.random.default_rng(seed)
-    picks = np.asarray([mechanism.recommend(vector, seed=rng) for _ in range(DRAWS)])
-    candidates = vector.candidates
-    positions = np.searchsorted(candidates, picks)
-    assert (candidates[np.minimum(positions, candidates.size - 1)] == picks).all()
-    return np.bincount(positions, minlength=candidates.size)
+    return _position_counts(
+        vector, [mechanism.recommend(vector, seed=rng) for _ in range(DRAWS)]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -187,15 +198,14 @@ class TestRecommendFit:
 
 
 def test_forms_and_dtypes_draw_identically():
-    """One stream, one row: the pick does not depend on the storage form,
-    and float32 rows of integer utilities match float64 ones."""
+    """The same uniforms, one row: the pick does not depend on the storage
+    form, and float32 rows of integer utilities match float64 ones."""
     picks = set()
     for form in ("support", "dense"):
         for dtype in ("float64", "float32"):
             vector, epsilon, seed = _row("mixed", form, dtype)
             mechanism = ExponentialMechanism(epsilon, sensitivity=1.0)
-            rng = np.random.default_rng(seed)
-            picks.add(tuple(mechanism.recommend_vectors([vector] * 500, [rng] * 500)))
+            picks.add(tuple(mechanism.recommend_vectors([vector] * 500, make_uniforms(seed, 500))))
     assert len(picks) == 1
 
 
@@ -221,3 +231,131 @@ def test_fit_detects_a_biased_sampler():
     observed = np.append(counts[support], counts[~support].sum())
     expected = np.append(exact[support], exact[~support].sum())
     assert g_test_pvalue(observed, expected) < ALPHA
+
+
+# ---------------------------------------------------------------------------
+# The served path: what clients receive, against the live graph's pmf.
+# ---------------------------------------------------------------------------
+#: Degree 4 on wiki-vote at scale 0.05: 142 positive common-neighbour
+#: counts (1 to 4) and a 209-candidate zero bucket holding ~48% of the
+#: mass at epsilon 0.5, so both pooled cells and the bucket see draws.
+SERVED_USER = 6
+SERVED_EPSILON = 0.5
+#: name -> service seed. Each path draws ``DRAWS`` picks for SERVED_USER.
+SERVED_PATHS = {"batch_miss": 31, "batch_resident": 32, "stream_patched": 33, "single": 34}
+
+
+def _served_service(seed: int) -> RecommendationService:
+    return RecommendationService(
+        wiki_vote(scale=0.05), epsilon=SERVED_EPSILON, user_budget=1e9, seed=seed
+    )
+
+
+def _served_picks(responses) -> np.ndarray:
+    assert all(response.served for response in responses)
+    return np.asarray([response.recommendations[0] for response in responses])
+
+
+def _reference(service: RecommendationService) -> "tuple[UtilityVector, np.ndarray]":
+    """SERVED_USER's reference row on the service's live graph, and the
+    service mechanism's exact pmf over it."""
+    vector = CommonNeighbors().utility_vector(service.graph, SERVED_USER)
+    return vector, service.mechanism.probabilities(vector)
+
+
+def _edge_churn(graph) -> "list[StreamEvent]":
+    """One removal and two additions at the served user's neighbours: each
+    changes common-neighbour counts in the user's row but touches no
+    endpoint of it, so a patching cache patches the row in place."""
+    first, second = sorted(graph.neighbors(SERVED_USER))[:2]
+    removed = min(set(graph.neighbors(first)) - {SERVED_USER})
+    taken = set(graph.neighbors(SERVED_USER)) | {SERVED_USER, first, second}
+    added = [
+        min(set(range(graph.num_nodes)) - taken - set(graph.neighbors(node)))
+        for node in (first, second)
+    ]
+    return [
+        StreamEvent(0.0, KIND_REMOVE, u=first, v=removed),
+        StreamEvent(1.0, KIND_ADD, u=first, v=added[0]),
+        StreamEvent(2.0, KIND_ADD, u=second, v=added[1]),
+    ]
+
+
+@lru_cache(maxsize=None)
+def _served_draws(path: str) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(counts, exact, bucket)``: DRAWS served picks of SERVED_USER down
+    ``path`` per candidate position, the exact pmf they are held to, and
+    the zero bucket's positions."""
+    seed = SERVED_PATHS[path]
+    if path == "stream_patched":
+        stream = StreamingService(
+            wiki_vote(scale=0.05), epsilon=SERVED_EPSILON, user_budget=1e9, seed=seed
+        )
+        before = CommonNeighbors().utility_vector(stream.graph, SERVED_USER).values
+        stream.recommend_batch([SERVED_USER])
+        for event in _edge_churn(stream.graph):
+            assert stream.apply_edge_event(event)
+        picks = _served_picks(stream.recommend_batch([SERVED_USER] * DRAWS))
+        assert stream.cache.snapshot()["patched_rows"] >= 1
+        service = stream.service
+        assert not np.array_equal(_reference(service)[0].values, before)
+    elif path == "single":
+        service = _served_service(seed)
+        picks = [service.recommend(SERVED_USER).recommendations[0] for _ in range(DRAWS)]
+    else:
+        service = _served_service(seed)
+        if path == "batch_resident":
+            service.recommend_batch([SERVED_USER])
+        responses = service.recommend_batch([SERVED_USER] * DRAWS)
+        assert {r.cache_hit for r in responses} == {path == "batch_resident"}
+        picks = _served_picks(responses)
+    vector, exact = _reference(service)
+    bucket = vector.values == 0
+    assert 0.2 < exact[bucket].sum() < 0.8
+    return _position_counts(vector, picks), exact, bucket
+
+
+def _pooled_pvalue(counts: np.ndarray, exact: np.ndarray, bucket: np.ndarray) -> float:
+    """G-test p-value over the support with the zero bucket pooled."""
+    observed = np.append(counts[~bucket], counts[bucket].sum())
+    expected = np.append(exact[~bucket], exact[bucket].sum())
+    return g_test_pvalue(observed, expected)
+
+
+def _bucket_pvalue(counts: np.ndarray, bucket: np.ndarray) -> float:
+    """G-test p-value of uniformity over the zero bucket's members."""
+    return g_test_pvalue(counts[bucket], np.ones(int(bucket.sum())))
+
+
+@pytest.mark.parametrize("path", sorted(SERVED_PATHS))
+class TestServedFit:
+    def test_pooled_bucket_matches_probabilities(self, path):
+        assert _pooled_pvalue(*_served_draws(path)) > ALPHA
+
+    def test_uniform_inside_zero_bucket(self, path):
+        counts, _, bucket = _served_draws(path)
+        assert _bucket_pvalue(counts, bucket) > ALPHA
+
+
+def test_served_fit_detects_a_biased_kernel(monkeypatch):
+    """Power on the served path: a kernel that drops the bucket cell fails
+    the pooled test, and one that takes the bucket rank from the first
+    uniform instead of the second fails the within-bucket test."""
+    with monkeypatch.context() as patch:
+        patch.setattr(UtilityVector, "zero_count", property(lambda vector: 0))
+        service = _served_service(35)
+        picks = _served_picks(service.recommend_batch([SERVED_USER] * DRAWS))
+    vector, exact = _reference(service)
+    assert _pooled_pvalue(_position_counts(vector, picks), exact, vector.values == 0) < ALPHA
+
+    kernel = service_module._sample_chunk
+    monkeypatch.setattr(
+        service_module, "_sample_chunk",
+        lambda mechanism, payload: kernel(mechanism, (payload[0], payload[1][:, [0, 0]])),
+    )
+    service = _served_service(36)
+    picks = _served_picks(service.recommend_batch([SERVED_USER] * DRAWS))
+    vector, exact = _reference(service)
+    counts, bucket = _position_counts(vector, picks), vector.values == 0
+    assert _pooled_pvalue(counts, exact, bucket) > ALPHA  # the cell choice is still right
+    assert _bucket_pvalue(counts, bucket) < ALPHA

@@ -9,10 +9,10 @@ from repro.compute import utility_vectors
 from repro.datasets import toy, wiki_vote
 from repro.errors import MechanismError
 from repro.mechanisms import ExponentialMechanism, make_mechanism, mechanism_registry
-from repro.rng import spawn_rngs
 from repro.utility import CommonNeighbors, JaccardCoefficient
 from repro.compute.kernels import excluded_rows
 from repro.utility.base import UtilityVector, candidate_nodes
+from tests.conftest import make_uniforms
 
 
 class TestBatchScores:
@@ -63,16 +63,25 @@ class TestExcludedRows:
         assert set(excluded.indices.tolist()) == {0} | set(graph.neighbors(0))
 
 
-class TestGumbelMaxSample:
-    """``ExponentialMechanism.recommend_vectors``: Gumbel-max over each
-    row's support plus one key for its zero bucket."""
+class TestInverseCdfSample:
+    """``ExponentialMechanism.recommend_vectors``: inverse-CDF sampling
+    over each row's support plus one cell for its zero bucket."""
 
-    def test_requires_one_stream_per_vector(self):
+    def test_requires_two_uniforms_per_vector(self):
         from tests.conftest import make_vector
 
         mechanism = ExponentialMechanism(epsilon=1.0, sensitivity=2.0)
-        with pytest.raises(MechanismError, match="streams"):
-            mechanism.recommend_vectors([make_vector([1.0, 0.0])] * 2, spawn_rngs(0, 3))
+        for bad in (make_uniforms(0, 3), make_uniforms(0, 2)[:, :1], make_uniforms(0, 2).ravel()):
+            with pytest.raises(MechanismError, match="uniforms"):
+                mechanism.recommend_vectors([make_vector([1.0, 0.0])] * 2, bad)
+
+    def test_uniforms_must_lie_in_the_unit_interval(self):
+        from tests.conftest import make_vector
+
+        mechanism = ExponentialMechanism(epsilon=1.0, sensitivity=2.0)
+        for bad in ([[0.5, 1.0]], [[-0.1, 0.5]], [[np.nan, 0.5]]):
+            with pytest.raises(MechanismError, match=r"\[0, 1\)"):
+                mechanism.recommend_vectors([make_vector([1.0, 0.0])], bad)
 
     def test_requires_valid_candidate_per_row(self):
         from tests.conftest import make_vector
@@ -81,13 +90,32 @@ class TestGumbelMaxSample:
         everyone_excluded = UtilityVector.from_support(0, [], [], [0, 1, 2], 3, 2)
         for empty in (make_vector([]), everyone_excluded):
             with pytest.raises(MechanismError, match="empty candidate set"):
-                mechanism.recommend_vectors([make_vector([1.0]), empty], spawn_rngs(0, 2))
+                mechanism.recommend_vectors([make_vector([1.0]), empty], make_uniforms(0, 2))
+
+    def test_no_vectors_draw_nothing(self):
+        mechanism = ExponentialMechanism(epsilon=1.0, sensitivity=2.0)
+        picks = mechanism.recommend_vectors([], np.empty((0, 2)))
+        assert picks.shape == (0,) and picks.dtype == np.int64
 
     def test_samples_respect_exclusions(self):
         mechanism = ExponentialMechanism(epsilon=1.0, sensitivity=2.0)
         vector = UtilityVector.from_support(0, [3], [1.0], [0, 1, 5], 8, 2)
-        picks = mechanism.recommend_vectors([vector] * 400, spawn_rngs(0, 400))
+        picks = mechanism.recommend_vectors([vector] * 400, make_uniforms(0, 400))
         assert set(picks.tolist()) == {2, 3, 4, 6, 7}
+
+    def test_cells_split_the_unit_interval_in_order(self):
+        """u1 walks the support's cells in id order, then the bucket; u2
+        names the bucket member by rank."""
+        mechanism = ExponentialMechanism(epsilon=1.0, sensitivity=1.0)
+        # Support {1: u=1, 3: u=1} and bucket {2, 4}: four equal cells of 1/4.
+        vector = UtilityVector.from_support(0, [1, 3], [1.0, 1.0], [0], 5, 0)
+        weights = np.array([1.0, 1.0, 2 * np.exp(-1.0)])
+        edges = np.cumsum(weights) / weights.sum()
+        uniforms = [[0.0, 0.9], [edges[0] * 0.999, 0.0], [edges[0] * 1.001, 0.0],
+                    [edges[1] * 1.001, 0.0], [edges[1] * 1.001, 0.499],
+                    [edges[1] * 1.001, 0.5], [np.nextafter(1.0, 0.0)] * 2]
+        picks = mechanism.recommend_vectors([vector] * len(uniforms), uniforms)
+        assert picks.tolist() == [1, 1, 3, 2, 2, 4, 4]
 
     def test_matches_exponential_probabilities_statistically(self):
         """Sampling follows the softmax distribution, zero bucket included.
@@ -105,7 +133,7 @@ class TestGumbelMaxSample:
         exact = mechanism.probabilities(vector)
 
         draws = 20_000
-        samples = mechanism.recommend_vectors([vector] * draws, spawn_rngs(123, draws))
+        samples = mechanism.recommend_vectors([vector] * draws, make_uniforms(123, draws))
         empirical = np.bincount(samples - 100, minlength=len(vector)) / draws
         tv_distance = 0.5 * np.abs(empirical - exact).sum()
         assert tv_distance < 0.03
@@ -119,7 +147,7 @@ class TestGumbelMaxSample:
         exact = mechanism.probabilities(utility.utility_vector(graph, 0))
 
         draws = 20_000
-        samples = mechanism.recommend_vectors([vector] * draws, spawn_rngs(7, draws))
+        samples = mechanism.recommend_vectors([vector] * draws, make_uniforms(7, draws))
         counts = np.bincount(samples, minlength=graph.num_nodes)[vector.candidates]
         tv_distance = 0.5 * np.abs(counts / draws - exact).sum()
         assert tv_distance < 0.03

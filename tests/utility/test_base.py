@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import UtilityError
@@ -118,6 +118,46 @@ class TestUtilityVector:
     def test_ties_resolve_to_lowest_candidate(self):
         vector = make_vector([2.0, 2.0, 1.0])
         assert vector.best_candidate == 100
+
+
+@st.composite
+def _partitions(draw):
+    """``(num_nodes, support, excluded)``: disjoint sorted ids, with at
+    least one id left over for the zero bucket."""
+    num_nodes = draw(st.integers(1, 60))
+    roles = draw(st.lists(st.sampled_from("szx"), min_size=num_nodes, max_size=num_nodes))
+    roles[draw(st.integers(0, num_nodes - 1))] = "z"
+    support = [node for node, role in enumerate(roles) if role == "s"]
+    excluded = [node for node, role in enumerate(roles) if role == "x"]
+    return num_nodes, support, excluded
+
+
+class TestZeroCandidate:
+    """The sort-free rank-select against ``np.setdiff1d``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_partitions())
+    @example((6, [], [0, 5]))  # empty support, excluded ids at both ends
+    @example((5, [0, 1, 3, 4], []))  # a bucket of one
+    @example((7, [1, 2, 4], [0, 6]))  # excluded at both ends around the support
+    @example((1, [], []))  # a one-node graph
+    def test_property_matches_setdiff(self, partition):
+        num_nodes, support, excluded = partition
+        vector = UtilityVector.from_support(
+            0, support, np.ones(len(support)), excluded, num_nodes, len(excluded)
+        )
+        bucket = np.setdiff1d(np.arange(num_nodes), support + excluded)
+        assert vector.zero_count == bucket.size
+        got = [vector.zero_candidate(rank) for rank in range(bucket.size)]
+        np.testing.assert_array_equal(got, bucket)
+        dense = UtilityVector(0, vector.candidates, vector.values, len(excluded))
+        assert [dense.zero_candidate(rank) for rank in range(bucket.size)] == got
+
+    @pytest.mark.parametrize("rank", [-1, 2])
+    def test_rank_out_of_range_raises(self, rank):
+        vector = UtilityVector.from_support(0, [1], [1.0], [0], 4, 0)
+        with pytest.raises(UtilityError, match="out of range"):
+            vector.zero_candidate(rank)
 
 
 class TestCandidateNodes:
