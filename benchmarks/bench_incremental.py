@@ -11,15 +11,16 @@ stay resident across churn and only endpoint rows ever recompute.
 
 Correctness gates run **before** any timing:
 
-1. byte-budget identity — on a reduced replica, the patching pipeline
+1. batch-split identity — on a reduced replica, the patching pipeline
    must return *identical* recommendation sequences to a full-flush
    reference (the same weighted-paths utility declaring no walk
    components, so its cache recomputes every row after every mutation)
-   at four compute byte budgets, from the default
-   (:data:`repro.compute.plan.CHUNK_BYTES`) down to one row per chunk.
-   The patching cache's side-car fill is sparse and takes no chunks, so
-   no budget may change a pick. Patching is exact integer arithmetic on
-   walk counts, so this is bit-identity, not a tolerance check;
+   at four query batch sizes, from one request per batch up to the
+   reference's own batch size. A served pick depends only on its row and
+   its two uniforms, and each batch fills its misses from sparse walk
+   rows, so no batch size may change a pick. Patching is exact integer
+   arithmetic on walk counts, so this is bit-identity, not a tolerance
+   check;
 2. resident-row equality — after the full-profile replay, every row
    still resident in the cache must equal a from-scratch recompute on
    the final graph, bit for bit;
@@ -45,7 +46,6 @@ import numpy as np
 
 from harness import best_of, finish, require
 
-from repro.compute import plan
 from repro.datasets import wiki_vote
 from repro.streaming import StreamingService, replay_stream, synthetic_event_stream
 from repro.utility import WeightedPaths
@@ -65,11 +65,11 @@ GAMMA = 0.005
 MAX_LENGTH = 4
 COMPACT_EVERY = 400
 
-#: Byte budgets the identity matrix replays at, in rows per chunk on the
-#: identity graph (``None``: the default budget); each replay must match
-#: the full-flush reference pick for pick.
-IDENTITY_BUDGET_ROWS = (None, 16, 4, 1)
-IDENTITY_REPLAYS = len(IDENTITY_BUDGET_ROWS)
+#: Query batch sizes the identity matrix replays at; each replay must
+#: match the full-flush reference (run at the profile's batch size) pick
+#: for pick.
+IDENTITY_BATCH_SIZES = (1, 7, 32, 128)
+IDENTITY_REPLAYS = len(IDENTITY_BATCH_SIZES)
 
 
 class FlushingWeightedPaths(WeightedPaths):
@@ -128,39 +128,29 @@ def time_replay(graph, events, batch_size: int) -> float:
 
 
 def check_identity_matrix(scale: float, num_events: int, batch_size: int) -> int:
-    """Patching picks at four byte budgets vs one full-flush reference.
+    """Patching picks at four query batch sizes vs one full-flush reference.
 
     Runs on a reduced replica: the gate is about *exactness*, which does
     not depend on problem size, and the full-flush reference recomputes
-    every queried row after every mutation. The budget is the module
-    constant every dense stage reads at call time, restored afterwards.
+    every queried row after every mutation.
     """
     graph = wiki_vote(scale=scale)
     events = make_events(graph, num_events)
     flushed, _ = collect_picks(
         graph, events, batch_size, utility_class=FlushingWeightedPaths
     )
-    default_budget = plan.CHUNK_BYTES
     checked = 0
-    try:
-        for rows in IDENTITY_BUDGET_ROWS:
-            if rows is not None:
-                plan.CHUNK_BYTES = 8 * graph.num_nodes * rows
-            per_chunk = plan.chunk_rows(graph.num_nodes)
-            patched, patch_service = collect_picks(graph, events, batch_size)
-            require(
-                patched == flushed,
-                "patching diverged from the full-flush reference "
-                f"({per_chunk} rows per chunk)",
-            )
-            require(
-                patch_service.cache.snapshot()["patched_rows"] > 0,
-                "identity matrix never exercised the patch path "
-                f"({per_chunk} rows per chunk)",
-            )
-            checked += 1
-    finally:
-        plan.CHUNK_BYTES = default_budget
+    for size in IDENTITY_BATCH_SIZES:
+        patched, patch_service = collect_picks(graph, events, size)
+        require(
+            patched == flushed,
+            f"patching diverged from the full-flush reference (batches of {size})",
+        )
+        require(
+            patch_service.cache.snapshot()["patched_rows"] > 0,
+            f"identity matrix never exercised the patch path (batches of {size})",
+        )
+        checked += 1
     return checked
 
 
@@ -219,6 +209,7 @@ def run(
             "compact_every": COMPACT_EVERY,
             "identity_scale": identity_scale,
             "identity_events": identity_events,
+            "identity_query_batches": list(IDENTITY_BATCH_SIZES),
         },
         "nodes": graph.num_nodes,
         "edges": graph.num_edges,
@@ -274,7 +265,7 @@ def main(argv: "list[str] | None" = None) -> int:
         f"({result['mutations']} mutations)"
     )
     print(
-        f"  identity:   {result['identity_checks']} byte-budget replays, "
+        f"  identity:   {result['identity_checks']} batch-size replays, "
         f"patch == full flush pick-for-pick; "
         f"{result['resident_rows_checked']} resident rows == from-scratch"
     )
@@ -292,7 +283,7 @@ def main(argv: "list[str] | None" = None) -> int:
             (
                 "identity_checks",
                 IDENTITY_REPLAYS,
-                "byte-budget replays matching the full-flush reference",
+                "batch-size replays matching the full-flush reference",
             ),
             ("resident_rows_checked", 1, "resident rows equal to a recompute"),
         ],

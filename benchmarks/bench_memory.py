@@ -12,9 +12,7 @@ Three questions, answered in one run:
    should stay well under one per target. Counted by an
    :class:`AllocationSpy` that wraps the numpy constructor/extraction
    API (``np.empty``, ``np.zeros``, ``np.concatenate``, ``np.repeat``,
-   ``np.sort``, ``np.flatnonzero``, ...), plus the workspace's own
-   take/allocation counters (the engine takes no workspace buffer).
-   Gate:
+   ``np.sort``, ``np.flatnonzero``, ...). Gate:
    ``targets_per_allocation >= 1``, i.e. at most one numpy allocation
    call per evaluated target. The engine is timed best-of-R at
    ``--scale`` (default 0.5). The timed grid is exponential-only, like
@@ -23,8 +21,7 @@ Three questions, answered in one run:
 3. **Full-scale feasibility** — one complete experiment-engine run at
    wiki-vote **scale=1.0** (the paper's full replica), recording
    targets/sec, peak RSS (``ru_maxrss``), whole-run tracemalloc peak,
-   per-stage tracemalloc peaks (via the engine's ``memory`` hook), and
-   the workspace's resident high-water mark.
+   and per-stage tracemalloc peaks (via the engine's ``memory`` hook).
 
 Writes ``BENCH_memory.json``, keeping the ``trajectory`` list (the RSS
 entries ``bench_scale.py --memory-json`` appends) of an existing output
@@ -49,7 +46,6 @@ from harness import best_of, finish, require, timed
 
 from repro.accuracy.batch import STAGE_NAMES, evaluate_targets_batched
 from repro.accuracy.evaluator import evaluate_targets, sample_targets
-from repro.compute.workspace import get_workspace, reset_workspace
 from repro.datasets import wiki_vote
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import build_mechanisms, build_utility
@@ -128,7 +124,6 @@ def engine_call(graph, utility, mechanisms, targets, **kwargs):
 def measure_engine(graph, utility, mechanisms, targets, repeats: int) -> dict:
     """Best-of-R wall clock plus one spied allocation-count pass."""
     seconds = best_of(repeats, engine_call, graph, utility, mechanisms, targets)
-    workspace = reset_workspace()
     with AllocationSpy() as spy:
         engine_call(graph, utility, mechanisms, targets)
     return {
@@ -137,11 +132,6 @@ def measure_engine(graph, utility, mechanisms, targets, repeats: int) -> dict:
         "numpy_allocation_calls": spy.count,
         "allocations_per_target": spy.count / targets.size,
         "targets_per_allocation": targets.size / max(1, spy.count),
-        "workspace": {
-            "takes": workspace.takes,
-            "fresh_allocations": workspace.allocations,
-            "resident_bytes": workspace.resident_bytes,
-        },
     }
 
 
@@ -159,11 +149,9 @@ def check_identity(graph, utility, mechanisms, targets) -> dict:
 def run_full_scale(scale: float, fraction: float) -> dict:
     """One complete scale-1.0 experiment-engine run with memory accounting."""
     graph, utility, mechanisms, targets = build_workload(scale, fraction)
-    reset_workspace()
     seconds = timed(engine_call, graph, utility, mechanisms, targets)
     # Separate memory pass: tracemalloc roughly doubles wall-clock, so
     # it must not contaminate the timing above.
-    reset_workspace()
     stage_seconds: dict[str, float] = {}
     stage_memory: dict[str, int] = {}
     tracemalloc.start()
@@ -175,7 +163,6 @@ def run_full_scale(scale: float, fraction: float) -> dict:
         _, traced_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    workspace = get_workspace()
     return {
         "scale": scale,
         "target_fraction": fraction,
@@ -194,8 +181,6 @@ def run_full_scale(scale: float, fraction: float) -> dict:
             "stage_tracemalloc_peak_bytes": {
                 name: int(stage_memory.get(name, 0)) for name in STAGE_NAMES
             },
-            "workspace_resident_bytes": workspace.resident_bytes,
-            "workspace_buffers": workspace.num_buffers,
         },
     }
 
@@ -250,8 +235,7 @@ def main(argv: "list[str] | None" = None) -> int:
             f"  {row['seconds']:.2f} s "
             f"({row['targets_per_sec']:,.0f} targets/sec, "
             f"{row['targets_evaluated']} evaluated), "
-            f"tracemalloc peak {row['tracemalloc_peak_bytes'] / 1e6:.1f} MB, "
-            f"workspace {row['workspace_resident_bytes'] / 1e6:.1f} MB"
+            f"tracemalloc peak {row['tracemalloc_peak_bytes'] / 1e6:.1f} MB"
         )
         print(f"  peak RSS: {full['peak_rss_kb'] / 1024:.0f} MB")
 

@@ -38,7 +38,6 @@ import time
 
 from harness import usable_cpus
 
-from repro.compute import reset_workspace
 from repro.datasets import synthetic_powerlaw, wiki_vote
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
@@ -145,10 +144,6 @@ def run_scale(
             f"engine: {engine_run.num_targets_evaluated} targets in "
             f"{engine_run.elapsed_seconds:.2f} s", flush=True,
         )
-
-        # Release any workspace arena left resident, so the serving
-        # phase's peak measures serving, not the sum of both phases.
-        reset_workspace()
 
         # Served in 32-user batches with a 32-entry cache. Dense rows were
         # ~16 MB per user at 10^6 nodes, which set these bounds; support-

@@ -37,7 +37,6 @@ from pathlib import Path
 #: for wall-clock speedups that are noise-gated down from the local 5x
 #: acceptance. An empty list documents "nothing to check here".
 LEGACY_GATES: "dict[str, list[tuple[str, float]]]" = {
-    "BENCH_streaming.json": [("speedup", 2.0)],
     # The remaining artifacts gate correctness at generation time only.
     "BENCH_durability.json": [],
     "BENCH_scale.json": [],

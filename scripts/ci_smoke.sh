@@ -47,6 +47,10 @@ echo "== experiment engine benchmark (smoke) =="
 # batched results are bit-identical to the sequential evaluator.
 python benchmarks/bench_experiment_engine.py --smoke --min-speedup 2 \
     --output "$smoke_out/BENCH_experiment.json"
+# Weighted paths: the engine's score rows recombine sparse walk rows, so
+# this asserts that path equals the sequential evaluator; no gain gated.
+python benchmarks/bench_experiment_engine.py --smoke --utility weighted_paths \
+    --min-speedup 1 --output "$smoke_out/BENCH_experiment_wp.json"
 
 echo
 echo "== memory benchmark (smoke) =="
@@ -69,8 +73,8 @@ python benchmarks/bench_streaming.py --smoke --min-speedup 2 \
 echo
 echo "== cache-patching benchmark (smoke) =="
 # Asserts that a patching cache serves the same recommendations as a
-# full-flush reference at four compute byte budgets (the default down to
-# one row per chunk), that resident rows are bit-equal to from-scratch
+# full-flush reference at four query batch sizes (1, 7, 32 and 128
+# requests), that resident rows are bit-equal to from-scratch
 # recomputes, and that the replay patches and never flushes —
 # deterministic, fully gated in CI.
 # Throughput (patch_eps) is reported, not gated.

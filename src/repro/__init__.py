@@ -19,10 +19,9 @@ The library implements the paper end-to-end:
   (:mod:`repro.attacks`);
 * the Section 7 experiment harness with one driver per paper figure
   (:mod:`repro.experiments`);
-* a chunked compute layer (:mod:`repro.compute`): the canonical batched
-  utility/mechanism kernels and chunking plans sized by one byte budget
-  that bound peak dense allocation, run inline with bit-identical
-  results at every budget;
+* a compute layer (:mod:`repro.compute`): the canonical batched
+  utility/mechanism kernels over sparse support rows, with no
+  ``rows x num_nodes`` block, bit-identical however targets are split;
 * an online serving layer (:mod:`repro.serving`): a
   :class:`~repro.serving.service.RecommendationService` with per-user
   privacy-budget accounting, a version-keyed utility cache, and a
@@ -101,7 +100,6 @@ from ._version import __version__
 from .errors import (
     BoundError,
     BudgetExhaustedError,
-    ComputeError,
     DatasetError,
     DurabilityError,
     EdgeError,
@@ -148,7 +146,6 @@ __all__ = [
     "BoundError",
     "BudgetExhaustedError",
     "CommonNeighbors",
-    "ComputeError",
     "DatasetError",
     "DurabilityError",
     "EdgeError",

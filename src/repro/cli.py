@@ -36,8 +36,8 @@ reconciliation after the summary) and ``--telemetry-out PATH`` to write
 the full dump — metrics snapshot, spans, and the privacy ledger — as
 JSON for ``repro-social metrics`` to read back.
 
-Every command computes in float64 and sizes its own compute chunks
-from one byte budget (:mod:`repro.compute.plan`).
+Every command computes in float64 over sparse support rows
+(:mod:`repro.compute`); none takes a chunk size.
 
 Also runnable as ``python -m repro.cli ...``.
 """

@@ -416,9 +416,9 @@ class EdgeServer:
 
     async def _handle_metrics(self, request: http.HttpRequest) -> bytes:
         loop = asyncio.get_running_loop()
-        # collect_metrics folds buffered telemetry and scrapes cache /
-        # workspace state — engine-side work, so it runs on the compute
-        # thread where it serializes against batches and mutations.
+        # collect_metrics folds buffered telemetry and scrapes cache
+        # state — engine-side work, so it runs on the compute thread
+        # where it serializes against batches and mutations.
         registry = await loop.run_in_executor(
             self._compute, self.service.collect_metrics
         )

@@ -71,10 +71,6 @@ class ExperimentError(ReproError):
     """An experiment configuration or run is invalid."""
 
 
-class ComputeError(ReproError):
-    """A compute plan or dtype was misconfigured or misused."""
-
-
 class DatasetError(ReproError):
     """A dataset replica could not be constructed with the given parameters."""
 

@@ -14,16 +14,12 @@ The epsilon sweep is an aggregation over the experiment engine
 (:func:`~repro.accuracy.batch.evaluate_targets_batched`) with one
 exponential mechanism per epsilon and the Corollary 1 bound on the same
 grid, so the graph work is paid once per sweep, not once per epsilon.
-The gamma sweep has its own chunk kernel on the shared
-:mod:`repro.compute` stages because it saves real work: the length-``l``
-walk matrices are gamma-independent, so each chunk computes them once
-(:func:`~repro.graphs.traversal.batch_walk_matrices`) and only the cheap
-gamma recombination runs per decay value; each recombined score block is
-then sparsified into the engine's flat support rows and accuracy kernel.
-Those walk matrices are dense, so the gamma sweep runs in
-:class:`~repro.compute.plan.ComputePlan` chunks sized by the one byte
-budget, and per-target results are concatenated in target order before
-aggregating, so every budget produces bit-identical sweep points.
+The gamma sweep reads the same :mod:`repro.compute` stages but saves
+real work: the sparse walk-count rows are gamma-independent, so it
+computes them once for all targets
+(:meth:`~repro.utility.weighted_paths.WeightedPaths.walk_rows`) and per
+decay value pays only the sparse recombination, the flat support rows
+and the accuracy kernel. No stage holds a ``rows x num_nodes`` block.
 """
 
 from __future__ import annotations
@@ -32,15 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from scipy import sparse
-
 from ..accuracy.batch import evaluate_targets_batched
 from ..compute.kernels import checked_targets, excluded_rows, footnote10_support
-from ..compute.plan import ComputePlan
-from ..compute.workspace import get_workspace
 from ..errors import ExperimentError
 from ..graphs.graph import SocialGraph
-from ..graphs.traversal import batch_walk_matrices
 from ..mechanisms.exponential import ExponentialMechanism
 from ..utility.base import UtilityFunction, support_rows
 from ..utility.weighted_paths import WeightedPaths
@@ -102,33 +93,6 @@ def epsilon_sweep(
     return points
 
 
-def _gamma_chunk(graph, targets, gammas, sensitivities, epsilon, max_length):
-    """Per-chunk gamma-sweep kernel: one accuracy array per gamma value.
-
-    The chunk's walk matrices are computed once and recombined per gamma;
-    each recombined block is sparsified into flat support rows for the
-    footnote-10 filter and the exponential mechanism's support kernel.
-    Deterministic and per-target independent, so chunking cannot change
-    any value. Sensitivities arrive precomputed — they are graph-level
-    (one ``max_degree`` scan each), so chunks must not redo them.
-    """
-    walk_matrices = batch_walk_matrices(graph, targets, max_length)
-    excluded = excluded_rows(graph, targets)
-    num_candidates = graph.num_nodes - np.diff(excluded.indptr)
-    scores_buffer = get_workspace().take(
-        "sweep.gamma_scores", (targets.size, graph.num_nodes), np.float64
-    )
-    columns = []
-    for gamma, sensitivity in zip(gammas, sensitivities):
-        utility = WeightedPaths(gamma=gamma, max_length=max_length)
-        scores = utility.combine_walk_matrices(walk_matrices, targets, out=scores_buffer)
-        _, values, offsets = support_rows(sparse.csr_matrix(scores), excluded)
-        _, values, offsets, zeros = footnote10_support(values, offsets, num_candidates)
-        mechanism = ExponentialMechanism(epsilon, sensitivity=sensitivity)
-        columns.append(mechanism.support_accuracies(values, offsets, zeros))
-    return columns
-
-
 def gamma_sweep(
     graph: SocialGraph,
     targets: "list[int] | np.ndarray",
@@ -138,39 +102,35 @@ def gamma_sweep(
 ) -> list[tuple[float, float, float]]:
     """(gamma, Delta f, mean accuracy) as the weighted-paths decay varies.
 
-    The length-``l`` walk matrices do not depend on gamma, so each chunk
-    computes them once and every gamma value only pays the cheap
-    recombination ``sum_l gamma^{l-2} W_l`` plus one batch-accuracy
-    kernel. The footnote-10 filter still runs per gamma: a target whose
-    only signal sits on length-3 walks has zero utility at ``gamma = 0``
-    but not at positive gamma. A target outside ``[0, num_nodes)``
-    raises :class:`~repro.errors.UtilityError`.
+    The sparse walk-count rows do not depend on gamma, so they are
+    computed (in canonical form) once for all targets; every gamma
+    value then pays the recombination ``sum_l gamma^{l-2} W_l``
+    (:meth:`~repro.utility.weighted_paths.WeightedPaths.combine_component_rows`,
+    the term order of ``scores``) and one flat accuracy kernel, so each
+    point equals the engine's mean at that gamma bit for bit. The
+    footnote-10 filter still runs per gamma: a target whose only signal
+    sits on length-3 walks has zero utility at ``gamma = 0`` but not at
+    positive gamma. A target outside ``[0, num_nodes)`` raises
+    :class:`~repro.errors.UtilityError`.
     """
     if not gammas or any(g < 0 for g in gammas):
         raise ExperimentError(f"gammas must be non-negative, got {gammas}")
-    target_array = checked_targets(graph, targets)
-    gamma_grid = tuple(float(g) for g in gammas)
-    sensitivities = tuple(
-        float(WeightedPaths(gamma=gamma, max_length=max_length).sensitivity(graph, 0))
-        for gamma in gamma_grid
-    )
-    chunk_columns = [
-        _gamma_chunk(
-            graph, chunk.take(target_array), gamma_grid, sensitivities,
-            float(epsilon), int(max_length),
-        )
-        for chunk in ComputePlan(int(target_array.size), graph.num_nodes)
-    ]
+    utilities = [WeightedPaths(gamma=float(g), max_length=int(max_length)) for g in gammas]
+    targets = checked_targets(graph, targets)
+    links = graph.adjacency_rows(targets)
+    excluded = excluded_rows(graph, targets, links)
+    num_candidates = graph.num_nodes - np.diff(excluded.indptr)
+    walks = utilities[0].walk_rows(graph, links)
     results = []
-    for column, gamma in enumerate(gamma_grid):
-        accuracies = (
-            np.concatenate([columns[column] for columns in chunk_columns])
-            if chunk_columns
-            else np.empty(0, dtype=np.float64)
-        )
-        if accuracies.size == 0:
+    for utility in utilities:
+        sensitivity = float(utility.sensitivity(graph, 0))
+        _, values, offsets = support_rows(utility.combine_component_rows(walks), excluded)
+        kept, values, offsets, zeros = footnote10_support(values, offsets, num_candidates)
+        if kept.size == 0:
             raise ExperimentError("no target with non-zero utility in the sample")
-        results.append((gamma, sensitivities[column], float(accuracies.mean())))
+        mechanism = ExponentialMechanism(float(epsilon), sensitivity=sensitivity)
+        accuracies = mechanism.support_accuracies(values, offsets, zeros)
+        results.append((utility.gamma, sensitivity, float(accuracies.mean())))
     return results
 
 

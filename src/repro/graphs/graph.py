@@ -308,7 +308,7 @@ class SocialGraph:
         """The (out-)degree vector, cached per graph version.
 
         Private and shared: callers must not mutate the returned array.
-        Cached like the CSR matrix so per-chunk consumers pay O(chunk)
+        Cached like the CSR matrix so batched consumers pay O(rows)
         gathers, not an O(n) Python rebuild per call.
         """
         if self._degrees is None or self._degrees_version != self._version:
@@ -447,14 +447,12 @@ class SocialGraph:
     def adjacency_rows(self, targets: "np.ndarray | list[int]") -> sp.csr_matrix:
         """CSR row slice ``A[targets]`` of the cached adjacency matrix.
 
-        The chunk-friendly entry point of the compute layer: kernels that
-        process a :class:`~repro.compute.plan.ComputePlan` chunk pull just
-        their targets' rows — a ``chunk x n`` sparse block whose
-        allocation is bounded by the chunk's edges (SciPy copies the
-        selected rows; only the cached source matrix is shared) — instead
-        of touching the full ``n x n`` structure per chunk. Row ``j``
-        corresponds to ``targets[j]``, duplicates and arbitrary order
-        included.
+        The compute layer's entry point: a batched kernel pulls just its
+        targets' rows — a ``rows x n`` sparse block whose allocation is
+        bounded by those targets' edges (SciPy copies the selected rows;
+        only the cached source matrix is shared) — the length-1 walk rows
+        every sparse score product starts from. Row ``j`` corresponds to
+        ``targets[j]``, duplicates and arbitrary order included.
         """
         targets = np.asarray(targets, dtype=np.int64)
         return self.adjacency_matrix()[targets]
@@ -475,8 +473,8 @@ class SocialGraph:
         """Vector of out-degrees for an arbitrary target list.
 
         The batched analogue of :meth:`out_degree` — one NumPy gather
-        from the version-cached degree vector, so chunked vector assembly
-        costs O(chunk) per call rather than an O(n) rebuild.
+        from the version-cached degree vector, so batched vector assembly
+        costs O(rows) per call rather than an O(n) rebuild.
         """
         targets = np.asarray(targets, dtype=np.int64)
         if targets.size and (targets.min() < 0 or targets.max() >= self._n):

@@ -320,6 +320,28 @@ class SharedCSR:
         return f"SharedCSR({self.backing}:{self.name}, {state})"
 
 
+def contiguous_node_range(targets: np.ndarray) -> "tuple[int, int] | None":
+    """``(lo, hi)`` when ``targets`` is exactly ``lo, lo+1, ..., hi-1``.
+
+    The shape test behind zero-copy row slices: targets that happen to
+    be consecutive ascending node ids can be served as a CSR row slice
+    (``indptr[lo:hi+1]`` plus views of ``indices``/``data``) instead of
+    a fancy-index row gather. Returns ``None`` for empty, unsorted,
+    duplicated, or gapped target arrays — callers then take the copying
+    path. O(len) with one vectorized comparison, so probing never costs
+    more than the gather it tries to avoid.
+    """
+    targets = np.asarray(targets)
+    if targets.size == 0 or targets.ndim != 1:
+        return None
+    lo, hi = int(targets[0]), int(targets[-1]) + 1
+    if hi - lo != targets.size:
+        return None
+    if not np.array_equal(targets, np.arange(lo, hi, dtype=targets.dtype)):
+        return None
+    return lo, hi
+
+
 def _rebuild_in_heap(
     num_nodes: int,
     directed: bool,
@@ -569,15 +591,13 @@ class SharedSocialGraph(SocialGraph):
     def adjacency_rows(self, targets: "np.ndarray | list[int]") -> sp.csr_matrix:
         """Row slice ``A[targets]``; zero-copy when targets are a node range.
 
-        A chunk whose targets happen to be consecutive ascending node ids
-        is served as views over the shared ``indices``/``data`` plus a
-        ``chunk+1``-entry ``indptr`` copy. Arbitrary target lists fall
-        back to SciPy's fancy-index row gather (a copy, as on the in-heap
-        graph).
+        Targets that are consecutive ascending node ids
+        (:func:`contiguous_node_range`) are served as views over the
+        shared ``indices``/``data`` plus a ``rows+1``-entry ``indptr``
+        copy. Arbitrary target lists fall back to SciPy's fancy-index
+        row gather (a copy, as on the in-heap graph).
         """
         targets = np.asarray(targets, dtype=np.int64)
-        from ..compute.plan import contiguous_node_range
-
         window = contiguous_node_range(targets)
         if window is not None:
             lo, hi = window

@@ -84,41 +84,6 @@ def walk_counts(graph: SocialGraph, source: int, max_length: int) -> list[np.nda
     return counts
 
 
-def batch_walk_matrices(
-    graph: SocialGraph, targets: "np.ndarray | list[int]", max_length: int
-) -> list[np.ndarray]:
-    """Walk-count matrices for many source nodes at once.
-
-    Returns ``[W1, W2, ..., W_L]`` where ``W_l[j, i]`` is the number of
-    directed walks of length ``l`` from ``targets[j]`` to node ``i`` —
-    the batched analogue of :func:`walk_counts`, computed as
-    ``A[targets] @ A^(l-1)``: one sparse product for length 2 and one
-    dense-times-sparse product per further length, instead of ``L`` sparse
-    matvecs (plus a CSR transpose) per target.
-
-    Walk counts are small integers represented exactly in float64, so every
-    entry is bit-identical to the corresponding :func:`walk_counts` entry
-    regardless of the summation order the sparse kernels use — and each
-    row depends only on its own target, so any chunked partition of
-    ``targets`` reproduces the same rows.
-    """
-    if max_length < 1:
-        raise GraphError(f"max_length must be >= 1, got {max_length}")
-    targets = np.asarray(targets, dtype=np.int64)
-    adjacency = graph.adjacency_matrix()
-    current = np.asarray(graph.adjacency_rows(targets).toarray(), dtype=np.float64)
-    matrices = [current]
-    if max_length == 1:
-        return matrices
-    transposed = adjacency.T.tocsr()
-    for _ in range(max_length - 1):
-        # (M @ A) computed as (A^T @ M^T)^T so the sparse operand drives the
-        # product; exact because the counts are integers.
-        current = np.ascontiguousarray(transposed.dot(current.T).T)
-        matrices.append(current)
-    return matrices
-
-
 def count_paths_up_to(graph: SocialGraph, source: int, max_length: int) -> np.ndarray:
     """Total number of walks of length ``2..max_length`` from ``source``.
 

@@ -11,10 +11,10 @@ requests from many users the way a production system must:
 * :class:`UtilityCache` — utility vectors keyed by the graph's mutation
   version, so an unchanged graph never recomputes;
 * batched hot path — the shared :mod:`repro.compute` kernels in float64,
-  run inline: a batch's missing utility rows from one kernel call (one
-  sparse product for common neighbors; dense stages chunk by the byte
-  budget of :mod:`repro.compute.plan`), exponential-mechanism sampling
-  in one inverse-CDF pass from two uniforms per request;
+  run inline: a batch's missing utility rows from one sparse kernel
+  call (one product for common neighbors, sparse walk rows for
+  weighted paths), exponential-mechanism sampling in one inverse-CDF
+  pass from two uniforms per request;
 * :func:`synthetic_workload` / :func:`replay` — skewed traffic generation
   and a replay harness reporting throughput, cache, and budget statistics.
 """

@@ -29,7 +29,6 @@ from contextlib import nullcontext
 import numpy as np
 
 from ..compute.kernels import utility_vectors
-from ..compute.workspace import get_workspace
 from ..errors import BudgetExhaustedError, ServingError
 from ..extensions.multi_recommendations import TopKRecommender
 from ..graphs.graph import SocialGraph
@@ -85,10 +84,10 @@ class RecommendationService:
         (default) keeps the service exactly as fast as before — the
         instrumentation reduces to ``is None`` checks.
 
-    Serving runs in float64 and sizes its own compute: a batch's cache
-    misses are filled in one kernel call (whose dense stages, if any,
-    chunk by the byte budget of :mod:`repro.compute.plan`) and its
-    requests are sampled in one pass.
+    Serving runs in float64: a batch's cache misses are filled in one
+    sparse kernel call (:func:`~repro.compute.kernels.utility_vectors`)
+    and its requests are sampled in one pass, so picks are the same
+    however a stream of requests is split into batches.
 
     The utility cache patches stale rows from journaled score deltas
     when it can (a walk-decomposable utility on a
@@ -628,13 +627,11 @@ class RecommendationService:
     def collect_metrics(self):
         """Fold the pull-style sources into the registry and return it.
 
-        The cache keeps its own locked counters and the workspace its own
-        residency figures; neither pushes into the registry on its hot
-        path. Monitoring therefore *scrapes* them here — cache statistics
-        become ``cache.*`` gauges (gauges, not counters: these are
-        cumulative readings of external state, and re-scraping must
-        overwrite, never re-add), alongside the calling thread's
-        workspace, where the batch kernels ran.
+        The cache keeps its own locked counters and does not push into
+        the registry on its hot path. Monitoring therefore *scrapes* them
+        here: cache statistics become ``cache.*`` gauges (gauges, not
+        counters: these are cumulative readings of external state, and
+        re-scraping must overwrite, never re-add).
         """
         if self.telemetry is None:
             raise ServingError("service has no telemetry attached")
@@ -642,9 +639,6 @@ class RecommendationService:
         registry = self.telemetry.registry
         for name, value in self.cache.snapshot().items():
             registry.gauge(f"cache.{name}").set(value)
-        workspace = get_workspace()
-        registry.gauge("workspace.bytes_resident").set(workspace.bytes_resident())
-        registry.gauge("workspace.high_water_bytes").set(workspace.high_water_bytes)
         return registry
 
     def verify_ledger(self) -> None:

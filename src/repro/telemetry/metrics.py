@@ -10,8 +10,8 @@ Three metric kinds, chosen for mergeability:
 
 * :class:`Counter` — monotone float/int accumulator (requests served,
   samples drawn). Merging sums.
-* :class:`Gauge` — last-written value (workspace bytes resident, cache
-  residency). Merging takes the **max**: the interesting question across
+* :class:`Gauge` — last-written value (cache residency, edge queue
+  depth). Merging takes the **max**: the interesting question across
   registries is "how big did it get anywhere", and max is the only
   order-free choice that answers it.
 * :class:`Histogram` — fixed-bucket distribution with count/sum/min/max,

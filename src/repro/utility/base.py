@@ -107,7 +107,7 @@ class UtilityVector:
     * **dense** — ``UtilityVector(target, candidates, values, target_degree)``
       stores the candidate ids and their utilities as parallel arrays;
     * **support** — :meth:`from_support` (one row) and
-      :meth:`from_support_rows` (a chunk) store only the sorted ids with
+      :meth:`from_support_rows` (many rows) store only the sorted ids with
       positive utility, their values, the sorted excluded ids
       (``{target}`` plus its current links) and ``num_nodes``. Every other
       node is a zero-utility candidate, so the row costs
@@ -422,40 +422,6 @@ class UtilityFunction(abc.ABC):
     def scores(self, graph: SocialGraph, target: int) -> np.ndarray:
         """Raw score of every node in the graph for ``target`` (length n)."""
 
-    def batch_scores(
-        self,
-        graph: SocialGraph,
-        targets: "np.ndarray | list[int]",
-        out: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """Raw scores for many targets at once, one row per target.
-
-        The generic implementation loops over :meth:`scores`; utilities with
-        a linear-algebra form (e.g. :class:`~repro.utility.common_neighbors.
-        CommonNeighbors`) override it with one sparse matrix product, which
-        is what makes the serving layer's batched hot path fast. ``out``,
-        when given, must be a float64 ``(len(targets), num_nodes)`` array
-        (typically a workspace buffer) and receives the rows in place.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        matrix = self._batch_scores_out(out, targets.size, graph.num_nodes)
-        for row, target in enumerate(targets):
-            matrix[row] = self.scores(graph, int(target))
-        return matrix
-
-    def _batch_scores_out(
-        self, out: "np.ndarray | None", num_rows: int, num_nodes: int
-    ) -> np.ndarray:
-        """Validate (or allocate) the output block for ``batch_scores``."""
-        if out is None:
-            return np.empty((num_rows, num_nodes), dtype=np.float64)
-        if out.shape != (num_rows, num_nodes) or out.dtype != np.float64:
-            raise UtilityError(
-                f"batch_scores out must be float64 {(num_rows, num_nodes)}, "
-                f"got {out.dtype} {out.shape}"
-            )
-        return out
-
     def support_scores(
         self, graph: SocialGraph, targets: "np.ndarray | list[int]"
     ) -> sparse.csr_matrix:
@@ -465,25 +431,38 @@ class UtilityFunction(abc.ABC):
         serving's :func:`repro.compute.kernels.utility_vectors` and the
         experiment engine): row ``j`` holds every non-zero score of
         ``targets[j]`` (entries for the target or its links may appear;
-        the builder ignores them). This default
-        sparsifies dense :meth:`batch_scores` blocks one
-        :class:`~repro.compute.plan.ComputePlan` chunk at a time, so the
-        transient block stays within the byte budget; utilities with a
-        sparse product form override it and never build the block.
+        the builder ignores them). This default calls :meth:`scores`
+        once per target and keeps each row's non-zeros, so it holds one
+        ``num_nodes`` row at a time; utilities with a sparse product
+        form override it.
         """
-        from ..compute.plan import ComputePlan
-
         targets = np.asarray(targets, dtype=np.int64)
-        plan = ComputePlan(int(targets.size), graph.num_nodes)
-        if plan.num_chunks <= 1:
-            return sparse.csr_matrix(self.batch_scores(graph, targets))
-        return sparse.vstack(
-            [
-                sparse.csr_matrix(self.batch_scores(graph, chunk.take(targets)))
-                for chunk in plan
-            ],
-            format="csr",
+        ids, values = [], []
+        for target in targets.tolist():
+            row = self._score_row(graph, target)
+            nonzero = np.flatnonzero(row)
+            ids.append(nonzero)
+            values.append(row[nonzero])
+        indptr = np.zeros(targets.size + 1, dtype=np.int64)
+        np.cumsum([part.size for part in ids], out=indptr[1:])
+        return sparse.csr_matrix(
+            (
+                np.concatenate(values) if values else np.empty(0),
+                np.concatenate(ids) if ids else np.empty(0, dtype=np.int64),
+                indptr,
+            ),
+            shape=(targets.size, graph.num_nodes),
         )
+
+    def _score_row(self, graph: SocialGraph, target: int) -> np.ndarray:
+        """:meth:`scores` of ``target`` as float64, checked to be ``num_nodes`` long."""
+        row = np.asarray(self.scores(graph, target), dtype=np.float64)
+        if row.shape != (graph.num_nodes,):
+            raise UtilityError(
+                f"{type(self).__name__}.scores returned shape {row.shape}, "
+                f"expected ({graph.num_nodes},)"
+            )
+        return row
 
     @abc.abstractmethod
     def sensitivity(self, graph: SocialGraph, target: int) -> float:
@@ -533,13 +512,16 @@ class UtilityFunction(abc.ABC):
             f"utility function {self.name!r} does not decompose into walk components"
         )
 
-    def combine_component_rows(self, components: np.ndarray) -> np.ndarray:
-        """Recombine per-length walk counts into scores, column by column.
+    def combine_component_rows(self, components):
+        """Recombine per-length walk counts into scores, entry by entry.
 
-        ``components`` is ``(num_lengths, columns)`` float64 — the
-        per-length walk counts at each column. Returns float64 scores
-        using the same elementwise multiply-accumulate sequence as
-        :meth:`scores`, so any column subset recombines bit-identically.
+        ``components`` holds one count row per walk length, in the order
+        of :meth:`walk_component_lengths`: either a ``(num_lengths,
+        columns)`` float64 block (a cached row's side-car) or the list of
+        sparse matrices :meth:`walk_rows` returns. Returns the scores in
+        the same form (an array or a CSR matrix), using the same
+        elementwise multiply-accumulate sequence as :meth:`scores`, so
+        either form and any column subset recombine bit-identically.
         """
         raise UtilityError(
             f"utility function {self.name!r} does not decompose into walk components"
@@ -578,12 +560,7 @@ class UtilityFunction(abc.ABC):
         target = int(target)
         if not 0 <= target < graph.num_nodes:
             raise UtilityError(f"target {target} out of range for graph of size {graph.num_nodes}")
-        all_scores = np.asarray(self.scores(graph, target), dtype=np.float64)
-        if all_scores.shape != (graph.num_nodes,):
-            raise UtilityError(
-                f"{type(self).__name__}.scores returned shape {all_scores.shape}, "
-                f"expected ({graph.num_nodes},)"
-            )
+        all_scores = self._score_row(graph, target)
         candidates = candidate_nodes(graph, target)
         return UtilityVector(
             target=target,

@@ -40,39 +40,17 @@ class CommonNeighbors(UtilityFunction):
         counts[target] = 0.0
         return counts
 
-    def batch_scores(
-        self,
-        graph: SocialGraph,
-        targets: "np.ndarray | list[int]",
-        out: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """All targets' common-neighbor counts via one sparse matrix product.
-
-        Row ``r`` of ``A @ A`` counts length-2 walks ``r -> w -> i``, which
-        is exactly :meth:`scores` for both the undirected and the directed
-        convention; computing ``A[targets] @ A`` yields every requested row
-        at once from the graph's cached CSR adjacency matrix. Each output
-        row depends only on its own target's CSR row, so chunked calls
-        (any partition of ``targets``) reproduce these rows bit for bit.
-        ``out`` receives the dense rows in place (the sparse product's
-        densification supports it directly), avoiding the ``(rows, n)``
-        temporary that used to be allocated per chunk.
-        """
-        targets = np.asarray(targets, dtype=np.int64)
-        counts = self._batch_scores_out(out, targets.size, graph.num_nodes)
-        counts.fill(0.0)
-        self.support_scores(graph, targets).toarray(out=counts)
-        counts[np.arange(targets.size), targets] = 0.0
-        return counts
-
     def support_scores(
         self, graph: SocialGraph, targets: "np.ndarray | list[int]"
     ) -> sparse.csr_matrix:
-        """The ``A[targets] @ A`` product of :meth:`batch_scores`, never densified.
+        """All targets' common-neighbor counts as one ``A[targets] @ A`` product.
 
-        Its entries are the same exact float64 walk counts the dense rows
-        hold, so support-form vectors built from it match
-        :meth:`utility_vector` bit for bit.
+        Row ``r`` of ``A @ A`` counts length-2 walks ``r -> w -> i``,
+        which is exactly :meth:`scores` for both the undirected and the
+        directed convention. The entries are exact float64 counts and
+        each row depends only on its own target's CSR row, so
+        support-form vectors built from it match :meth:`utility_vector`
+        bit for bit, whatever else shares the call.
         """
         targets = np.asarray(targets, dtype=np.int64)
         return graph.adjacency_product(graph.adjacency_rows(targets))
@@ -87,8 +65,9 @@ class CommonNeighbors(UtilityFunction):
         """One component: the :meth:`support_scores` product itself."""
         return [graph.adjacency_product(links)]
 
-    def combine_component_rows(self, components: np.ndarray) -> np.ndarray:
-        return np.array(components[0], dtype=np.float64)
+    def combine_component_rows(self, components):
+        """The length-2 counts themselves, as a fresh array or matrix."""
+        return 1.0 * components[0]
 
     def sensitivity(self, graph: SocialGraph, target: int) -> float:
         return 1.0 if graph.is_directed else 2.0

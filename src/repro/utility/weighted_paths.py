@@ -27,7 +27,7 @@ from scipy import sparse
 
 from ..errors import UtilityError
 from ..graphs.graph import SocialGraph
-from ..graphs.traversal import batch_walk_matrices, walk_counts
+from ..graphs.traversal import walk_counts
 from .base import UtilityFunction, UtilityVector, register_utility
 
 #: Gamma values used in the paper's Figures 2(a) and 2(b).
@@ -56,51 +56,21 @@ class WeightedPaths(UtilityFunction):
         total[target] = 0.0
         return total
 
-    def batch_scores(
-        self,
-        graph: SocialGraph,
-        targets: "np.ndarray | list[int]",
-        out: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """Weighted-paths scores for many targets via batched walk matrices.
+    def support_scores(
+        self, graph: SocialGraph, targets: "np.ndarray | list[int]"
+    ) -> sparse.csr_matrix:
+        """Weighted-paths scores for many targets from sparse walk rows.
 
-        One ``A[targets] @ A`` sparse product (and one dense-times-sparse
-        product per extra length) replaces the per-target sparse-matvec loop
-        of :meth:`scores`. Walk counts are exact integers in float64 and the
-        gamma recombination applies the same per-length multiply-accumulate
-        as :meth:`scores`, so every row is bit-identical to the sequential
-        score vector — the batched experiment engine relies on that.
+        The exact counts of :meth:`walk_rows` (one
+        :meth:`~repro.graphs.graph.SocialGraph.adjacency_product` per
+        length from ``A[targets]``), recombined by
+        :meth:`combine_component_rows` in the term order of
+        :meth:`scores`: every entry is bit-identical to the per-target
+        score vector and no ``rows x num_nodes`` block is built.
         """
         targets = np.asarray(targets, dtype=np.int64)
-        matrices = batch_walk_matrices(graph, targets, self.max_length)
-        return self.combine_walk_matrices(matrices, targets, out=out)
-
-    def combine_walk_matrices(
-        self,
-        walk_matrices: "list[np.ndarray]",
-        targets: np.ndarray,
-        out: "np.ndarray | None" = None,
-    ) -> np.ndarray:
-        """Recombine precomputed walk matrices under this utility's gamma.
-
-        The walk matrices are gamma-independent, so sweeps over gamma compute
-        them once (:func:`~repro.graphs.traversal.batch_walk_matrices`) and
-        call this per gamma value — with ``out`` given, into one reused
-        buffer instead of a fresh ``(rows, n)`` accumulator per gamma.
-        Accumulation order matches :meth:`scores` term for term.
-        """
-        if len(walk_matrices) < self.max_length:
-            raise UtilityError(
-                f"need walk matrices up to length {self.max_length}, "
-                f"got {len(walk_matrices)}"
-            )
-        targets = np.asarray(targets, dtype=np.int64)
-        total = self._batch_scores_out(out, *walk_matrices[0].shape)
-        total.fill(0.0)
-        for length in range(2, self.max_length + 1):
-            total += (self.gamma ** (length - 2)) * walk_matrices[length - 1]
-        total[np.arange(targets.size), targets] = 0.0
-        return total
+        walks = self.walk_rows(graph, graph.adjacency_rows(targets))
+        return self.combine_component_rows(walks)
 
     def walk_component_lengths(self) -> "tuple[int, ...]":
         """One exact walk-count component per counted length ``2..L``."""
@@ -114,19 +84,34 @@ class WeightedPaths(UtilityFunction):
         ``W_k = W_{k-1} @ A`` from ``W_1 = links``, one
         :meth:`~repro.graphs.graph.SocialGraph.adjacency_product` per
         length: the exact counts :func:`~repro.graphs.traversal.walk_counts`
-        and :meth:`batch_scores` hold, without a dense block.
+        holds, without a dense block. Each matrix is put in canonical
+        form (sorted ids) once here, so every recombination of them is a
+        sorted merge and its sum is canonical too: a product holds no
+        duplicate ids, so a round trip through CSC sorts every row in
+        linear time, where SciPy's per-row sort is a comparison sort.
         """
         rows = [links]
         for _ in range(2, self.max_length + 1):
-            rows.append(graph.adjacency_product(rows[-1]))
+            rows.append(graph.adjacency_product(rows[-1]).tocsc().tocsr())
         return rows[1:]
 
-    def combine_component_rows(self, components: np.ndarray) -> np.ndarray:
-        """Per-column gamma recombination, same term order as ``scores``."""
-        components = np.asarray(components, dtype=np.float64)
-        total = np.zeros(components.shape[1], dtype=np.float64)
+    def combine_component_rows(self, components):
+        """``W_2 + gamma W_3 + gamma^2 W_4 + ...``, summed left to right.
+
+        The term order of :meth:`scores`, over a side-car block's rows
+        or :meth:`walk_rows`' sparse matrices alike. Counts are
+        non-negative, so a term missing from a sparse sum adds the same
+        ``+0.0`` a dense row does.
+        """
+        if len(components) < self.max_length - 1:
+            raise UtilityError(
+                f"need walk counts of lengths 2..{self.max_length}, "
+                f"got {len(components)} count rows"
+            )
+        total = None
         for index, length in enumerate(range(2, self.max_length + 1)):
-            total += (self.gamma ** (length - 2)) * components[index]
+            term = (self.gamma ** (length - 2)) * components[index]
+            total = term if total is None else total + term
         return total
 
     def sensitivity(self, graph: SocialGraph, target: int) -> float:

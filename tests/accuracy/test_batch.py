@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.accuracy.batch import STAGE_NAMES, evaluate_targets_batched
-from repro.compute import plan
 from repro.accuracy.evaluator import evaluate_targets
 from repro.errors import BoundError, UtilityError
 from repro.graphs.generators import erdos_renyi_gnp
@@ -163,35 +162,25 @@ def test_timings_filled_in_pipeline_order():
     assert all(v >= 0.0 for v in timings.values())
 
 
-@pytest.mark.parametrize("num_nodes", [1, 100, 7_115, 96_403, 1_000_000])
-def test_default_chunk_keeps_dense_block_within_budget(num_nodes):
-    """The default chunk's (chunk, n) float64 block fits CHUNK_BYTES on
-    full wiki-vote and the full Twitter replica; at 10^6 nodes a single
-    8 MB row is already over budget, so the chunk is that one row."""
-    chunk = plan.chunk_rows(num_nodes)
-    assert chunk >= 1
-    assert chunk * num_nodes * 8 <= max(plan.CHUNK_BYTES, num_nodes * 8)
-    # ... and it is the largest such chunk: one more row would not fit.
-    assert (chunk + 1) * num_nodes * 8 > plan.CHUNK_BYTES
-
-
-def test_engine_builds_no_dense_block(monkeypatch):
-    """The engine reads support rows only: with the dense score fill and
-    every dense candidate set (the per-target builder and a vector's
-    dense candidate view) unavailable it still equals the sequential
-    evaluator."""
+@pytest.mark.parametrize(
+    "utility", [CommonNeighbors(), WeightedPaths(gamma=0.005)], ids=["cn", "wp"]
+)
+def test_engine_builds_no_dense_block(monkeypatch, utility):
+    """The engine reads support rows only: with every dense score row
+    (the utility's per-target ``scores``) and every dense candidate set
+    (the per-target builder and a vector's dense candidate view)
+    unavailable it still equals the sequential evaluator."""
     import repro.utility.base as utility_base
 
     graph = erdos_renyi_gnp(30, 0.2, seed=4)
-    utility = CommonNeighbors()
     mechanisms = make_mechanisms(utility, graph)
     kwargs = dict(bound_epsilons=(1.0,), seed=5)
     reference = evaluate_targets(graph, utility, range(30), mechanisms, **kwargs)
 
     def dense(*args, **kwargs):
-        raise AssertionError("the engine built a rows x num_nodes block")
+        raise AssertionError("the engine built a num_nodes-wide row")
 
-    monkeypatch.setattr(CommonNeighbors, "batch_scores", dense)
+    monkeypatch.setattr(type(utility), "scores", dense)
     monkeypatch.setattr(utility_base, "candidate_nodes", dense)
     monkeypatch.setattr(utility_base.UtilityVector, "candidates", property(dense))
     result = evaluate_targets_batched(graph, utility, range(30), mechanisms, **kwargs)

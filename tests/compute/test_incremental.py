@@ -6,8 +6,8 @@ side-car yields the post-mutation walk counts *bit for bit* — the
 telescoped ``A_new^k - A_old^k`` identity holds exactly in integer
 float64 arithmetic, including walks through the mutated edge more than
 once, cycles back into the endpoints, and removals. The oracle is
-:func:`~repro.graphs.traversal.batch_walk_matrices` on the post-mutation
-graph.
+per-target :func:`~repro.graphs.traversal.walk_counts` on the
+post-mutation graph.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.compute.incremental import (
 from repro.compute.kernels import utility_vectors
 from repro.errors import GraphError
 from repro.graphs.graph import SocialGraph
-from repro.graphs.traversal import batch_walk_matrices
+from repro.graphs.traversal import walk_counts
 from repro.streaming.overlay import MutableSocialGraph
 from repro.utility.common_neighbors import CommonNeighbors
 from repro.utility.weighted_paths import WeightedPaths
@@ -71,11 +71,12 @@ def side_car(vector, utility):
 
 
 def oracle_side_car(graph, utility, target):
-    """``(ids, counts)`` from dense walk matrices: every candidate with a
-    non-zero count of some length, and the exact counts there."""
+    """``(ids, counts)`` from the target's dense walk counts: every
+    candidate with a non-zero count of some length, and the exact counts
+    there."""
     lengths = utility.walk_component_lengths()
-    walks = batch_walk_matrices(graph, [target], max(lengths))
-    block = np.stack([walks[length - 1][0] for length in lengths])
+    walks = walk_counts(graph, target, max(lengths))
+    block = np.stack([walks[length - 1] for length in lengths])
     candidates = utility.utility_vector(graph, target).candidates
     ids = candidates[block[:, candidates].any(axis=0)]
     return ids, block[:, ids]

@@ -1,4 +1,4 @@
-"""Tests for the canonical compute kernels and their chunking stability."""
+"""Tests for the canonical compute kernels and their target-partition stability."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 
 from scipy import sparse
 
-from repro.compute import ComputePlan, utility_vectors
+from repro.compute import utility_vectors
 from repro.compute.kernels import excluded_rows, footnote10_support
 from repro.datasets import toy, twitter, wiki_vote
 from repro.errors import UtilityError
@@ -15,7 +15,7 @@ from repro.mechanisms.exponential import ExponentialMechanism
 from repro.utility.base import UtilityVector, support_rows
 from repro.utility.common_neighbors import CommonNeighbors
 from repro.utility.weighted_paths import WeightedPaths
-from tests.conftest import make_uniforms
+from tests.conftest import chunks, engine_in_pieces, make_uniforms
 
 
 @pytest.fixture(scope="module")
@@ -47,15 +47,18 @@ class TestSupportRows:
                 values[offsets[row]:offsets[row + 1]], support_values
             )
 
-    def test_chunked_partition_is_bit_identical(self, graph, budget_rows):
-        """The default ``support_scores`` sparsifies budget-sized dense
-        blocks; any budget yields the same rows."""
+    def test_target_partition_is_bit_identical(self, graph):
+        """Weighted paths' sparse score rows depend only on their own
+        target: the rows of 7-target pieces, stacked, are the whole
+        call's rows."""
         utility = WeightedPaths(gamma=0.05)
         targets = np.arange(30, dtype=np.int64)
         full = utility.support_scores(graph, targets)
-        budget_rows(graph.num_nodes, 7)
-        chunked = utility.support_scores(graph, targets)
-        assert (full != chunked).nnz == 0
+        pieces = sparse.vstack(
+            [utility.support_scores(graph, part) for part in chunks(targets, 7)],
+            format="csr",
+        )
+        assert (full != pieces).nnz == 0
 
     @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
     def test_bad_candidate_utilities_rejected(self, bad):
@@ -89,20 +92,20 @@ class TestUtilityVectors:
         vectors = utility_vectors(graph, CommonNeighbors(), [1])
         assert len(vectors) == 1  # unfiltered: serving needs every target
 
-    @pytest.mark.parametrize("rows", [None, 3], ids=["default-budget", "3-row-budget"])
+    @pytest.mark.parametrize("rows", [None, 3], ids=["one-call", "3-target-calls"])
     @pytest.mark.parametrize("utility", [CommonNeighbors(), WeightedPaths(gamma=0.05)])
     @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
-    def test_support_rows_round_trip_to_reference(
-        self, utility, directed, rows, budget_rows
-    ):
+    def test_support_rows_round_trip_to_reference(self, utility, directed, rows):
         """A support-form row's dense view equals the per-target reference
-        exactly, on both graph conventions and at any byte budget (weighted
-        paths sparsifies its dense score rows chunk by chunk)."""
+        exactly, on both graph conventions, whether the targets are
+        filled in one call or in 3-target calls."""
         graph = twitter(scale=0.05) if directed else wiki_vote(scale=0.05)
         assert graph.is_directed == directed
-        budget_rows(graph.num_nodes, rows)
         targets = list(range(0, graph.num_nodes, max(1, graph.num_nodes // 25)))
-        for vector in utility_vectors(graph, utility, targets):
+        parts = [targets] if rows is None else chunks(targets, rows)
+        vectors = [v for part in parts for v in utility_vectors(graph, utility, part)]
+        assert [vector.target for vector in vectors] == targets
+        for vector in vectors:
             reference = utility.utility_vector(graph, vector.target)
             assert vector.target_degree == reference.target_degree
             assert vector.num_candidates == reference.num_candidates
@@ -131,9 +134,7 @@ class TestSupportForm:
 
 
 class TestSampleRowsChunkStability:
-    def test_per_row_uniforms_make_chunking_irrelevant(
-        self, graph, utility, budget_rows
-    ):
+    def test_per_row_uniforms_make_chunking_irrelevant(self, graph, utility):
         """A row's sample depends only on the row and its two uniforms,
         so any partition of a batch reproduces it."""
         mechanism = ExponentialMechanism(1.0, sensitivity=2.0)
@@ -142,11 +143,10 @@ class TestSampleRowsChunkStability:
 
         full = mechanism.recommend_vectors(vectors, uniforms)
 
-        budget_rows(graph.num_nodes, 6)
         chunked = np.concatenate(
             [
-                mechanism.recommend_vectors(chunk.take(vectors), chunk.take(uniforms))
-                for chunk in ComputePlan(20, graph.num_nodes)
+                mechanism.recommend_vectors(rows, draws)
+                for rows, draws in zip(chunks(vectors, 6), chunks(uniforms, 6))
             ]
         )
         np.testing.assert_array_equal(full, chunked)
@@ -202,7 +202,8 @@ def _engine_call(graph, utility, mechanisms, targets, **kwargs):
 
 
 class TestEngineChunkIdentity:
-    """The acceptance property: bit-identical evaluations at every byte budget."""
+    """The acceptance property: bit-identical evaluations however the
+    targets are split across engine calls."""
 
     @pytest.fixture(scope="class")
     def workload(self):
@@ -219,10 +220,13 @@ class TestEngineChunkIdentity:
         return graph, utility, mechanisms, targets, reference
 
     @pytest.mark.parametrize("rows", [7, 1, 13, 9, 11, 40], ids=lambda r: f"rows={r}")
-    def test_bit_identical_to_default_budget(self, workload, budget_rows, rows):
+    def test_bit_identical_across_target_partitions(self, workload, rows):
+        """Calls on ``rows``-target pieces, concatenated, equal the one call."""
         graph, utility, mechanisms, targets, reference = workload
-        budget_rows(graph.num_nodes, rows)
-        assert _engine_call(graph, utility, mechanisms, targets) == reference
+        pieces = engine_in_pieces(
+            graph, utility, targets, mechanisms, rows, bound_epsilons=(0.5, 1.0), seed=17,
+        )
+        assert pieces == reference
 
 
 def _kept_by_footnote_10(vectors: "list[UtilityVector]") -> "list[int]":

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compute import plan
 from repro.datasets import toy
 from repro.graphs.generators import erdos_renyi_gnp
 from repro.graphs.graph import SocialGraph
@@ -16,21 +15,6 @@ from repro.utility.base import UtilityVector
 def rng() -> np.random.Generator:
     """Deterministic generator shared by stochastic tests."""
     return np.random.default_rng(12345)
-
-
-@pytest.fixture
-def budget_rows(monkeypatch):
-    """``budget_rows(num_nodes, rows)`` sets the compute byte budget so a
-    ``num_nodes``-node graph chunks ``rows`` targets at a time (``None``
-    keeps the default budget) — how chunk-identity tests vary chunking
-    now that no entry point takes a chunk size."""
-
-    def set_rows(num_nodes: int, rows: "int | None") -> None:
-        if rows is not None:
-            monkeypatch.setattr(plan, "CHUNK_BYTES", 8 * num_nodes * rows)
-        assert rows is None or plan.chunk_rows(num_nodes) == rows
-
-    return set_rows
 
 
 @pytest.fixture
@@ -90,3 +74,24 @@ def make_vector(values, target: int = 0, target_degree: int = 3) -> UtilityVecto
 def make_uniforms(seed: int, rows: int) -> np.ndarray:
     """Two uniforms per row, as a service draws them for its requests."""
     return np.random.default_rng(seed).random((rows, 2))
+
+
+def chunks(items, size: int) -> list:
+    """``items`` cut into consecutive pieces of ``size`` (the last may be
+    shorter): an explicit target or request partition, for tests that a
+    split call concatenates to the whole one."""
+    return [items[start:start + size] for start in range(0, len(items), size)]
+
+
+def engine_in_pieces(graph, utility, targets, mechanisms, rows: int, **kwargs) -> list:
+    """``evaluate_targets_batched`` on ``rows``-target pieces of
+    ``targets``, evaluations concatenated. Equal to one call whenever
+    every mechanism has a flat kernel (no call draws from a seeded
+    per-target stream)."""
+    from repro.accuracy.batch import evaluate_targets_batched
+
+    return [
+        evaluation
+        for part in chunks(targets, rows)
+        for evaluation in evaluate_targets_batched(graph, utility, part, mechanisms, **kwargs)
+    ]

@@ -15,6 +15,7 @@ from repro.experiments.config import (
     paper_config_figure_2c,
 )
 from repro.experiments.figures import FIGURE_DRIVERS, figure_1a, figure_2a, figure_2c
+from tests.conftest import chunks
 
 
 @pytest.fixture(scope="module")
@@ -148,11 +149,24 @@ class TestShardingPassThrough:
         with pytest.raises(TypeError):
             figure_1a(scale=0.02, max_targets=8, dtype="float64")
 
-    def test_chunked_figure_plots_the_same_curves(self, budget_rows):
-        unchunked = figure_1a(scale=0.02, max_targets=8)
-        budget_rows(unchunked.metadata["num_nodes"], 3)
-        chunked = figure_1a(scale=0.02, max_targets=8)
-        assert chunked.series == unchunked.series
+    @pytest.mark.parametrize("figure", [figure_1a, figure_2a], ids=["1a", "2a"])
+    def test_figure_from_target_pieces_plots_the_same_curves(self, monkeypatch, figure):
+        """A figure whose engine calls are split into 3-target pieces,
+        concatenated, plots the curves of the one-call figure."""
+        from repro.experiments import runner
+
+        whole = figure(scale=0.02, max_targets=8)
+        engine = runner.evaluate_targets_batched
+
+        def in_pieces(graph, utility, targets, mechanisms, **kwargs):
+            return [
+                evaluation
+                for part in chunks(targets, 3)
+                for evaluation in engine(graph, utility, part, mechanisms, **kwargs)
+            ]
+
+        monkeypatch.setattr(runner, "evaluate_targets_batched", in_pieces)
+        assert figure(scale=0.02, max_targets=8).series == whole.series
 
 
 class TestOneLaplaceSwitch:

@@ -14,6 +14,7 @@ from repro.experiments.runner import (
     mechanism_key,
     run_experiment,
 )
+from tests.conftest import engine_in_pieces
 
 
 @pytest.fixture(scope="module")
@@ -136,16 +137,24 @@ class TestEngineSelection:
         assert batched.evaluations == sequential
         assert batched.num_targets_evaluated == len(sequential)
 
-    def test_sharded_run_identical_to_serial(self, budget_rows):
-        """A smaller byte budget splits the run into more engine chunks
-        without changing a single evaluation."""
+    def test_sharded_run_identical_to_serial(self):
+        """Engine calls on 4- and 1-target pieces of the run's sampled
+        targets, concatenated, are the run's evaluations."""
         config = ExperimentConfig(
             dataset="wiki_vote", scale=0.02, epsilons=(0.5, 1.0),
             max_targets=15, seed=13,
         )
         graph = build_graph(config)
         serial = run_experiment(config, graph=graph)
+        utility = build_utility(config)
+        mechanisms = build_mechanisms(config, utility.sensitivity(graph, 0))
+        targets = sample_targets(
+            graph, fraction=config.target_fraction, seed=config.seed,
+            max_targets=config.max_targets,
+        )
         for rows in (4, 1):
-            budget_rows(graph.num_nodes, rows)
-            sharded = run_experiment(config, graph=graph)
-            assert sharded.evaluations == serial.evaluations
+            sharded = engine_in_pieces(
+                graph, utility, targets, mechanisms, rows,
+                bound_epsilons=tuple(config.epsilons), seed=config.seed + 1,
+            )
+            assert sharded == serial.evaluations

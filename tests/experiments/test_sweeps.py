@@ -6,12 +6,14 @@ import pytest
 
 import numpy as np
 
+from repro.accuracy.batch import evaluate_targets_batched
 from repro.errors import ExperimentError, UtilityError
 from repro.experiments.sweeps import epsilon_sweep, gamma_sweep, sweep_to_figure
 from repro.graphs.generators import erdos_renyi_gnp
 from repro.mechanisms.exponential import ExponentialMechanism
 from repro.utility.common_neighbors import CommonNeighbors
 from repro.utility.weighted_paths import WeightedPaths
+from tests.conftest import engine_in_pieces
 
 
 @pytest.fixture(scope="module")
@@ -102,39 +104,77 @@ class TestSweepToFigure:
 
 
 class TestSweepSharding:
-    """The byte budget only changes chunking: identical points."""
+    """A sweep point aggregates per-target values that engine calls on
+    any partition of the targets reproduce, concatenated, bit for bit."""
 
     @pytest.mark.parametrize("rows", [4, 1, 6], ids=lambda r: f"rows={r}")
-    def test_epsilon_sweep_identical_when_sharded(self, sweep_graph, budget_rows, rows):
+    def test_epsilon_sweep_identical_when_sharded(self, sweep_graph, rows):
         targets = list(range(20))
         epsilons = (0.5, 1.0, 3.0)
-        reference = epsilon_sweep(sweep_graph, CommonNeighbors(), targets, epsilons)
-        budget_rows(sweep_graph.num_nodes, rows)
-        assert (
-            epsilon_sweep(sweep_graph, CommonNeighbors(), targets, epsilons)
-            == reference
+        utility = CommonNeighbors()
+        points = epsilon_sweep(sweep_graph, utility, targets, epsilons)
+        sensitivity = utility.sensitivity(sweep_graph, 0)
+        mechanisms = {
+            str(eps): ExponentialMechanism(eps, sensitivity=sensitivity) for eps in epsilons
+        }
+        pieces = engine_in_pieces(
+            sweep_graph, utility, targets, mechanisms, rows, bound_epsilons=epsilons,
         )
+        for point, eps in zip(points, epsilons):
+            accuracies = np.asarray([e.accuracies[str(eps)] for e in pieces])
+            bounds = np.asarray([e.theoretical_bounds[eps] for e in pieces])
+            assert point.mean_accuracy == float(accuracies.mean())
+            assert point.median_accuracy == float(np.median(accuracies))
+            assert point.p10_accuracy == float(np.percentile(accuracies, 10))
+            assert point.mean_bound == float(bounds.mean())
 
     @pytest.mark.parametrize("rows", [4, 5, 1], ids=lambda r: f"rows={r}")
-    def test_gamma_sweep_identical_when_sharded(self, sweep_graph, budget_rows, rows):
+    def test_gamma_sweep_identical_when_sharded(self, sweep_graph, rows):
         targets = list(range(15))
         gammas = (0.0005, 0.05)
-        reference = gamma_sweep(sweep_graph, targets, gammas=gammas)
-        budget_rows(sweep_graph.num_nodes, rows)
-        assert gamma_sweep(sweep_graph, targets, gammas=gammas) == reference
+        for gamma, sensitivity, mean_accuracy in gamma_sweep(
+            sweep_graph, targets, gammas=gammas
+        ):
+            mechanisms = {"exp": ExponentialMechanism(1.0, sensitivity=sensitivity)}
+            pieces = engine_in_pieces(
+                sweep_graph, WeightedPaths(gamma=gamma), targets, mechanisms, rows,
+            )
+            assert mean_accuracy == float(np.mean([e.accuracies["exp"] for e in pieces]))
 
-    def test_no_signal_rejected_even_when_chunked(self, budget_rows):
+    def test_no_signal_rejected(self):
         from repro.graphs.generators import erdos_renyi_gnp as gnp
 
         empty = gnp(10, 0.0, seed=0)
-        budget_rows(empty.num_nodes, 1)
         with pytest.raises(ExperimentError):
             epsilon_sweep(empty, CommonNeighbors(), targets=[0, 1])
+        with pytest.raises(ExperimentError):
+            gamma_sweep(empty, targets=[0, 1])
+        with pytest.raises(ExperimentError):
+            gamma_sweep(empty, targets=[])
 
 
 class TestSweepBatchingEquivalence:
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_gamma_sweep_equals_the_engine_mean_per_gamma(self, directed):
+        """Each point is the mean exponential accuracy of one engine call
+        with that gamma's weighted paths, gamma = 0 included, bit for bit."""
+        from repro.datasets import twitter, wiki_vote
+
+        graph = twitter(scale=0.05) if directed else wiki_vote(scale=0.03)
+        targets = list(range(0, graph.num_nodes, 4))
+        gammas = (0.0, 0.0001, 0.005, 0.05)
+        swept = gamma_sweep(graph, targets, gammas=gammas, epsilon=0.5)
+        assert [gamma for gamma, _, _ in swept] == list(gammas)
+        for gamma, sensitivity, mean_accuracy in swept:
+            utility = WeightedPaths(gamma=gamma)
+            assert sensitivity == utility.sensitivity(graph, 0)
+            mechanisms = {"exp": ExponentialMechanism(0.5, sensitivity=sensitivity)}
+            evaluations = evaluate_targets_batched(graph, utility, targets, mechanisms)
+            expected = np.asarray([e.accuracies["exp"] for e in evaluations]).mean()
+            assert mean_accuracy == float(expected)
+
     def test_gamma_sweep_matches_direct_per_gamma_evaluation(self, sweep_graph):
-        """The shared walk matrices must reproduce what building each
+        """The shared walk rows must reproduce what building each
         WeightedPaths utility from scratch produces."""
         targets = list(range(15))
         gammas = (0.0, 0.0005, 0.05)

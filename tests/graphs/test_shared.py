@@ -19,7 +19,7 @@ from repro.graphs import (
     read_edge_list,
 )
 from repro.graphs.generators import build_powerlaw_shared, erdos_renyi_gnm
-from repro.graphs.shared import SEGMENT_PREFIX
+from repro.graphs.shared import SEGMENT_PREFIX, contiguous_node_range
 
 BACKINGS = ["shm", "mmap"]
 
@@ -406,3 +406,22 @@ class TestOutOfCoreBuilders:
         with load_edge_list_shared(path, directed=True) as shared:
             assert shared == heap
             assert shared.num_edges == 3  # dedup + self-loop drop
+
+
+class TestNodeRangeSharding:
+    def test_contiguous_node_range_detects_ranges(self):
+        assert contiguous_node_range(np.arange(5, 11)) == (5, 11)
+        assert contiguous_node_range(np.array([3])) == (3, 4)
+        assert contiguous_node_range(np.array([], dtype=np.int64)) is None
+        assert contiguous_node_range(np.array([1, 3, 4])) is None
+        assert contiguous_node_range(np.array([4, 3, 2])) is None
+
+    def test_duplicates_and_two_dimensional_targets_are_not_ranges(self):
+        assert contiguous_node_range(np.array([2, 3, 3])) is None
+        assert contiguous_node_range(np.array([2, 2, 4])) is None
+        assert contiguous_node_range(np.arange(6).reshape(2, 3)) is None
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64, np.uint32])
+    def test_any_integer_dtype_and_list_input(self, dtype):
+        assert contiguous_node_range(np.arange(3, 9, dtype=dtype)) == (3, 9)
+        assert contiguous_node_range([0, 1, 2]) == (0, 3)

@@ -10,7 +10,6 @@ from repro.errors import GraphError
 from repro.graphs.generators import erdos_renyi_gnp
 from repro.graphs.graph import SocialGraph
 from repro.graphs.traversal import (
-    batch_walk_matrices,
     bfs_distances,
     connected_component,
     count_paths_up_to,
@@ -119,27 +118,32 @@ def test_walks_consistent_on_random_graphs():
         np.testing.assert_allclose(counts[2], np.linalg.matrix_power(dense, 3)[4])
 
 
-class TestBatchWalkMatrices:
+class TestSparseWalkRows:
+    """Batched walk counts: ``A[targets]`` and repeated
+    ``adjacency_product`` steps, the sparse rows weighted paths reads."""
+
     @pytest.mark.parametrize("directed", [False, True])
     def test_matches_per_source_walk_counts(self, directed):
         g = erdos_renyi_gnp(25, 0.15, directed=directed, seed=13)
         targets = np.arange(0, 25, 3)
-        matrices = batch_walk_matrices(g, targets, max_length=3)
-        assert len(matrices) == 3
+        matrices = [g.adjacency_rows(targets)]
+        for _ in range(2):
+            matrices.append(g.adjacency_product(matrices[-1]))
         for row, source in enumerate(targets):
             counts = walk_counts(g, int(source), 3)
             for length_index in range(3):
                 assert np.array_equal(
-                    matrices[length_index][row], counts[length_index]
+                    matrices[length_index][row].toarray().ravel(), counts[length_index]
                 ), (source, length_index)
 
     def test_length_one_only(self):
         g = erdos_renyi_gnp(10, 0.3, seed=2)
-        [w1] = batch_walk_matrices(g, [0, 4], max_length=1)
+        w1 = g.adjacency_rows([0, 4]).toarray()
         dense = g.adjacency_matrix().toarray()
         assert np.array_equal(w1, dense[[0, 4]])
+        assert np.array_equal(w1[1], walk_counts(g, 4, 1)[0])
 
     def test_invalid_length_rejected(self):
         g = erdos_renyi_gnp(5, 0.5, seed=1)
         with pytest.raises(GraphError):
-            batch_walk_matrices(g, [0], max_length=0)
+            walk_counts(g, 0, max_length=0)

@@ -15,31 +15,31 @@ from repro.utility.base import UtilityVector, candidate_nodes
 from tests.conftest import make_uniforms
 
 
-class TestBatchScores:
+def assert_rows_match_scores(utility, graph, targets):
+    """Each sparse score row equals the target's ``scores`` vector bit for
+    bit, the target's own entry aside (every consumer excludes it)."""
+    matrix = utility.support_scores(graph, targets).toarray()
+    assert matrix.shape == (len(targets), graph.num_nodes)
+    for row, target in enumerate(targets):
+        np.testing.assert_array_equal(
+            np.delete(matrix[row], target), np.delete(utility.scores(graph, target), target)
+        )
+
+
+class TestSupportScores:
     def test_common_neighbors_matches_sequential_undirected(self):
         graph = wiki_vote(scale=0.03)
-        utility = CommonNeighbors()
         targets = [0, 3, 11, 50, graph.num_nodes - 1]
-        matrix = utility.batch_scores(graph, targets)
-        assert matrix.shape == (len(targets), graph.num_nodes)
-        for row, target in enumerate(targets):
-            np.testing.assert_allclose(matrix[row], utility.scores(graph, target))
+        assert_rows_match_scores(CommonNeighbors(), graph, targets)
 
     def test_common_neighbors_matches_sequential_directed(self):
         graph = toy.directed_fan(out_degree=4)
-        utility = CommonNeighbors()
-        targets = list(range(graph.num_nodes))
-        matrix = utility.batch_scores(graph, targets)
-        for row, target in enumerate(targets):
-            np.testing.assert_allclose(matrix[row], utility.scores(graph, target))
+        assert_rows_match_scores(CommonNeighbors(), graph, list(range(graph.num_nodes)))
 
     def test_generic_fallback_matches_sequential(self):
         graph = toy.two_communities(block_size=5)
-        utility = JaccardCoefficient()  # no vectorized override
-        targets = [0, 2, 7]
-        matrix = utility.batch_scores(graph, targets)
-        for row, target in enumerate(targets):
-            np.testing.assert_allclose(matrix[row], utility.scores(graph, target))
+        utility = JaccardCoefficient()  # no sparse override
+        assert_rows_match_scores(utility, graph, [0, 2, 7])
 
 
 class TestExcludedRows:

@@ -2,10 +2,10 @@
 
 The contract under test: the kernel and sampler tasks are pure and all
 stateful work (budget charges, cache fills, ledger rows) is applied by
-the service, so the byte budget that chunks a dense fill cannot lose
-budget charges, double-count cache statistics, or perturb the ledger
-rows — and external submitters on several threads serialize whole
-batches on the service's submission lock.
+the service, so splitting a request stream into smaller batches cannot
+lose budget charges, double-count cache statistics, or perturb the
+ledger rows — and external submitters on several threads serialize
+whole batches on the service's submission lock.
 """
 
 from __future__ import annotations
@@ -18,13 +18,13 @@ from repro.datasets import wiki_vote
 from repro.serving import RecommendationService, synthetic_workload
 from repro.telemetry import Telemetry
 from repro.utility.weighted_paths import WeightedPaths
+from tests.conftest import chunks
 
-#: Budgets the integrity contract must hold under, in rows per chunk:
-#: one target per chunk, eight, and the default budget (one chunk here).
-BUDGET_ROWS = [1, 8, None]
+#: Batch splits the integrity contract must hold under, in requests per
+#: batch: one, eight, and the whole request list in one batch.
+BATCH_ROWS = [1, 8, None]
 
-#: Weighted paths fills through the default, dense ``support_scores``,
-#: so the byte budget really splits its fills into chunks.
+#: Weighted paths fills from sparse walk rows recombined per batch.
 UTILITY = WeightedPaths(gamma=0.005)
 
 
@@ -40,59 +40,70 @@ def make_service(graph, **kwargs):
     return RecommendationService(graph, UTILITY, **kwargs)
 
 
-def run_batches(service):
+def run_batches(service, rows=None):
+    """A cold pass over 44 requests, then a warm pass over 20, each sent
+    in batches of ``rows`` requests (``None``: one batch per pass)."""
     users = list(range(40)) + [3, 3, 7, 3]
     responses = []
-    responses.extend(service.recommend_batch(users))
-    responses.extend(service.recommend_batch(users[:20]))  # warm-cache pass
+    for requests in (users, users[:20]):  # the second pass hits the cache
+        for batch in chunks(requests, rows or len(requests)):
+            responses.extend(service.recommend_batch(batch))
     return responses
+
+
+def decisions(responses) -> list:
+    """Every response field but ``cache_hit``: a repeat inside one batch
+    is no cache hit, the same repeat in a later batch is."""
+    return [
+        (r.user, r.recommendations, r.epsilon_spent, r.mechanism, r.status)
+        for r in responses
+    ]
 
 
 class TestChunkIdentity:
     @pytest.mark.parametrize("rows", [1, 3, None])
-    def test_recommendations_bit_identical_across_budgets(
-        self, graph, budget_rows, rows
-    ):
+    def test_recommendations_bit_identical_across_batch_splits(self, graph, rows):
         reference = run_batches(make_service(graph))
-        budget_rows(graph.num_nodes, rows)
-        chunked = run_batches(make_service(graph))
+        chunked = run_batches(make_service(graph), rows)
         assert [r.recommendations for r in chunked] == [
             r.recommendations for r in reference
         ]
         assert [r.status for r in chunked] == [r.status for r in reference]
 
     @pytest.mark.parametrize("utility", ["common_neighbors", UTILITY], ids=["cn", "wp"])
-    def test_workload_responses_and_ledger_rows_identical(
-        self, graph, budget_rows, utility
-    ):
-        """A skewed request stream in fixed batches: responses and the
-        privacy ledger's rows do not depend on the byte budget."""
+    def test_workload_responses_and_ledger_rows_identical(self, graph, utility):
+        """A skewed request stream in batches of 64 and of 16: responses
+        and the privacy ledger's rows do not depend on the split."""
         requests = synthetic_workload(graph, 300, seed=5)
         users = [request.user for request in requests]
 
-        def replay():
+        def replay(size):
             service = RecommendationService(
                 graph, utility, epsilon=0.5, seed=7, telemetry=Telemetry.create(),
             )
             responses = []
-            for start in range(0, len(users), 64):
-                responses.extend(service.recommend_batch(users[start:start + 64]))
+            for batch in chunks(users, size):
+                responses.extend(service.recommend_batch(batch))
             return responses, service.telemetry.ledger.raw_rows()
 
-        responses, rows = replay()
-        budget_rows(graph.num_nodes, 16)
-        chunked_responses, chunked_rows = replay()
-        assert chunked_responses == responses
+        responses, rows = replay(64)
+        chunked_responses, chunked_rows = replay(16)
+        assert decisions(chunked_responses) == decisions(responses)
+        # Finer batches only add hits: whatever was resident when a batch
+        # of 64 started is still resident when its pieces run.
+        assert all(
+            split.cache_hit or not whole.cache_hit
+            for split, whole in zip(chunked_responses, responses)
+        )
         assert chunked_rows == rows
         assert len(rows) == len(users)
 
 
 class TestBudgetAndStatsIntegrity:
-    @pytest.mark.parametrize("rows", BUDGET_ROWS)
-    def test_no_lost_budget_charges(self, graph, budget_rows, rows):
-        budget_rows(graph.num_nodes, rows)
+    @pytest.mark.parametrize("rows", BATCH_ROWS)
+    def test_no_lost_budget_charges(self, graph, rows):
         service = make_service(graph)
-        responses = run_batches(service)
+        responses = run_batches(service, rows)
         served = [r for r in responses if r.served]
         # Every served response charged exactly its epsilon — summed per
         # user, nothing lost.
@@ -104,35 +115,33 @@ class TestBudgetAndStatsIntegrity:
         for user, expected in per_user.items():
             assert service.budgets.spent(user) == pytest.approx(expected)
 
-    @pytest.mark.parametrize("rows", BUDGET_ROWS)
-    def test_no_double_counted_cache_stats(self, graph, budget_rows, rows):
-        budget_rows(graph.num_nodes, rows)
+    @pytest.mark.parametrize("rows", BATCH_ROWS)
+    def test_no_double_counted_cache_stats(self, graph, rows):
         service = make_service(graph)
         users = list(range(30))
-        service.recommend_batch(users)
+        for batch in chunks(users, rows or len(users)):
+            service.recommend_batch(batch)
         snap = service.cache.snapshot()
-        # Cold batch: one miss per unique user, no phantom hits.
+        # Cold pass: one miss per unique user, no phantom hits.
         assert snap["misses"] == 30
         assert snap["hits"] == 0
-        service.recommend_batch(users)
-        # Warm batch: one hit per unique user.
+        for batch in chunks(users, rows or len(users)):
+            service.recommend_batch(batch)
+        # Warm pass: one hit per unique user.
         snap = service.cache.snapshot()
         assert snap["misses"] == 30
         assert snap["hits"] == 30
 
-    @pytest.mark.parametrize("per_chunk", BUDGET_ROWS)
-    def test_ledger_rows_deterministic_and_complete(
-        self, graph, budget_rows, per_chunk
-    ):
+    @pytest.mark.parametrize("per_batch", BATCH_ROWS)
+    def test_ledger_rows_deterministic_and_complete(self, graph, per_batch):
         reference = make_service(graph)
         reference_rows: list = []
         reference.attach_row_sink(reference_rows.extend)
         run_batches(reference)
-        budget_rows(graph.num_nodes, per_chunk)
         service = make_service(graph)
         rows: list = []
         service.attach_row_sink(rows.extend)
-        responses = run_batches(service)
+        responses = run_batches(service, per_batch)
         assert len(rows) == len(responses)  # every request served and charged
         ids = [row[6] for row in rows]  # a service row's clock is its request id
         assert ids == sorted(set(ids))  # unique and ordered
@@ -141,16 +150,20 @@ class TestBudgetAndStatsIntegrity:
         ]
         assert rows == reference_rows
 
-    def test_budget_exhaustion_consistent_under_threads(self, graph, budget_rows):
-        """Repeated users hitting their cap, within one batch and from
-        several submitting threads: the triage happens before any kernel
-        runs and batches serialize on the submission lock, so nothing
-        overspends."""
-        budget_rows(graph.num_nodes, 2)
-        service = make_service(graph, user_budget=2.0, seed=1)
-        responses = service.recommend_batch([9] * 7)  # 4 releases fit
-        assert [r.served for r in responses] == [True] * 4 + [False] * 3
-        assert service.budgets.spent(9) == pytest.approx(2.0)
+    def test_budget_exhaustion_consistent_under_threads(self, graph):
+        """Repeated users hitting their cap, within one batch, across
+        batches of two and from several submitting threads: the triage
+        happens before any kernel runs and batches serialize on the
+        submission lock, so nothing overspends."""
+        for rows in (7, 2):
+            service = make_service(graph, user_budget=2.0, seed=1)
+            responses = [
+                response
+                for batch in chunks([9] * 7, rows)
+                for response in service.recommend_batch(batch)
+            ]  # 4 releases fit
+            assert [r.served for r in responses] == [True] * 4 + [False] * 3
+            assert service.budgets.spent(9) == pytest.approx(2.0)
 
         service = make_service(graph, user_budget=2.0, seed=1)
         batches: list = []
@@ -169,11 +182,10 @@ class TestBudgetAndStatsIntegrity:
         assert len(served) == 12 and sum(served) == 4
         assert service.budgets.spent(9) == pytest.approx(2.0)
 
-    def test_concurrent_submitters_keep_every_ledger_row(self, graph, budget_rows):
+    def test_concurrent_submitters_keep_every_ledger_row(self, graph):
         """Four threads submitting interleaved batches: each batch comes
         back whole and in its own user order, every request leaves exactly
         one ledger row, and request ids stay unique and ordered."""
-        budget_rows(graph.num_nodes, 3)
         service = make_service(graph)
         rows: list = []
         service.attach_row_sink(rows.extend)

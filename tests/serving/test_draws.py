@@ -4,8 +4,8 @@ A served exponential pick depends only on the request's utility row and
 its two uniforms, and the service draws exactly two uniforms per served
 request, in request order, and none for a refused one. So same-seed
 services answer the same request sequence identically however it is
-split into batches or single calls, at every compute byte budget, and a
-row's storage form or float width does not change its pick.
+split into batches or single calls, and a row's storage form or float
+width does not change its pick.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from repro.errors import BudgetExhaustedError
 from repro.mechanisms import ExponentialMechanism
 from repro.utility.base import UtilityVector
 from repro.utility.weighted_paths import WeightedPaths
-from tests.conftest import make_uniforms
+from tests.conftest import chunks, make_uniforms
 
 SEED = 2024
 
@@ -63,13 +63,18 @@ def test_single_calls_equal_batches(graph, users):
 
 
 @pytest.mark.parametrize("rows", [1, 3, 7, None])
-def test_every_byte_budget_draws_the_same(graph, users, budget_rows, rows):
-    """Weighted paths sparsify budget-sized dense score blocks; the picks
-    do not depend on the budget."""
+def test_every_batch_split_draws_the_same(graph, users, rows):
+    """Weighted paths recombines the sparse walk rows of each batch's
+    misses; the picks do not depend on how the requests are batched."""
     utility = WeightedPaths(gamma=0.05)
     reference = _picks(_service(graph, utility=utility).recommend_batch(users))
-    budget_rows(graph.num_nodes, rows)
-    assert _picks(_service(graph, utility=utility).recommend_batch(users)) == reference
+    service = _service(graph, utility=utility)
+    picks = [
+        pick
+        for batch in chunks(users, rows or len(users))
+        for pick in _picks(service.recommend_batch(batch))
+    ]
+    assert picks == reference
 
 
 def test_generator_advances_two_doubles_per_served_request(graph):

@@ -64,16 +64,15 @@ class TestServeWhileMutatingIdentity:
         assert overlay.graph.stamp[1] == compacting.graph.stamp[1]
 
     @pytest.mark.parametrize("rows", [8, 1, 32])
-    def test_identity_across_budgets(self, budget_rows, rows):
+    def test_identity_across_batch_splits(self, rows):
         graph = small_graph()
         events = synthetic_event_stream(
             graph, 150, add_fraction=0.1, remove_fraction=0.05, seed=9
         )
         serial = StreamingService(graph, epsilon=0.5, user_budget=1e9, seed=7)
         reference = run_stream(serial, events)
-        budget_rows(graph.num_nodes, rows)
         chunked = StreamingService(graph, epsilon=0.5, user_budget=1e9, seed=7)
-        assert run_stream(chunked, events) == reference
+        assert run_stream(chunked, events, batch_size=rows) == reference
 
     def test_cache_survives_mutations_selectively(self):
         graph = small_graph()
@@ -441,20 +440,20 @@ class TestReplayStream:
         with pytest.raises(ServingError):
             replay_stream(service, [], batch_size=0)
 
-    def test_replay_summary_identical_across_budgets(self, budget_rows):
-        """The byte budget changes neither the picks nor any replay accounting."""
+    def test_replay_summary_identical_across_batch_splits(self):
+        """The batch size changes neither the picks nor any replay accounting."""
         graph = small_graph()
         events = synthetic_event_stream(
             graph, 120, add_fraction=0.08, remove_fraction=0.04, seed=11
         )
 
-        def replay():
+        def replay(batch_size):
             service = StreamingService(
                 graph, epsilon=0.5, user_budget=3.0, seed=13, compact_every=30,
             )
             picks = []
             summary = replay_stream(
-                service, events, batch_size=16,
+                service, events, batch_size=batch_size,
                 on_response=lambda r: picks.append((r.status, r.recommendations)),
             )
             counts = (
@@ -464,6 +463,4 @@ class TestReplayStream:
             )
             return picks, counts
 
-        reference = replay()
-        budget_rows(graph.num_nodes, 4)
-        assert replay() == reference
+        assert replay(4) == replay(16)

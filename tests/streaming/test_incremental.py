@@ -22,6 +22,7 @@ from repro.streaming.events import synthetic_event_stream
 from repro.streaming.overlay import MutableSocialGraph
 from repro.utility.common_neighbors import CommonNeighbors
 from repro.utility.weighted_paths import WeightedPaths
+from tests.conftest import chunks
 
 
 def random_overlay(rng, n=30, num_edges=90, directed=False):
@@ -84,20 +85,20 @@ class TestInterleavedPatchingProperty:
         assert snap["patched_rows"] > 0
         assert snap["selective_evictions"] > 0  # endpoint rows still evict
 
-    def test_rows_of_a_batch_fill_patch_to_recompute(self, budget_rows):
-        """Rows a batch fill produced and ``put`` carry the same sparse
+    def test_rows_of_a_batch_fill_patch_to_recompute(self):
+        """Rows batch fills produced and ``put`` carry the same sparse
         side-car as a cache miss's, so they patch to the from-scratch row;
-        the byte budget (here 3 rows) does not reach the sparse fill."""
+        filling the targets 3 at a time changes no row."""
         from repro.compute.kernels import utility_vectors
 
         rng = np.random.default_rng(42)
         graph = random_overlay(rng)
         utility = WeightedPaths(gamma=0.01, max_length=3)
         cache = UtilityCache(graph, utility)
-        budget_rows(graph.num_nodes, 3)
         targets = np.arange(graph.num_nodes, dtype=np.int64)
-        for vector in utility_vectors(graph, utility, targets, with_components=True):
-            cache.put(vector.target, vector)
+        for part in chunks(targets, 3):
+            for vector in utility_vectors(graph, utility, part, with_components=True):
+                cache.put(vector.target, vector)
         for _ in range(60):
             flip_random_edge(rng, graph)
             for target in rng.integers(0, graph.num_nodes, 3):
@@ -209,7 +210,7 @@ class TestServiceIntegration:
         assert snap["invalidations"] == 0
         assert snap["patched_rows"] > 0
 
-    def test_patching_and_full_flush_serve_identical_picks(self, budget_rows):
+    def test_patching_and_full_flush_serve_identical_picks(self):
         # materialize(): each run wraps its own fresh copy — passing the
         # overlay itself would share mutation state across runs.
         graph = random_overlay(np.random.default_rng(21), n=60, num_edges=200).materialize()
@@ -217,7 +218,7 @@ class TestServiceIntegration:
             graph, 150, add_fraction=0.1, remove_fraction=0.06, seed=4
         )
 
-        def run(utility):
+        def run(utility, batch_size=16):
             service = StreamingService(
                 graph, utility, epsilon=0.5, user_budget=1e9, seed=11
             )
@@ -225,15 +226,14 @@ class TestServiceIntegration:
             replay_stream(
                 service,
                 events,
-                batch_size=16,
+                batch_size=batch_size,
                 on_response=lambda r: picks.append(tuple(r.recommendations)),
             )
             return picks, service
 
         patched_picks, patched = run(WeightedPaths())
         flushed_picks, flushed = run(FlushingWeightedPaths())
-        budget_rows(graph.num_nodes, 8)
-        chunked_picks, _ = run(WeightedPaths())
+        chunked_picks, _ = run(WeightedPaths(), batch_size=8)
         assert patched.cache.patchable
         assert not flushed.cache.patchable
         assert patched.cache.snapshot()["patched_rows"] > 0
@@ -242,30 +242,29 @@ class TestServiceIntegration:
         assert patched_picks == flushed_picks == chunked_picks
 
     @pytest.mark.parametrize("rows", [4, 1])
-    def test_patching_identity_across_budgets(self, budget_rows, rows):
-        """Patching and full-flush caches serve the same picks at the
-        default byte budget and at a budget of a few rows per chunk."""
+    def test_patching_identity_across_batch_splits(self, rows):
+        """Patching and full-flush caches serve the same picks in batches
+        of 16 and in batches of a few requests."""
         graph = random_overlay(np.random.default_rng(23), n=50, num_edges=160).materialize()
         events = synthetic_event_stream(
             graph, 100, add_fraction=0.12, remove_fraction=0.06, seed=8
         )
 
-        def picks(utility):
+        def picks(utility, batch_size=16):
             service = StreamingService(
                 graph, utility, epsilon=0.5, user_budget=1e9, seed=2
             )
             recorded = []
             replay_stream(
-                service, events, batch_size=16,
+                service, events, batch_size=batch_size,
                 on_response=lambda r: recorded.append(tuple(r.recommendations)),
             )
             return recorded
 
         reference = picks(WeightedPaths())
         assert picks(FlushingWeightedPaths()) == reference
-        budget_rows(graph.num_nodes, rows)
-        assert picks(WeightedPaths()) == reference
-        assert picks(FlushingWeightedPaths()) == reference
+        assert picks(WeightedPaths(), rows) == reference
+        assert picks(FlushingWeightedPaths(), rows) == reference
 
     def test_collect_metrics_exports_patched_rows_gauge(self):
         from repro.telemetry import Telemetry

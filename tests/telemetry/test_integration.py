@@ -23,6 +23,7 @@ from repro.graphs.generators import erdos_renyi_gnp
 from repro.serving import RecommendationService
 from repro.streaming import StreamingService, replay_stream, synthetic_event_stream
 from repro.telemetry import Telemetry, runtime, traced_map
+from tests.conftest import chunks
 
 
 @pytest.fixture(scope="module")
@@ -134,17 +135,17 @@ class TestTracedMapContract:
 
 class TestServingTelemetry:
     @pytest.mark.parametrize("rows", [8, 3, None])
-    def test_batch_replay_reconciles_and_counts_deterministically(
-        self, graph, budget_rows, rows
-    ):
-        budget_rows(graph.num_nodes, rows)
+    def test_batch_replay_reconciles_and_counts_deterministically(self, graph, rows):
         telemetry = Telemetry.create()
         service = RecommendationService(
             graph, epsilon=0.5, user_budget=2.0, seed=7, telemetry=telemetry,
         )
         users = list(range(30)) + [3, 3, 7]
-        for _ in range(3):  # third round starts refusing (budget 2.0 / 0.5)
-            service.recommend_batch(users)
+        batches = [
+            service.recommend_batch(part)
+            for _ in range(3)  # third round starts refusing (budget 2.0 / 0.5)
+            for part in chunks(users, rows or len(users))
+        ]
         service.verify_ledger()
         registry = service.collect_metrics()
         served = registry.counter("serve.served").value
@@ -153,13 +154,19 @@ class TestServingTelemetry:
         assert rejected > 0
         assert registry.histogram("serve.request_seconds").count == 3 * len(users)
         assert len(telemetry.ledger) == 3 * len(users)
-        # Task accounting is one kernel call per batch with misses (only
-        # the cold first round here) and one sampler call per batch that
-        # serves anyone, whatever the byte budget.
-        assert registry.counter("serve.vectors.chunks").value == 1
-        assert telemetry.tracer.count("serve.vectors") == 1
-        assert registry.counter("serve.sample.chunks").value == 3
-        assert telemetry.tracer.count("serve.sample") == 3
+        # Task accounting is one kernel call per batch with misses and one
+        # sampler call per batch that serves anyone, however the requests
+        # are split: unsplit, only the cold first round misses.
+        kernel_calls = sum(
+            any(r.served and not r.cache_hit for r in batch) for batch in batches
+        )
+        sampler_calls = sum(any(r.served for r in batch) for batch in batches)
+        if rows is None:
+            assert (kernel_calls, sampler_calls) == (1, 3)
+        assert registry.counter("serve.vectors.chunks").value == kernel_calls
+        assert telemetry.tracer.count("serve.vectors") == kernel_calls
+        assert registry.counter("serve.sample.chunks").value == sampler_calls
+        assert telemetry.tracer.count("serve.sample") == sampler_calls
 
     def test_recommendations_identical_with_and_without_telemetry(self, graph):
         def run(telemetry):
@@ -187,9 +194,8 @@ class TestServingTelemetry:
 
 
 class TestStreamingTelemetry:
-    @pytest.mark.parametrize("rows", [8, 1, None])
-    def test_mixed_replay_reconciles_both_accountant_types(self, budget_rows, rows):
-        budget_rows(80, rows)
+    @pytest.mark.parametrize("batch_size", [8, 1, 32])
+    def test_mixed_replay_reconciles_both_accountant_types(self, batch_size):
         telemetry = Telemetry.create()
         service = StreamingService(
             erdos_renyi_gnp(80, 0.08, seed=2),
@@ -198,7 +204,7 @@ class TestStreamingTelemetry:
             telemetry=telemetry,
         )
         events = synthetic_event_stream(service.graph, 400, seed=3)
-        summary = replay_stream(service, events, batch_size=32)
+        summary = replay_stream(service, events, batch_size=batch_size)
         assert summary.num_served > 0 and summary.num_rejected > 0
         service.verify_ledger()  # lifetime AND window accountants
         ledger = telemetry.ledger

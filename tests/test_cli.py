@@ -95,34 +95,32 @@ class TestComputeFlags:
         with pytest.raises(ExperimentError, match=f"max_targets must be >= 1, got {cap}"):
             main(["figure", "1a", "--scale", "0.02", "--max-targets", cap])
 
-    def test_serve_sim_ledger_identical_across_budgets(
-        self, tmp_path, capsys, budget_rows
-    ):
-        """The byte budget is a layout detail end to end: the same
-        requests are served and charged, through the same traced calls."""
+    def test_serve_sim_ledger_identical_across_batch_splits(self, tmp_path, capsys):
+        """The batch size is a layout detail end to end: the same requests
+        are served and charged, through one traced batch call each."""
         dumps = {}
-        for rows in (None, 1):
-            if rows is not None:
-                budget_rows(wiki_num_nodes(0.03), rows)
-            out = tmp_path / f"telemetry_{rows}.json"
+        for batch_size in (20, 7):
+            out = tmp_path / f"telemetry_{batch_size}.json"
             code = main(
                 ["serve-sim", "--scale", "0.03", "--requests", "60",
-                 "--batch-size", "20", "--telemetry-out", str(out)]
+                 "--batch-size", str(batch_size), "--telemetry-out", str(out)]
             )
             assert code == 0
-            dumps[rows] = json.loads(out.read_text())
+            dumps[batch_size] = json.loads(out.read_text())
         capsys.readouterr()
-        assert len(dumps[None]["ledger"]) == 60
-        assert dumps[None]["ledger"] == dumps[1]["ledger"]
-        assert [span["name"] for span in dumps[None]["spans"]] == [
-            span["name"] for span in dumps[1]["spans"]
-        ]
-
-
-def wiki_num_nodes(scale: float) -> int:
-    from repro.datasets import wiki_vote
-
-    return wiki_vote(scale=scale).num_nodes
+        assert len(dumps[20]["ledger"]) == 60
+        assert dumps[20]["ledger"] == dumps[7]["ledger"]
+        for batch_size, dump in dumps.items():
+            # One traced batch call per batch: an optional kernel span (the
+            # batch missed the cache), then the sampler, then the batch.
+            names = " ".join(span["name"] for span in dump["spans"])
+            batches = names.split("serve.recommend_batch")
+            assert batches.pop().strip() == ""
+            assert len(batches) == -(-60 // batch_size)
+            assert {batch.strip() for batch in batches} <= {
+                "serve.vectors serve.sample", "serve.sample",
+            }
+            assert "serve.vectors" in names
 
 
 class TestTelemetryOut:

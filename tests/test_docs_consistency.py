@@ -139,8 +139,8 @@ REMOVED_NAMES = {
         "DEFAULT_PATCH_CROSSOVER",
     ),
     # User-set chunk sizes, the serving dtype and serve-sim's churn mode:
-    # one byte budget sizes every chunk, serving runs in float64, and
-    # serving under churn is stream-sim's job.
+    # no stage is chunked, serving runs in float64, and serving under
+    # churn is stream-sim's job.
     "compute-knobs": (
         "with_dtype", "FUSED_CHUNK_BYTES", "_fused_default_chunk", "mutate_every",
     ),
@@ -158,6 +158,14 @@ REMOVED_NAMES = {
         "candidate_mask", "candidate_mask_rows", "apply_edge_delta",
         "candidate_position_map", "batch_score_components",
         "combine_component_matrices", "kernel.scores64", "kernel.mask",
+    ),
+    # The byte budget, its chunk plans, the buffer arena and every dense
+    # score block: weighted paths and the gamma sweep recombine sparse
+    # walk rows, and the default support_scores reads one row at a time.
+    "dense-compute": (
+        "ComputePlan", "TargetChunk", "CHUNK_BYTES", "chunk_rows", "Workspace",
+        "get_workspace", "reset_workspace", "batch_walk_matrices",
+        "combine_walk_matrices", "batch_scores", "ComputeError",
     ),
     # The coalescer's per-dispatch size list grew without bound; the
     # edge.batch_size histogram records the distribution.
@@ -262,6 +270,49 @@ class TestRemovedNames:
             MutableSocialGraph(4, journal_horizon=1)
         with pytest.raises(TypeError):
             MutableSocialGraph.from_graph(toy.star(4), journal_horizon=1)
+
+
+class TestNoChunkSizeArgument:
+    """No entry point takes a chunk size, so passing one is a caller
+    error, not a silent no-op (the services are covered by
+    ``TestRemovedNames.test_removed_arguments_are_rejected``)."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        from repro.graphs.generators import erdos_renyi_gnp
+
+        return erdos_renyi_gnp(20, 0.2, seed=1)
+
+    def test_batched_engine(self, graph):
+        from repro.accuracy.batch import evaluate_targets_batched
+        from repro.mechanisms.best import BestMechanism
+        from repro.utility.common_neighbors import CommonNeighbors
+
+        with pytest.raises(TypeError):
+            evaluate_targets_batched(
+                graph, CommonNeighbors(), range(5), {"best": BestMechanism()},
+                chunk_size=4,
+            )
+
+    def test_epsilon_sweep(self, graph):
+        from repro.experiments.sweeps import epsilon_sweep
+        from repro.utility.common_neighbors import CommonNeighbors
+
+        with pytest.raises(TypeError):
+            epsilon_sweep(graph, CommonNeighbors(), range(5), chunk_size=4)
+
+    def test_gamma_sweep(self, graph):
+        from repro.experiments.sweeps import gamma_sweep
+
+        with pytest.raises(TypeError):
+            gamma_sweep(graph, range(5), chunk_size=4)
+
+    @pytest.mark.parametrize("figure_id", ["1a", "1b", "2a", "2b", "2c"])
+    def test_figure_drivers(self, figure_id):
+        from repro.experiments.figures import FIGURE_DRIVERS
+
+        with pytest.raises(TypeError):
+            FIGURE_DRIVERS[figure_id](chunk_size=4)
 
 
 class TestPublicApiDocstrings:

@@ -55,7 +55,6 @@ class TestUtilityVector:
                 scores[scores > 0] = np.nan
                 return scores
 
-            batch_scores = UtilityFunction.batch_scores
             support_scores = UtilityFunction.support_scores
 
         with pytest.raises(UtilityError, match="finite"):
@@ -207,6 +206,56 @@ class TestRegistry:
     def test_make_unknown_utility_raises(self):
         with pytest.raises(UtilityError, match="unknown utility"):
             make_utility("nonexistent")
+
+
+#: Registered utilities that keep the per-target default ``support_scores``.
+DEFAULT_SUPPORT_SCORES = sorted(
+    name
+    for name, cls in utility_registry().items()
+    if cls.support_scores is UtilityFunction.support_scores
+)
+
+
+class TestDefaultSupportScores:
+    def test_every_builtin_without_a_product_form_is_covered(self):
+        assert {"adamic_adar", "jaccard", "personalized_pagerank"} <= set(
+            DEFAULT_SUPPORT_SCORES
+        )
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("name", DEFAULT_SUPPORT_SCORES)
+    def test_rows_equal_utility_vector(self, name, directed):
+        """Row ``j`` holds exactly the non-zeros of ``scores(targets[j])``,
+        and the support-form vectors built from it equal the per-target
+        ``utility_vector`` bit for bit."""
+        from repro.compute import utility_vectors
+        from repro.graphs.generators import erdos_renyi_gnp
+
+        graph = erdos_renyi_gnp(40, 0.12, directed=directed, seed=3)
+        utility = make_utility(name)
+        targets = np.arange(0, 40, 3)
+        matrix = utility.support_scores(graph, targets)
+        assert matrix.shape == (targets.size, graph.num_nodes)
+        assert (matrix.data != 0).all()
+        for row, target in enumerate(targets):
+            scores = np.asarray(utility.scores(graph, int(target)), dtype=np.float64)
+            got = matrix[row].toarray().ravel()
+            assert np.array_equal(got.view(np.int64), scores.view(np.int64))
+        for vector in utility_vectors(graph, utility, targets):
+            reference = utility.utility_vector(graph, vector.target)
+            assert np.array_equal(vector.candidates, reference.candidates)
+            assert np.array_equal(vector.values, reference.values)
+            assert vector.target_degree == reference.target_degree
+
+    def test_wrong_length_scores_rejected(self, example_graph):
+        class Short(CommonNeighbors):
+            def scores(self, graph, target):
+                return super().scores(graph, target)[:-1]
+
+            support_scores = UtilityFunction.support_scores
+
+        with pytest.raises(UtilityError, match="shape"):
+            Short().support_scores(example_graph, [0, 1])
 
 
 @given(

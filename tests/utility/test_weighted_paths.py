@@ -5,10 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compute.kernels import excluded_rows
 from repro.datasets import toy
 from repro.errors import UtilityError
 from repro.graphs.generators import erdos_renyi_gnp
-from repro.graphs.traversal import batch_walk_matrices
+from repro.graphs.graph import SocialGraph
+from repro.streaming.overlay import MutableSocialGraph
+from repro.utility.base import support_rows
 from repro.utility.common_neighbors import CommonNeighbors
 from repro.utility.weighted_paths import WeightedPaths
 from tests.conftest import make_vector
@@ -107,31 +110,93 @@ class TestExperimentalT:
         assert WeightedPaths().experimental_t(vector) == 6
 
 
-class TestBatchScores:
-    @pytest.mark.parametrize("directed", [False, True])
-    @pytest.mark.parametrize("gamma", [0.0, 0.005, 0.05])
-    def test_batch_rows_bit_identical_to_scores(self, directed, gamma):
-        g = erdos_renyi_gnp(30, 0.15, directed=directed, seed=21)
-        utility = WeightedPaths(gamma=gamma)
-        targets = np.arange(0, 30, 4)
-        matrix = utility.batch_scores(g, targets)
-        for row, target in enumerate(targets):
-            assert np.array_equal(matrix[row], utility.scores(g, int(target)))
+def stacked_scores(utility, graph, targets) -> np.ndarray:
+    return np.stack([utility.scores(graph, int(target)) for target in targets])
 
-    def test_combine_reuses_gamma_independent_walk_matrices(self):
+
+def support_dense(utility, graph, targets) -> np.ndarray:
+    """``support_scores`` densified, each target's own entry zeroed as
+    ``scores`` zeroes it (every consumer excludes the target)."""
+    dense = utility.support_scores(graph, targets).toarray()
+    dense[np.arange(len(targets)), targets] = 0.0
+    return dense
+
+
+def overlay_with_pending_edits(directed: bool) -> "tuple[MutableSocialGraph, SocialGraph]":
+    """An overlay with uncompacted adds and removes, and its epoch base:
+    removals cancel walks the base still counts."""
+    rng = np.random.default_rng(31 + directed)
+    base = erdos_renyi_gnp(40, 0.12, directed=directed, seed=17)
+    graph = MutableSocialGraph.from_graph(base)
+    removed = 0
+    for u, v in list(base.edges())[::3]:
+        graph.remove_edge(u, v)
+        removed += 1
+    added = 0
+    while added < removed // 2:
+        u, v = (int(x) for x in rng.integers(0, 40, 2))
+        if u != v and graph.try_add_edge(u, v):
+            added += 1
+    assert graph.delta_size > 0
+    return graph, base
+
+
+class TestSupportScores:
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("max_length", [2, 3, 4])
+    @pytest.mark.parametrize("gamma", [0.0, 0.005, 1.0])
+    def test_sparse_rows_bit_identical_to_scores(self, directed, max_length, gamma):
+        g = erdos_renyi_gnp(30, 0.15, directed=directed, seed=21)
+        utility = WeightedPaths(gamma=gamma, max_length=max_length)
+        targets = np.arange(0, 30, 4)
+        dense = support_dense(utility, g, targets)
+        expected = stacked_scores(utility, g, targets)
+        assert np.array_equal(dense.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("directed", [False, True])
+    @pytest.mark.parametrize("max_length", [2, 3, 4])
+    @pytest.mark.parametrize("gamma", [0.0, 0.005, 1.0])
+    def test_overlay_with_pending_edits(self, directed, max_length, gamma):
+        """On a mutable overlay the walk rows are base products plus a
+        signed delta: the rows still equal ``scores`` bit for bit, and a
+        cancelled walk stays out of every support."""
+        graph, base = overlay_with_pending_edits(directed)
+        utility = WeightedPaths(gamma=gamma, max_length=max_length)
+        targets = np.arange(graph.num_nodes)
+        dense = support_dense(utility, graph, targets)
+        expected = stacked_scores(utility, graph, targets)
+        assert np.array_equal(dense.view(np.int64), expected.view(np.int64))
+        cancelled = (support_dense(utility, base, targets) > 0) & (dense == 0)
+        assert cancelled.any()
+        ids, values, offsets = support_rows(
+            utility.support_scores(graph, targets), excluded_rows(graph, targets)
+        )
+        assert (values > 0).all()
+        for row, target in enumerate(targets):
+            vector = utility.utility_vector(graph, int(target))
+            want_ids, want_values = vector.support()
+            assert np.array_equal(ids[offsets[row]:offsets[row + 1]], want_ids)
+            assert np.array_equal(values[offsets[row]:offsets[row + 1]], want_values)
+
+    def test_combine_reuses_gamma_independent_walk_rows(self):
+        """One set of walk rows serves every gamma; the sparse and the
+        side-car block form recombine to the same values."""
         g = erdos_renyi_gnp(20, 0.2, seed=5)
         targets = np.asarray([0, 3, 9])
-        matrices = batch_walk_matrices(g, targets, max_length=3)
+        walks = WeightedPaths().walk_rows(g, g.adjacency_rows(targets))
+        block = np.stack([walk.toarray() for walk in walks])
         for gamma in (0.0005, 0.05):
             utility = WeightedPaths(gamma=gamma)
-            recombined = utility.combine_walk_matrices(matrices, targets)
-            assert np.array_equal(recombined, utility.batch_scores(g, targets))
+            recombined = utility.combine_component_rows(walks)
+            assert (recombined != utility.support_scores(g, targets)).nnz == 0
+            for row in range(targets.size):
+                assert np.array_equal(
+                    utility.combine_component_rows(block[:, row]),
+                    recombined[row].toarray().ravel(),
+                )
 
     def test_combine_requires_enough_lengths(self):
         g = erdos_renyi_gnp(10, 0.3, seed=6)
-        targets = np.asarray([0])
-        matrices = batch_walk_matrices(g, targets, max_length=2)
+        walks = WeightedPaths(max_length=2).walk_rows(g, g.adjacency_rows([0]))
         with pytest.raises(UtilityError):
-            WeightedPaths(gamma=0.01, max_length=4).combine_walk_matrices(
-                matrices, targets
-            )
+            WeightedPaths(gamma=0.01, max_length=4).combine_component_rows(walks)
