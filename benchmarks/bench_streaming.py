@@ -3,10 +3,9 @@
 Replays one reproducible add/remove/query event stream (same mix, same
 seed) through three pipelines:
 
-* **naive** — the rebuild-per-event baseline the old
-  ``TemporalGraph.snapshot`` embodied: every query copies the initial
-  graph, re-applies every mutation event so far, recomputes the target's
-  utility vector from scratch, and samples. O(events x (n + m));
+* **naive** — the rebuild-per-event baseline: every query copies the
+  initial graph, re-applies every mutation event so far, recomputes the
+  target's utility vector from scratch, and samples. O(events x (n + m));
 * **streaming** — :class:`~repro.streaming.engine.StreamingService` on a
   :class:`~repro.streaming.overlay.MutableSocialGraph`: O(1) overlay
   mutations, journal-guided selective cache eviction, batched serving
@@ -86,7 +85,7 @@ def time_naive(graph, events, epsilon: float) -> float:
         if event.is_mutation:
             mutations.append(event)
             continue
-        snapshot = graph.copy()  # the old TemporalGraph.snapshot dataflow
+        snapshot = graph.copy()  # rebuild the state from the initial graph
         for past in mutations:
             if past.kind == "add":
                 snapshot.try_add_edge(past.u, past.v)

@@ -1,89 +1,104 @@
 """Scenario: a recommendation feed under a lifetime privacy budget.
 
 Real recommenders don't make one suggestion — they fill a feed, day after
-day, while the graph changes underneath them. This example combines the
-extension modules to show what the paper's single-shot analysis implies
-for that setting:
+day, while the graph changes underneath them. This example runs that
+setting on the streaming service to show what the paper's single-shot
+analysis implies for it:
 
-* a :class:`TemporalGraph` replays a growing friendship graph;
-* a :class:`DynamicRecommender` answers queries from snapshots, re-deriving
-  the sensitivity each time (it grows as hubs densify);
-* a :class:`PrivacyAccountant` enforces a lifetime epsilon, so the feed
-  degrades and finally refuses service when the budget runs dry;
-* a :class:`TopKRecommender` shows the per-pick accuracy cost of asking
-  for a list instead of a single suggestion.
+* a :class:`StreamingService` applies a growing friendship graph's edge
+  events (:class:`StreamEvent`) and re-derives the weighted-paths
+  sensitivity after each one (it grows as hubs densify);
+* the service's lifetime budget charges every release by sequential
+  composition, so the feed refuses service once the budget runs dry;
+* :func:`sensitivity_drift` reads the same Delta f along the same events;
+* ``recommend(user, k=)`` shows the per-pick accuracy cost of asking for
+  a list instead of a single suggestion.
 
 Run:  python examples/budgeted_feed.py
 """
 
 from __future__ import annotations
 
+import numpy as np
+
+from repro import RecommendationService, StreamingService
 from repro.datasets import toy
-from repro.errors import PrivacyParameterError
+from repro.errors import BudgetExhaustedError
 from repro.experiments import render_table
-from repro.extensions import (
-    DynamicRecommender,
-    EdgeEvent,
-    PrivacyAccountant,
-    TemporalGraph,
-    TopKRecommender,
-    sensitivity_drift,
-)
-from repro.mechanisms import ExponentialMechanism
+from repro.extensions import sensitivity_drift
+from repro.streaming import KIND_ADD, StreamEvent
 from repro.utility import CommonNeighbors, WeightedPaths
 
 
+def set_accuracy(service: RecommendationService, user: int, k: int, trials: int) -> float:
+    """Monte-Carlo set accuracy of ``recommend(user, k=k)``: the mean
+    utility mass of the k picks over that of the top-k candidates."""
+    vector = service.utility.utility_vector(service.graph, user)
+    utility_of = dict(zip(vector.candidates.tolist(), vector.values.tolist()))
+    optimum = float(np.sort(vector.values)[::-1][:k].sum())
+    total = sum(
+        utility_of[pick]
+        for _ in range(trials)
+        for pick in service.recommend(user, k=k).recommendations
+    )
+    return total / trials / optimum
+
+
 def main() -> None:
-    base = toy.paper_example_graph()
-    temporal = TemporalGraph(
-        initial=base,
-        events=[
-            EdgeEvent(1.0, 6, 2),
-            EdgeEvent(2.0, 6, 3),
-            EdgeEvent(3.0, 8, 1),
-            EdgeEvent(4.0, 8, 2),
-            EdgeEvent(5.0, 8, 3),
-        ],
+    events = [
+        StreamEvent(1.0, KIND_ADD, u=6, v=2),
+        StreamEvent(2.0, KIND_ADD, u=6, v=3),
+        StreamEvent(3.0, KIND_ADD, u=8, v=1),
+        StreamEvent(4.0, KIND_ADD, u=8, v=2),
+        StreamEvent(5.0, KIND_ADD, u=8, v=3),
+    ]
+    stream = StreamingService(
+        toy.paper_example_graph(),
+        WeightedPaths(gamma=0.05),
+        epsilon=0.6,
+        user_budget=3.0,
+        seed=5,
     )
-    accountant = PrivacyAccountant(budget=3.0)
-    recommender = DynamicRecommender(
-        temporal,
-        CommonNeighbors(),
-        mechanism_factory=lambda eps, sens: ExponentialMechanism(eps, sensitivity=sens),
-        accountant=accountant,
-    )
+    service = stream.service
 
     print("daily feed for user 0 under a lifetime budget of epsilon = 3.0:\n")
     rows = []
+    pending = list(events)
     for day in (0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5):
+        while pending and pending[0].time <= day:
+            stream.apply_edge_event(pending.pop(0))
+        delta_f = f"{service.mechanism.sensitivity:.3f}"
         try:
-            pick, _ = recommender.recommend_at(day, target=0, epsilon=0.6, seed=int(day * 10))
-            rows.append([f"day {day:g}", pick, 0.6, f"{accountant.remaining:.2f}"])
-        except PrivacyParameterError:
-            rows.append([f"day {day:g}", "refused", 0.0, f"{accountant.remaining:.2f}"])
-    print(render_table(["query", "suggestion", "epsilon spent", "budget left"], rows))
+            (pick,) = service.recommend(0).recommendations
+            rows.append([f"day {day:g}", pick, delta_f, 0.6])
+        except BudgetExhaustedError:
+            rows.append([f"day {day:g}", "refused", delta_f, 0.0])
+        rows[-1].append(f"{service.remaining_budget(0):.2f}")
+    print(
+        render_table(
+            ["query", "suggestion", "Delta f", "epsilon spent", "budget left"], rows
+        )
+    )
 
     print("\nsensitivity drift for the weighted-paths utility as hubs grow:")
     drift = sensitivity_drift(
-        temporal, WeightedPaths(gamma=0.05), target=0, times=[0.0, 2.0, 5.0]
+        toy.paper_example_graph(), events, WeightedPaths(gamma=0.05), target=0,
+        times=[0.0, 2.0, 5.0],
     )
     for time, value in drift:
         print(f"  t = {time:g}: Delta f = {value:.3f}")
 
     print("\nasking for a list instead of one pick (budget 2.0, final graph):")
-    final = temporal.snapshot(temporal.horizon())
-    utility = CommonNeighbors()
-    vector = utility.utility_vector(final, 0)
-    sensitivity = utility.sensitivity(final, 0)
     rows = []
     for k in (1, 2, 4):
         per_pick = 2.0 / k
-        recommender_k = TopKRecommender(
-            ExponentialMechanism(per_pick, sensitivity=sensitivity), k=k
+        lists = RecommendationService(
+            stream.graph, CommonNeighbors(), epsilon=per_pick, user_budget=1e9, seed=9
         )
-        accuracy = recommender_k.expected_accuracy(vector, seed=9, trials=300)
-        rows.append([k, f"{per_pick:.2f}", f"{accuracy:.3f}"])
-    print(render_table(["k", "per-pick epsilon", "set accuracy"], rows))
+        accuracy = set_accuracy(lists, 0, k, trials=300)
+        spent = lists.budgets.spent(0) / 300
+        rows.append([k, f"{per_pick:.2f}", f"{spent:.2f}", f"{accuracy:.3f}"])
+    print(render_table(["k", "per-pick epsilon", "epsilon per list", "set accuracy"], rows))
     print(
         "\nReading: every pick spends budget, lists split it further, and "
         "the graph's growth silently raises the noise needed — the paper's "

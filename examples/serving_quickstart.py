@@ -39,8 +39,8 @@ def main() -> None:
     single = service.recommend(user)
     print(f"\nrecommend({user}): node {single.recommendations[0]} "
           f"(spent {single.epsilon_spent}, cache_hit={single.cache_hit})")
-    top = service.recommend_top_k(user, k=2)
-    print(f"recommend_top_k({user}, 2): {top.recommendations} "
+    top = service.recommend(user, k=2)
+    print(f"recommend({user}, k=2): {top.recommendations} "
           f"(spent {top.epsilon_spent}, cache_hit={top.cache_hit})")
 
     # 2. The budget guard: the user has now spent 1.5 of 2.0; a single

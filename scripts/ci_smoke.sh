@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # CI smoke: the tier-1 test suite plus sub-minute serving, experiment-engine,
 # streaming, incremental, memory, telemetry, durability, scale, and
-# HTTP-edge benchmarks, Section 7.2's Laplace-vs-Exponential check, the
-# end-to-end benchmark's correctness checks, and every example script.
+# HTTP-edge benchmarks, Section 7.2's Laplace-vs-Exponential check,
+# Appendix A's multiple-recommendations check, the end-to-end benchmark's
+# correctness checks, and every example script.
 #
 # Usage: scripts/ci_smoke.sh   (from the repository root or anywhere)
 #        REPRO_SMOKE_OUT=DIR scripts/ci_smoke.sh   (keep the smoke artifacts)
@@ -130,6 +131,13 @@ echo "== Section 7.2: Laplace ~= Exponential =="
 # utilities on the quick wiki-vote profile. Deterministic, so it gates
 # fully in CI.
 python -m pytest -q benchmarks/bench_laplace_vs_exponential.py
+
+echo
+echo "== Appendix A: a split budget lowers set accuracy =="
+# k picks served by recommend(user, k=) at epsilon_total / k each: set
+# accuracy at k = 8 must fall below k = 1, and every list is charged
+# epsilon_total once. Seed-pinned, ~3 s.
+python -m pytest -q benchmarks/bench_multiple_recommendations.py
 
 echo
 echo "== perfbench correctness checks =="

@@ -189,6 +189,9 @@ def evaluate_targets_batched(
             {"utility": utility.name},
         )
     kept_streams = [streams[row] for row in kept]
+    # Only the vectors stage reads the score and excluded matrices; the
+    # accuracy and bound stages hold the flat supports alone.
+    del scores, excluded
     clock.lap("vectors")
 
     # Mechanism columns are evaluated in dict order so that any mechanism

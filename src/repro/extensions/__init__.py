@@ -1,23 +1,19 @@
 """Extensions beyond the paper's core results.
 
-Implements the directions the paper sketches in Appendix A and Section 8:
-multiple recommendations under composition, privacy-budget accounting,
-partially-sensitive edge sets, and dynamic (temporal) graphs.
+Two directions the paper sketches in Section 8: the changing sensitivity
+of a graph that grows (:func:`sensitivity_drift`) and partially-sensitive
+edge sets (:class:`SensitivityPolicy`). Appendix A's multiple
+recommendations and their sequential-composition budget are served by
+:meth:`repro.serving.RecommendationService.recommend` (``k=``) and
+:class:`repro.serving.BudgetManager`; serving while the graph mutates is
+:class:`repro.streaming.StreamingService`.
 """
 
-from .accountant import BudgetEntry, PrivacyAccountant
-from .dynamic import DynamicRecommender, EdgeEvent, TemporalGraph, sensitivity_drift
-from .multi_recommendations import TopKRecommender
+from .dynamic import sensitivity_drift
 from .sensitive_edges import SensitivityPolicy, restricted_sensitivity
 
 __all__ = [
-    "BudgetEntry",
-    "DynamicRecommender",
-    "EdgeEvent",
-    "PrivacyAccountant",
     "SensitivityPolicy",
-    "TemporalGraph",
-    "TopKRecommender",
     "restricted_sensitivity",
     "sensitivity_drift",
 ]

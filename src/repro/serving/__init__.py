@@ -4,10 +4,12 @@ The paper analyzes one private recommendation in isolation; this package
 turns the library's mechanisms into a *service* that answers repeated
 requests from many users the way a production system must:
 
-* :class:`RecommendationService` — ``recommend`` / ``recommend_batch`` /
-  ``recommend_top_k`` endpoints over a graph + utility + mechanism;
+* :class:`RecommendationService` — ``recommend`` (one user, ``k``
+  picks by peeling) and ``recommend_batch`` (one pick for each of many
+  users) endpoints over a graph + utility + mechanism;
 * :class:`BudgetManager` — per-user lifetime epsilon budgets (sequential
-  composition), refusing requests *before* any budget is spent;
+  composition: ``k`` picks cost ``k`` releases), refusing requests
+  *before* any budget is spent;
 * :class:`UtilityCache` — utility vectors keyed by the graph's mutation
   version, so an unchanged graph never recomputes;
 * batched hot path — the shared :mod:`repro.compute` kernels in float64,

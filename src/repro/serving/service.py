@@ -2,21 +2,19 @@
 
 :class:`RecommendationService` is the operational wrapper around the
 paper's objects: a :class:`~repro.graphs.graph.SocialGraph`, a utility
-function, and a (registry-resolvable) mechanism, behind three endpoints —
+function, and a (registry-resolvable) mechanism, behind two endpoints —
 
-* :meth:`RecommendationService.recommend` — one private recommendation
-  for one user;
-* :meth:`RecommendationService.recommend_top_k` — ``k`` distinct
-  recommendations by peeling
-  (:class:`~repro.extensions.multi_recommendations.TopKRecommender`);
+* :meth:`RecommendationService.recommend` — ``k`` distinct private
+  recommendations for one user (one by default), peeled off the user's
+  cached row and charged ``k`` times one pick's epsilon (Appendix A);
 * :meth:`RecommendationService.recommend_batch` — one recommendation for
   each of many users in a single batched pass (sparse batched utility
   rows + one inverse-CDF sampling pass over every row's support, from
   two uniforms per request).
 
-Every endpoint enforces per-user privacy budgets (refusing *before*
-sampling, so refusals spend nothing), reuses utilities through a
-version-keyed cache, and leaves one privacy-ledger row per charge or
+Both endpoints enforce per-user privacy budgets (refusing *before*
+sampling, so refusals spend nothing), reuse utilities through a
+version-keyed cache, and leave one privacy-ledger row per charge or
 refusal whenever a ledger or a write-ahead log consumes them.
 """
 
@@ -29,8 +27,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from ..compute.kernels import utility_vectors
-from ..errors import BudgetExhaustedError, ServingError
-from ..extensions.multi_recommendations import TopKRecommender
+from ..errors import BudgetExhaustedError, MechanismError, ServingError
 from ..graphs.graph import SocialGraph
 from ..mechanisms.base import Mechanism, PrivateMechanism, make_mechanism
 from ..mechanisms.exponential import ExponentialMechanism
@@ -42,12 +39,7 @@ from ..telemetry.runtime import traced_map
 from ..utility.base import UtilityFunction, make_utility
 from .budgets import BudgetManager
 from .cache import UtilityCache
-from .records import (
-    STATUS_REJECTED,
-    STATUS_SERVED,
-    RecommendationRequest,
-    RecommendationResponse,
-)
+from .records import STATUS_REJECTED, STATUS_SERVED, RecommendationResponse
 
 
 class RecommendationService:
@@ -338,61 +330,45 @@ class RecommendationService:
     # Endpoints
     # ------------------------------------------------------------------
     def recommend(
-        self, user: int, epsilon: "float | None" = None
+        self, user: int, epsilon: "float | None" = None, *, k: int = 1
     ) -> RecommendationResponse:
-        """One private recommendation for ``user``.
+        """``k`` distinct private recommendations for ``user`` (default one).
 
-        Raises :class:`~repro.errors.BudgetExhaustedError` — without
-        spending anything or drawing any sample — when the release would
-        exceed the user's remaining budget.
+        Picks are drawn by peeling (Appendix A): each pick is one
+        ``mechanism.recommend`` draw on the row with the earlier picks
+        removed (:meth:`~repro.utility.base.UtilityVector.without`), and
+        the release costs ``k`` times one pick's epsilon by sequential
+        composition. That cost is checked up front: a request that cannot
+        afford all ``k`` picks raises
+        :class:`~repro.errors.BudgetExhaustedError` without spending
+        anything or drawing any sample, and a served one is charged once
+        and leaves one ledger row. ``k`` below 1 or above the number of
+        candidates raises :class:`~repro.errors.MechanismError`, also
+        before any draw or charge.
         """
+        if k < 1:
+            raise MechanismError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
         mechanism = self._mechanism_for(epsilon)
-        cost = self._release_cost(mechanism, user)
+        cost = k * self._release_cost(mechanism, user)
         self._check_budget(user, cost, mechanism, started)
-        with self._ambient(), telemetry_runtime.span("serve.recommend", user=int(user)):
+        with self._ambient(), telemetry_runtime.span("serve.recommend", user=int(user), k=k):
             cache_hit = user in self.cache
             vector = self.cache.get(user)
-            choice = mechanism.recommend(vector, seed=self._rng)
+            if k > len(vector):
+                raise MechanismError(
+                    f"cannot make {k} distinct recommendations from {len(vector)} candidates"
+                )
+            picks = [int(mechanism.recommend(vector, seed=self._rng))]
+            while len(picks) < k:
+                vector = vector.without(picks[-1])
+                picks.append(int(mechanism.recommend(vector, seed=self._rng)))
         self.budgets.charge(user, cost)
         response = self._record(
             user=user,
             epsilon_spent=cost,
             mechanism=mechanism,
-            recommendations=(int(choice),),
-            status=STATUS_SERVED,
-            cache_hit=cache_hit,
-            latency_seconds=time.perf_counter() - started,
-        )
-        self._flush_telemetry()
-        return response
-
-    def recommend_top_k(
-        self, user: int, k: int, epsilon: "float | None" = None
-    ) -> RecommendationResponse:
-        """``k`` distinct recommendations by peeling; costs ``k * epsilon``.
-
-        The full sequential-composition cost is checked up front, so a
-        request that cannot afford all ``k`` picks is refused before the
-        first sample instead of stopping halfway through, and charged as
-        one ``k * epsilon`` release — the amount its ledger row records.
-        """
-        started = time.perf_counter()
-        mechanism = self._mechanism_for(epsilon)
-        cost = self._release_cost(mechanism, user)
-        self._check_budget(user, k * cost, mechanism, started)
-        with self._ambient(), telemetry_runtime.span(
-            "serve.recommend_top_k", user=int(user), k=int(k)
-        ):
-            cache_hit = user in self.cache
-            vector = self.cache.get(user)
-            picks = TopKRecommender(mechanism, k).recommend(vector, seed=self._rng)
-        self.budgets.charge(user, k * cost)
-        response = self._record(
-            user=user,
-            epsilon_spent=k * cost,
-            mechanism=mechanism,
-            recommendations=tuple(int(p) for p in picks),
+            recommendations=tuple(picks),
             status=STATUS_SERVED,
             cache_hit=cache_hit,
             latency_seconds=time.perf_counter() - started,
@@ -601,12 +577,6 @@ class RecommendationService:
         """
         with self._submission_lock:
             return self.recommend_batch(users, epsilon=epsilon)
-
-    def handle(self, request: RecommendationRequest) -> RecommendationResponse:
-        """Serve one :class:`RecommendationRequest` (dispatching on ``k``)."""
-        if request.k == 1:
-            return self.recommend(request.user, epsilon=request.epsilon)
-        return self.recommend_top_k(request.user, request.k, epsilon=request.epsilon)
 
     # ------------------------------------------------------------------
     # Introspection

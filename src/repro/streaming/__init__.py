@@ -34,7 +34,6 @@ from .events import (
     KIND_REMOVE,
     StreamEvent,
     synthetic_event_stream,
-    to_edge_events,
 )
 from .invalidation import DirtyNodeTracker
 from .overlay import MutableSocialGraph
@@ -51,5 +50,4 @@ __all__ = [
     "StreamingService",
     "replay_stream",
     "synthetic_event_stream",
-    "to_edge_events",
 ]

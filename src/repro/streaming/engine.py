@@ -290,11 +290,11 @@ class StreamingService:
     def _recalibrate_sensitivity(self) -> None:
         """Re-derive Delta f and update the mechanism's noise calibration.
 
-        The paper's Section 8 "changing sensitivity" issue, handled the
-        same way :class:`~repro.extensions.dynamic.DynamicRecommender`
-        handles it: degree-dependent utilities (weighted paths grows with
-        d_max) must re-calibrate their noise as the graph evolves, or the
-        audited epsilon silently understates the true privacy loss. The
+        The paper's Section 8 "changing sensitivity" issue, which
+        :func:`~repro.extensions.dynamic.sensitivity_drift` measures:
+        degree-dependent utilities (weighted paths grows with d_max) must
+        re-calibrate their noise as the graph evolves, or the audited
+        epsilon silently understates the true privacy loss. The
         sensitivity read is one vectorized ``max`` over the overlay's
         live degree vector — for constant-sensitivity utilities (common
         neighbors) the update is a no-op float compare per mutation.

@@ -10,10 +10,9 @@ name absent pairs, removals name present edges), and every query follows
 the same Zipf popularity skew as the serving workload.
 
 The companion replay driver lives in :mod:`repro.streaming.engine`
-(:func:`~repro.streaming.engine.replay_stream`); :func:`to_edge_events`
-bridges mutation events into the :class:`~repro.extensions.dynamic.
-TemporalGraph` event type so the naive rebuild-per-event baseline in
-``benchmarks/bench_streaming.py`` replays the identical churn.
+(:func:`~repro.streaming.engine.replay_stream`). The same events drive
+:func:`~repro.extensions.dynamic.sensitivity_drift` and the naive
+rebuild-per-event baseline in ``benchmarks/bench_streaming.py``.
 """
 
 from __future__ import annotations
@@ -161,18 +160,3 @@ def synthetic_event_stream(
         events.append(StreamEvent(time, KIND_QUERY, user=int(identity[rank])))
     return events
 
-
-def to_edge_events(events: "list[StreamEvent]"):
-    """The stream's mutation events as :class:`~repro.extensions.dynamic.EdgeEvent`.
-
-    Queries are dropped; order and timestamps are preserved. Used to feed
-    the identical churn into a :class:`~repro.extensions.dynamic.
-    TemporalGraph` (e.g. the rebuild-per-event benchmark baseline).
-    """
-    from ..extensions.dynamic import EdgeEvent
-
-    return [
-        EdgeEvent(time=event.time, u=event.u, v=event.v, add=event.kind == KIND_ADD)
-        for event in events
-        if event.is_mutation
-    ]

@@ -294,6 +294,43 @@ class UtilityVector:
         )
         return vector
 
+    def without(self, node: int) -> "UtilityVector":
+        """This vector with candidate ``node`` removed, form kept.
+
+        Top-k serving peels each pick off the row before drawing the
+        next. A support-form row drops ``node`` from its support (if
+        there) and inserts it into its sorted excluded ids, in
+        O(support + degree); a dense row masks it out of its parallel
+        arrays. Either way the dense view and the support are those of
+        the row with ``node``'s candidate position deleted.
+        """
+        node = int(node)
+        if self._excluded is None:
+            keep = self._ids != node
+            if keep.all():
+                raise UtilityError(f"node {node} is not a candidate for target {self.target}")
+            return UtilityVector(
+                self.target, self._ids[keep], self._values[keep], self.target_degree,
+                dict(self.metadata),
+            )
+        slot = int(self._excluded.searchsorted(node))
+        if not 0 <= node < self._num_nodes or (
+            slot < self._excluded.size and self._excluded[slot] == node
+        ):
+            raise UtilityError(f"node {node} is not a candidate for target {self.target}")
+        ids, values = self._ids, self._values
+        at = int(ids.searchsorted(node))
+        if at < ids.size and ids[at] == node:
+            ids = np.concatenate((ids[:at], ids[at + 1:]))
+            values = np.concatenate((values[:at], values[at + 1:]))
+        excluded = np.concatenate((self._excluded[:slot], [node], self._excluded[slot:]))
+        vector = UtilityVector.__new__(UtilityVector)
+        vector._set(
+            self.target, self.target_degree, dict(self.metadata), ids, values,
+            excluded, self._num_nodes,
+        )
+        return vector
+
     @property
     def zero_count(self) -> int:
         """Number of zero-utility candidates (the paper's Section 7 bucket)."""

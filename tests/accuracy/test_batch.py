@@ -187,6 +187,41 @@ def test_engine_builds_no_dense_block(monkeypatch, utility):
     assert result == reference
 
 
+@pytest.mark.parametrize(
+    "utility", [CommonNeighbors(), WeightedPaths(gamma=0.005)], ids=["cn", "wp"]
+)
+def test_score_and_excluded_rows_are_released_before_bounds(monkeypatch, utility):
+    """Only the vectors stage reads the sparse score and excluded
+    matrices: both are dead by the time the bounds stage runs, with
+    vector-reading mechanisms in the call too."""
+    import weakref
+
+    import repro.accuracy.batch as batch
+
+    graph = erdos_renyi_gnp(40, 0.2, seed=6)
+    mechanisms = make_mechanisms(utility, graph)
+    reference = evaluate_targets(graph, utility, range(40), mechanisms, seed=7)
+    refs = []
+
+    def tracked(build):
+        def wrapper(*args, **kwargs):
+            matrix = build(*args, **kwargs)
+            refs.append(weakref.ref(matrix))
+            return matrix
+        return wrapper
+
+    def bounds(*args, **kwargs):
+        assert len(refs) == 2 and all(ref() is None for ref in refs)
+        return support_bounds(*args, **kwargs)
+
+    support_bounds = batch.support_bounds
+    monkeypatch.setattr(utility, "support_scores", tracked(utility.support_scores))
+    monkeypatch.setattr(batch, "excluded_rows", tracked(batch.excluded_rows))
+    monkeypatch.setattr(batch, "support_bounds", bounds)
+    assert evaluate_targets_batched(graph, utility, range(40), mechanisms, seed=7) == reference
+    assert len(refs) == 2
+
+
 class _CorruptedCommonNeighbors(CommonNeighbors):
     """Common neighbours with one candidate's score replaced by ``bad``."""
 

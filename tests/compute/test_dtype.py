@@ -145,7 +145,7 @@ class TestServingBatchSplits:
         graph = wiki_vote(scale=0.05)
         service = RecommendationService(graph, seed=0)
         assert service.recommend(1).status == "served"
-        assert len(service.recommend_top_k(2, k=3).recommendations) == 3
+        assert len(service.recommend(2, k=3).recommendations) == 3
         service.recommend_batch([3, 4])
         for user in (1, 2, 3, 4):
             assert service.cache.get_resident(user).values.dtype == np.float64

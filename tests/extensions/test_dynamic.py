@@ -1,161 +1,93 @@
-"""Tests for the temporal-graph extension."""
+"""Tests for sensitivity drift over a replayed edge-event stream."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.datasets import toy
-from repro.errors import ExperimentError, PrivacyParameterError
-from repro.extensions.accountant import PrivacyAccountant
-from repro.extensions.dynamic import (
-    DynamicRecommender,
-    EdgeEvent,
-    TemporalGraph,
-    sensitivity_drift,
-)
-from repro.mechanisms.exponential import ExponentialMechanism
+from repro.errors import ExperimentError, GraphError
+from repro.extensions.dynamic import sensitivity_drift
+from repro.streaming import KIND_ADD, KIND_QUERY, KIND_REMOVE, StreamEvent
 from repro.utility.common_neighbors import CommonNeighbors
 from repro.utility.weighted_paths import WeightedPaths
 
 
 @pytest.fixture
-def temporal() -> TemporalGraph:
-    base = toy.paper_example_graph()
-    events = [
-        EdgeEvent(1.0, 6, 2),          # node 6 gains a second common neighbor
-        EdgeEvent(2.0, 6, 3),          # and a third: becomes the best pick
-        EdgeEvent(3.0, 4, 1, add=False),  # node 4 loses one
+def events() -> "list[StreamEvent]":
+    return [
+        StreamEvent(1.0, KIND_ADD, u=6, v=2),     # node 6 gains a second common neighbor
+        StreamEvent(2.0, KIND_ADD, u=6, v=3),     # and a third: becomes the best pick
+        StreamEvent(3.0, KIND_REMOVE, u=4, v=1),  # node 4 loses one
     ]
-    return TemporalGraph(initial=base, events=events)
 
 
-class TestTemporalGraph:
-    def test_snapshot_before_events_is_initial(self, temporal):
-        assert temporal.snapshot(0.5) == temporal.initial
-
-    def test_snapshot_applies_prefix(self, temporal):
-        snap = temporal.snapshot(1.5)
-        assert snap.has_edge(6, 2)
-        assert not snap.has_edge(6, 3)
-
-    def test_snapshot_handles_removal(self, temporal):
-        snap = temporal.snapshot(3.0)
-        assert not snap.has_edge(4, 1)
-        assert snap.has_edge(6, 3)
-
-    def test_unordered_events_rejected(self):
-        with pytest.raises(ExperimentError):
-            TemporalGraph(
-                initial=toy.star(3),
-                events=[EdgeEvent(2.0, 1, 2), EdgeEvent(1.0, 2, 3)],
-            )
-
-    def test_horizon(self, temporal):
-        assert temporal.horizon() == 3.0
-        assert TemporalGraph(initial=toy.star(2)).horizon() == 0.0
-
-    def test_snapshot_does_not_mutate_initial(self, temporal):
-        _ = temporal.snapshot(3.0)
-        assert not temporal.initial.has_edge(6, 2)
-
-
-class TestIncrementalCursor:
-    """snapshot/at replay events incrementally instead of rebuilding."""
-
-    def test_monotone_access_applies_each_event_once(self, temporal):
-        from repro.streaming import MutableSocialGraph
-
-        first = temporal.at(1.5)
-        assert isinstance(first, MutableSocialGraph)
-        version_after_first = first.version
-        second = temporal.at(1.5)  # no new events in range
-        assert second is first
-        assert second.version == version_after_first
-        third = temporal.at(3.0)  # two more events, applied in place
-        assert third is first
-        assert third.version == version_after_first + 2
-
-    def test_rewind_resets_and_replays_prefix(self, temporal):
-        assert temporal.snapshot(3.0).has_edge(6, 3)
-        early = temporal.snapshot(1.5)  # rewind past applied events
-        assert early.has_edge(6, 2)
-        assert not early.has_edge(6, 3)
-        assert early.has_edge(4, 1)
-
-    def test_snapshot_is_independent_of_cursor(self, temporal):
-        snap = temporal.snapshot(1.5)
-        temporal.at(3.0)  # advance the live cursor
-        assert not snap.has_edge(6, 3)  # the materialized copy is frozen
-        snap.add_edge(8, 10)
-        assert not temporal.at(3.0).has_edge(8, 10)
-
-    def test_duplicate_events_tolerated(self):
-        base = toy.star(4)
-        temporal = TemporalGraph(
-            initial=base,
-            events=[
-                EdgeEvent(1.0, 1, 2),
-                EdgeEvent(2.0, 1, 2),              # duplicate add
-                EdgeEvent(3.0, 2, 3, add=False),   # remove a missing edge
-            ],
-        )
-        snap = temporal.snapshot(3.0)
-        assert snap.has_edge(1, 2)
-        assert not snap.has_edge(2, 3)
-
-
-class TestDynamicRecommender:
-    def _recommender(self, temporal, budget: float) -> DynamicRecommender:
-        return DynamicRecommender(
-            temporal,
-            CommonNeighbors(),
-            mechanism_factory=lambda eps, sens: ExponentialMechanism(eps, sensitivity=sens),
-            accountant=PrivacyAccountant(budget=budget),
-        )
-
-    def test_recommendation_tracks_graph_changes(self, temporal):
-        recommender = self._recommender(temporal, budget=100.0)
-        # After both additions node 6 has 3 common neighbors, the unique max;
-        # a large epsilon makes the exponential mechanism all but certain.
-        pick, mechanism = recommender.recommend_at(2.5, target=0, epsilon=20.0, seed=0)
-        assert pick == 6
-        assert mechanism.sensitivity == 2.0
-
-    def test_budget_consumed_per_query(self, temporal):
-        recommender = self._recommender(temporal, budget=1.0)
-        recommender.recommend_at(0.5, target=0, epsilon=0.5, seed=1)
-        recommender.recommend_at(1.5, target=0, epsilon=0.5, seed=2)
-        with pytest.raises(PrivacyParameterError):
-            recommender.recommend_at(2.5, target=0, epsilon=0.5, seed=3)
-
-    def test_no_signal_target_raises(self, temporal):
-        recommender = self._recommender(temporal, budget=10.0)
-        with pytest.raises(ExperimentError):
-            recommender.recommend_at(0.5, target=10, epsilon=1.0)
+def hub_events() -> "list[StreamEvent]":
+    """Node 0 of ``toy.path(4)`` (0-1-2-3-4, d_max = 2) reaches degree 4."""
+    return [StreamEvent(float(t), KIND_ADD, u=0, v=leaf) for t, leaf in ((1, 2), (2, 3), (3, 4))]
 
 
 class TestSensitivityDrift:
     def test_weighted_paths_sensitivity_grows_with_density(self):
-        base = toy.path(4)  # 0-1-2-3-4, d_max = 2
-        events = [
-            EdgeEvent(1.0, 0, 2),
-            EdgeEvent(2.0, 0, 3),
-            EdgeEvent(3.0, 0, 4),  # node 0 reaches degree 4 > initial d_max
-        ]
-        temporal = TemporalGraph(initial=base, events=events)
         drift = sensitivity_drift(
-            temporal, WeightedPaths(gamma=0.05), target=2, times=[0.0, 1.0, 3.0]
+            toy.path(4), hub_events(), WeightedPaths(gamma=0.05), target=2,
+            times=[0.0, 1.0, 3.0],
         )
+        assert [time for time, _ in drift] == [0.0, 1.0, 3.0]
         values = [value for _, value in drift]
         assert values == sorted(values)
         assert values[-1] > values[0]  # d_max grew, so did Delta f
 
-    def test_common_neighbors_sensitivity_constant(self, temporal):
+    def test_each_time_reads_the_replayed_prefix(self):
+        """Every value equals Delta f on a graph built with exactly the
+        events at or before its time; the input graph is untouched."""
+        utility = WeightedPaths(gamma=0.05)
+        base = toy.path(4)
+        times = [0.5, 1.0, 2.5, 3.0, 3.0]
+        drift = sensitivity_drift(base, hub_events(), utility, target=2, times=times)
+        for time, value in drift:
+            graph = base.copy()
+            for event in hub_events():
+                if event.time <= time:
+                    graph.add_edge(event.u, event.v)
+            assert value == utility.sensitivity(graph, 2)
+        assert not base.has_edge(0, 2)
+
+    def test_common_neighbors_sensitivity_constant(self, events):
         drift = sensitivity_drift(
-            temporal, CommonNeighbors(), target=0, times=[0.0, 1.5, 3.0]
+            toy.paper_example_graph(), events, CommonNeighbors(), target=0,
+            times=[0.0, 1.5, 3.0],
         )
         assert all(value == 2.0 for _, value in drift)
 
-    def test_empty_times_rejected(self, temporal):
+    def test_duplicates_and_queries_are_no_ops(self):
+        utility = WeightedPaths(gamma=0.05)
+        noisy = [
+            StreamEvent(0.5, KIND_QUERY, user=1),
+            StreamEvent(1.0, KIND_ADD, u=0, v=2),
+            StreamEvent(1.0, KIND_ADD, u=2, v=0),     # duplicate add
+            StreamEvent(1.5, KIND_REMOVE, u=1, v=4),  # remove a missing edge
+            *hub_events()[1:],
+        ]
+        times = [0.0, 1.0, 2.0, 3.0]
+        assert sensitivity_drift(toy.path(4), noisy, utility, 2, times) == (
+            sensitivity_drift(toy.path(4), hub_events(), utility, 2, times)
+        )
+
+    def test_empty_times_rejected(self, events):
         with pytest.raises(ExperimentError):
-            sensitivity_drift(temporal, CommonNeighbors(), 0, [])
+            sensitivity_drift(toy.paper_example_graph(), events, CommonNeighbors(), 0, [])
+
+    def test_decreasing_times_rejected(self, events):
+        with pytest.raises(ExperimentError, match="times"):
+            sensitivity_drift(
+                toy.paper_example_graph(), events, CommonNeighbors(), 0, [0.0, 2.0, 1.0]
+            )
+
+    def test_unordered_events_rejected(self):
+        events = hub_events()[::-1]
+        with pytest.raises(ExperimentError, match="events"):
+            sensitivity_drift(toy.path(4), events, CommonNeighbors(), 0, [3.0])
+
+    def test_target_outside_graph_rejected(self, events):
+        with pytest.raises(GraphError):
+            sensitivity_drift(toy.paper_example_graph(), events, CommonNeighbors(), 12, [0.0])

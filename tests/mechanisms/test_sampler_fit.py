@@ -359,3 +359,83 @@ def test_served_fit_detects_a_biased_kernel(monkeypatch):
     counts, bucket = _position_counts(vector, picks), vector.values == 0
     assert _pooled_pvalue(counts, exact, bucket) > ALPHA  # the cell choice is still right
     assert _bucket_pvalue(counts, bucket) < ALPHA
+
+
+# ---------------------------------------------------------------------------
+# Served top-k: ordered pick pairs of recommend(SERVED_USER, k=2).
+# ---------------------------------------------------------------------------
+#: Service seed of the top-k fit; its power checks use the next two.
+TOP_K_SEED = 37
+#: Draws per power check: each biased peel repeats a pick in ~0.2-0.3% of
+#: requests here (6.3 and 4.6 repeats expected), and one repeat rejects.
+POWER_DRAWS = 2_000
+
+
+def _served_pairs(seed: int, draws: int) -> "tuple[np.ndarray, RecommendationService]":
+    """``draws`` ordered pick pairs of served ``recommend(SERVED_USER, k=2)``."""
+    service = _served_service(seed)
+    responses = [service.recommend(SERVED_USER, k=2) for _ in range(draws)]
+    assert all(response.served for response in responses)
+    return np.asarray([response.recommendations for response in responses]), service
+
+
+def _pair_pvalue(pairs: np.ndarray, service: RecommendationService) -> float:
+    """G-test p-value of ordered pick pairs against the exact peeling pmf.
+
+    Peeling draws ``i`` with the softmax ``p(i)``, then ``j != i`` with
+    ``p(j) / (1 - p(i))``. Cells are (first, second) pairs of support
+    candidates, with the zero bucket pooled into one cell in either
+    position (the bucket-bucket cell holds ordered pairs of distinct
+    members). A repeated pick has probability zero, so one repeat makes
+    the G statistic infinite: the p-value is then 0.
+    """
+    if (pairs[:, 0] == pairs[:, 1]).any():
+        return 0.0
+    vector, exact = _reference(service)
+    bucket = vector.values == 0
+    support = vector.candidates[~bucket]
+    zeros = int(bucket.sum())
+    p_zero = float(exact[bucket][0])
+    cells = support.size + 1  # support candidates, then the pooled bucket
+
+    def cell(nodes: np.ndarray) -> np.ndarray:
+        at = np.minimum(np.searchsorted(support, nodes), support.size - 1)
+        return np.where(support[at] == nodes, at, support.size)
+
+    first = np.append(exact[~bucket], zeros * p_zero)
+    # Mass a first pick in each cell removes: itself, one bucket member.
+    taken = np.append(exact[~bucket], p_zero)
+    second = first[None, :] / (1.0 - taken)[:, None]
+    np.fill_diagonal(second[:-1, :-1], 0.0)
+    second[-1, -1] = (zeros - 1) * p_zero / (1.0 - p_zero)
+    expected = (first[:, None] * second).ravel()
+    observed = np.bincount(cell(pairs[:, 0]) * cells + cell(pairs[:, 1]), minlength=cells**2)
+    possible = expected > 0
+    return g_test_pvalue(observed[possible], expected[possible])
+
+
+def test_served_top_k_pairs_match_the_peeling_pmf():
+    pairs, service = _served_pairs(TOP_K_SEED, DRAWS)
+    assert _pair_pvalue(pairs, service) > ALPHA
+
+
+def _pick_left_in_row(vector: UtilityVector, node: int) -> UtilityVector:
+    return vector
+
+
+def _pick_kept_as_zero(vector: UtilityVector, node: int) -> UtilityVector:
+    ids, values = vector.support()
+    keep = ids != node
+    return vector.with_support(ids[keep], values[keep], vector.metadata)
+
+
+@pytest.mark.parametrize(
+    "peel, seed", [(_pick_left_in_row, TOP_K_SEED + 1), (_pick_kept_as_zero, TOP_K_SEED + 2)],
+    ids=["pick_left_in_row", "pick_kept_as_zero"],
+)
+def test_served_top_k_fit_detects_a_biased_peel(monkeypatch, peel, seed):
+    """Power on the top-k path: a peel that leaves the first pick in the
+    row, and one that keeps it as a zero-utility candidate, both fail."""
+    monkeypatch.setattr(UtilityVector, "without", peel)
+    pairs, service = _served_pairs(seed, POWER_DRAWS)
+    assert _pair_pvalue(pairs, service) < ALPHA

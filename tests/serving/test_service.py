@@ -12,18 +12,28 @@ from repro.errors import (
     PrivacyParameterError,
     ServingError,
 )
-from repro.mechanisms import ExponentialMechanism, LaplaceMechanism
-from repro.serving import (
-    STATUS_REJECTED,
-    RecommendationRequest,
-    RecommendationService,
+from repro.mechanisms import (
+    BestMechanism,
+    ExponentialMechanism,
+    LaplaceMechanism,
+    SmoothingMechanism,
+    UniformMechanism,
+    mechanism_registry,
 )
+from repro.serving import STATUS_REJECTED, RecommendationService
 from repro.telemetry import KIND_CHARGE, KIND_REFUSAL, Telemetry
 from repro.utility import CommonNeighbors
+from repro.utility.base import UtilityVector
 
 
 @pytest.fixture
 def graph():
+    return wiki_vote(scale=0.03)
+
+
+@pytest.fixture(scope="module")
+def static_graph():
+    """The same graph, built once for tests that never mutate it."""
     return wiki_vote(scale=0.03)
 
 
@@ -103,26 +113,122 @@ class TestBudgetExhaustion:
         assert service.recommend(6).served
 
 
+def top_k_user(graph, k: int) -> int:
+    """A user whose k-th largest common-neighbour count beats the next one,
+    so the top-k set is unambiguous."""
+    for user in range(graph.num_nodes):
+        values = np.sort(CommonNeighbors().utility_vector(graph, user).values)[::-1]
+        if values.size > k and values[k - 1] > values[k] > 0:
+            return user
+    raise AssertionError("no user with a strict top-k")
+
+
 class TestTopK:
     def test_distinct_picks_and_composed_cost(self, graph):
         service = make_service(graph, user_budget=5.0)
-        response = service.recommend_top_k(3, k=3)
+        rows = ledger_rows(service)
+        response = service.recommend(3, k=3)
         assert len(set(response.recommendations)) == 3
+        for pick in response.recommendations:
+            assert pick != 3 and not graph.has_edge(3, pick)
         assert response.epsilon_spent == pytest.approx(1.5)
         assert service.budgets.spent(3) == pytest.approx(1.5)
+        # One k * epsilon charge, one ledger row.
+        assert [(row[0], row[1], row[2]) for row in rows] == [(KIND_CHARGE, 3, 1.5)]
+
+    def test_k_equal_to_candidates_takes_every_candidate(self, graph):
+        service = make_service(graph, user_budget=1e6)
+        candidates = CommonNeighbors().utility_vector(graph, 3).candidates
+        response = service.recommend(3, k=candidates.size)
+        assert sorted(response.recommendations) == candidates.tolist()
+
+    def test_best_mechanism_returns_the_top_k(self, graph):
+        service = make_service(graph, mechanism="best")
+        user = top_k_user(graph, 2)
+        vector = CommonNeighbors().utility_vector(graph, user)
+        utility_of = dict(zip(vector.candidates.tolist(), vector.values.tolist()))
+        response = service.recommend(user, k=2)
+        # The two largest utilities, largest first: with a strict top-2
+        # that is the top-2 set.
+        picked = [utility_of[pick] for pick in response.recommendations]
+        assert picked == np.sort(vector.values)[::-1][:2].tolist()
+        assert response.epsilon_spent == 0.0
 
     def test_unaffordable_k_refused_before_any_spend(self, graph):
         service = make_service(graph)  # budget 2.0
+        rows = ledger_rows(service)
+        state = service._rng.bit_generator.state
         with pytest.raises(BudgetExhaustedError):
-            service.recommend_top_k(3, k=5)  # needs 2.5
+            service.recommend(3, k=5)  # needs 2.5
         assert service.budgets.spent(3) == 0.0
+        assert service._rng.bit_generator.state == state
+        assert [(row[0], row[8]) for row in rows] == [(KIND_REFUSAL, 2.5)]
 
-    def test_handle_dispatches_on_k(self, graph):
-        service = make_service(graph, user_budget=5.0)
-        single = service.handle(RecommendationRequest(user=3))
-        multi = service.handle(RecommendationRequest(user=3, k=2))
-        assert len(single.recommendations) == 1
-        assert len(multi.recommendations) == 2
+    @pytest.mark.parametrize("k", [0, -1, "too_many"])
+    def test_bad_k_raises_before_any_draw_or_charge(self, graph, k):
+        service = make_service(graph, user_budget=1e6)
+        if k == "too_many":
+            k = len(CommonNeighbors().utility_vector(graph, 3)) + 1
+        rows = ledger_rows(service)
+        state = service._rng.bit_generator.state
+        with pytest.raises(MechanismError):
+            service.recommend(3, k=k)
+        assert service.budgets.spent(3) == 0.0
+        assert service._rng.bit_generator.state == state
+        assert rows == []
+
+
+def dense_peel(mechanism, vector, k: int, rng) -> list:
+    """The dense top-k peel ``recommend(user, k=)`` replaced, as an oracle:
+    draw a pick, then rebuild the row's dense arrays without it."""
+    picks: list = []
+    for _ in range(k):
+        picks.append(int(mechanism.recommend(vector, seed=rng)))
+        keep = vector.candidates != picks[-1]
+        vector = UtilityVector(
+            target=vector.target,
+            candidates=vector.candidates[keep],
+            values=vector.values[keep],
+            target_degree=vector.target_degree,
+            metadata=dict(vector.metadata),
+        )
+    return picks
+
+
+#: name -> mechanism factory; covers every registered mechanism, and
+#: smoothing over both a non-private and a private base.
+PEEL_MECHANISMS = {
+    "best": BestMechanism,
+    "uniform": UniformMechanism,
+    "exponential": lambda: ExponentialMechanism(0.5, sensitivity=2.0),
+    "laplace": lambda: LaplaceMechanism(0.5, sensitivity=2.0),
+    "smoothing": lambda: SmoothingMechanism(0.6),
+    "smoothing_exponential": lambda: SmoothingMechanism(
+        0.6, base=ExponentialMechanism(0.5, sensitivity=2.0)
+    ),
+}
+
+
+class TestTopKPeelOracle:
+    def test_every_registered_mechanism_is_covered(self):
+        assert set(mechanism_registry()) <= set(PEEL_MECHANISMS)
+
+    @pytest.mark.parametrize("form", ["support", "dense"])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("name", sorted(PEEL_MECHANISMS))
+    def test_recommend_equals_the_dense_peel(self, static_graph, name, k, form):
+        service = make_service(
+            static_graph, mechanism=PEEL_MECHANISMS[name](), user_budget=1e9, seed=7
+        )
+        oracle, rng = PEEL_MECHANISMS[name](), np.random.default_rng(7)
+        for user in (3, 6, 11, 3):
+            row = service.cache.get(user)  # the cache fills support-form rows
+            if form == "dense" and row.excluded is not None:
+                row = UtilityVector(row.target, row.candidates, row.values, row.target_degree)
+                service.cache.put(user, row)
+            assert (row.excluded is None) == (form == "dense")
+            expected = dense_peel(oracle, row, k, rng)
+            assert service.recommend(user, k=k).recommendations == tuple(expected)
 
 
 class TestBatch:
@@ -326,7 +432,7 @@ class TestConfiguration:
         service = make_service(
             graph, mechanism=SmoothingMechanism(0.5), user_budget=1000.0
         )
-        response = service.recommend_top_k(3, k=2)
+        response = service.recommend(3, k=2)
         assert response.epsilon_spent > 0
         assert service.budgets.spent(3) == pytest.approx(
             response.epsilon_spent

@@ -153,6 +153,53 @@ class TestSensitivityRecalibration:
         assert response.served
 
 
+class TestFeedUnderMutation:
+    """A single user's feed while the graph grows: the served row follows
+    each mutation, the lifetime budget spans them, and a user with no
+    positive utility is still served, from the zero bucket."""
+
+    @staticmethod
+    def feed(**kwargs) -> StreamingService:
+        return StreamingService(toy.paper_example_graph(), **kwargs)
+
+    def test_served_pick_tracks_graph_changes(self):
+        from repro.streaming import KIND_ADD, StreamEvent
+
+        service = self.feed(epsilon=20.0, user_budget=100.0, seed=0)
+        service.service.recommend(0)  # caches user 0's row
+        # Node 6 gains two more common neighbours with user 0: 3, the unique
+        # maximum, which epsilon 20 all but certainly picks.
+        for step, v in enumerate((2, 3)):
+            service.apply_edge_event(StreamEvent(float(step), KIND_ADD, u=6, v=v))
+        assert service.service.recommend(0).recommendations == (6,)
+        assert service.service.mechanism.sensitivity == 2.0
+
+    def test_lifetime_budget_spans_mutations(self):
+        from repro.errors import BudgetExhaustedError
+        from repro.streaming import KIND_ADD, StreamEvent
+
+        service = self.feed(epsilon=0.5, user_budget=1.0, seed=1)
+        assert service.service.recommend(0).served
+        service.apply_edge_event(StreamEvent(1.0, KIND_ADD, u=6, v=2))
+        assert service.service.recommend(0).served
+        service.apply_edge_event(StreamEvent(2.0, KIND_ADD, u=6, v=3))
+        with pytest.raises(BudgetExhaustedError):
+            service.service.recommend(0)
+        assert [r.status for r in service.recommend_batch([0, 1])] == [
+            STATUS_REJECTED, STATUS_SERVED,
+        ]
+        assert service.service.budgets.spent(0) == pytest.approx(1.0)
+
+    def test_user_without_signal_is_served_from_the_zero_bucket(self):
+        service = self.feed(epsilon=1.0, user_budget=1e6, seed=2)
+        row = service.cache.get(10)  # node 10's only link is 11
+        assert not row.has_signal()
+        picks = {
+            response.recommendations[0] for response in service.recommend_batch([10] * 200)
+        }
+        assert picks == set(row.candidates.tolist())
+
+
 class TestStreamingServiceBasics:
     def test_plain_graph_gets_wrapped_and_copied(self):
         base = toy.paper_example_graph()

@@ -6,7 +6,6 @@ import pytest
 
 from repro.datasets import toy
 from repro.errors import ServingError
-from repro.extensions.dynamic import EdgeEvent
 from repro.graphs import SocialGraph
 from repro.streaming import (
     KIND_ADD,
@@ -14,7 +13,6 @@ from repro.streaming import (
     KIND_REMOVE,
     StreamEvent,
     synthetic_event_stream,
-    to_edge_events,
 )
 
 
@@ -104,21 +102,3 @@ class TestGenerator:
             synthetic_event_stream(graph, 10, time_step=0.0)
         with pytest.raises(ServingError):
             synthetic_event_stream(SocialGraph(1), 10)
-
-
-class TestToEdgeEvents:
-    def test_queries_dropped_order_kept(self):
-        graph = toy.two_communities(5)
-        events = synthetic_event_stream(
-            graph, 100, add_fraction=0.3, remove_fraction=0.2, seed=1
-        )
-        edge_events = to_edge_events(events)
-        assert all(isinstance(event, EdgeEvent) for event in edge_events)
-        assert len(edge_events) == sum(1 for event in events if event.is_mutation)
-        times = [event.time for event in edge_events]
-        assert times == sorted(times)
-        # Adds map to add=True, removals to add=False, endpoints preserved.
-        mutations = [event for event in events if event.is_mutation]
-        for source, converted in zip(mutations, edge_events):
-            assert (source.kind == KIND_ADD) == converted.add
-            assert (source.u, source.v) == (converted.u, converted.v)

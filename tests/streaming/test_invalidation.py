@@ -157,14 +157,12 @@ class TestTrackerProtocol:
         assert (delta.u, delta.v) == (6, 9)
 
     def test_temporal_cursor_records_nothing(self):
-        from repro.extensions.dynamic import EdgeEvent, TemporalGraph
-
+        """A replay copy (as ``sensitivity_drift`` makes) applying events
+        through try_add_edge journals nothing: no cache asked for deltas."""
         initial = toy.paper_example_graph()
-        temporal = TemporalGraph(
-            initial=initial,
-            events=[EdgeEvent(1.0, 0, 6), EdgeEvent(2.0, 6, 9)],
-        )
-        cursor = temporal.at(2.0)
+        cursor = MutableSocialGraph.from_graph(initial)
+        assert cursor.try_add_edge(0, 6) and cursor.try_add_edge(6, 9)
+        assert not cursor.try_add_edge(9, 6)  # a duplicate stays a no-op
         assert cursor.last_dirty_ball_size is None
         assert cursor.score_deltas_since(initial.version, 2) is None
 

@@ -178,7 +178,7 @@ class TestServingTelemetry:
                 response.recommendations
                 for response in service.recommend_batch(list(range(25)))
             )
-            picks.append(service.recommend_top_k(4, 3).recommendations)
+            picks.append(service.recommend(4, k=3).recommendations)
             return picks
 
         assert run(None) == run(Telemetry.create())

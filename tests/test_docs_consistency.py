@@ -167,6 +167,14 @@ REMOVED_NAMES = {
         "get_workspace", "reset_workspace", "batch_walk_matrices",
         "combine_walk_matrices", "batch_scores", "ComputeError",
     ),
+    # The second serving stack in extensions/: top-k is
+    # recommend(user, k=), a user's budget is BudgetManager plus the
+    # ledger row, and serving under mutation is StreamingService.
+    "second-serving-stack": (
+        "TopKRecommender", "PrivacyAccountant", "BudgetEntry", "TemporalGraph",
+        "DynamicRecommender", "EdgeEvent", "to_edge_events", "recommend_top_k",
+        "recommend_at", "split_evenly",
+    ),
     # The coalescer's per-dispatch size list grew without bound; the
     # edge.batch_size histogram records the distribution.
     "coalescer-history": ("batch_sizes",),

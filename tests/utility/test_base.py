@@ -159,6 +159,72 @@ class TestZeroCandidate:
             vector.zero_candidate(rank)
 
 
+@st.composite
+def _peels(draw):
+    """A support-form row's partition, positive utilities for its support,
+    and a non-empty sequence of distinct candidates to peel in order."""
+    num_nodes, support, excluded = draw(_partitions())
+    values = draw(
+        st.lists(st.floats(0.25, 8.0), min_size=len(support), max_size=len(support))
+    )
+    candidates = sorted(set(range(num_nodes)) - set(excluded))
+    nodes = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=6, unique=True))
+    return num_nodes, support, values, excluded, nodes
+
+
+def _assert_same_row(got: UtilityVector, want: UtilityVector) -> None:
+    np.testing.assert_array_equal(got.candidates, want.candidates)
+    np.testing.assert_array_equal(got.values, want.values)
+    for got_part, want_part in zip(got.support(), want.support()):
+        np.testing.assert_array_equal(got_part, want_part)
+    assert got.zero_count == want.zero_count
+    assert [got.zero_candidate(rank) for rank in range(got.zero_count)] == [
+        want.zero_candidate(rank) for rank in range(want.zero_count)
+    ]
+
+
+class TestWithout:
+    """Peeling a candidate against the dense mask it replaces."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_peels())
+    @example((8, [1, 3, 6], [2.0, 1.0, 4.0], [2, 5], [1]))  # support id below an excluded id
+    @example((8, [1, 3, 6], [2.0, 1.0, 4.0], [2, 5], [6]))  # support id above an excluded id
+    @example((8, [1, 3, 6], [2.0, 1.0, 4.0], [2, 5], [4]))  # bucket id below an excluded id
+    @example((8, [1, 3, 6], [2.0, 1.0, 4.0], [2, 5], [0, 7]))  # bucket ids at both ends
+    @example((6, [], [], [0, 5], [1, 4, 2, 3]))  # empty support, peeled to nothing
+    @example((5, [0, 1, 3, 4], [1.0, 1.0, 2.0, 3.0], [], [2, 0]))  # bucket of one
+    def test_matches_the_dense_mask(self, peel):
+        num_nodes, support, values, excluded, nodes = peel
+        vector = UtilityVector.from_support(
+            0, support, values, excluded, num_nodes, len(excluded)
+        )
+        dense = UtilityVector(0, vector.candidates, vector.values, len(excluded))
+        for node in nodes:
+            keep = vector.candidates != node
+            mask = UtilityVector(0, vector.candidates[keep], vector.values[keep], len(excluded))
+            vector, dense = vector.without(node), dense.without(node)
+            assert vector.excluded is not None and dense.excluded is None
+            _assert_same_row(vector, mask)
+            _assert_same_row(dense, mask)
+        assert vector.excluded.tolist() == sorted(excluded + nodes)
+
+    def test_keeps_target_degree_and_metadata(self):
+        vector = UtilityVector.from_support(0, [2, 4], [1.0, 2.0], [0, 1], 6, 1, {"a": 1})
+        peeled = vector.without(4)
+        assert (peeled.target, peeled.target_degree, peeled.metadata) == (0, 1, {"a": 1})
+        assert peeled.metadata is not vector.metadata
+
+    @pytest.mark.parametrize("node", [0, 1, 6, -1, 3])
+    def test_non_candidate_raises(self, node):
+        """The target, a link, ids outside the graph, and a peeled id."""
+        vector = UtilityVector.from_support(0, [2, 4], [1.0, 2.0], [0, 1], 6, 1).without(3)
+        dense = UtilityVector(0, vector.candidates, vector.values, 1)
+        for row in (vector, dense):
+            with pytest.raises(UtilityError, match="not a candidate"):
+                row.without(node)
+
+
 class TestCandidateNodes:
     def test_excludes_target_and_neighbors(self, example_graph):
         candidates = candidate_nodes(example_graph, 0)
