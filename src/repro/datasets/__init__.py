@@ -38,7 +38,7 @@ def synthetic_powerlaw(
     seed: int = DEFAULT_SYNTHETIC_SEED,
     backend: str = "shm",
 ) -> SocialGraph:
-    """Directed power-law graph at arbitrary scale (ROADMAP's 10^5-10^7 band).
+    """Directed power-law graph at any size (10^5 to 10^7 nodes and beyond).
 
     Assembled chunk by chunk straight into a shared CSR segment by
     :func:`~repro.graphs.generators.powerlaw.build_powerlaw_shared`;

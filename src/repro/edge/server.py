@@ -35,11 +35,12 @@ uniforms.
 
 **Admission control.** Typed, audited rejection instead of collapse:
 a full pending queue or a draining server answers 503, a user above
-their in-flight cap answers 429, and a privacy refusal (lifetime budget
-or sliding window) answers 429 with remaining-budget hints. Privacy
-refusals are audited by the engine itself (``refusal`` ledger rows);
-transport rejections get ``edge_reject`` rows here — every request a
-client saw refused has a ledger row somewhere
+their in-flight cap answers 429, a privacy refusal (lifetime budget
+or sliding window) answers 429 with remaining-budget hints, and a user
+with no candidate to recommend answers 409 ``no_candidates``. Privacy
+and no-candidate refusals are audited by the engine itself
+(``refusal`` ledger rows); transport rejections get ``edge_reject``
+rows here — every request a client saw refused has a ledger row somewhere
 (:data:`~repro.telemetry.ledger.KIND_EDGE_REJECT`).
 
 **Shutdown.** :meth:`EdgeServer.stop` drains: stop admitting, flush
@@ -57,6 +58,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from ..errors import BudgetExhaustedError, EdgeServiceError
+from ..serving.records import STATUS_NO_CANDIDATES
 from ..streaming.events import KIND_ADD, KIND_REMOVE, StreamEvent
 from ..telemetry.metrics import DEFAULT_SIZE_BUCKETS
 from . import http
@@ -155,6 +157,7 @@ class EdgeServer:
         self._requests_counter = registry.counter("edge.requests")
         self._served_counter = registry.counter("edge.served")
         self._budget_429_counter = registry.counter("edge.rejected_budget")
+        self._no_candidates_counter = registry.counter("edge.no_candidates")
         self._reject_counters = {
             reason: registry.counter(f"edge.rejected_{reason}")
             for reason in (REASON_QUEUE_FULL, REASON_INFLIGHT_CAP, REASON_DRAINING)
@@ -322,6 +325,15 @@ class EdgeServer:
             else:
                 del self._inflight[user]
         self._request_seconds.observe(loop.time() - started)
+        if response.status == STATUS_NO_CANDIDATES:
+            # Audited by the engine's labelled refusal row; no retry helps
+            # until the graph changes, so no Retry-After.
+            self._no_candidates_counter.inc()
+            return http.response_bytes(
+                409,
+                {"error": STATUS_NO_CANDIDATES, "user": user, "status": response.status,
+                 "batch_seq": seq, "batch_index": index},
+            )
         if not response.served:
             return self._budget_reject(
                 user,

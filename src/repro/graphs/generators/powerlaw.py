@@ -114,6 +114,13 @@ def scale_to_edge_total(
     the leftover stubs distributed one at a time to random nodes (respecting
     ``d_max``). Keeps the distribution shape while matching a dataset's
     published edge count.
+
+    The one-at-a-time distribution visits the nodes of one random
+    permutation cyclically, stepping each visited node that still has
+    room toward the total; a node with room for ``r`` steps takes one in
+    each of its first ``r`` passes. The passes are counted in array form
+    rather than visited one stub at a time. More than ``50 * len(degrees)
+    + 1000`` visits raise :class:`DatasetError`.
     """
     degrees = np.asarray(degrees, dtype=np.int64).copy()
     if degrees.size == 0:
@@ -132,20 +139,32 @@ def scale_to_edge_total(
     rng = ensure_rng(seed)
     deficit = target_total - int(scaled.sum())
     order = rng.permutation(scaled.size)
-    cursor = 0
+    if deficit == 0:
+        return scaled
     step = 1 if deficit > 0 else -1
-    guard = 0
-    while deficit != 0:
-        node = order[cursor % scaled.size]
-        cursor += 1
-        guard += 1
-        if guard > 50 * scaled.size + 1000:
+    if step < 0:
+        room = scaled - d_min
+    elif d_max is None:
+        room = np.full(scaled.size, abs(deficit), dtype=np.int64)
+    else:
+        room = d_max - scaled
+    room = np.maximum(room[order], 0)  # in visit order
+    visits = 50 * scaled.size + 1000
+    needed = abs(deficit)
+    passes = 0
+    while True:
+        if passes * scaled.size >= visits:
             raise DatasetError("could not match target edge total within degree caps")
-        new_value = scaled[node] + step
-        if new_value < d_min or (d_max is not None and new_value > d_max):
-            continue
-        scaled[node] = new_value
-        deficit -= step
+        open_slots = np.flatnonzero(room > passes)
+        if open_slots.size >= needed:
+            break
+        needed -= open_slots.size
+        passes += 1
+    if passes * scaled.size + int(open_slots[needed - 1]) >= visits:
+        raise DatasetError("could not match target edge total within degree caps")
+    steps = np.minimum(room, passes)
+    steps[open_slots[:needed]] += 1
+    scaled[order] += step * steps
     return scaled
 
 
@@ -194,7 +213,8 @@ def build_powerlaw_shared(
 ):
     """Assemble a directed power-law graph straight into a shared CSR.
 
-    The out-of-core synthetic path of ROADMAP item 2: degrees come from
+    The out-of-core synthetic path for graphs too large for per-node
+    Python sets (10^5 nodes and up): degrees come from
     :func:`bounded_pareto_degrees`, the CSR ``indptr`` is one cumulative
     sum, and neighbor lists are sampled and written *chunk by chunk*
     directly into the shared (or memory-mapped) segment — no Python edge

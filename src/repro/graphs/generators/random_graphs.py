@@ -135,6 +135,37 @@ def watts_strogatz(
     return graph
 
 
+def _pairing_round(
+    present: np.ndarray,
+    heads: np.ndarray,
+    tails: np.ndarray,
+    num_nodes: int,
+    directed: bool,
+) -> "tuple[np.ndarray, np.ndarray]":
+    """One round of stub pairing, exactly as ``try_add_edge`` over the pairs in order.
+
+    ``present`` holds the sorted keys (``u * num_nodes + v``, with
+    ``u < v`` when undirected) of the edges earlier rounds placed. A pair
+    is rejected if it is a self-loop, if its edge is present, or if an
+    earlier pair of this round names the same edge: a pair's first
+    occurrence in the round wins. Returns the grown ``present`` and the
+    mask of rejected pairs.
+    """
+    if directed:
+        keys = heads * num_nodes + tails
+    else:
+        keys = np.minimum(heads, tails) * num_nodes + np.maximum(heads, tails)
+    distinct, first = np.unique(keys, return_index=True)
+    fresh = heads[first] != tails[first]
+    if present.size:
+        slots = np.minimum(np.searchsorted(present, distinct), present.size - 1)
+        fresh &= present[slots] != distinct
+    placed = np.zeros(keys.size, dtype=bool)
+    placed[first[fresh]] = True
+    added = distinct[fresh]
+    return np.insert(present, np.searchsorted(present, added), added), ~placed
+
+
 def configuration_model(
     degrees: "np.ndarray | list[int]",
     seed: "int | np.random.Generator | None" = None,
@@ -148,26 +179,32 @@ def configuration_model(
     matches the request except possibly at a handful of high-degree nodes —
     acceptable for dataset replicas, and the realized counts are always
     reported by :func:`repro.graphs.stats.degree_summary`.
+
+    Each round is one array pass (:func:`_pairing_round`) that accepts
+    exactly the pairs a ``try_add_edge`` loop over them would; rejected
+    pairs keep their order for the next round's shuffle.
     """
     degrees = np.asarray(degrees, dtype=np.int64)
     if degrees.size and degrees.min() < 0:
         raise DatasetError("degrees must be non-negative")
     rng = ensure_rng(seed)
-    stubs = np.repeat(np.arange(degrees.size), degrees)
+    num_nodes = degrees.size
+    stubs = np.repeat(np.arange(num_nodes), degrees)
     if stubs.size % 2 == 1:
         stubs = stubs[:-1]  # drop one stub to make the total even
-    graph = SocialGraph(degrees.size, directed=False)
+    present = np.empty(0, dtype=np.int64)
     for _ in range(max_rounds):
         if stubs.size < 2:
             break
         rng.shuffle(stubs)
-        leftovers: list[int] = []
-        for i in range(0, stubs.size - 1, 2):
-            u, v = int(stubs[i]), int(stubs[i + 1])
-            if not graph.try_add_edge(u, v):
-                leftovers.extend((u, v))
-        stubs = np.asarray(leftovers, dtype=np.int64)
-    return graph
+        pairs = stubs.reshape(-1, 2)
+        present, rejected = _pairing_round(
+            present, pairs[:, 0], pairs[:, 1], num_nodes, directed=False
+        )
+        stubs = pairs[rejected].ravel()
+    return SocialGraph.from_edges(
+        np.stack(np.divmod(present, num_nodes), axis=1), num_nodes=num_nodes
+    )
 
 
 def directed_configuration_model(
@@ -189,22 +226,19 @@ def directed_configuration_model(
     if (out_degrees.size and out_degrees.min() < 0) or (in_degrees.size and in_degrees.min() < 0):
         raise DatasetError("degrees must be non-negative")
     rng = ensure_rng(seed)
-    sources = np.repeat(np.arange(out_degrees.size), out_degrees)
-    sinks = np.repeat(np.arange(in_degrees.size), in_degrees)
+    num_nodes = out_degrees.size
+    sources = np.repeat(np.arange(num_nodes), out_degrees)
+    sinks = np.repeat(np.arange(num_nodes), in_degrees)
     limit = min(sources.size, sinks.size)
     sources, sinks = sources[:limit], sinks[:limit]
-    graph = SocialGraph(out_degrees.size, directed=True)
+    present = np.empty(0, dtype=np.int64)
     for _ in range(max_rounds):
         if sources.size == 0:
             break
         rng.shuffle(sources)
         rng.shuffle(sinks)
-        leftover_sources: list[int] = []
-        leftover_sinks: list[int] = []
-        for u, v in zip(sources, sinks):
-            if not graph.try_add_edge(int(u), int(v)):
-                leftover_sources.append(int(u))
-                leftover_sinks.append(int(v))
-        sources = np.asarray(leftover_sources, dtype=np.int64)
-        sinks = np.asarray(leftover_sinks, dtype=np.int64)
-    return graph
+        present, rejected = _pairing_round(present, sources, sinks, num_nodes, directed=True)
+        sources, sinks = sources[rejected], sinks[rejected]
+    return SocialGraph.from_edges(
+        np.stack(np.divmod(present, num_nodes), axis=1), num_nodes=num_nodes, directed=True
+    )

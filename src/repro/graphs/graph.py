@@ -20,6 +20,8 @@ this module is privacy-aware; privacy enters only in the mechanisms layer.
 
 from __future__ import annotations
 
+import gc
+from contextlib import contextmanager
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -28,22 +30,70 @@ import scipy.sparse as sp
 from ..errors import EdgeError, NodeError
 
 
-def _grouped(keys: np.ndarray, values: np.ndarray):
-    """Yield ``(key, value_list)`` for every distinct key of a parallel pair.
+def _csr_matrix(indptr: np.ndarray, indices: np.ndarray, num_nodes: int) -> sp.csr_matrix:
+    """The 0/1 adjacency CSR on int64 ``indptr``/``indices`` (SciPy picks the index dtype)."""
+    data = np.ones(indices.size, dtype=np.float64)
+    return sp.csr_matrix((data, indices, indptr), shape=(num_nodes, num_nodes))
 
-    One argsort over the edge array replaces a Python-level loop of set
-    inserts when bulk-loading; ``value_list`` members are Python ints so the
-    adjacency sets never hold NumPy scalars (they must stay JSON-friendly).
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector while per-node sets are allocated or filled.
+
+    Sets of ints form no reference cycles, yet allocating one per node
+    sets off collections that traverse every set built so far: on the
+    Twitter replica those took two thirds of the set fill.
     """
-    if keys.size == 0:
-        return
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    boundaries = np.flatnonzero(np.diff(keys)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [keys.size]))
-    for start, end in zip(starts, ends):
-        yield int(keys[start]), values[start:end].tolist()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _fill_rows(sets: "list[set[int]]", indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Add each CSR row's columns to its (empty) set, as Python ints.
+
+    Never NumPy scalars: the adjacency sets stay JSON-friendly.
+    """
+    columns, bounds = indices.tolist(), indptr.tolist()
+    for adjacent, start, stop in zip(sets, bounds, bounds[1:]):
+        if start != stop:
+            adjacent.update(columns[start:stop])
+
+
+def adjacency_arrays(
+    heads: np.ndarray, tails: np.ndarray, num_nodes: int, directed: bool
+) -> "tuple[np.ndarray, np.ndarray, int]":
+    """CSR ``(indptr, indices)`` of the simple graph on the given pairs, and its edge count.
+
+    Self-loops are dropped and duplicate pairs (reversed duplicates too,
+    when undirected) collapse to one edge; an undirected edge fills both
+    rows. Endpoints must already lie in ``0..num_nodes-1``. Columns
+    ascend within each row, as :meth:`SocialGraph.adjacency_matrix` keeps
+    them.
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    tails = np.asarray(tails, dtype=np.int64)
+    keep = heads != tails
+    heads, tails = heads[keep], tails[keep]
+    if not directed:
+        heads, tails = np.minimum(heads, tails), np.maximum(heads, tails)
+    # Edge keys row * n + col sort in CSR order (no int64 overflow below
+    # 3e9 nodes); np.unique's hash path is slower than this sort.
+    keys = np.sort(heads * num_nodes + tails)
+    distinct = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    keys = keys[distinct]
+    num_edges = keys.size
+    if not directed:
+        keys = np.sort(np.concatenate((keys, (keys % num_nodes) * num_nodes + keys // num_nodes)))
+    rows, cols = np.divmod(keys, num_nodes)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=indptr[1:])
+    return indptr, cols, num_edges
 
 
 class SocialGraph:
@@ -79,9 +129,12 @@ class SocialGraph:
             raise NodeError(num_nodes)
         self._n = int(num_nodes)
         self._directed = bool(directed)
-        self._succ: list[set[int]] = [set() for _ in range(self._n)]
-        # For undirected graphs predecessors and successors are the same sets.
-        self._pred: list[set[int]] = [set() for _ in range(self._n)] if directed else self._succ
+        with _collector_paused():
+            self._succ: list[set[int]] = [set() for _ in range(self._n)]
+            # For undirected graphs predecessors and successors are the same sets.
+            self._pred: list[set[int]] = (
+                [set() for _ in range(self._n)] if directed else self._succ
+            )
         self._num_edges = 0
         self._version = 0
         self._csr_version = -1
@@ -95,23 +148,28 @@ class SocialGraph:
     @classmethod
     def from_edges(
         cls,
-        edges: Iterable[tuple[int, int]],
+        edges: "Iterable[tuple[int, int]] | np.ndarray",
         num_nodes: int | None = None,
         directed: bool = False,
     ) -> "SocialGraph":
-        """Build a graph from an iterable of ``(u, v)`` pairs.
+        """Build a graph from ``(u, v)`` pairs: an iterable or an ``(m, 2)`` array.
 
         Duplicate pairs and (for undirected graphs) reversed duplicates are
         silently collapsed, mirroring how the paper ingests the Wikipedia
         vote data (mutual votes become a single undirected edge); self-loops
         are silently dropped. Out-of-range endpoints raise
-        :class:`~repro.errors.NodeError`. Deduplication is one vectorized
-        ``unique()`` pass rather than a per-pair ``try_add_edge`` loop, so
-        replica-scale edge lists load in milliseconds.
+        :class:`~repro.errors.NodeError`. The graph is made once from the
+        sorted, deduplicated edge array: its CSR adjacency and degree
+        vector are installed at construction and its adjacency sets are
+        filled from the CSR rows, with no per-pair Python loop.
         """
-        pairs = np.asarray([(int(u), int(v)) for u, v in edges], dtype=np.int64)
+        pairs = np.asarray(
+            edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64
+        )
         if pairs.size == 0:
             return cls(0 if num_nodes is None else num_nodes, directed=directed)
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError(f"edges must be (u, v) pairs, got shape {pairs.shape}")
         if num_nodes is None:
             num_nodes = 1 + int(pairs.max())
         graph = cls(num_nodes, directed=directed)
@@ -119,39 +177,35 @@ class SocialGraph:
         if out_of_range.any():
             bad_row, bad_col = np.argwhere(out_of_range)[0]
             raise NodeError(int(pairs[bad_row, bad_col]), graph._n)
-        # Vectorized dedup: drop self-loops, canonicalize direction for
-        # undirected graphs, and collapse duplicates in one unique() pass
-        # instead of one try_add_edge() call per input pair.
-        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-        if not directed:
-            pairs = np.sort(pairs, axis=1)
-        pairs = np.unique(pairs, axis=0)
-        graph._bulk_load(pairs)
+        indptr, indices, num_edges = adjacency_arrays(
+            pairs[:, 0], pairs[:, 1], graph._n, directed
+        )
+        graph._install_csr(indptr, indices, num_edges=num_edges, version=num_edges)
         return graph
 
-    def _bulk_load(self, pairs: np.ndarray) -> None:
-        """Install a deduplicated ``(m, 2)`` edge array into an empty graph.
+    def _install_csr(
+        self, indptr: np.ndarray, indices: np.ndarray, *, num_edges: int, version: int
+    ) -> None:
+        """Make this empty graph the one the int64 CSR ``(indptr, indices)`` describes.
 
-        ``pairs`` must contain no self-loops, no duplicates, and (for
-        undirected graphs) only canonical ``u <= v`` orientation. Mirrors the
-        state ``try_add_edge`` would build pair by pair, including the
-        version counter (one bump per edge).
+        Rows must be sorted, with no self-loops or duplicates (and
+        symmetric when undirected). The CSR matrix and the degree vector
+        are installed as current at ``version`` (a fresh bulk load counts
+        one bump per edge, as ``try_add_edge`` would), and the adjacency
+        sets are filled from the row slices.
         """
-        if pairs.size == 0:
-            return
-        heads, tails = pairs[:, 0], pairs[:, 1]
-        if self._directed:
-            for u, adjacent in _grouped(heads, tails):
-                self._succ[u].update(adjacent)
-            for v, adjacent in _grouped(tails, heads):
-                self._pred[v].update(adjacent)
-        else:
-            both_heads = np.concatenate([heads, tails])
-            both_tails = np.concatenate([tails, heads])
-            for u, adjacent in _grouped(both_heads, both_tails):
-                self._succ[u].update(adjacent)
-        self._num_edges = int(pairs.shape[0])
-        self._version = self._num_edges
+        n = self._n
+        with _collector_paused():
+            _fill_rows(self._succ, indptr, indices)
+            if self._directed:  # predecessors are the transpose's rows
+                sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+                _fill_rows(self._pred, *adjacency_arrays(indices, sources, n, True)[:2])
+        self._num_edges = int(num_edges)
+        self._version = int(version)
+        self._csr = _csr_matrix(indptr, indices, n)
+        self._csr_version = self._version
+        self._degrees = np.diff(indptr)
+        self._degrees_version = self._version
 
     @classmethod
     def from_networkx(cls, nx_graph) -> "SocialGraph":
@@ -186,10 +240,16 @@ class SocialGraph:
         the streaming overlay's copy/materialize paths, so core state
         added to this class later is copied from exactly one place.
         """
-        clone._succ = [set(s) for s in self._succ]
-        clone._pred = [set(s) for s in self._pred] if self._directed else clone._succ
+        with _collector_paused():
+            clone._succ = [set(s) for s in self._succ]
+            clone._pred = [set(s) for s in self._pred] if self._directed else clone._succ
         clone._num_edges = self._num_edges
         clone._version = self._version
+        # The CSR and degree caches are read-only, so a current pair is shared.
+        if self._csr is not None and self._csr_version == self._version:
+            clone._csr, clone._csr_version = self._csr, self._version
+        if self._degrees is not None and self._degrees_version == self._version:
+            clone._degrees, clone._degrees_version = self._degrees, self._version
 
     def copy(self) -> "SocialGraph":
         """Return a deep copy (mutating the copy never affects the original).
@@ -264,16 +324,15 @@ class SocialGraph:
         return v in self._succ[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Iterate over edges once each (``u < v`` for undirected graphs)."""
-        if self._directed:
-            for u in range(self._n):
-                for v in self._succ[u]:
-                    yield (u, v)
-        else:
-            for u in range(self._n):
-                for v in self._succ[u]:
-                    if u < v:
-                        yield (u, v)
+        """Iterate over edges once each, ascending (``u < v`` for undirected graphs).
+
+        The order depends only on the edge set, never on how the
+        adjacency sets were filled, so equal graphs yield equal sequences.
+        """
+        for u in range(self._n):
+            adjacent = self._succ[u]
+            for v in sorted(adjacent if self._directed else [v for v in adjacent if v > u]):
+                yield (u, v)
 
     def neighbors(self, node: int) -> frozenset[int]:
         """Adjacent nodes; out-neighbors for directed graphs.
@@ -437,12 +496,9 @@ class SocialGraph:
             count=int(indptr[-1]),
         )
         # Sets iterate in arbitrary order; one global lexsort on (row, col)
-        # sorts every row segment at C speed, replacing the per-row Python
-        # ``sorted()`` loop the previous implementation paid.
+        # sorts every row segment at C speed.
         rows = np.repeat(np.arange(self._n, dtype=np.int64), counts)
-        indices = columns[np.lexsort((columns, rows))]
-        data = np.ones(int(indptr[-1]), dtype=np.float64)
-        return sp.csr_matrix((data, indices, indptr), shape=(self._n, self._n))
+        return _csr_matrix(indptr, columns[np.lexsort((columns, rows))], self._n)
 
     def adjacency_rows(self, targets: "np.ndarray | list[int]") -> sp.csr_matrix:
         """CSR row slice ``A[targets]`` of the cached adjacency matrix.

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import GraphFormatError, NodeError
-from .graph import SocialGraph
+from .graph import SocialGraph, adjacency_arrays
 
 #: Text-block size of the chunked parser. 8 MB keeps per-block overhead
 #: negligible while bounding peak parse memory for arbitrarily large files.
@@ -125,21 +125,6 @@ def _compact_labels(
     return np.searchsorted(labels, u), np.searchsorted(labels, v), int(labels.size)
 
 
-def _canonical_pairs(
-    u: np.ndarray, v: np.ndarray, directed: bool
-) -> np.ndarray:
-    """Dedup to the ``(m, 2)`` array ``SocialGraph.from_edges`` would keep.
-
-    Drops self-loops, canonicalizes undirected orientation to ``u <= v``,
-    and collapses duplicates — all vectorized.
-    """
-    keep = u != v
-    pairs = np.stack((u[keep], v[keep]), axis=1)
-    if not directed:
-        pairs = np.sort(pairs, axis=1)
-    return np.unique(pairs, axis=0)
-
-
 def read_edge_list(
     path: "str | os.PathLike[str]",
     directed: bool = False,
@@ -161,13 +146,11 @@ def read_edge_list(
     u, v = _parse_edge_list(path)
     u, v, num_labels = _compact_labels(u, v)
     n = num_nodes if num_nodes is not None else num_labels
-    graph = SocialGraph(n, directed=directed)
     if num_labels > n:
         # Mirror the historical per-edge loader: compacted ids beyond the
         # caller's num_nodes fail node validation.
         raise NodeError(num_labels - 1, n)
-    graph._bulk_load(_canonical_pairs(u, v, directed))
-    return graph
+    return SocialGraph.from_edges(np.stack((u, v), axis=1), num_nodes=n, directed=directed)
 
 
 def load_edge_list_shared(
@@ -195,23 +178,14 @@ def load_edge_list_shared(
     n = num_nodes if num_nodes is not None else num_labels
     if num_labels > n:
         raise NodeError(num_labels - 1, n)
-    pairs = _canonical_pairs(u, v, directed)
-    num_edges = int(pairs.shape[0])
-    if directed:
-        rows, cols = pairs[:, 0], pairs[:, 1]
-    else:  # both orientations appear in the symmetric adjacency
-        rows = np.concatenate((pairs[:, 0], pairs[:, 1]))
-        cols = np.concatenate((pairs[:, 1], pairs[:, 0]))
-    counts = np.bincount(rows, minlength=n).astype(np.int64)
-    order = np.lexsort((cols, rows))
-    store = SharedCSR.allocate(n, int(rows.size), directed,
+    indptr, indices, num_edges = adjacency_arrays(u, v, n, directed)
+    store = SharedCSR.allocate(n, int(indices.size), directed,
                                backing=backing, path=segment_path)
     try:
-        store.indptr[0] = 0
-        np.cumsum(counts, out=store.indptr[1:])
-        store.indices[:] = cols[order]
+        store.indptr[:] = indptr
+        store.indices[:] = indices
         store.data[:] = 1.0
-        store.degrees[:] = counts
+        store.degrees[:] = np.diff(indptr)
         store.seal(version=num_edges, num_edges=num_edges)
     except BaseException:
         store.close()

@@ -1,8 +1,8 @@
 """Shared-memory / memory-mapped CSR backing for :class:`SocialGraph`.
 
-The scale layer of ROADMAP item 2. A :class:`SharedCSR` places the graph's
-CSR adjacency (``indptr``/``indices``/``data``) and degree vector in one
-named segment — either POSIX shared memory (``backing="shm"``) or a
+The scale layer: a :class:`SharedCSR` places the graph's CSR adjacency
+(``indptr``/``indices``/``data``) and degree vector in one named
+segment — either POSIX shared memory (``backing="shm"``) or a
 memory-mapped file (``backing="mmap"``, the out-of-core path) — so a
 10^6-node graph is assembled chunk by chunk straight into flat arrays,
 never through per-node Python sets, and an mmap-backed graph can live
@@ -364,29 +364,14 @@ def _heap_from_csr(
     num_edges: int,
     version: int,
 ) -> SocialGraph:
-    """Build an ordinary :class:`SocialGraph` from CSR adjacency arrays."""
+    """Build an ordinary :class:`SocialGraph` from (copies of) CSR adjacency arrays."""
     graph = SocialGraph(num_nodes, directed=directed)
-    succ = graph._succ
-    for node in range(num_nodes):
-        row = indices[indptr[node]:indptr[node + 1]]
-        if row.size:
-            succ[node].update(row.tolist())
-    if directed:
-        pred = graph._pred
-        counts = np.bincount(indices, minlength=num_nodes)
-        sources = np.repeat(
-            np.arange(num_nodes, dtype=np.int64), np.diff(indptr)
-        )
-        order = np.argsort(indices, kind="stable")
-        sources = sources[order]
-        pred_indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=pred_indptr[1:])
-        for node in range(num_nodes):
-            row = sources[pred_indptr[node]:pred_indptr[node + 1]]
-            if row.size:
-                pred[node].update(row.tolist())
-    graph._num_edges = int(num_edges)
-    graph._version = int(version)
+    graph._install_csr(
+        np.array(indptr, dtype=np.int64),
+        np.array(indices, dtype=np.int64),
+        num_edges=num_edges,
+        version=version,
+    )
     return graph
 
 

@@ -24,6 +24,7 @@ requests from many users the way a production system must:
 from .budgets import BudgetManager
 from .cache import CacheStats, UtilityCache
 from .records import (
+    STATUS_NO_CANDIDATES,
     STATUS_REJECTED,
     STATUS_SERVED,
     RecommendationRequest,
@@ -39,6 +40,7 @@ __all__ = [
     "RecommendationResponse",
     "RecommendationService",
     "ReplaySummary",
+    "STATUS_NO_CANDIDATES",
     "STATUS_REJECTED",
     "STATUS_SERVED",
     "UtilityCache",

@@ -17,6 +17,8 @@ from ..errors import ServingError
 #: Response status values.
 STATUS_SERVED = "served"
 STATUS_REJECTED = "rejected"
+#: The user has no candidate: every other node is already a neighbor.
+STATUS_NO_CANDIDATES = "no_candidates"
 
 
 @dataclass(frozen=True)
@@ -45,8 +47,9 @@ class RecommendationResponse:
     """What the service returned for one request.
 
     ``recommendations`` is empty and ``status`` is ``"rejected"`` when the
-    user's remaining privacy budget could not cover the release (batch
-    endpoints reject per-user instead of failing the whole batch).
+    user's remaining privacy budget could not cover the release, or
+    ``"no_candidates"`` when there is no node to recommend (batch
+    endpoints refuse per-user instead of failing the whole batch).
     """
 
     user: int

@@ -13,7 +13,9 @@ function, and a (registry-resolvable) mechanism, behind two endpoints —
   two uniforms per request).
 
 Both endpoints enforce per-user privacy budgets (refusing *before*
-sampling, so refusals spend nothing), reuse utilities through a
+sampling, so refusals spend nothing), answer a user with no candidate
+(every other node already a neighbor) with a ``"no_candidates"``
+response that draws and spends nothing, reuse utilities through a
 version-keyed cache, and leave one privacy-ledger row per charge or
 refusal whenever a ledger or a write-ahead log consumes them.
 """
@@ -39,7 +41,12 @@ from ..telemetry.runtime import traced_map
 from ..utility.base import UtilityFunction, make_utility
 from .budgets import BudgetManager
 from .cache import UtilityCache
-from .records import STATUS_REJECTED, STATUS_SERVED, RecommendationResponse
+from .records import (
+    STATUS_NO_CANDIDATES,
+    STATUS_REJECTED,
+    STATUS_SERVED,
+    RecommendationResponse,
+)
 
 
 class RecommendationService:
@@ -182,7 +189,7 @@ class RecommendationService:
         if isinstance(mechanism, SmoothingMechanism):
             num_candidates = self.graph.num_nodes - 1 - self.graph.out_degree(user)
             if num_candidates < 1:
-                return float("inf")  # no candidates; recommend will error anyway
+                return float("inf")  # never charged: the endpoints answer no_candidates
             return float(mechanism.epsilon_for(num_candidates))
         return 0.0
 
@@ -209,6 +216,28 @@ class RecommendationService:
             )
             self._flush_telemetry()
             raise
+
+    def _is_barren(self, user: int) -> bool:
+        """Whether ``user`` has no candidate: every other node is already a neighbor.
+
+        An unknown id is not barren; it fails later with the utility's own error.
+        """
+        num_nodes = self.graph.num_nodes
+        return 0 <= user < num_nodes and self.graph.out_degree(user) == num_nodes - 1
+
+    def _refuse_barren(
+        self, user: int, mechanism: Mechanism, latency_seconds: float
+    ) -> RecommendationResponse:
+        """Answer a user with no candidates: no draw, no charge, one labelled refusal row."""
+        return self._record(
+            user=user,
+            epsilon_spent=0.0,
+            mechanism=mechanism,
+            recommendations=(),
+            status=STATUS_NO_CANDIDATES,
+            cache_hit=False,
+            latency_seconds=latency_seconds,
+        )
 
     def attach_row_sink(self, sink) -> None:
         """Mirror every buffered ledger row into ``sink`` at flush time.
@@ -312,9 +341,12 @@ class RecommendationService:
             else:
                 if telemetry is not None:
                     self._rejected_tally += 1
+                # A budget refusal is the unlabelled kind; any other
+                # refusal names its status.
+                label = "" if status == STATUS_REJECTED else status
                 self._ledger_buffer.append(
                     (KIND_REFUSAL, int(user), 0.0, mechanism.name,
-                     int(epoch), int(version), clock, "", float(needed))
+                     int(epoch), int(version), clock, label, float(needed))
                 )
         self._next_request_id += 1
         return RecommendationResponse(
@@ -342,14 +374,21 @@ class RecommendationService:
         afford all ``k`` picks raises
         :class:`~repro.errors.BudgetExhaustedError` without spending
         anything or drawing any sample, and a served one is charged once
-        and leaves one ledger row. ``k`` below 1 or above the number of
-        candidates raises :class:`~repro.errors.MechanismError`, also
-        before any draw or charge.
+        and leaves one ledger row. A user with no candidates gets a
+        ``"no_candidates"`` response, with no draw, no charge and one
+        refusal row labelled ``no_candidates``. ``k`` below 1 or above
+        the number of candidates raises
+        :class:`~repro.errors.MechanismError`, also before any draw or
+        charge.
         """
         if k < 1:
             raise MechanismError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
         mechanism = self._mechanism_for(epsilon)
+        if self._is_barren(user):
+            response = self._refuse_barren(user, mechanism, time.perf_counter() - started)
+            self._flush_telemetry()
+            return response
         cost = k * self._release_cost(mechanism, user)
         self._check_budget(user, cost, mechanism, started)
         with self._ambient(), telemetry_runtime.span("serve.recommend", user=int(user), k=k):
@@ -384,7 +423,8 @@ class RecommendationService:
         """One recommendation per user, computed in a single vectorized pass.
 
         Users whose budget cannot cover the release get a ``"rejected"``
-        response — the rest of the batch is still served. With an
+        response, and users with no candidates a ``"no_candidates"``
+        one — the rest of the batch is still served. With an
         :class:`ExponentialMechanism` the served users share one batched
         utility computation (``A[targets] @ A`` on the cached CSR adjacency
         matrix, kept sparse) and one inverse-CDF pass over every row's
@@ -397,6 +437,7 @@ class RecommendationService:
         on its row and those two uniforms. So a same-seed service answers
         the same requests identically however they are split into batches
         or single :meth:`recommend` calls; refused requests draw nothing.
+        Candidates are counted before any budget check or draw.
 
         Per-request latency is the batch wall time divided evenly across
         its requests.
@@ -404,12 +445,15 @@ class RecommendationService:
         started = time.perf_counter()
         users = [int(u) for u in users]
         mechanism = self._mechanism_for(epsilon)
-        cost_of = {user: self._release_cost(mechanism, user) for user in set(users)}
+        barren = {user for user in set(users) if self._is_barren(user)}
+        cost_of = {user: self._release_cost(mechanism, user) for user in set(users) - barren}
 
         to_serve: list[tuple[int, int]] = []  # (position, user) pairs to serve
         rejected: list[int] = []  # positions refused for budget
         charged: dict[int, float] = {}  # tentative per-user spend within this batch
         for position, user in enumerate(users):
+            if user in barren:
+                continue
             already = charged.get(user, 0.0)
             cost = cost_of[user]
             if self.budgets.can_spend(user, already + cost):
@@ -442,6 +486,9 @@ class RecommendationService:
         responses: list[RecommendationResponse] = []
         rejected_set = set(rejected)
         for position, user in enumerate(users):
+            if user in barren:
+                responses.append(self._refuse_barren(user, mechanism, share))
+                continue
             if position in rejected_set:
                 responses.append(
                     self._record(

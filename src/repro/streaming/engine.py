@@ -465,6 +465,10 @@ class StreamingService:
         refused: list[tuple[int, int, float]] = []  # (position, user, cost)
         pending: dict[int, float] = {}  # same-batch duplicates accumulate
         for position, (user, now) in enumerate(zip(users, times)):
+            if self.service._is_barren(user):
+                # Answered no_candidates inside: nothing to meter.
+                admitted.append((position, user, now))
+                continue
             cost = self.service.release_cost(user)
             already = pending.get(user, 0.0)
             if self._window_accountant(user).can_spend(already + cost, now):

@@ -25,10 +25,11 @@ quadratic in practice.
   read, and with no Python-level per-edge loop;
 * a degree vector is maintained in place (O(1) per mutation), so
   :meth:`out_degrees_of` is a pure gather;
-* :meth:`compact` rebuilds the CSR from the current sets, clears the
-  deltas, and bumps the **epoch**; the mutation ``version`` is *not*
-  bumped (compaction changes the representation, not the graph), so
-  version-keyed utility caches stay valid across compaction boundaries.
+* :meth:`compact` makes the current matrix view (base plus delta) the
+  new base, clears the deltas, and bumps the **epoch**; the mutation
+  ``version`` is *not* bumped (compaction changes the representation,
+  not the graph), so version-keyed utility caches stay valid across
+  compaction boundaries.
   :attr:`stamp` — ``(epoch, version)`` — is strictly monotone under the
   lexicographic order;
 * once a patching cache calls :meth:`request_score_deltas`, every
@@ -133,26 +134,36 @@ class MutableSocialGraph(SocialGraph):
 
         The overlay starts at the source's ``version`` (like
         :meth:`SocialGraph.copy`, so version-keyed caches cannot collide)
-        with empty deltas and no journal.
+        with empty deltas and no journal. Its epoch base is the source's
+        CSR matrix (shared, read-only; built on the source first if
+        stale), and its degrees are that matrix's row lengths.
         """
         overlay = cls(
             graph.num_nodes,
             directed=graph.is_directed,
             journal_limit=journal_limit,
         )
+        graph.adjacency_matrix()
         graph._copy_core_into(overlay)
         overlay._refresh_overlay_state()
         return overlay
 
-    def _bulk_load(self, pairs: np.ndarray) -> None:
+    def _install_csr(
+        self, indptr: np.ndarray, indices: np.ndarray, *, num_edges: int, version: int
+    ) -> None:
         # from_edges() funnels through here; treat the bulk load as the
         # epoch-0 base state rather than journaled mutations.
-        super()._bulk_load(pairs)
+        super()._install_csr(indptr, indices, num_edges=num_edges, version=version)
         self._refresh_overlay_state()
 
     def _refresh_overlay_state(self) -> None:
-        """Reset overlay bookkeeping to 'current sets are the epoch base'."""
-        self._base_csr = None
+        """Reset overlay bookkeeping to 'current sets are the epoch base'.
+
+        A current matrix view becomes the base as it is; otherwise the
+        base is built from the sets on first need.
+        """
+        current = self._csr is not None and self._csr_version == self._version
+        self._base_csr = self._csr if current else None
         self._base_csr_rev = None
         self._added.clear()
         self._removed.clear()
@@ -163,9 +174,12 @@ class MutableSocialGraph(SocialGraph):
         self._delta_triplets.clear()
         self._delta_arrays = None
         self._delta_entries = 0
-        self._live_degrees = np.fromiter(
-            (len(s) for s in self._succ), dtype=np.int64, count=self._n
-        )
+        if current:
+            self._live_degrees = np.diff(self._csr.indptr).astype(np.int64)
+        else:
+            self._live_degrees = np.fromiter(
+                (len(s) for s in self._succ), dtype=np.int64, count=self._n
+            )
         if self._tracker is not None:
             # Consumers that enabled delta journaling keep it across a
             # journal reset — only the retained window restarts.
@@ -268,6 +282,8 @@ class MutableSocialGraph(SocialGraph):
         self._epoch = int(state["epoch"])
         self._degrees_version = -1
         self._degrees = None
+        self._csr_version = -1
+        self._csr = None
         # _refresh_overlay_state resets the deltas/journal around the
         # restored version; the recorded base and deltas are then pinned
         # back on top of it.
@@ -577,13 +593,16 @@ class MutableSocialGraph(SocialGraph):
     def compact(self) -> None:
         """Fold the delta into a fresh CSR base and start a new epoch.
 
-        O(n + m): one CSR assembly. The logical graph is unchanged, so
+        The new base is :meth:`adjacency_matrix`'s fold (base plus the
+        +1/-1 delta, zeros eliminated, indices sorted): one vectorized
+        O(m + delta) sparse sum, cached per version, with no sweep over
+        the adjacency sets. The logical graph is unchanged, so
         ``version`` stays put (caches keyed on it remain valid) while
         ``epoch`` bumps; the mutation journal is *kept* — its recorded
         deltas remain correct — so caches can still patch across the
         compaction boundary.
         """
-        self._base_csr = self._build_csr()
+        self._base_csr = self.adjacency_matrix()
         self._base_csr_rev = None
         self._added.clear()
         self._removed.clear()
@@ -595,9 +614,6 @@ class MutableSocialGraph(SocialGraph):
         self._delta_arrays = None
         self._delta_entries = 0
         self._epoch += 1
-        # The freshly-built base is also the current matrix view.
-        self._csr = self._base_csr
-        self._csr_version = self._version
 
     # ------------------------------------------------------------------
     # Mutation hooks

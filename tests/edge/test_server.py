@@ -10,7 +10,7 @@ import urllib.request
 
 import pytest
 
-from repro.datasets import wiki_vote
+from repro.datasets import toy, wiki_vote
 from repro.edge import EdgeServer, serve_in_thread
 from repro.errors import EdgeServiceError
 from repro.serving import RecommendationService
@@ -200,6 +200,20 @@ class TestBudgetRejections:
         assert body["window_remaining"] == pytest.approx(0.0)
         assert body["remaining_budget"] == pytest.approx(99.5)
         service.verify_ledger()
+
+
+def test_user_without_candidates_maps_to_409():
+    service = make_service(toy.star(leaves=3))
+    with serve_in_thread(service) as handle:
+        status, body = request(handle.url, "/recommend", {"user": 0})
+        served, _ = request(handle.url, "/recommend", {"user": 1})
+    assert status == 409 and body["error"] == "no_candidates"
+    assert body["status"] == "no_candidates" and body["batch_seq"] == 0
+    assert served == 200
+    [refusal] = service.telemetry.ledger.entries(KIND_REFUSAL)
+    assert refusal.user == 0 and refusal.label == "no_candidates"
+    assert service.telemetry.registry.counter("edge.no_candidates").value == 1
+    service.verify_ledger()
 
 
 class TestAdmissionControl:

@@ -20,7 +20,7 @@ from repro.mechanisms import (
     UniformMechanism,
     mechanism_registry,
 )
-from repro.serving import STATUS_REJECTED, RecommendationService
+from repro.serving import STATUS_NO_CANDIDATES, STATUS_REJECTED, RecommendationService
 from repro.telemetry import KIND_CHARGE, KIND_REFUSAL, Telemetry
 from repro.utility import CommonNeighbors
 from repro.utility.base import UtilityVector
@@ -444,9 +444,54 @@ class TestConfiguration:
         service = make_service(graph)
         assert service.epsilon_per_release == pytest.approx(0.5)
 
-    def test_empty_candidate_set_is_mechanism_error(self):
-        star = toy.star(leaves=3)
-        service = RecommendationService(star, epsilon=0.5, user_budget=10.0, seed=0)
-        # the hub is connected to everyone: no candidates remain
-        with pytest.raises(MechanismError):
-            service.recommend(0)
+
+
+class TestNoCandidates:
+    """The hub of a star is linked to everyone: it has no candidate."""
+
+    def service(self, mechanism="exponential"):
+        service = RecommendationService(
+            toy.star(leaves=3), mechanism=mechanism, epsilon=0.5, user_budget=10.0, seed=0
+        )
+        rows: list = []
+        service.attach_row_sink(rows.extend)
+        return service, rows
+
+    def test_single_request_draws_and_spends_nothing(self):
+        service, rows = self.service()
+        before = service._rng.bit_generator.state
+        response = service.recommend(0, k=2)
+        assert response.status == STATUS_NO_CANDIDATES and not response.served
+        assert response.recommendations == () and response.epsilon_spent == 0.0
+        assert service._rng.bit_generator.state == before
+        assert service.budgets.spent(0) == 0.0
+        assert [(row[0], row[1], row[2], row[7]) for row in rows] == [
+            (KIND_REFUSAL, 0, 0.0, "no_candidates")
+        ]
+
+    def test_batch_serves_the_rest_from_two_uniforms_each(self):
+        service, rows = self.service()
+        alone = RecommendationService(toy.star(leaves=3), epsilon=0.5, user_budget=10.0, seed=0)
+        leaf, hub = service.recommend_batch([1, 0])
+        assert leaf.served and leaf == alone.recommend_batch([1])[0]
+        assert hub.status == STATUS_NO_CANDIDATES and hub.epsilon_spent == 0.0
+        reference = np.random.default_rng(0)
+        reference.random((1, 2))
+        assert service._rng.bit_generator.state == reference.bit_generator.state
+        assert service.budgets.spent(0) == 0.0 and service.budgets.spent(1) == 0.5
+        assert [(row[0], row[1], row[7]) for row in rows] == [
+            (KIND_CHARGE, 1, ""),
+            (KIND_REFUSAL, 0, "no_candidates"),
+        ]
+
+    @pytest.mark.parametrize("mechanism", ["laplace", "smoothing", "uniform", "best"])
+    def test_every_mechanism_answers_the_hub(self, mechanism):
+        service, rows = self.service(
+            SmoothingMechanism(0.6) if mechanism == "smoothing" else mechanism
+        )
+        responses = service.recommend_batch([0, 2, 0])
+        assert [r.status for r in responses] == [
+            STATUS_NO_CANDIDATES, "served", STATUS_NO_CANDIDATES
+        ]
+        assert service.recommend(0).status == STATUS_NO_CANDIDATES
+        assert sum(row[7] == "no_candidates" for row in rows) == 3

@@ -13,7 +13,8 @@ import pytest
 
 from repro.datasets import toy, wiki_vote
 from repro.errors import PrivacyParameterError, ServingError
-from repro.serving.records import STATUS_REJECTED, STATUS_SERVED
+from repro.mechanisms import SmoothingMechanism
+from repro.serving.records import STATUS_NO_CANDIDATES, STATUS_REJECTED, STATUS_SERVED
 from repro.streaming import (
     MutableSocialGraph,
     SlidingWindowAccountant,
@@ -319,6 +320,18 @@ class TestWindowMode:
         assert statuses == [STATUS_SERVED, STATUS_SERVED, STATUS_REJECTED]
         later = service.recommend_batch([0], at=20.0)
         assert later[0].status == STATUS_SERVED
+
+    @pytest.mark.parametrize("mechanism", ["exponential", "smoothing"])
+    def test_user_without_candidates_is_not_metered(self, mechanism):
+        """A star's hub is answered no_candidates, never window-refused
+        (smoothing prices a release with no candidates at infinity)."""
+        service = StreamingService(
+            toy.star(leaves=3), seed=0, window=10.0, window_budget=5.0,
+            mechanism=SmoothingMechanism(0.6) if mechanism == "smoothing" else mechanism,
+        )
+        hub, leaf = service.recommend_batch([0, 1], at=0.0)
+        assert hub.status == STATUS_NO_CANDIDATES and leaf.status == STATUS_SERVED
+        assert service.window_remaining(0) == 5.0
 
     @pytest.mark.parametrize(
         "at", [float("inf"), float("nan"), [0.0, float("inf")], [float("-inf"), 0.0]]
