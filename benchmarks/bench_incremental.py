@@ -156,7 +156,7 @@ def check_identity_matrix(scale: float, num_events: int, batch_size: int) -> int
 
 def check_resident_rows(service) -> int:
     """Every resident row equals a from-scratch recompute, bit for bit."""
-    utility = service.service.utility
+    utility = service.utility
     graph = service.graph
     _, pairs = service.cache.export_entries()
     require(len(pairs) > 0, "no rows resident after the patch replay")

@@ -2,12 +2,13 @@
 
 Real recommenders don't make one suggestion — they fill a feed, day after
 day, while the graph changes underneath them. This example runs that
-setting on the streaming service to show what the paper's single-shot
-analysis implies for it:
+setting on a service over a mutable graph to show what the paper's
+single-shot analysis implies for it:
 
-* a :class:`StreamingService` applies a growing friendship graph's edge
-  events (:class:`StreamEvent`) and re-derives the weighted-paths
-  sensitivity after each one (it grows as hubs densify);
+* a :class:`RecommendationService` over a :class:`MutableSocialGraph`
+  applies a growing friendship graph's edge events (:class:`StreamEvent`)
+  and re-derives the weighted-paths sensitivity after each one (it grows
+  as hubs densify);
 * the service's lifetime budget charges every release by sequential
   composition, so the feed refuses service once the budget runs dry;
 * :func:`sensitivity_drift` reads the same Delta f along the same events;
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import RecommendationService, StreamingService
+from repro import MutableSocialGraph, RecommendationService
 from repro.datasets import toy
 from repro.errors import BudgetExhaustedError
 from repro.experiments import render_table
@@ -52,21 +53,20 @@ def main() -> None:
         StreamEvent(4.0, KIND_ADD, u=8, v=2),
         StreamEvent(5.0, KIND_ADD, u=8, v=3),
     ]
-    stream = StreamingService(
-        toy.paper_example_graph(),
+    service = RecommendationService(
+        MutableSocialGraph.from_graph(toy.paper_example_graph()),
         WeightedPaths(gamma=0.05),
         epsilon=0.6,
         user_budget=3.0,
         seed=5,
     )
-    service = stream.service
 
     print("daily feed for user 0 under a lifetime budget of epsilon = 3.0:\n")
     rows = []
     pending = list(events)
     for day in (0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5):
         while pending and pending[0].time <= day:
-            stream.apply_edge_event(pending.pop(0))
+            service.apply_edge_event(pending.pop(0))
         delta_f = f"{service.mechanism.sensitivity:.3f}"
         try:
             (pick,) = service.recommend(0).recommendations
@@ -93,7 +93,7 @@ def main() -> None:
     for k in (1, 2, 4):
         per_pick = 2.0 / k
         lists = RecommendationService(
-            stream.graph, CommonNeighbors(), epsilon=per_pick, user_budget=1e9, seed=9
+            service.graph, CommonNeighbors(), epsilon=per_pick, user_budget=1e9, seed=9
         )
         accuracy = set_accuracy(lists, 0, k, trials=300)
         spent = lists.budgets.spent(0) / 300

@@ -66,8 +66,8 @@ def main() -> None:
           f"{len(service.cache)} after (auto-invalidated)")
 
     # 5. Replay a synthetic workload and summarize.
-    requests = synthetic_workload(graph, 1000, seed=1)
-    summary = replay(service, requests, batch_size=64)
+    users = synthetic_workload(graph, 1000, seed=1)
+    summary = replay(service, users, batch_size=64)
     print("\nworkload replay (1000 zipf-skewed requests, batch size 64):")
     print(summary.render())
 

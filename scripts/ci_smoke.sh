@@ -161,23 +161,32 @@ done
 
 echo
 echo "== perfbench per-layer evidence =="
-# perfbench times the utility kernel and the sampler by wrapping
-# repro.serving.service._vectors_chunk and _sample_chunk by name. A
-# rename leaves those layers at 0 and is reported only on stderr, so a
-# two-second traced run of each serving workload must read both above 0.
+# perfbench finds each layer by wrapping its entry points by name: the
+# utility kernel and the sampler are repro.serving.service's
+# _vectors_chunk and _sample_chunk; accounting is the service's _record,
+# _flush_telemetry and budgets.charge plus
+# repro.streaming.engine.SlidingWindowAccountant's can_spend and spend;
+# mutation is apply_edge_event, the write-ahead log its log_edge, commit
+# and sync, and cache patching UtilityCache._reconcile_row. A rename
+# leaves its layer at 0 and is reported only on stderr, so a two-second
+# traced run of each serving workload must read every layer it passes
+# through above 0.
 for workload in edge_wiki stream_durable; do
     echo "-- $workload (traced)"
     outcome=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 --trace 1 | tail -n 1)
     echo "$outcome"
     python3 -c '
 import json, sys
-outcome = json.loads(sys.argv[1])
+workload, outcome = sys.argv[1], json.loads(sys.argv[2])
 if outcome["correct"] is not True or outcome["failed"] != 0:
     sys.exit("FAIL: perfbench checks did not pass")
-for layer in ("sampler_pct", "utility_kernel_pct"):
+layers = ["sampler_pct", "utility_kernel_pct", "accounting_pct"]
+if workload == "stream_durable":
+    layers += ["mutation_pct", "wal_pct", "cache_patch_pct"]
+for layer in layers:
     if not outcome["metrics"][layer]["value"] > 0:
         sys.exit(f"FAIL: perfbench reads {layer} = 0; its entry point was not traced")
-' "$outcome"
+' "$workload" "$outcome"
 done
 
 echo

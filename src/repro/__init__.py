@@ -30,10 +30,11 @@ The library implements the paper end-to-end:
   ``repro-social serve-sim`` CLI subcommand;
 * a streaming layer (:mod:`repro.streaming`): a
   :class:`~repro.streaming.overlay.MutableSocialGraph` delta overlay
-  over a frozen CSR base, cache rows patched from journaled score deltas,
-  and a :class:`~repro.streaming.engine.StreamingService` that serves
-  recommendation batches while the graph mutates — with an optional
-  sliding-window privacy budget — behind the ``repro-social stream-sim``
+  over a frozen CSR base, over which the same
+  :class:`~repro.serving.service.RecommendationService` applies edge
+  events between requests (cache rows patched from journaled score
+  deltas, an optional sliding-window privacy budget on every request),
+  and the stream replay driver behind the ``repro-social stream-sim``
   CLI subcommand;
 * a telemetry plane (:mod:`repro.telemetry`): a lock-safe mergeable
   metrics registry (counters/gauges/histograms with Prometheus and JSON
@@ -46,8 +47,7 @@ The library implements the paper end-to-end:
   write-ahead log of edge events, serve charges, refusals, and window
   expiries, atomic numbered snapshots of the full service state, and a
   recovery path (``snapshot + WAL tail replay``) that rebuilds a
-  :class:`~repro.streaming.engine.StreamingService` bit-identical to
-  the uninterrupted run — proven by a deterministic crash-injection
+  service bit-identical to the uninterrupted run — proven by a deterministic crash-injection
   harness — behind ``repro-social stream-sim --wal`` and
   ``repro-social recover``;
 * an HTTP edge (:mod:`repro.edge`): a stdlib-asyncio service boundary
@@ -119,7 +119,7 @@ from .errors import (
 )
 from .edge import EdgeServer
 from .graphs import SocialGraph
-from .serving import RecommendationRequest, RecommendationResponse, RecommendationService
+from .serving import RecommendationResponse, RecommendationService
 from .streaming import MutableSocialGraph, StreamingService
 from .telemetry import Telemetry
 from .mechanisms import (
@@ -164,7 +164,6 @@ __all__ = [
     "PersonalizedPageRank",
     "PreferentialAttachment",
     "PrivacyParameterError",
-    "RecommendationRequest",
     "RecommendationResponse",
     "RecommendationService",
     "RecoveryError",

@@ -227,10 +227,10 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         telemetry=telemetry,
     )
     try:
-        requests = synthetic_workload(
+        users = synthetic_workload(
             graph, args.requests, zipf_exponent=args.zipf, seed=args.seed
         )
-        summary = replay(service, requests, batch_size=args.batch_size)
+        summary = replay(service, users, batch_size=args.batch_size)
         source = (
             f"synthetic power-law n={args.nodes} ({args.backend} backing)"
             if args.nodes is not None
@@ -281,11 +281,12 @@ def _stream_config(args: argparse.Namespace) -> dict:
 
 
 def _build_stream_service(config: dict, telemetry=None):
-    from .streaming import StreamingService
+    from .serving import RecommendationService
+    from .streaming import MutableSocialGraph
 
     graph = wiki_vote(scale=config["scale"])
-    service = StreamingService(
-        graph,
+    service = RecommendationService(
+        MutableSocialGraph.from_graph(graph),
         mechanism=config["mechanism"],
         epsilon=config["epsilon"],
         user_budget=config["budget"],
@@ -455,13 +456,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from .edge import EdgeServer
-    from .streaming import StreamingService
+    from .serving import RecommendationService
+    from .streaming import MutableSocialGraph
     from .telemetry import Telemetry
 
     telemetry = Telemetry.create()
     graph = wiki_vote(scale=args.scale)
-    service = StreamingService(
-        graph,
+    service = RecommendationService(
+        MutableSocialGraph.from_graph(graph),
         mechanism=args.mechanism,
         epsilon=args.epsilon,
         user_budget=args.budget,
@@ -877,7 +879,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     recover_cmd = subparsers.add_parser(
         "recover",
-        help="rebuild a streaming service from a --wal durability directory",
+        help="rebuild a service from a --wal durability directory",
     )
     recover_cmd.add_argument(
         "directory", type=str, help="directory written by stream-sim --wal"

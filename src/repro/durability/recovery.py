@@ -105,7 +105,7 @@ def _apply_commit_rows(service, rows, *, path: str, offset: int) -> None:
     lands on the identical final deque, and lets each expiry be verified
     against the exact entry it claims to pop.
     """
-    budgets = service.service.budgets
+    budgets = service.budgets
     expiries = []
     for row in rows:
         kind = row[0]
@@ -153,8 +153,8 @@ def _adopt_commit_state(service, state, *, path: str, offset: int) -> None:
             f"replayed log carries {service.mutation_events_seen}",
             path=path, offset=offset,
         )
-    service.service._rng.bit_generator.state = state["rng"]
-    service.service._next_request_id = int(state["req"])
+    service._rng.bit_generator.state = state["rng"]
+    service._next_request_id = int(state["req"])
     service.clock = float(state["clock"])
 
 
@@ -162,7 +162,7 @@ def _adopt_commit_state(service, state, *, path: str, offset: int) -> None:
 class RecoveryReport:
     """What :func:`recover` rebuilt and where it left the durable state."""
 
-    service: object                 #: the recovered StreamingService (WAL attached)
+    service: object                 #: the recovered RecommendationService (WAL attached)
     directory: Path
     snapshot_path: "Path | None"    #: snapshot restored from (None = full replay)
     snapshot_events_done: int       #: stream position the snapshot froze
@@ -178,7 +178,7 @@ class RecoveryReport:
 
     @property
     def requests_done(self) -> int:
-        return self.service.service._next_request_id
+        return self.service._next_request_id
 
     def resume_index(self, events) -> int:
         """Index into ``events`` where a resumed replay must continue.
@@ -230,7 +230,8 @@ def recover(
     """Rebuild a service from a durability directory, bit-identically.
 
     ``build_service`` is a zero-argument callable returning a fresh
-    :class:`~repro.streaming.engine.StreamingService` constructed with
+    :class:`~repro.serving.service.RecommendationService` over a
+    :class:`~repro.streaming.overlay.MutableSocialGraph`, constructed with
     the *same parameters* as the one that wrote the state (the CLI reads
     them from the recorded config). It must come back with no WAL
     attached and (when telemetry is given) an empty ledger — recovery

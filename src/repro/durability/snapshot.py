@@ -1,4 +1,4 @@
-"""Point-in-time snapshots of a :class:`StreamingService`'s durable state.
+"""Point-in-time snapshots of a :class:`RecommendationService`'s durable state.
 
 A snapshot bounds recovery time: restore loads the newest readable
 snapshot and replays only the WAL *tail* written after it, instead of
@@ -227,10 +227,9 @@ def capture_state(
     the timeline in a way a fallback to an *earlier* snapshot could
     never reconstruct).
     """
-    inner = service.service
     graph = service.graph
     epoch, version = graph.stamp
-    cache_version, cache_vectors = inner.cache.export_entries()
+    cache_version, cache_vectors = service.cache.export_entries()
     return {
         "format": SNAPSHOT_FORMAT,
         "kind": "streaming-service",
@@ -239,13 +238,13 @@ def capture_state(
         "config": dict(config) if config is not None else None,
         "stamp": (int(epoch), int(version)),
         "graph": graph.csr_state(),
-        "rng_state": inner._rng.bit_generator.state,
-        "next_request_id": int(inner._next_request_id),
+        "rng_state": service._rng.bit_generator.state,
+        "next_request_id": int(service._next_request_id),
         "clock": float(service.clock),
         "mutations_applied": int(service.mutations_applied),
         "mutation_events_seen": int(service.mutation_events_seen),
         "compactions": int(service.compactions),
-        "budgets": inner.budgets.export_state(),
+        "budgets": service.budgets.export_state(),
         "windows": {
             int(user): {
                 "entries": [(float(t), float(eps)) for t, eps in acct._entries],
@@ -267,7 +266,6 @@ def install_state(service, state: dict, *, path: "str | Path | None" = None) -> 
     paper over.
     """
     path = str(path) if path is not None else None
-    inner = service.service
     graph = service.graph
 
     graph.restore_csr_state(state["graph"])
@@ -285,17 +283,17 @@ def install_state(service, state: dict, *, path: "str | Path | None" = None) -> 
             f"restored graph version {graph.version}",
             path=path,
         )
-    inner.cache.restore_entries(cache_state["version"], cache_state["vectors"])
+    service.cache.restore_entries(cache_state["version"], cache_state["vectors"])
 
-    inner.budgets.restore_state(state["budgets"])
+    service.budgets.restore_state(state["budgets"])
     for user, window in state["windows"].items():
         acct = service._window_accountant(int(user))
         acct._entries.clear()
         acct._entries.extend((float(t), float(eps)) for t, eps in window["entries"])
         acct._clock = float(window["clock"])
 
-    inner._rng.bit_generator.state = state["rng_state"]
-    inner._next_request_id = int(state["next_request_id"])
+    service._rng.bit_generator.state = state["rng_state"]
+    service._next_request_id = int(state["next_request_id"])
     service.clock = float(state["clock"])
     service.mutations_applied = int(state["mutations_applied"])
     service.mutation_events_seen = int(state["mutation_events_seen"])

@@ -1,4 +1,4 @@
-"""Write-ahead log for streaming services: framed, checksummed, replayable.
+"""Write-ahead log for recommendation services: framed, checksummed, replayable.
 
 The log is a single append-only file of length-prefixed records::
 
@@ -9,13 +9,14 @@ Two payload shapes exist:
 * **edge records** ``["e", kind, time, u, v]`` — one per mutation event,
   written *before* the in-memory apply (write-ahead), so a mutation the
   service acted on is always recoverable;
-* **commit records** ``["c", rows, state]`` — one per engine
-  recommendation batch. ``rows`` are the privacy-ledger rows (the
+* **commit records** ``["c", rows, state]`` — one per endpoint call
+  (a recommendation batch, a single or top-k request, a refusal).
+  ``rows`` are the privacy-ledger rows (the
   :class:`~repro.telemetry.ledger.LedgerEntry` fields minus ``seq``) the
-  batch produced, in ledger arrival order; ``state`` is the engine's
-  post-batch :meth:`~repro.streaming.engine.StreamingService.
-  durable_state` — RNG bit-generator state, request counter, stream
-  clock. A batch is atomic: its charges exist durably if and only if its
+  call produced, in ledger arrival order; ``state`` is the service's
+  post-call :meth:`~repro.serving.service.RecommendationService.
+  durable_state` — RNG bit-generator state, request counter, event
+  clock. A call is atomic: its charges exist durably if and only if its
   commit record does, so a crash can never land half a batch's epsilon.
   The dropped batch is re-executed bit-identically on resume (the
   *previous* commit's RNG state is exactly where the crashed run started

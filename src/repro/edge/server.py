@@ -1,17 +1,17 @@
 """The HTTP edge: async service boundary over the recommendation engine.
 
 :class:`EdgeServer` is the network front end for a
-:class:`~repro.serving.service.RecommendationService` or
-:class:`~repro.streaming.engine.StreamingService` — stdlib asyncio plus
-the hand-rolled framing in :mod:`repro.edge.http`, no framework. Four
-routes:
+:class:`~repro.serving.service.RecommendationService` — stdlib asyncio
+plus the hand-rolled framing in :mod:`repro.edge.http`, no framework.
+Four routes:
 
 * ``POST/GET /recommend`` — one private recommendation. Concurrent
   requests are **coalesced** (:class:`~repro.edge.coalescer.
   CoalescingQueue`) into ``recommend_batch`` calls executed on a single
   compute thread, so the event loop never blocks and the engine sees
   the vectorized hot path instead of per-request calls.
-* ``POST /edge-event`` — one graph mutation (streaming services only),
+* ``POST /edge-event`` — one graph mutation (a service over a
+  :class:`~repro.streaming.overlay.MutableSocialGraph` only; 404 otherwise),
   executed on the *same* compute thread so mutations serialize strictly
   between batches, never inside one. An endpoint outside the graph
   answers 400 ``unknown_node`` and a non-numeric or non-finite ``time`` a
@@ -60,6 +60,7 @@ from functools import partial
 from ..errors import BudgetExhaustedError, EdgeServiceError
 from ..serving.records import STATUS_NO_CANDIDATES
 from ..streaming.events import KIND_ADD, KIND_REMOVE, StreamEvent
+from ..streaming.overlay import MutableSocialGraph
 from ..telemetry.metrics import DEFAULT_SIZE_BUCKETS
 from . import http
 from .coalescer import CoalescingQueue
@@ -85,8 +86,7 @@ class EdgeServer:
     Parameters
     ----------
     service:
-        A :class:`~repro.serving.service.RecommendationService` or
-        :class:`~repro.streaming.engine.StreamingService`. Must have
+        A :class:`~repro.serving.service.RecommendationService`. Must have
         telemetry attached — the edge's observability and its audited-
         rejection guarantee are not optional.
     host, port:
@@ -113,11 +113,8 @@ class EdgeServer:
         queue_limit: int = 256,
         user_inflight: int = 8,
     ) -> None:
-        #: The streaming engine when given one; /edge-event needs it.
         self.service = service
-        #: The underlying RecommendationService either way.
-        self._base = getattr(service, "service", service)
-        self.telemetry = self._base.telemetry
+        self.telemetry = service.telemetry
         if self.telemetry is None:
             raise EdgeServiceError(
                 "the edge requires a service with telemetry attached: "
@@ -129,7 +126,7 @@ class EdgeServer:
             raise EdgeServiceError(
                 f"user_inflight must be >= 1, got {user_inflight}"
             )
-        self._is_streaming = hasattr(service, "submit_edge_event")
+        self._mutable = isinstance(service.graph, MutableSocialGraph)
         self.host = host
         self.port = int(port)
         self.queue_limit = int(queue_limit)
@@ -250,19 +247,11 @@ class EdgeServer:
         )
         return changed, seq
 
-    def _stamp(self) -> "tuple[int, int]":
-        graph = self._base.graph
-        stamp = getattr(graph, "stamp", None)
-        return (0, graph.version) if stamp is None else stamp
-
-    def _clock(self) -> float:
-        return float(getattr(self.service, "clock", 0.0))
-
     def _reject(self, user: int, reason: str, status: int) -> bytes:
         """Audit a transport rejection and frame its typed response."""
         self._reject_counters[reason].inc()
         self.telemetry.ledger.edge_reject(
-            user, reason=reason, stamp=self._stamp(), clock=self._clock()
+            user, reason=reason, stamp=self.service.stamp, clock=self.service.clock
         )
         return http.response_bytes(
             status,
@@ -294,7 +283,7 @@ class EdgeServer:
             raise http.ProtocolError(
                 "recommend needs an integer 'user' (JSON body or query string)"
             ) from None
-        if user < 0 or user >= self._base.graph.num_nodes:
+        if user < 0 or user >= self.service.graph.num_nodes:
             return http.response_bytes(
                 400, {"error": "unknown_user", "user": user}
             )
@@ -337,7 +326,7 @@ class EdgeServer:
         if not response.served:
             return self._budget_reject(
                 user,
-                needed=self._base.release_cost(user),
+                needed=self.service.release_cost(user),
                 batch_seq=seq,
                 batch_index=index,
             )
@@ -375,9 +364,9 @@ class EdgeServer:
             "user": user,
             "status": "rejected",
             "needed": needed,
-            "remaining_budget": self._base.remaining_budget(user),
+            "remaining_budget": self.service.remaining_budget(user),
         }
-        if getattr(self.service, "window", None) is not None:
+        if self.service.window is not None:
             body["window_remaining"] = self.service.window_remaining(user)
         if batch_seq is not None:
             body["batch_seq"] = batch_seq
@@ -387,9 +376,9 @@ class EdgeServer:
     async def _handle_edge_event(self, request: http.HttpRequest) -> bytes:
         if request.method != "POST":
             return http.response_bytes(405, {"error": "method_not_allowed"})
-        if not self._is_streaming:
+        if not self._mutable:
             return http.response_bytes(
-                404, {"error": "mutations need a streaming service"}
+                404, {"error": "mutations need a MutableSocialGraph"}
             )
         payload = request.json()
         kind = payload.get("kind")
@@ -404,7 +393,7 @@ class EdgeServer:
                 "edge-event needs integer 'u' and 'v'"
             ) from None
         try:
-            time = float(payload.get("time", self._clock()))
+            time = float(payload.get("time", self.service.clock))
             if not math.isfinite(time):
                 raise ValueError(time)
         except (TypeError, ValueError):
@@ -412,7 +401,7 @@ class EdgeServer:
                 "edge-event 'time' must be a finite number"
             ) from None
         for node in (u, v):
-            if node < 0 or node >= self._base.graph.num_nodes:
+            if node < 0 or node >= self.service.graph.num_nodes:
                 return http.response_bytes(
                     400, {"error": "unknown_node", "node": node}
                 )

@@ -5,8 +5,8 @@ of a graph that grows (:func:`sensitivity_drift`) and partially-sensitive
 edge sets (:class:`SensitivityPolicy`). Appendix A's multiple
 recommendations and their sequential-composition budget are served by
 :meth:`repro.serving.RecommendationService.recommend` (``k=``) and
-:class:`repro.serving.BudgetManager`; serving while the graph mutates is
-:class:`repro.streaming.StreamingService`.
+:class:`repro.serving.BudgetManager`; serving while the graph mutates is the same service over a
+:class:`repro.streaming.MutableSocialGraph`.
 """
 
 from .dynamic import sensitivity_drift

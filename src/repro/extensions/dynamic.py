@@ -8,8 +8,9 @@ of dynamic data."
 stream of edge mutations and reads a utility function's analytic
 Delta f at chosen times. For weighted paths Delta f grows with d_max, so
 a mechanism calibrated at time 0 silently under-noises later. Serving
-under the same mutations is :class:`~repro.streaming.StreamingService`,
-which re-derives the calibration after every applied mutation.
+under the same mutations is :meth:`repro.serving.RecommendationService.
+apply_edge_event`, which re-derives the calibration after every applied
+mutation.
 """
 
 from __future__ import annotations

@@ -133,6 +133,10 @@ def scale_to_edge_total(
     if current == 0:
         degrees[:] = d_min
         current = int(degrees.sum())
+        if current == 0:
+            if target_total != 0:
+                raise DatasetError("cannot scale an all-zero degree sequence to a positive total")
+            return degrees
     scaled = np.maximum(d_min, np.floor(degrees * (target_total / current)).astype(np.int64))
     if d_max is not None:
         scaled = np.minimum(scaled, d_max)

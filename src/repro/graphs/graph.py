@@ -64,6 +64,18 @@ def _fill_rows(sets: "list[set[int]]", indptr: np.ndarray, indices: np.ndarray) 
             adjacent.update(columns[start:stop])
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a one-dimensional array, ascending (``np.unique``'s result).
+
+    One sort plus a neighbour compare: on high-cardinality int64 keys
+    NumPy's hash-based ``np.unique`` is many times slower.
+    """
+    ordered = np.sort(values)
+    distinct = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=distinct[1:])
+    return ordered[distinct]
+
+
 def adjacency_arrays(
     heads: np.ndarray, tails: np.ndarray, num_nodes: int, directed: bool
 ) -> "tuple[np.ndarray, np.ndarray, int]":
@@ -82,11 +94,8 @@ def adjacency_arrays(
     if not directed:
         heads, tails = np.minimum(heads, tails), np.maximum(heads, tails)
     # Edge keys row * n + col sort in CSR order (no int64 overflow below
-    # 3e9 nodes); np.unique's hash path is slower than this sort.
-    keys = np.sort(heads * num_nodes + tails)
-    distinct = np.ones(keys.size, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    keys = keys[distinct]
+    # 3e9 nodes).
+    keys = sorted_distinct(heads * num_nodes + tails)
     num_edges = keys.size
     if not directed:
         keys = np.sort(np.concatenate((keys, (keys % num_nodes) * num_nodes + keys // num_nodes)))

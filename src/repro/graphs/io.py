@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import GraphFormatError, NodeError
-from .graph import SocialGraph, adjacency_arrays
+from .graph import SocialGraph, adjacency_arrays, sorted_distinct
 
 #: Text-block size of the chunked parser. 8 MB keeps per-block overhead
 #: negligible while bounding peak parse memory for arbitrarily large files.
@@ -121,7 +121,7 @@ def _compact_labels(
     u: np.ndarray, v: np.ndarray
 ) -> "tuple[np.ndarray, np.ndarray, int]":
     """Map raw labels to ``0..n-1`` in sorted label order (the SNAP contract)."""
-    labels = np.unique(np.concatenate((u, v))) if u.size else np.empty(0, np.int64)
+    labels = sorted_distinct(np.concatenate((u, v)))
     return np.searchsorted(labels, u), np.searchsorted(labels, v), int(labels.size)
 
 

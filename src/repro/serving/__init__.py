@@ -6,10 +6,14 @@ requests from many users the way a production system must:
 
 * :class:`RecommendationService` — ``recommend`` (one user, ``k``
   picks by peeling) and ``recommend_batch`` (one pick for each of many
-  users) endpoints over a graph + utility + mechanism;
+  users) endpoints over a graph + utility + mechanism, every request
+  admitted, drawn, charged, recorded and committed on one path; over a
+  :class:`~repro.streaming.overlay.MutableSocialGraph` it also applies
+  graph mutations and journals to a write-ahead log;
 * :class:`BudgetManager` — per-user lifetime epsilon budgets (sequential
   composition: ``k`` picks cost ``k`` releases), refusing requests
-  *before* any budget is spent;
+  *before* any budget is spent; :class:`SlidingWindowAccountant` — the
+  optional per-user budget over a trailing window of the event clock;
 * :class:`UtilityCache` — utility vectors keyed by the graph's mutation
   version, so an unchanged graph never recomputes;
 * batched hot path — the shared :mod:`repro.compute` kernels in float64,
@@ -21,13 +25,12 @@ requests from many users the way a production system must:
   and a replay harness reporting throughput, cache, and budget statistics.
 """
 
-from .budgets import BudgetManager
+from .budgets import BudgetManager, SlidingWindowAccountant
 from .cache import CacheStats, UtilityCache
 from .records import (
     STATUS_NO_CANDIDATES,
     STATUS_REJECTED,
     STATUS_SERVED,
-    RecommendationRequest,
     RecommendationResponse,
 )
 from .service import RecommendationService
@@ -36,13 +39,13 @@ from .workload import ReplaySummary, replay, synthetic_workload
 __all__ = [
     "BudgetManager",
     "CacheStats",
-    "RecommendationRequest",
     "RecommendationResponse",
     "RecommendationService",
     "ReplaySummary",
     "STATUS_NO_CANDIDATES",
     "STATUS_REJECTED",
     "STATUS_SERVED",
+    "SlidingWindowAccountant",
     "UtilityCache",
     "replay",
     "synthetic_workload",

@@ -10,9 +10,17 @@ conditions into :class:`~repro.errors.BudgetExhaustedError` *before* any
 randomness is drawn: a refused request spends nothing and leaks nothing.
 The per-charge history lives in the privacy ledger
 (:class:`~repro.telemetry.ledger.PrivacyLedger`) and the write-ahead log.
+
+:class:`SlidingWindowAccountant` is the second, optional budget: the
+companion impossibility results for continual observation motivate
+bounding the epsilon spent within any trailing window of the event
+clock, not only over a lifetime. A service with ``window=`` set keeps
+one per user, checked and charged beside the lifetime spend.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from ..errors import BudgetExhaustedError, DurabilityError, PrivacyParameterError
 
@@ -124,3 +132,93 @@ class BudgetManager:
                 f"{self.default_budget!r})"
             )
         self._spent = {int(user): float(spent) for user, spent in state["spent"].items()}
+
+
+class SlidingWindowAccountant:
+    """Epsilon accounting over a trailing window of the event clock.
+
+    Unlike the lifetime :class:`~repro.serving.budgets.BudgetManager`
+    spend, entries *expire*: a release recorded at time
+    ``t`` stops counting against the budget once the clock passes
+    ``t + window``. ``budget`` therefore bounds the spend inside every
+    window-length interval — the budget-over-time regime of continual
+    observation — rather than the all-time total.
+
+    Reads (:meth:`spent` / :meth:`remaining` / :meth:`can_spend`) are
+    *pure*: they filter entries against the queried time without
+    advancing any clock, so probing a far-future time can never expire a
+    spend that an earlier-timestamped query should still be charged for.
+    Only :meth:`spend` moves state; its accounting clock is monotone —
+    an out-of-order release is recorded at the latest time already seen,
+    which keeps every release sequence's windowed spend bounded by
+    ``budget`` under the accounting clock.
+    """
+
+    def __init__(self, budget: float, window: float) -> None:
+        if not budget > 0:
+            raise PrivacyParameterError(f"budget must be positive, got {budget}")
+        if not window > 0:
+            raise PrivacyParameterError(f"window must be positive, got {window}")
+        self.budget = float(budget)
+        self.window = float(window)
+        self._entries: deque[tuple[float, float]] = deque()  # (time, epsilon)
+        self._clock = float("-inf")
+
+    @property
+    def retained_spent(self) -> float:
+        """Epsilon summed over every physically retained entry.
+
+        Unlike :meth:`spent` this takes no ``now`` and applies no window
+        filter — it is exactly "charges recorded minus entries expired",
+        the quantity the privacy ledger's net window spend must match
+        (:meth:`repro.telemetry.ledger.PrivacyLedger.assert_consistent`).
+        """
+        return float(sum(epsilon for _, epsilon in self._entries))
+
+    def spent(self, now: float) -> float:
+        """Epsilon still counting against the window at time ``now``.
+
+        Pure: counts every retained entry newer than ``now - window``
+        (including entries recorded at later accounting times — for a
+        stale ``now`` that is the conservative direction).
+        """
+        horizon = float(now) - self.window
+        return float(
+            sum(epsilon for time, epsilon in self._entries if time > horizon)
+        )
+
+    def remaining(self, now: float) -> float:
+        """Window budget left at time ``now`` (pure)."""
+        return self.budget - self.spent(now)
+
+    def can_spend(self, epsilon: float, now: float) -> bool:
+        """Whether a release of ``epsilon`` fits the window at ``now`` (pure)."""
+        if epsilon < 0:
+            raise PrivacyParameterError(f"epsilon must be non-negative, got {epsilon}")
+        return epsilon <= self.remaining(now) + 1e-12
+
+    def spend(self, epsilon: float, now: float) -> "list[tuple[float, float]]":
+        """Record a release at ``now``; return the ``(time, epsilon)`` entries it expired.
+
+        Raises when the window cannot cover the release. The entry is
+        recorded at ``max(now, latest accounting time)`` — the accounting
+        clock never runs backwards — and entries a full window older than
+        that clock are physically dropped (they can no longer affect any
+        admission: admission checks count them only for ``now`` values at
+        least a window behind the clock, where the monotone recording
+        time makes the check conservative anyway). The dropped entries
+        are returned oldest first, because the ledger must journal every
+        hand-back: there is no other observable trace of the drop.
+        """
+        if not self.can_spend(epsilon, now):
+            raise PrivacyParameterError(
+                f"release of epsilon={epsilon} exceeds remaining window budget "
+                f"{self.remaining(now):.6f} (window={self.window}, budget={self.budget})"
+            )
+        self._clock = max(self._clock, float(now))
+        self._entries.append((self._clock, float(epsilon)))
+        horizon = self._clock - self.window
+        expired = []
+        while self._entries and self._entries[0][0] <= horizon:
+            expired.append(self._entries.popleft())
+        return expired

@@ -21,7 +21,6 @@ import numpy as np
 from ..errors import ServingError
 from ..graphs.graph import SocialGraph
 from ..rng import ensure_rng
-from .records import RecommendationRequest
 from .service import RecommendationService
 
 
@@ -31,13 +30,13 @@ def synthetic_workload(
     *,
     zipf_exponent: float = 1.1,
     seed: "int | np.random.Generator | None" = None,
-) -> list[RecommendationRequest]:
-    """Draw a popularity-skewed request stream over the graph's users.
+) -> np.ndarray:
+    """Draw a popularity-skewed request stream: the requesting users, in order.
 
     Users are ranked by a random permutation and drawn with probability
     proportional to ``rank^-zipf_exponent`` — the classic web-traffic
     skew: a small head of users issues most requests (and exercises the
-    cache), a long tail appears once.
+    cache), a long tail appears once. Returns an int64 array of user ids.
     """
     if num_requests < 0:
         raise ServingError(f"num_requests must be non-negative, got {num_requests}")
@@ -51,7 +50,7 @@ def synthetic_workload(
     weights /= weights.sum()
     identity = rng.permutation(graph.num_nodes)  # which user holds each rank
     drawn = rng.choice(graph.num_nodes, size=int(num_requests), p=weights)
-    return [RecommendationRequest(user=int(identity[rank])) for rank in drawn]
+    return identity[drawn].astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,7 @@ class ReplaySummary:
 
 def replay(
     service: RecommendationService,
-    requests: list[RecommendationRequest],
+    users: "np.ndarray | list[int]",
     *,
     batch_size: int = 64,
 ) -> ReplaySummary:
@@ -95,29 +94,21 @@ def replay(
     ----------
     service:
         The service under test; its budgets and cache accumulate.
-    requests:
-        Single-recommendation requests (``k == 1``), e.g. from
-        :func:`synthetic_workload`.
+    users:
+        The requesting user of each single recommendation, in arrival
+        order, e.g. from :func:`synthetic_workload`.
     batch_size:
-        Requests per :meth:`~RecommendationService.recommend_batch` call.
+        Requests per :meth:`~RecommendationService.recommend_batch` call,
+        each at the service's default epsilon.
     """
     if batch_size < 1:
         raise ServingError(f"batch_size must be >= 1, got {batch_size}")
-    if any(request.k != 1 for request in requests):
-        raise ServingError("replay only supports single-recommendation requests")
-    if any(request.epsilon is not None for request in requests):
-        raise ServingError(
-            "replay batches share the service's default epsilon; "
-            "per-request epsilon overrides are not supported"
-        )
     served = rejected = hits = 0
     epsilon_spent = 0.0
     users_seen: set[int] = set()
     started = time.perf_counter()
-    for batch_index in range(0, len(requests), batch_size):
-        batch = requests[batch_index:batch_index + batch_size]
-        responses = service.recommend_batch([request.user for request in batch])
-        for response in responses:
+    for start in range(0, len(users), batch_size):
+        for response in service.recommend_batch(users[start:start + batch_size]):
             users_seen.add(response.user)
             if response.served:
                 served += 1
@@ -127,11 +118,11 @@ def replay(
                 rejected += 1
     wall = time.perf_counter() - started
     return ReplaySummary(
-        num_requests=len(requests),
+        num_requests=len(users),
         num_served=served,
         num_rejected=rejected,
         wall_seconds=wall,
-        requests_per_second=len(requests) / wall if wall > 0 else float("inf"),
+        requests_per_second=len(users) / wall if wall > 0 else float("inf"),
         cache_hit_rate=hits / served if served else 0.0,
         total_epsilon_spent=epsilon_spent,
         unique_users=len(users_seen),

@@ -12,14 +12,17 @@ this package is the operational answer, the repo's fourth subsystem
   every mutation's typed score delta, whose ``touched`` set is exactly
   the utility rows it can change, so the serving cache patches stale
   rows instead of flushing (:mod:`repro.streaming.invalidation`);
-* :class:`StreamingService` — interleaves mutation batches and
-  recommendation batches over the existing :mod:`repro.compute`
-  kernels, with an optional :class:`SlidingWindowAccountant` mode
-  bounding epsilon over any trailing window of the event clock;
 * :func:`synthetic_event_stream` / :func:`replay_stream` — reproducible
   add/remove/query arrival mixes and the driver behind the
   ``repro-social stream-sim`` CLI subcommand and
   ``benchmarks/bench_streaming.py``.
+
+Serving over the overlay is :class:`~repro.serving.service.
+RecommendationService` itself: it applies edge events between requests
+and, with ``window=`` set, bounds epsilon over any trailing window of the
+event clock with a :class:`SlidingWindowAccountant` per user on every
+request. :class:`StreamingService` is that service built from a plain
+graph (copied into an overlay first).
 """
 
 from .engine import (

@@ -24,7 +24,7 @@ layer (:mod:`repro.durability`) persists exactly these entries — the
 service's one flush hands the same row tuples to
 :meth:`~repro.durability.wal.WriteAheadLog.buffer_rows`, so a ledger
 rebuilt by recovery is entry-for-entry identical to the live one and
-:meth:`~repro.streaming.engine.StreamingService.verify_ledger`
+:meth:`~repro.serving.service.RecommendationService.verify_ledger`
 reconciles after a restore.
 """
 

@@ -168,13 +168,13 @@ class TestStreamingBatchSplits:
                 service, events, batch_size=batch_size,
                 on_response=lambda r: recorded.append(r.recommendations),
             )
-            return recorded, split_invariant(service.service)
+            return recorded, split_invariant(service)
 
         assert_same_but_hits(picks(5), picks(16))
 
     def test_streaming_cache_stores_float64(self):
         graph = wiki_vote(scale=0.04)
         service = StreamingService(graph, seed=0)
-        service.service.recommend(2)
-        cached = service.service.cache.get_resident(2)
+        service.recommend(2)
+        cached = service.cache.get_resident(2)
         assert cached.values.dtype == np.float64

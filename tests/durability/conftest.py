@@ -11,7 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.datasets import wiki_vote
-from repro.streaming import StreamingService, synthetic_event_stream
+from repro.serving import RecommendationService
+from repro.streaming import MutableSocialGraph, synthetic_event_stream
 from repro.telemetry import Telemetry
 
 SERVICE_KWARGS = dict(
@@ -42,8 +43,9 @@ def build_service(base_graph):
 
     def build(telemetry=None, utility="common_neighbors", **overrides):
         kwargs = {**SERVICE_KWARGS, **overrides}
-        return StreamingService(
-            base_graph, utility, "exponential", telemetry=telemetry, **kwargs
+        return RecommendationService(
+            MutableSocialGraph.from_graph(base_graph), utility, "exponential",
+            telemetry=telemetry, **kwargs,
         )
 
     return build
@@ -63,16 +65,16 @@ def reference(base_graph, events):
     from repro.streaming import replay_stream
 
     telemetry = Telemetry()
-    service = StreamingService(
-        base_graph, "common_neighbors", "exponential",
+    service = RecommendationService(
+        MutableSocialGraph.from_graph(base_graph), "common_neighbors", "exponential",
         telemetry=telemetry, **SERVICE_KWARGS,
     )
     responses = []
     replay_stream(service, events, batch_size=16, on_response=responses.append)
     return {
         "picks": picks_of(responses),
-        "balances": service.service.budgets.export_state(),
+        "balances": service.budgets.export_state(),
         "ledger": telemetry.ledger.raw_rows(),
-        "rng_state": service.service._rng.bit_generator.state,
+        "rng_state": service._rng.bit_generator.state,
         "stamp": service.stamp,
     }

@@ -120,7 +120,7 @@ class TestCrashSweepSample:
             # Zero lost, zero double-counted epsilon: balances and the
             # rebuilt ledger match the never-crashed reference exactly.
             assert (
-                resumed.service.budgets.export_state() == reference["balances"]
+                resumed.budgets.export_state() == reference["balances"]
             ), f"boundary {boundary}: balances diverged"
             assert (
                 telemetry.ledger.raw_rows() == reference["ledger"]

@@ -50,9 +50,9 @@ class TestWalOnlyRecovery:
         telemetry = Telemetry()
         report = recover(tmp_path, lambda: build_service(telemetry))
         recovered = report.service
-        assert recovered.service.budgets.export_state() == reference["balances"]
+        assert recovered.budgets.export_state() == reference["balances"]
         assert telemetry.ledger.raw_rows() == reference["ledger"]
-        assert recovered.service._rng.bit_generator.state == reference["rng_state"]
+        assert recovered._rng.bit_generator.state == reference["rng_state"]
         assert recovered.stamp == reference["stamp"]
         recovered.verify_ledger()
         assert report.snapshot_path is None
@@ -83,7 +83,7 @@ class TestWalOnlyRecovery:
             resumed, events, directory=tmp_path, batch_size=16,
             start_index=index, on_response=tail.append,
         )
-        assert resumed.service.budgets.export_state() == reference["balances"]
+        assert resumed.budgets.export_state() == reference["balances"]
         got = picks_of(tail)
         assert got == reference["picks"][len(reference["picks"]) - len(got):]
 
@@ -115,7 +115,7 @@ class TestSnapshotPlusTail:
         report = recover(tmp_path, lambda: build_service(telemetry))
         assert report.snapshot_path is not None
         assert report.tail_records < report.wal_records
-        assert report.service.service.budgets.export_state() == reference["balances"]
+        assert report.service.budgets.export_state() == reference["balances"]
         assert telemetry.ledger.raw_rows() == reference["ledger"]
         report.service.verify_ledger()
 
@@ -141,7 +141,7 @@ class TestSnapshotPlusTail:
         assert [path for path, _ in report.skipped_snapshots] == [newest]
         # Budgets were NOT silently reset: the longer tail replay still
         # reconstructs the exact reference balances and ledger.
-        assert report.service.service.budgets.export_state() == reference["balances"]
+        assert report.service.budgets.export_state() == reference["balances"]
         assert telemetry.ledger.raw_rows() == reference["ledger"]
         report.service.verify_ledger()
 
@@ -159,7 +159,7 @@ class TestSnapshotPlusTail:
         report = recover(tmp_path, build_service)
         assert report.snapshot_path is None
         assert len(report.skipped_snapshots) >= 2
-        assert report.service.service.budgets.export_state() == reference["balances"]
+        assert report.service.budgets.export_state() == reference["balances"]
 
 
 class TestTornTail:
@@ -204,7 +204,7 @@ class TestTornTail:
             report.service, events, directory=tmp_path, batch_size=16,
             start_index=index, on_response=tail.append,
         )
-        assert report.service.service.budgets.export_state() == reference["balances"]
+        assert report.service.budgets.export_state() == reference["balances"]
         got = picks_of(tail)
         assert got == reference["picks"][len(reference["picks"]) - len(got):]
 
@@ -241,6 +241,75 @@ class TestRejectedEvents:
         fresh.recommend_batch([1, 2, 3], at=1.0)
         fresh.apply_edge_event(StreamEvent(3.0, KIND_ADD, u=0, v=5))
         assert [r.recommendations for r in fresh.recommend_batch([1, 4], at=4.0)] == picks
+
+
+def _accounting(service, telemetry) -> dict:
+    """Everything a commit seals: budgets, window deques, ledger, RNG, request ids."""
+    return {
+        "balances": service.budgets.export_state(),
+        "windows": {
+            user: (list(accountant._entries), accountant._clock)
+            for user, accountant in service._window_accountants.items()
+            if accountant._clock != float("-inf")  # probed, never charged
+        },
+        "ledger": telemetry.ledger.raw_rows(),
+        "rng_state": service._rng.bit_generator.state,
+        "requests": service._next_request_id,
+    }
+
+
+class TestSingleAndTopKRecovery:
+    def test_every_record_boundary_recovers_the_last_commit(
+        self, build_service, events, tmp_path
+    ):
+        """Single and top-k releases commit like batches: cut the log at
+        any record boundary and recovery rebuilds exactly the accounting
+        of the uninterrupted run as of the last commit before the cut."""
+        from repro.errors import BudgetExhaustedError
+
+        live = tmp_path / "live"
+        live.mkdir()
+        telemetry = Telemetry()
+        service = build_service(telemetry)
+        service.attach_wal(WriteAheadLog(live / WAL_FILENAME))
+        committed = {0: _accounting(service, telemetry)}  # log offset -> state
+        pending: "list[tuple[int, float]]" = []
+        served_top_k = refused = 0
+        for index, event in enumerate(events[:90]):
+            if event.is_mutation:
+                if pending:
+                    service.recommend_batch(
+                        [u for u, _ in pending], at=[t for _, t in pending]
+                    )
+                    committed[service.wal.tail_offset()] = _accounting(service, telemetry)
+                    pending.clear()
+                service.apply_edge_event(event)
+            elif index % 3:
+                pending.append((event.user, event.time))
+            else:
+                k = 2 if index % 2 else 1
+                try:
+                    response = service.recommend(event.user, k=k, at=event.time)
+                    served_top_k += k > 1 and response.served
+                except BudgetExhaustedError:
+                    refused += 1
+                committed[service.wal.tail_offset()] = _accounting(service, telemetry)
+        service.wal.close()
+        assert served_top_k and refused
+
+        records, _, _ = read_wal(live / WAL_FILENAME)
+        data = (live / WAL_FILENAME).read_bytes()
+        boundaries = [0] + [record.end for record in records]
+        for cut in boundaries:
+            directory = tmp_path / f"cut-{cut}"
+            directory.mkdir()
+            (directory / WAL_FILENAME).write_bytes(data[:cut])
+            recovered_telemetry = Telemetry()
+            report = recover(directory, lambda: build_service(recovered_telemetry))
+            report.service.wal.close()
+            last = max(offset for offset in committed if offset <= cut)
+            assert _accounting(report.service, recovered_telemetry) == committed[last], cut
+            report.service.verify_ledger()
 
 
 class TestTypedFailures:

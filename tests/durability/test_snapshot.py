@@ -141,17 +141,17 @@ class TestServiceStateCapture:
         before = (
             service.stamp,
             service.clock,
-            service.service._next_request_id,
+            service._next_request_id,
             service.graph.delta_size,
-            service.service._rng.bit_generator.state,
+            service._rng.bit_generator.state,
         )
         capture_state(service, events_done=80, wal_offset=0)
         after = (
             service.stamp,
             service.clock,
-            service.service._next_request_id,
+            service._next_request_id,
             service.graph.delta_size,
-            service.service._rng.bit_generator.state,
+            service._rng.bit_generator.state,
         )
         assert before == after
 
@@ -171,10 +171,10 @@ class TestServiceStateCapture:
         install_state(clone, state)
         assert clone.stamp == donor.stamp
         assert clone.clock == donor.clock
-        assert clone.service.budgets.export_state() == donor.service.budgets.export_state()
+        assert clone.budgets.export_state() == donor.budgets.export_state()
         assert (
-            clone.service._rng.bit_generator.state
-            == donor.service._rng.bit_generator.state
+            clone._rng.bit_generator.state
+            == donor._rng.bit_generator.state
         )
         assert {
             user: list(acct._entries)
@@ -207,8 +207,8 @@ class TestServiceStateCapture:
         clone = build_service(utility="adamic_adar")
         install_state(clone, state)
 
-        donor_version, donor_rows = donor.service.cache.export_entries()
-        clone_version, clone_rows = clone.service.cache.export_entries()
+        donor_version, donor_rows = donor.cache.export_entries()
+        clone_version, clone_rows = clone.cache.export_entries()
         assert donor_rows and clone_version == donor_version
         assert [t for t, _ in clone_rows] == [t for t, _ in donor_rows]
         for (_, restored), (_, original) in zip(clone_rows, donor_rows):
@@ -235,8 +235,8 @@ class TestServiceStateCapture:
         ))
         clone = build_service(utility=utility)
         install_state(clone, state)
-        donor_rows = donor.service.cache.export_entries()[1]
-        clone_rows = clone.service.cache.export_entries()[1]
+        donor_rows = donor.cache.export_entries()[1]
+        clone_rows = clone.cache.export_entries()[1]
         assert donor_rows and [t for t, _ in clone_rows] == [t for t, _ in donor_rows]
         for (_, restored), (_, original) in zip(clone_rows, donor_rows):
             assert restored.excluded is not None  # support form

@@ -31,6 +31,10 @@ def scale_to_edge_total(degrees, target_total, d_min=1, d_max=None, seed=None):
     if current == 0:
         degrees[:] = d_min
         current = int(degrees.sum())
+        if current == 0:
+            if target_total != 0:
+                raise DatasetError("cannot scale an all-zero degree sequence to a positive total")
+            return degrees
     scaled = np.maximum(d_min, np.floor(degrees * (target_total / current)).astype(np.int64))
     if d_max is not None:
         scaled = np.minimum(scaled, d_max)

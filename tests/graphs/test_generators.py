@@ -177,6 +177,13 @@ class TestScaleToEdgeTotal:
         with pytest.raises(DatasetError):
             scale_to_edge_total(np.asarray([1, 1, 1]), 100, d_min=1, d_max=2)
 
+    def test_all_zero_sequence_with_zero_floor(self):
+        """Nothing to scale: a positive total is a typed error, not a
+        division by zero, and a zero total keeps the zeros."""
+        with pytest.raises(DatasetError, match="all-zero"):
+            scale_to_edge_total([0, 0], 7, d_min=0)
+        assert scale_to_edge_total([0, 0], 0, d_min=0).tolist() == [0, 0]
+
 
 @given(
     n=st.integers(2, 40),

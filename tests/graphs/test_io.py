@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.datasets import twitter
 from repro.errors import GraphFormatError
 from repro.graphs.generators import erdos_renyi_gnp
+from repro.graphs.graph import sorted_distinct
 from repro.graphs.io import read_edge_list, relabel_mapping, write_edge_list
 
 
@@ -84,3 +89,29 @@ class TestWriteEdgeList:
         path = tmp_path / "nested" / "dir" / "out.txt"
         write_edge_list(g, path)
         assert path.exists()
+
+    def test_twitter_replica_round_trips_unchanged(self, tmp_path):
+        """Label compaction keeps an isolated-node-free replica's ids."""
+        g = twitter(scale=0.05)
+        path = tmp_path / "twitter.txt"
+        write_edge_list(g, path)
+        back = read_edge_list(path, directed=True)
+        assert back.num_nodes == g.num_nodes
+        assert sorted(back.edges()) == sorted(g.edges())
+
+
+class TestSortedDistinct:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-(2**62), 2**62), max_size=60))
+    def test_matches_numpy_unique(self, values):
+        array = np.asarray(values, dtype=np.int64)
+        result = sorted_distinct(array)
+        assert result.dtype == np.int64
+        np.testing.assert_array_equal(result, np.unique(array))
+
+    @pytest.mark.parametrize(
+        "values", [[], [7], [3] * 50, [-1, -1, 0, 0], list(range(9, -1, -1)) * 2]
+    )
+    def test_edge_cases(self, values):
+        array = np.asarray(values, dtype=np.int64)
+        np.testing.assert_array_equal(sorted_distinct(array), np.unique(array))

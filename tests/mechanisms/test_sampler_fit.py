@@ -297,7 +297,7 @@ def _served_draws(path: str) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
             assert stream.apply_edge_event(event)
         picks = _served_picks(stream.recommend_batch([SERVED_USER] * DRAWS))
         assert stream.cache.snapshot()["patched_rows"] >= 1
-        service = stream.service
+        service = stream
         assert not np.array_equal(_reference(service)[0].values, before)
     elif path == "single":
         service = _served_service(seed)

@@ -74,8 +74,7 @@ class TestChunkIdentity:
     def test_workload_responses_and_ledger_rows_identical(self, graph, utility):
         """A skewed request stream in batches of 64 and of 16: responses
         and the privacy ledger's rows do not depend on the split."""
-        requests = synthetic_workload(graph, 300, seed=5)
-        users = [request.user for request in requests]
+        users = synthetic_workload(graph, 300, seed=5).tolist()
 
         def replay(size):
             service = RecommendationService(

@@ -8,12 +8,7 @@ import pytest
 from repro.datasets import wiki_vote
 from repro.errors import ServingError
 from repro.graphs.graph import SocialGraph
-from repro.serving import (
-    RecommendationRequest,
-    RecommendationService,
-    replay,
-    synthetic_workload,
-)
+from repro.serving import RecommendationService, replay, synthetic_workload
 
 
 @pytest.fixture
@@ -23,25 +18,25 @@ def graph():
 
 class TestSyntheticWorkload:
     def test_length_and_user_range(self, graph):
-        requests = synthetic_workload(graph, 100, seed=0)
-        assert len(requests) == 100
-        assert all(0 <= r.user < graph.num_nodes for r in requests)
-        assert all(r.k == 1 for r in requests)
+        users = synthetic_workload(graph, 100, seed=0)
+        assert users.dtype == np.int64 and users.shape == (100,)
+        assert users.min() >= 0 and users.max() < graph.num_nodes
+        assert synthetic_workload(graph, 0, seed=0).shape == (0,)
 
     def test_deterministic_under_seed(self, graph):
-        first = [r.user for r in synthetic_workload(graph, 50, seed=9)]
-        second = [r.user for r in synthetic_workload(graph, 50, seed=9)]
-        assert first == second
+        first = synthetic_workload(graph, 50, seed=9)
+        second = synthetic_workload(graph, 50, seed=9)
+        np.testing.assert_array_equal(first, second)
 
     def test_skew_concentrates_traffic(self, graph):
-        requests = synthetic_workload(graph, 2000, zipf_exponent=1.5, seed=1)
-        counts = np.bincount([r.user for r in requests], minlength=graph.num_nodes)
+        users = synthetic_workload(graph, 2000, zipf_exponent=1.5, seed=1)
+        counts = np.bincount(users, minlength=graph.num_nodes)
         top_share = np.sort(counts)[::-1][:10].sum() / 2000
         assert top_share > 0.3  # a small head dominates
 
     def test_zero_exponent_is_roughly_uniform(self, graph):
-        requests = synthetic_workload(graph, 2000, zipf_exponent=0.0, seed=1)
-        counts = np.bincount([r.user for r in requests], minlength=graph.num_nodes)
+        users = synthetic_workload(graph, 2000, zipf_exponent=0.0, seed=1)
+        counts = np.bincount(users, minlength=graph.num_nodes)
         assert counts.max() <= 2000 * 5 / graph.num_nodes
 
     def test_invalid_inputs(self, graph):
@@ -58,8 +53,8 @@ class TestReplay:
         service = RecommendationService(graph, epsilon=0.5, user_budget=1.0, seed=0)
         rows: list = []
         service.attach_row_sink(rows.extend)
-        requests = synthetic_workload(graph, 300, seed=2)
-        summary = replay(service, requests, batch_size=32)
+        users = synthetic_workload(graph, 300, seed=2)
+        summary = replay(service, users, batch_size=32)
         assert summary.num_requests == 300
         assert summary.num_served + summary.num_rejected == 300
         assert summary.num_rejected > 0  # tight budget forces rejections
@@ -73,32 +68,39 @@ class TestReplay:
         flushes the service's version-keyed cache."""
         mutable = graph.copy()
         service = RecommendationService(mutable, epsilon=0.1, user_budget=50.0, seed=0)
-        requests = synthetic_workload(mutable, 200, seed=3)
-        replay(service, requests[:100], batch_size=20)
+        users = synthetic_workload(mutable, 200, seed=3)
+        replay(service, users[:100], batch_size=20)
         assert service.cache.snapshot()["invalidations"] == 0
         absent = next(v for v in range(1, mutable.num_nodes) if not mutable.has_edge(0, v))
         assert mutable.try_add_edge(0, absent)
-        replay(service, requests[100:], batch_size=20)
+        replay(service, users[100:], batch_size=20)
         assert service.cache.snapshot()["invalidations"] > 0
         with pytest.raises(TypeError):
-            replay(service, requests, batch_size=20, mutate_every=2)
+            replay(service, users, batch_size=20, mutate_every=2)
 
     def test_static_graph_keeps_cache(self, graph):
         service = RecommendationService(graph, epsilon=0.1, user_budget=50.0, seed=0)
-        requests = synthetic_workload(graph, 200, seed=3)
-        summary = replay(service, requests, batch_size=20)
+        users = synthetic_workload(graph, 200, seed=3)
+        summary = replay(service, users, batch_size=20)
         assert service.cache.snapshot()["invalidations"] == 0
         assert summary.cache_hit_rate > 0  # zipf head repeats
 
-    def test_rejects_multi_recommendation_requests(self, graph):
-        service = RecommendationService(graph, epsilon=0.5, user_budget=5.0, seed=0)
-        with pytest.raises(ServingError):
-            replay(service, [RecommendationRequest(user=0, k=2)])
-
-    def test_rejects_epsilon_overrides(self, graph):
-        service = RecommendationService(graph, epsilon=0.5, user_budget=5.0, seed=0)
-        with pytest.raises(ServingError):
-            replay(service, [RecommendationRequest(user=0, epsilon=0.9)])
+    def test_list_and_array_streams_replay_alike(self, graph):
+        """A plain list of users replays exactly like the generator's array."""
+        users = synthetic_workload(graph, 120, seed=4)
+        outcomes = []
+        for stream in (users, users.tolist()):
+            service = RecommendationService(graph, epsilon=0.5, user_budget=2.0, seed=0)
+            rows: list = []
+            service.attach_row_sink(rows.extend)
+            summary = replay(service, stream, batch_size=16)
+            outcomes.append((
+                summary.num_served, summary.num_rejected, summary.unique_users,
+                rows, service.budgets.export_state(),
+                service._rng.bit_generator.state,
+            ))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] > 0  # the tight budget refuses some requests
 
     def test_batch_size_validated(self, graph):
         service = RecommendationService(graph, epsilon=0.5, user_budget=5.0, seed=0)
@@ -112,12 +114,3 @@ class TestReplay:
         assert "recs/sec" in text
         assert "cache hit rate" in text
 
-
-class TestRequestValidation:
-    def test_k_must_be_positive(self):
-        with pytest.raises(ServingError):
-            RecommendationRequest(user=0, k=0)
-
-    def test_epsilon_override_must_be_positive(self):
-        with pytest.raises(ServingError):
-            RecommendationRequest(user=0, epsilon=0.0)

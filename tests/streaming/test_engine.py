@@ -105,11 +105,11 @@ class TestSensitivityRecalibration:
         graph = toy.path(4)  # d_max = 2
         utility = WeightedPaths(gamma=0.05)
         service = StreamingService(graph, utility, epsilon=1.0, seed=0)
-        before = service.service.mechanism.sensitivity
+        before = service.mechanism.sensitivity
         assert before == pytest.approx(utility.sensitivity(graph, 0))
         for step, leaf in enumerate((2, 3, 4)):  # raise node 0's degree to 4
             service.apply_edge_event(StreamEvent(float(step), KIND_ADD, u=0, v=leaf))
-        after = service.service.mechanism.sensitivity
+        after = service.mechanism.sensitivity
         assert after == pytest.approx(utility.sensitivity(service.graph, 0))
         assert after > before
 
@@ -117,9 +117,9 @@ class TestSensitivityRecalibration:
         from repro.streaming import KIND_ADD, StreamEvent
 
         service = StreamingService(toy.star(5), epsilon=1.0, seed=0)
-        mechanism = service.service.mechanism
+        mechanism = service.mechanism
         service.apply_edge_event(StreamEvent(0.0, KIND_ADD, u=1, v=2))
-        assert service.service.mechanism is mechanism  # CN: Delta f constant
+        assert service.mechanism is mechanism  # CN: Delta f constant
 
     def test_recalibration_preserves_mechanism_state(self):
         """Regression: recalibration used to rebuild the mechanism from
@@ -140,8 +140,8 @@ class TestSensitivityRecalibration:
         service = StreamingService(graph, utility, mechanism, seed=0)
         for step, leaf in enumerate((2, 3, 4)):
             service.apply_edge_event(StreamEvent(float(step), KIND_ADD, u=0, v=leaf))
-        assert service.service.mechanism.tag == 12345
-        assert service.service.mechanism.sensitivity == pytest.approx(
+        assert service.mechanism.tag == 12345
+        assert service.mechanism.sensitivity == pytest.approx(
             utility.sensitivity(service.graph, 0)
         )
 
@@ -167,29 +167,29 @@ class TestFeedUnderMutation:
         from repro.streaming import KIND_ADD, StreamEvent
 
         service = self.feed(epsilon=20.0, user_budget=100.0, seed=0)
-        service.service.recommend(0)  # caches user 0's row
+        service.recommend(0)  # caches user 0's row
         # Node 6 gains two more common neighbours with user 0: 3, the unique
         # maximum, which epsilon 20 all but certainly picks.
         for step, v in enumerate((2, 3)):
             service.apply_edge_event(StreamEvent(float(step), KIND_ADD, u=6, v=v))
-        assert service.service.recommend(0).recommendations == (6,)
-        assert service.service.mechanism.sensitivity == 2.0
+        assert service.recommend(0).recommendations == (6,)
+        assert service.mechanism.sensitivity == 2.0
 
     def test_lifetime_budget_spans_mutations(self):
         from repro.errors import BudgetExhaustedError
         from repro.streaming import KIND_ADD, StreamEvent
 
         service = self.feed(epsilon=0.5, user_budget=1.0, seed=1)
-        assert service.service.recommend(0).served
+        assert service.recommend(0).served
         service.apply_edge_event(StreamEvent(1.0, KIND_ADD, u=6, v=2))
-        assert service.service.recommend(0).served
+        assert service.recommend(0).served
         service.apply_edge_event(StreamEvent(2.0, KIND_ADD, u=6, v=3))
         with pytest.raises(BudgetExhaustedError):
-            service.service.recommend(0)
+            service.recommend(0)
         assert [r.status for r in service.recommend_batch([0, 1])] == [
             STATUS_REJECTED, STATUS_SERVED,
         ]
-        assert service.service.budgets.spent(0) == pytest.approx(1.0)
+        assert service.budgets.spent(0) == pytest.approx(1.0)
 
     def test_user_without_signal_is_served_from_the_zero_bucket(self):
         service = self.feed(epsilon=1.0, user_budget=1e6, seed=2)
@@ -363,11 +363,11 @@ class TestWindowMode:
     def test_refusals_are_audited_and_spend_nothing(self):
         service = self.service()
         rows: list = []
-        service.service.attach_row_sink(rows.extend)
+        service.attach_row_sink(rows.extend)
         service.recommend_batch([0, 0, 0], at=0.0)
         assert [row[0] for row in rows] == [
-            KIND_CHARGE, KIND_CHARGE, KIND_WINDOW_CHARGE, KIND_WINDOW_CHARGE,
-            KIND_REFUSAL,
+            KIND_CHARGE, KIND_CHARGE, KIND_REFUSAL, KIND_WINDOW_CHARGE,
+            KIND_WINDOW_CHARGE,
         ]
         assert sum(row[2] for row in rows if row[0] == KIND_CHARGE) == pytest.approx(1.0)
         assert service.window_remaining(0, at=0.0) == pytest.approx(0.0)
@@ -389,20 +389,23 @@ class TestWindowMode:
         assert service.window_remaining(0, at=0.0) == pytest.approx(4.5)
 
     def test_batch_rows_keep_their_order(self):
-        """Inner batch rows, then window expiries as they fire, then window
-        charges, then window refusals — in the ledger and the row sink alike."""
+        """Each request's charge or refusal row in request order (a window
+        refusal like a lifetime one), then window expiries as they fire,
+        then window charges — in the ledger and the row sink alike."""
         telemetry = Telemetry()
         service = self.service(telemetry=telemetry)
         rows: list = []
-        service.service.attach_row_sink(rows.extend)
+        service.attach_row_sink(rows.extend)
         service.recommend_batch([0, 0], at=0.0)
         del rows[:]
         before = len(telemetry.ledger)
         service.recommend_batch([0, 1, 0, 0], at=20.0)  # expires both t=0 spends
         assert [row[0] for row in rows] == (
-            [KIND_CHARGE] * 3 + [KIND_WINDOW_EXPIRY] * 2
-            + [KIND_WINDOW_CHARGE] * 3 + [KIND_REFUSAL]
+            [KIND_CHARGE] * 3 + [KIND_REFUSAL] + [KIND_WINDOW_EXPIRY] * 2
+            + [KIND_WINDOW_CHARGE] * 3
         )
+        # Request ids (a service row's clock) follow request order.
+        assert [row[6] for row in rows[:4]] == [2.0, 3.0, 4.0, 5.0]
         assert telemetry.ledger.raw_rows()[before:] == rows
         service.verify_ledger()
 

@@ -169,12 +169,17 @@ REMOVED_NAMES = {
     ),
     # The second serving stack in extensions/: top-k is
     # recommend(user, k=), a user's budget is BudgetManager plus the
-    # ledger row, and serving under mutation is StreamingService.
+    # ledger row, and serving under mutation is the same service over a
+    # MutableSocialGraph.
     "second-serving-stack": (
         "TopKRecommender", "PrivacyAccountant", "BudgetEntry", "TemporalGraph",
         "DynamicRecommender", "EdgeEvent", "to_edge_events", "recommend_top_k",
         "recommend_at", "split_evenly",
     ),
+    # The second serving class's policy hooks and the request envelope:
+    # RecommendationService admits, charges and commits every request
+    # itself (window refusals included), and a replayed request is a user id.
+    "one-service-class": ("record_rejection", "RecommendationRequest"),
     # The coalescer's per-dispatch size list grew without bound; the
     # edge.batch_size histogram records the distribution.
     "coalescer-history": ("batch_sizes",),
