@@ -67,13 +67,12 @@ def make_streaming(graph, telemetry) -> StreamingService:
     )
 
 
-def serving_picks(graph, requests, batch_size: int, telemetry):
+def serving_picks(graph, users, batch_size: int, telemetry):
     """Replay by hand through recommend_batch, capturing every pick."""
     service = make_serving(graph, telemetry)
     picks: list[tuple[int, ...]] = []
-    for start in range(0, len(requests), batch_size):
-        batch = [request.user for request in requests[start : start + batch_size]]
-        for response in service.recommend_batch(batch):
+    for start in range(0, len(users), batch_size):
+        for response in service.recommend_batch(users[start : start + batch_size]):
             picks.append(tuple(response.recommendations))
     return picks, service
 
@@ -90,7 +89,7 @@ def streaming_picks(graph, events, batch_size: int, telemetry):
     return picks, service
 
 
-def time_serving(graph, requests, batch_size: int, enabled: bool) -> float:
+def time_serving(graph, users, batch_size: int, enabled: bool) -> float:
     telemetry = Telemetry.create() if enabled else None
     service = make_serving(graph, telemetry)
     # Collect the previous run's garbage before the clock starts: each
@@ -99,7 +98,7 @@ def time_serving(graph, requests, batch_size: int, enabled: bool) -> float:
     # variant with the other's cleanup.
     gc.collect()
     started = time.perf_counter()
-    replay(service, requests, batch_size=batch_size)
+    replay(service, users, batch_size=batch_size)
     return time.perf_counter() - started
 
 
@@ -120,16 +119,16 @@ def run(
     batch_size: int,
 ) -> dict:
     graph = wiki_vote(scale=scale)
-    requests = synthetic_workload(graph, num_requests, seed=7)
+    users = synthetic_workload(graph, num_requests, seed=7)
     events = synthetic_event_stream(
         graph, num_events, add_fraction=0.06, remove_fraction=0.04, seed=7
     )
 
     # Gate 1: identity. Telemetry observes the dataflow, never steers it.
-    serve_off, _ = serving_picks(graph, requests, batch_size, None)
+    serve_off, _ = serving_picks(graph, users, batch_size, None)
     serve_telemetry = Telemetry.create()
     serve_on, serve_service = serving_picks(
-        graph, requests, batch_size, serve_telemetry
+        graph, users, batch_size, serve_telemetry
     )
     if serve_off != serve_on:
         raise SystemExit("FAIL: telemetry changed the serving recommendations")
@@ -176,8 +175,8 @@ def run(
     # instrumentation overhead.
     serving_off = serving_on = streaming_off = streaming_on = float("inf")
     for _ in range(repeats):
-        serving_off = min(serving_off, time_serving(graph, requests, batch_size, False))
-        serving_on = min(serving_on, time_serving(graph, requests, batch_size, True))
+        serving_off = min(serving_off, time_serving(graph, users, batch_size, False))
+        serving_on = min(serving_on, time_serving(graph, users, batch_size, True))
         streaming_off = min(
             streaming_off, time_streaming(graph, events, batch_size, False)
         )

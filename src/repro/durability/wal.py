@@ -129,11 +129,11 @@ class WriteAheadLog:
     def buffer_rows(self, rows) -> None:
         """Stage ledger rows for the next :meth:`commit` (no I/O).
 
-        The serving layer's ``_flush_telemetry`` and the streaming
-        engine's window-accounting paths feed this in exactly the order
-        the rows reach the live :class:`~repro.telemetry.ledger.
-        PrivacyLedger`, so a ledger rebuilt from the log is
-        entry-for-entry identical.
+        The service's ``_flush_telemetry`` feeds this every ledger row —
+        charges, refusals, window expiries and window charges — in
+        exactly the order the rows reach the live
+        :class:`~repro.telemetry.ledger.PrivacyLedger`, so a ledger
+        rebuilt from the log is entry-for-entry identical.
         """
         self._pending_rows.extend(tuple(row) for row in rows)
 

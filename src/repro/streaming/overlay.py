@@ -353,7 +353,7 @@ class MutableSocialGraph(SocialGraph):
 
         O(1): maintained as a counter by the mutation hooks (undirected
         deltas record both orientations, hence the halving), so the
-        engine's auto-compaction threshold check costs nothing per event.
+        service's auto-compaction threshold check costs nothing per event.
         """
         return self._delta_entries if self._directed else self._delta_entries // 2
 
@@ -362,8 +362,8 @@ class MutableSocialGraph(SocialGraph):
         """Rows the most recently journaled mutation can change.
 
         ``None`` when nothing was journaled yet (no patching cache asked
-        for deltas); the streaming engine's telemetry reads this after
-        each applied mutation to histogram invalidation footprints.
+        for deltas); the service's telemetry reads this after each
+        applied mutation to histogram invalidation footprints.
         """
         return None if self._tracker is None else self._tracker.last_ball_size
 

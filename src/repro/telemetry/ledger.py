@@ -14,7 +14,7 @@ Balances and journal are kept honest against each other by
 :meth:`PrivacyLedger.assert_consistent`: the summed lifetime charges per
 user must equal that user's spent balance, and the net window spend
 (charges minus expiries) must equal what each
-:class:`~repro.streaming.engine.SlidingWindowAccountant` physically
+:class:`~repro.serving.budgets.SlidingWindowAccountant` physically
 retains. A mismatch raises
 :class:`~repro.errors.LedgerInconsistencyError` — it means a release
 happened that the audit trail cannot prove, the exact failure mode a
@@ -213,7 +213,7 @@ class PrivacyLedger:
             ``{user: SlidingWindowAccountant}``. Each user's net window
             spend (``window_charge`` minus ``window_expiry`` sums) must
             equal the epsilon the accountant physically retains
-            (:attr:`~repro.streaming.engine.SlidingWindowAccountant.
+            (:attr:`~repro.serving.budgets.SlidingWindowAccountant.
             retained_spent`).
 
         Raises :class:`~repro.errors.LedgerInconsistencyError` on the
