@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import repro
 from repro.datasets import toy
 from repro.durability import RECORD_COMMIT, WriteAheadLog, read_wal
-from repro.errors import BudgetExhaustedError, MechanismError, ServingError
+from repro.errors import BudgetExhaustedError, ServingError
 from repro.serving import RecommendationService
-from repro.serving.records import STATUS_REJECTED, STATUS_SERVED
+from repro.serving.records import STATUS_NO_CANDIDATES, STATUS_REJECTED, STATUS_SERVED
 from repro.streaming import KIND_ADD, KIND_REMOVE, MutableSocialGraph, StreamEvent
 from repro.telemetry import (
     KIND_CHARGE,
@@ -126,14 +126,14 @@ class TestEveryCallCommits:
             service.recommend(0, at=1.0)
         hub = RecommendationService(MutableSocialGraph.from_graph(toy.star(3)), seed=0)
         hub.attach_wal(WriteAheadLog(tmp_path / "hub.log"))
-        assert hub.recommend(0).status == "no_candidates"
+        assert hub.recommend(0).status == STATUS_NO_CANDIDATES
         service.wal.close()
         hub.wal.close()
         _, rows, state = commits(service.wal.path)[-1]
         assert [(row[0], row[8]) for row in rows] == [(KIND_REFUSAL, 0.5)]
         assert state["clock"] == 1.0 and state["req"] == 2
         [[_, rows, _]] = commits(hub.wal.path)
-        assert [(row[0], row[7]) for row in rows] == [(KIND_REFUSAL, "no_candidates")]
+        assert [(row[0], row[7]) for row in rows] == [(KIND_REFUSAL, STATUS_NO_CANDIDATES)]
 
     def test_static_service_has_no_window_work(self):
         service = RecommendationService(toy.two_communities(), seed=0)
@@ -253,12 +253,13 @@ def test_no_window_overspent_and_every_row_committed(steps, mutate, window_budge
                     now = times[-1]
                 stamps = times if second else [now] * len(users)
             else:
+                candidates = service.graph.num_nodes - 1 - service.graph.out_degree(first)
+                if 0 < candidates < second:
+                    continue  # k above the candidate count is a usage error
                 try:
                     responses = [service.recommend(first, k=second, at=now)]
                 except BudgetExhaustedError:
                     responses = []
-                except MechanismError:
-                    continue  # k above the candidate count: nothing happens
                 stamps = [now]
             calls += 1
             released += [
