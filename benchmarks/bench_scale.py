@@ -1,15 +1,16 @@
-"""Scale benchmark: shared-memory CSR graphs at a million nodes.
+"""Scale benchmark: frozen CSR graphs at a million nodes.
 
 Exercises the scale path end to end and gates it in two phases:
 
 1. **identity** (always): the full Section 7.1 engine and a serving batch
-   are run on the same wiki replica twice — once on the plain heap
-   :class:`~repro.graphs.graph.SocialGraph`, once on a shared-memory
-   :class:`~repro.graphs.shared.SharedSocialGraph`. Both runs must be
-   *bit-identical*: same evaluations, same recommendations. A faster or
-   smaller wrong answer is worthless, so this runs before any timing.
+   are run on the same wiki replica twice — once on the set-backed
+   :class:`~repro.graphs.graph.SocialGraph`, once on the frozen CSR
+   :class:`~repro.graphs.shared.SharedSocialGraph` copied from it. Both
+   runs must be *bit-identical*: same evaluations, same recommendations.
+   A faster or smaller wrong answer is worthless, so this runs before
+   any timing.
 2. **end-to-end scale run** (full mode): build a >= 10^6-node power-law
-   graph straight into a shared segment (no Python edge sets), run the
+   graph straight into a frozen CSR (no Python edge sets), run the
    experiment engine on sampled targets and a serving batch on live
    users, and gate peak RSS (``ru_maxrss``) under ``--max-rss-gib``.
    The peak is also appended to ``BENCH_memory.json``'s ``trajectory``
@@ -19,8 +20,7 @@ Exercises the scale path end to end and gates it in two phases:
 ``--smoke`` (CI) runs the identity gate and a 10^5-node build only —
 phase 2 reports nothing and gates nothing, keeping the job sub-minute.
 
-Writes ``BENCH_scale.json``. Exits non-zero on any gate failure and on
-leaked ``/dev/shm`` segments.
+Writes ``BENCH_scale.json``. Exits non-zero on any gate failure.
 
 Run:  python benchmarks/bench_scale.py [--smoke] [--nodes N]
           [--exponent A] [--identity-scale S] [--max-targets T]
@@ -30,7 +30,6 @@ Run:  python benchmarks/bench_scale.py [--smoke] [--nodes N]
 from __future__ import annotations
 
 import argparse
-import glob
 import json
 import os
 import resource
@@ -41,7 +40,7 @@ from harness import usable_cpus
 from repro.datasets import synthetic_powerlaw, wiki_vote
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.graphs.shared import SEGMENT_PREFIX, SharedSocialGraph
+from repro.graphs.shared import SharedSocialGraph
 from repro.serving.service import RecommendationService
 
 ENGINE_EPSILONS = (0.5, 1.0)
@@ -54,10 +53,6 @@ def peak_rss_bytes() -> int:
     # ru_maxrss is kilobytes on Linux (bytes on macOS, where this
     # benchmark's gate profile is not calibrated anyway).
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-
-
-def leaked_segments() -> list[str]:
-    return sorted(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
 
 
 def _engine_config(scale: float, max_targets: int, **overrides) -> ExperimentConfig:
@@ -81,26 +76,24 @@ def _serve_batch(graph, users: "list[int]") -> list:
 
 
 def check_identity(scale: float, max_targets: int) -> dict:
-    """Engine + serving, heap vs shared, bit for bit."""
+    """Engine + serving, set-backed vs frozen CSR, bit for bit."""
     config = _engine_config(scale, max_targets)
-    reference = run_experiment(config)
-    shared_run = run_experiment(_engine_config(scale, max_targets, backend="shm"))
-    if shared_run.evaluations != reference.evaluations:
-        raise AssertionError("shm-backed engine run diverged from heap")
+    sets_graph = wiki_vote(scale=scale)
+    csr_graph = SharedSocialGraph.from_graph(sets_graph)
+    reference = run_experiment(config, graph=sets_graph)
+    csr_run = run_experiment(config, graph=csr_graph)
+    if csr_run.evaluations != reference.evaluations:
+        raise AssertionError("engine run on the frozen CSR diverged from the sets")
 
-    heap_graph = wiki_vote(scale=scale)
-    users = [int(u) for u in heap_graph.nodes()[:100]]
-    heap_responses = _serve_batch(heap_graph, users)
-    with SharedSocialGraph.from_graph(heap_graph) as shared_graph:
-        shared_responses = _serve_batch(shared_graph, users)
-    if shared_responses != heap_responses:
-        raise AssertionError("shm-backed serving batch diverged from heap")
+    users = [int(u) for u in sets_graph.nodes()[:100]]
+    if _serve_batch(csr_graph, users) != _serve_batch(sets_graph, users):
+        raise AssertionError("serving batch on the frozen CSR diverged from the sets")
     return {
         "scale": scale,
         "engine_targets_evaluated": reference.num_targets_evaluated,
         "serving_users": len(users),
-        "engine_heap_vs_shm": True,
-        "serving_heap_vs_shm": True,
+        "engine_sets_vs_csr": True,
+        "serving_sets_vs_csr": True,
     }
 
 
@@ -113,67 +106,61 @@ def run_scale(
 ) -> dict:
     result: dict = {}
     build_started = time.perf_counter()
-    shared = synthetic_powerlaw(nodes, exponent, backend="shm")
-    try:
-        result["build"] = {
-            "nodes": shared.num_nodes,
-            "edges": shared.num_edges,
-            "seconds": time.perf_counter() - build_started,
-        }
-        print(
-            f"scale build: {shared.num_nodes:,} nodes, "
-            f"{shared.num_edges:,} edges in "
-            f"{result['build']['seconds']:.2f} s", flush=True,
-        )
-        if smoke:
-            return result
-
-        # The engine reads support rows only (no rows x num_nodes block),
-        # so the RSS gate measures the program, not a benchmark knob.
-        config = _engine_config(
-            1.0, max_targets, dataset="synthetic", nodes=nodes,
-            exponent=exponent, backend="shm",
-        )
-        engine_run = run_experiment(config, graph=shared)
-        result["engine"] = {
-            "targets_evaluated": engine_run.num_targets_evaluated,
-            "seconds": engine_run.elapsed_seconds,
-            "sensitivity": engine_run.sensitivity,
-        }
-        print(
-            f"engine: {engine_run.num_targets_evaluated} targets in "
-            f"{engine_run.elapsed_seconds:.2f} s", flush=True,
-        )
-
-        # Served in 32-user batches with a 32-entry cache. Dense rows were
-        # ~16 MB per user at 10^6 nodes, which set these bounds; support-
-        # form rows are a few hundred bytes, and the bounds are kept so
-        # the serving rate stays comparable across commits.
-        users = list(range(serve_users))
-        service = RecommendationService(
-            shared, epsilon=SERVE_EPSILON, seed=SERVE_SEED, cache_max_entries=32,
-        )
-        serve_started = time.perf_counter()
-        responses = []
-        for lo in range(0, len(users), 32):
-            responses.extend(service.recommend_batch(users[lo : lo + 32]))
-        serve_seconds = time.perf_counter() - serve_started
-        result["serving"] = {
-            "users": len(users),
-            "served": sum(1 for r in responses if r.served),
-            "seconds": serve_seconds,
-            "recs_per_sec": len(users) / serve_seconds,
-        }
-        print(
-            f"serving: {result['serving']['served']}/{len(users)} users "
-            f"served in {serve_seconds:.2f} s "
-            f"({result['serving']['recs_per_sec']:.0f} recs/sec)", flush=True,
-        )
-
+    graph = synthetic_powerlaw(nodes, exponent)
+    result["build"] = {
+        "nodes": graph.num_nodes,
+        "edges": graph.num_edges,
+        "seconds": time.perf_counter() - build_started,
+    }
+    print(
+        f"scale build: {graph.num_nodes:,} nodes, "
+        f"{graph.num_edges:,} edges in "
+        f"{result['build']['seconds']:.2f} s", flush=True,
+    )
+    if smoke:
         return result
-    finally:
-        shared.close()
-        shared.unlink()
+
+    # The engine reads support rows only (no rows x num_nodes block),
+    # so the RSS gate measures the program, not a benchmark knob.
+    config = _engine_config(
+        1.0, max_targets, dataset="synthetic", nodes=nodes, exponent=exponent,
+    )
+    engine_run = run_experiment(config, graph=graph)
+    result["engine"] = {
+        "targets_evaluated": engine_run.num_targets_evaluated,
+        "seconds": engine_run.elapsed_seconds,
+        "sensitivity": engine_run.sensitivity,
+    }
+    print(
+        f"engine: {engine_run.num_targets_evaluated} targets in "
+        f"{engine_run.elapsed_seconds:.2f} s", flush=True,
+    )
+
+    # Served in 32-user batches with a 32-entry cache. Dense rows were
+    # ~16 MB per user at 10^6 nodes, which set these bounds; support-
+    # form rows are a few hundred bytes, and the bounds are kept so
+    # the serving rate stays comparable across commits.
+    users = list(range(serve_users))
+    service = RecommendationService(
+        graph, epsilon=SERVE_EPSILON, seed=SERVE_SEED, cache_max_entries=32,
+    )
+    serve_started = time.perf_counter()
+    responses = []
+    for lo in range(0, len(users), 32):
+        responses.extend(service.recommend_batch(users[lo : lo + 32]))
+    serve_seconds = time.perf_counter() - serve_started
+    result["serving"] = {
+        "users": len(users),
+        "served": sum(1 for r in responses if r.served),
+        "seconds": serve_seconds,
+        "recs_per_sec": len(users) / serve_seconds,
+    }
+    print(
+        f"serving: {result['serving']['served']}/{len(users)} users "
+        f"served in {serve_seconds:.2f} s "
+        f"({result['serving']['recs_per_sec']:.0f} recs/sec)", flush=True,
+    )
+    return result
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -187,7 +174,7 @@ def main(argv: "list[str] | None" = None) -> int:
     )
     parser.add_argument(
         "--identity-scale", type=float, default=0.5, dest="identity_scale",
-        help="wiki replica scale for the heap-vs-shm identity phase",
+        help="wiki replica scale for the sets-vs-CSR identity phase",
     )
     parser.add_argument(
         "--max-targets", type=int, default=200, dest="max_targets",
@@ -218,15 +205,10 @@ def main(argv: "list[str] | None" = None) -> int:
         args.identity_scale = min(args.identity_scale, 0.1)
         args.max_targets = min(args.max_targets, 100)
 
-    pre_existing = leaked_segments()
-    if pre_existing:
-        print(f"FAIL: stale shared segments before the run: {pre_existing}")
-        return 1
-
     identity = check_identity(args.identity_scale, args.max_targets)
     print(
-        f"identity: wiki scale {args.identity_scale}: engine heap == shm "
-        f"and serving heap == shm, over "
+        f"identity: wiki scale {args.identity_scale}: engine sets == CSR "
+        f"and serving sets == CSR, over "
         f"{identity['engine_targets_evaluated']} targets / "
         f"{identity['serving_users']} users (asserted)"
     )
@@ -283,16 +265,12 @@ def main(argv: "list[str] | None" = None) -> int:
         else:
             print(f"NOTE: {args.memory_json} not found; trajectory entry skipped")
 
-    leaks = leaked_segments()
-    if leaks:
-        failures.append(f"leaked shared segments after the run: {leaks}")
-
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}")
         return 1
     gates = "identity" if args.smoke else "all"
-    print(f"OK: {gates} gates passed; no shared segments leaked")
+    print(f"OK: {gates} gates passed")
     return 0
 
 

@@ -105,8 +105,9 @@ python benchmarks/bench_durability.py --smoke --output "$smoke_out/BENCH_durabil
 
 echo
 echo "== scale benchmark (smoke) =="
-# Asserts engine + serving results on shared-memory graphs are
-# bit-identical to the heap path and builds a 10^5-node shared graph.
+# Asserts engine + serving results on the frozen CSR graph are
+# bit-identical to the set-backed graph it was copied from and builds a
+# 10^5-node synthetic CSR graph.
 # The million-node end-to-end run and its RSS bound are local acceptance
 # only: `python benchmarks/bench_scale.py`. Its RSS trajectory entry goes
 # to the smoke memory artifact above.
@@ -198,15 +199,3 @@ for example in examples/*.py; do
     echo "-- $example"
     python "$example" > /dev/null
 done
-
-echo
-echo "== shared-memory leak check =="
-# Every shared CSR segment carries the repro_csr_ prefix; after the
-# suite plus every benchmark, none may remain.
-leaked=$(find /dev/shm -maxdepth 1 -name 'repro_csr_*' 2>/dev/null | wc -l)
-if [ "$leaked" -ne 0 ]; then
-    echo "FAIL: $leaked leaked repro_csr_* segment(s) in /dev/shm"
-    find /dev/shm -maxdepth 1 -name 'repro_csr_*'
-    exit 1
-fi
-echo "no leaked repro_csr_* segments"

@@ -62,38 +62,20 @@ def _build_cli_graph(args: argparse.Namespace):
     """The graph a sweep/serve-sim run works on, honoring the scale flags.
 
     ``--nodes N`` switches from the wiki replica to the synthetic
-    power-law builder (assembled straight into the ``--backend``
-    segment); otherwise ``--backend shm|mmap`` wraps the replica in a
-    shared CSR. Returns the graph; callers must ``close()``/``unlink()``
-    shared-backed ones when done (SharedSocialGraph instances only).
+    power-law builder, which assembles a frozen CSR graph with no
+    per-node sets.
     """
     if args.nodes is not None:
         from .datasets import synthetic_powerlaw
 
-        return synthetic_powerlaw(
-            args.nodes, args.exponent, backend=args.backend
-        )
-    graph = wiki_vote(scale=args.scale)
-    if args.backend != "heap":
-        from .graphs.shared import SharedSocialGraph
-
-        return SharedSocialGraph.from_graph(graph, backing=args.backend)
-    return graph
-
-
-def _close_cli_graph(graph) -> None:
-    from .graphs.shared import SharedSocialGraph
-
-    if isinstance(graph, SharedSocialGraph):
-        graph.close()
-        graph.unlink()
+        return synthetic_powerlaw(args.nodes, args.exponent)
+    return wiki_vote(scale=args.scale)
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
     driver = FIGURE_DRIVERS[args.figure_id]
     kwargs: dict = {
         "scale": args.scale,
-        "backend": args.backend,
         "nodes": args.nodes,
         "exponent": args.exponent,
     }
@@ -136,13 +118,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .accuracy.evaluator import sample_targets
 
     graph = _build_cli_graph(args)
-    try:
-        targets = sample_targets(
-            graph, 0.2, max_targets=args.targets, seed=args.seed
-        )
-        points = epsilon_sweep(graph, CommonNeighbors(), targets)
-    finally:
-        _close_cli_graph(graph)
+    targets = sample_targets(graph, 0.2, max_targets=args.targets, seed=args.seed)
+    points = epsilon_sweep(graph, CommonNeighbors(), targets)
     source = (
         f"synthetic n={args.nodes}" if args.nodes is not None
         else f"wiki scale {args.scale}"
@@ -226,31 +203,28 @@ def _cmd_serve_sim(args: argparse.Namespace) -> int:
         seed=args.seed,
         telemetry=telemetry,
     )
-    try:
-        users = synthetic_workload(
-            graph, args.requests, zipf_exponent=args.zipf, seed=args.seed
-        )
-        summary = replay(service, users, batch_size=args.batch_size)
-        source = (
-            f"synthetic power-law n={args.nodes} ({args.backend} backing)"
-            if args.nodes is not None
-            else f"wiki replica scale {args.scale}"
-        )
-        print(
-            f"serve-sim: {args.mechanism} mechanism, epsilon={args.epsilon}, "
-            f"budget={args.budget}/user, {source} "
-            f"({graph.num_nodes} nodes)"
-        )
-        print(summary.render())
-        cache = service.cache.snapshot()
-        print(
-            f"  cache:           {cache['hits']} hits / {cache['misses']} misses / "
-            f"{cache['invalidations']} invalidations"
-        )
-        if telemetry is not None:
-            _emit_telemetry(service, telemetry, args)
-    finally:
-        _close_cli_graph(graph)
+    users = synthetic_workload(
+        graph, args.requests, zipf_exponent=args.zipf, seed=args.seed
+    )
+    summary = replay(service, users, batch_size=args.batch_size)
+    source = (
+        f"synthetic power-law n={args.nodes}"
+        if args.nodes is not None
+        else f"wiki replica scale {args.scale}"
+    )
+    print(
+        f"serve-sim: {args.mechanism} mechanism, epsilon={args.epsilon}, "
+        f"budget={args.budget}/user, {source} "
+        f"({graph.num_nodes} nodes)"
+    )
+    print(summary.render())
+    cache = service.cache.snapshot()
+    print(
+        f"  cache:           {cache['hits']} hits / {cache['misses']} misses / "
+        f"{cache['invalidations']} invalidations"
+    )
+    if telemetry is not None:
+        _emit_telemetry(service, telemetry, args)
     return 0
 
 
@@ -617,18 +591,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _add_backend_arguments(subparser: argparse.ArgumentParser) -> None:
-    """The graph-backing knobs of the scale-capable commands."""
+    """The synthetic-graph flags of the scale-capable commands."""
     from .datasets import DEFAULT_SYNTHETIC_EXPONENT
-    from .experiments.config import KNOWN_BACKENDS
 
-    subparser.add_argument(
-        "--backend",
-        choices=KNOWN_BACKENDS,
-        default="heap",
-        help="graph backing store: heap = per-node sets (mutable), "
-        "shm = shared-memory CSR, "
-        "mmap = file-backed CSR (out of core); results are identical",
-    )
     subparser.add_argument(
         "--nodes",
         type=int,

@@ -25,9 +25,9 @@ Two extraction flavors exist because the consumers genuinely differ:
   so no stage holds a ``rows x num_nodes`` block.
 
 The graph may be a frozen :class:`~repro.graphs.shared.SharedSocialGraph`
-whose adjacency arrays are *read-only zero-copy views* into a shared
-segment, so every stage here writes only into arrays it allocated
-(mutating a shared view raises ``ValueError: assignment destination is
+whose adjacency arrays are *read-only zero-copy views* into its CSR
+store, so every stage here writes only into arrays it allocated
+(mutating a sealed view raises ``ValueError: assignment destination is
 read-only`` by design).
 """
 

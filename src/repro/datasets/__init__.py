@@ -8,8 +8,10 @@ matches the published sizes) and a ``seed`` for reproducibility.
 
 from __future__ import annotations
 
+from ..graphs.generators.powerlaw import build_powerlaw_shared
 from ..graphs.generators.replicas import build_replica, twitter_spec, wiki_vote_spec
 from ..graphs.graph import SocialGraph
+from ..graphs.shared import SharedSocialGraph
 from . import toy
 
 #: Default seeds give every example/benchmark the same replica instance.
@@ -36,32 +38,16 @@ def synthetic_powerlaw(
     nodes: int,
     exponent: float = DEFAULT_SYNTHETIC_EXPONENT,
     seed: int = DEFAULT_SYNTHETIC_SEED,
-    backend: str = "shm",
-) -> SocialGraph:
+) -> SharedSocialGraph:
     """Directed power-law graph at any size (10^5 to 10^7 nodes and beyond).
 
-    Assembled chunk by chunk straight into a shared CSR segment by
-    :func:`~repro.graphs.generators.powerlaw.build_powerlaw_shared`;
-    ``backend`` picks the home: ``"shm"`` (POSIX shared memory),
-    ``"mmap"`` (a temp file — out of core), or
-    ``"heap"`` (convert to a classic mutable :class:`SocialGraph`; costs
-    the per-node set structure, so only sensible well below 10^6 nodes).
-    Same ``(nodes, exponent, seed)`` means the same graph on every
-    backend, adjacency-identical between shared and heap.
+    Assembled chunk by chunk straight into a frozen in-memory CSR by
+    :func:`~repro.graphs.generators.powerlaw.build_powerlaw_shared`, with
+    no per-node sets; :meth:`~repro.graphs.shared.SharedSocialGraph.to_heap`
+    gives a mutable copy. Same ``(nodes, exponent, seed)`` means the same
+    graph.
     """
-    from ..graphs.generators.powerlaw import build_powerlaw_shared
-
-    shared = build_powerlaw_shared(
-        nodes, exponent, seed=seed,
-        backing="shm" if backend == "heap" else backend,
-    )
-    if backend != "heap":
-        return shared
-    try:
-        return shared.to_heap()
-    finally:
-        shared.close()
-        shared.unlink()
+    return build_powerlaw_shared(nodes, exponent, seed=seed)
 
 
 __all__ = [

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import DurabilityError, RecoveryError, ReproError
+from ..serving.records import STATUS_NO_CANDIDATES
 from ..streaming.events import StreamEvent
 from ..telemetry.ledger import (
     KIND_CHARGE,
@@ -376,6 +377,7 @@ class DurableReplaySummary:
     num_queries: int
     num_served: int
     num_rejected: int
+    num_no_candidates: int
     num_mutations: int
     snapshots_taken: int
     events_done: int
@@ -390,7 +392,8 @@ class DurableReplaySummary:
                 f"  events:          {self.num_events} "
                 f"({self.num_mutations} mutations, {self.num_queries} queries)",
                 f"  served:          {self.num_served}",
-                f"  rejected:        {self.num_rejected}",
+                f"  rejected:        {self.num_rejected} (budget exhausted)",
+                f"  no candidates:   {self.num_no_candidates}",
                 f"  snapshots:       {self.snapshots_taken}",
                 f"  stream position: {self.events_done}",
                 f"  wall time:       {self.wall_seconds:.3f} s",
@@ -450,7 +453,7 @@ def replay_stream_durable(
                 json.dumps(config, indent=2, sort_keys=True) + "\n"
             )
 
-    served = rejected = queries = mutations = snapshots_taken = 0
+    served = rejected = no_candidates = queries = mutations = snapshots_taken = 0
     events_done = int(start_index)
     last_snapshot = (
         events_done if last_snapshot_events is None else int(last_snapshot_events)
@@ -459,12 +462,14 @@ def replay_stream_durable(
     pending_times: "list[float]" = []
 
     def flush() -> None:
-        nonlocal served, rejected
+        nonlocal served, rejected, no_candidates
         if not pending:
             return
         for response in service.recommend_batch(pending, at=pending_times):
             if response.served:
                 served += 1
+            elif response.status == STATUS_NO_CANDIDATES:
+                no_candidates += 1
             else:
                 rejected += 1
             if on_response is not None:
@@ -510,6 +515,7 @@ def replay_stream_durable(
         num_queries=queries,
         num_served=served,
         num_rejected=rejected,
+        num_no_candidates=no_candidates,
         num_mutations=mutations,
         snapshots_taken=snapshots_taken,
         events_done=events_done,

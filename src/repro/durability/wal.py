@@ -133,9 +133,11 @@ class WriteAheadLog:
         charges, refusals, window expiries and window charges — in
         exactly the order the rows reach the live
         :class:`~repro.telemetry.ledger.PrivacyLedger`, so a ledger
-        rebuilt from the log is entry-for-entry identical.
+        rebuilt from the log is entry-for-entry identical. Rows are kept
+        as given (the service hands over tuples; JSON writes them as
+        arrays).
         """
-        self._pending_rows.extend(tuple(row) for row in rows)
+        self._pending_rows.extend(rows)
 
     def log_edge(self, kind: str, time: float, u: int, v: int) -> None:
         """Append one edge-mutation record (called *before* the apply)."""
@@ -143,8 +145,7 @@ class WriteAheadLog:
 
     def commit(self, state: dict) -> None:
         """Seal the staged rows plus the engine state into one atomic record."""
-        rows = [list(row) for row in self._pending_rows]
-        self._pending_rows.clear()
+        rows, self._pending_rows = self._pending_rows, []
         self._append([RECORD_COMMIT, rows, state])
 
     def _append(self, payload_obj) -> None:

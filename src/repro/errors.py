@@ -43,11 +43,12 @@ class GraphFormatError(GraphError):
 
 
 class SharedGraphError(GraphError):
-    """A shared-memory / memory-mapped graph backing store was misused.
+    """A frozen CSR graph's store (in memory or an mmap file) was misused.
 
     Covers lifecycle violations (using a closed store, reading the
-    descriptor of an unsealed segment, mutating a frozen shared-backed
-    graph) and unknown backings or invalid segment sizes.
+    descriptor of an unsealed store, mutating a frozen
+    :class:`~repro.graphs.shared.SharedSocialGraph`), unknown backings,
+    an ``mmap`` store without a path, and invalid sizes.
     """
 
 

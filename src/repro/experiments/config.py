@@ -17,8 +17,6 @@ from ..errors import ExperimentError
 KNOWN_DATASETS = ("wiki_vote", "twitter", "synthetic")
 #: Names the runner understands for the ``utility`` field.
 KNOWN_UTILITIES = ("common_neighbors", "weighted_paths")
-#: Graph backing stores the runner understands for the ``backend`` field.
-KNOWN_BACKENDS = ("heap", "shm", "mmap")
 
 
 @dataclass(frozen=True)
@@ -36,13 +34,10 @@ class ExperimentConfig:
     series exactly when their run computed them, and the paper's figure
     configs leave it off, as the paper plots none.
 
-    ``backend`` picks the graph's backing store: ``"heap"`` (classic
-    per-node sets), ``"shm"`` (POSIX shared memory, flat CSR arrays), or
-    ``"mmap"`` (memory-mapped file, out of core). All three produce
-    bit-identical results — DESIGN.md "scale dataflow".
     ``dataset="synthetic"`` builds a directed power-law graph with
-    ``nodes`` nodes and exponent ``exponent`` straight into the chosen
-    backing (``scale`` is ignored there); it is the 10^6-node path.
+    ``nodes`` nodes and exponent ``exponent`` straight into a frozen
+    in-memory CSR (``scale`` is ignored there); it is the 10^6-node
+    path — DESIGN.md "Scale dataflow".
     """
 
     dataset: str = "wiki_vote"
@@ -55,7 +50,6 @@ class ExperimentConfig:
     max_targets: "int | None" = 150
     include_laplace: bool = True
     seed: int = 7
-    backend: str = "heap"
     nodes: "int | None" = None
     exponent: float = 2.2
     name: str = ""
@@ -82,10 +76,6 @@ class ExperimentConfig:
             )
         if self.max_targets is not None and not self.max_targets >= 1:
             raise ExperimentError(f"max_targets must be >= 1, got {self.max_targets}")
-        if self.backend not in KNOWN_BACKENDS:
-            raise ExperimentError(
-                f"unknown backend {self.backend!r}; known: {KNOWN_BACKENDS}"
-            )
         if self.dataset == "synthetic":
             if self.nodes is None or self.nodes < 2:
                 raise ExperimentError(

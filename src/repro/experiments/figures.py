@@ -15,8 +15,8 @@ max_targets=None`` for the full-size replicas. A figure prints Laplace
 series exactly when its run computed them
 (:attr:`~repro.experiments.config.ExperimentConfig.include_laplace`), so
 the Section 7.2 "Laplace ~= Exponential" observation can be read off the
-same result object. ``include_laplace``, ``backend``, ``nodes`` and
-``exponent`` override the config, mirroring the CLI's flags.
+same result object. ``include_laplace``, ``nodes`` and ``exponent``
+override the config, mirroring the CLI's flags.
 """
 
 from __future__ import annotations
@@ -41,16 +41,15 @@ from .runner import ExperimentRun, build_graph, mechanism_key, run_experiment
 
 def _with_overrides(
     config: ExperimentConfig,
-    backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
     include_laplace: "bool | None" = None,
 ) -> ExperimentConfig:
-    """Apply only explicitly requested backend/dataset/Laplace overrides.
+    """Apply only explicitly requested dataset/Laplace overrides.
 
     ``None`` means "keep the config's own value" — an explicitly passed
-    ``config`` with ``backend="shm"`` or ``include_laplace=True`` must not
-    be silently reset by the drivers' parameter defaults.
+    ``config`` with ``include_laplace=True`` must not be silently reset
+    by the drivers' parameter defaults.
     ``nodes`` swaps the dataset for the synthetic power-law builder at
     that size (the figure then reads on synthetic data rather than the
     paper replica — a scale study, not a paper reproduction).
@@ -58,8 +57,6 @@ def _with_overrides(
     overrides: dict = {}
     if include_laplace is not None:
         overrides["include_laplace"] = include_laplace
-    if backend is not None:
-        overrides["backend"] = backend
     if nodes is not None:
         overrides["dataset"] = "synthetic"
         overrides["nodes"] = nodes
@@ -117,14 +114,13 @@ def figure_1a(
     max_targets: "int | None" = 150,
     include_laplace: "bool | None" = None,
     config: "ExperimentConfig | None" = None,
-    backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
 ) -> FigureResult:
     """Figure 1(a): common neighbors on Wiki-vote, eps in {0.5, 1}."""
     if config is None:
         config = paper_config_figure_1a(scale=scale, max_targets=max_targets)
-    config = _with_overrides(config, backend, nodes, exponent, include_laplace)
+    config = _with_overrides(config, nodes, exponent, include_laplace)
     run = run_experiment(config)
     return _cdf_figure(
         run,
@@ -138,14 +134,13 @@ def figure_1b(
     max_targets: "int | None" = 150,
     include_laplace: "bool | None" = None,
     config: "ExperimentConfig | None" = None,
-    backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
 ) -> FigureResult:
     """Figure 1(b): common neighbors on Twitter, eps in {1, 3}."""
     if config is None:
         config = paper_config_figure_1b(scale=scale, max_targets=max_targets)
-    config = _with_overrides(config, backend, nodes, exponent, include_laplace)
+    config = _with_overrides(config, nodes, exponent, include_laplace)
     run = run_experiment(config)
     return _cdf_figure(
         run,
@@ -161,35 +156,26 @@ def _weighted_paths_figure(
     series: list[Series] = []
     metadata: dict = {"runs": []}
     graph = build_graph(configs[0]) if configs else None
-    try:
-        for config in configs:
-            run = run_experiment(config, graph=graph)
-            eps = config.epsilons[0]
+    for config in configs:
+        run = run_experiment(config, graph=graph)
+        eps = config.epsilons[0]
+        series.append(
+            _cdf_series(
+                f"Exp. gamma={config.gamma:g}",
+                run.accuracies(mechanism_key("exponential", eps)),
+            )
+        )
+        if config.include_laplace:
             series.append(
                 _cdf_series(
-                    f"Exp. gamma={config.gamma:g}",
-                    run.accuracies(mechanism_key("exponential", eps)),
+                    f"Lap. gamma={config.gamma:g}",
+                    run.accuracies(mechanism_key("laplace", eps)),
                 )
             )
-            if config.include_laplace:
-                series.append(
-                    _cdf_series(
-                        f"Lap. gamma={config.gamma:g}",
-                        run.accuracies(mechanism_key("laplace", eps)),
-                    )
-                )
-            series.append(
-                _cdf_series(f"Theor. gamma={config.gamma:g}", run.bounds(eps))
-            )
-            metadata["runs"].append(_metadata(run))
-    finally:
-        # The graph shared across gamma runs is ours; shared-backed ones
-        # must release their segment.
-        from ..graphs.shared import SharedSocialGraph
-
-        if isinstance(graph, SharedSocialGraph):
-            graph.close()
-            graph.unlink()
+        series.append(
+            _cdf_series(f"Theor. gamma={config.gamma:g}", run.bounds(eps))
+        )
+        metadata["runs"].append(_metadata(run))
     return FigureResult(
         figure_id=figure_id,
         title=title,
@@ -205,7 +191,6 @@ def figure_2a(
     max_targets: "int | None" = 150,
     gammas: tuple[float, ...] = (0.0005, 0.05),
     include_laplace: "bool | None" = None,
-    backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
 ) -> FigureResult:
@@ -213,7 +198,6 @@ def figure_2a(
     configs = [
         _with_overrides(
             paper_config_figure_2a(gamma, scale=scale, max_targets=max_targets),
-            backend,
             nodes,
             exponent,
             include_laplace,
@@ -232,7 +216,6 @@ def figure_2b(
     max_targets: "int | None" = 150,
     gammas: tuple[float, ...] = (0.0005, 0.05),
     include_laplace: "bool | None" = None,
-    backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
 ) -> FigureResult:
@@ -240,7 +223,6 @@ def figure_2b(
     configs = [
         _with_overrides(
             paper_config_figure_2b(gamma, scale=scale, max_targets=max_targets),
-            backend,
             nodes,
             exponent,
             include_laplace,
@@ -259,14 +241,13 @@ def figure_2c(
     max_targets: "int | None" = 300,
     bins_per_decade: int = 3,
     config: "ExperimentConfig | None" = None,
-    backend: "str | None" = None,
     nodes: "int | None" = None,
     exponent: "float | None" = None,
 ) -> FigureResult:
     """Figure 2(c): accuracy vs. degree, Wiki-vote, common neighbors, eps = 0.5."""
     if config is None:
         config = paper_config_figure_2c(scale=scale, max_targets=max_targets)
-    config = _with_overrides(config, backend, nodes, exponent)
+    config = _with_overrides(config, nodes, exponent)
     run = run_experiment(config)
     eps = config.epsilons[0]
     kinds = ("exponential", "laplace") if config.include_laplace else ("exponential",)

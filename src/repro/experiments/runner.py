@@ -24,7 +24,6 @@ from ..accuracy.evaluator import TargetEvaluation, sample_targets
 from ..datasets import synthetic_powerlaw, twitter, wiki_vote
 from ..errors import ExperimentError
 from ..graphs.graph import SocialGraph
-from ..graphs.shared import SharedSocialGraph
 from ..mechanisms.base import Mechanism
 from ..mechanisms.exponential import ExponentialMechanism
 from ..mechanisms.laplace import LaplaceMechanism
@@ -61,30 +60,20 @@ class ExperimentRun:
 
 
 def build_graph(config: ExperimentConfig) -> SocialGraph:
-    """Materialize the configured dataset replica on the configured backend.
+    """Materialize the configured dataset replica.
 
-    ``backend="shm"``/``"mmap"`` return a frozen
-    :class:`~repro.graphs.shared.SharedSocialGraph` whose adjacency is
-    bit-identical to the heap replica; callers that own the graph should
-    ``close()``/``unlink()`` it when done (:func:`run_experiment` does
-    this for graphs it builds itself). ``dataset="synthetic"`` assembles
-    a directed power-law graph of ``config.nodes`` nodes directly into
-    the backing segment — never through Python edge sets.
+    ``dataset="synthetic"`` assembles a directed power-law graph of
+    ``config.nodes`` nodes straight into a frozen
+    :class:`~repro.graphs.shared.SharedSocialGraph` — never through
+    Python edge sets.
     """
     if config.dataset == "synthetic":
-        return synthetic_powerlaw(
-            config.nodes, config.exponent, backend=config.backend
-        )
+        return synthetic_powerlaw(config.nodes, config.exponent)
     if config.dataset == "wiki_vote":
-        graph = wiki_vote(scale=config.scale)
-    elif config.dataset == "twitter":
-        graph = twitter(scale=config.scale)
-    else:
-        raise ExperimentError(f"unknown dataset {config.dataset!r}")
-    if config.backend != "heap":
-        shared = SharedSocialGraph.from_graph(graph, backing=config.backend)
-        return shared
-    return graph
+        return wiki_vote(scale=config.scale)
+    if config.dataset == "twitter":
+        return twitter(scale=config.scale)
+    raise ExperimentError(f"unknown dataset {config.dataset!r}")
 
 
 def build_utility(config: ExperimentConfig) -> UtilityFunction:
@@ -130,41 +119,32 @@ def run_experiment(
     :func:`~repro.accuracy.evaluator.evaluate_targets` bit for bit.
     """
     started = time.perf_counter()
-    owned_graph = graph is None
     if graph is None:
         graph = build_graph(config)
-    try:
-        utility = build_utility(config)
-        # CN / WP sensitivities depend only on graph-level quantities
-        # (direction, d_max), so one value serves all targets.
-        sensitivity = utility.sensitivity(graph, 0)
-        mechanisms = build_mechanisms(config, sensitivity)
-        targets = sample_targets(
-            graph,
-            fraction=config.target_fraction,
-            seed=config.seed,
-            max_targets=config.max_targets,
-        )
-        evaluations = evaluate_targets_batched(
-            graph,
-            utility,
-            targets,
-            mechanisms,
-            bound_epsilons=tuple(config.epsilons),
-            seed=config.seed + 1,
-        )
-        num_nodes, num_edges = graph.num_nodes, graph.num_edges
-    finally:
-        # A shared segment built here is ours to tear down; a caller's
-        # graph is theirs.
-        if owned_graph and isinstance(graph, SharedSocialGraph):
-            graph.close()
-            graph.unlink()
+    utility = build_utility(config)
+    # CN / WP sensitivities depend only on graph-level quantities
+    # (direction, d_max), so one value serves all targets.
+    sensitivity = utility.sensitivity(graph, 0)
+    mechanisms = build_mechanisms(config, sensitivity)
+    targets = sample_targets(
+        graph,
+        fraction=config.target_fraction,
+        seed=config.seed,
+        max_targets=config.max_targets,
+    )
+    evaluations = evaluate_targets_batched(
+        graph,
+        utility,
+        targets,
+        mechanisms,
+        bound_epsilons=tuple(config.epsilons),
+        seed=config.seed + 1,
+    )
     elapsed = time.perf_counter() - started
     return ExperimentRun(
         config=config,
-        num_nodes=num_nodes,
-        num_edges=num_edges,
+        num_nodes=graph.num_nodes,
+        num_edges=graph.num_edges,
         num_targets_sampled=int(targets.size),
         num_targets_evaluated=len(evaluations),
         sensitivity=float(sensitivity),

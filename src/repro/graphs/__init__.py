@@ -2,7 +2,7 @@
 
 from .edits import EditPlan, promote_common_neighbors, promote_weighted_paths, swap_node_edges, weighted_paths_c
 from .graph import SocialGraph
-from .io import load_edge_list_shared, read_edge_list, write_edge_list
+from .io import read_edge_list, write_edge_list
 from .shared import CSRDescriptor, SharedCSR, SharedSocialGraph
 from .paths import simple_path_counts, walks_equal_simple_paths_on_candidates
 from .stats import (
@@ -38,7 +38,6 @@ __all__ = [
     "degree_summary",
     "edge_density",
     "k_hop_neighborhood",
-    "load_edge_list_shared",
     "powerlaw_exponent_estimate",
     "promote_common_neighbors",
     "promote_weighted_paths",

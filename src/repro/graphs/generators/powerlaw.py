@@ -211,18 +211,18 @@ def build_powerlaw_shared(
     d_min: int = 1,
     d_max: "int | None" = None,
     seed: "int | np.random.Generator | None" = None,
-    backing: str = "shm",
+    backing: str = "memory",
     path: "str | os.PathLike[str] | None" = None,
     chunk_nodes: int = DEFAULT_BUILD_CHUNK_NODES,
 ):
-    """Assemble a directed power-law graph straight into a shared CSR.
+    """Assemble a directed power-law graph straight into a frozen CSR.
 
     The out-of-core synthetic path for graphs too large for per-node
     Python sets (10^5 nodes and up): degrees come from
     :func:`bounded_pareto_degrees`, the CSR ``indptr`` is one cumulative
     sum, and neighbor lists are sampled and written *chunk by chunk*
-    directly into the shared (or memory-mapped) segment — no Python edge
-    sets, no all-edges temporary; peak heap overhead is
+    directly into the store's buffer — no Python edge sets, no
+    all-edges temporary; peak overhead beyond the buffer is
     O(``chunk_nodes`` x mean degree) regardless of graph size.
 
     Out-neighbors are distinct, non-self, and sorted within each row, so
@@ -232,7 +232,9 @@ def build_powerlaw_shared(
     in heap. ``d_max`` defaults to ``max(d_min, round(sqrt(num_nodes)))``
     — the heavy tail of the paper's Section 5 argument, kept far enough
     from ``num_nodes`` that distinct-neighbor sampling stays cheap.
-    ``backing="mmap"`` (with an optional ``path``) builds on disk.
+    The buffer lives in process memory; ``backing="mmap"`` with a
+    ``path`` builds it in that file instead (see
+    :meth:`~repro.graphs.shared.SharedCSR.allocate`).
 
     Determinism: the same ``(num_nodes, exponent, d_min, d_max, seed,
     chunk_nodes)`` always yields the same graph. ``chunk_nodes`` is part

@@ -11,10 +11,7 @@ NumPy's C tokenizer (``np.loadtxt``) as one ``(rows, 2)`` batch — no
 per-edge Python bytecode. Malformed input falls back to a per-line scan of
 the offending block only, so error messages still name the exact
 ``path:line``. :func:`read_edge_list` builds the classic in-heap
-:class:`SocialGraph`; :func:`load_edge_list_shared` assembles the same
-adjacency directly into a shared-memory or memory-mapped CSR segment
-(:class:`~repro.graphs.shared.SharedCSR`) without ever materializing
-Python edge sets — the dataset path for million-node graphs.
+:class:`SocialGraph`.
 """
 
 from __future__ import annotations
@@ -26,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import GraphFormatError, NodeError
-from .graph import SocialGraph, adjacency_arrays, sorted_distinct
+from .graph import SocialGraph, sorted_distinct
 
 #: Text-block size of the chunked parser. 8 MB keeps per-block overhead
 #: negligible while bounding peak parse memory for arbitrarily large files.
@@ -151,47 +148,6 @@ def read_edge_list(
         # caller's num_nodes fail node validation.
         raise NodeError(num_labels - 1, n)
     return SocialGraph.from_edges(np.stack((u, v), axis=1), num_nodes=n, directed=directed)
-
-
-def load_edge_list_shared(
-    path: "str | os.PathLike[str]",
-    directed: bool = False,
-    num_nodes: int | None = None,
-    backing: str = "shm",
-    segment_path: "str | os.PathLike[str] | None" = None,
-):
-    """Stream a SNAP edge list straight into a shared CSR segment.
-
-    Same parse, compaction, self-loop, and dedup semantics as
-    :func:`read_edge_list`, but the adjacency is assembled as CSR arrays
-    written directly into a :class:`~repro.graphs.shared.SharedCSR`
-    (``backing="shm"``) or a memory-mapped file (``backing="mmap"``,
-    ``segment_path`` names it) — no per-node Python sets at any point, so
-    loading cost is a few NumPy passes over the edge array. Returns a
-    frozen :class:`~repro.graphs.shared.SharedSocialGraph` whose version
-    stamp equals its edge count, exactly like a fresh in-heap bulk load.
-    """
-    from .shared import SharedCSR, SharedSocialGraph
-
-    u, v = _parse_edge_list(path)
-    u, v, num_labels = _compact_labels(u, v)
-    n = num_nodes if num_nodes is not None else num_labels
-    if num_labels > n:
-        raise NodeError(num_labels - 1, n)
-    indptr, indices, num_edges = adjacency_arrays(u, v, n, directed)
-    store = SharedCSR.allocate(n, int(indices.size), directed,
-                               backing=backing, path=segment_path)
-    try:
-        store.indptr[:] = indptr
-        store.indices[:] = indices
-        store.data[:] = 1.0
-        store.degrees[:] = np.diff(indptr)
-        store.seal(version=num_edges, num_edges=num_edges)
-    except BaseException:
-        store.close()
-        store.unlink()
-        raise
-    return SharedSocialGraph(store)
 
 
 def write_edge_list(graph: SocialGraph, path: "str | os.PathLike[str]", header: str | None = None) -> None:

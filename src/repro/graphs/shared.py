@@ -1,14 +1,13 @@
-"""Shared-memory / memory-mapped CSR backing for :class:`SocialGraph`.
+"""Frozen CSR storage for :class:`SocialGraph`: process memory or an mmap file.
 
 The scale layer: a :class:`SharedCSR` places the graph's CSR adjacency
-(``indptr``/``indices``/``data``) and degree vector in one named
-segment — either POSIX shared memory (``backing="shm"``) or a
-memory-mapped file (``backing="mmap"``, the out-of-core path) — so a
+(``indptr``/``indices``/``data``) and degree vector in one flat buffer —
+process memory (``backing="memory"``, the default) or a memory-mapped
+file the caller names (``backing="mmap"``, the out-of-core path) — so a
 10^6-node graph is assembled chunk by chunk straight into flat arrays,
-never through per-node Python sets, and an mmap-backed graph can live
-out of core.
+never through per-node Python sets.
 
-Layout of a segment (all slots int64 unless noted)::
+Layout of a buffer (all slots int64 unless noted)::
 
     header[8]   magic, layout version, num_nodes, nnz, directed,
                 graph version stamp, sealed flag, reserved
@@ -19,18 +18,17 @@ Layout of a segment (all slots int64 unless noted)::
 
 :class:`SharedSocialGraph` wraps a store in the :class:`SocialGraph` API:
 every read path (``adjacency_matrix``, ``adjacency_rows``, degree
-queries, neighbor sets) is served from the segment's arrays with no
+queries, neighbor sets) is served from the buffer's arrays with no
 copy, and every mutation raises :class:`~repro.errors.SharedGraphError`
-— shared-backed graphs are frozen snapshots, stamped with the source
-graph's version. Every store belongs to the process that created it:
-that process closes its mapping and unlinks the segment.
+— these graphs are frozen snapshots, stamped with the source graph's
+version. A memory store is freed with its last reference; the owner of
+an mmap store closes its mapping and unlinks its file.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
-import secrets
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -40,12 +38,8 @@ import scipy.sparse as sp
 from ..errors import NodeError, SharedGraphError
 from .graph import SocialGraph
 
-#: Prefix of every shm segment / mmap file this module creates. CI's leak
-#: check greps ``/dev/shm`` for it after the test run.
-SEGMENT_PREFIX = "repro_csr_"
-
 #: Backings :meth:`SharedCSR.allocate` understands.
-BACKINGS = ("shm", "mmap")
+BACKINGS = ("memory", "mmap")
 
 _MAGIC = 0x5243_5352  # "RCSR"
 _LAYOUT_VERSION = 1
@@ -56,21 +50,21 @@ _HEADER_BYTES = _HEADER_SLOTS * 8
 
 
 def _segment_bytes(num_nodes: int, nnz: int) -> int:
-    """Total segment size for a graph of ``num_nodes`` nodes, ``nnz`` entries."""
+    """Total buffer size for a graph of ``num_nodes`` nodes, ``nnz`` entries."""
     return _HEADER_BYTES + 8 * ((num_nodes + 1) + nnz + nnz + num_nodes)
 
 
 @dataclass(frozen=True)
 class CSRDescriptor:
-    """A read-out of a sealed segment's header: where it lives, its shape.
+    """A read-out of a sealed store's header: where it lives, its shape.
 
-    ``name`` is the shm segment name (``backing="shm"``) or the absolute
-    file path (``backing="mmap"``). ``version`` is the source graph's
-    mutation counter at seal time.
+    ``name`` is the absolute file path of an ``mmap`` store and ``None``
+    for a ``memory`` one. ``version`` is the source graph's mutation
+    counter at seal time.
     """
 
     backing: str
-    name: str
+    name: "str | None"
     num_nodes: int
     num_edges: int
     nnz: int
@@ -79,22 +73,20 @@ class CSRDescriptor:
 
 
 class SharedCSR:
-    """One shared segment holding a sealed CSR adjacency + degree vector.
+    """One flat buffer holding a sealed CSR adjacency + degree vector.
 
     Create with :meth:`allocate` (builders write the arrays in place, then
     :meth:`seal`) or :meth:`from_graph` (copy an existing graph's cached
-    CSR in). The creating process owns the segment and must release it:
-    ``close`` drops this process's mapping, ``unlink`` removes the
-    segment itself.
+    CSR into memory). ``close`` drops the arrays and an mmap store's
+    mapping; ``unlink`` removes an mmap store's file.
     """
 
     __slots__ = (
         "backing", "name", "indptr", "indices", "data", "degrees",
-        "_header", "_shm", "_mmap", "_file", "_closed",
+        "_header", "_mmap", "_file", "_closed",
     )
 
     def __init__(self) -> None:  # use allocate()/from_graph()
-        self._shm = None
         self._mmap = None
         self._file = None
         self._closed = False
@@ -108,20 +100,24 @@ class SharedCSR:
         num_nodes: int,
         nnz: int,
         directed: bool,
-        backing: str = "shm",
+        backing: str = "memory",
         path: "str | os.PathLike[str] | None" = None,
     ) -> "SharedCSR":
-        """Create an unsealed segment sized for ``num_nodes``/``nnz``.
+        """Create an unsealed store sized for ``num_nodes``/``nnz``.
 
         The returned store's arrays are writable; fill them, then call
-        :meth:`seal` before reading the descriptor. ``path`` names the
-        backing file for ``backing="mmap"`` (default: a fresh file in the
-        system temp directory).
+        :meth:`seal` before reading the descriptor. ``backing="mmap"``
+        needs ``path``, the file that holds the buffer; ``"memory"``
+        takes none.
         """
         if backing not in BACKINGS:
             raise SharedGraphError(
                 f"unknown backing {backing!r}; known: {BACKINGS}"
             )
+        if backing == "mmap" and path is None:
+            raise SharedGraphError("backing='mmap' needs a path for its file")
+        if backing == "memory" and path is not None:
+            raise SharedGraphError("backing='memory' takes no path")
         if num_nodes < 0 or nnz < 0:
             raise SharedGraphError(
                 f"need num_nodes >= 0 and nnz >= 0, got ({num_nodes}, {nnz})"
@@ -129,21 +125,14 @@ class SharedCSR:
         store = cls()
         store.backing = backing
         total = _segment_bytes(num_nodes, nnz)
-        if backing == "shm":
-            from multiprocessing import shared_memory
-
-            name = f"{SEGMENT_PREFIX}{os.getpid()}_{secrets.token_hex(4)}"
-            store._shm = shared_memory.SharedMemory(
-                name=name, create=True, size=total
-            )
-            store.name = store._shm.name
-            buffer = store._shm.buf
+        if backing == "memory":
+            store.name = None
+            # Anonymous pages: zeroed like a fresh file, touched only as
+            # the builder writes them. Not an ndarray: SciPy copies a view
+            # whose base ndarray is much larger (it would duplicate
+            # ``data`` in adjacency_matrix()).
+            buffer = mmap.mmap(-1, total, flags=mmap.MAP_PRIVATE)
         else:
-            if path is None:
-                import tempfile
-
-                fd, path = tempfile.mkstemp(prefix=SEGMENT_PREFIX, suffix=".csr")
-                os.close(fd)
             path = os.path.abspath(os.fspath(path))
             store._file = open(path, "w+b")
             store._file.truncate(total)
@@ -180,18 +169,10 @@ class SharedCSR:
         self.degrees = view(num_nodes, np.int64)
 
     @classmethod
-    def from_graph(
-        cls,
-        graph: SocialGraph,
-        backing: str = "shm",
-        path: "str | os.PathLike[str] | None" = None,
-    ) -> "SharedCSR":
-        """Copy ``graph``'s cached CSR adjacency into a fresh sealed segment."""
+    def from_graph(cls, graph: SocialGraph) -> "SharedCSR":
+        """Copy ``graph``'s cached CSR adjacency into a fresh sealed memory store."""
         matrix = graph.adjacency_matrix()
-        store = cls.allocate(
-            graph.num_nodes, int(matrix.nnz), graph.is_directed,
-            backing=backing, path=path,
-        )
+        store = cls.allocate(graph.num_nodes, int(matrix.nnz), graph.is_directed)
         store.indptr[:] = matrix.indptr
         store.indices[:] = matrix.indices
         store.data[:] = matrix.data
@@ -200,7 +181,7 @@ class SharedCSR:
         return store
 
     def seal(self, version: int, num_edges: "int | None" = None) -> None:
-        """Stamp the segment with the graph version and mark it complete.
+        """Stamp the store with the graph version and mark it complete.
 
         ``num_edges`` defaults to the CSR entry count for directed graphs
         and half of it for undirected (each undirected edge appears in
@@ -214,7 +195,7 @@ class SharedCSR:
         header[_H_VERSION] = int(version)
         header[_H_RESERVED] = int(num_edges)
         header[_H_SEALED] = 1
-        # Freeze the arrays once sealed so a kernel scribbling on shared
+        # Freeze the arrays once sealed so a kernel scribbling on the
         # adjacency fails loudly.
         for array in (self.indptr, self.indices, self.data, self.degrees):
             array.setflags(write=False)
@@ -229,7 +210,7 @@ class SharedCSR:
         header = self._header
         if not int(header[_H_SEALED]):
             raise SharedGraphError(
-                "segment is not sealed yet; finish assembly and call seal()"
+                "store is not sealed yet; finish assembly and call seal()"
             )
         return CSRDescriptor(
             backing=self.backing,
@@ -253,7 +234,7 @@ class SharedCSR:
 
     @property
     def nbytes(self) -> int:
-        """Total bytes of the mapped segment."""
+        """Total bytes of the store's buffer."""
         self._require_open()
         return _segment_bytes(int(self._header[_H_NODES]), int(self._header[_H_NNZ]))
 
@@ -263,16 +244,16 @@ class SharedCSR:
 
     def _require_open(self) -> None:
         if self._closed:
-            raise SharedGraphError(f"shared CSR store {self.name!r} is closed")
+            raise SharedGraphError(f"CSR store {self.name or self.backing!r} is closed")
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release this process's mapping (idempotent).
+        """Drop the arrays and an mmap store's mapping (idempotent).
 
         Every array view handed out becomes invalid; callers must drop
-        them first or the underlying buffer refuses to unmap.
+        them first or an mmap store's file refuses to unmap.
         """
         if self._closed:
             return
@@ -280,8 +261,6 @@ class SharedCSR:
         self._header = None
         self.indptr = self.indices = self.data = self.degrees = None
         try:
-            if self._shm is not None:
-                self._shm.close()
             if self._mmap is not None:
                 self._mmap.close()
         except BufferError:
@@ -295,14 +274,8 @@ class SharedCSR:
                 self._file.close()
 
     def unlink(self) -> None:
-        """Remove the segment itself (idempotent)."""
-        if self.backing == "shm":
-            if self._shm is not None:
-                try:
-                    self._shm.unlink()
-                except FileNotFoundError:
-                    pass
-        else:
+        """Remove an mmap store's file (idempotent; a memory store has none)."""
+        if self.backing == "mmap":
             try:
                 os.unlink(self.name)
             except FileNotFoundError:
@@ -342,20 +315,6 @@ def contiguous_node_range(targets: np.ndarray) -> "tuple[int, int] | None":
     return lo, hi
 
 
-def _rebuild_in_heap(
-    num_nodes: int,
-    directed: bool,
-    indptr_bytes: bytes,
-    indices_bytes: bytes,
-    num_edges: int,
-    version: int,
-) -> SocialGraph:
-    """Unpickle target of a shared-backed graph: a plain in-heap copy."""
-    indptr = np.frombuffer(indptr_bytes, dtype=np.int64)
-    indices = np.frombuffer(indices_bytes, dtype=np.int64)
-    return _heap_from_csr(num_nodes, directed, indptr, indices, num_edges, version)
-
-
 def _heap_from_csr(
     num_nodes: int,
     directed: bool,
@@ -379,10 +338,9 @@ class SharedSocialGraph(SocialGraph):
     """A frozen :class:`SocialGraph` served entirely from a :class:`SharedCSR`.
 
     Never builds the per-node Python adjacency sets (at 10^6 nodes those
-    alone cost hundreds of MB); every query reads the shared arrays.
+    alone cost hundreds of MB); every query reads the store's arrays.
     Mutations raise :class:`~repro.errors.SharedGraphError` — mutate an
-    in-heap copy (:meth:`to_heap`) and re-share instead. Pickling
-    degrades safely to an in-heap :class:`SocialGraph` copy.
+    in-heap copy (:meth:`to_heap`) and freeze it again instead.
     """
 
     __slots__ = ("_store",)
@@ -406,14 +364,9 @@ class SharedSocialGraph(SocialGraph):
     # Construction / lifecycle
     # ------------------------------------------------------------------
     @classmethod
-    def from_graph(
-        cls,
-        graph: SocialGraph,
-        backing: str = "shm",
-        path: "str | os.PathLike[str] | None" = None,
-    ) -> "SharedSocialGraph":
-        """Share an existing in-heap graph (copies its CSR into a segment)."""
-        return cls(SharedCSR.from_graph(graph, backing=backing, path=path))
+    def from_graph(cls, graph: SocialGraph) -> "SharedSocialGraph":
+        """Freeze an existing in-heap graph (copies its CSR into memory)."""
+        return cls(SharedCSR.from_graph(graph))
 
     @property
     def store(self) -> SharedCSR:
@@ -424,7 +377,7 @@ class SharedSocialGraph(SocialGraph):
         return self._store.descriptor
 
     def close(self) -> None:
-        """Release this process's mapping of the backing segment."""
+        """Close the backing store (see :meth:`SharedCSR.close`)."""
         self._csr = None
         self.close_views()
         self._store.close()
@@ -435,7 +388,7 @@ class SharedSocialGraph(SocialGraph):
         self._csr_version = -1
 
     def unlink(self) -> None:
-        """Remove the backing segment."""
+        """Remove an mmap store's file."""
         self._store.unlink()
 
     def __enter__(self) -> "SharedSocialGraph":
@@ -454,26 +407,8 @@ class SharedSocialGraph(SocialGraph):
             self._num_edges, self._version,
         )
 
-    def __reduce__(self):
-        # Pickle degrades to an in-heap copy on purpose: a segment name
-        # would dangle once the creator unlinks, and accidental pickles
-        # (result caches, WAL snapshots) must stay self-contained.
-        store = self._store
-        store._require_open()
-        return (
-            _rebuild_in_heap,
-            (
-                self._n,
-                self._directed,
-                store.indptr.tobytes(),
-                store.indices.tobytes(),
-                self._num_edges,
-                self._version,
-            ),
-        )
-
     # ------------------------------------------------------------------
-    # Read API (served from the shared arrays)
+    # Read API (served from the store's arrays)
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "directed" if self._directed else "undirected"
@@ -556,7 +491,7 @@ class SharedSocialGraph(SocialGraph):
         return int(self._store.degrees.max())
 
     def adjacency_matrix(self) -> sp.csr_matrix:
-        """The full adjacency as CSR, wrapping the shared arrays (no copy)."""
+        """The full adjacency as CSR, wrapping the store's arrays (no copy)."""
         if self._csr is not None and self._csr_version == self._version:
             return self._csr
         store = self._store
@@ -578,7 +513,7 @@ class SharedSocialGraph(SocialGraph):
 
         Targets that are consecutive ascending node ids
         (:func:`contiguous_node_range`) are served as views over the
-        shared ``indices``/``data`` plus a ``rows+1``-entry ``indptr``
+        store's ``indices``/``data`` plus a ``rows+1``-entry ``indptr``
         copy. Arbitrary target lists fall back to SciPy's fancy-index
         row gather (a copy, as on the in-heap graph).
         """
@@ -632,7 +567,7 @@ class SharedSocialGraph(SocialGraph):
         raise self._frozen("try_remove_edge")
 
     def copy(self) -> SocialGraph:
-        """Copies are in-heap (and therefore mutable), like unpickling."""
+        """Copies are in-heap (and therefore mutable)."""
         return self.to_heap()
 
     def relabel(self, permutation: "np.ndarray | list[int]") -> SocialGraph:

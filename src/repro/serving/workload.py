@@ -21,6 +21,7 @@ import numpy as np
 from ..errors import ServingError
 from ..graphs.graph import SocialGraph
 from ..rng import ensure_rng
+from .records import STATUS_NO_CANDIDATES
 from .service import RecommendationService
 
 
@@ -60,6 +61,7 @@ class ReplaySummary:
     num_requests: int
     num_served: int
     num_rejected: int
+    num_no_candidates: int
     wall_seconds: float
     requests_per_second: float
     cache_hit_rate: float
@@ -73,6 +75,7 @@ class ReplaySummary:
                 f"  requests:        {self.num_requests}",
                 f"  served:          {self.num_served}",
                 f"  rejected:        {self.num_rejected} (budget exhausted)",
+                f"  no candidates:   {self.num_no_candidates}",
                 f"  unique users:    {self.unique_users}",
                 f"  wall time:       {self.wall_seconds:.3f} s",
                 f"  throughput:      {self.requests_per_second:,.0f} recs/sec",
@@ -103,7 +106,7 @@ def replay(
     """
     if batch_size < 1:
         raise ServingError(f"batch_size must be >= 1, got {batch_size}")
-    served = rejected = hits = 0
+    served = rejected = no_candidates = hits = 0
     epsilon_spent = 0.0
     users_seen: set[int] = set()
     started = time.perf_counter()
@@ -114,6 +117,8 @@ def replay(
                 served += 1
                 hits += int(response.cache_hit)
                 epsilon_spent += response.epsilon_spent
+            elif response.status == STATUS_NO_CANDIDATES:
+                no_candidates += 1
             else:
                 rejected += 1
     wall = time.perf_counter() - started
@@ -121,6 +126,7 @@ def replay(
         num_requests=len(users),
         num_served=served,
         num_rejected=rejected,
+        num_no_candidates=no_candidates,
         wall_seconds=wall,
         requests_per_second=len(users) / wall if wall > 0 else float("inf"),
         cache_hit_rate=hits / served if served else 0.0,

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from ..errors import ServingError
 from ..graphs.graph import SocialGraph
 from ..serving.budgets import SlidingWindowAccountant
+from ..serving.records import STATUS_NO_CANDIDATES
 from ..serving.service import RecommendationService
 from .events import StreamEvent
 from .overlay import MutableSocialGraph
@@ -77,6 +78,7 @@ class StreamReplaySummary:
     num_queries: int
     num_served: int
     num_rejected: int
+    num_no_candidates: int
     num_mutations: int
     num_mutations_applied: int
     num_compactions: int
@@ -97,6 +99,7 @@ class StreamReplaySummary:
                 "changed the graph",
                 f"  served:          {self.num_served}",
                 f"  rejected:        {self.num_rejected} (budget exhausted)",
+                f"  no candidates:   {self.num_no_candidates}",
                 f"  wall time:       {self.wall_seconds:.3f} s",
                 f"  throughput:      {self.events_per_second:,.0f} events/sec",
                 f"  cache hit rate:  {self.cache_hit_rate:.1%}",
@@ -134,7 +137,7 @@ def replay_stream(
     """
     if batch_size < 1:
         raise ServingError(f"batch_size must be >= 1, got {batch_size}")
-    served = rejected = queries = mutations = 0
+    served = rejected = no_candidates = queries = mutations = 0
     hits = 0
     epsilon_spent = 0.0
     applied_before = service.mutations_applied
@@ -143,7 +146,7 @@ def replay_stream(
     pending_times: list[float] = []
 
     def flush() -> None:
-        nonlocal served, rejected, hits, epsilon_spent
+        nonlocal served, rejected, no_candidates, hits, epsilon_spent
         if not pending:
             return
         for response in service.recommend_batch(pending, at=pending_times):
@@ -151,6 +154,8 @@ def replay_stream(
                 served += 1
                 hits += int(response.cache_hit)
                 epsilon_spent += response.epsilon_spent
+            elif response.status == STATUS_NO_CANDIDATES:
+                no_candidates += 1
             else:
                 rejected += 1
             if on_response is not None:
@@ -177,6 +182,7 @@ def replay_stream(
         num_queries=queries,
         num_served=served,
         num_rejected=rejected,
+        num_no_candidates=no_candidates,
         num_mutations=mutations,
         num_mutations_applied=service.mutations_applied - applied_before,
         num_compactions=service.compactions - compactions_before,

@@ -62,6 +62,26 @@ class TestFraming:
         assert records[0].payload[1] == [["charge", 1, 0.1, "m", 0, 0, 0.0, "", 0.0]]
         assert records[1].payload[1] == []
 
+    def test_commit_frames_the_staged_rows_as_json_arrays(self, tmp_path):
+        """A commit writes exactly the JSON of its rows as arrays; the
+        staged rows survive the caller clearing the list it handed over."""
+        rows = [
+            ("charge", 3, 0.4, "exponential", 0, 1, 0.0, "", 0.0),
+            ("refusal", 4, 0.0, "exponential", 0, 1, 1.0, "no_candidates", 0.0),
+        ]
+        state = {"rng": None, "req": 2, "clock": 1.0, "mutations_seen": 0}
+        with wal_at(tmp_path) as wal:
+            for row in rows:
+                handed = [row]
+                wal.buffer_rows(handed)
+                handed.clear()
+            wal.commit(state)
+            path = wal.path
+        payload = json.dumps(
+            [RECORD_COMMIT, [list(r) for r in rows], state], separators=(",", ":")
+        ).encode("utf-8")
+        assert path.read_bytes() == _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
     def test_float_values_round_trip_exactly(self, tmp_path):
         time = 0.1 + 0.2  # not representable in decimal; must survive JSON
         with wal_at(tmp_path) as wal:

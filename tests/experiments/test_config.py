@@ -31,7 +31,6 @@ class TestValidation:
             dict(epsilons=()),
             dict(epsilons=(0.5, -1.0)),
             dict(target_fraction=0.0),
-            dict(backend="gpu"),
             dict(max_targets=0),
             dict(max_targets=-2),
         ],

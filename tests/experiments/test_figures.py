@@ -128,22 +128,27 @@ class TestFigure2c:
 
 
 class TestShardingPassThrough:
-    def test_explicit_config_backend_not_stomped(self):
+    def test_explicit_synthetic_config_not_stomped(self):
         """Regression: drivers used to replace() config fields with their
         parameter defaults, silently resetting an explicit config."""
         from dataclasses import replace
 
         config = replace(
-            paper_config_figure_1a(scale=0.02, max_targets=8), backend="shm"
+            paper_config_figure_1a(max_targets=8), dataset="synthetic", nodes=2000
         )
         result = figure_1a(config=config)
-        assert result.metadata["config"]["backend"] == "shm"
+        assert result.metadata["config"]["dataset"] == "synthetic"
+        assert result.metadata["num_nodes"] == 2000
 
     def test_driver_kwargs_apply_when_given(self):
-        result = figure_1a(scale=0.02, max_targets=8, backend="shm")
-        assert result.metadata["config"]["backend"] == "shm"
-        assert "chunk_size" not in result.metadata["config"]
-        assert "dtype" not in result.metadata["config"]
+        result = figure_1a(max_targets=8, nodes=2000, exponent=2.5)
+        config = result.metadata["config"]
+        assert (config["dataset"], config["nodes"], config["exponent"]) == (
+            "synthetic", 2000, 2.5,
+        )
+        assert "backend" not in config
+        assert "chunk_size" not in config
+        assert "dtype" not in config
 
     def test_drivers_take_no_dtype(self):
         with pytest.raises(TypeError):

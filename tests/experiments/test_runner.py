@@ -14,6 +14,7 @@ from repro.experiments.runner import (
     mechanism_key,
     run_experiment,
 )
+from repro.graphs import SharedSocialGraph
 from tests.conftest import engine_in_pieces
 
 
@@ -68,6 +69,21 @@ class TestBuilders:
     def test_mechanism_key_format(self):
         assert mechanism_key("exponential", 0.5) == "exponential@0.5"
         assert mechanism_key("laplace", 3.0) == "laplace@3"
+
+
+class TestSyntheticDataset:
+    @pytest.mark.parametrize("utility", ["common_neighbors", "weighted_paths"])
+    def test_frozen_graph_evaluates_like_its_heap_copy(self, utility):
+        config = ExperimentConfig(
+            dataset="synthetic", nodes=2000, utility=utility, max_targets=40, seed=5
+        )
+        graph = build_graph(config)
+        assert isinstance(graph, SharedSocialGraph)
+        run = run_experiment(config)
+        heap_run = run_experiment(config, graph=graph.to_heap())
+        assert run.num_targets_evaluated > 0
+        assert run.evaluations == heap_run.evaluations
+        assert (run.num_nodes, run.num_edges) == (heap_run.num_nodes, heap_run.num_edges)
 
 
 class TestRunExperiment:

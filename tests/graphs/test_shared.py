@@ -1,32 +1,28 @@
-"""Tests for the shared-memory / memory-mapped CSR graph backing store."""
+"""Tests for the frozen CSR graph store (process memory or an mmap file)."""
 
 from __future__ import annotations
 
 import os
-import pickle
 
 import numpy as np
 import pytest
 
-from repro.datasets import wiki_vote
 from repro.errors import NodeError, SharedGraphError
 from repro.graphs import (
     CSRDescriptor,
     SharedCSR,
     SharedSocialGraph,
     SocialGraph,
-    load_edge_list_shared,
-    read_edge_list,
 )
 from repro.graphs.generators import build_powerlaw_shared, erdos_renyi_gnm
-from repro.graphs.shared import SEGMENT_PREFIX, contiguous_node_range
+from repro.graphs.shared import contiguous_node_range
 
-BACKINGS = ["shm", "mmap"]
+BACKINGS = ["memory", "mmap"]
 
-# Zero-copy views into a segment pin its buffer; pytest's assertion
+# Zero-copy views into an mmap store pin its mapping; pytest's assertion
 # rewriter keeps sub-expression temporaries alive as test-function locals,
 # which would make close() fail inside a ``with`` block. These helpers
-# confine every view to a frame that exits before the segment closes.
+# confine every view to a frame that exits before the store closes.
 
 
 def _assert_same_matrix(shared, graph):
@@ -73,12 +69,6 @@ def _fill_path_graph(store):
     store.degrees[:] = [1, 2, 1]
 
 
-def _segment_exists(store) -> bool:
-    if store.backing == "mmap":
-        return os.path.exists(store.name)
-    return store.name in shm_segments()
-
-
 def _hold_view_and_close(store):
     view = store.indices[:2]
     with pytest.raises(SharedGraphError, match="still alive"):
@@ -90,38 +80,30 @@ def small_graph(directed: bool = False) -> SocialGraph:
     return erdos_renyi_gnm(60, 150, directed=directed, seed=5)
 
 
-def shm_segments() -> "list[str]":
-    try:
-        return [n for n in os.listdir("/dev/shm") if n.startswith("repro_csr_")]
-    except FileNotFoundError:  # non-Linux fallback: nothing to check
-        return []
+def mmap_powerlaw(tmp_path):
+    """A small power-law graph built into the file ``tmp_path/graph.csr``."""
+    return build_powerlaw_shared(
+        300, 2.2, seed=3, backing="mmap", path=tmp_path / "graph.csr"
+    )
+
+
+def _path_for(backing, tmp_path):
+    return tmp_path / "seg.csr" if backing == "mmap" else None
 
 
 class TestSharedCSRLifecycle:
-    @pytest.mark.parametrize("backing", BACKINGS)
     @pytest.mark.parametrize("directed", [False, True])
-    def test_from_graph_round_trips(self, backing, directed, tmp_path):
+    def test_from_graph_round_trips(self, directed):
         graph = small_graph(directed)
-        path = tmp_path / "seg.csr" if backing == "mmap" else None
-        store = SharedCSR.from_graph(graph, backing=backing, path=path)
-        try:
-            _assert_csr_arrays_match(store, graph)
-            _assert_sealed_read_only(store)
-            descriptor = store.descriptor
-            assert descriptor.num_nodes == graph.num_nodes
-            assert descriptor.num_edges == graph.num_edges
-            assert descriptor.version == graph.version
-            assert descriptor.directed == directed
-        finally:
-            store.close()
-            store.unlink()
-
-    def test_no_segment_left_after_normal_exit(self):
-        before = shm_segments()
-        graph = small_graph()
-        with SharedCSR.from_graph(graph) as store:
-            assert store.descriptor.nnz == graph.adjacency_matrix().nnz
-        assert shm_segments() == before
+        store = SharedCSR.from_graph(graph)
+        _assert_csr_arrays_match(store, graph)
+        _assert_sealed_read_only(store)
+        descriptor = store.descriptor
+        assert descriptor.backing == "memory" and descriptor.name is None
+        assert descriptor.num_nodes == graph.num_nodes
+        assert descriptor.num_edges == graph.num_edges
+        assert descriptor.version == graph.version
+        assert descriptor.directed == directed
 
     def test_unsealed_segment_has_no_descriptor(self):
         store = SharedCSR.allocate(4, 6, directed=False)
@@ -141,13 +123,13 @@ class TestSharedCSRLifecycle:
 
     @pytest.mark.parametrize("backing", BACKINGS)
     def test_descriptor_reads_the_sealed_header(self, backing, tmp_path):
-        path = tmp_path / "seg.csr" if backing == "mmap" else None
+        path = _path_for(backing, tmp_path)
         with SharedCSR.allocate(3, 4, directed=False, backing=backing, path=path) as store:
             _fill_path_graph(store)
             store.seal(version=7)
             assert store.descriptor == CSRDescriptor(
-                backing=backing, name=store.name, num_nodes=3, num_edges=2,
-                nnz=4, directed=False, version=7,
+                backing=backing, name=path and str(path), num_nodes=3,
+                num_edges=2, nnz=4, directed=False, version=7,
             )
             assert (store.num_nodes, store.nnz) == (3, 4)
 
@@ -167,82 +149,96 @@ class TestSharedCSRLifecycle:
 
     @pytest.mark.parametrize("backing", BACKINGS)
     def test_arrays_writable_until_sealed(self, backing, tmp_path):
-        path = tmp_path / "seg.csr" if backing == "mmap" else None
+        path = _path_for(backing, tmp_path)
         with SharedCSR.allocate(3, 4, directed=False, backing=backing, path=path) as store:
             _fill_path_graph(store)
             store.indices[0] = 1  # still assembling: writes land
             store.seal(version=0)
             _assert_sealed_read_only(store)
 
-    @pytest.mark.parametrize("backing", BACKINGS)
-    def test_nbytes_matches_the_segment_layout(self, backing, tmp_path):
+    def test_nbytes_matches_the_segment_layout(self):
         graph = small_graph()
-        path = tmp_path / "seg.csr" if backing == "mmap" else None
-        with SharedCSR.from_graph(graph, backing=backing, path=path) as store:
-            n, nnz = graph.num_nodes, store.nnz
-            assert store.nbytes == 8 * (8 + (n + 1) + 2 * nnz + n)
-            if backing == "mmap":
-                assert os.path.getsize(store.name) == store.nbytes
+        store = SharedCSR.from_graph(graph)
+        n, nnz = graph.num_nodes, store.nnz
+        assert store.nbytes == 8 * (8 + (n + 1) + 2 * nnz + n)
 
-    @pytest.mark.parametrize("backing", BACKINGS)
-    def test_segment_name_carries_the_leak_check_prefix(self, backing):
-        with SharedCSR.from_graph(small_graph(), backing=backing) as store:
-            if backing == "shm":
-                assert store.name.startswith(f"{SEGMENT_PREFIX}{os.getpid()}_")
-            else:
-                assert os.path.isabs(store.name)
-                assert os.path.basename(store.name).startswith(SEGMENT_PREFIX)
-            assert _segment_exists(store)
-
-    def test_allocate_rejects_bad_arguments(self):
+    def test_allocate_rejects_bad_arguments(self, tmp_path):
         with pytest.raises(SharedGraphError, match="unknown backing"):
             SharedCSR.allocate(3, 4, directed=False, backing="gpu")
+        with pytest.raises(SharedGraphError, match="needs a path"):
+            SharedCSR.allocate(3, 4, directed=False, backing="mmap")
+        with pytest.raises(SharedGraphError, match="takes no path"):
+            SharedCSR.allocate(3, 4, directed=False, path=tmp_path / "seg.csr")
+        assert not (tmp_path / "seg.csr").exists()
         with pytest.raises(SharedGraphError, match="num_nodes >= 0"):
             SharedCSR.allocate(-1, 4, directed=False)
         with pytest.raises(SharedGraphError, match="nnz >= 0"):
             SharedCSR.allocate(3, -4, directed=False)
 
-    @pytest.mark.parametrize("backing", BACKINGS)
-    def test_close_and_unlink_are_idempotent(self, backing, tmp_path):
-        path = tmp_path / "seg.csr" if backing == "mmap" else None
-        store = SharedCSR.from_graph(small_graph(), backing=backing, path=path)
+    def test_close_and_unlink_are_idempotent(self):
+        store = SharedCSR.from_graph(small_graph())
         store.close()
         store.close()
         assert store.closed
-        assert _segment_exists(store)  # closing drops the mapping only
+        store.unlink()  # a memory store has no file: nothing to remove
         store.unlink()
-        store.unlink()
-        assert not _segment_exists(store)
         with pytest.raises(SharedGraphError, match="closed"):
             _ = store.num_nodes
 
-    @pytest.mark.parametrize("backing", BACKINGS)
-    def test_close_with_live_views_raises_typed_error(self, backing, tmp_path):
-        path = tmp_path / "seg.csr" if backing == "mmap" else None
-        store = SharedCSR.from_graph(small_graph(), backing=backing, path=path)
+
+class TestMmapStore:
+    """The mmap backing's lifecycle, through its one caller's builder."""
+
+    def test_build_lives_in_the_named_file(self, tmp_path):
+        with mmap_powerlaw(tmp_path) as graph:
+            store = graph.store
+            assert store.backing == "mmap"
+            assert store.name == str(tmp_path / "graph.csr")
+            assert os.path.getsize(store.name) == store.nbytes
+            with build_powerlaw_shared(300, 2.2, seed=3) as in_memory:
+                assert graph == in_memory
+                assert graph.num_edges == in_memory.num_edges
+
+    def test_close_and_unlink_are_idempotent(self, tmp_path):
+        graph = mmap_powerlaw(tmp_path)
+        store = graph.store
+        graph.close()
+        graph.close()
+        assert store.closed
+        assert os.path.exists(store.name)  # closing drops the mapping only
+        graph.unlink()
+        graph.unlink()
+        assert not os.path.exists(store.name)
+        with pytest.raises(SharedGraphError, match="closed"):
+            _ = store.num_nodes
+
+    def test_close_with_live_views_raises_typed_error(self, tmp_path):
+        store = mmap_powerlaw(tmp_path).store
         try:
             _hold_view_and_close(store)
         finally:
             store.unlink()
-        assert not _segment_exists(store)
+        assert not os.path.exists(store.name)
 
-    @pytest.mark.parametrize("backing", BACKINGS)
-    def test_no_segment_left_after_exception(self, backing, tmp_path):
-        path = tmp_path / "seg.csr" if backing == "mmap" else None
-        with pytest.raises(RuntimeError, match="builder failed"):
-            with SharedCSR.from_graph(small_graph(), backing=backing, path=path) as store:
-                raise RuntimeError("builder failed")
-        assert store.closed
-        assert not _segment_exists(store)
+    def test_no_file_left_after_normal_exit(self, tmp_path):
+        with mmap_powerlaw(tmp_path) as graph:
+            assert graph.num_nodes == 300
+        assert graph.store.closed
+        assert os.listdir(tmp_path) == []
+
+    def test_no_file_left_after_exception(self, tmp_path):
+        with pytest.raises(RuntimeError, match="reader failed"):
+            with mmap_powerlaw(tmp_path) as graph:
+                raise RuntimeError("reader failed")
+        assert graph.store.closed
+        assert os.listdir(tmp_path) == []
 
 
 class TestSharedSocialGraph:
-    @pytest.mark.parametrize("backing", BACKINGS)
     @pytest.mark.parametrize("directed", [False, True])
-    def test_read_api_matches_heap_graph(self, backing, directed, tmp_path):
+    def test_read_api_matches_heap_graph(self, directed):
         graph = small_graph(directed)
-        path = tmp_path / "seg.csr" if backing == "mmap" else None
-        with SharedSocialGraph.from_graph(graph, backing=backing, path=path) as shared:
+        with SharedSocialGraph.from_graph(graph) as shared:
             assert shared == graph and graph == shared
             assert shared.num_nodes == graph.num_nodes
             assert shared.num_edges == graph.num_edges
@@ -256,6 +252,12 @@ class TestSharedSocialGraph:
             for u, v in [(0, 1), (3, 40), (59, 58)]:
                 assert shared.has_edge(u, v) == graph.has_edge(u, v)
             _assert_same_matrix(shared, graph)
+
+    def test_adjacency_matrix_shares_the_store_data(self):
+        """SciPy keeps a view unless its base is a much larger ndarray, so
+        a memory store carved from one would have its weights copied."""
+        shared = SharedSocialGraph.from_graph(small_graph())
+        assert np.shares_memory(shared.adjacency_matrix().data, shared.store.data)
 
     def test_adjacency_rows_zero_copy_on_node_ranges(self):
         graph = small_graph()
@@ -278,59 +280,20 @@ class TestSharedSocialGraph:
                 with pytest.raises(SharedGraphError, match="frozen"):
                     getattr(shared, method)(0, 1)
 
-    def test_pickle_degrades_to_in_heap_copy(self):
-        graph = small_graph()
-        with SharedSocialGraph.from_graph(graph) as shared:
-            clone = pickle.loads(pickle.dumps(shared))
-        assert type(clone) is SocialGraph
-        assert clone == graph
-        assert clone.num_edges == graph.num_edges
-        assert clone.version == graph.version
-        clone.add_edge(0, 59) if not clone.has_edge(0, 59) else None  # mutable
-
-    def test_pickle_degrades_directed_with_predecessors(self):
-        graph = small_graph(directed=True)
-        with SharedSocialGraph.from_graph(graph) as shared:
-            clone = pickle.loads(pickle.dumps(shared))
-        assert clone == graph
-        for node in range(graph.num_nodes):
-            assert clone.in_neighbors(node) == graph.in_neighbors(node)
-
-    @pytest.mark.parametrize("directed", [False, True])
-    def test_pickle_degrades_mmap_backed_graph(self, directed, tmp_path):
-        graph = small_graph(directed)
-        with SharedSocialGraph.from_graph(
-            graph, backing="mmap", path=tmp_path / "seg.csr"
-        ) as shared:
-            clone = pickle.loads(pickle.dumps(shared))
-        assert type(clone) is SocialGraph
-        assert clone == graph
-        assert (clone.num_edges, clone.version) == (graph.num_edges, graph.version)
-
-    def test_pickle_outlives_the_segment(self):
-        """The pickle carries the arrays, not the segment name: it still
-        loads after the creator has unlinked the segment."""
-        graph = small_graph()
-        with SharedSocialGraph.from_graph(graph) as shared:
-            payload = pickle.dumps(shared)
-        assert pickle.loads(payload) == graph
-
-    def test_closed_graph_refuses_reads_and_pickles(self):
+    def test_closed_graph_refuses_reads(self):
         shared = SharedSocialGraph.from_graph(small_graph())
         shared.close()
-        shared.unlink()
         with pytest.raises(SharedGraphError, match="closed"):
             shared.adjacency_matrix()
         with pytest.raises(SharedGraphError, match="closed"):
-            pickle.dumps(shared)
+            shared.to_heap()
 
-    @pytest.mark.parametrize("backing", BACKINGS)
-    def test_version_stamp_follows_the_source_graph(self, backing):
+    def test_version_stamp_follows_the_source_graph(self):
         graph = small_graph()
         graph.try_add_edge(0, 59)
         graph.try_remove_edge(0, 59)
         graph.try_add_edge(1, 58)
-        with SharedSocialGraph.from_graph(graph, backing=backing) as shared:
+        with SharedSocialGraph.from_graph(graph) as shared:
             assert shared.version == graph.version > 0
             assert shared.descriptor == shared.store.descriptor
             assert shared.descriptor.version == graph.version
@@ -361,7 +324,7 @@ class TestSharedSocialGraph:
 class TestOutOfCoreBuilders:
     @pytest.mark.parametrize("backing", BACKINGS)
     def test_powerlaw_shared_is_valid_simple_digraph(self, backing, tmp_path):
-        path = tmp_path / "seg.csr" if backing == "mmap" else None
+        path = _path_for(backing, tmp_path)
         with build_powerlaw_shared(
             500, 2.2, seed=11, backing=backing, path=path, chunk_nodes=64
         ) as graph:
@@ -386,26 +349,6 @@ class TestOutOfCoreBuilders:
             with build_powerlaw_shared(400, 2.2, seed=9, chunk_nodes=400) as coarse:
                 assert np.array_equal(fine.degrees(), coarse.degrees())
                 assert fine.num_edges == coarse.num_edges
-
-    def test_load_edge_list_shared_matches_read_edge_list(self, tmp_path):
-        graph = erdos_renyi_gnm(80, 200, seed=2)
-        path = tmp_path / "graph.txt"
-        from repro.graphs import write_edge_list
-
-        write_edge_list(graph, path)
-        heap = read_edge_list(path)
-        with load_edge_list_shared(path) as shared:
-            assert shared == heap
-            assert shared.num_edges == heap.num_edges
-            assert shared.version == heap.version
-
-    def test_load_edge_list_shared_directed(self, tmp_path):
-        path = tmp_path / "graph.txt"
-        path.write_text("# comment\n0 1\n1 2\n2 0\n2 0\n1 1\n")
-        heap = read_edge_list(path, directed=True)
-        with load_edge_list_shared(path, directed=True) as shared:
-            assert shared == heap
-            assert shared.num_edges == 3  # dedup + self-loop drop
 
 
 class TestNodeRangeSharding:

@@ -144,6 +144,37 @@ class TestEveryCallCommits:
             service.window_remaining(0)
 
 
+class TestReplaySummaries:
+    """Every replay driver counts a no-candidates answer as such, not as a
+    budget refusal."""
+
+    @pytest.mark.parametrize(
+        "driver", ["replay", "replay_stream", "replay_stream_durable"]
+    )
+    def test_no_candidates_are_not_budget_refusals(self, driver, tmp_path):
+        from repro.durability import replay_stream_durable
+        from repro.serving import replay
+        from repro.streaming import KIND_QUERY, replay_stream
+
+        users = [0, 0, 1]  # toy.star(3)'s hub has no candidate; leaf 1 has two
+        service = RecommendationService(
+            MutableSocialGraph.from_graph(toy.star(3)), user_budget=100.0, seed=0
+        )
+        events = [StreamEvent(float(t), KIND_QUERY, user=u) for t, u in enumerate(users)]
+        if driver == "replay":
+            summary = replay(service, users)
+        elif driver == "replay_stream":
+            summary = replay_stream(service, events)
+        else:
+            summary = replay_stream_durable(service, events, directory=tmp_path)
+            service.wal.close()
+        assert (summary.num_served, summary.num_rejected, summary.num_no_candidates) == (1, 0, 2)
+        assert service.budgets.spent(0) == 0.0
+        lines = summary.render().splitlines()
+        assert "  rejected:        0 (budget exhausted)" in lines
+        assert "  no candidates:   2" in lines
+
+
 class TestMutationNeedsAnOverlay:
     @pytest.mark.parametrize("endpoint", ["apply_edge_event", "submit_edge_event"])
     def test_edge_events(self, endpoint):

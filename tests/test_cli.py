@@ -197,6 +197,20 @@ class TestServeSimCommand:
             build_parser().parse_args(["serve-sim", "--mutate-every", "3"])
 
 
+class TestSyntheticNodes:
+    """``--nodes`` runs a command on the frozen synthetic power-law graph."""
+
+    def test_serve_sim(self, capsys):
+        assert main(["serve-sim", "--nodes", "3000", "--requests", "200"]) == 0
+        output = capsys.readouterr().out
+        assert "synthetic power-law n=3000 (3000 nodes)" in output
+        assert "requests:        200" in output
+
+    def test_sweep(self, capsys):
+        assert main(["sweep", "--nodes", "3000", "--targets", "10"]) == 0
+        assert "synthetic n=3000" in capsys.readouterr().out
+
+
 class TestStreamSimCommand:
     def test_parser_defaults(self):
         args = build_parser().parse_args(["stream-sim"])

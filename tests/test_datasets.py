@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
-from repro.datasets import toy, twitter, wiki_vote
+import pytest
+
+from repro.datasets import synthetic_powerlaw, toy, twitter, wiki_vote
+from repro.errors import SharedGraphError
+from repro.graphs import SharedSocialGraph
 
 
 class TestToyGraphs:
@@ -56,3 +60,12 @@ class TestDatasetEntryPoints:
 
     def test_twitter_default_seed_stable(self):
         assert twitter(scale=0.005) == twitter(scale=0.005)
+
+    def test_synthetic_powerlaw_is_a_frozen_csr_graph(self):
+        graph = synthetic_powerlaw(2000)
+        assert type(graph) is SharedSocialGraph
+        assert graph.store.backing == "memory"
+        assert graph.is_directed and graph.num_nodes == 2000
+        assert graph == synthetic_powerlaw(2000)
+        with pytest.raises(SharedGraphError, match="frozen"):
+            graph.add_edge(0, 1)

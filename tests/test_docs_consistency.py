@@ -180,6 +180,12 @@ REMOVED_NAMES = {
     # RecommendationService admits, charges and commits every request
     # itself (window refusals included), and a replayed request is a user id.
     "one-service-class": ("record_rejection", "RecommendationRequest"),
+    # The graph-backing knob and the POSIX shared-memory store: a frozen
+    # CSR graph lives in process memory, or in an mmap file a caller names.
+    "graph-backends": (
+        "KNOWN_BACKENDS", "load_edge_list_shared", "SEGMENT_PREFIX", "repro_csr_",
+        "_rebuild_in_heap", "shared_memory",
+    ),
     # The coalescer's per-dispatch size list grew without bound; the
     # edge.batch_size histogram records the distribution.
     "coalescer-history": ("batch_sizes",),
@@ -252,6 +258,36 @@ class TestRemovedNames:
         for command in (["figure", "1a"], ["sweep"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(command + ["--dtype", "float32"])
+
+    def test_removed_graph_backend_is_rejected(self, tmp_path):
+        """No command, config or builder takes ``backend``; the store takes
+        ``backing="memory"`` or ``"mmap"`` with a path, nothing else."""
+        from repro.cli import build_parser
+        from repro.datasets import synthetic_powerlaw
+        from repro.errors import ExperimentError, SharedGraphError
+        from repro.experiments.config import ExperimentConfig
+        from repro.experiments.figures import figure_1a
+        from repro.graphs import SharedCSR
+
+        for command in (
+            ["figure", "1a", "--backend", "shm"],
+            ["sweep", "--backend", "heap"],
+            ["serve-sim", "--backend", "mmap"],
+        ):
+            with pytest.raises(SystemExit) as usage:
+                build_parser().parse_args(command)
+            assert usage.value.code == 2
+        config = ExperimentConfig().to_dict()
+        with pytest.raises(ExperimentError, match="backend"):
+            ExperimentConfig.from_dict({**config, "backend": "shm"})
+        with pytest.raises(TypeError):
+            synthetic_powerlaw(2000, backend="shm")
+        with pytest.raises(TypeError):
+            figure_1a(backend="shm")
+        with pytest.raises(SharedGraphError, match="unknown backing"):
+            SharedCSR.allocate(3, 4, directed=False, backing="shm")
+        with pytest.raises(SharedGraphError, match="needs a path"):
+            SharedCSR.allocate(3, 4, directed=False, backing="mmap")
 
     def test_removed_laplace_trials_are_rejected(self):
         """Laplace accuracies are exact: no entry point takes a trial count."""
