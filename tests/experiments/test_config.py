@@ -33,6 +33,9 @@ class TestValidation:
             dict(target_fraction=0.0),
             dict(max_targets=0),
             dict(max_targets=-2),
+            dict(dataset="synthetic"),
+            dict(dataset="synthetic", nodes=1),
+            dict(dataset="synthetic", nodes=100, exponent=1.0),
         ],
     )
     def test_invalid_configs_rejected(self, overrides):

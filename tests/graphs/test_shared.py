@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+import repro.graphs.generators.powerlaw as powerlaw_generator
 from repro.errors import NodeError, SharedGraphError
 from repro.graphs import (
     CSRDescriptor,
@@ -34,6 +35,23 @@ def _assert_rows_match(shared, graph, targets, expect_view):
     assert (rows != graph.adjacency_rows(targets)).nnz == 0
     if expect_view:  # views, not copies: the arrays alias the segment
         assert rows.indices.base is not None
+
+
+def _assert_read_api_matches(shared, graph, pairs):
+    last = graph.num_nodes - 1
+    assert shared == graph and graph == shared
+    assert shared.num_nodes == graph.num_nodes
+    assert shared.num_edges == graph.num_edges
+    assert shared.version == graph.version
+    assert sorted(shared.edges()) == sorted(graph.edges())
+    assert np.array_equal(shared.degrees(), graph.degrees())
+    assert shared.max_degree() == graph.max_degree()
+    for node in (0, 7, last):
+        assert shared.neighbors(node) == graph.neighbors(node)
+        assert shared.degree(node) == graph.degree(node)
+    for u, v in pairs:
+        assert shared.has_edge(u, v) == graph.has_edge(u, v)
+    _assert_same_matrix(shared, graph)
 
 
 def _assert_row_is_sorted_simple(graph, node):
@@ -105,8 +123,11 @@ class TestSharedCSRLifecycle:
         assert descriptor.version == graph.version
         assert descriptor.directed == directed
 
-    def test_unsealed_segment_has_no_descriptor(self):
-        store = SharedCSR.allocate(4, 6, directed=False)
+    @pytest.mark.parametrize("backing", BACKINGS)
+    def test_unsealed_segment_has_no_descriptor(self, backing, tmp_path):
+        store = SharedCSR.allocate(
+            4, 6, directed=False, backing=backing, path=_path_for(backing, tmp_path)
+        )
         try:
             with pytest.raises(SharedGraphError, match="not sealed"):
                 _ = store.descriptor
@@ -156,11 +177,14 @@ class TestSharedCSRLifecycle:
             store.seal(version=0)
             _assert_sealed_read_only(store)
 
-    def test_nbytes_matches_the_segment_layout(self):
-        graph = small_graph()
-        store = SharedCSR.from_graph(graph)
-        n, nnz = graph.num_nodes, store.nnz
-        assert store.nbytes == 8 * (8 + (n + 1) + 2 * nnz + n)
+    @pytest.mark.parametrize("backing", BACKINGS)
+    def test_nbytes_matches_the_segment_layout(self, backing, tmp_path):
+        n, nnz = 60, 300
+        path = _path_for(backing, tmp_path)
+        with SharedCSR.allocate(n, nnz, directed=False, backing=backing, path=path) as store:
+            assert store.nbytes == 8 * (8 + (n + 1) + 2 * nnz + n)
+            if backing == "mmap":
+                assert os.path.getsize(store.name) == store.nbytes
 
     def test_allocate_rejects_bad_arguments(self, tmp_path):
         with pytest.raises(SharedGraphError, match="unknown backing"):
@@ -184,6 +208,15 @@ class TestSharedCSRLifecycle:
         store.unlink()
         with pytest.raises(SharedGraphError, match="closed"):
             _ = store.num_nodes
+
+    def test_memory_store_close_leaves_live_views_readable(self):
+        """A memory buffer is freed with its last reference, not by close()."""
+        graph = small_graph()
+        store = SharedCSR.from_graph(graph)
+        view = store.indices[:5]
+        store.close()
+        assert store.closed
+        assert view.tolist() == graph.adjacency_matrix().indices[:5].tolist()
 
 
 class TestMmapStore:
@@ -233,25 +266,34 @@ class TestMmapStore:
         assert graph.store.closed
         assert os.listdir(tmp_path) == []
 
+    def test_no_file_left_after_failed_build(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("sampler failed")
+
+        monkeypatch.setattr(powerlaw_generator, "_fill_distinct_neighbors", fail)
+        with pytest.raises(RuntimeError, match="sampler failed"):
+            mmap_powerlaw(tmp_path)
+        assert os.listdir(tmp_path) == []
+
+    def test_read_api_matches_heap_copy(self, tmp_path):
+        with mmap_powerlaw(tmp_path) as graph:
+            heap = graph.to_heap()
+            edges = [(u, min(heap.neighbors(u))) for u in (0, 150, 299)]
+            _assert_read_api_matches(graph, heap, edges + [(0, 0), (299, 0)])
+            _assert_rows_match(
+                graph, heap, np.arange(40, 90, dtype=np.int64), expect_view=True
+            )
+            _assert_rows_match(
+                graph, heap, np.array([120, 3, 77]), expect_view=False
+            )
+
 
 class TestSharedSocialGraph:
     @pytest.mark.parametrize("directed", [False, True])
     def test_read_api_matches_heap_graph(self, directed):
         graph = small_graph(directed)
         with SharedSocialGraph.from_graph(graph) as shared:
-            assert shared == graph and graph == shared
-            assert shared.num_nodes == graph.num_nodes
-            assert shared.num_edges == graph.num_edges
-            assert shared.version == graph.version
-            assert sorted(shared.edges()) == sorted(graph.edges())
-            assert np.array_equal(shared.degrees(), graph.degrees())
-            assert shared.max_degree() == graph.max_degree()
-            for node in (0, 7, 59):
-                assert shared.neighbors(node) == graph.neighbors(node)
-                assert shared.degree(node) == graph.degree(node)
-            for u, v in [(0, 1), (3, 40), (59, 58)]:
-                assert shared.has_edge(u, v) == graph.has_edge(u, v)
-            _assert_same_matrix(shared, graph)
+            _assert_read_api_matches(shared, graph, [(0, 1), (3, 40), (59, 58)])
 
     def test_adjacency_matrix_shares_the_store_data(self):
         """SciPy keeps a view unless its base is a much larger ndarray, so
